@@ -1,6 +1,8 @@
 #include "client/log_client.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -39,11 +41,23 @@ struct LogClient::InitState {
   bool finished = false;
 };
 
+// One ReadLog served by the log servers: the holders, tried in order.
+struct LogClient::ReadState {
+  Lsn lsn = kNoLsn;
+  uint64_t generation = 0;
+  std::vector<ServerId> holders;
+  std::function<void(Result<Bytes>)> done;
+};
+
 Status LogClientConfig::Validate() const {
   if (copies < 1) return Status::InvalidArgument("copies must be >= 1");
   if (servers.size() < static_cast<size_t>(copies)) {
     return Status::InvalidArgument(
         "need at least `copies` servers (N <= M)");
+  }
+  if (servers.size() > kMaxServers) {
+    return Status::InvalidArgument(
+        "at most 64 servers (one acknowledgment bit each)");
   }
   if (cpu_mips <= 0) {
     return Status::InvalidArgument("cpu_mips must be > 0");
@@ -101,6 +115,12 @@ LogClient::LogClient(sim::Scheduler* sim, const LogClientConfig& config)
 }
 
 LogClient::~LogClient() {
+  // Pending RPC continuations capture `this`: drop them unrun before the
+  // links, and the rest of this client, are destroyed.
+  ++generation_;
+  for (auto& [node, link] : links_) {
+    if (link.rpc != nullptr) link.rpc->DropAll();
+  }
   if (retry_timer_ != 0) sim_->Cancel(retry_timer_);
 }
 
@@ -171,16 +191,24 @@ LogClient::ServerLink* LogClient::LinkOf(net::NodeId node) {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-void LogClient::ConnectAll() {
-  for (net::NodeId node : config_.servers) {
-    ServerLink& link = links_[node];
-    link.node = node;
-    EnsureConnected(&link);
+LogClient::ServerLink& LogClient::LinkFor(net::NodeId node) {
+  ServerLink& link = links_[node];
+  link.node = node;
+  link.bit = BitOf(node);
+  return link;
+}
+
+uint64_t LogClient::BitOf(net::NodeId node) const {
+  for (size_t i = 0; i < config_.servers.size(); ++i) {
+    if (config_.servers[i] == node) return uint64_t{1} << i;
   }
+  return 0;
+}
+
+void LogClient::ConnectAll() {
+  for (net::NodeId node : config_.servers) EnsureConnected(&LinkFor(node));
   for (net::NodeId node : config_.generator_reps) {
-    ServerLink& link = links_[node];
-    link.node = node;
-    EnsureConnected(&link);
+    EnsureConnected(&LinkFor(node));
   }
 }
 
@@ -252,6 +280,39 @@ void LogClient::OnServerMessage(net::NodeId node,
   }
 }
 
+// --- Pending-record ring ---
+
+LogClient::PendingRecord& LogClient::PendingRing::Add(Lsn lsn) {
+  const Lsn low = empty() ? lsn : std::min(base_, lsn);
+  const Lsn high = empty() ? lsn + 1 : std::max(end(), lsn + 1);
+  if (high - low > slots_.size()) {
+    // Rehome the window into a ring at least twice as large.
+    size_t capacity = std::max<size_t>(8, 2 * slots_.size());
+    while (capacity < high - low) capacity *= 2;
+    std::vector<PendingRecord> grown(capacity);
+    for (Lsn l = base_; l < end(); ++l) {
+      grown[l & (capacity - 1)] = std::move(Slot(l));
+    }
+    slots_ = std::move(grown);
+  }
+  base_ = low;
+  span_ = high - low;
+  PendingRecord& slot = Slot(lsn);
+  if (slot.record.lsn != lsn) ++live_;
+  slot = PendingRecord{};
+  slot.record.lsn = lsn;
+  return slot;
+}
+
+void LogClient::PendingRing::Retire(Lsn lsn) {
+  Slot(lsn) = PendingRecord{};
+  --live_;
+  while (span_ > 0 && Slot(base_).record.lsn == kNoLsn) {
+    ++base_;
+    --span_;
+  }
+}
+
 // --- Write pipeline ---
 
 Result<Lsn> LogClient::WriteLog(Bytes data) {
@@ -259,8 +320,7 @@ Result<Lsn> LogClient::WriteLog(Bytes data) {
   if (!initialized_) {
     return Status::FailedPrecondition("log client not initialized");
   }
-  PendingRecord pr;
-  pr.record.lsn = next_lsn_;
+  PendingRecord& pr = pending_.Add(next_lsn_);
   pr.record.epoch = epoch_;
   pr.record.present = true;
   pr.record.data = std::move(data);
@@ -270,7 +330,6 @@ Result<Lsn> LogClient::WriteLog(Bytes data) {
         tracer_->StartSpan("wal.group", trace_node_, tracer_->Current());
     tracer_->AddArg(pr.group_span, "lsn", next_lsn_);
   }
-  pending_[next_lsn_] = std::move(pr);
   const Lsn lsn = next_lsn_++;
   PumpSends();
   return lsn;
@@ -283,9 +342,9 @@ void LogClient::ForceLog(Lsn upto, std::function<void(Status)> done) {
     });
     return;
   }
-  for (auto& [lsn, pr] : pending_) {
-    if (lsn > upto) break;
-    pr.forced = true;
+  for (Lsn lsn = pending_.front(); lsn <= upto && lsn < pending_.end();
+       ++lsn) {
+    if (PendingRecord* pr = pending_.Find(lsn)) pr->forced = true;
   }
   ForceWaiter waiter{upto, std::move(done), sim_->Now(), {}};
   if (tracer_ != nullptr) {
@@ -303,12 +362,11 @@ void LogClient::ForceLog(Lsn upto, std::function<void(Status)> done) {
   CheckForceCompletion();
 }
 
-std::vector<LogClient::ServerLink*> LogClient::WriteSet() {
+LogClient::LinkList LogClient::WriteSet() {
   // Returned by value: callers iterate while nested sends can re-enter
   // PumpSends (inline-delivery configurations), so a shared buffer
   // would be mutated under the caller's feet.
-  std::vector<ServerLink*> out;
-  out.reserve(write_set_.size());
+  LinkList out;
   for (net::NodeId node : write_set_) {
     ServerLink* link = LinkOf(node);
     if (link != nullptr) out.push_back(link);
@@ -316,11 +374,10 @@ std::vector<LogClient::ServerLink*> LogClient::WriteSet() {
   return out;
 }
 
-net::NodeId LogClient::PickReplacement(
-    const std::set<net::NodeId>& exclude) {
+net::NodeId LogClient::PickReplacement(uint64_t exclude) {
   std::vector<net::NodeId> candidates;
   for (net::NodeId node : config_.servers) {
-    if (exclude.count(node) > 0) continue;
+    if ((exclude & BitOf(node)) != 0) continue;
     auto avoided = avoid_until_.find(node);
     if (avoided != avoid_until_.end() && avoided->second > sim_->Now()) {
       continue;
@@ -330,7 +387,7 @@ net::NodeId LogClient::PickReplacement(
   if (candidates.empty()) {
     // Everyone is either in use or in the penalty box; retry deserters.
     for (net::NodeId node : config_.servers) {
-      if (exclude.count(node) == 0) candidates.push_back(node);
+      if ((exclude & BitOf(node)) == 0) candidates.push_back(node);
     }
   }
   if (candidates.empty()) return 0;
@@ -368,24 +425,22 @@ net::NodeId LogClient::PickReplacement(
 }
 
 void LogClient::ChooseWriteSet() {
-  // Full house (the common case, hit once per PumpSends): nothing to do,
-  // and no exclusion set to build.
+  // Full house (the common case, hit once per PumpSends): nothing to do.
   if (write_set_.size() >= static_cast<size_t>(config_.copies)) return;
-  std::set<net::NodeId> members(write_set_.begin(), write_set_.end());
+  uint64_t members = 0;
+  for (net::NodeId node : write_set_) members |= BitOf(node);
   while (write_set_.size() < static_cast<size_t>(config_.copies)) {
     const net::NodeId pick = PickReplacement(members);
     if (pick == 0) break;
-    members.insert(pick);
+    members |= BitOf(pick);
     write_set_.push_back(pick);
-    ServerLink& link = links_[pick];
-    link.node = pick;
+    ServerLink& link = LinkFor(pick);
     link.in_write_set = true;
     EnsureConnected(&link);
     JoinWriteSetMember(pick);
     // A server joining mid-stream needs a NewInterval announcement unless
     // its stream is already contiguous with what we will send next.
-    const Lsn first =
-        pending_.empty() ? next_lsn_ : pending_.begin()->first;
+    const Lsn first = pending_.empty() ? next_lsn_ : pending_.front();
     if (link.sent_high != first - 1) {
       wire::NewIntervalMsg msg{config_.client_id, epoch_, first};
       if (link.conn != nullptr) link.conn->Send(wire::EncodeNewInterval(msg));
@@ -430,117 +485,16 @@ void LogClient::PumpSends() {
 }
 
 void LogClient::StreamMulticast() {
-  std::vector<ServerLink*> ws = WriteSet();
+  const LinkList ws = WriteSet();
   if (ws.size() < static_cast<size_t>(config_.copies)) return;
   // The group stream reaches every member; while any of them is in a
   // shed backoff the whole stream waits (the backoff wakeup re-pumps).
   for (ServerLink* link : ws) {
     if (InShedBackoff(*link)) return;
   }
-
   Lsn frontier = ~Lsn{0};
   for (ServerLink* link : ws) frontier = std::min(frontier, link->sent_high);
-
-  Lsn force_upto = kNoLsn;
-  for (const ForceWaiter& w : force_waiters_) {
-    force_upto = std::max(force_upto, w.upto);
-  }
-
-  std::vector<std::map<Lsn, PendingRecord>::iterator> batch;
-  size_t batch_bytes = wire::RecordBatchOverhead();
-  bool batch_forced = false;
-  bool sent_forced_batch = false;
-  size_t unacked_sent = UnackedSentRecords();
-
-  auto commit_batch = [&]() {
-    wire::RecordBatch msg;
-    msg.client = config_.client_id;
-    msg.epoch = epoch_;
-    obs::SpanContext send_parent;
-    for (auto it : batch) {
-      PendingRecord& pr = it->second;
-      if (pr.first_sent == 0) {
-        pr.first_sent = sim_->Now();
-        if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
-      }
-      if (!send_parent.valid()) send_parent = pr.group_span;
-      if (pr.sent_to.empty()) ++unacked_sent_records_;
-      for (ServerLink* link : ws) {
-        pr.sent_to.insert(link->node);
-        link->sent_high = std::max(link->sent_high, it->first);
-      }
-      msg.records.push_back(pr.record);
-      records_sent_.Increment();
-    }
-    batch.clear();
-    const wire::MessageType type = batch_forced
-                                       ? wire::MessageType::kForceLog
-                                       : wire::MessageType::kWriteLog;
-    if (batch_forced) sent_forced_batch = true;
-    if (tracer_ != nullptr) {
-      if (batch_forced && ForceContext().valid()) {
-        send_parent = ForceContext();
-      }
-      obs::SpanContext send =
-          tracer_->StartSpan("wire.send", trace_node_, send_parent);
-      tracer_->AddArg(send, "group", Group());
-      tracer_->AddArg(send, "records", msg.records.size());
-      msg.trace = send.trace;
-      msg.span = send.span;
-    }
-    endpoint_->SendDatagram(Group(), wire::EncodeRecordBatch(type, msg),
-                            msg.trace, msg.span);
-    batches_sent_.Increment();
-    batch_bytes = wire::RecordBatchOverhead();
-    batch_forced = false;
-  };
-
-  for (auto it = pending_.lower_bound(frontier + 1); it != pending_.end();
-       ++it) {
-    PendingRecord& pr = it->second;
-    if (pr.sent_to.empty() && unacked_sent >= config_.delta) break;
-    const size_t cost = wire::EncodedRecordSize(pr.record);
-    if (batch_bytes + cost > config_.mtu_payload && !batch.empty()) {
-      commit_batch();
-    }
-    if (pr.sent_to.empty()) ++unacked_sent;
-    batch.push_back(it);
-    batch_bytes += cost;
-    batch_forced = batch_forced || pr.forced;
-  }
-  if (!batch.empty() &&
-      (batch_forced || batch_bytes + 64 >= config_.mtu_payload)) {
-    commit_batch();
-  }
-
-  if (sent_forced_batch) {
-    for (ServerLink* link : ws) {
-      link->force_ping_high = std::max(link->force_ping_high, force_upto);
-    }
-    return;
-  }
-  // A force of already-streamed records: one unicast ping per lagging
-  // server (they ack individually anyway).
-  for (ServerLink* link : ws) {
-    if (force_upto != kNoLsn && link->acked_high < force_upto &&
-        link->sent_high >= force_upto &&
-        link->force_ping_high < force_upto && link->conn != nullptr) {
-      link->force_ping_high = force_upto;
-      wire::RecordBatch ping;
-      ping.client = config_.client_id;
-      ping.epoch = epoch_;
-      if (tracer_ != nullptr) {
-        obs::SpanContext send =
-            tracer_->StartSpan("wire.send", trace_node_, ForceContext());
-        tracer_->AddArg(send, "server", link->node);
-        ping.trace = send.trace;
-        ping.span = send.span;
-      }
-      link->conn->Send(
-          wire::EncodeRecordBatch(wire::MessageType::kForceLog, ping),
-          ping.trace, ping.span);
-    }
-  }
+  Stream(ws, frontier + 1, /*to_group=*/true);
 }
 
 void LogClient::StreamTo(ServerLink* link) {
@@ -548,8 +502,13 @@ void LogClient::StreamTo(ServerLink* link) {
   // A shed server gets no new batches until its backoff expires (the
   // OnOverloaded wakeup re-pumps).
   if (InShedBackoff(*link)) return;
+  LinkList target;
+  target.push_back(link);
+  Stream(target, link->sent_high + 1, /*to_group=*/false);
+}
 
-  // Is there an outstanding force this link has not yet acknowledged?
+void LogClient::Stream(const LinkList& targets, Lsn from, bool to_group) {
+  // Is there an outstanding force the targets have not yet acknowledged?
   Lsn force_upto = kNoLsn;
   for (const ForceWaiter& w : force_waiters_) {
     force_upto = std::max(force_upto, w.upto);
@@ -559,89 +518,55 @@ void LogClient::StreamTo(ServerLink* link) {
   // force covers them or a full packet's worth has accumulated, so that
   // "log records [are] stored on a client node until they are explicitly
   // forced by the recovery manager".
-  std::vector<std::map<Lsn, PendingRecord>::iterator> batch;
-  size_t batch_bytes = wire::RecordBatchOverhead();
-  bool batch_forced = false;
-  size_t unacked_sent = UnackedSentRecords();
-
+  Batch batch;
   bool sent_forced_batch = false;
-  auto commit_batch = [&]() {
-    wire::RecordBatch msg;
-    msg.client = config_.client_id;
-    msg.epoch = epoch_;
-    obs::SpanContext send_parent;
-    for (auto it : batch) {
-      PendingRecord& pr = it->second;
-      if (pr.first_sent == 0) {
-        pr.first_sent = sim_->Now();
-        if (tracer_ != nullptr) tracer_->EndSpan(pr.group_span);
-      }
-      if (!send_parent.valid()) send_parent = pr.group_span;
-      if (pr.sent_to.empty()) ++unacked_sent_records_;
-      pr.sent_to.insert(link->node);
-      link->sent_high = std::max(link->sent_high, it->first);
-      msg.records.push_back(pr.record);
-      records_sent_.Increment();
-    }
-    batch.clear();
-    const wire::MessageType type = batch_forced
-                                       ? wire::MessageType::kForceLog
-                                       : wire::MessageType::kWriteLog;
-    if (batch_forced) sent_forced_batch = true;
-    if (tracer_ != nullptr) {
-      if (batch_forced && ForceContext().valid()) {
-        send_parent = ForceContext();
-      }
-      obs::SpanContext send =
-          tracer_->StartSpan("wire.send", trace_node_, send_parent);
-      tracer_->AddArg(send, "server", link->node);
-      tracer_->AddArg(send, "records", msg.records.size());
-      msg.trace = send.trace;
-      msg.span = send.span;
-    }
-    link->conn->Send(wire::EncodeRecordBatch(type, msg), msg.trace,
-                     msg.span);
-    batches_sent_.Increment();
-    batch_bytes = wire::RecordBatchOverhead();
-    batch_forced = false;
+  auto send_batch = [&]() {
+    SendBatch(targets, batch, to_group);
+    sent_forced_batch = sent_forced_batch || batch.forced;
+    batch = Batch{};
   };
-
-  for (auto it = pending_.lower_bound(link->sent_high + 1);
-       it != pending_.end(); ++it) {
-    PendingRecord& pr = it->second;
+  size_t unacked_sent = UnackedSentRecords();
+  for (Lsn lsn = std::max(from, pending_.front()); lsn < pending_.end();
+       ++lsn) {
+    const PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
     // δ bound: throttle first-time sends so that at most `delta` records
     // can ever be partially written.
-    if (pr.sent_to.empty() && unacked_sent >= config_.delta) break;
-    const size_t cost = wire::EncodedRecordSize(pr.record);
-    if (batch_bytes + cost > config_.mtu_payload && !batch.empty()) {
-      commit_batch();
+    if (pr->sent_to == 0 && unacked_sent >= config_.delta) break;
+    const size_t cost = wire::EncodedRecordSize(pr->record);
+    if (batch.count > 0 && batch.bytes + cost > config_.mtu_payload) {
+      send_batch();
     }
-    if (pr.sent_to.empty()) ++unacked_sent;
-    batch.push_back(it);
-    batch_bytes += cost;
-    batch_forced = batch_forced || pr.forced;
+    if (pr->sent_to == 0) ++unacked_sent;
+    if (batch.count == 0) batch.first = lsn;
+    batch.last = lsn;
+    ++batch.count;
+    batch.bytes += cost;
+    batch.forced = batch.forced || pr->forced;
   }
-  if (!batch.empty()) {
-    // A trailing partial packet goes out only when a force needs it;
-    // otherwise those records keep buffering.
-    if (batch_forced) {
-      commit_batch();
-    } else if (batch_bytes + 64 >= config_.mtu_payload) {
-      commit_batch();
-    }
+  // A trailing partial packet goes out only when a force needs it;
+  // otherwise those records keep buffering.
+  if (batch.count > 0 &&
+      (batch.forced || batch.bytes + 64 >= config_.mtu_payload)) {
+    send_batch();
   }
 
-  // A force of already-streamed records still needs an acknowledgment:
-  // prod the server with one empty ForceLog per force point (the retry
-  // timer re-prods if the ack is lost).
   if (sent_forced_batch) {
     // The forced data batch itself elicits the acknowledgment.
-    link->force_ping_high = std::max(link->force_ping_high, force_upto);
+    for (ServerLink* link : targets) {
+      link->force_ping_high = std::max(link->force_ping_high, force_upto);
+    }
     return;
   }
-  if (force_upto != kNoLsn && link->acked_high < force_upto &&
-      link->sent_high >= force_upto &&
-      link->force_ping_high < force_upto) {
+  // A force of already-streamed records still needs an acknowledgment:
+  // prod each lagging server with one empty ForceLog per force point (the
+  // retry timer re-prods if the ack is lost).
+  for (ServerLink* link : targets) {
+    if (force_upto == kNoLsn || link->acked_high >= force_upto ||
+        link->sent_high < force_upto || link->force_ping_high >= force_upto ||
+        link->conn == nullptr) {
+      continue;
+    }
     link->force_ping_high = force_upto;
     wire::RecordBatch ping;
     ping.client = config_.client_id;
@@ -659,16 +584,67 @@ void LogClient::StreamTo(ServerLink* link) {
   }
 }
 
+void LogClient::SendBatch(const LinkList& targets, const Batch& batch,
+                          bool to_group) {
+  wire::RecordBatch header;
+  header.client = config_.client_id;
+  header.epoch = epoch_;
+  obs::SpanContext send_parent;
+  for (Lsn lsn = batch.first; lsn <= batch.last; ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
+    if (pr->first_sent == 0) {
+      pr->first_sent = sim_->Now();
+      if (tracer_ != nullptr) tracer_->EndSpan(pr->group_span);
+    }
+    if (!send_parent.valid()) send_parent = pr->group_span;
+    if (pr->sent_to == 0) ++unacked_sent_records_;
+    for (ServerLink* link : targets) {
+      pr->sent_to |= link->bit;
+      link->sent_high = std::max(link->sent_high, lsn);
+    }
+    records_sent_.Increment();
+  }
+  const wire::MessageType type = batch.forced ? wire::MessageType::kForceLog
+                                              : wire::MessageType::kWriteLog;
+  if (tracer_ != nullptr) {
+    if (batch.forced && ForceContext().valid()) send_parent = ForceContext();
+    obs::SpanContext send =
+        tracer_->StartSpan("wire.send", trace_node_, send_parent);
+    if (to_group) {
+      tracer_->AddArg(send, "group", Group());
+    } else {
+      tracer_->AddArg(send, "server", targets[0]->node);
+    }
+    tracer_->AddArg(send, "records", batch.count);
+    header.trace = send.trace;
+    header.span = send.span;
+  }
+  wire::RecordBatchWriter writer(type, header, batch.count, batch.bytes);
+  for (Lsn lsn = batch.first; lsn <= batch.last; ++lsn) {
+    if (const PendingRecord* pr = pending_.Find(lsn)) writer.Add(pr->record);
+  }
+  if (to_group) {
+    endpoint_->SendDatagram(Group(), writer.Take(), header.trace,
+                            header.span);
+  } else {
+    targets[0]->conn->Send(writer.Take(), header.trace, header.span);
+  }
+  batches_sent_.Increment();
+}
+
 void LogClient::OnNewHighLsn(ServerLink* link, Lsn high) {
   link->acked_high = std::max(link->acked_high, high);
   bool progressed = false;
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->first > high) break;
-    PendingRecord& pr = it->second;
-    if (pr.sent_to.count(link->node) > 0 &&
-        pr.acked_by.insert(link->node).second) {
-      progressed = true;
+  for (Lsn lsn = pending_.front(); lsn <= high && lsn < pending_.end();
+       ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr || (pr->sent_to & link->bit) == 0 ||
+        (pr->acked_by & link->bit) != 0) {
+      continue;
     }
+    pr->acked_by |= link->bit;
+    progressed = true;
   }
   if (progressed) {
     link->silent_rounds = 0;
@@ -722,23 +698,27 @@ void LogClient::OnOverloaded(ServerLink* link,
 
 void LogClient::CheckForceCompletion() {
   // Retire records acknowledged by N servers.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    PendingRecord& pr = it->second;
-    if (pr.acked_by.size() >= static_cast<size_t>(config_.copies)) {
-      std::vector<ServerId> holders(pr.acked_by.begin(), pr.acked_by.end());
-      view_.NoteWrite(pr.record.lsn, pr.record.epoch, holders);
-      bytes_buffered_ -= pr.record.data.size();
-      if (!pr.sent_to.empty()) --unacked_sent_records_;
-      it = pending_.erase(it);
-    } else {
-      ++it;
+  for (Lsn lsn = pending_.front(); lsn < pending_.end(); ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr || std::popcount(pr->acked_by) < config_.copies) {
+      continue;
     }
+    // The merged view keeps each holder list sorted by server id.
+    std::array<ServerId, kMaxServers> holders{};
+    size_t n = 0;
+    for (uint64_t acked = pr->acked_by; acked != 0; acked &= acked - 1) {
+      holders[n++] = config_.servers[std::countr_zero(acked)];
+    }
+    std::sort(holders.begin(), holders.begin() + n);
+    view_.NoteWrite(lsn, pr->record.epoch, {holders.data(), n});
+    bytes_buffered_ -= pr->record.data.size();
+    if (pr->sent_to != 0) --unacked_sent_records_;
+    pending_.Retire(lsn);
   }
   // Complete force waiters whose range is fully durable.
   while (!force_waiters_.empty()) {
     ForceWaiter& w = force_waiters_.front();
-    auto it = pending_.begin();
-    if (it != pending_.end() && it->first <= w.upto) break;
+    if (!pending_.empty() && pending_.front() <= w.upto) break;
     force_latency_ms_.Add(sim::DurationToSeconds(sim_->Now() - w.started) *
                           1e3);
     force_latency_us_.Record((sim_->Now() - w.started) / sim::kMicrosecond);
@@ -761,8 +741,15 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
   if (crashed_ || !initialized_ || link->conn == nullptr) return;
   // Records the server never saw: resend the ones still pending; announce
   // a new interval past anything already durable elsewhere.
-  auto first_pending = pending_.lower_bound(low);
-  if (first_pending == pending_.end() || first_pending->first > high) {
+  Lsn first_pending = kNoLsn;
+  for (Lsn lsn = std::max(low, pending_.front());
+       lsn <= high && lsn < pending_.end(); ++lsn) {
+    if (pending_.Find(lsn) != nullptr) {
+      first_pending = lsn;
+      break;
+    }
+  }
+  if (first_pending == kNoLsn) {
     // Everything missing is durable on other servers.
     wire::NewIntervalMsg msg{config_.client_id, epoch_, high + 1};
     link->conn->Send(wire::EncodeNewInterval(msg));
@@ -770,21 +757,21 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
     StreamTo(link);
     return;
   }
-  if (first_pending->first > low) {
+  if (first_pending > low) {
     // The prefix of the gap is durable elsewhere; skip the server past it.
-    wire::NewIntervalMsg msg{config_.client_id, epoch_,
-                             first_pending->first};
+    wire::NewIntervalMsg msg{config_.client_id, epoch_, first_pending};
     link->conn->Send(wire::EncodeNewInterval(msg));
   }
   // Resend the pending remainder of the gap as a force.
   wire::RecordBatch batch;
   batch.client = config_.client_id;
   batch.epoch = epoch_;
-  for (auto it = first_pending; it != pending_.end() && it->first <= high;
-       ++it) {
-    if (it->second.sent_to.empty()) ++unacked_sent_records_;
-    it->second.sent_to.insert(link->node);
-    batch.records.push_back(it->second.record);
+  for (Lsn lsn = first_pending; lsn <= high && lsn < pending_.end(); ++lsn) {
+    PendingRecord* pr = pending_.Find(lsn);
+    if (pr == nullptr) continue;
+    if (pr->sent_to == 0) ++unacked_sent_records_;
+    pr->sent_to |= link->bit;
+    batch.records.push_back(pr->record);
   }
   resends_.Increment();
   if (tracer_ != nullptr) {
@@ -822,9 +809,10 @@ void LogClient::OnRetryTimer() {
       continue;
     }
     bool lagging = false;
-    for (const auto& [lsn, pr] : pending_) {
-      if (pr.forced && pr.sent_to.count(link->node) > 0 &&
-          pr.acked_by.count(link->node) == 0) {
+    for (Lsn lsn = pending_.front(); lsn < pending_.end(); ++lsn) {
+      const PendingRecord* pr = pending_.Find(lsn);
+      if (pr != nullptr && pr->forced && (pr->sent_to & link->bit) != 0 &&
+          (pr->acked_by & link->bit) == 0) {
         lagging = true;
         break;
       }
@@ -861,12 +849,15 @@ void LogClient::OnRetryTimer() {
     batch.client = config_.client_id;
     batch.epoch = epoch_;
     size_t bytes = wire::RecordBatchOverhead();
-    for (const auto& [lsn, pr] : pending_) {
-      if (pr.sent_to.count(link->node) == 0) continue;
-      if (pr.acked_by.count(link->node) > 0) continue;
-      const size_t cost = wire::EncodedRecordSize(pr.record);
+    for (Lsn lsn = pending_.front(); lsn < pending_.end(); ++lsn) {
+      const PendingRecord* pr = pending_.Find(lsn);
+      if (pr == nullptr || (pr->sent_to & link->bit) == 0 ||
+          (pr->acked_by & link->bit) != 0) {
+        continue;
+      }
+      const size_t cost = wire::EncodedRecordSize(pr->record);
       if (bytes + cost > config_.mtu_payload) break;
-      batch.records.push_back(pr.record);
+      batch.records.push_back(pr->record);
       bytes += cost;
     }
     resends_.Increment();
@@ -909,7 +900,7 @@ Lsn LogClient::TruncateLog(Lsn below) {
   // Keep the most recent δ records (the restart recovery procedure reads
   // and re-copies them) and anything still awaiting replication.
   const Lsn durable_end =
-      pending_.empty() ? next_lsn_ - 1 : pending_.begin()->first - 1;
+      pending_.empty() ? next_lsn_ - 1 : pending_.front() - 1;
   const Lsn keep_from =
       durable_end > config_.delta ? durable_end - config_.delta : kNoLsn;
   below = std::min(below, keep_from + 1);
@@ -1056,12 +1047,7 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
           return;
         }
         for (net::NodeId node : st->targets) {
-          ServerLink* link = LinkOf(node);
-          if (link == nullptr) {
-            ServerLink& fresh = links_[node];
-            fresh.node = node;
-            link = &fresh;
-          }
+          ServerLink* link = &LinkFor(node);
           EnsureConnected(link);
           for (const std::vector<LogRecord>& c : chunks) {
             wire::CopyLogReq creq;
@@ -1191,12 +1177,7 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   // Step 1: gather fresh interval lists from every server.
   const int m = static_cast<int>(config_.servers.size());
   for (net::NodeId node : config_.servers) {
-    ServerLink* link = LinkOf(node);
-    if (link == nullptr) {
-      ServerLink& fresh = links_[node];
-      fresh.node = node;
-      link = &fresh;
-    }
+    ServerLink* link = &LinkFor(node);
     EnsureConnected(link);
     wire::IntervalListReq req{config_.client_id};
     link->rpc->Call(
@@ -1261,10 +1242,9 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
   }
   // Locally buffered or cached records need no server round trip (the
   // paper's Section 5.2 motivation: aborts read from the client cache).
-  auto pit = pending_.find(lsn);
-  if (pit != pending_.end()) {
+  if (const PendingRecord* pr = pending_.Find(lsn)) {
     // User-facing materialization: reads hand back an owned copy.
-    Bytes data = pit->second.record.data.ToBytes();
+    Bytes data = pr->record.data.ToBytes();
     sim_->After(0, [done = std::move(done), data = std::move(data)]() {
       done(data);
     });
@@ -1292,70 +1272,63 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     return;
   }
 
-  // Try holders one by one. The self-referencing chain clears itself at
-  // every terminal outcome so the closure cycle cannot leak.
-  auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
-  auto attempt = std::make_shared<std::function<void(size_t)>>();
-  auto shared_done =
-      std::make_shared<std::function<void(Result<Bytes>)>>(std::move(done));
-  const uint64_t generation = generation_;
-  auto finish = [attempt, shared_done](Result<Bytes> result) {
-    (*shared_done)(std::move(result));
-    *attempt = nullptr;  // break the shared_ptr cycle
-  };
-  *attempt = [this, holders, attempt, lsn, generation,
-              finish](size_t index) {
-    if (generation != generation_) {
-      finish(Status::Aborted("client crashed"));
-      return;
-    }
-    if (index >= holders->size()) {
-      finish(Status::Unavailable("no holder answered"));
-      return;
-    }
-    ServerLink* link = LinkOf((*holders)[index]);
-    if (link == nullptr) {
-      if (*attempt) (*attempt)(index + 1);
-      return;
-    }
-    EnsureConnected(link);
-    wire::ReadLogReq req{config_.client_id, lsn};
-    link->rpc->Call(
-        [req](uint64_t id) {
-          return wire::EncodeReadLogReq(
-              wire::MessageType::kReadLogForwardReq, req, id);
-        },
-        RpcOpts(),
-        [this, attempt, index, lsn, generation,
-         finish](Result<wire::Envelope> env) {
-          if (generation != generation_) {
-            finish(Status::Aborted("client crashed"));
-            return;
-          }
-          if (!env.ok()) {
-            if (*attempt) (*attempt)(index + 1);
-            return;
-          }
-          Result<wire::ReadLogResp> resp = wire::DecodeReadLogResp(env->body);
-          if (!resp.ok() || resp->status != wire::RpcStatus::kOk ||
-              resp->records.empty() || resp->records.front().lsn != lsn) {
-            if (*attempt) (*attempt)(index + 1);
-            return;
-          }
-          // Cache the packed extra records for future reads.
-          for (const LogRecord& r : resp->records) {
-            if (read_cache_.size() > 4096) break;
-            read_cache_[r.lsn] = r;
-          }
-          const LogRecord& rec = resp->records.front();
-          if (!rec.present) {
-            finish(Status::NotFound("record marked not present"));
-          } else {
-            finish(rec.data.ToBytes());
-          }
-        });
-  };
-  (*attempt)(0);
+  auto st = std::make_shared<ReadState>();
+  st->lsn = lsn;
+  st->generation = generation_;
+  st->holders = seg->servers;
+  st->done = std::move(done);
+  ReadFromHolder(std::move(st), 0);
+}
+
+void LogClient::ReadFromHolder(std::shared_ptr<ReadState> st, size_t index) {
+  if (st->generation != generation_) {
+    st->done(Status::Aborted("client crashed"));
+    return;
+  }
+  if (index >= st->holders.size()) {
+    st->done(Status::Unavailable("no holder answered"));
+    return;
+  }
+  ServerLink* link = LinkOf(st->holders[index]);
+  if (link == nullptr) {
+    ReadFromHolder(std::move(st), index + 1);
+    return;
+  }
+  EnsureConnected(link);
+  wire::ReadLogReq req{config_.client_id, st->lsn};
+  link->rpc->Call(
+      [req](uint64_t id) {
+        return wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                      req, id);
+      },
+      RpcOpts(),
+      [this, st, index](Result<wire::Envelope> env) {
+        if (st->generation != generation_) {
+          st->done(Status::Aborted("client crashed"));
+          return;
+        }
+        if (!env.ok()) {
+          ReadFromHolder(st, index + 1);
+          return;
+        }
+        Result<wire::ReadLogResp> resp = wire::DecodeReadLogResp(env->body);
+        if (!resp.ok() || resp->status != wire::RpcStatus::kOk ||
+            resp->records.empty() || resp->records.front().lsn != st->lsn) {
+          ReadFromHolder(st, index + 1);
+          return;
+        }
+        // Cache the packed extra records for future reads.
+        for (const LogRecord& r : resp->records) {
+          if (read_cache_.size() > 4096) break;
+          read_cache_[r.lsn] = r;
+        }
+        const LogRecord& rec = resp->records.front();
+        if (!rec.present) {
+          st->done(Status::NotFound("record marked not present"));
+        } else {
+          st->done(rec.data.ToBytes());
+        }
+      });
 }
 
 // --- Initialization ---
@@ -1723,7 +1696,7 @@ void LogClient::Crash() {
   force_waiters_.clear();
   force_ctx_cache_ = {};
   force_ctx_valid_spans_ = 0;
-  pending_.clear();
+  pending_ = PendingRing();
   unacked_sent_records_ = 0;
   read_cache_.clear();
   for (net::NodeId node : write_set_) LeaveWriteSetMember(node);

@@ -1,13 +1,13 @@
 #ifndef DLOG_CLIENT_LOG_CLIENT_H_
 #define DLOG_CLIENT_LOG_CLIENT_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -38,13 +38,17 @@ enum class SelectionPolicy {
   kLeastQueued,     // server with the least locally-queued traffic
 };
 
+/// The most log servers one client can use: its acknowledgment
+/// bookkeeping keeps one bit per server.
+inline constexpr size_t kMaxServers = 64;
+
 /// Configuration of a replicated-log protocol client node.
 struct LogClientConfig {
   ClientId client_id = 1;
   net::NodeId node_id = 1000;
   /// N — copies per record.
   int copies = 2;
-  /// The M log server node ids.
+  /// The M log server node ids (M <= kMaxServers).
   std::vector<net::NodeId> servers;
   /// Hosts of the generator state representatives (Appendix I). Empty
   /// means the first min(3, M) servers.
@@ -81,8 +85,8 @@ struct LogClientConfig {
   flow::RetryPolicyConfig retry;
 
   /// OK iff the configuration can drive the protocol: at least one copy,
-  /// `servers.size() >= copies`, nonzero δ and packing budget, positive
-  /// timeouts/attempt counts, ...
+  /// `copies <= servers.size() <= kMaxServers`, nonzero δ and packing
+  /// budget, positive timeouts/attempt counts, ...
   Status Validate() const;
 };
 
@@ -99,6 +103,8 @@ struct LogClientConfig {
 class LogClient {
  public:
   LogClient(sim::Scheduler* sim, const LogClientConfig& config);
+  /// Drops pending RPCs without running their callbacks: an operation
+  /// still in flight when its client is destroyed never completes.
   ~LogClient();
 
   LogClient(const LogClient&) = delete;
@@ -201,6 +207,10 @@ class LogClient {
  private:
   struct ServerLink {
     net::NodeId node = 0;
+    /// This server's bit in PendingRecord masks: 1 << its index in
+    /// LogClientConfig::servers (0 for a generator representative that
+    /// is not one of them).
+    uint64_t bit = 0;
     wire::Connection* conn = nullptr;
     std::unique_ptr<wire::RpcClient> rpc;
     /// Highest LSN this server acknowledged via NewHighLsn.
@@ -223,13 +233,79 @@ class LogClient {
   };
 
   struct PendingRecord {
+    /// `record.lsn` is kNoLsn in a retired ring slot.
     LogRecord record;
-    std::set<net::NodeId> sent_to;
-    std::set<net::NodeId> acked_by;
+    /// Servers (ServerLink::bit) the record was streamed to, and those
+    /// that acknowledged it.
+    uint64_t sent_to = 0;
+    uint64_t acked_by = 0;
     sim::Time first_sent = 0;
     bool forced = false;
     /// "wal.group" span: client-buffer residency, WriteLog to first send.
     obs::SpanContext group_span;
+  };
+
+  /// The records written but not yet acknowledged by N servers, indexed
+  /// by LSN. LSNs are dense and ascending, so the window [front(), end())
+  /// maps onto a power-of-two ring of slots: a record retires in place
+  /// (its slot resets) and retired slots are popped from the front. Every
+  /// slot outside the window is reset.
+  class PendingRing {
+   public:
+    bool empty() const { return live_ == 0; }
+    /// Records not yet retired.
+    size_t size() const { return live_; }
+    /// The lowest pending LSN (when not empty).
+    Lsn front() const { return base_; }
+    /// One past the highest LSN the window covers.
+    Lsn end() const { return base_ + span_; }
+    /// The pending record with this LSN, or nullptr.
+    PendingRecord* Find(Lsn lsn) {
+      if (lsn < base_ || lsn >= end()) return nullptr;
+      PendingRecord& slot = Slot(lsn);
+      return slot.record.lsn == lsn ? &slot : nullptr;
+    }
+    /// A fresh pending record at `lsn` (replacing one already there).
+    PendingRecord& Add(Lsn lsn);
+    /// Retires the pending record at `lsn`.
+    void Retire(Lsn lsn);
+
+   private:
+    PendingRecord& Slot(Lsn lsn) {
+      return slots_[lsn & (slots_.size() - 1)];
+    }
+
+    std::vector<PendingRecord> slots_;  // empty or a power of two
+    Lsn base_ = 0;
+    Lsn span_ = 0;
+    size_t live_ = 0;
+  };
+
+  /// A by-value list of at most kMaxServers links (a write set never
+  /// holds more): callers iterate it while nested sends may re-enter
+  /// PumpSends, and building one allocates nothing.
+  class LinkList {
+   public:
+    void push_back(ServerLink* link) { links_[size_++] = link; }
+    size_t size() const { return size_; }
+    ServerLink* operator[](size_t i) const { return links_[i]; }
+    ServerLink* const* begin() const { return links_.data(); }
+    ServerLink* const* end() const { return links_.data() + size_; }
+
+   private:
+    std::array<ServerLink*, kMaxServers> links_{};
+    size_t size_ = 0;
+  };
+
+  /// A batch being packed: the pending records in the LSN run
+  /// [first, last] (retired slots inside it are skipped), how many there
+  /// are, whether any is forced, and the encoded message size.
+  struct Batch {
+    Lsn first = kNoLsn;
+    Lsn last = kNoLsn;
+    size_t count = 0;
+    size_t bytes = wire::RecordBatchOverhead();
+    bool forced = false;
   };
 
   struct ForceWaiter {
@@ -243,6 +319,10 @@ class LogClient {
   // --- transport plumbing ---
   void ConnectAll();
   ServerLink* LinkOf(net::NodeId node);
+  /// The link to `node`, created on first use.
+  ServerLink& LinkFor(net::NodeId node);
+  /// `node`'s bit in PendingRecord masks (0 if it is not a server).
+  uint64_t BitOf(net::NodeId node) const;
   void EnsureConnected(ServerLink* link);
   void OnServerMessage(net::NodeId node, const SharedBytes& payload);
   void OnNewHighLsn(ServerLink* link, Lsn high);
@@ -254,19 +334,25 @@ class LogClient {
 
   // --- write pipeline ---
   void ChooseWriteSet();
-  /// The current write-set links in write_set_ order (a snapshot:
-  /// nested re-entry into PumpSends must not invalidate the caller's
-  /// iteration).
-  std::vector<ServerLink*> WriteSet();
-  net::NodeId PickReplacement(const std::set<net::NodeId>& exclude);
+  /// The current write-set links in write_set_ order.
+  LinkList WriteSet();
+  /// A server to add to the write set, outside the `exclude` bits.
+  net::NodeId PickReplacement(uint64_t exclude);
   void PumpSends();
-  /// Sends every pending record in (from..] not yet sent to `link`,
-  /// packed into batches; marks the final batch ForceLog if a force is
-  /// outstanding.
+  /// Streams the pending records past `link`'s stream position to it.
   void StreamTo(ServerLink* link);
   /// Multicast mode: streams the common tail once to the write-set
   /// group.
   void StreamMulticast();
+  /// Packs the pending records from `from` on into batches for
+  /// `targets` (Section 4.1 grouping under the δ bound) and sends them,
+  /// to the write-set group when `to_group` and otherwise to the single
+  /// target; marks the final batch ForceLog if a force is outstanding,
+  /// and prods lagging targets once per force point.
+  void Stream(const LinkList& targets, Lsn from, bool to_group);
+  /// Marks `batch`'s records sent to `targets`, encodes the batch at its
+  /// exact size, and transmits it.
+  void SendBatch(const LinkList& targets, const Batch& batch, bool to_group);
   /// The multicast group carrying this client's record stream.
   net::NodeId Group() const {
     return net::kMulticastBase + config_.client_id;
@@ -281,6 +367,11 @@ class LogClient {
   /// The span of the most recent outstanding force (for parenting sends
   /// that carry no fresh records).
   obs::SpanContext ForceContext() const;
+
+  // --- reads ---
+  struct ReadState;
+  /// Asks the read's holders in turn, from `index` on, for the record.
+  void ReadFromHolder(std::shared_ptr<ReadState> st, size_t index);
 
   // --- init machinery ---
   struct InitState;
@@ -313,9 +404,9 @@ class LogClient {
   /// which they should not be re-chosen.
   std::map<net::NodeId, sim::Time> avoid_until_;
 
-  std::map<Lsn, PendingRecord> pending_;
-  /// Count of pending_ entries with a non-empty sent_to set, maintained
-  /// at the sent_to/erase transition points so the δ-bound check in the
+  PendingRing pending_;
+  /// Count of pending records with a nonzero sent_to mask, maintained at
+  /// the sent_to/retire transition points so the δ-bound check in the
   /// streaming hot path is O(1) instead of a pending_ sweep.
   size_t unacked_sent_records_ = 0;
   std::deque<ForceWaiter> force_waiters_;

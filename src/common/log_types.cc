@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <functional>
 #include <set>
 
 namespace dlog {
@@ -103,27 +104,38 @@ const MergedLogView::Segment* MergedLogView::Find(Lsn lsn) const {
 }
 
 void MergedLogView::NoteWrite(Lsn lsn, Epoch epoch,
-                              const std::vector<ServerId>& servers) {
-  std::vector<ServerId> holders = servers;
-  std::sort(holders.begin(), holders.end());
-  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+                              std::span<const ServerId> servers) {
+  // Holder lists are kept sorted and duplicate-free; normalize a copy
+  // only when the caller's list is not already in that form.
+  std::vector<ServerId> normalized;
+  if (std::adjacent_find(servers.begin(), servers.end(),
+                         std::greater_equal<ServerId>()) != servers.end()) {
+    normalized.assign(servers.begin(), servers.end());
+    std::sort(normalized.begin(), normalized.end());
+    normalized.erase(std::unique(normalized.begin(), normalized.end()),
+                     normalized.end());
+    servers = normalized;
+  }
 
   // Fast path: extending the tail of the log, the normal WriteLog case.
   if (segments_.empty() || lsn > segments_.back().high) {
     if (!segments_.empty()) {
       Segment& last = segments_.back();
       if (last.high + 1 == lsn && last.epoch == epoch &&
-          last.servers == holders) {
+          std::equal(last.servers.begin(), last.servers.end(),
+                     servers.begin(), servers.end())) {
         last.high = lsn;
         return;
       }
     }
-    segments_.push_back(Segment{lsn, lsn, epoch, std::move(holders)});
+    segments_.push_back(
+        Segment{lsn, lsn, epoch, {servers.begin(), servers.end()}});
     return;
   }
 
   // General path (used by recovery's CopyLog): the LSN may fall inside
   // existing coverage, which must be split around it.
+  const std::vector<ServerId> holders(servers.begin(), servers.end());
   std::vector<Segment> rebuilt;
   rebuilt.reserve(segments_.size() + 2);
   bool placed = false;

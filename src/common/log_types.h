@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,7 +125,12 @@ class MergedLogView {
 
   /// Appends/extends coverage after a successful write of <lsn, epoch> to
   /// `servers` so the cached view stays current during normal operation.
-  void NoteWrite(Lsn lsn, Epoch epoch, const std::vector<ServerId>& servers);
+  /// Extending the tail segment by a record with the same holders, given
+  /// sorted and duplicate-free, allocates nothing.
+  void NoteWrite(Lsn lsn, Epoch epoch, std::span<const ServerId> servers);
+  void NoteWrite(Lsn lsn, Epoch epoch, const std::vector<ServerId>& servers) {
+    NoteWrite(lsn, epoch, std::span<const ServerId>(servers));
+  }
 
   /// Drops coverage of LSNs below `below` (log truncation, Section 5.3).
   void TruncateBelow(Lsn below);

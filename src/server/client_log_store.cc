@@ -4,13 +4,30 @@
 #include <cassert>
 
 namespace dlog::server {
+namespace {
 
-void ClientLogStore::AppendToStream(const LogRecord& record) {
-  // Callers only append keys not yet indexed, and the stream's keys grow
-  // monotonically, so the end() hint makes the insert amortized O(1)
-  // (and degrades to an ordinary insert if a recovery path ever doesn't).
-  index_.emplace_hint(index_.end(), std::make_pair(record.lsn, record.epoch),
-                      stream_.size());
+using IndexEntry = ClientLogStore::IndexEntry;
+
+/// <LSN, Epoch> key order.
+bool KeyBefore(const IndexEntry& a, const IndexEntry& b) {
+  return a.lsn != b.lsn ? a.lsn < b.lsn : a.epoch < b.epoch;
+}
+
+}  // namespace
+
+void ClientLogStore::AppendToStream(const LogRecord& record,
+                                    uint64_t track) {
+  const IndexEntry entry{record.lsn, record.epoch, stream_.size(), track};
+  // Callers only append keys not yet indexed. Stream writes extend the
+  // key order, so the common case is a push at the tail; a recovery copy
+  // landing below the tail takes a sorted insert.
+  if (index_.empty() || KeyBefore(index_.back(), entry)) {
+    index_.push_back(entry);
+  } else {
+    index_.insert(
+        std::upper_bound(index_.begin(), index_.end(), entry, KeyBefore),
+        entry);
+  }
   stream_.push_back(record);
   if (!sequences_.empty()) {
     Interval& tail = sequences_.back();
@@ -22,13 +39,35 @@ void ClientLogStore::AppendToStream(const LogRecord& record) {
   sequences_.push_back(Interval{record.epoch, record.lsn, record.lsn});
 }
 
+size_t ClientLogStore::IndexOf(Lsn lsn, Epoch epoch) const {
+  const IndexEntry key{lsn, epoch};
+  // Stream writes probe keys past the tail: answer those without a search.
+  if (index_.empty() || KeyBefore(index_.back(), key)) return index_.size();
+  auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyBefore);
+  if (it == index_.end() || it->lsn != lsn || it->epoch != epoch) {
+    return index_.size();
+  }
+  return static_cast<size_t>(it - index_.begin());
+}
+
+size_t ClientLogStore::HighestEpochOf(Lsn lsn) const {
+  // One before the first entry with a larger LSN.
+  auto it = std::partition_point(
+      index_.begin(), index_.end(),
+      [lsn](const IndexEntry& e) { return e.lsn <= lsn; });
+  if (it == index_.begin() || (it - 1)->lsn != lsn) return index_.size();
+  return static_cast<size_t>(it - 1 - index_.begin());
+}
+
 Status ClientLogStore::Write(const LogRecord& record) {
   if (record.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
-  auto it = index_.find({record.lsn, record.epoch});
-  if (it != index_.end()) {
-    if (stream_[it->second] == record) return Status::OK();  // redelivery
+  const size_t existing = IndexOf(record.lsn, record.epoch);
+  if (existing < index_.size()) {
+    if (stream_[index_[existing].pos] == record) {
+      return Status::OK();  // redelivery
+    }
     return Status::Corruption(
         "different contents for an existing <LSN, Epoch>");
   }
@@ -50,12 +89,20 @@ Status ClientLogStore::Write(const LogRecord& record) {
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
-  // Highest epoch stored for this LSN: one before the first key > <lsn, max>.
-  auto it = index_.upper_bound({lsn, ~Epoch{0}});
-  if (it == index_.begin()) return Status::NotFound("LSN not stored");
-  --it;
-  if (it->first.first != lsn) return Status::NotFound("LSN not stored");
-  return stream_[it->second];
+  const size_t i = HighestEpochOf(lsn);
+  if (i == index_.size()) return Status::NotFound("LSN not stored");
+  return stream_[index_[i].pos];
+}
+
+void ClientLogStore::SetTrack(Lsn lsn, Epoch epoch, uint64_t track) {
+  const size_t i = IndexOf(lsn, epoch);
+  if (i < index_.size()) index_[i].track = track;
+}
+
+std::optional<uint64_t> ClientLogStore::ReadTrack(Lsn lsn) const {
+  const size_t i = HighestEpochOf(lsn);
+  if (i == index_.size() || index_[i].track == kNoTrack) return std::nullopt;
+  return index_[i].track;
 }
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }
@@ -79,10 +126,10 @@ Result<std::vector<LogRecord>> ClientLogStore::InstallCopies(Epoch epoch) {
                    });
   std::vector<LogRecord> installed;
   for (const LogRecord& r : copies) {
-    auto existing = index_.find({r.lsn, r.epoch});
-    if (existing != index_.end()) {
+    const size_t existing = IndexOf(r.lsn, r.epoch);
+    if (existing < index_.size()) {
       // A retried recovery may re-install the same copy.
-      if (stream_[existing->second] == r) continue;
+      if (stream_[index_[existing].pos] == r) continue;
       return Status::Corruption("conflicting copy for <LSN, Epoch>");
     }
     AppendToStream(r);
@@ -106,26 +153,23 @@ size_t ClientLogStore::staged_count() const {
 }
 
 size_t ClientLogStore::TruncateBelow(Lsn below) {
-  std::vector<LogRecord> retained;
-  size_t removed = 0;
-  for (const LogRecord& r : stream_) {
-    if (r.lsn >= below) {
-      retained.push_back(r);
-    } else {
-      ++removed;
-    }
-  }
+  const size_t removed = static_cast<size_t>(
+      std::count_if(stream_.begin(), stream_.end(),
+                    [below](const LogRecord& r) { return r.lsn < below; }));
   if (removed == 0) return 0;
+  // Replay the retained records in stream order, each with its track.
+  std::vector<uint64_t> track_at(stream_.size(), kNoTrack);
+  for (const IndexEntry& e : index_) track_at[e.pos] = e.track;
+  std::vector<LogRecord> old_stream = std::move(stream_);
   stream_.clear();
   index_.clear();
   sequences_.clear();
-  for (const LogRecord& r : retained) AppendToStream(r);
+  for (size_t pos = 0; pos < old_stream.size(); ++pos) {
+    if (old_stream[pos].lsn >= below) {
+      AppendToStream(old_stream[pos], track_at[pos]);
+    }
+  }
   return removed;
-}
-
-Lsn ClientLogStore::HighestLsn() const {
-  if (index_.empty()) return kNoLsn;
-  return index_.rbegin()->first.first;
 }
 
 Epoch ClientLogStore::TailEpoch() const {
@@ -139,8 +183,7 @@ ClientLogStore ClientLogStore::FromRecords(
   for (const LogRecord& r : records) {
     // Skip exact duplicates (a record can appear in both a checkpoint
     // and the scanned tail).
-    auto it = store.index_.find({r.lsn, r.epoch});
-    if (it != store.index_.end()) continue;
+    if (store.Contains(r.lsn, r.epoch)) continue;
     store.AppendToStream(r);
   }
   return store;

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "common/log_types.h"
@@ -27,8 +27,26 @@ namespace dlog::server {
 ///    epoch number;
 ///  * duplicates (same <LSN, Epoch>, same contents) are accepted
 ///    idempotently — the transport may redeliver.
+///
+/// The <LSN, Epoch> index is a sorted vector: stream writes arrive in
+/// ascending key order and append at its tail, so only recovery copies
+/// installed below the tail pay for a sorted insert. Each index entry
+/// also carries the disk track its record was flushed to, which the read
+/// path charges for (Section 4.3).
 class ClientLogStore {
  public:
+  /// The track of a record that so far sits only in the NVRAM buffer.
+  static constexpr uint64_t kNoTrack = ~uint64_t{0};
+
+  /// One stored record: its key, its position in stream(), and its disk
+  /// track (kNoTrack until a flush makes it disk-resident).
+  struct IndexEntry {
+    Lsn lsn = kNoLsn;
+    Epoch epoch = 0;
+    size_t pos = 0;
+    uint64_t track = kNoTrack;
+  };
+
   ClientLogStore() = default;
 
   /// Appends `record` to the stream, subject to the monotonicity rules
@@ -43,8 +61,17 @@ class ClientLogStore {
 
   /// True if a record with this exact <LSN, Epoch> is stored.
   bool Contains(Lsn lsn, Epoch epoch) const {
-    return index_.count({lsn, epoch}) > 0;
+    return IndexOf(lsn, epoch) < index_.size();
   }
+
+  /// Notes that the stored record <lsn, epoch> now sits on disk in
+  /// `track`; a later flush of the same record moves it to the later
+  /// track. No-op when the record is not stored (truncated meanwhile).
+  void SetTrack(Lsn lsn, Epoch epoch, uint64_t track);
+
+  /// The disk track of the record Read(lsn) returns; nullopt when that
+  /// record is only in NVRAM or the LSN is not stored.
+  std::optional<uint64_t> ReadTrack(Lsn lsn) const;
 
   /// The IntervalList operation: maximal runs of consecutive LSNs with
   /// equal epochs, in stream order.
@@ -66,12 +93,14 @@ class ClientLogStore {
   size_t StagedBytes(Epoch epoch) const;
 
   /// Log space management (Section 5.3): discards every record with
-  /// LSN < `below`, clipping intervals accordingly. Returns the number
-  /// of records discarded.
+  /// LSN < `below`, clipping intervals accordingly; retained records keep
+  /// their disk tracks. Returns the number of records discarded.
   size_t TruncateBelow(Lsn below);
 
   /// Highest LSN in the stream (kNoLsn when empty).
-  Lsn HighestLsn() const;
+  Lsn HighestLsn() const {
+    return index_.empty() ? kNoLsn : index_.back().lsn;
+  }
   /// Epoch of the tail sequence (0 when empty).
   Epoch TailEpoch() const;
   /// The LSN that would extend the tail sequence.
@@ -87,13 +116,21 @@ class ClientLogStore {
   /// All stored records in stream write order (checkpoint/scan helper).
   const std::vector<LogRecord>& stream() const { return stream_; }
 
+  /// Every stored record's index entry, in ascending <LSN, Epoch> order.
+  const std::vector<IndexEntry>& index() const { return index_; }
+
  private:
-  /// Appends without validation and maintains the sequence list.
-  void AppendToStream(const LogRecord& record);
+  /// Appends without validation and maintains the index and the
+  /// sequence list.
+  void AppendToStream(const LogRecord& record, uint64_t track = kNoTrack);
+  /// Position in index_ of exactly <lsn, epoch>; index_.size() if absent.
+  size_t IndexOf(Lsn lsn, Epoch epoch) const;
+  /// Position in index_ of the highest epoch stored for `lsn`;
+  /// index_.size() if the LSN is not stored.
+  size_t HighestEpochOf(Lsn lsn) const;
 
   std::vector<LogRecord> stream_;  // write order, including installed copies
-  // Index: <LSN, Epoch> -> position in stream_.
-  std::map<std::pair<Lsn, Epoch>, size_t> index_;
+  std::vector<IndexEntry> index_;  // ascending <LSN, Epoch>
   // Derived interval list in write order; the last element is the tail.
   std::vector<Interval> sequences_;
   // Copies staged by epoch, in arrival order.

@@ -318,14 +318,14 @@ void LogServer::HandleRecords(const ReplyFn& reply,
 
   current_batch_ctx_ = batch_ctx;
   ClientState& state = StateOf(batch->client);
-  std::vector<LogRecord> records = batch->records;
-  std::sort(records.begin(), records.end(),
+  // The decoded batch is this handler's own: order it in place.
+  std::sort(batch->records.begin(), batch->records.end(),
             [](const LogRecord& a, const LogRecord& b) {
               if (a.lsn != b.lsn) return a.lsn < b.lsn;
               return a.epoch < b.epoch;
             });
 
-  for (const LogRecord& record : records) {
+  for (const LogRecord& record : batch->records) {
     const Lsn high = state.store.HighestLsn();
     if (state.store.record_count() == 0) {
       // First contact: anything starts the stream.
@@ -422,19 +422,10 @@ void LogServer::HandleTruncate(const wire::Envelope& env) {
   mark = std::max(mark, msg->below);
   auto it = clients_.find(msg->client);
   if (it == clients_.end()) return;
-  ClientState& state = it->second;
-  records_truncated_.Increment(state.store.TruncateBelow(msg->below));
-  // Forget disk locations of discarded records (the stream itself is
-  // append-only; space reclamation would be a compaction/offline-spool
-  // pass outside this model).
-  for (auto loc = state.disk_location.begin();
-       loc != state.disk_location.end();) {
-    if (loc->first.first < msg->below) {
-      loc = state.disk_location.erase(loc);
-    } else {
-      ++loc;
-    }
-  }
+  // The discarded records' disk tracks leave with their index entries
+  // (the stream itself is append-only; space reclamation would be a
+  // compaction/offline-spool pass outside this model).
+  records_truncated_.Increment(it->second.store.TruncateBelow(msg->below));
 }
 
 size_t LogServer::LiveRecordsOf(ClientId client) const {
@@ -456,24 +447,19 @@ void LogServer::HandleIntervalList(wire::Connection* conn,
 void LogServer::WithReadLatency(ClientId client, Lsn lsn,
                                 std::function<void()> fn) {
   auto it = clients_.find(client);
-  if (it != clients_.end()) {
-    Result<LogRecord> rec = it->second.store.Read(lsn);
-    if (rec.ok()) {
-      auto loc = it->second.disk_location.find({rec->lsn, rec->epoch});
-      if (loc != it->second.disk_location.end()) {
-        const uint64_t generation = generation_;
-        disk_->ReadTrack(loc->second,
-                         [this, generation, fn = std::move(fn)](
-                             const Result<Bytes>& r) {
-                           (void)r;
-                           if (generation != generation_ || !up_) return;
-                           fn();
-                         });
-        return;
-      }
-    }
+  const std::optional<uint64_t> track =
+      it == clients_.end() ? std::nullopt : it->second.store.ReadTrack(lsn);
+  if (!track.has_value()) {
+    fn();  // in NVRAM (or absent): no disk motion
+    return;
   }
-  fn();  // in NVRAM (or absent): no disk motion
+  const uint64_t generation = generation_;
+  disk_->ReadTrack(*track, [this, generation, fn = std::move(fn)](
+                               const Result<Bytes>& r) {
+    (void)r;
+    if (generation != generation_ || !up_) return;
+    fn();
+  });
 }
 
 void LogServer::HandleReadLog(wire::Connection* conn,
@@ -694,8 +680,14 @@ void LogServer::MaybeFlush() {
           tracks_written_.Increment();
           nvram_buffer_->PopFront(count);
           NoteNvramLevel();
-          // Record disk locations and extend the append-forest indexes.
-          std::map<ClientId, std::pair<Lsn, Lsn>> ranges;
+          // Note each record's track, and gather per client the LSN
+          // range this track adds to its append-forest index.
+          struct ClientRange {
+            ClientId client;
+            Lsn low;
+            Lsn high;
+          };
+          std::vector<ClientRange> ranges;
           // Entries arrive in per-batch runs of one client; reuse the
           // looked-up state across a run (node handles are stable).
           ClientState* run_state = nullptr;
@@ -705,17 +697,15 @@ void LogServer::MaybeFlush() {
               run_state = &StateOf(e.client);
               run_client = e.client;
             }
-            ClientState& state = *run_state;
-            // LSNs within a run ascend, so the insert lands at the map's
-            // tail: the end() hint makes the append amortized O(1).
-            state.disk_location.insert_or_assign(
-                state.disk_location.end(), std::make_pair(e.lsn, e.epoch),
-                track);
-            auto [it, inserted] = ranges.try_emplace(
-                e.client, std::make_pair(e.lsn, e.lsn));
-            if (!inserted) {
-              it->second.first = std::min(it->second.first, e.lsn);
-              it->second.second = std::max(it->second.second, e.lsn);
+            run_state->store.SetTrack(e.lsn, e.epoch, track);
+            auto range = std::find_if(
+                ranges.rbegin(), ranges.rend(),
+                [&e](const ClientRange& r) { return r.client == e.client; });
+            if (range == ranges.rend()) {
+              ranges.push_back({e.client, e.lsn, e.lsn});
+            } else {
+              range->low = std::min(range->low, e.lsn);
+              range->high = std::max(range->high, e.lsn);
             }
           }
           if (config_.ack_after_disk && nvram_buffer_->empty()) {
@@ -733,11 +723,10 @@ void LogServer::MaybeFlush() {
               pa.reply(wire::EncodeNewHighLsn(ack));
             }
           }
-          for (const auto& [client, range] : ranges) {
-            ClientState& state = StateOf(client);
-            forest::AppendForest& forest = state.forest;
-            Lsn low = range.first;
-            const Lsn high = range.second;
+          for (const ClientRange& range : ranges) {
+            forest::AppendForest& forest = StateOf(range.client).forest;
+            Lsn low = range.low;
+            const Lsn high = range.high;
             if (!forest.empty()) {
               const Lsn prev_high =
                   forest.node(forest.size() - 1).key_high;
@@ -815,6 +804,8 @@ void LogServer::RebuildFromStableStorage() {
   // the whole-volume scan, which also rebuilds the record index this
   // simulation keeps in memory in place of on-demand disk reads).
   std::map<ClientId, std::vector<LogRecord>> per_client;
+  // Every disk-resident entry with its track, in scan order.
+  std::vector<std::pair<StreamEntryHeader, uint64_t>> on_disk;
   uint64_t track = 0;
   while (disk_->IsWritten(track)) {
     Result<Bytes> raw = disk_->Peek(track);
@@ -823,8 +814,8 @@ void LogServer::RebuildFromStableStorage() {
     if (!entries.ok()) break;  // torn/corrupt track terminates the stream
     for (const StreamEntry& e : *entries) {
       per_client[e.client].push_back(e.record);
-      ClientState& state = clients_[e.client];
-      state.disk_location[{e.record.lsn, e.record.epoch}] = track;
+      on_disk.push_back(
+          {StreamEntryHeader{e.client, e.record.lsn, e.record.epoch}, track});
     }
     ++track;
   }
@@ -838,30 +829,31 @@ void LogServer::RebuildFromStableStorage() {
   }
 
   for (auto& [client, records] : per_client) {
+    clients_[client].store = ClientLogStore::FromRecords(records);
+  }
+  // In scan order, so a record found in several tracks is charged to
+  // the latest of them.
+  for (const auto& [e, trk] : on_disk) {
+    clients_[e.client].store.SetTrack(e.lsn, e.epoch, trk);
+  }
+
+  for (auto& [client, records] : per_client) {
     ClientState& state = clients_[client];
-    state.store = ClientLogStore::FromRecords(records);
     // Reapply the stable truncation mark: the append-only stream scan
     // resurrects discarded records otherwise.
     auto mark = truncate_marks_.find(client);
     if (mark != truncate_marks_.end()) {
       (void)state.store.TruncateBelow(mark->second);
-      for (auto loc = state.disk_location.begin();
-           loc != state.disk_location.end();) {
-        if (loc->first.first < mark->second) {
-          loc = state.disk_location.erase(loc);
-        } else {
-          ++loc;
-        }
-      }
     }
-    // Rebuild the forest from disk locations in track order.
+    // Rebuild the forest from the disk tracks, in track order.
     std::map<uint64_t, std::pair<Lsn, Lsn>> track_ranges;
-    for (const auto& [key, trk] : state.disk_location) {
-      auto [it, inserted] =
-          track_ranges.try_emplace(trk, std::make_pair(key.first, key.first));
+    for (const ClientLogStore::IndexEntry& entry : state.store.index()) {
+      if (entry.track == ClientLogStore::kNoTrack) continue;
+      auto [it, inserted] = track_ranges.try_emplace(
+          entry.track, std::make_pair(entry.lsn, entry.lsn));
       if (!inserted) {
-        it->second.first = std::min(it->second.first, key.first);
-        it->second.second = std::max(it->second.second, key.first);
+        it->second.first = std::min(it->second.first, entry.lsn);
+        it->second.second = std::max(it->second.second, entry.lsn);
       }
     }
     for (const auto& [trk, range] : track_ranges) {

@@ -170,15 +170,13 @@ class LogServer {
 
  private:
   struct ClientState {
+    /// The records, their interval list, and each record's disk track.
     ClientLogStore store;
     /// Records received past a gap, awaiting resend or NewInterval.
     std::map<Lsn, LogRecord> pending;
     /// A NewInterval announcement: the next sequence may start here even
     /// though it does not extend the tail.
     std::optional<std::pair<Epoch, Lsn>> allowed_start;
-    /// Disk locations: <LSN, Epoch> -> track number. Records not present
-    /// here still sit in the NVRAM buffer.
-    std::map<std::pair<Lsn, Epoch>, uint64_t> disk_location;
     /// The Section 4.3 index over this client's disk-resident records.
     forest::AppendForest forest;
   };

@@ -10,6 +10,7 @@ constexpr size_t kHistoryRowBytes = 64;
 
 Bytes EncodeI64(int64_t v) {
   Bytes out;
+  out.reserve(kSlotBytes);
   Encoder enc(&out);
   enc.PutU64(static_cast<uint64_t>(v));
   return out;
@@ -93,6 +94,7 @@ Result<TxnId> BankDb::Prepare(int account, int teller, int branch,
                             kHistoryRowBytes);
   ++history_seq_;
   Bytes row;
+  row.reserve(kHistoryRowBytes);
   Encoder enc(&row);
   enc.PutU64(txn);
   enc.PutU32(static_cast<uint32_t>(account));

@@ -26,7 +26,10 @@ void TransactionEngine::RegisterMetrics(obs::MetricsRegistry* registry,
 }
 
 Result<Lsn> TransactionEngine::AppendRecord(const WalRecord& record) {
-  Bytes payload = EncodeWalRecord(record);
+  return AppendPayload(EncodeWalRecord(record));
+}
+
+Result<Lsn> TransactionEngine::AppendPayload(Bytes payload) {
   log_bytes_ += payload.size();
   ++log_records_;
   return logger_->Append(std::move(payload));
@@ -69,22 +72,21 @@ Status TransactionEngine::Update(TxnId txn, PageId page, uint32_t offset,
   Bytes old_image(current.data.begin() + offset,
                   current.data.begin() + offset + bytes.size());
 
-  WalRecord rec;
-  rec.type = WalType::kUpdate;
-  rec.txn = txn;
-  rec.page = page;
-  rec.offset = offset;
-  rec.redo = bytes;
+  // Logged straight from `bytes` and `old_image`, which the undo cache
+  // keeps anyway.
+  std::span<const uint8_t> logged_undo = old_image;
   if (config_.split_records) {
     // "Redo components of log records are sent to log servers as they
     // are generated ... Undo components ... are cached in virtual memory
     // at client nodes."
     undo_bytes_cached_ += old_image.size();
-  } else {
-    rec.undo = old_image;
+    logged_undo = {};
   }
   obs::Tracer::Scope scope(tracer_, it->second.span);
-  DLOG_ASSIGN_OR_RETURN(Lsn lsn, AppendRecord(rec));
+  DLOG_ASSIGN_OR_RETURN(
+      Lsn lsn, AppendPayload(EncodeWalRecord(WalType::kUpdate, txn, page,
+                                             offset, kNoLsn, bytes,
+                                             logged_undo)));
 
   pool_->ApplyUpdate(page, offset, bytes, lsn);
   UpdateInfo info;

@@ -118,6 +118,8 @@ class TransactionEngine {
 
   /// Appends a WAL record, tracking volume statistics.
   Result<Lsn> AppendRecord(const WalRecord& record);
+  /// Appends an already encoded WAL record, tracking volume statistics.
+  Result<Lsn> AppendPayload(Bytes payload);
 
   /// Logs the undo components covering `page` for all active txns
   /// (required before cleaning under splitting).

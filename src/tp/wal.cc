@@ -2,17 +2,26 @@
 
 namespace dlog::tp {
 
-Bytes EncodeWalRecord(const WalRecord& record) {
+Bytes EncodeWalRecord(WalType type, TxnId txn, PageId page, uint32_t offset,
+                      Lsn update_lsn, std::span<const uint8_t> redo,
+                      std::span<const uint8_t> undo) {
   Bytes out;
+  // type, txn, page, offset, update_lsn, then two length-prefixed images.
+  out.reserve(1 + 8 + 4 + 4 + 8 + 4 + redo.size() + 4 + undo.size());
   Encoder enc(&out);
-  enc.PutU8(static_cast<uint8_t>(record.type));
-  enc.PutU64(record.txn);
-  enc.PutU32(record.page);
-  enc.PutU32(record.offset);
-  enc.PutU64(record.update_lsn);
-  enc.PutBlob(record.redo);
-  enc.PutBlob(record.undo);
+  enc.PutU8(static_cast<uint8_t>(type));
+  enc.PutU64(txn);
+  enc.PutU32(page);
+  enc.PutU32(offset);
+  enc.PutU64(update_lsn);
+  enc.PutBlob(redo.data(), redo.size());
+  enc.PutBlob(undo.data(), undo.size());
   return out;
+}
+
+Bytes EncodeWalRecord(const WalRecord& record) {
+  return EncodeWalRecord(record.type, record.txn, record.page, record.offset,
+                         record.update_lsn, record.redo, record.undo);
 }
 
 Result<WalRecord> DecodeWalRecord(const Bytes& bytes) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -52,6 +53,11 @@ struct WalRecord {
 };
 
 Bytes EncodeWalRecord(const WalRecord& record);
+/// Encodes a record from its fields, for callers that keep the byte
+/// images elsewhere and need not copy them into a WalRecord first.
+Bytes EncodeWalRecord(WalType type, TxnId txn, PageId page, uint32_t offset,
+                      Lsn update_lsn, std::span<const uint8_t> redo,
+                      std::span<const uint8_t> undo);
 Result<WalRecord> DecodeWalRecord(const Bytes& bytes);
 
 }  // namespace dlog::tp

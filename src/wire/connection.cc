@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "wire/messages.h"
+
 namespace dlog::wire {
 
 // --- Connection ---
@@ -43,7 +45,7 @@ void Connection::Send(Bytes payload, uint64_t trace, uint64_t span) {
   if (state_ == State::kClosed) return;
   // Make room for the frame trailer now so framing at flush time appends
   // in place without reallocating (and so without copying the payload).
-  payload.reserve(payload.size() + Endpoint::kFrameTrailerBytes);
+  payload.reserve(payload.size() + kFrameTrailerBytes);
   send_queue_.push_back({std::move(payload), trace, span});
   TryFlush();
 }

@@ -249,16 +249,11 @@ class Endpoint {
   static constexpr uint8_t kReset = 6;
   static constexpr uint8_t kDatagram = 7;
 
-  /// The transport frame is a fixed-size trailer appended to the payload
-  /// (type, conn id, seq, alloc, payload length), so framing a message
-  /// appends a few bytes in place instead of copying the payload into a
-  /// fresh header-prefixed buffer. Same wire size as a header would be.
-  static constexpr size_t kFrameTrailerBytes = 1 + 8 + 8 + 8 + 4;
-
   /// Sends a protocol frame, charging the CPU budget first. Takes the
-  /// payload by value: the trailer is appended in place and the buffer
-  /// becomes the packet's refcounted payload without a copy. `trace` and
-  /// `span` ride along onto the Packet for the profiler.
+  /// payload by value: the kFrameTrailerBytes trailer (wire/messages.h)
+  /// is appended in place and the buffer becomes the packet's refcounted
+  /// payload without a copy. `trace` and `span` ride along onto the
+  /// Packet for the profiler.
   void SendFrame(net::NodeId dst, uint8_t frame_type, uint64_t conn_id,
                  uint64_t seq, uint64_t alloc, Bytes payload,
                  uint64_t trace = 0, uint64_t span = 0);

@@ -5,6 +5,17 @@
 namespace dlog::wire {
 namespace {
 
+// type(1) + rpc_id(8)
+constexpr size_t kHeaderBytes = 1 + 8;
+
+/// An empty message buffer with room for `size` bytes plus the frame
+/// trailer, so neither encoding nor framing reallocates.
+Bytes MessageBuffer(size_t size) {
+  Bytes out;
+  out.reserve(size + kFrameTrailerBytes);
+  return out;
+}
+
 void PutHeader(Encoder* enc, MessageType type, uint64_t rpc_id) {
   enc->PutU8(static_cast<uint8_t>(type));
   enc->PutU64(rpc_id);
@@ -39,9 +50,29 @@ Result<std::vector<LogRecord>> GetRecords(Decoder* dec) {
   return records;
 }
 
+/// Encoded bytes of `records`, not counting the count prefix.
+size_t RecordBytes(const std::vector<LogRecord>& records) {
+  size_t n = 0;
+  for (const LogRecord& r : records) n += EncodedRecordSize(r);
+  return n;
+}
+
 void PutRecords(Encoder* enc, const std::vector<LogRecord>& records) {
   enc->PutU32(static_cast<uint32_t>(records.size()));
   for (const LogRecord& r : records) PutRecord(enc, r);
+}
+
+/// A WriteLog/ForceLog message up to its records: envelope header, batch
+/// fields, and the record count.
+void PutBatchHeader(Encoder* enc, MessageType type, uint64_t rpc_id,
+                    const RecordBatch& m, size_t count) {
+  assert(type == MessageType::kWriteLog || type == MessageType::kForceLog);
+  PutHeader(enc, type, rpc_id);
+  enc->PutU32(m.client);
+  enc->PutU64(m.epoch);
+  enc->PutU64(m.trace);
+  enc->PutU64(m.span);
+  enc->PutU32(static_cast<uint32_t>(count));
 }
 
 Result<RpcStatus> GetRpcStatus(Decoder* dec) {
@@ -67,20 +98,28 @@ size_t RecordBatchOverhead() {
 
 Bytes EncodeRecordBatch(MessageType type, const RecordBatch& m,
                         uint64_t rpc_id) {
-  assert(type == MessageType::kWriteLog || type == MessageType::kForceLog);
-  Bytes out;
+  Bytes out = MessageBuffer(RecordBatchOverhead() + RecordBytes(m.records));
   Encoder enc(&out);
-  PutHeader(&enc, type, rpc_id);
-  enc.PutU32(m.client);
-  enc.PutU64(m.epoch);
-  enc.PutU64(m.trace);
-  enc.PutU64(m.span);
-  PutRecords(&enc, m.records);
+  PutBatchHeader(&enc, type, rpc_id, m, m.records.size());
+  for (const LogRecord& r : m.records) PutRecord(&enc, r);
   return out;
 }
 
+RecordBatchWriter::RecordBatchWriter(MessageType type,
+                                     const RecordBatch& header, size_t count,
+                                     size_t message_bytes)
+    : out_(MessageBuffer(message_bytes)) {
+  Encoder enc(&out_);
+  PutBatchHeader(&enc, type, 0, header, count);
+}
+
+void RecordBatchWriter::Add(const LogRecord& record) {
+  Encoder enc(&out_);
+  PutRecord(&enc, record);
+}
+
 Bytes EncodeNewInterval(const NewIntervalMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kNewInterval, 0);
   enc.PutU32(m.client);
@@ -90,7 +129,7 @@ Bytes EncodeNewInterval(const NewIntervalMsg& m) {
 }
 
 Bytes EncodeNewHighLsn(const NewHighLsnMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kNewHighLsn, 0);
   enc.PutU64(m.new_high_lsn);
@@ -98,7 +137,7 @@ Bytes EncodeNewHighLsn(const NewHighLsnMsg& m) {
 }
 
 Bytes EncodeOverloaded(const OverloadedMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 1 + 8 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kOverloaded, 0);
   enc.PutU32(m.client);
@@ -109,7 +148,7 @@ Bytes EncodeOverloaded(const OverloadedMsg& m) {
 }
 
 Bytes EncodeMissingInterval(const MissingIntervalMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 8 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kMissingInterval, 0);
   enc.PutU64(m.low);
@@ -118,7 +157,7 @@ Bytes EncodeMissingInterval(const MissingIntervalMsg& m) {
 }
 
 Bytes EncodeIntervalListReq(const IntervalListReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kIntervalListReq, rpc_id);
   enc.PutU32(m.client);
@@ -126,7 +165,8 @@ Bytes EncodeIntervalListReq(const IntervalListReq& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeIntervalListResp(const IntervalListResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out =
+      MessageBuffer(kHeaderBytes + 1 + 4 + (8 + 8 + 8) * m.intervals.size());
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kIntervalListResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -143,7 +183,7 @@ Bytes EncodeReadLogReq(MessageType type, const ReadLogReq& m,
                        uint64_t rpc_id) {
   assert(type == MessageType::kReadLogForwardReq ||
          type == MessageType::kReadLogBackwardReq);
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8);
   Encoder enc(&out);
   PutHeader(&enc, type, rpc_id);
   enc.PutU32(m.client);
@@ -152,7 +192,7 @@ Bytes EncodeReadLogReq(MessageType type, const ReadLogReq& m,
 }
 
 Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1 + 4 + RecordBytes(m.records));
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kReadLogResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -161,7 +201,8 @@ Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeCopyLogReq(const CopyLogReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out =
+      MessageBuffer(kHeaderBytes + 4 + 8 + 4 + RecordBytes(m.records));
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kCopyLogReq, rpc_id);
   enc.PutU32(m.client);
@@ -171,7 +212,7 @@ Bytes EncodeCopyLogReq(const CopyLogReq& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeCopyLogResp(const CopyLogResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kCopyLogResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -179,7 +220,7 @@ Bytes EncodeCopyLogResp(const CopyLogResp& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeInstallCopiesReq(const InstallCopiesReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kInstallCopiesReq, rpc_id);
   enc.PutU32(m.client);
@@ -188,7 +229,7 @@ Bytes EncodeInstallCopiesReq(const InstallCopiesReq& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeInstallCopiesResp(const InstallCopiesResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kInstallCopiesResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -196,7 +237,7 @@ Bytes EncodeInstallCopiesResp(const InstallCopiesResp& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeGenReadReq(const GenReadReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kGenReadReq, rpc_id);
   enc.PutU32(m.client);
@@ -204,7 +245,7 @@ Bytes EncodeGenReadReq(const GenReadReq& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeGenReadResp(const GenReadResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kGenReadResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -213,7 +254,7 @@ Bytes EncodeGenReadResp(const GenReadResp& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeGenWriteReq(const GenWriteReq& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kGenWriteReq, rpc_id);
   enc.PutU32(m.client);
@@ -222,7 +263,7 @@ Bytes EncodeGenWriteReq(const GenWriteReq& m, uint64_t rpc_id) {
 }
 
 Bytes EncodeGenWriteResp(const GenWriteResp& m, uint64_t rpc_id) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 1);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kGenWriteResp, rpc_id);
   enc.PutU8(static_cast<uint8_t>(m.status));
@@ -260,7 +301,7 @@ Result<GenWriteResp> DecodeGenWriteResp(const SharedBytes& body) {
 }
 
 Bytes EncodeTruncateLog(const TruncateLogMsg& m) {
-  Bytes out;
+  Bytes out = MessageBuffer(kHeaderBytes + 4 + 8);
   Encoder enc(&out);
   PutHeader(&enc, MessageType::kTruncateLog, 0);
   enc.PutU32(m.client);

@@ -2,6 +2,7 @@
 #define DLOG_WIRE_MESSAGES_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -194,10 +195,36 @@ struct GenWriteResp {
 // --- Encoding ---
 // Each Encode* returns a complete message (header + body) ready to hand
 // to a wire::Connection. DecodeEnvelope splits the header off; the caller
-// then dispatches on type to the matching Decode*.
+// then dispatches on type to the matching Decode*. Encoders size their
+// buffer up front: the exact message plus kFrameTrailerBytes of headroom.
+
+/// The transport frame wire::Endpoint appends to every message: a fixed
+/// trailer (frame type, connection id, sequence number, allocation,
+/// payload length) rather than a header, so framing appends into the
+/// headroom the encoders reserve instead of copying the payload.
+inline constexpr size_t kFrameTrailerBytes = 1 + 8 + 8 + 8 + 4;
 
 Bytes EncodeRecordBatch(MessageType type, const RecordBatch& m,
                         uint64_t rpc_id = 0);
+
+/// Builds a WriteLog/ForceLog message record by record, for a sender
+/// whose records are not held in one vector (the log client packs runs
+/// of its pending ring). `header` supplies the client, epoch and trace
+/// ids (its records are not read). `count` records follow, and
+/// `message_bytes` is RecordBatchOverhead() plus their EncodedRecordSize
+/// sum, so the buffer is allocated once, at its final size.
+class RecordBatchWriter {
+ public:
+  RecordBatchWriter(MessageType type, const RecordBatch& header,
+                    size_t count, size_t message_bytes);
+
+  void Add(const LogRecord& record);
+  /// The finished message.
+  Bytes Take() { return std::move(out_); }
+
+ private:
+  Bytes out_;
+};
 Bytes EncodeNewInterval(const NewIntervalMsg& m);
 Bytes EncodeNewHighLsn(const NewHighLsnMsg& m);
 Bytes EncodeOverloaded(const OverloadedMsg& m);

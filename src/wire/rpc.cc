@@ -63,4 +63,11 @@ void RpcClient::FailAll(const Status& status) {
   for (auto& cb : callbacks) cb(status);
 }
 
+void RpcClient::DropAll() {
+  for (auto& [id, call] : pending_) {
+    if (call.timer != 0) sim_->Cancel(call.timer);
+  }
+  pending_.clear();
+}
+
 }  // namespace dlog::wire

@@ -61,6 +61,10 @@ class RpcClient {
   /// Fails every pending call (e.g., connection reset).
   void FailAll(const Status& status);
 
+  /// Forgets every pending call without invoking its callback: for an
+  /// owner being destroyed, whose continuations must not run.
+  void DropAll();
+
   size_t pending() const { return pending_.size(); }
 
  private:

@@ -224,5 +224,75 @@ TEST(LogClientTest, GeneratorQuorumBlocksInit) {
   EXPECT_TRUE(st.IsUnavailable());
 }
 
+TEST(LogClientTest, ValidateRejectsMoreServersThanAckBits) {
+  LogClientConfig cfg;
+  for (net::NodeId id = 1; id <= client::kMaxServers + 1; ++id) {
+    cfg.servers.push_back(id);
+  }
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kInvalidArgument);
+  cfg.servers.pop_back();
+  EXPECT_TRUE(cfg.Validate().ok());
+}
+
+// A server the client abandons for silence may still acknowledge what it
+// was sent; that acknowledgment counts toward the N copies.
+TEST(LogClientTest, AcksFromAServerThatLeftTheWriteSetStillCount) {
+  Cluster cluster(ClusterConfig{});  // M = 3, N = 2
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  cfg.node_id = 1000;  // the first client node id AddClient hands out
+  cfg.force_timeout = 200 * sim::kMillisecond;
+  cfg.force_retries = 1;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+
+  // The first record's holders are the write set.
+  const Lsn first = *c->WriteLog(ToBytes("a"));
+  bool done = false;
+  c->ForceLog(first, [&](Status) { done = true; });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+  const std::vector<ServerId> holders = c->view().Find(first)->servers;
+  ASSERT_EQ(holders.size(), 2u);
+  const net::NodeId slow = holders[1];
+  const net::NodeId spare = 6 - holders[0] - holders[1];
+
+  // The slow server's acknowledgments arrive only after the client has
+  // switched away from it, and its replacement (the spare) is down.
+  cluster.server(spare).Crash();
+  cluster.network().SetLinkFault(slow, 1000,
+                                 net::LinkFault{0.0, 600 * sim::kMillisecond});
+  const Lsn second = *c->WriteLog(ToBytes("b"));
+  done = false;
+  Status st = Status::Internal("never");
+  c->ForceLog(second, [&](Status s) {
+    st = s;
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }, 10 * sim::kSecond));
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(c->server_switches().value(), 1u);
+  EXPECT_EQ(c->view().Find(second)->servers, holders);
+}
+
+// Destroying a cluster while a ReadLog RPC is in flight drops the call:
+// its callback never runs into the half-destroyed client.
+TEST(LogClientTest, DestroyingTheClusterMidReadNeverRunsTheCallback) {
+  auto cluster = std::make_unique<Cluster>(ClusterConfig{});
+  auto c = cluster->AddClient();
+  ASSERT_TRUE(InitSync(*cluster, *c).ok());
+  const Lsn lsn = *c->WriteLog(ToBytes("r"));
+  bool forced = false;
+  c->ForceLog(lsn, [&](Status) { forced = true; });
+  ASSERT_TRUE(cluster->RunUntil([&]() { return forced; }));
+
+  // Durable and no longer buffered: the read needs a server round trip.
+  bool called = false;
+  c->ReadLog(lsn, [&](Result<Bytes>) { called = true; });
+  cluster->RunFor(100 * sim::kMicrosecond);
+  ASSERT_FALSE(called);
+  cluster.reset();
+  EXPECT_FALSE(called);
+}
+
 }  // namespace
 }  // namespace dlog

@@ -40,12 +40,18 @@ struct RawDriver {
     endpoint = std::make_unique<wire::Endpoint>(&sim, cpu.get(), 99,
                                                 wire::WireConfig{});
     endpoint->AttachNetwork(network.get(), nic.get());
+    Connect();
+    sim.Run();
+  }
+
+  /// Opens a connection to the server whose arrivals land in `inbox` (a
+  /// restarted server has forgotten the previous one).
+  void Connect() {
     conn = endpoint->Connect(1);
     conn->SetMessageHandler([this](const SharedBytes& payload) {
       Result<wire::Envelope> env = wire::DecodeEnvelope(payload);
       if (env.ok()) inbox.push_back(*env);
     });
-    sim.Run();
   }
 
   void Send(Bytes message) {
@@ -400,6 +406,48 @@ TEST(LogServerTest, UnflushedNvramRecordsSurviveCrash) {
   d.sim.RunFor(10 * sim::kMillisecond);
   d.server->Restart();
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 2}}));
+}
+
+// A restarted server can find a record both on disk and still in NVRAM
+// (the track write landed, but the crash lost the flush's completion). Its
+// reads are charged to that track until the NVRAM copy flushes, and then
+// to the later track.
+TEST(LogServerTest, RestartChargesReadsToTheLatestTrackHoldingARecord) {
+  LogServerConfig cfg;
+  cfg.flush_interval = 60 * sim::kSecond;  // records stay in NVRAM
+  RawDriver d(cfg);
+  std::vector<uint64_t> read_tracks;
+  d.server->disk().SetRequestProbe(
+      [&read_tracks](const storage::SimDisk::RequestTiming& t) {
+        if (!t.is_write) read_tracks.push_back(t.track);
+      });
+  d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
+  ASSERT_EQ(d.server->tracks_written().value(), 0u);
+
+  d.server->Crash();
+  d.server->disk().WriteTrack(
+      0, EncodeTrack({{kClient, Rec(1, 1)}, {kClient, Rec(2, 1)}}), nullptr);
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_TRUE(d.server->disk().IsWritten(0));
+  d.server->Restart();
+  d.Connect();
+
+  auto read_first = [&d]() {
+    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                  {kClient, 1}, d.next_rpc++));
+    const wire::Envelope* resp = d.Last(wire::MessageType::kReadLogResp);
+    ASSERT_NE(resp, nullptr);
+    EXPECT_EQ(wire::DecodeReadLogResp(resp->body)->status,
+              wire::RpcStatus::kOk);
+  };
+  read_first();
+  EXPECT_EQ(read_tracks, (std::vector<uint64_t>{0}));
+
+  d.server->FlushNow();
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_EQ(d.server->tracks_written().value(), 1u);
+  read_first();
+  EXPECT_EQ(read_tracks, (std::vector<uint64_t>{0, 1}));
 }
 
 TEST(LogServerTest, DownServerIgnoresTraffic) {

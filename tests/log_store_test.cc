@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "common/log_types.h"
 #include "server/client_log_store.h"
 #include "server/track_format.h"
@@ -179,6 +182,70 @@ TEST(ClientLogStoreTest, FromRecordsSkipsDuplicates) {
   EXPECT_EQ(store.record_count(), 3u);
   ASSERT_EQ(store.Intervals().size(), 1u);
   EXPECT_EQ(store.Intervals()[0], (Interval{1, 1, 3}));
+}
+
+// A repair copy (re-stamped with a newer epoch) lands below the stream's
+// highest LSN, and a stream write may then start right after it: both
+// take sorted inserts into the index, which must keep every lookup right.
+TEST(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
+  ClientLogStore store;
+  for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(store.Write(Rec(l, 2)).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(5, 3, true, "copy5")).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(4, 3, true, "copy4")).ok());
+  ASSERT_TRUE(store.InstallCopies(3).ok());
+  ASSERT_TRUE(store.Write(Rec(6, 3, true, "new6")).ok());
+
+  EXPECT_EQ(store.Read(4)->data, ToBytes("copy4"));
+  EXPECT_EQ(store.Read(6)->data, ToBytes("new6"));
+  EXPECT_EQ(store.Read(7)->epoch, 2u);
+  EXPECT_EQ(store.Read(10)->epoch, 2u);
+  EXPECT_TRUE(store.Contains(4, 2));
+  EXPECT_TRUE(store.Contains(4, 3));
+  EXPECT_TRUE(store.Contains(6, 3));
+  EXPECT_FALSE(store.Contains(7, 3));
+  EXPECT_EQ(store.HighestLsn(), 10u);
+  EXPECT_EQ(store.Intervals(), (IntervalList{{2, 1, 10}, {3, 4, 6}}));
+  EXPECT_TRUE(std::is_sorted(
+      store.index().begin(), store.index().end(),
+      [](const ClientLogStore::IndexEntry& a,
+         const ClientLogStore::IndexEntry& b) {
+        return a.lsn != b.lsn ? a.lsn < b.lsn : a.epoch < b.epoch;
+      }));
+}
+
+// The disk track the index holds for <lsn, epoch>; nullopt while the
+// record is only in NVRAM or when it is not stored.
+std::optional<uint64_t> TrackOf(const ClientLogStore& store, Lsn lsn,
+                                Epoch epoch) {
+  for (const ClientLogStore::IndexEntry& e : store.index()) {
+    if (e.lsn == lsn && e.epoch == epoch &&
+        e.track != ClientLogStore::kNoTrack) {
+      return e.track;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
+  ClientLogStore store;
+  for (Lsn l = 1; l <= 6; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(5, 2)).ok());
+  ASSERT_TRUE(store.InstallCopies(2).ok());
+  store.SetTrack(2, 1, 7);
+  store.SetTrack(4, 1, 7);
+  store.SetTrack(4, 1, 8);  // flushed again later: the later track wins
+  store.SetTrack(5, 1, 8);
+  store.SetTrack(5, 2, 9);
+
+  ASSERT_EQ(store.TruncateBelow(3), 2u);
+  EXPECT_EQ(TrackOf(store, 4, 1), 8u);
+  EXPECT_EQ(TrackOf(store, 5, 1), 8u);
+  EXPECT_EQ(store.ReadTrack(5), 9u);  // the highest epoch's track
+  EXPECT_EQ(store.ReadTrack(3), std::nullopt);  // still only in NVRAM
+  EXPECT_EQ(store.ReadTrack(2), std::nullopt);  // discarded
+  store.SetTrack(2, 1, 10);  // a discarded record takes no track
+  EXPECT_FALSE(store.Contains(2, 1));
+  EXPECT_EQ(TrackOf(store, 2, 1), std::nullopt);
 }
 
 // --- Track format ---

@@ -155,6 +155,56 @@ TEST(MessagesTest, EncodedRecordSizeMatchesActual) {
   EXPECT_EQ(empty.size(), RecordBatchOverhead());
 }
 
+// Size-then-encode: every message is allocated once, at its exact size
+// plus the frame trailer, so neither encoding nor framing reallocates.
+TEST(MessagesTest, EncodersReserveExactSizePlusFrameTrailer) {
+  RecordBatch batch;
+  batch.client = 1;
+  batch.epoch = 2;
+  batch.records = {MakeRecord(5, 2, true, "0123456789"),
+                   MakeRecord(6, 2, false, "")};
+  ReadLogResp read;
+  read.records = batch.records;
+  CopyLogReq copy;
+  copy.records = batch.records;
+  IntervalListResp intervals;
+  intervals.intervals = {{1, 1, 4}, {2, 5, 9}};
+  // Moved, never copied, into the list: a copy would drop the headroom.
+  std::vector<Bytes> messages;
+  messages.push_back(EncodeRecordBatch(MessageType::kForceLog, batch));
+  messages.push_back(EncodeNewInterval({1, 2, 3}));
+  messages.push_back(EncodeNewHighLsn({7}));
+  messages.push_back(EncodeOverloaded({1, 2, 3, 4}));
+  messages.push_back(EncodeMissingInterval({3, 4}));
+  messages.push_back(EncodeIntervalListReq({1}, 9));
+  messages.push_back(EncodeIntervalListResp(intervals, 9));
+  messages.push_back(
+      EncodeReadLogReq(MessageType::kReadLogForwardReq, {1, 5}, 9));
+  messages.push_back(EncodeReadLogResp(read, 9));
+  messages.push_back(EncodeCopyLogReq(copy, 9));
+  messages.push_back(EncodeCopyLogResp({}, 9));
+  messages.push_back(EncodeInstallCopiesReq({1, 2}, 9));
+  messages.push_back(EncodeInstallCopiesResp({}, 9));
+  messages.push_back(EncodeGenReadReq({1}, 9));
+  messages.push_back(EncodeGenReadResp({}, 9));
+  messages.push_back(EncodeGenWriteReq({1, 3}, 9));
+  messages.push_back(EncodeGenWriteResp({}, 9));
+  messages.push_back(EncodeTruncateLog({1, 4}));
+  for (const Bytes& m : messages) {
+    EXPECT_EQ(m.capacity(), m.size() + kFrameTrailerBytes);
+  }
+
+  RecordBatchWriter writer(MessageType::kForceLog, batch,
+                           batch.records.size(),
+                           RecordBatchOverhead() +
+                               EncodedRecordSize(batch.records[0]) +
+                               EncodedRecordSize(batch.records[1]));
+  for (const LogRecord& r : batch.records) writer.Add(r);
+  const Bytes written = writer.Take();
+  EXPECT_EQ(written, EncodeRecordBatch(MessageType::kForceLog, batch));
+  EXPECT_EQ(written.capacity(), written.size() + kFrameTrailerBytes);
+}
+
 // --- Connection / Endpoint ---
 
 struct TestPeer {
