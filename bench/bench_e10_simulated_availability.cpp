@@ -32,13 +32,9 @@
 // eight threads — parallelism only changes wall-clock time.
 //
 // Usage: bench_e10_simulated_availability [probes_per_config] [threads]
-//            [shard_workers]
 //   default 4000 probes (a few tens of seconds) on 1 thread; CI soak
 //   uses a small count and the tolerance below widens with the matching
-//   3.5-sigma bound. shard_workers > 0 runs every trial cluster on the
-//   sharded parallel engine; predicate waits are quantized on the LAN
-//   propagation delay in both modes, so the JSON is byte-identical to
-//   the serial run at every worker count.
+//   3.5-sigma bound.
 
 #include <cmath>
 #include <cstdio>
@@ -98,15 +94,12 @@ client::LogClientConfig ProbeClientConfig(uint32_t client_id, int copies) {
   return cfg;
 }
 
-TrialCounts RunTrial(int m, int n, int probes, uint64_t seed,
-                     int shard_workers) {
+TrialCounts RunTrial(int m, int n, int probes, uint64_t seed) {
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = m;
   cluster_cfg.seed = seed;
-  cluster_cfg.shard_workers = shard_workers;
-  // Quantized predicate waits in both modes: stopping times become a
-  // pure function of the simulated schedule, so serial and parallel
-  // runs probe at identical instants.
+  // Probe waits poll on the LAN propagation-delay grid: the probe
+  // instants, and so the report, were recorded on it.
   cluster_cfg.run_until_quantum = cluster_cfg.network.propagation_delay;
   harness::Cluster cluster(cluster_cfg);
 
@@ -194,10 +187,9 @@ TrialCounts RunTrial(int m, int n, int probes, uint64_t seed,
 /// Splits `probes` across kTrialsPerConfig independent trials, fans them
 /// over `runner`, and merges the counts in trial order.
 ConfigResult RunConfig(int m, int n, int probes, uint64_t seed,
-                       const harness::TrialRunner& runner,
-                       int shard_workers) {
+                       const harness::TrialRunner& runner) {
   std::vector<TrialCounts> counts = runner.Run(
-      kTrialsPerConfig, [m, n, probes, seed, shard_workers](size_t trial) {
+      kTrialsPerConfig, [m, n, probes, seed](size_t trial) {
         // Even probe split, remainder to the earliest trials; each trial
         // gets a disjoint deterministic seed.
         int trial_probes = probes / kTrialsPerConfig;
@@ -206,8 +198,7 @@ ConfigResult RunConfig(int m, int n, int probes, uint64_t seed,
         }
         if (trial_probes == 0) return TrialCounts{};
         return RunTrial(m, n, trial_probes,
-                        seed + 1000 * (static_cast<uint64_t>(trial) + 1),
-                        shard_workers);
+                        seed + 1000 * (static_cast<uint64_t>(trial) + 1));
       });
 
   TrialCounts total;
@@ -242,9 +233,8 @@ double Tolerance(double closed_form, int probes) {
 /// scripted plan crashes a server, fails another's disk, and finally
 /// crashes the writer itself; each fault freezes the victim's recent
 /// spans. The dump of everything — E10_flight.json — is the CI artifact
-/// showing what each node was doing when it died. Fixed seeds, serial
-/// engine regardless of the sweep's shard_workers: byte-identical every
-/// run.
+/// showing what each node was doing when it died. Fixed seeds:
+/// byte-identical every run.
 bool WriteFlightArtifact() {
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = 3;
@@ -308,7 +298,6 @@ bool WriteFlightArtifact() {
 int main(int argc, char** argv) {
   const int probes = argc > 1 ? std::atoi(argv[1]) : 4000;
   const int threads = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int shard_workers = argc > 3 ? std::atoi(argv[3]) : 0;
   const double p = 0.05;
   harness::TrialRunner runner(threads > 0 ? threads : 1);
 
@@ -332,7 +321,7 @@ int main(int argc, char** argv) {
     const double write_closed = analysis::WriteLogAvailability(m, n, p);
     const double init_closed = analysis::ClientInitAvailability(m, n, p);
     const ConfigResult r =
-        RunConfig(m, n, probes, /*seed=*/1000 + m, runner, shard_workers);
+        RunConfig(m, n, probes, /*seed=*/1000 + m, runner);
 
     const double write_tol = Tolerance(write_closed, probes);
     const double init_tol = Tolerance(init_closed, probes);

@@ -19,11 +19,8 @@
 //     overload_replies_per_sec) — the gate is meaningless otherwise.
 //
 // Usage: bench_e16_overload_sweep [measure_seconds] [threads]
-//            [shard_workers]
 // The report is a pure function of the config and seeds: any thread
-// count — and, with shard_workers > 0, running each cluster on the
-// sharded parallel engine at any worker count — yields a byte-identical
-// BENCH_E16.json.
+// count yields a byte-identical BENCH_E16.json.
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,8 +60,7 @@ struct Point {
   double txns_shed = 0;  // refused at the application layer, per second
 };
 
-Point RunPoint(bool flow, double tps_per_client, int measure_seconds,
-               int shard_workers) {
+Point RunPoint(bool flow, double tps_per_client, int measure_seconds) {
   Point p;
   p.flow = flow;
   p.tps_per_client = tps_per_client;
@@ -72,7 +68,6 @@ Point RunPoint(bool flow, double tps_per_client, int measure_seconds,
 
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = kServers;
-  cluster_cfg.shard_workers = shard_workers;
   // The overload geometry: a disk slow enough to be the clear
   // bottleneck and an NVRAM buffer of only a few tracks, so past the
   // knee occupancy pins at the admission threshold and stays there.
@@ -162,7 +157,6 @@ Point RunPoint(bool flow, double tps_per_client, int measure_seconds,
 int main(int argc, char** argv) {
   const int measure_seconds = argc > 1 ? std::atoi(argv[1]) : 10;
   const int threads = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int shard_workers = argc > 3 ? std::atoi(argv[3]) : 0;
   harness::TrialRunner runner(threads > 0 ? threads : 1);
 
   const std::vector<double> loads = {kKneeTps / 2, kKneeTps, 2 * kKneeTps};
@@ -182,8 +176,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Point> points = runner.Run(
       trials.size(), [&](size_t i) {
-        return RunPoint(trials[i].flow, trials[i].tps, measure_seconds,
-                        shard_workers);
+        return RunPoint(trials[i].flow, trials[i].tps, measure_seconds);
       });
 
   obs::BenchReport report("E16");

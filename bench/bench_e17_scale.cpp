@@ -1,15 +1,15 @@
 // Experiment E17 — large-cluster scale: a 50-server / 5000-client ET1
-// slice on the serial and sharded engines.
+// slice.
 //
 // The ROADMAP's scale-out target made measurable: every client runs the
 // real protocol (init via interval gather + epoch acquisition, grouped
 // WriteLog/ForceLog streams, retry timers, driver backpressure) against
 // a 50-server fleet on a 1 Gbit LAN. The bench reports raw engine
 // throughput (events/s over the measured window), wall-clock, peak RSS,
-// and per-client memory, and proves determinism: the workload's
-// end-state hash (per-client committed/failed/shed + per-server records
-// written) must be identical on the serial engine and on the parallel
-// engine at every worker count and shard-group size.
+// and per-client memory, and proves that live telemetry is
+// schedule-invisible: the workload's end-state hash (per-client
+// committed/failed/shed + per-server records written) must be identical
+// with sampling on and off.
 //
 // Each client talks to a 5-server slice of the fleet (servers
 // (i+j) % M, j = 0..4) with its generator representatives on the first
@@ -36,25 +36,18 @@
 
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
-#include "harness/stop_latch.h"
 #include "obs/bench_report.h"
 
 namespace {
 
 using namespace dlog;
 
-struct EngineSetup {
-  int workers = 0;          // 0 = serial sim::Simulator
-  int nodes_per_shard = 1;  // parallel only
+struct RunResult {
   /// Live telemetry sampling on (obs::TimeSeriesCollector at the
   /// fleet-scale 1 s cadence). Schedule-invisible — the end-state hash
-  /// must still match — and its events/s ratio against the plain serial
-  /// run is the overhead gate: telemetry must keep >= 95% throughput.
+  /// must still match — and its events/s ratio against the plain run is
+  /// the overhead gate: telemetry must keep >= 95% throughput.
   bool telemetry = false;
-};
-
-struct RunResult {
-  EngineSetup setup;
   uint64_t committed = 0;
   uint64_t failed = 0;
   uint64_t shed = 0;
@@ -84,30 +77,20 @@ double PeakRssMb() {
 
 /// A constructed, not yet initialized, ET1 fleet on one cluster.
 struct Fleet {
-  int workers = 0;
-  std::unique_ptr<harness::StopLatch> started;
   std::unique_ptr<harness::Cluster> cluster;
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
-
-  uint64_t events_executed() const {
-    return workers == 0 ? cluster->sim().events_executed()
-                        : cluster->parallel_sim().events_executed();
-  }
 };
 
-Fleet BuildFleet(const EngineSetup& setup, int clients, int servers) {
+Fleet BuildFleet(bool telemetry, int clients, int servers) {
   Fleet f;
-  f.workers = setup.workers;
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = servers;
-  cluster_cfg.shard_workers = setup.workers;
-  cluster_cfg.nodes_per_shard = setup.nodes_per_shard;
   // A modern-LAN profile: at the 1987 default of 10 Mbit the fleet's
   // aggregate init + log traffic would saturate the medium long before
   // the engine becomes the bottleneck this bench measures.
   cluster_cfg.network.bandwidth_bits_per_sec = 1e9;
   cluster_cfg.run_until_quantum = sim::kMillisecond;
-  cluster_cfg.telemetry.enabled = setup.telemetry;
+  cluster_cfg.telemetry.enabled = telemetry;
   // Fleet-scale cadence: 1 s windows. The 250 ms default suits the
   // fine-grained health windows of small experiments (E18's 24
   // clients); at 400+ clients a sample walks thousands of live metrics,
@@ -115,8 +98,6 @@ Fleet BuildFleet(const EngineSetup& setup, int clients, int servers) {
   cluster_cfg.telemetry.interval = 1 * sim::kSecond;
   f.cluster = std::make_unique<harness::Cluster>(cluster_cfg);
 
-  f.started =
-      std::make_unique<harness::StopLatch>(static_cast<uint64_t>(clients));
   f.drivers.reserve(static_cast<size_t>(clients));
   for (int i = 0; i < clients; ++i) {
     client::LogClientConfig log_cfg;
@@ -133,7 +114,6 @@ Fleet BuildFleet(const EngineSetup& setup, int clients, int servers) {
     driver_cfg.tps = 2.0;
     driver_cfg.seed = 17000 + static_cast<uint64_t>(i);
     driver_cfg.max_log_backlog = 64;
-    driver_cfg.start_latch = f.started.get();
     // Light per-client bank: the protocol load is what's under test,
     // and 5000 default-size banks would dominate the memory budget.
     driver_cfg.bank.accounts = 100;
@@ -157,11 +137,9 @@ Fleet BuildFleet(const EngineSetup& setup, int clients, int servers) {
 
 /// Init barrier + warm-up: leaves the fleet in steady state.
 void StartFleet(Fleet& f) {
-  // A single atomic-flag stop condition, not an O(clients) predicate
-  // per poll.
-  if (!f.cluster->RunUntil(*f.started, 120 * sim::kSecond)) {
-    std::fprintf(stderr, "E17: fleet failed to initialize (%llu left)\n",
-                 static_cast<unsigned long long>(f.started->remaining()));
+  if (!f.cluster->RunUntil(harness::AllStarted(f.drivers),
+                           120 * sim::kSecond)) {
+    std::fprintf(stderr, "E17: fleet failed to initialize\n");
     std::exit(1);
   }
   f.cluster->RunFor(1 * sim::kSecond);  // past the start transient
@@ -187,25 +165,25 @@ uint64_t HashFleet(const Fleet& f, int servers, RunResult* r) {
   return hash;
 }
 
-RunResult RunConfig(const EngineSetup& setup, int clients, int servers,
+RunResult RunConfig(bool telemetry, int clients, int servers,
                     int window_seconds) {
   RunResult r;
-  r.setup = setup;
+  r.telemetry = telemetry;
 
   const double rss_before_mb = PeakRssMb();
   const auto wall_start = std::chrono::steady_clock::now();
 
-  Fleet fleet = BuildFleet(setup, clients, servers);
+  Fleet fleet = BuildFleet(telemetry, clients, servers);
   r.rss_per_client_kb =
       (PeakRssMb() - rss_before_mb) * 1024.0 / clients;
 
   StartFleet(fleet);
 
-  const uint64_t events_before = fleet.events_executed();
+  const uint64_t events_before = fleet.cluster->sim().events_executed();
   const auto window_start = std::chrono::steady_clock::now();
   fleet.cluster->RunFor(window_seconds * sim::kSecond);
   const auto window_end = std::chrono::steady_clock::now();
-  const uint64_t events_after = fleet.events_executed();
+  const uint64_t events_after = fleet.cluster->sim().events_executed();
 
   r.hash = HashFleet(fleet, servers, &r);
   r.window_events = events_after - events_before;
@@ -226,36 +204,28 @@ int main(int argc, char** argv) {
   const int servers = argc > 2 ? std::atoi(argv[2]) : 50;
   const int window_seconds = argc > 3 ? std::atoi(argv[3]) : 5;
 
-  // Serial first: peak RSS is a process-wide high-water mark, so only
+  // Plain run first: peak RSS is a process-wide high-water mark, so only
   // the first cluster's numbers are attributable. The telemetry run
-  // repeats the serial configuration with live sampling on: same hash,
-  // >= 95% of the plain serial events/s.
-  const std::vector<EngineSetup> setups = {
-      {0, 1, false}, {2, 128, false}, {8, 128, false}, {8, 512, false},
-      {0, 1, true}};
+  // repeats it with live sampling on: same hash, >= 95% of the plain
+  // events/s.
+  const bool runs[] = {false, true};
 
   std::printf(
       "E17: scale slice, %d clients x %d servers, 1 Gbit LAN, 2.0 TPS "
       "per client, %ds measured window\n\n",
       clients, servers, window_seconds);
   std::printf(
-      "  engine        | events/s | window wall s | committed | shed | "
+      "  run       | events/s | window wall s | committed | shed | "
       "hash\n");
 
   std::vector<RunResult> results;
-  for (const EngineSetup& setup : setups) {
-    results.push_back(RunConfig(setup, clients, servers, window_seconds));
+  for (const bool telemetry : runs) {
+    results.push_back(
+        RunConfig(telemetry, clients, servers, window_seconds));
     const RunResult& r = results.back();
-    char engine[32];
-    if (setup.workers == 0) {
-      std::snprintf(engine, sizeof engine,
-                    setup.telemetry ? "serial+ts" : "serial");
-    } else {
-      std::snprintf(engine, sizeof engine, "w=%d nps=%d", setup.workers,
-                    setup.nodes_per_shard);
-    }
-    std::printf("  %-13s | %8.0f | %13.2f | %9llu | %4llu | %016llx\n",
-                engine, r.events_per_sec, r.window_wall_s,
+    std::printf("  %-9s | %8.0f | %13.2f | %9llu | %4llu | %016llx\n",
+                telemetry ? "telemetry" : "plain", r.events_per_sec,
+                r.window_wall_s,
                 static_cast<unsigned long long>(r.committed),
                 static_cast<unsigned long long>(r.shed),
                 static_cast<unsigned long long>(r.hash));
@@ -277,8 +247,8 @@ int main(int argc, char** argv) {
   const int ratio_rounds = std::max(window_seconds, 10);
   std::printf("\nmeasuring telemetry overhead (%d interleaved 1s rounds)\n",
               ratio_rounds);
-  Fleet plain = BuildFleet({0, 1, false}, clients, servers);
-  Fleet sampled = BuildFleet({0, 1, true}, clients, servers);
+  Fleet plain = BuildFleet(/*telemetry=*/false, clients, servers);
+  Fleet sampled = BuildFleet(/*telemetry=*/true, clients, servers);
   StartFleet(plain);
   StartFleet(sampled);
   double wall_plain = 0.0, wall_sampled = 0.0;
@@ -313,10 +283,7 @@ int main(int argc, char** argv) {
   obs::BenchReport report("E17");
   for (const RunResult& r : results) {
     report.BeginRow();
-    report.SetConfig("engine", r.setup.workers == 0 ? "serial" : "parallel");
-    report.SetConfig("workers", r.setup.workers);
-    report.SetConfig("nodes_per_shard", r.setup.nodes_per_shard);
-    report.SetConfig("telemetry", r.setup.telemetry ? 1 : 0);
+    report.SetConfig("telemetry", r.telemetry ? 1 : 0);
     report.SetConfig("clients", clients);
     report.SetConfig("servers", servers);
     report.SetConfig("window_seconds", window_seconds);
@@ -331,11 +298,11 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.records_written));
     report.SetMetric("determinism_ok",
                      r.hash == results[0].hash ? 1.0 : 0.0);
-    if (r.setup.workers == 0 && !r.setup.telemetry) {
+    if (!r.telemetry) {
       report.SetMetric("peak_rss_mb", r.peak_rss_mb);
       report.SetMetric("rss_per_client_kb", r.rss_per_client_kb);
     }
-    if (r.setup.telemetry) {
+    if (r.telemetry) {
       report.SetMetric("telemetry_events_ratio", ratio);
     }
   }
@@ -346,15 +313,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote BENCH_E17.json (%zu rows)\n", report.rows());
-  std::printf("serial peak RSS %.0f MB, ~%.0f KB/client at construction\n",
+  std::printf("peak RSS %.0f MB, ~%.0f KB/client at construction\n",
               results[0].peak_rss_mb, results[0].rss_per_client_kb);
 
   if (!deterministic) {
-    std::printf("FAIL: end-state hash differs across engines\n");
+    std::printf("FAIL: telemetry sampling changed the end-state hash\n");
     return 1;
   }
-  std::printf("determinism: end-state identical across %zu engine "
-              "configurations\n", setups.size());
+  std::printf("determinism: end-state identical with telemetry on and "
+              "off\n");
   std::printf("telemetry overhead: %.3fs wall with sampling vs %.3fs "
               "without over %d interleaved rounds (median events/s ratio "
               "%.3f)\n",

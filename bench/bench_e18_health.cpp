@@ -14,9 +14,8 @@
 //
 // Both self-gate (exit nonzero on a miss), making the bench its own
 // acceptance test. Every reported metric is simulated — no wall clock —
-// so BENCH_E18.json is byte-identical on the serial engine and on the
-// parallel engine at any worker count; CI runs it at workers {0, 2, 8}
-// and cmp(1)s the reports. The per-window "w<k>/imbalance_cv" keys give
+// so BENCH_E18.json is byte-identical across reruns; CI runs it twice and
+// cmp(1)s the reports. The per-window "w<k>/imbalance_cv" keys give
 // tools/bench_diff.py a window-by-window view of the signal (matched by
 // window index, informational only — see --ts-exact).
 //
@@ -24,8 +23,8 @@
 // E18_alerts_<scenario>.json (the alert sequence) in the working
 // directory; tools/timeline.py renders the series as a terminal heatmap.
 //
-// Usage: bench_e18_health [clients] [servers] [seconds] [shard_workers]
-// Defaults: 24 6 15 0.
+// Usage: bench_e18_health [clients] [servers] [seconds]
+// Defaults: 24 6 15.
 
 #include <cstdint>
 #include <cstdio>
@@ -37,7 +36,6 @@
 
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
-#include "harness/stop_latch.h"
 #include "obs/bench_report.h"
 #include "obs/health.h"
 #include "obs/timeseries.h"
@@ -74,19 +72,15 @@ bool WriteFile(const std::string& path, const std::string& body) {
 }
 
 ScenarioResult RunScenario(const std::string& name, bool skewed,
-                           int clients, int servers, int seconds,
-                           int workers) {
+                           int clients, int servers, int seconds) {
   ScenarioResult r;
   r.name = name;
 
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = servers;
-  cluster_cfg.shard_workers = workers;
-  cluster_cfg.nodes_per_shard = workers > 0 ? 8 : 1;
   cluster_cfg.network.bandwidth_bits_per_sec = 1e9;
-  // Quantized predicate polling: the init barrier stops at times that
-  // are a pure function of the simulated schedule, so serial and
-  // parallel runs enter the measured window identically.
+  // The init barrier polls on a 1 ms grid: the measured window starts at
+  // the first grid point after the last client initializes.
   cluster_cfg.run_until_quantum = sim::kMillisecond;
   cluster_cfg.telemetry.enabled = true;
   cluster_cfg.telemetry.interval = 250 * sim::kMillisecond;
@@ -98,7 +92,6 @@ ScenarioResult RunScenario(const std::string& name, bool skewed,
   cluster_cfg.health.imbalance_min_mean_util = 1e-4;
   harness::Cluster cluster(cluster_cfg);
 
-  harness::StopLatch started(static_cast<uint64_t>(clients));
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   drivers.reserve(static_cast<size_t>(clients));
   for (int i = 0; i < clients; ++i) {
@@ -115,7 +108,6 @@ ScenarioResult RunScenario(const std::string& name, bool skewed,
     driver_cfg.tps = 20.0;
     driver_cfg.seed = 18000 + static_cast<uint64_t>(i);
     driver_cfg.max_log_backlog = 64;
-    driver_cfg.start_latch = &started;
     driver_cfg.bank.accounts = 100;
     driver_cfg.bank.tellers = 10;
     driver_cfg.bank.branches = 2;
@@ -130,10 +122,9 @@ ScenarioResult RunScenario(const std::string& name, bool skewed,
         [d]() { d->Start(); });
   }
 
-  if (!cluster.RunUntil(started, 60 * sim::kSecond)) {
-    std::fprintf(stderr, "E18 %s: fleet failed to initialize (%llu left)\n",
-                 name.c_str(),
-                 static_cast<unsigned long long>(started.remaining()));
+  if (!cluster.RunUntil(harness::AllStarted(drivers), 60 * sim::kSecond)) {
+    std::fprintf(stderr, "E18 %s: fleet failed to initialize\n",
+                 name.c_str());
     std::exit(1);
   }
   cluster.RunFor(seconds * sim::kSecond);
@@ -166,23 +157,19 @@ int main(int argc, char** argv) {
   const int clients = argc > 1 ? std::atoi(argv[1]) : 24;
   const int servers = argc > 2 ? std::atoi(argv[2]) : 6;
   const int seconds = argc > 3 ? std::atoi(argv[3]) : 15;
-  const int workers = argc > 4 ? std::atoi(argv[4]) : 0;
   if (servers < 4) {
     std::fprintf(stderr, "E18 needs >= 4 servers for a skewed placement\n");
     return 1;
   }
 
-  const std::string engine =
-      workers == 0 ? "serial engine" : "parallel w=" + std::to_string(workers);
   std::printf(
-      "E18: online health monitoring, %d clients x %d servers, %ds, "
-      "%s\n\n",
-      clients, servers, seconds, engine.c_str());
+      "E18: online health monitoring, %d clients x %d servers, %ds\n\n",
+      clients, servers, seconds);
 
   const ScenarioResult skewed =
-      RunScenario("skewed", true, clients, servers, seconds, workers);
+      RunScenario("skewed", true, clients, servers, seconds);
   const ScenarioResult balanced =
-      RunScenario("balanced", false, clients, servers, seconds, workers);
+      RunScenario("balanced", false, clients, servers, seconds);
 
   std::printf(
       "  scenario | windows | committed | alerts | imbalance raised | "

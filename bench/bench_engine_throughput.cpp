@@ -1,6 +1,6 @@
 // Engine throughput — the fast-path optimizations measured head to head.
 //
-// Four sections, one BENCH_ENGINE.json:
+// Five sections, one BENCH_ENGINE.json:
 //
 //   * engine: raw discrete-event throughput (events/sec) of the current
 //     sim::Simulator (slot/generation table, pooled small-buffer
@@ -37,23 +37,12 @@
 //     live 3-server cluster forcing records through the full new stack —
 //     the figure the two optimizations above exist to move.
 //
-//   * parallel: a multi-node workload (per-node timer chains plus
-//     cross-node injections) run on the serial engine and on the
-//     sharded sim::ParallelSimulator at the requested worker count.
-//     Every run folds its execution into a per-node FNV hash;
-//     determinism_ok = 1 iff the serial hash, the 1-worker hash, and
-//     the N-worker hash are all equal — a machine-independent metric CI
-//     gates on with a zero threshold. events_per_sec and the
-//     parallel-vs-serial speedup are reported for trend tracking
-//     (speedup > 1 needs real cores; on one CPU the parallel engine
-//     pays its window overhead).
-//
 // Wall-clock numbers vary by machine; the JSON is for trend tracking,
-// not byte-diffing. CI gates on this binary exiting 0 and on
-// determinism_ok via tools/bench_diff.py.
+// not byte-diffing. CI gates on this binary exiting 0 and, via
+// tools/bench_diff.py, on the machine-independent schedule_identical and
+// zero_alloc_ok metrics.
 //
 // Usage: bench_engine_throughput [engine_events] [cluster_records]
-//            [shard_workers]
 
 #include <atomic>
 #include <chrono>
@@ -72,7 +61,6 @@
 #include "obs/bench_report.h"
 #include "obs/trace.h"
 #include "server/track_format.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "wire/messages.h"
 
@@ -405,123 +393,12 @@ ClusterSample RunClusterWorkload(int records) {
   return s;
 }
 
-// --- Section 4: sharded parallel engine, serial vs N workers ---
-
-/// The simulated-node workload: a self-rescheduling timer chain per
-/// node, with every eighth step injecting an event into another node at
-/// >= the lookahead. Local periods (2-6 ticks) are much shorter than
-/// the lookahead (50), so one window covers many events per shard and
-/// the barrier cost amortizes — the shape real node simulations have
-/// (micro-scale CPU/disk events, LAN-scale cross-node latency). Local
-/// events land on even times (even start, even periods) and injections
-/// on odd times (even + odd delay), so no cross-node tie ever forms and
-/// the serial engine's schedule is reproduced exactly. Everything
-/// observable folds into per-node FNV hashes — node-local state, so
-/// shard execution needs no locking. Each event also burns a fixed
-/// mixing loop standing in for the per-event protocol work (decode,
-/// bookkeeping) a real node performs; without it the workload would
-/// measure nothing but engine overhead and no engine could scale.
-struct HashNode {
-  sim::Scheduler* sched = nullptr;
-  std::vector<HashNode*>* peers = nullptr;
-  int id = 0;
-  uint64_t remaining = 0;
-  uint64_t step = 0;
-  uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
-
-  static constexpr int kWorkPerEvent = 150;
-
-  void Mix(uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  }
-
-  void Fire() {
-    Mix(sched->Now());
-    Mix(step);
-    for (int i = 0; i < kWorkPerEvent; ++i) Mix(static_cast<uint64_t>(i));
-    if (remaining-- == 0) return;
-    ++step;
-    sched->After(2 + 2 * (step % 3), [this] { Fire(); });
-    if (step % 8 == 0) {
-      HashNode* peer = (*peers)[(static_cast<size_t>(id) + step) %
-                                peers->size()];
-      peer->sched->At(sched->Now() + 51 + 2 * (step % 3),
-                      [peer] { peer->Mix(0x9e3779b97f4a7c15ull); });
-    }
-  }
-};
-
-struct ParallelSample {
-  double wall_seconds = 0;
-  uint64_t events = 0;
-  /// Per-node hashes combined in node order.
-  uint64_t hash = 0;
-};
-
-/// workers == 0: the serial engine (every node's handle is the one
-/// Simulator). workers >= 1: one shard per node on the parallel engine.
-ParallelSample RunParallelWorkload(int num_nodes, uint64_t target_events,
-                                   int workers) {
-  constexpr sim::Duration kLookahead = 50;
-  std::unique_ptr<sim::Simulator> serial;
-  std::unique_ptr<sim::ParallelSimulator> parallel;
-  std::vector<sim::Scheduler*> handles;
-  if (workers == 0) {
-    serial = std::make_unique<sim::Simulator>();
-    for (int i = 0; i < num_nodes; ++i) handles.push_back(serial.get());
-  } else {
-    sim::ParallelConfig pc;
-    pc.num_workers = workers;
-    pc.lookahead = kLookahead;
-    parallel = std::make_unique<sim::ParallelSimulator>(pc);
-    for (int i = 0; i < num_nodes; ++i) {
-      handles.push_back(parallel->shard(parallel->AddShard()));
-    }
-  }
-
-  std::vector<std::unique_ptr<HashNode>> nodes;
-  std::vector<HashNode*> node_ptrs;
-  for (int i = 0; i < num_nodes; ++i) {
-    auto node = std::make_unique<HashNode>();
-    node->sched = handles[static_cast<size_t>(i)];
-    node->peers = &node_ptrs;
-    node->id = i;
-    node->remaining = target_events / static_cast<uint64_t>(num_nodes);
-    node_ptrs.push_back(node.get());
-    nodes.push_back(std::move(node));
-  }
-  for (auto& node : nodes) {
-    node->sched->At(static_cast<sim::Time>(2 * node->id),
-                    [n = node.get()] { n->Fire(); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (serial) {
-    serial->Run();
-  } else {
-    parallel->Run();
-  }
-  ParallelSample s;
-  s.wall_seconds = SecondsSince(t0);
-  s.events = serial ? serial->events_executed()
-                    : parallel->events_executed();
-  uint64_t combined = 14695981039346656037ull;
-  for (auto& node : nodes) {
-    combined ^= node->hash;
-    combined *= 1099511628211ull;
-  }
-  s.hash = combined;
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const uint64_t engine_events =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
   const int cluster_records = argc > 2 ? std::atoi(argv[2]) : 400;
-  const int shard_workers = argc > 3 ? std::atoi(argv[3]) : 8;
 
   obs::BenchReport report("engine_throughput");
 
@@ -682,55 +559,6 @@ int main(int argc, char** argv) {
     report.SetMetric("records_per_sec_wall", s.records / s.wall_seconds);
     report.SetMetric("server_record_writes", s.messages);
     report.SetMetric("wall_seconds", s.wall_seconds);
-  }
-
-  // Parallel: the sharded engine against the serial engine on the same
-  // multi-node workload, plus the determinism gate.
-  {
-    const int nodes = 16;
-    const uint64_t target = engine_events / 2;
-    // Best-of-3 wall clocks for both engines (same rationale as the
-    // engine section); the hash must be constant across every run.
-    ParallelSample serial_s, one_s, many_s;
-    for (int rep = 0; rep < 3; ++rep) {
-      ParallelSample s = RunParallelWorkload(nodes, target, /*workers=*/0);
-      if (rep == 0 || s.wall_seconds < serial_s.wall_seconds) serial_s = s;
-      ParallelSample o = RunParallelWorkload(nodes, target, /*workers=*/1);
-      if (rep == 0 || o.wall_seconds < one_s.wall_seconds) one_s = o;
-      ParallelSample m =
-          RunParallelWorkload(nodes, target, shard_workers);
-      if (rep == 0 || m.wall_seconds < many_s.wall_seconds) many_s = m;
-    }
-    const bool deterministic = serial_s.hash == one_s.hash &&
-                               serial_s.hash == many_s.hash &&
-                               serial_s.events == many_s.events;
-    const double serial_rate =
-        static_cast<double>(serial_s.events) / serial_s.wall_seconds;
-    const double parallel_rate =
-        static_cast<double>(many_s.events) / many_s.wall_seconds;
-    std::printf("parallel: serial %.0f events/s, %d workers %.0f "
-                "events/s (%.2fx), determinism %s\n",
-                serial_rate, shard_workers, parallel_rate,
-                parallel_rate / serial_rate,
-                deterministic ? "ok" : "BROKEN");
-
-    report.BeginRow();
-    report.SetConfig("section", std::string("parallel"));
-    report.SetConfig("nodes", nodes);
-    report.SetConfig("shard_workers", shard_workers);
-    report.SetConfig("target_events", static_cast<double>(target));
-    report.SetMetric("determinism_ok", deterministic ? 1.0 : 0.0);
-    report.SetMetric("events_per_sec_serial", serial_rate);
-    report.SetMetric("events_per_sec_parallel", parallel_rate);
-    report.SetMetric("speedup_parallel", parallel_rate / serial_rate);
-    if (!deterministic) {
-      std::printf("parallel engine NOT deterministic: hashes %llx / %llx "
-                  "/ %llx\n",
-                  static_cast<unsigned long long>(serial_s.hash),
-                  static_cast<unsigned long long>(one_s.hash),
-                  static_cast<unsigned long long>(many_s.hash));
-      return 1;
-    }
   }
 
   Status st = report.WriteJson("BENCH_ENGINE.json");

@@ -34,7 +34,7 @@ void ChaosController::RegisterMetrics(obs::MetricsRegistry* registry) const {
 
 void ChaosController::Execute(const FaultPlan& plan) {
   for (const FaultEvent& event : plan.events()) {
-    SchedulerFor(event)->After(event.at, [this, event]() { Inject(event); });
+    sim_->After(event.at, [this, event]() { Inject(event); });
   }
 }
 
@@ -202,14 +202,7 @@ void ChaosController::ScheduleTransition(int server, bool crash_next) {
   const sim::Duration wait =
       sim::SecondsToDuration(rng.NextExponential(mean_s));
   const uint64_t generation = markov_generation_;
-  // Route the whole transition chain onto the target server's shard:
-  // the Rng draw, the state check, and the crash/restart all stay
-  // thread-local to that server under the parallel engine.
-  FaultEvent route;
-  route.type = crash_next ? FaultType::kServerCrash
-                          : FaultType::kServerRestart;
-  route.target = server;
-  SchedulerFor(route)->After(wait, [this, server, crash_next, generation]() {
+  sim_->After(wait, [this, server, crash_next, generation]() {
     if (generation != markov_generation_) return;
     FaultEvent e;
     e.type = crash_next ? FaultType::kServerCrash

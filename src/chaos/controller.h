@@ -49,17 +49,6 @@ class ChaosController {
   ChaosController(const ChaosController&) = delete;
   ChaosController& operator=(const ChaosController&) = delete;
 
-  /// Parallel-engine routing: returns the scheduler (shard) a fault
-  /// event must execute on — the target server's or client's shard, so
-  /// the fault mutates node state from that node's own thread, or the
-  /// control shard for network-wide faults (whose mutations the Network
-  /// defers to the barrier anyway). Unset, every fault runs on the
-  /// controller's own scheduler (the serial engine).
-  using SchedulerRouter = std::function<sim::Scheduler*(const FaultEvent&)>;
-  void SetSchedulerRouter(SchedulerRouter router) {
-    router_ = std::move(router);
-  }
-
   /// Attaches the shared causal tracer (may be null: spans dropped).
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   /// Attaches the flight recorder (may be null): every successfully
@@ -107,13 +96,9 @@ class ChaosController {
   void MaybeDumpFlight(const FaultEvent& event);
   /// Schedules the next up->down or down->up transition of `server`.
   void ScheduleTransition(int server, bool crash_next);
-  sim::Scheduler* SchedulerFor(const FaultEvent& event) {
-    return router_ ? router_(event) : sim_;
-  }
 
   sim::Scheduler* sim_;
   FaultTargets* targets_;
-  SchedulerRouter router_;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
 

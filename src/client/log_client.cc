@@ -972,8 +972,12 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   };
 
   // Step 3 (declared first; steps chain backwards): process the queue.
+  // Each recursive step captures itself weakly and takes a strong
+  // reference while it runs: the outstanding RPC callbacks own the
+  // chain, so it is freed once none remains.
   auto process = std::make_shared<std::function<void()>>();
-  *process = [this, st, process, finish]() {
+  *process = [this, st, self = std::weak_ptr(process), finish]() {
+    const auto process = self.lock();
     if (st->generation != generation_ || st->finished) return;
     if (st->queue.empty()) {
       if (!st->partial) {
@@ -1010,8 +1014,9 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
     st->records.clear();
     st->cursor = work.low;
     auto read_chunk = std::make_shared<std::function<void(size_t)>>();
-    *read_chunk = [this, st, process, read_chunk,
+    *read_chunk = [this, st, process, self = std::weak_ptr(read_chunk),
                    finish](size_t holder_index) {
+      const auto read_chunk = self.lock();
       if (st->generation != generation_ || st->finished) return;
       RepairState::Work& w = st->queue.front();
       if (st->cursor > w.high) {
@@ -1486,9 +1491,11 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
     st->tail_lsns.push_back(lsn);
   }
 
-  // Sequential async read of each tail record.
+  // Sequential async read of each tail record. The steps capture
+  // themselves weakly (see RepairLog): pending RPC callbacks own them.
   auto read_next = std::make_shared<std::function<void()>>();
-  *read_next = [this, st, read_next]() {
+  *read_next = [this, st, self = std::weak_ptr(read_next)]() {
+    const auto read_next = self.lock();
     if (st->generation != generation_ || st->finished) return;
     if (st->tail_cursor >= st->tail_lsns.size()) {
       // All tail records read: choose targets and copy.
@@ -1642,7 +1649,9 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
     }
     auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
     auto attempt = std::make_shared<std::function<void(size_t)>>();
-    *attempt = [this, st, read_next, attempt, holders, lsn](size_t index) {
+    *attempt = [this, st, read_next, self = std::weak_ptr(attempt), holders,
+                lsn](size_t index) {
+      const auto attempt = self.lock();
       if (st->generation != generation_ || st->finished) return;
       if (index >= holders->size()) {
         FinishInit(st,

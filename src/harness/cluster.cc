@@ -7,59 +7,12 @@
 
 namespace dlog::harness {
 
-namespace {
-
-sim::ParallelConfig MakeParallelConfig(const ClusterConfig& config) {
-  sim::ParallelConfig pc;
-  pc.num_workers = config.shard_workers;
-  // Per-link lookahead: nothing a node does at time T reaches another
-  // node before T + propagation_delay + the time the header alone spends
-  // on the wire. Network::SendNow computes arrival as
-  // max(enqueue, medium_free) + tx_time + propagation, and tx_time >=
-  // header_bytes * 8 / bandwidth for any packet, so this is still a
-  // conservative bound — but a meaningfully larger window than the bare
-  // propagation floor on slow LANs, which directly divides barrier
-  // frequency. Barrier-scheduled deliveries (drained at the window edge)
-  // are posted onto shard cores sitting exactly at the window end, so
-  // they can never land inside a closed window regardless of lookahead.
-  pc.lookahead =
-      config.network.propagation_delay +
-      sim::SecondsToDuration(
-          static_cast<double>(config.network.header_bytes) * 8.0 /
-          config.network.bandwidth_bits_per_sec);
-  return pc;
-}
-
-}  // namespace
-
 Status ClusterConfig::Validate() const {
   if (num_servers < 1) {
     return Status::InvalidArgument("num_servers must be >= 1");
   }
   if (num_networks < 1) {
     return Status::InvalidArgument("num_networks must be >= 1");
-  }
-  if (shard_workers < 0) {
-    return Status::InvalidArgument("shard_workers must be >= 0");
-  }
-  if (nodes_per_shard < 1) {
-    return Status::InvalidArgument("nodes_per_shard must be >= 1");
-  }
-  if (shard_workers > 0) {
-    if (tracing || profiling) {
-      return Status::InvalidArgument(
-          "the parallel engine does not support tracing/profiling "
-          "(span ids and probe streams are interleaving-dependent)");
-    }
-    if (flight_recorder) {
-      return Status::InvalidArgument(
-          "the flight recorder is serial-engine only (span routing is "
-          "interleaving-dependent)");
-    }
-    if (network.propagation_delay == 0) {
-      return Status::InvalidArgument(
-          "the parallel engine needs propagation_delay > 0 as lookahead");
-    }
   }
   DLOG_RETURN_IF_ERROR(telemetry.Validate());
   DLOG_RETURN_IF_ERROR(health.Validate());
@@ -74,45 +27,17 @@ Status ClusterConfig::Validate() const {
   return Status::OK();
 }
 
-sim::Scheduler* Cluster::InfraScheduler() {
-  if (serial_ != nullptr) return serial_.get();
-  // Shared actors are called from whatever shard is executing; the
-  // ambient facade binds their clock to the calling shard.
-  return parallel_->ambient();
-}
-
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config),
-      serial_(config.shard_workers == 0 ? std::make_unique<sim::Simulator>()
-                                        : nullptr),
-      parallel_(config.shard_workers > 0
-                    ? std::make_unique<sim::ParallelSimulator>(
-                          MakeParallelConfig(config))
-                    : nullptr),
-      tracer_(InfraScheduler()) {
+    : config_(config), tracer_(&sim_) {
   DLOG_CHECK_OK(config.Validate());
   tracer_.set_enabled(config.tracing);
-  if (serial_ != nullptr) {
-    serial_->EnableTimerWheel(config.timer_wheel);
-    tick_seq_ = std::make_unique<sim::TickSequencer>(serial_.get());
-  }
   for (int i = 0; i < config.num_networks; ++i) {
     net::NetworkConfig net_cfg = config.network;
     net_cfg.seed = config.seed * 1000 + i;
-    networks_.push_back(
-        std::make_unique<net::Network>(InfraScheduler(), net_cfg));
-    if (parallel_ != nullptr) {
-      networks_.back()->SetSequencing(
-          {parallel_.get(), [this](net::NodeId id) {
-             return node_schedulers_[id];
-           }});
-    } else {
-      // The serial engine sequences network mutations too: same-tick
-      // sends then arbitrate in (src node, post order) — the identical
-      // order the parallel barrier replays — instead of in heap-insertion
-      // order, which no sharded execution could reproduce.
-      networks_.back()->SetSequencing({tick_seq_.get(), nullptr});
-    }
+    networks_.push_back(std::make_unique<net::Network>(&sim_, net_cfg));
+    // Same-tick sends arbitrate in (src node, post order), not in
+    // heap-insertion order.
+    networks_.back()->SetSequencer(&tick_seq_);
     if (config.profiling) {
       net::Network* network = networks_.back().get();
       const std::string name = "net-" + std::to_string(i);
@@ -129,17 +54,7 @@ Cluster::Cluster(const ClusterConfig& config)
   for (int i = 0; i < config.num_servers; ++i) {
     server::LogServerConfig server_cfg = config.server;
     server_cfg.node_id = static_cast<net::NodeId>(i + 1);
-    sim::Scheduler* sched;
-    if (serial_ != nullptr) {
-      sched = serial_.get();
-      server_shards_.push_back(0);
-    } else {
-      const int shard = AssignShard();
-      server_shards_.push_back(shard);
-      sched = parallel_->shard(shard);
-    }
-    SetNodeScheduler(server_cfg.node_id, sched);
-    auto server = std::make_unique<server::LogServer>(sched, server_cfg);
+    auto server = std::make_unique<server::LogServer>(&sim_, server_cfg);
     for (auto& network : networks_) server->AttachNetwork(network.get());
     server->SetTracer(&tracer_);
     server->RegisterMetrics(&metrics_);
@@ -159,33 +74,13 @@ Cluster::Cluster(const ClusterConfig& config)
                                   t.end});
           });
       server->nvram_buffer().SetOccupancyProbe([this, name](size_t used) {
-        profiler_.RecordLevel(name + "/nvram", serial_->Now(),
+        profiler_.RecordLevel(name + "/nvram", sim_.Now(),
                               static_cast<double>(used));
       });
     }
     servers_.push_back(std::move(server));
   }
-  chaos_ = std::make_unique<chaos::ChaosController>(InfraScheduler(), this);
-  if (parallel_ != nullptr) {
-    chaos_->SetSchedulerRouter([this](const chaos::FaultEvent& event) {
-      switch (event.type) {
-        case chaos::FaultType::kServerCrash:
-        case chaos::FaultType::kServerRestart:
-        case chaos::FaultType::kDiskFail:
-        case chaos::FaultType::kNvramLoss:
-          return &server_scheduler(event.target);
-        case chaos::FaultType::kClientCrash:
-        case chaos::FaultType::kClientRestart:
-          return &client_scheduler(event.target);
-        case chaos::FaultType::kPartition:
-        case chaos::FaultType::kHealPartition:
-        case chaos::FaultType::kLinkDegrade:
-        case chaos::FaultType::kLinkRestore:
-          break;  // network faults defer through the barrier anyway
-      }
-      return &scheduler();
-    });
-  }
+  chaos_ = std::make_unique<chaos::ChaosController>(&sim_, this);
   chaos_->SetTracer(&tracer_);
   chaos_->RegisterMetrics(&metrics_);
   // The process-wide copy counter, visible in every snapshot/diff instead
@@ -233,8 +128,8 @@ std::vector<net::NodeId> Cluster::server_ids() const {
 }
 
 std::unique_ptr<client::LogClient> Cluster::BuildClient(
-    const client::LogClientConfig& config, sim::Scheduler* sched) {
-  auto node = std::make_unique<client::LogClient>(sched, config);
+    const client::LogClientConfig& config) {
+  auto node = std::make_unique<client::LogClient>(&sim_, config);
   for (auto& network : networks_) node->AttachNetwork(network.get());
   node->SetTracer(&tracer_);
   node->RegisterMetrics(&metrics_);
@@ -260,14 +155,7 @@ ClientHandle Cluster::AddClient(client::LogClientConfig config) {
   DLOG_CHECK_OK(config.Validate());
   ClientSlot slot;
   slot.config = config;
-  if (parallel_ != nullptr) {
-    slot.shard = AssignShard();
-    SetNodeScheduler(config.node_id, parallel_->shard(slot.shard));
-  }
-  sim::Scheduler* sched = serial_ != nullptr
-                              ? static_cast<sim::Scheduler*>(serial_.get())
-                              : parallel_->shard(slot.shard);
-  slot.node = BuildClient(config, sched);
+  slot.node = BuildClient(config);
   clients_.push_back(std::move(slot));
   if (health_ != nullptr) {
     health_->AddClientNode("client-" + std::to_string(config.client_id));
@@ -291,28 +179,12 @@ void Cluster::RestartClient(int index) {
   // its handshakes would be answered with stale state.
   slot.config.wire.initial_incarnation = slot.node->wire_incarnation() + 1;
   // The registry holds pointers into the old incarnation's counters;
-  // drop them before the node dies, then let the replacement re-register
-  // under the same names (its identity is unchanged).
+  // drop them before the node retires, then let the replacement
+  // re-register under the same names (its identity is unchanged).
   metrics_.UnregisterPrefix(
       "client-" + std::to_string(slot.config.client_id) + "/log/");
-  slot.node.reset();
-  slot.node = BuildClient(slot.config, &client_scheduler(index));
-}
-
-int Cluster::AssignShard() {
-  if (nodes_assigned_ % config_.nodes_per_shard == 0) {
-    current_shard_ = parallel_->AddShard();
-  }
-  ++nodes_assigned_;
-  return current_shard_;
-}
-
-sim::Time Cluster::NextEventTime() {
-  return serial_ ? serial_->PeekNextTime() : parallel_->NextEventTime();
-}
-
-void Cluster::RawRunUntil(sim::Time t) {
-  serial_ ? serial_->RunUntil(t) : parallel_->RunUntil(t);
+  retired_clients_.push_back(std::move(slot.node));
+  slot.node = BuildClient(slot.config);
 }
 
 void Cluster::SampleWindow() {
@@ -325,14 +197,13 @@ void Cluster::EngineRunUntil(sim::Time t) {
   if (collector_ != nullptr) {
     // Stop at every window edge on the way: RunUntil(edge) runs all
     // events <= edge and leaves the engine quiescent exactly there, so
-    // the sampled values are a pure function of the simulated schedule
-    // — identical on either engine at any worker count.
+    // the sampled values are a pure function of the simulated schedule.
     while (next_sample_ <= t) {
-      RawRunUntil(next_sample_);
+      sim_.RunUntil(next_sample_);
       SampleWindow();
     }
   }
-  RawRunUntil(t);
+  sim_.RunUntil(t);
 }
 
 void Cluster::SampleWindowsBeforeStep() {
@@ -340,10 +211,10 @@ void Cluster::SampleWindowsBeforeStep() {
   // Keep the per-event Step() loops window-consistent with RunUntil: a
   // window ending at W closes after every event at time <= W has run,
   // so sample only once the next pending event is strictly past W.
-  const sim::Time next = serial_->PeekNextTime();
+  const sim::Time next = sim_.PeekNextTime();
   if (next == sim::Simulator::kNoEvent) return;
   while (next_sample_ < next) {
-    RawRunUntil(next_sample_);
+    sim_.RunUntil(next_sample_);
     SampleWindow();
   }
 }
@@ -352,13 +223,13 @@ void Cluster::RunFor(sim::Duration d) { EngineRunUntil(Now() + d); }
 
 void Cluster::Run() {
   if (collector_ == nullptr) {
-    serial_ ? serial_->Run() : parallel_->Run();
+    sim_.Run();
     return;
   }
   // Run to exhaustion, window by window. Sampling stops with the last
   // event: trailing empty windows carry nothing.
   for (;;) {
-    const sim::Time next = NextEventTime();
+    const sim::Time next = sim_.PeekNextTime();
     if (next == sim::Simulator::kNoEvent) return;
     EngineRunUntil(std::max(next, next_sample_));
   }
@@ -367,49 +238,23 @@ void Cluster::Run() {
 bool Cluster::RunUntil(std::function<bool()> fn, sim::Duration timeout) {
   const sim::Time deadline = Now() + timeout;
   if (config_.run_until_quantum <= 0) {
-    assert(serial_ != nullptr &&
-           "parallel RunUntil(predicate) needs run_until_quantum > 0");
     while (!fn()) {
-      if (serial_->Now() >= deadline) return false;
+      if (sim_.Now() >= deadline) return false;
       SampleWindowsBeforeStep();
-      if (!serial_->Step()) {
+      if (!sim_.Step()) {
         // Queue drained: the predicate can no longer change.
         return fn();
       }
     }
     return true;
   }
-  // Quantized: the predicate is checked at times that are a pure
-  // function of the simulated schedule (grid points and event times),
-  // never of engine internals — so both engines stop identically.
+  // Quantized: the predicate is checked on the grid (or at the next
+  // event after an idle stretch), so the stop point is a pure function
+  // of the simulated schedule and the quantum.
   while (!fn()) {
     if (Now() >= deadline) return false;
-    const sim::Time next = NextEventTime();
+    const sim::Time next = sim_.PeekNextTime();
     if (next == sim::Simulator::kNoEvent) return fn();
-    EngineRunUntil(std::max(Now() + config_.run_until_quantum, next));
-  }
-  return true;
-}
-
-bool Cluster::RunUntil(const StopLatch& latch, sim::Duration timeout) {
-  const sim::Time deadline = Now() + timeout;
-  if (config_.run_until_quantum <= 0) {
-    assert(serial_ != nullptr &&
-           "parallel RunUntil(latch) needs run_until_quantum > 0");
-    while (!latch.Done()) {
-      if (serial_->Now() >= deadline) return false;
-      SampleWindowsBeforeStep();
-      if (!serial_->Step()) return latch.Done();
-    }
-    return true;
-  }
-  // Same quantized grid as the predicate form: the polling times depend
-  // only on the simulated schedule, so the stop point is engine- and
-  // worker-count-independent.
-  while (!latch.Done()) {
-    if (Now() >= deadline) return false;
-    const sim::Time next = NextEventTime();
-    if (next == sim::Simulator::kNoEvent) return latch.Done();
     EngineRunUntil(std::max(Now() + config_.run_until_quantum, next));
   }
   return true;

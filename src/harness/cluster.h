@@ -1,7 +1,6 @@
 #ifndef DLOG_HARNESS_CLUSTER_H_
 #define DLOG_HARNESS_CLUSTER_H_
 
-#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -19,8 +18,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "server/log_server.h"
-#include "harness/stop_latch.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 
@@ -77,43 +74,17 @@ struct ClusterConfig {
   /// tracing.
   bool profiling = false;
   uint64_t seed = 1;
-  /// Simulation engine. 0 (default) runs the serial sim::Simulator —
-  /// byte-compatible with every existing experiment. >= 1 runs the
-  /// sharded sim::ParallelSimulator with this many worker threads, one
-  /// shard per node, and NetworkConfig::propagation_delay as the
-  /// conservative lookahead. A run's output is identical for every
-  /// worker count; matching the serial engine additionally requires
-  /// predicate waits to be quantized (run_until_quantum) in both modes.
-  /// Parallel clusters reject tracing/profiling: span ids and profiler
-  /// streams are interleaving-dependent.
-  int shard_workers = 0;
-  /// Shard grouping (parallel engine only): how many nodes share one
-  /// shard. 1 (default) keeps the original node-per-shard layout. Larger
-  /// groups cut the coordinator's per-window work — the barrier scans
-  /// every shard once per lookahead window, so at thousands of clients
-  /// the shard count itself becomes the bottleneck. Nodes are grouped in
-  /// creation order (servers first, then clients). Chaos-free runs are
-  /// byte-identical across group sizes: everything crossing a node
-  /// boundary goes through the Network, whose barrier merge is keyed by
-  /// source node id, not shard — grouping only changes which events
-  /// execute contiguously, never their order.
-  int nodes_per_shard = 1;
-  /// Serial engine only: route eligible coarse-deadline timers through
-  /// the Simulator's hierarchical timer wheel (see sim::Simulator).
-  /// Schedule-invisible either way — this knob exists so identity tests
-  /// and benches can compare the wheel against the heap-only build.
-  bool timer_wheel = true;
   /// RunUntil(predicate) polling grid. 0 (default) checks the predicate
-  /// after every event — exact, serial engine only. > 0 checks it every
-  /// this much simulated time; the stopping times then depend only on
-  /// the simulated schedule, so serial and parallel runs stop
-  /// identically. Engine-comparing benches set it in both modes.
+  /// after every event. > 0 checks it only every this much simulated
+  /// time (or at the next event after an idle stretch), which is
+  /// cheaper for predicates that walk a whole fleet. A run's stop points
+  /// depend on the grid: E10 polls every 50 us and E17/E18 every 1 ms,
+  /// and their committed outputs were recorded on those grids.
   sim::Duration run_until_quantum = 0;
   /// Live windowed telemetry (obs::TimeSeriesCollector). When enabled
   /// the cluster samples every registered metric on the telemetry
   /// interval grid, at quiescent points, so the series are a pure
-  /// function of the simulated schedule — byte-identical on the serial
-  /// engine and on the parallel engine at any worker count.
+  /// function of the simulated schedule — byte-identical across reruns.
   obs::TimeSeriesConfig telemetry;
   /// Online health rules evaluated over the telemetry windows (requires
   /// `telemetry.enabled`).
@@ -121,15 +92,14 @@ struct ClusterConfig {
   /// Crash flight recorder: the tracer routes every completed span into
   /// bounded per-node rings (even with `tracing` off — ring mode keeps
   /// no unbounded state), and chaos crash faults dump the victim's ring
-  /// for post-mortem. Serial engine only: span routing is
-  /// interleaving-dependent under the parallel engine.
+  /// for post-mortem.
   bool flight_recorder = false;
   /// Spans retained per node ring when `flight_recorder` is set.
   size_t flight_ring_spans = 256;
 
   /// OK iff the deployment is constructible (at least one server and
-  /// network, valid server/network templates, consistent engine
-  /// options).
+  /// network, valid server/network templates, consistent telemetry and
+  /// health options).
   Status Validate() const;
 };
 
@@ -148,46 +118,20 @@ class Cluster : public chaos::FaultTargets {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The serial engine. Only valid when shard_workers == 0 (the
-  /// default); engine-agnostic callers use Now()/RunFor()/Run()/
-  /// RunUntil() and the per-node scheduler accessors instead.
-  sim::Simulator& sim() {
-    assert(serial_ != nullptr && "cluster is running the parallel engine");
-    return *serial_;
-  }
-  bool parallel() const { return parallel_ != nullptr; }
-  sim::ParallelSimulator& parallel_sim() { return *parallel_; }
+  /// The simulator every node of the cluster schedules on.
+  sim::Simulator& sim() { return sim_; }
 
-  /// Engine-agnostic clock and run controls. With telemetry enabled,
-  /// RunFor/Run/RunUntil all stop at every telemetry window edge to
-  /// sample, so series and alerts accumulate live however the
-  /// experiment drives the clock.
-  sim::Time Now() const {
-    return serial_ ? serial_->Now() : parallel_->Now();
-  }
+  /// Clock and run controls. With telemetry enabled, RunFor/Run/RunUntil
+  /// all stop at every telemetry window edge to sample, so series and
+  /// alerts accumulate live however the experiment drives the clock.
+  sim::Time Now() const { return sim_.Now(); }
   void RunFor(sim::Duration d);
   void Run();
 
-  /// Per-node schedulers: the serial engine for every node, or the
-  /// node's shard handle under the parallel engine. Components built
-  /// outside the cluster (drivers, probes) must schedule on the
-  /// scheduler of the node they belong to.
-  sim::Scheduler& server_scheduler(int id) {
-    return serial_ ? static_cast<sim::Scheduler&>(*serial_)
-                   : *parallel_->shard(server_shards_[id - 1]);
-  }
-  sim::Scheduler& client_scheduler(int index) {
-    return serial_ ? static_cast<sim::Scheduler&>(*serial_)
-                   : *parallel_->shard(clients_[index].shard);
-  }
-  sim::Scheduler& scheduler(const ClientHandle& handle) {
-    return client_scheduler(handle.index());
-  }
-  /// The control-plane scheduler (cluster-wide timers, shard 0).
-  sim::Scheduler& scheduler() {
-    return serial_ ? static_cast<sim::Scheduler&>(*serial_)
-                   : *parallel_->shard(0);
-  }
+  /// The scheduler the client at AddClient index `index` runs on (the
+  /// cluster's simulator): where components built outside the cluster
+  /// for that node (drivers, probes) schedule their events.
+  sim::Scheduler& client_scheduler(int /*index*/) { return sim_; }
 
   net::Network& network(int i = 0) override { return *networks_[i]; }
   int num_networks() const override {
@@ -270,20 +214,11 @@ class Cluster : public chaos::FaultTargets {
     return "client-" + std::to_string(clients_[index].config.client_id);
   }
 
-  /// Runs the engine until `fn` returns true or `timeout` elapses;
-  /// returns whether the predicate held. With run_until_quantum == 0
-  /// (serial only) the predicate is checked after every event; with a
-  /// quantum it is checked on the engine-independent time grid.
+  /// Runs the simulation until `fn` returns true or `timeout` elapses;
+  /// returns whether the predicate held. With run_until_quantum == 0 the
+  /// predicate is checked after every event; with a quantum, on that
+  /// simulated-time grid.
   bool RunUntil(std::function<bool()> fn,
-                sim::Duration timeout = 30 * sim::kSecond);
-
-  /// Runs the engine until the latch is done or `timeout` elapses;
-  /// returns whether it completed. Equivalent to RunUntil with a
-  /// `latch.Done()` predicate, but the per-poll cost is a single atomic
-  /// flag load — the right stop condition when "done" is an aggregate
-  /// over thousands of nodes. Requires run_until_quantum > 0 under the
-  /// parallel engine (same rule as the predicate form).
-  bool RunUntil(const StopLatch& latch,
                 sim::Duration timeout = 30 * sim::kSecond);
 
  private:
@@ -292,46 +227,29 @@ class Cluster : public chaos::FaultTargets {
     /// so RestartClient reconstructs an identical node.
     client::LogClientConfig config;
     std::unique_ptr<client::LogClient> node;
-    /// The node's shard under the parallel engine (fixed for the
-    /// client's whole identity, across crash/restart cycles).
-    int shard = 0;
   };
 
-  /// Builds, wires, and registers a LogClient from a resolved config on
-  /// the given scheduler (the client's shard).
+  /// Builds, wires, and registers a LogClient from a resolved config.
   std::unique_ptr<client::LogClient> BuildClient(
-      const client::LogClientConfig& config, sim::Scheduler* sched);
-  /// Earliest pending event across the engine (quiescent).
-  sim::Time NextEventTime();
-  /// Advances the engine to `t`, sampling every telemetry window whose
-  /// edge is <= t at its exact edge (quiescent) on the way.
+      const client::LogClientConfig& config);
+  /// Advances the simulation to `t`, sampling every telemetry window
+  /// whose edge is <= t at its exact edge (quiescent) on the way.
   void EngineRunUntil(sim::Time t);
-  /// The raw engine RunUntil, no telemetry stops.
-  void RawRunUntil(sim::Time t);
   /// Samples the telemetry window ending at next_sample_ and evaluates
   /// the health rules over it. Pre: the engine is quiescent at
   /// Now() == next_sample_.
   void SampleWindow();
-  /// Per-event Step() loops (serial, run_until_quantum == 0): closes
-  /// every window strictly before the next pending event.
+  /// Per-event Step() loops (run_until_quantum == 0): closes every
+  /// window strictly before the next pending event.
   void SampleWindowsBeforeStep();
-  /// Places the next node (creation order) on a shard: a fresh shard
-  /// every `nodes_per_shard` assignments, the current one otherwise.
-  int AssignShard();
-  /// The scheduler shared infrastructure (networks, tracer) is built
-  /// on: the serial engine, or the parallel engine's ambient facade.
-  sim::Scheduler* InfraScheduler();
 
   ClusterConfig config_;
-  /// Exactly one engine exists, chosen by ClusterConfig::shard_workers.
   /// Declared before everything that schedules on it.
-  std::unique_ptr<sim::Simulator> serial_;
-  std::unique_ptr<sim::ParallelSimulator> parallel_;
-  /// Serial-engine sequencer for shared-actor mutations (the networks):
-  /// drains same-tick posts in (key, seq) order, the exact per-tick slice
-  /// of the parallel engine's window-barrier merge, so tie arbitration —
-  /// and therefore the whole run — is engine-independent.
-  std::unique_ptr<sim::TickSequencer> tick_seq_;
+  sim::Simulator sim_;
+  /// Sequencer for shared-actor mutations (the networks): drains
+  /// same-tick posts in (src node, post order), so tie arbitration is a
+  /// pure function of simulated state.
+  sim::TickSequencer tick_seq_{&sim_};
   /// Declared before the nodes that hold pointers into them.
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
@@ -339,6 +257,11 @@ class Cluster : public chaos::FaultTargets {
   std::vector<std::unique_ptr<net::Network>> networks_;
   std::vector<std::unique_ptr<server::LogServer>> servers_;
   std::vector<ClientSlot> clients_;
+  /// Crashed incarnations replaced by RestartClient. Events already in
+  /// flight to a dead node (a packet on its CPU, a delivery to its NIC)
+  /// still run after the restart; keeping the node until the cluster
+  /// dies lets them land on a powered-off machine, not on freed memory.
+  std::vector<std::unique_ptr<client::LogClient>> retired_clients_;
   std::unique_ptr<chaos::ChaosController> chaos_;
   /// Telemetry stack (see the matching ClusterConfig knobs). The
   /// recorder is declared before the collector/monitor: spans flow into
@@ -348,22 +271,6 @@ class Cluster : public chaos::FaultTargets {
   std::unique_ptr<obs::HealthMonitor> health_;
   /// End of the next unsampled telemetry window.
   sim::Time next_sample_ = 0;
-  /// NodeId -> shard scheduler, for the networks' delivery routing
-  /// (parallel engine only). Dense-indexed by node id (ids are small and
-  /// contiguous): the router runs once per delivery, so the lookup must
-  /// be O(1). Mutated only while quiescent.
-  std::vector<sim::Scheduler*> node_schedulers_;
-  void SetNodeScheduler(net::NodeId id, sim::Scheduler* sched) {
-    if (id >= node_schedulers_.size()) {
-      node_schedulers_.resize(id + 1, nullptr);
-    }
-    node_schedulers_[id] = sched;
-  }
-  /// Server id - 1 -> shard index (parallel engine only).
-  std::vector<int> server_shards_;
-  /// Shard-group assignment state (see ClusterConfig::nodes_per_shard).
-  int nodes_assigned_ = 0;
-  int current_shard_ = -1;
   net::NodeId next_client_node_ = 1000;
 };
 

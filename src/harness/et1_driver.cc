@@ -8,7 +8,7 @@ Et1Driver::Et1Driver(Cluster* cluster, client::LogClientConfig log_config,
                      const Et1DriverConfig& config)
     : cluster_(cluster), config_(config), rng_(config.seed) {
   log_ = cluster->AddClient(log_config);
-  sched_ = &cluster->scheduler(log_);
+  sched_ = &cluster->sim();
   logger_ = std::make_unique<tp::ReplicatedTxnLogger>(log_.get());
   page_disk_ = std::make_unique<tp::PageDisk>(config.engine.page_bytes);
   engine_ = std::make_unique<tp::TransactionEngine>(
@@ -42,7 +42,6 @@ void Et1Driver::Start() {
       return;
     }
     started_ = true;
-    if (config_.start_latch != nullptr) config_.start_latch->CountDown();
     ScheduleNext();
   });
 }
@@ -83,6 +82,14 @@ void Et1Driver::RunOne() {
       ++failed_;
     }
   });
+}
+
+std::function<bool()> AllStarted(
+    const std::vector<std::unique_ptr<Et1Driver>>& drivers) {
+  return [&drivers, next = size_t{0}]() mutable {
+    while (next < drivers.size() && drivers[next]->started()) ++next;
+    return next == drivers.size();
+  };
 }
 
 }  // namespace dlog::harness

@@ -1,8 +1,10 @@
 #ifndef DLOG_HARNESS_ET1_DRIVER_H_
 #define DLOG_HARNESS_ET1_DRIVER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "harness/cluster.h"
@@ -29,10 +31,6 @@ struct Et1DriverConfig {
   /// server overload, closing the loop the servers' Overloaded replies
   /// start. 0 keeps the legacy open-loop arrivals.
   size_t max_log_backlog = 0;
-  /// Counted down once when Init succeeds and the driver starts issuing
-  /// transactions. Lets a scale bench wait for thousands of drivers with
-  /// Cluster::RunUntil(latch) instead of an O(drivers) predicate.
-  StopLatch* start_latch = nullptr;
 };
 
 /// One simulated transaction-processing node: a replicated-log client, a
@@ -53,6 +51,8 @@ class Et1Driver {
   /// Stops issuing new transactions (in-flight ones complete).
   void Stop();
 
+  /// True once Init has succeeded and transactions are issuing; never
+  /// reverts.
   bool started() const { return started_; }
   uint64_t committed() const { return committed_; }
   uint64_t failed() const { return failed_; }
@@ -69,9 +69,8 @@ class Et1Driver {
   void RunOne();
 
   Cluster* cluster_;
-  /// The scheduler of the node this driver simulates (its client's
-  /// shard under the parallel engine): arrivals and latency stamps are
-  /// node-local events.
+  /// The cluster's scheduler: arrivals and latency stamps are events on
+  /// it.
   sim::Scheduler* sched_;
   Et1DriverConfig config_;
   /// "client-<id>": names this node in traces and metric paths.
@@ -91,6 +90,14 @@ class Et1Driver {
   uint64_t txns_shed_ = 0;
   sim::Histogram txn_latency_ms_;
 };
+
+/// A Cluster::RunUntil predicate that holds once every driver in
+/// `drivers` has started. started() never reverts, so the predicate keeps
+/// a cursor past the drivers already seen: a poll costs amortized O(1),
+/// not O(drivers), and it turns true at the first poll after the last
+/// driver starts.
+std::function<bool()> AllStarted(
+    const std::vector<std::unique_ptr<Et1Driver>>& drivers);
 
 }  // namespace dlog::harness
 

@@ -22,9 +22,7 @@ namespace dlog::harness {
 ///
 /// The per-thread event-callback slab pool (sim/callback.cc) is
 /// thread_local; a trial runs start-to-finish on the worker that claimed
-/// it, so its allocations stay on one list. (Trials may themselves run
-/// the parallel engine — shard workers are nested inside the trial and
-/// the pool handles their cross-thread frees; see callback.cc.)
+/// it, so its allocations stay on one list.
 class TrialRunner {
  public:
   /// `threads` <= 1 means run trials inline on the calling thread.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/simulator.h"
+
 namespace dlog::net {
 
 Status NetworkConfig::Validate() const {
@@ -28,8 +30,8 @@ Network::Network(sim::Scheduler* sim, const NetworkConfig& config)
 }
 
 void Network::Sequenced(sim::Callback fn) {
-  if (hooks_.sequencer != nullptr) {
-    hooks_.sequencer->Post(sim_->Now(), /*key=*/0, std::move(fn));
+  if (sequencer_ != nullptr) {
+    sequencer_->Post(/*key=*/0, std::move(fn));
     return;
   }
   fn();
@@ -70,14 +72,13 @@ void Network::LeaveGroup(NodeId group, NodeId member) {
 }
 
 void Network::Send(const Packet& packet) {
-  if (hooks_.sequencer != nullptr) {
+  if (sequencer_ != nullptr) {
     // Keyed by the source node: equal-time sends replay in ascending
-    // node order under either engine's sequencer, so shared-medium tie
-    // arbitration is a pure function of simulated state.
+    // node order, so shared-medium tie arbitration is a pure function of
+    // simulated state.
     const sim::Time enqueue = sim_->Now();
-    hooks_.sequencer->Post(
-        enqueue, static_cast<uint64_t>(packet.src),
-        [this, packet, enqueue] { SendNow(packet, enqueue); });
+    sequencer_->Post(static_cast<uint64_t>(packet.src),
+                     [this, packet, enqueue] { SendNow(packet, enqueue); });
     return;
   }
   SendNow(packet, sim_->Now());
@@ -204,14 +205,12 @@ void Network::DeliverTo(NodeId dst, const Packet& packet,
   }
   timing.delivered = copies > 0;
   if (packet_probe_) packet_probe_(timing);
-  sim::Scheduler* target =
-      hooks_.scheduler_of ? hooks_.scheduler_of(dst) : sim_;
   for (int i = 0; i < copies; ++i) {
     // Packet carries a refcounted payload: this capture shares the
     // sender's buffer with every receiver instead of duplicating it.
     packets_delivered_.Increment();
-    target->At(arrival + static_cast<sim::Duration>(i) * sim::kMicrosecond,
-               [nic, packet]() { nic->Deliver(packet); });
+    sim_->At(arrival + static_cast<sim::Duration>(i) * sim::kMicrosecond,
+             [nic, packet]() { nic->Deliver(packet); });
   }
 }
 

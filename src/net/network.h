@@ -17,6 +17,10 @@
 #include "sim/stats.h"
 #include "sim/time.h"
 
+namespace dlog::sim {
+class TickSequencer;
+}  // namespace dlog::sim
+
 namespace dlog::net {
 
 class Nic;
@@ -63,26 +67,13 @@ class Network {
   /// Sequencing seam. The Network is the one actor every node touches
   /// (shared-medium arbitration, one loss/duplication Rng, the topology
   /// maps), so its mutations decide tie order whenever two nodes act in
-  /// the same simulated tick. With hooks set, Send() and the topology
-  /// mutators capture their arguments plus the caller's clock and Post
-  /// them to `sequencer`, which replays them single-threaded in
-  /// deterministic (time, src node) order — through the unchanged
-  /// arbitration code below. The cluster installs a sequencer under BOTH
-  /// engines so ties break identically: the parallel engine drains posts
-  /// at its window barrier (sim::ParallelSimulator), the serial engine at
-  /// the end of the posting tick (sim::TickSequencer) — the same merged
-  /// order, since a tick never spans a window boundary.
-  /// Deliveries are then scheduled onto `scheduler_of(dst)` — the
-  /// destination node's shard under the parallel engine (propagation
-  /// delay >= the engine lookahead guarantees they land after the
-  /// barrier), or the one serial queue when unset. With no hooks at all
-  /// (standalone Network unit tests), everything executes inline in call
-  /// order, exactly as before the sequencing seam existed.
-  struct SequencingHooks {
-    sim::SequencedExecutor* sequencer = nullptr;
-    std::function<sim::Scheduler*(NodeId)> scheduler_of;
-  };
-  void SetSequencing(SequencingHooks hooks) { hooks_ = std::move(hooks); }
+  /// the same simulated tick. With a sequencer set (the cluster always
+  /// sets one), Send() and the topology mutators capture their arguments
+  /// plus the caller's clock and Post them to it, and it replays them at
+  /// the end of the tick, ordered by (src node, post order), through the
+  /// arbitration code below. With none (standalone Network unit tests),
+  /// everything executes inline in call order.
+  void SetSequencer(sim::TickSequencer* sequencer) { sequencer_ = sequencer; }
 
   /// Attaches a NIC under the given address. The address must be unused
   /// and must not be a multicast id.
@@ -109,9 +100,9 @@ class Network {
   /// Removes the partition: full connectivity again.
   void HealPartition();
   /// Logical partition state as of the last SetPartition/HealPartition
-  /// *call* (under the parallel engine the filtering itself applies at
-  /// the next barrier; callers sequencing set/heal decisions — the chaos
-  /// controller — need call-time semantics).
+  /// *call* (with a sequencer the filtering itself applies when the
+  /// tick's posts drain; callers sequencing set/heal decisions — the
+  /// chaos controller — need call-time semantics).
   bool HasPartition() const { return partition_logical_; }
   /// True when a partition is active and separates `a` from `b`.
   bool Partitioned(NodeId a, NodeId b) const;
@@ -168,18 +159,18 @@ class Network {
   }
 
  private:
-  /// The original Send body: shared-medium arbitration at `enqueue` plus
-  /// fan-out. Serial: called inline. Parallel: replayed at the barrier.
+  /// The Send body: shared-medium arbitration at `enqueue` plus fan-out.
+  /// Called inline, or replayed by the sequencer.
   void SendNow(const Packet& packet, sim::Time enqueue);
   void DeliverTo(NodeId dst, const Packet& packet, sim::Time arrival,
                  PacketTiming timing);
-  /// Runs a shared-state mutation now (serial) or Posts it with control
-  /// key 0 (parallel).
+  /// Runs a shared-state mutation now, or Posts it to the sequencer with
+  /// control key 0.
   void Sequenced(sim::Callback fn);
 
   sim::Scheduler* sim_;
   NetworkConfig config_;
-  SequencingHooks hooks_;
+  sim::TickSequencer* sequencer_ = nullptr;
   Rng rng_;
   /// Unicast routing, dense-indexed by NodeId (node ids are small and
   /// contiguous in practice; nullptr = no NIC attached): O(1) lookup on

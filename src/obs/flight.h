@@ -29,9 +29,8 @@ struct FlightRecorderConfig {
 /// "what was this node doing when it died" view an E17-scale run cannot
 /// afford full tracing for.
 ///
-/// Serial engine only (validated by the harness): ring contents follow
-/// span completion order, which is interleaving-dependent under the
-/// parallel engine for the same reason tracing is.
+/// Ring contents follow span completion order, a pure function of the
+/// simulated schedule, so a dump is byte-identical across reruns.
 class FlightRecorder {
  public:
   explicit FlightRecorder(const FlightRecorderConfig& config = {})

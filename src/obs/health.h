@@ -57,7 +57,7 @@ struct HealthConfig {
 
 /// One alert transition (raise or clear). The ordered vector of these is
 /// the run's "alert sequence" — deterministic, and byte-comparable
-/// across engines via AlertsJson.
+/// across runs via AlertsJson.
 struct HealthAlert {
   uint64_t window = 0;   // window index of the transition
   sim::Time at = 0;      // simulated time of the window edge
@@ -68,12 +68,13 @@ struct HealthAlert {
 };
 
 /// Evaluates deterministic per-window health rules over the collector's
-/// series, with hysteresis. All inputs are engine-independent windowed
-/// values (counter deltas, streaming-histogram quantiles), so the alert
-/// sequence is byte-identical serial vs parallel — which is also why the
-/// rules read the CPU busy-ns counters rather than the (serial-only)
-/// profiler. Raises/clears bump `health/` counters, update the active-
-/// alert gauge, and emit `alert.<rule>` trace instants when tracing.
+/// series, with hysteresis. All inputs are windowed values sampled at
+/// quiescent window edges (counter deltas, streaming-histogram
+/// quantiles), so the alert sequence is a pure function of the simulated
+/// schedule — and the rules read the CPU busy-ns counters, so they work
+/// with no profiler attached. Raises/clears bump `health/` counters,
+/// update the active-alert gauge, and emit `alert.<rule>` trace instants
+/// when tracing.
 class HealthMonitor {
  public:
   HealthMonitor(const HealthConfig& config,

@@ -132,13 +132,10 @@ class MetricsRegistry {
   }
 
  private:
-  /// (Un)registration can race under the parallel engine: two clients
-  /// restarting in the same window re-register from different shard
-  /// threads. The mutex serializes the map mutations, map order keeps
-  /// enumeration deterministic regardless of arrival order, and
-  /// idempotent re-registration (see Register*) keeps version() a pure
-  /// function of the set of (name, pointer) changes rather than of the
-  /// interleaving.
+  /// The mutex serializes the map mutations. Map order keeps enumeration
+  /// deterministic regardless of registration order, and idempotent
+  /// re-registration (see Register*) keeps version() a pure function of
+  /// the set of (name, pointer) changes.
   mutable std::mutex mu_;
   uint64_t version_ = 0;
   // std::less<> enables transparent string_view lookup/erasure.

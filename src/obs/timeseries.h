@@ -22,7 +22,7 @@ struct TimeSeriesConfig {
   /// Sampling cadence in simulated time. Window k covers
   /// ((k-1)*interval, k*interval]; the harness samples with the engine
   /// quiescent at exactly k*interval, so every event at or before the
-  /// window edge — and nothing after it — is reflected, on any engine.
+  /// window edge — and nothing after it — is reflected.
   sim::Duration interval = 250 * sim::kMillisecond;
   /// Windows retained per series (bounded ring; older values evicted).
   int retention_windows = 512;
@@ -71,9 +71,9 @@ enum class SeriesKind {
 ///
 /// Determinism: Sample() must run with the engine quiescent at the
 /// window edge. Every value is then a pure function of the executed
-/// event set {e : time(e) <= edge} — identical serial vs any
-/// shard_workers count — so the exported series are byte-identical
-/// across engines. The registry is re-enumerated only when its version
+/// event set {e : time(e) <= edge}, so the exported series are
+/// byte-identical across reruns and across TrialRunner thread counts.
+/// The registry is re-enumerated only when its version
 /// moves (a restart re-registering metrics); the steady-state sampling
 /// cost is a pointer read per metric, no string maps.
 class TimeSeriesCollector {

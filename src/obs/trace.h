@@ -110,9 +110,7 @@ class Tracer {
   // --- Context stack (single-threaded scoped propagation) ---
   // Inactive, these are no-ops rather than pushes of the invalid context
   // Start* returned: Current() reads identically (invalid either way),
-  // and — essential under the parallel engine, where one disabled Tracer
-  // is shared by every shard — the stack is never touched from worker
-  // threads (ring mode is serial-only, so its pushes are too). Toggling
+  // and a disabled tracer's hot path never touches the stack. Toggling
   // set_enabled() with scopes open would unbalance the stack; it is only
   // flipped while quiescent (cluster construction).
   void PushContext(SpanContext ctx) {

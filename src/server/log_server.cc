@@ -81,7 +81,7 @@ void LogServer::RegisterMetrics(obs::MetricsRegistry* registry) const {
                             &records_truncated_);
   // Cumulative CPU busy time: windowed telemetry diffs this per sampling
   // window into a per-server utilization series — the online imbalance
-  // signal (deterministic on any engine, unlike the profiler's probes).
+  // signal, available with no profiler attached.
   registry->RegisterCounter(node + "/cpu/busy_ns", &cpu_->busy_ns());
   registry->RegisterTimeWeightedGauge(node + "/nvram/occupancy_bytes",
                                       &nvram_occupancy_);

@@ -8,12 +8,10 @@ namespace {
 
 /// Free list of fixed-size blocks for oversize callback captures. One per
 /// thread, so no locking: each call touches only the calling thread's
-/// list. Blocks themselves may migrate lists — under the parallel engine
-/// a shard window can execute (and free) on a different worker than the
-/// one that allocated — which is safe because every block is a plain
-/// ::operator new allocation and the engine's window barrier orders the
-/// allocating write before the freeing read. Migration just means a
-/// block drains into the freeing thread's cache.
+/// list. Blocks themselves may migrate lists — a callback handed to
+/// another thread is freed there — which is safe because every block is
+/// a plain ::operator new allocation; migration just means a block
+/// drains into the freeing thread's cache.
 struct Slab {
   std::vector<void*> free_blocks;
   /// Cap the cached blocks so a burst does not pin memory forever.

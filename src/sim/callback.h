@@ -25,10 +25,9 @@ CallbackAllocStats& callback_alloc_stats();
 
 /// Thread-local slab pool for callback captures that do not fit inline.
 /// Blocks are a fixed size; anything larger falls back to operator new.
-/// Per-thread (not global) so concurrent simulations — trial-runner
-/// workers, parallel-engine shard workers — never contend. A block freed
-/// on a different thread than it was allocated (a shard window executing
-/// on another worker) simply joins the freeing thread's cache; see
+/// Per-thread (not global) so concurrent simulations (trial-runner
+/// workers) never contend. A block freed on a different thread than it
+/// was allocated simply joins the freeing thread's cache; see
 /// callback.cc for why that is safe.
 void* PoolAllocate(size_t bytes);
 void PoolFree(void* p, size_t bytes);

@@ -40,9 +40,8 @@ class Cpu {
   /// counter: never reset, bumped at submission time by the full service
   /// time of the queued work. Increments happen while the submitting
   /// event executes, so reading it at a quiescent point is deterministic
-  /// under any engine — the utilization signal windowed telemetry diffs
-  /// per sampling window (unlike the profiler's probe stream, which the
-  /// parallel engine rejects).
+  /// — the utilization signal windowed telemetry diffs per sampling
+  /// window, with no profiler attached.
   const Counter& busy_ns() const { return busy_ns_; }
 
   /// Busy fraction over the window since the last ResetStats() call.

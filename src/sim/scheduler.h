@@ -14,51 +14,26 @@ namespace dlog::sim {
 using EventId = uint64_t;
 
 /// The narrow scheduling surface every component programs against: a
-/// clock plus one-shot timers. Two implementations exist — the serial
-/// Simulator (one global event queue) and the ParallelSimulator's
-/// per-shard ShardScheduler handles (one queue per simulated node,
-/// executed concurrently inside conservative lookahead windows). A
-/// component written against Scheduler runs unchanged on either engine;
-/// nothing wider (Run, Step, queue introspection) is exposed here, so
-/// the engine choice stays a harness decision.
+/// clock plus one-shot timers. sim::Simulator implements it; nothing
+/// wider (Run, Step, queue introspection) is exposed here, so driving
+/// the clock stays a harness decision.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Current simulated time at the caller's node. Under the parallel
-  /// engine, different nodes' clocks may transiently differ by up to the
-  /// lookahead while a window executes; within one node time is exact.
+  /// Current simulated time.
   virtual Time Now() const = 0;
 
   /// Schedules `fn` to run at absolute time `t` (>= Now()). Events with
-  /// equal time on one scheduler run in scheduling order.
+  /// equal time run in scheduling order.
   virtual EventId At(Time t, Callback fn) = 0;
 
   /// Cancels a pending event. Returns false if it already ran or was
-  /// already cancelled. Cross-shard injections (parallel engine) are
-  /// cancellable only until the window barrier hands them to the target
-  /// shard; afterwards Cancel returns false.
+  /// already cancelled.
   virtual bool Cancel(EventId id) = 0;
 
   /// Schedules `fn` to run `d` after Now().
   EventId After(Duration d, Callback fn) { return At(Now() + d, std::move(fn)); }
-};
-
-/// Deterministic replay point for shared-state mutations. Actors shared
-/// by every node (the Network's medium arbitration, its topology maps)
-/// cannot be touched from concurrently executing shards; instead they
-/// Post a closure tagged with (time, key). The serial engine — and any
-/// quiescent caller — runs the closure immediately, preserving program
-/// order. The parallel engine buffers posts per source shard and replays
-/// them single-threaded at the window barrier in (time, key, src shard,
-/// submission seq) order; with key = source node id, equal-time posts
-/// replay in ascending node order, the same order the serial engine's
-/// std::set-driven fan-outs produce. Key 0 is reserved for control-plane
-/// mutations (attach/detach, partitions, link faults).
-class SequencedExecutor {
- public:
-  virtual ~SequencedExecutor() = default;
-  virtual void Post(Time t, uint64_t key, Callback fn) = 0;
 };
 
 }  // namespace dlog::sim

@@ -328,16 +328,15 @@ void Simulator::RunUntil(Time t) {
   if (t > now_) now_ = t;
 }
 
-void TickSequencer::Post(Time t, uint64_t key, Callback fn) {
+void TickSequencer::Post(uint64_t key, Callback fn) {
   if (!sim_->Executing()) {
     // Quiescent: setup/teardown code observes its effects synchronously,
     // and there is no same-tick contention to arbitrate.
     fn();
     return;
   }
-  assert(t == sim_->Now() && "sequenced posts carry the caller's clock");
   if (buffer_.empty()) {
-    sim_->At(t, [this] { Drain(); });
+    sim_->At(sim_->Now(), [this] { Drain(); });
   }
   buffer_.push_back({key, next_seq_++, std::move(fn)});
 }

@@ -12,13 +12,12 @@
 
 namespace dlog::sim {
 
-/// A deterministic discrete-event simulator: the serial Scheduler
-/// implementation, and the per-shard core of the ParallelSimulator.
-/// Components schedule callbacks at absolute or relative times; Run()
-/// executes them in (time, schedule order) sequence. Single-threaded by
-/// design: a run is a pure function of the initial configuration and RNG
-/// seeds. The parallel engine honors that by giving each shard its own
-/// private Simulator and only ever driving it from one thread at a time.
+/// A deterministic discrete-event simulator: the Scheduler every
+/// component runs on. Components schedule callbacks at absolute or
+/// relative times; Run() executes them in (time, schedule order)
+/// sequence. Single-threaded by design: a run is a pure function of the
+/// initial configuration and RNG seeds. Independent runs may execute on
+/// different threads (harness::TrialRunner), one Simulator each.
 ///
 /// Engine layout (the hot path of every experiment): callbacks live in a
 /// slot table with small-buffer storage (sim::Callback — no heap
@@ -77,8 +76,8 @@ class Simulator final : public Scheduler {
 
   /// Time of the earliest pending live event, or kNoEvent when the queue
   /// is empty. May garbage-collect tombstoned entries at the queue head
-  /// as a side effect — invisible on the executed schedule. The parallel
-  /// engine's window coordinator uses this to pick each window's start.
+  /// as a side effect — invisible on the executed schedule. The cluster
+  /// harness uses this to place its telemetry and polling stops.
   Time PeekNextTime();
 
   /// Number of events executed so far.
@@ -112,14 +111,6 @@ class Simulator final : public Scheduler {
   /// Limits implied by the packing: 2^40 (~10^12) events per Simulator
   /// lifetime, 2^24 (~16M) simultaneously queued — both far beyond any
   /// experiment, and asserted in At().
-  ///
-  /// Per-shard seq rule (parallel engine): each shard owns a private
-  /// Simulator, so `seq` counts that shard's schedule order only and two
-  /// shards freely issue equal seqs. Global determinism does not depend
-  /// on comparing seqs across shards: within a shard, (time, seq) orders
-  /// exactly as here; across shards, anything crossing a boundary is
-  /// re-keyed at the window barrier by (time, src node key, src shard,
-  /// outbox seq) before being re-scheduled — see sim/parallel.h.
   struct Entry {
     Time time;
     uint64_t key;  // (seq << kSlotBits) | slot
@@ -153,7 +144,7 @@ class Simulator final : public Scheduler {
   /// start is strictly in the future, so flushing buckets as the clock
   /// reaches their starts never moves time backwards. Deltas under ~1 ms
   /// or beyond the top level's span stay in the heap. Lazily allocated:
-  /// shard cores that never see coarse timers pay one null check.
+  /// simulations that never see coarse timers pay one null check.
   struct Wheel {
     static constexpr int kShift = 20;      // level-0 bucket ~1.05 ms
     static constexpr int kBucketBits = 6;  // 64 buckets per level
@@ -235,32 +226,31 @@ class Simulator final : public Scheduler {
 };
 
 /// Replays sequenced posts at the end of their tick in (key, post order)
-/// order: the serial engine's counterpart of the parallel engine's
-/// window-barrier drain (sim/parallel.h). Actors shared across nodes
-/// (the Network) Post their mutations here instead of applying them
+/// order. Actors shared by every node (the Network's medium arbitration
+/// and topology maps) Post their mutations here instead of applying them
 /// inline, so same-tick posts from different nodes apply in ascending
-/// node-key order — a pure function of simulated state — rather than in
-/// heap-insertion order, which is an engine artifact no parallel
-/// execution can reproduce. With both engines draining the same posts in
-/// the same (time, key, seq) order, a cluster run is byte-identical on
-/// the serial engine and on the parallel engine at any worker count.
+/// key order — with key = source node id, a pure function of simulated
+/// state — rather than in heap-insertion order. This is the tie order
+/// every committed baseline was recorded under. Key 0 is reserved for
+/// control-plane mutations (attach/detach, partitions, link faults).
 ///
 /// Mechanics: the first Post in a tick schedules one drain event at the
 /// current time; since every event of tick T is already queued when T
 /// begins (components never schedule at zero delay into the running
 /// tick), the drain pops after all of them and replays the sorted batch.
-/// Posts while quiescent (setup/teardown between runs) apply inline,
-/// exactly as the parallel engine applies quiescent posts.
-class TickSequencer final : public SequencedExecutor {
+/// A post made from inside a drained callback lands in a fresh buffer
+/// whose own drain runs later in the same tick. Posts while quiescent
+/// (setup/teardown between runs) apply inline.
+class TickSequencer final {
  public:
   explicit TickSequencer(Simulator* sim) : sim_(sim) {}
 
   TickSequencer(const TickSequencer&) = delete;
   TickSequencer& operator=(const TickSequencer&) = delete;
 
-  /// `t` must be the caller's current clock (posts carry no lookahead on
-  /// the serial engine — the drain runs within the same tick).
-  void Post(Time t, uint64_t key, Callback fn) override;
+  /// Runs `fn` at the end of the current tick, after every other event
+  /// of the tick, in (key, post order); inline when quiescent.
+  void Post(uint64_t key, Callback fn);
 
  private:
   void Drain();

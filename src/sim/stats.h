@@ -127,10 +127,7 @@ class StreamingHistogram {
 
 /// A monotonically increasing event counter with a named meaning
 /// (messages sent, records written, ...). Increments are relaxed
-/// atomics: under the parallel engine some counters (chaos fault
-/// counts, shared-network drops) are bumped from concurrently executing
-/// shards, and addition commutes, so the quiescent value is still
-/// deterministic. Reads are meaningful while the engine is quiescent.
+/// atomics. Reads are meaningful while the engine is quiescent.
 class Counter {
  public:
   void Increment(uint64_t by = 1) {

@@ -271,8 +271,12 @@ void TransactionEngine::Recover(std::function<void(Status)> done) {
     return;
   }
 
+  // The step captures itself weakly and takes a strong reference while
+  // it runs: the pending Read callback owns the chain, so it is freed
+  // when the scan ends.
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, step]() {
+  *step = [this, st, self = std::weak_ptr(step)]() {
+    const auto step = self.lock();
     if (st->cursor > st->end) {
       // --- Analysis ---
       std::map<TxnId, bool> finished;  // txn -> has outcome record

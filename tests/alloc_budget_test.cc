@@ -17,7 +17,6 @@
 
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
-#include "harness/stop_latch.h"
 
 // Process-wide tally; the test reads it around a single-threaded window.
 static std::atomic<uint64_t> g_heap_allocs{0};
@@ -51,7 +50,6 @@ TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
   harness::Cluster cluster(cluster_cfg);
 
   // E17's shape in miniature: 5-server slices, 2 TPS per client.
-  harness::StopLatch started(kClients);
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   for (int i = 0; i < kClients; ++i) {
     client::LogClientConfig log_cfg;
@@ -67,7 +65,6 @@ TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
     driver_cfg.tps = 2.0;
     driver_cfg.seed = 1000 + static_cast<uint64_t>(i);
     driver_cfg.max_log_backlog = 64;
-    driver_cfg.start_latch = &started;
     driver_cfg.bank.accounts = 100;
     driver_cfg.bank.tellers = 10;
     driver_cfg.bank.branches = 2;
@@ -80,7 +77,8 @@ TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
         static_cast<sim::Time>(i) * sim::kSecond / kClients,
         [d]() { d->Start(); });
   }
-  ASSERT_TRUE(cluster.RunUntil(started, 30 * sim::kSecond));
+  ASSERT_TRUE(
+      cluster.RunUntil(harness::AllStarted(drivers), 30 * sim::kSecond));
   // Warm-up: rings, buffers and the callback pool reach steady sizes.
   cluster.RunFor(2 * sim::kSecond);
 

@@ -1,9 +1,7 @@
-// Large-fleet determinism: a ~500-client slice of the E17 scale
-// workload must end in a byte-identical state on the serial engine,
-// the parallel engine at several worker counts, and — the shard-group
-// fast path — at several nodes-per-shard group sizes. Also pins the
-// timer wheel's schedule-invisibility contract at fleet scale: a
-// heap-only serial run is byte-identical to the wheel-enabled default.
+// The timer wheel's schedule-invisibility contract at fleet scale: a
+// ~500-client slice of the E17 scale workload must end in a
+// byte-identical state with the wheel on (the default) and with every
+// timer on the heap.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
-#include "harness/stop_latch.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -23,27 +20,17 @@ namespace {
 constexpr int kClients = 500;
 constexpr int kServers = 10;
 
-struct EngineSetup {
-  int workers = 0;          // 0 = serial
-  int nodes_per_shard = 1;  // parallel only
-  bool timer_wheel = true;  // serial only
-};
-
 // One run of the miniature fleet; returns a deterministic end-state
 // signature (per-client committed/failed/shed + per-server records).
-std::string RunFleet(const EngineSetup& setup) {
+std::string RunFleet(bool timer_wheel) {
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = kServers;
-  cluster_cfg.shard_workers = setup.workers;
-  cluster_cfg.nodes_per_shard = setup.nodes_per_shard;
-  cluster_cfg.timer_wheel = setup.timer_wheel;
   cluster_cfg.network.bandwidth_bits_per_sec = 1e9;
-  // Quantized stop grid: stopping times depend only on the simulated
-  // schedule, so every engine stops at the same instant.
+  // Polls the init predicate on E17's 1 ms grid.
   cluster_cfg.run_until_quantum = sim::kMillisecond;
   harness::Cluster cluster(cluster_cfg);
+  cluster.sim().EnableTimerWheel(timer_wheel);
 
-  harness::StopLatch started(kClients);
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   drivers.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
@@ -60,7 +47,6 @@ std::string RunFleet(const EngineSetup& setup) {
     driver_cfg.tps = 2.0;
     driver_cfg.seed = 5000 + static_cast<uint64_t>(i);
     driver_cfg.max_log_backlog = 64;
-    driver_cfg.start_latch = &started;
     driver_cfg.bank.accounts = 100;
     driver_cfg.bank.tellers = 10;
     driver_cfg.bank.branches = 2;
@@ -74,7 +60,8 @@ std::string RunFleet(const EngineSetup& setup) {
         static_cast<sim::Time>(i) * spread / kClients,
         [d]() { d->Start(); });
   }
-  EXPECT_TRUE(cluster.RunUntil(started, 60 * sim::kSecond))
+  EXPECT_TRUE(cluster.RunUntil(harness::AllStarted(drivers),
+                               60 * sim::kSecond))
       << "fleet failed to initialize";
   cluster.RunFor(1 * sim::kSecond);
   for (auto& d : drivers) d->Stop();
@@ -92,23 +79,11 @@ std::string RunFleet(const EngineSetup& setup) {
   return sig;
 }
 
-TEST(ScaleTest, FleetIdenticalAcrossEnginesAndShardGroups) {
-  const std::string serial = RunFleet({/*workers=*/0});
-  EXPECT_NE(serial.find("|"), std::string::npos);
-  const std::vector<EngineSetup> parallel_setups = {
-      {2, 1}, {2, 32}, {4, 128}, {4, 512}};
-  for (const EngineSetup& setup : parallel_setups) {
-    EXPECT_EQ(serial, RunFleet(setup))
-        << "diverged at workers=" << setup.workers
-        << " nodes_per_shard=" << setup.nodes_per_shard;
-  }
-}
-
 TEST(ScaleTest, TimerWheelScheduleInvisibleAtFleetScale) {
   // The wheel only re-stages heap insertion; the executed schedule —
   // and therefore the entire end state — must match a heap-only build.
-  const std::string wheel = RunFleet({0, 1, /*timer_wheel=*/true});
-  const std::string heap_only = RunFleet({0, 1, /*timer_wheel=*/false});
+  const std::string wheel = RunFleet(/*timer_wheel=*/true);
+  const std::string heap_only = RunFleet(/*timer_wheel=*/false);
   EXPECT_EQ(wheel, heap_only);
 }
 

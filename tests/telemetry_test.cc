@@ -2,9 +2,8 @@
 // per-window quantiles ride on, the TimeSeriesCollector's sparse
 // delta-encoded series (reset clamping, retention, sample-and-hold
 // levels), the HealthMonitor rules and their hysteresis, the flight
-// recorder rings, and the end-to-end determinism gates — series and
-// alert exports byte-identical serial vs parallel at any worker count,
-// and across TrialRunner thread counts.
+// recorder rings, and the end-to-end determinism gate — series and
+// alert exports byte-identical across TrialRunner thread counts.
 
 #include <cmath>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "client/log_client.h"
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
-#include "harness/stop_latch.h"
 #include "harness/trial_runner.h"
 #include "obs/flight.h"
 #include "obs/health.h"
@@ -590,8 +588,7 @@ TEST(ClusterTelemetryTest, SurvivesClientCrashRestartWithoutWraparound) {
   EXPECT_GT(col->Latest("client-1/log/forces_completed", 0.0), 0.0);
 }
 
-// --- End-to-end determinism: serial vs parallel, and across trial
-// --- thread counts ---
+// --- End-to-end determinism across trial thread counts ---
 
 struct MiniRun {
   std::string series;
@@ -601,12 +598,10 @@ struct MiniRun {
 
 // A scaled-down E18 skewed scenario: every client hits servers {1,2,3}
 // of 4, so the imbalance signal is live while the run stays fast.
-MiniRun MiniE18(int workers) {
+MiniRun MiniE18() {
   const int clients = 6, servers = 4;
   harness::ClusterConfig cfg;
   cfg.num_servers = servers;
-  cfg.shard_workers = workers;
-  cfg.nodes_per_shard = workers > 0 ? 2 : 1;
   cfg.run_until_quantum = sim::kMillisecond;
   cfg.telemetry.enabled = true;
   cfg.telemetry.interval = 250 * sim::kMillisecond;
@@ -615,7 +610,6 @@ MiniRun MiniE18(int workers) {
   cfg.health.fire_windows = 2;
   harness::Cluster cluster(cfg);
 
-  harness::StopLatch started(clients);
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   for (int i = 0; i < clients; ++i) {
     client::LogClientConfig log_cfg;
@@ -629,7 +623,6 @@ MiniRun MiniE18(int workers) {
     driver_cfg.tps = 20.0;
     driver_cfg.seed = 5000 + static_cast<uint64_t>(i);
     driver_cfg.max_log_backlog = 32;
-    driver_cfg.start_latch = &started;
     drivers.push_back(std::make_unique<harness::Et1Driver>(
         &cluster, log_cfg, driver_cfg));
   }
@@ -640,7 +633,9 @@ MiniRun MiniE18(int workers) {
         [d]() { d->Start(); });
   }
   MiniRun r;
-  if (!cluster.RunUntil(started, 30 * sim::kSecond)) return r;
+  if (!cluster.RunUntil(harness::AllStarted(drivers), 30 * sim::kSecond)) {
+    return r;
+  }
   cluster.RunFor(3 * sim::kSecond);
   r.series = TimeSeriesJson(*cluster.telemetry());
   r.alerts = AlertsJson(*cluster.health());
@@ -648,34 +643,22 @@ MiniRun MiniE18(int workers) {
   return r;
 }
 
-TEST(TelemetryDeterminismTest, SeriesAndAlertsByteIdenticalAcrossEngines) {
-  const MiniRun serial = MiniE18(0);
-  ASSERT_FALSE(serial.series.empty());
-  ASSERT_GT(serial.committed, 0u);
-  // The skewed placement must actually trip the monitor, otherwise the
-  // alert-sequence comparison is vacuous.
-  EXPECT_NE(serial.alerts.find("\"imbalance\""), std::string::npos);
-
-  for (int workers : {2, 8}) {
-    const MiniRun parallel = MiniE18(workers);
-    EXPECT_EQ(serial.series, parallel.series) << "workers=" << workers;
-    EXPECT_EQ(serial.alerts, parallel.alerts) << "workers=" << workers;
-    EXPECT_EQ(serial.committed, parallel.committed);
-  }
-}
-
 TEST(TelemetryDeterminismTest, TrialRunnerThreadCountInvariant) {
-  // The same two trials (serial engine inside each) through 1 and 4
-  // runner threads: per-trial exports must be identical — concurrency
-  // changes wall-clock only.
-  auto trial = [](size_t) { return MiniE18(0); };
+  // The same two trials through 1 and 4 runner threads: per-trial
+  // exports must be identical — concurrency changes wall-clock only.
+  auto trial = [](size_t) { return MiniE18(); };
   const auto one = harness::TrialRunner(1).Run(2, trial);
   const auto four = harness::TrialRunner(4).Run(2, trial);
   ASSERT_EQ(one.size(), four.size());
   for (size_t i = 0; i < one.size(); ++i) {
     ASSERT_FALSE(one[i].series.empty());
+    ASSERT_GT(one[i].committed, 0u);
+    // The skewed placement must actually trip the monitor, otherwise the
+    // alert-sequence comparison is vacuous.
+    EXPECT_NE(one[i].alerts.find("\"imbalance\""), std::string::npos);
     EXPECT_EQ(one[i].series, four[i].series) << i;
     EXPECT_EQ(one[i].alerts, four[i].alerts) << i;
+    EXPECT_EQ(one[i].committed, four[i].committed) << i;
   }
   // Trials are independent reruns of one config: identical output.
   EXPECT_EQ(one[0].series, one[1].series);
