@@ -62,8 +62,10 @@ void DuplexedDiskLogger::MaybeFlush() {
   const uint64_t generation = generation_;
   auto remaining =
       std::make_shared<size_t>(tracks.size() * disks_.size());
-  for (const Bytes& track : tracks) {
+  for (Bytes& bytes : tracks) {
     const uint64_t track_no = next_track_++;
+    // Both disks keep the one image.
+    const SharedBytes track(std::move(bytes));
     for (auto& disk : disks_) {
       tracks_written_.Increment();
       disk->WriteTrack(track_no, track,
@@ -120,7 +122,8 @@ void DuplexedDiskLogger::Read(Lsn lsn,
   // Stable records pay one disk read (conservatively the first disk).
   const uint64_t generation = generation_;
   disks_[0]->ReadTrack(0, [this, generation, done = std::move(done),
-                           payload = std::move(payload)](Result<Bytes> r) {
+                           payload = std::move(payload)](
+                              const Result<SharedBytes>& r) {
     (void)r;
     if (generation != generation_) return;
     done(payload);

@@ -320,10 +320,14 @@ Result<Lsn> LogClient::WriteLog(Bytes data) {
   if (!initialized_) {
     return Status::FailedPrecondition("log client not initialized");
   }
+  LogRecord record{next_lsn_, epoch_, /*present=*/true, std::move(data)};
+  // A record travels whole in one batch, and batches are packed against
+  // mtu_payload: the network would drop a larger one on every send.
+  if (wire::EncodedRecordSize(record) > config_.mtu_payload) {
+    return Status::InvalidArgument("record larger than one packet");
+  }
   PendingRecord& pr = pending_.Add(next_lsn_);
-  pr.record.epoch = epoch_;
-  pr.record.present = true;
-  pr.record.data = std::move(data);
+  pr.record = std::move(record);
   bytes_buffered_ += pr.record.data.size();
   if (tracer_ != nullptr) {
     pr.group_span =

@@ -126,7 +126,8 @@ class LogClient {
   /// Appends a record to the local group buffer and returns its LSN
   /// immediately. The record reaches log servers when a ForceLog covers
   /// it or enough records accumulate to fill packets (grouping,
-  /// Section 4.1).
+  /// Section 4.1). InvalidArgument if the record's wire encoding
+  /// (wire::EncodedRecordSize) exceeds `mtu_payload`.
   Result<Lsn> WriteLog(Bytes data);
 
   /// Requests that all records up to `upto` become stable on N servers;

@@ -67,6 +67,16 @@ class SharedBytes {
         data_(owner_->data()),
         size_(owner_->size()) {}
 
+  /// A view of [offset, offset+length) of `owner`, sharing it. The owner
+  /// may still append to its buffer, but only within capacity, and must
+  /// never change bytes a view covers (the NVRAM track images grow this
+  /// way while their records are already stored as views).
+  SharedBytes(std::shared_ptr<const Bytes> owner, size_t offset,
+              size_t length)
+      : owner_(std::move(owner)),
+        data_(owner_->data() + offset),
+        size_(length) {}
+
   /// Copies `n` bytes into a fresh buffer (counted as a payload copy).
   static SharedBytes Copy(const uint8_t* data, size_t n) {
     AddBytesCopied(n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace dlog::server {
 namespace {
@@ -15,8 +16,7 @@ bool KeyBefore(const IndexEntry& a, const IndexEntry& b) {
 
 }  // namespace
 
-void ClientLogStore::AppendToStream(const LogRecord& record,
-                                    uint64_t track) {
+void ClientLogStore::AppendToStream(LogRecord record, uint64_t track) {
   const IndexEntry entry{record.lsn, record.epoch, stream_.size(), track};
   // Callers only append keys not yet indexed. Stream writes extend the
   // key order, so the common case is a push at the tail; a recovery copy
@@ -28,21 +28,25 @@ void ClientLogStore::AppendToStream(const LogRecord& record,
         std::upper_bound(index_.begin(), index_.end(), entry, KeyBefore),
         entry);
   }
-  stream_.push_back(record);
+  const Lsn lsn = record.lsn;
+  const Epoch epoch = record.epoch;
+  stream_.push_back(std::move(record));
   if (!sequences_.empty()) {
     Interval& tail = sequences_.back();
-    if (tail.epoch == record.epoch && record.lsn == tail.high + 1) {
-      tail.high = record.lsn;
+    if (tail.epoch == epoch && lsn == tail.high + 1) {
+      tail.high = lsn;
       return;
     }
   }
-  sequences_.push_back(Interval{record.epoch, record.lsn, record.lsn});
+  sequences_.push_back(Interval{epoch, lsn, lsn});
 }
 
 size_t ClientLogStore::IndexOf(Lsn lsn, Epoch epoch) const {
   const IndexEntry key{lsn, epoch};
-  // Stream writes probe keys past the tail: answer those without a search.
+  // Stream writes probe keys past the tail, and payload rebinds the
+  // newest keys: answer those without a search.
   if (index_.empty() || KeyBefore(index_.back(), key)) return index_.size();
+  if (!KeyBefore(key, index_.back())) return index_.size() - 1;
   auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyBefore);
   if (it == index_.end() || it->lsn != lsn || it->epoch != epoch) {
     return index_.size();
@@ -59,7 +63,13 @@ size_t ClientLogStore::HighestEpochOf(Lsn lsn) const {
   return static_cast<size_t>(it - 1 - index_.begin());
 }
 
-Status ClientLogStore::Write(const LogRecord& record) {
+Status ClientLogStore::Write(LogRecord record) {
+  DLOG_RETURN_IF_ERROR(CheckWrite(record));
+  if (!Contains(record.lsn, record.epoch)) AppendToStream(std::move(record));
+  return Status::OK();
+}
+
+Status ClientLogStore::CheckWrite(const LogRecord& record) const {
   if (record.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
@@ -84,8 +94,14 @@ Status ClientLogStore::Write(const LogRecord& record) {
       return Status::FailedPrecondition("LSN not beyond the stream tail");
     }
   }
-  AppendToStream(record);
   return Status::OK();
+}
+
+void ClientLogStore::RebindPayload(Lsn lsn, Epoch epoch, SharedBytes data) {
+  const size_t i = IndexOf(lsn, epoch);
+  if (i == index_.size()) return;
+  SharedBytes& stored = stream_[index_[i].pos].data;
+  if (stored == data) stored = std::move(data);
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
@@ -166,7 +182,7 @@ size_t ClientLogStore::TruncateBelow(Lsn below) {
   sequences_.clear();
   for (size_t pos = 0; pos < old_stream.size(); ++pos) {
     if (old_stream[pos].lsn >= below) {
-      AppendToStream(old_stream[pos], track_at[pos]);
+      AppendToStream(std::move(old_stream[pos]), track_at[pos]);
     }
   }
   return removed;

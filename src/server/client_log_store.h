@@ -52,7 +52,17 @@ class ClientLogStore {
   /// Appends `record` to the stream, subject to the monotonicity rules
   /// above. Returns FailedPrecondition for out-of-order writes and
   /// Corruption for a <LSN, Epoch> duplicate with different contents.
-  Status Write(const LogRecord& record);
+  Status Write(LogRecord record);
+
+  /// What Write(record) would return, without writing. Lets a caller
+  /// persist the record first and then store it with its payload in the
+  /// persisted image.
+  Status CheckWrite(const LogRecord& record) const;
+
+  /// Points the payload of the stored record <lsn, epoch> at `data` when
+  /// the two hold equal bytes (the server moves buffered records between
+  /// NVRAM images). No-op otherwise, or when the record is not stored.
+  void RebindPayload(Lsn lsn, Epoch epoch, SharedBytes data);
 
   /// ServerReadLog: "returns the present flag and log record with highest
   /// epoch number and the requested LSN". NotFound if the LSN is not
@@ -122,7 +132,7 @@ class ClientLogStore {
  private:
   /// Appends without validation and maintains the index and the
   /// sequence list.
-  void AppendToStream(const LogRecord& record, uint64_t track = kNoTrack);
+  void AppendToStream(LogRecord record, uint64_t track = kNoTrack);
   /// Position in index_ of exactly <lsn, epoch>; index_.size() if absent.
   size_t IndexOf(Lsn lsn, Epoch epoch) const;
   /// Position in index_ of the highest epoch stored for `lsn`;

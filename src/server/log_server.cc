@@ -37,7 +37,8 @@ LogServer::LogServer(sim::Scheduler* sim, const LogServerConfig& config)
   endpoint_ = std::make_unique<wire::Endpoint>(sim, cpu_.get(),
                                                config.node_id, config.wire);
   disk_ = std::make_unique<storage::SimDisk>(sim, config.disk, "log-disk");
-  nvram_buffer_ = std::make_unique<storage::NvramQueue>(config.nvram_bytes);
+  nvram_buffer_ = std::make_unique<storage::NvramQueue>(
+      config.nvram_bytes, config.disk.track_bytes, kTrackOverhead);
   endpoint_->SetAcceptHandler(
       [this](wire::Connection* conn) { OnAccept(conn); });
   endpoint_->SetDatagramHandler(
@@ -195,22 +196,21 @@ bool LogServer::ApplyRecord(ClientState* state, ClientId client,
     // or on disk) — acknowledge progress without double-writing.
     return true;
   }
-  const StreamEntry entry{client, record};
-  Bytes encoded = EncodeStreamEntry(entry);
-  if (nvram_buffer_->used_bytes() + encoded.size() >
-      nvram_buffer_->capacity()) {
+  if (!nvram_buffer_->HasRoom(StreamEntrySize(record))) {
     writes_shed_.Increment();
     return false;
   }
-  Status st = state->store.Write(record);
-  if (!st.ok()) {
-    // Out-of-order or conflicting record: drop it. The client's own
-    // end-to-end acknowledgment discipline recovers.
-    return false;
-  }
-  Status nv = nvram_buffer_->Append(std::move(encoded));
-  assert(nv.ok());
-  (void)nv;
+  // Out-of-order or conflicting record: drop it. The client's own
+  // end-to-end acknowledgment discipline recovers.
+  if (!state->store.CheckWrite(record).ok()) return false;
+  // Encoded once, into the open track image, and stored as a view of its
+  // bytes there: the arriving packet is not kept. (An entry larger than
+  // a track could never be flushed, so it is dropped too.)
+  LogRecord stored{record.lsn, record.epoch, record.present, {}};
+  if (!BufferRecord(client, record, &stored.data).ok()) return false;
+  Status st = state->store.Write(std::move(stored));
+  assert(st.ok());
+  (void)st;
   records_written_.Increment();
   bytes_logged_ += record.data.size();
   NoteNvramLevel();
@@ -455,7 +455,7 @@ void LogServer::WithReadLatency(ClientId client, Lsn lsn,
   }
   const uint64_t generation = generation_;
   disk_->ReadTrack(*track, [this, generation, fn = std::move(fn)](
-                               const Result<Bytes>& r) {
+                               const Result<SharedBytes>& r) {
     (void)r;
     if (generation != generation_ || !up_) return;
     fn();
@@ -513,7 +513,10 @@ void LogServer::HandleCopyLog(wire::Connection* conn,
   wire::CopyLogResp resp;
   ClientState& state = StateOf(req->client);
   for (const LogRecord& r : req->records) {
-    if (r.epoch != req->epoch) {
+    // A copy must match the call's epoch, and fit in one track so that
+    // InstallCopies can always buffer it.
+    if (r.epoch != req->epoch ||
+        kTrackOverhead + StreamEntrySize(r) > config_.disk.track_bytes) {
       resp.status = wire::RpcStatus::kError;
       break;
     }
@@ -546,9 +549,11 @@ void LogServer::HandleInstallCopies(wire::Connection* conn,
     resp.status = wire::RpcStatus::kError;
   } else {
     for (const LogRecord& r : *installed) {
-      Status nv = nvram_buffer_->Append(EncodeStreamEntry({req->client, r}));
+      SharedBytes payload;
+      Status nv = BufferRecord(req->client, r, &payload);
       assert(nv.ok());
       (void)nv;
+      state.store.RebindPayload(r.lsn, r.epoch, std::move(payload));
       records_written_.Increment();
       bytes_logged_ += r.data.size();
     }
@@ -590,85 +595,85 @@ void LogServer::ScheduleFlushTimer() {
   });
 }
 
+Status LogServer::BufferRecord(ClientId client, const LogRecord& record,
+                               SharedBytes* payload) {
+  return nvram_buffer_->Append(
+      StreamEntrySize(record), [&](const std::shared_ptr<Bytes>& image) {
+        *payload = AppendStreamEntry(image, client, record);
+      });
+}
+
+void LogServer::RebindPayloads(const storage::NvramQueue::Image& image) {
+  const std::shared_ptr<const Bytes> bytes = image.bytes;
+  ForEachStreamEntry(*bytes, image.entries, [&](const StreamEntryRef& e) {
+    auto it = clients_.find(e.client);
+    if (it == clients_.end()) return;
+    it->second.store.RebindPayload(e.lsn, e.epoch, e.PayloadIn(bytes));
+  });
+}
+
 void LogServer::MaybeFlush() {
   if (nvram_buffer_->empty()) force_partial_flush_ = false;
   if (!up_ || flush_in_progress_ || nvram_buffer_->empty()) return;
 
-  // Pack entries into one track's payload. The packing decision needs
-  // only encoded sizes — MaybeFlush runs after every record batch, and
-  // most calls return right here, so the prefix must not be decoded
-  // until the flush is known to proceed.
-  const size_t capacity = config_.disk.track_bytes - kTrackOverhead;
-  size_t bytes = 0;
-  size_t count = 0;
-  for (const Bytes& encoded : nvram_buffer_->entries()) {
-    if (bytes + encoded.size() > capacity) break;
-    bytes += encoded.size();
-    ++count;
-  }
-  if (count == 0) return;
   // Only a full track goes out eagerly; the periodic timer
   // (flush_timer_ == 0 while its callback runs) and FlushNow() flush
-  // partial tracks. "Full" means the packing stopped because the next
-  // buffered entry did not fit — a byte-count threshold would leave the
-  // front of the queue permanently under it whenever the packed prefix
-  // happens to end just short (appends never change the front packing),
-  // stalling the drain at one timer flush per interval.
-  const bool track_full = count < nvram_buffer_->size();
+  // partial tracks. "Full" means a later image exists: an entry did not
+  // fit, sealed the front image and opened the next. A byte-count
+  // threshold would leave the front image permanently under it whenever
+  // its entries happen to end just short, stalling the drain at one
+  // timer flush per interval.
+  const bool track_full = nvram_buffer_->images().size() > 1;
   const bool timer_due = flush_timer_ == 0;
   if (!track_full && !timer_due && !force_partial_flush_) return;
-
-  // The buffered bytes ARE the track's per-entry format: collect
-  // pointers for a raw concatenation and decode only the fixed header
-  // fields the flush bookkeeping needs — no payload is materialized.
-  std::vector<const Bytes*> packed;
-  std::vector<StreamEntryHeader> entries;
-  packed.reserve(count);
-  entries.reserve(count);
-  for (const Bytes& encoded : nvram_buffer_->entries()) {
-    if (packed.size() == count) break;
-    Result<StreamEntryHeader> header = DecodeStreamEntryHeader(encoded);
-    assert(header.ok());
-    packed.push_back(&encoded);
-    entries.push_back(*header);
+  if (!track_full) {
+    // A partly full image goes out: seal it into a buffer of its own size
+    // and move its records' payload views there.
+    nvram_buffer_->Seal();
+    RebindPayloads(nvram_buffer_->front());
   }
 
   flush_in_progress_ = true;
   const uint64_t track = next_track_++;
   const uint64_t generation = generation_;
+  // The front image becomes the track in place. From here on the disk
+  // and the stored records share it, and nothing writes to it again (a
+  // failed or interrupted write re-packs the entries into new images).
+  storage::NvramQueue::Image& front = nvram_buffer_->front();
+  FinishTrackImage(front.bytes.get(), front.entries);
+  std::shared_ptr<const Bytes> image = front.bytes;
+  const uint32_t count = front.entries;
 
   // One "track.write" span per distinct trace whose records this track
   // makes disk-resident; the buffering-time contexts are consumed here.
   std::vector<obs::SpanContext> track_spans;
   if (tracer_ != nullptr) {
     std::map<obs::TraceId, bool> seen;
-    for (const StreamEntryHeader& e : entries) {
+    ForEachStreamEntry(*image, count, [&](const StreamEntryRef& e) {
       auto it = record_ctx_.find({e.client, e.lsn, e.epoch});
-      if (it == record_ctx_.end()) continue;
+      if (it == record_ctx_.end()) return;
       const obs::SpanContext ctx = it->second;
       record_ctx_.erase(it);
-      if (!seen.insert({ctx.trace, true}).second) continue;
+      if (!seen.insert({ctx.trace, true}).second) return;
       obs::SpanContext span =
           tracer_->StartSpan("track.write", trace_node_, ctx);
       tracer_->AddArg(span, "track", track);
       track_spans.push_back(span);
-    }
+    });
   }
 
-  Bytes track_bytes = EncodeTrackFromEncoded(packed);
   cpu_->Execute(config_.instr_per_track_write, [this, generation, track,
-                                                track_bytes =
-                                                    std::move(track_bytes),
-                                                entries =
-                                                    std::move(entries),
+                                                image = std::move(image),
+                                                count,
                                                 track_spans =
-                                                    std::move(track_spans),
-                                                count]() mutable {
+                                                    std::move(track_spans)]()
+                                                   mutable {
     if (generation != generation_ || !up_) return;
+    SharedBytes data(image, 0, image->size());
     disk_->WriteTrack(
-        track, std::move(track_bytes),
-        [this, generation, track, entries = std::move(entries),
-         track_spans = std::move(track_spans), count](Status st) {
+        track, std::move(data),
+        [this, generation, track, image = std::move(image), count,
+         track_spans = std::move(track_spans)](Status st) {
           if (generation != generation_ || !up_) return;
           flush_in_progress_ = false;
           if (tracer_ != nullptr) {
@@ -676,9 +681,14 @@ void LogServer::MaybeFlush() {
               tracer_->EndSpan(span);
             }
           }
-          if (!st.ok()) return;  // write-once conflict etc.: keep in NVRAM
+          if (!st.ok()) {
+            // Write-once conflict etc.: the entries stay in NVRAM, packed
+            // greedily from the front again.
+            RepackNvram();
+            return;
+          }
           tracks_written_.Increment();
-          nvram_buffer_->PopFront(count);
+          nvram_buffer_->PopFront();
           NoteNvramLevel();
           // Note each record's track, and gather per client the LSN
           // range this track adds to its append-forest index.
@@ -692,7 +702,7 @@ void LogServer::MaybeFlush() {
           // looked-up state across a run (node handles are stable).
           ClientState* run_state = nullptr;
           ClientId run_client = 0;
-          for (const StreamEntryHeader& e : entries) {
+          ForEachStreamEntry(*image, count, [&](const StreamEntryRef& e) {
             if (run_state == nullptr || e.client != run_client) {
               run_state = &StateOf(e.client);
               run_client = e.client;
@@ -707,7 +717,7 @@ void LogServer::MaybeFlush() {
               range->low = std::min(range->low, e.lsn);
               range->high = std::max(range->high, e.lsn);
             }
-          }
+          });
           if (config_.ack_after_disk && nvram_buffer_->empty()) {
             std::vector<PendingAck> acks = std::move(pending_acks_);
             pending_acks_.clear();
@@ -739,6 +749,13 @@ void LogServer::MaybeFlush() {
           ScheduleFlushTimer();  // partial remainder flushes on the timer
         });
   });
+}
+
+void LogServer::RepackNvram() {
+  nvram_buffer_->Repack(&StreamEntrySizeAt);
+  for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
+    RebindPayloads(image);
+  }
 }
 
 void LogServer::FlushNow() {
@@ -779,7 +796,8 @@ void LogServer::FailDisk() {
 
 void LogServer::LoseNvram() {
   Crash();
-  nvram_buffer_ = std::make_unique<storage::NvramQueue>(config_.nvram_bytes);
+  nvram_buffer_ = std::make_unique<storage::NvramQueue>(
+      config_.nvram_bytes, config_.disk.track_bytes, kTrackOverhead);
   NoteNvramLevel();
   truncate_marks_.clear();
   generator_cells_.clear();
@@ -803,29 +821,40 @@ void LogServer::RebuildFromStableStorage() {
   // of the log data stream to find the ends of active intervals"; we keep
   // the whole-volume scan, which also rebuilds the record index this
   // simulation keeps in memory in place of on-demand disk reads).
+  // Payloads stay views of the track images they were read from.
   std::map<ClientId, std::vector<LogRecord>> per_client;
   // Every disk-resident entry with its track, in scan order.
-  std::vector<std::pair<StreamEntryHeader, uint64_t>> on_disk;
+  struct DiskEntry {
+    ClientId client;
+    Lsn lsn;
+    Epoch epoch;
+    uint64_t track;
+  };
+  std::vector<DiskEntry> on_disk;
   uint64_t track = 0;
   while (disk_->IsWritten(track)) {
-    Result<Bytes> raw = disk_->Peek(track);
+    Result<SharedBytes> raw = disk_->Peek(track);
     assert(raw.ok());
     Result<std::vector<StreamEntry>> entries = DecodeTrack(*raw);
     if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    for (const StreamEntry& e : *entries) {
-      per_client[e.client].push_back(e.record);
-      on_disk.push_back(
-          {StreamEntryHeader{e.client, e.record.lsn, e.record.epoch}, track});
+    for (StreamEntry& e : *entries) {
+      on_disk.push_back({e.client, e.record.lsn, e.record.epoch, track});
+      per_client[e.client].push_back(std::move(e.record));
     }
     ++track;
   }
   next_track_ = track;
 
   // The NVRAM group buffer survived; replay it after the disk contents.
-  for (const Bytes& encoded : nvram_buffer_->entries()) {
-    Result<StreamEntry> entry = DecodeStreamEntry(encoded);
-    if (!entry.ok()) continue;
-    per_client[entry->client].push_back(entry->record);
+  // A flush the crash interrupted may have sealed a partly full image, so
+  // its entries are first packed greedily from the front again.
+  nvram_buffer_->Repack(&StreamEntrySizeAt);
+  for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
+    const std::shared_ptr<const Bytes> bytes = image.bytes;
+    ForEachStreamEntry(*bytes, image.entries, [&](const StreamEntryRef& e) {
+      per_client[e.client].push_back(
+          LogRecord{e.lsn, e.epoch, e.present, e.PayloadIn(bytes)});
+    });
   }
 
   for (auto& [client, records] : per_client) {
@@ -833,8 +862,8 @@ void LogServer::RebuildFromStableStorage() {
   }
   // In scan order, so a record found in several tracks is charged to
   // the latest of them.
-  for (const auto& [e, trk] : on_disk) {
-    clients_[e.client].store.SetTrack(e.lsn, e.epoch, trk);
+  for (const DiskEntry& e : on_disk) {
+    clients_[e.client].store.SetTrack(e.lsn, e.epoch, e.track);
   }
 
   for (auto& [client, records] : per_client) {

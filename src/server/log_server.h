@@ -206,6 +206,16 @@ class LogServer {
   /// Returns false (and sheds) if NVRAM is too full.
   bool ApplyRecord(ClientState* state, ClientId client,
                    const LogRecord& record);
+  /// Encodes `record`'s stream entry into the NVRAM buffer's open track
+  /// image; `payload` receives the view of its payload there.
+  Status BufferRecord(ClientId client, const LogRecord& record,
+                      SharedBytes* payload);
+  /// Points the stored records of `image`'s entries at their payloads in
+  /// it (after the image moved to a new buffer).
+  void RebindPayloads(const storage::NvramQueue::Image& image);
+  /// Re-packs the NVRAM buffer greedily from the front and rebinds every
+  /// buffered record's payload.
+  void RepackNvram();
   /// Drains contiguous pending records after a gap closes.
   void DrainPending(ClientState* state, ClientId client);
   /// Writes full tracks from the NVRAM buffer to disk.

@@ -5,15 +5,15 @@
 namespace dlog::server {
 namespace {
 
-void PutEntry(Encoder* enc, const StreamEntry& entry) {
-  enc->PutU32(entry.client);
-  enc->PutU64(entry.record.lsn);
-  enc->PutU64(entry.record.epoch);
-  enc->PutBool(entry.record.present);
+void PutEntry(Encoder* enc, ClientId client, const LogRecord& record) {
+  enc->PutU32(client);
+  enc->PutU64(record.lsn);
+  enc->PutU64(record.epoch);
+  enc->PutBool(record.present);
   // Persistence is where a record's bytes leave the shared wire buffer
   // for a stable-storage image — the one copy the zero-copy path keeps.
-  AddBytesCopied(entry.record.data.size());
-  enc->PutBlob(entry.record.data);
+  AddBytesCopied(record.data.size());
+  enc->PutBlob(record.data);
 }
 
 Result<StreamEntry> GetEntry(Decoder* dec) {
@@ -22,17 +22,37 @@ Result<StreamEntry> GetEntry(Decoder* dec) {
   DLOG_ASSIGN_OR_RETURN(entry.record.lsn, dec->GetU64());
   DLOG_ASSIGN_OR_RETURN(entry.record.epoch, dec->GetU64());
   DLOG_ASSIGN_OR_RETURN(entry.record.present, dec->GetBool());
-  DLOG_ASSIGN_OR_RETURN(entry.record.data, dec->GetBlob());
+  DLOG_ASSIGN_OR_RETURN(entry.record.data, dec->GetBlobView());
   return entry;
+}
+
+uint64_t LoadLE(const uint8_t* p, int width) {
+  uint64_t v = 0;
+  for (int i = 0; i < width; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// The fixed fields of the entry at `pos`. The one indexed access bounds
+/// them all, so an entry that overruns the written bytes trips the
+/// standard library's assertions instead of reading stale capacity.
+const uint8_t* FixedFieldsAt(const Bytes& bytes, size_t pos) {
+  return &bytes[pos + kStreamEntryFixedBytes - 1] -
+         (kStreamEntryFixedBytes - 1);
+}
+
+void StoreLE32(Bytes* bytes, size_t pos, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
 }
 
 }  // namespace
 
 Bytes EncodeStreamEntry(const StreamEntry& entry) {
   Bytes out;
-  out.reserve(StreamEntrySize(entry));
+  out.reserve(StreamEntrySize(entry.record));
   Encoder enc(&out);
-  PutEntry(&enc, entry);
+  PutEntry(&enc, entry.client, entry.record);
   return out;
 }
 
@@ -43,58 +63,54 @@ Result<StreamEntry> DecodeStreamEntry(const Bytes& bytes) {
   return entry;
 }
 
-Result<StreamEntryHeader> DecodeStreamEntryHeader(const Bytes& bytes) {
-  Decoder dec(bytes);
-  StreamEntryHeader header;
-  DLOG_ASSIGN_OR_RETURN(header.client, dec.GetU32());
-  DLOG_ASSIGN_OR_RETURN(header.lsn, dec.GetU64());
-  DLOG_ASSIGN_OR_RETURN(header.epoch, dec.GetU64());
-  return header;
+size_t StreamEntrySize(const LogRecord& record) {
+  return kStreamEntryFixedBytes + record.data.size();
 }
 
-size_t StreamEntrySize(const StreamEntry& entry) {
-  return kStreamEntryFixedBytes + entry.record.data.size();
+SharedBytes AppendStreamEntry(const std::shared_ptr<Bytes>& image,
+                              ClientId client, const LogRecord& record) {
+  const size_t data_offset = image->size() + kStreamEntryFixedBytes;
+  Encoder enc(image.get());
+  PutEntry(&enc, client, record);
+  if (record.data.empty()) return SharedBytes();
+  return SharedBytes(image, data_offset, record.data.size());
+}
+
+void FinishTrackImage(Bytes* image, uint32_t count) {
+  StoreLE32(image, 4, count);
+  StoreLE32(image, 0, crc32c::Value(image->data() + 4, image->size() - 4));
+}
+
+size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos) {
+  return kStreamEntryFixedBytes +
+         static_cast<size_t>(LoadLE(FixedFieldsAt(bytes, pos) + 21, 4));
+}
+
+StreamEntryRef StreamEntryAt(const Bytes& image, size_t pos) {
+  const uint8_t* fixed = FixedFieldsAt(image, pos);
+  StreamEntryRef entry;
+  entry.client = static_cast<ClientId>(LoadLE(fixed, 4));
+  entry.lsn = LoadLE(fixed + 4, 8);
+  entry.epoch = LoadLE(fixed + 12, 8);
+  entry.present = fixed[20] != 0;
+  entry.data_offset = pos + kStreamEntryFixedBytes;
+  entry.data_size = static_cast<size_t>(LoadLE(fixed + 21, 4));
+  return entry;
 }
 
 Bytes EncodeTrack(const std::vector<StreamEntry>& entries) {
-  size_t body_size = 4;
-  for (const StreamEntry& e : entries) body_size += StreamEntrySize(e);
-  Bytes body;
-  body.reserve(body_size);
-  Encoder body_enc(&body);
-  body_enc.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const StreamEntry& e : entries) PutEntry(&body_enc, e);
-
-  Bytes out;
-  out.reserve(4 + body.size());
-  Encoder enc(&out);
-  enc.PutU32(crc32c::Value(body));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  size_t size = kTrackOverhead;
+  for (const StreamEntry& e : entries) size += StreamEntrySize(e.record);
+  Bytes image;
+  image.reserve(size);
+  image.resize(kTrackOverhead);
+  Encoder enc(&image);
+  for (const StreamEntry& e : entries) PutEntry(&enc, e.client, e.record);
+  FinishTrackImage(&image, static_cast<uint32_t>(entries.size()));
+  return image;
 }
 
-Bytes EncodeTrackFromEncoded(const std::vector<const Bytes*>& entries) {
-  size_t total = 4 + 4;  // checksum + count
-  for (const Bytes* e : entries) total += e->size();
-  Bytes out;
-  out.reserve(total);
-  Encoder enc(&out);
-  enc.PutU32(0);  // checksum placeholder, patched once the body is built
-  enc.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const Bytes* e : entries) {
-    // The same stable-storage copy EncodeTrack's PutEntry would count.
-    AddBytesCopied(e->size() - kStreamEntryFixedBytes);
-    out.insert(out.end(), e->begin(), e->end());
-  }
-  const uint32_t crc = crc32c::Value(out.data() + 4, out.size() - 4);
-  out[0] = static_cast<uint8_t>(crc);
-  out[1] = static_cast<uint8_t>(crc >> 8);
-  out[2] = static_cast<uint8_t>(crc >> 16);
-  out[3] = static_cast<uint8_t>(crc >> 24);
-  return out;
-}
-
-Result<std::vector<StreamEntry>> DecodeTrack(const Bytes& track) {
+Result<std::vector<StreamEntry>> DecodeTrack(const SharedBytes& track) {
   Decoder dec(track);
   DLOG_ASSIGN_OR_RETURN(uint32_t crc, dec.GetU32());
   if (crc32c::Value(track.data() + 4, track.size() - 4) != crc) {

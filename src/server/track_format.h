@@ -2,6 +2,7 @@
 #define DLOG_SERVER_TRACK_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,42 +25,78 @@ struct StreamEntry {
   }
 };
 
-/// Encodes a single stream entry (also the NVRAM group-buffer format).
+/// Encodes a single stream entry (the per-entry format of a track).
 Bytes EncodeStreamEntry(const StreamEntry& entry);
 Result<StreamEntry> DecodeStreamEntry(const Bytes& bytes);
-
-/// The fixed fields of an encoded stream entry, decodable without
-/// materializing the record payload — the flush path's bookkeeping
-/// (disk locations, forest ranges) needs only these.
-struct StreamEntryHeader {
-  ClientId client = 0;
-  Lsn lsn = 0;
-  Epoch epoch = 0;
-};
-Result<StreamEntryHeader> DecodeStreamEntryHeader(const Bytes& bytes);
 
 /// Fixed (non-payload) bytes of an encoded stream entry:
 /// client(4) + lsn(8) + epoch(8) + present(1) + data length(4).
 constexpr size_t kStreamEntryFixedBytes = 25;
 
-/// Encoded size of an entry, used when packing a track.
-size_t StreamEntrySize(const StreamEntry& entry);
-
-/// Encodes a full track: CRC32C, entry count, then the entries. The
-/// decoded side verifies the checksum so torn/corrupt tracks surface as
-/// Corruption instead of bad data.
-Bytes EncodeTrack(const std::vector<StreamEntry>& entries);
-Result<std::vector<StreamEntry>> DecodeTrack(const Bytes& track);
-
-/// Builds a track directly from already-encoded entries. The NVRAM
-/// group-buffer format is exactly the track's per-entry format, so the
-/// flush path concatenates the buffered bytes instead of decoding and
-/// re-encoding every record. Byte-identical to EncodeTrack() over the
-/// decoded equivalents.
-Bytes EncodeTrackFromEncoded(const std::vector<const Bytes*>& entries);
+/// Encoded size of a record's entry, used when packing a track.
+size_t StreamEntrySize(const LogRecord& record);
 
 /// Fixed per-track overhead bytes (CRC + count).
 constexpr size_t kTrackOverhead = 8;
+
+/// A track is CRC32C, entry count, then the entries. A track image is
+/// built in place: kTrackOverhead header bytes reserved up front, entries
+/// appended one by one, the header filled in last.
+
+/// Appends `record`'s entry to the track image `image`, whose capacity
+/// must already hold it, and returns the view of the record's payload in
+/// the image (empty for an empty payload). Counts the payload as copied
+/// into stable storage.
+SharedBytes AppendStreamEntry(const std::shared_ptr<Bytes>& image,
+                              ClientId client, const LogRecord& record);
+
+/// Fills in the header of a track image holding `count` entries.
+void FinishTrackImage(Bytes* image, uint32_t count);
+
+/// One entry of a track image, read in place: its fixed fields and where
+/// its payload sits in the image.
+struct StreamEntryRef {
+  ClientId client = 0;
+  Lsn lsn = kNoLsn;
+  Epoch epoch = 0;
+  bool present = true;
+  size_t data_offset = 0;
+  size_t data_size = 0;
+
+  /// The payload, as a view sharing `image` (empty when it is empty).
+  SharedBytes PayloadIn(const std::shared_ptr<const Bytes>& image) const {
+    if (data_size == 0) return SharedBytes();
+    return SharedBytes(image, data_offset, data_size);
+  }
+};
+
+/// Size of the encoded entry at `pos` in `bytes`, read from its length
+/// field.
+size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos);
+
+/// Reads the entry at `pos` of a track image.
+StreamEntryRef StreamEntryAt(const Bytes& image, size_t pos);
+
+/// Calls `fn(const StreamEntryRef&)` for the first `count` entries of a
+/// track image this node built (no validation: its entries were written
+/// by AppendStreamEntry).
+template <typename Fn>
+void ForEachStreamEntry(const Bytes& image, uint32_t count, Fn&& fn) {
+  size_t pos = kTrackOverhead;
+  for (uint32_t i = 0; i < count; ++i) {
+    const StreamEntryRef entry = StreamEntryAt(image, pos);
+    pos = entry.data_offset + entry.data_size;
+    fn(entry);
+  }
+}
+
+/// Encodes a full track from entries (reference encoder; the log server
+/// builds its tracks in place in NVRAM).
+Bytes EncodeTrack(const std::vector<StreamEntry>& entries);
+
+/// Decodes a track, verifying its checksum so torn/corrupt tracks surface
+/// as Corruption instead of bad data. Payloads are views sharing `track`.
+Result<std::vector<StreamEntry>> DecodeTrack(const SharedBytes& track);
 
 }  // namespace dlog::server
 

@@ -42,7 +42,7 @@ SimDisk::Service SimDisk::ServiceTime(uint64_t track) {
   return s;
 }
 
-void SimDisk::WriteTrack(uint64_t track, Bytes data,
+void SimDisk::WriteTrack(uint64_t track, SharedBytes data,
                          std::function<void(Status)> done) {
   Status status = Status::OK();
   if (track >= config_.num_tracks) {
@@ -83,7 +83,7 @@ void SimDisk::WriteTrack(uint64_t track, Bytes data,
 }
 
 void SimDisk::ReadTrack(uint64_t track,
-                        std::function<void(Result<Bytes>)> done) {
+                        std::function<void(Result<SharedBytes>)> done) {
   assert(done);
   if (track >= config_.num_tracks) {
     sim_->After(0, [done]() {
@@ -115,7 +115,7 @@ void SimDisk::ReadTrack(uint64_t track,
   });
 }
 
-Result<Bytes> SimDisk::Peek(uint64_t track) const {
+Result<SharedBytes> SimDisk::Peek(uint64_t track) const {
   auto it = tracks_.find(track);
   if (it == tracks_.end()) return Status::NotFound("track never written");
   return it->second;

@@ -55,16 +55,19 @@ class SimDisk {
   /// Queues a whole-track write; `done` runs at simulated completion.
   /// Fails with InvalidArgument (oversized data / bad address) or
   /// FailedPrecondition (write-once violation) — reported through `done`.
-  void WriteTrack(uint64_t track, Bytes data,
+  /// The track keeps `data` by reference: the writer shares the buffer
+  /// and must not change it afterwards.
+  void WriteTrack(uint64_t track, SharedBytes data,
                   std::function<void(Status)> done);
 
-  /// Queues a track read.
-  void ReadTrack(uint64_t track, std::function<void(Result<Bytes>)> done);
+  /// Queues a track read; the result shares the stored buffer.
+  void ReadTrack(uint64_t track,
+                 std::function<void(Result<SharedBytes>)> done);
 
   /// Synchronous inspection of current contents (test/recovery helper;
   /// charges no simulated time). Returns NotFound for never-written
   /// tracks.
-  Result<Bytes> Peek(uint64_t track) const;
+  Result<SharedBytes> Peek(uint64_t track) const;
 
   /// Returns true if the track has been written.
   bool IsWritten(uint64_t track) const {
@@ -126,7 +129,7 @@ class SimDisk {
   sim::Scheduler* sim_;
   DiskConfig config_;
   std::string name_;
-  std::map<uint64_t, Bytes> tracks_;
+  std::map<uint64_t, SharedBytes> tracks_;
   sim::Time free_at_ = 0;
   uint64_t head_track_ = 0;
   sim::Duration busy_time_ = 0;

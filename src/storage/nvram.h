@@ -1,10 +1,12 @@
 #ifndef DLOG_STORAGE_NVRAM_H_
 #define DLOG_STORAGE_NVRAM_H_
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -48,33 +50,91 @@ class Nvram {
   std::map<std::string, Bytes> regions_;
 };
 
-/// An append-ordered queue of blobs in non-volatile memory: the log
-/// server's group buffer. Records accumulate here (making them stable, so
-/// forces can be acknowledged immediately) until a full track's worth is
-/// written to disk at once (Section 4.1).
+/// The log server's group buffer in non-volatile memory: a FIFO of track
+/// images. Records accumulate here (making them stable, so forces can be
+/// acknowledged immediately) until a full track's worth is written to
+/// disk at once (Section 4.1). Each entry is written once, in the
+/// owner's on-disk format, straight into the open image; an entry that
+/// would overflow it seals that image and opens the next. A flush hands
+/// the front image itself to the disk.
 ///
 /// Like Nvram, the queue survives Crash(): a restarted server drains
 /// whatever its predecessor had buffered.
 class NvramQueue {
  public:
-  explicit NvramQueue(size_t capacity_bytes) : capacity_(capacity_bytes) {}
+  /// One track image: `header_bytes` reserved for the owner's track
+  /// header, then entries. Its buffer is allocated at the full image size
+  /// when the image opens and never moves, so views of written bytes stay
+  /// valid while later entries are appended.
+  struct Image {
+    std::shared_ptr<Bytes> bytes;
+    uint32_t entries = 0;
+  };
+
+  /// `capacity_bytes` bounds the buffered entry bytes (image headers are
+  /// not counted); each image holds at most `image_bytes`, header
+  /// included.
+  NvramQueue(size_t capacity_bytes, size_t image_bytes, size_t header_bytes)
+      : capacity_(capacity_bytes),
+        image_bytes_(image_bytes),
+        header_bytes_(header_bytes) {}
 
   NvramQueue(const NvramQueue&) = delete;
   NvramQueue& operator=(const NvramQueue&) = delete;
 
-  /// Appends an entry; ResourceExhausted if it does not fit.
-  Status Append(Bytes entry);
+  /// True if an `n`-byte entry fits within capacity.
+  bool HasRoom(size_t n) const { return used_ + n <= capacity_; }
 
-  /// FIFO view of the buffered entries.
-  const std::deque<Bytes>& entries() const { return entries_; }
+  /// Appends an `n`-byte entry that `write(image)` appends to the open
+  /// image's buffer, sealing the open image first and opening a fresh one
+  /// when the entry would overflow it. ResourceExhausted if the entry
+  /// does not fit within capacity; InvalidArgument if it is larger than
+  /// an image's entry space.
+  template <typename Write>
+  Status Append(size_t n, Write&& write) {
+    if (!HasRoom(n)) return Status::ResourceExhausted("nvram queue full");
+    if (header_bytes_ + n > image_bytes_) {
+      return Status::InvalidArgument("entry larger than an image");
+    }
+    Image& image = ImageFor(n);
+    [[maybe_unused]] const uint8_t* const data = image.bytes->data();
+    [[maybe_unused]] const size_t before = image.bytes->size();
+    write(image.bytes);
+    assert(image.bytes->size() == before + n && image.bytes->data() == data);
+    ++image.entries;
+    used_ += n;
+    if (occupancy_probe_) occupancy_probe_(used_);
+    return Status::OK();
+  }
 
-  /// Removes the first `n` entries (they have reached the disk).
-  void PopFront(size_t n);
+  /// The buffered images, oldest first. Every image but the last is
+  /// sealed; the last takes the next entry unless Seal() closed it.
+  const std::deque<Image>& images() const { return images_; }
+  Image& front() { return images_.front(); }
 
+  /// Closes the open image to further entries and moves it into a buffer
+  /// of exactly its written size: a partly full track is about to be
+  /// flushed, and views of its entries would otherwise pin a whole
+  /// track's allocation. The caller repoints those views. No-op when no
+  /// image is open.
+  void Seal();
+
+  /// Removes the front image (it has reached the disk).
+  void PopFront();
+
+  /// Re-lays every buffered entry greedily from the front, as appending
+  /// them afresh in order would: a sealed, partly full image takes back
+  /// the entries that followed it. `entry_size(image, pos)` is the size
+  /// of the entry at `pos` of an image's buffer. The buffered bytes do not
+  /// change; every image gets a new buffer, so the caller repoints any
+  /// views.
+  using EntrySizeFn = size_t (*)(const Bytes& image, size_t pos);
+  void Repack(EntrySizeFn entry_size);
+
+  /// Buffered entry bytes.
   size_t used_bytes() const { return used_; }
   size_t capacity() const { return capacity_; }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  bool empty() const { return images_.empty(); }
 
   /// Occupancy probe: invoked with the new used-byte count after every
   /// successful Append and after PopFront. Feeds the profiler's buffer-
@@ -86,9 +146,18 @@ class NvramQueue {
   }
 
  private:
+  /// The image an `n`-byte entry goes into: the open image if the entry
+  /// fits it, else a fresh one (its header zeroed), which becomes the
+  /// open image.
+  Image& ImageFor(size_t n);
+
   size_t capacity_;
+  size_t image_bytes_;
+  size_t header_bytes_;
   size_t used_ = 0;
-  std::deque<Bytes> entries_;
+  /// Whether images_.back() takes more entries.
+  bool back_open_ = false;
+  std::deque<Image> images_;
   OccupancyProbe occupancy_probe_;
 };
 

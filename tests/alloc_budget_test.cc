@@ -1,10 +1,12 @@
-// Heap allocations per committed ET1 transaction on a small fleet. A
-// global operator new counts them over a measured window, so a change
-// that puts allocator churn back on the per-record log write path
-// (engine -> client -> wire -> server -> NVRAM -> track flush) fails here
-// as a count, whatever the host's speed.
+// Heap allocations, and live heap bytes retained, per committed ET1
+// transaction on a small fleet. A global operator new/delete pair counts
+// both over a measured window, so a change that puts allocator churn back
+// on the per-record log write path (engine -> client -> wire -> server ->
+// NVRAM -> track flush), or that makes the stored log hold more memory
+// per record, fails here as a count, whatever the host's speed.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -18,19 +20,32 @@
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
 
-// Process-wide tally; the test reads it around a single-threaded window.
+// Process-wide tallies; the test reads them around a single-threaded
+// window. Live bytes are the allocator's usable sizes, so they count what
+// each block really holds.
 static std::atomic<uint64_t> g_heap_allocs{0};
+static std::atomic<int64_t> g_live_bytes{0};
 
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) {
+    g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace dlog {
 namespace {
@@ -38,10 +53,13 @@ namespace {
 constexpr int kClients = 40;
 constexpr int kServers = 8;
 
-// What this fleet measures with flat record bookkeeping on the write
-// path; the budget leaves 20% for benign drift.
-constexpr double kMeasuredAllocsPerTxn = 67.0;
+// What this fleet measures with each record encoded once, into its NVRAM
+// track image, and stored as a view of it; the budgets leave 20% for
+// benign drift.
+constexpr double kMeasuredAllocsPerTxn = 53.2;
 constexpr double kBudget = 1.2 * kMeasuredAllocsPerTxn;
+constexpr double kMeasuredLiveBytesPerTxn = 3773.0;
+constexpr double kLiveBytesBudget = 1.2 * kMeasuredLiveBytesPerTxn;
 
 TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
   harness::ClusterConfig cluster_cfg;
@@ -89,8 +107,10 @@ TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
   };
   const uint64_t commits_before = committed();
   const uint64_t allocs_before = g_heap_allocs.load();
+  const int64_t live_before = g_live_bytes.load();
   cluster.RunFor(5 * sim::kSecond);
   const uint64_t allocs = g_heap_allocs.load() - allocs_before;
+  const int64_t retained = g_live_bytes.load() - live_before;
   const uint64_t commits = committed() - commits_before;
   ASSERT_GT(commits, 0u);
 
@@ -100,6 +120,16 @@ TEST(AllocBudgetTest, Et1AllocationsPerCommitStayWithinBudget) {
               per_txn, kBudget);
   RecordProperty("allocs_per_txn", std::to_string(per_txn));
   EXPECT_LE(per_txn, kBudget);
+
+  // The log itself stays in memory (servers index every record), so live
+  // heap grows with each commit; what it grows by is the gate.
+  const double live_per_txn =
+      static_cast<double>(retained) / static_cast<double>(commits);
+  std::printf("live heap bytes retained per committed ET1 txn: %.1f "
+              "(budget %.1f)\n",
+              live_per_txn, kLiveBytesBudget);
+  RecordProperty("live_bytes_per_txn", std::to_string(live_per_txn));
+  EXPECT_LE(live_per_txn, kLiveBytesBudget);
 }
 
 }  // namespace

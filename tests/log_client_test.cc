@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "harness/cluster.h"
+#include "wire/messages.h"
 
 namespace dlog {
 namespace {
@@ -160,6 +162,49 @@ TEST(LogClientTest, ReadCacheServesPackedNeighbors) {
     rpcs_after_all += cluster.server(s).read_rpcs().value();
   }
   EXPECT_EQ(rpcs_after_all, rpcs_after_first);
+}
+
+// A record travels whole in one batch, so one whose encoding exceeds
+// mtu_payload could never reach a server: WriteLog refuses it up front.
+TEST(LogClientTest, RecordLargerThanOnePacketIsRejected) {
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.client_id = 1;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  const size_t max_data =
+      cfg.mtu_payload - wire::EncodedRecordSize(LogRecord{});
+
+  auto first = c->WriteLog(ToBytes("before"));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(c->WriteLog(Bytes(max_data + 1, 'x')).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The client keeps working, and a record exactly at the bound (its
+  // own batch) round-trips.
+  const Bytes at_bound(max_data, 'y');
+  auto lsn = c->WriteLog(at_bound);
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, *first + 1);  // the refused record took no LSN
+  bool done = false;
+  Status forced = Status::Internal("never");
+  c->ForceLog(*lsn, [&](Status st) {
+    forced = st;
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+  EXPECT_TRUE(forced.ok());
+  EXPECT_EQ(cluster.network().packets_oversized().value(), 0u);
+
+  done = false;
+  Result<Bytes> read = Status::Internal("never");
+  c->ReadLog(*lsn, [&](Result<Bytes> r) {
+    read = std::move(r);
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, at_bound);
 }
 
 TEST(LogClientTest, RoundRobinPolicySpreadsInitialSets) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -97,6 +100,58 @@ struct RawDriver {
   std::vector<wire::Envelope> inbox;
   uint64_t next_rpc = 1;
 };
+
+/// Sends a WriteLog batch without running the simulation.
+void SendWriteNow(RawDriver& d, std::vector<LogRecord> records) {
+  wire::RecordBatch batch;
+  batch.client = kClient;
+  batch.epoch = 1;
+  batch.records = std::move(records);
+  d.conn->Send(wire::EncodeRecordBatch(wire::MessageType::kWriteLog, batch));
+}
+
+/// `records` of kClient packed into tracks the way the server packs its
+/// stream: greedily, each track taking entries while they fit.
+std::vector<Bytes> GreedyTracks(const std::vector<LogRecord>& records,
+                                size_t track_bytes) {
+  std::vector<Bytes> tracks;
+  std::vector<StreamEntry> current;
+  size_t bytes = kTrackOverhead;
+  for (const LogRecord& r : records) {
+    const size_t n = StreamEntrySize(r);
+    if (!current.empty() && bytes + n > track_bytes) {
+      tracks.push_back(EncodeTrack(current));
+      current.clear();
+      bytes = kTrackOverhead;
+    }
+    current.push_back({kClient, r});
+    bytes += n;
+  }
+  if (!current.empty()) tracks.push_back(EncodeTrack(current));
+  return tracks;
+}
+
+/// The written tracks of the server's disk, from track `first` on.
+std::vector<Bytes> DiskTracks(LogServer& server, uint64_t first = 0) {
+  std::vector<Bytes> tracks;
+  for (uint64_t t = first; server.disk().IsWritten(t); ++t) {
+    const SharedBytes track = *server.disk().Peek(t);
+    tracks.emplace_back(track.begin(), track.end());
+  }
+  return tracks;
+}
+
+/// Records 1..n of kClient, epoch 1, with payloads of assorted sizes.
+std::vector<LogRecord> AssortedRecords(Lsn n) {
+  constexpr size_t kSizes[] = {100, 37, 180, 64, 250};
+  std::vector<LogRecord> records;
+  for (Lsn l = 1; l <= n; ++l) {
+    records.push_back(Rec(l, 1, true,
+                          std::string(kSizes[l % 5],
+                                      static_cast<char>('a' + l % 26))));
+  }
+  return records;
+}
 
 TEST(LogServerTest, ForceLogAcknowledgedWithNewHighLsn) {
   RawDriver d;
@@ -448,6 +503,127 @@ TEST(LogServerTest, RestartChargesReadsToTheLatestTrackHoldingARecord) {
   ASSERT_EQ(d.server->tracks_written().value(), 1u);
   read_first();
   EXPECT_EQ(read_tracks, (std::vector<uint64_t>{0, 1}));
+}
+
+// Each track the server writes is its NVRAM image of the stream,
+// packed greedily: full tracks go out as soon as the next entry spills
+// into a new image, the partly full remainder when the timer fires.
+TEST(LogServerTest, FlushedTracksAreTheGreedyPackingOfTheStream) {
+  LogServerConfig cfg;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 5 * sim::kSecond;
+  RawDriver d(cfg);
+  const std::vector<LogRecord> records = AssortedRecords(12);
+  for (size_t i = 0; i < records.size(); i += 4) {
+    SendWriteNow(d, {records.begin() + static_cast<long>(i),
+                     records.begin() + static_cast<long>(i + 4)});
+  }
+  d.sim.RunFor(2 * sim::kSecond);
+  const std::vector<Bytes> expected = GreedyTracks(records, 512);
+  ASSERT_GE(expected.size(), 3u);
+  EXPECT_EQ(DiskTracks(*d.server),
+            std::vector<Bytes>(expected.begin(), expected.end() - 1));
+
+  d.sim.RunFor(5 * sim::kSecond);  // the timer flushes the partial track
+  EXPECT_EQ(DiskTracks(*d.server), expected);
+}
+
+// A crash while a partly full track is being written leaves its entries
+// and the ones buffered after them in NVRAM; the restarted server packs
+// them all greedily from the front again.
+TEST(LogServerTest, RestartRepacksAnInterruptedPartialFlush) {
+  LogServerConfig cfg;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 60 * sim::kSecond;
+  RawDriver d(cfg);
+  std::vector<LogRecord> records;
+  for (Lsn l = 1; l <= 4; ++l) {
+    records.push_back(Rec(l, 1, true, std::string(100, 'r')));
+  }
+  const std::vector<Bytes> expected = GreedyTracks(records, 512);
+  ASSERT_EQ(expected.size(), 1u);  // all four fit in one track
+  d.SendBatch(wire::MessageType::kWriteLog, 1, {records[0], records[1]});
+  d.server->FlushNow();  // seals the image holding 1-2 and writes it
+  SendWriteNow(d, {records[2], records[3]});
+  d.sim.RunFor(5 * sim::kMillisecond);
+  ASSERT_EQ(d.server->RecordsOf(kClient).size(), 4u);
+  ASSERT_FALSE(d.server->disk().IsWritten(0));  // still in flight
+
+  d.server->Crash();
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_FALSE(d.server->disk().IsWritten(0));
+  d.server->Restart();
+  d.server->FlushNow();
+  d.sim.RunFor(sim::kSecond);
+  EXPECT_EQ(DiskTracks(*d.server), expected);
+  EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 4}}));
+}
+
+// A failed track write still uses up its track number, and its entries
+// are packed greedily with whatever was buffered after them.
+TEST(LogServerTest, FailedTrackWriteBurnsItsNumberAndRepacks) {
+  LogServerConfig cfg;
+  cfg.disk.write_once = true;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 60 * sim::kSecond;
+  RawDriver d(cfg);
+  d.server->disk().WriteTrack(0, ToBytes("taken"), nullptr);
+  std::vector<LogRecord> records;
+  for (Lsn l = 1; l <= 4; ++l) {
+    records.push_back(Rec(l, 1, true, std::string(100, 'f')));
+  }
+  d.SendBatch(wire::MessageType::kWriteLog, 1, {records[0], records[1]});
+  d.server->FlushNow();  // write-once conflict on track 0
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_EQ(d.server->tracks_written().value(), 0u);
+  ASSERT_FALSE(d.server->disk().IsWritten(1));
+
+  d.SendBatch(wire::MessageType::kWriteLog, 1, {records[2], records[3]});
+  EXPECT_EQ(d.server->tracks_written().value(), 1u);
+  EXPECT_EQ(DiskTracks(*d.server, 1), GreedyTracks(records, 512));
+  EXPECT_EQ(ToString(*d.server->disk().Peek(0)), "taken");
+}
+
+// Stored records are views of the track images the disk keeps, not of
+// the packets they arrived in: read back long after those packets are
+// gone, they return the bytes that were sent.
+TEST(LogServerTest, StoredRecordsReadBackFromTheirTrackImages) {
+  LogServerConfig cfg;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 500 * sim::kMillisecond;
+  RawDriver d(cfg);
+  const std::vector<LogRecord> records = AssortedRecords(9);
+  d.SendBatch(wire::MessageType::kForceLog, 1,
+              {records.begin(), records.begin() + 4});
+  d.SendBatch(wire::MessageType::kForceLog, 1,
+              {records.begin() + 4, records.end()});
+  d.sim.RunFor(2 * sim::kSecond);
+  ASSERT_EQ(d.server->tracks_written().value(),
+            GreedyTracks(records, 512).size());
+
+  const std::vector<LogRecord> stored = d.server->RecordsOf(kClient);
+  ASSERT_EQ(stored, records);
+  for (const LogRecord& r : stored) {
+    bool in_a_track = false;
+    for (uint64_t t = 0; d.server->disk().IsWritten(t); ++t) {
+      const SharedBytes track = *d.server->disk().Peek(t);
+      in_a_track = in_a_track ||
+                   (std::less_equal<const uint8_t*>()(track.begin(),
+                                                      r.data.begin()) &&
+                    std::less_equal<const uint8_t*>()(r.data.end(),
+                                                      track.end()));
+    }
+    EXPECT_TRUE(in_a_track) << "LSN " << r.lsn;
+  }
+  for (const LogRecord& r : records) {
+    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                  {kClient, r.lsn}, d.next_rpc++));
+    auto resp = wire::DecodeReadLogResp(
+        d.Last(wire::MessageType::kReadLogResp)->body);
+    ASSERT_TRUE(resp.ok());
+    ASSERT_FALSE(resp->records.empty());
+    EXPECT_EQ(resp->records[0], r);
+  }
 }
 
 TEST(LogServerTest, DownServerIgnoresTraffic) {

@@ -253,7 +253,7 @@ TEST(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
 TEST(TrackFormatTest, EntryRoundTrip) {
   StreamEntry e{42, Rec(7, 3, true, "payload")};
   Bytes encoded = EncodeStreamEntry(e);
-  EXPECT_EQ(encoded.size(), StreamEntrySize(e));
+  EXPECT_EQ(encoded.size(), StreamEntrySize(e.record));
   Result<StreamEntry> decoded = DecodeStreamEntry(encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, e);

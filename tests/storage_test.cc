@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
 #include "sim/simulator.h"
 #include "storage/disk.h"
@@ -18,8 +22,8 @@ TEST(SimDiskTest, WriteThenReadRoundTrip) {
   sim.Run();
   EXPECT_TRUE(write_status.ok());
 
-  Result<Bytes> read = Status::Internal("not called");
-  disk.ReadTrack(0, [&](Result<Bytes> r) { read = std::move(r); });
+  Result<SharedBytes> read = Status::Internal("not called");
+  disk.ReadTrack(0, [&](Result<SharedBytes> r) { read = std::move(r); });
   sim.Run();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
@@ -28,8 +32,8 @@ TEST(SimDiskTest, WriteThenReadRoundTrip) {
 TEST(SimDiskTest, ReadUnwrittenTrackIsNotFound) {
   sim::Simulator sim;
   SimDisk disk(&sim, DiskConfig{});
-  Result<Bytes> read = Status::Internal("not called");
-  disk.ReadTrack(5, [&](Result<Bytes> r) { read = std::move(r); });
+  Result<SharedBytes> read = Status::Internal("not called");
+  disk.ReadTrack(5, [&](Result<SharedBytes> r) { read = std::move(r); });
   sim.Run();
   EXPECT_TRUE(read.status().IsNotFound());
 }
@@ -113,7 +117,7 @@ TEST(SimDiskTest, RequestsAreServedFifo) {
   std::vector<int> order;
   disk.WriteTrack(0, Bytes(1, 0), [&](Status) { order.push_back(0); });
   disk.WriteTrack(1, Bytes(1, 0), [&](Status) { order.push_back(1); });
-  disk.ReadTrack(0, [&](Result<Bytes>) { order.push_back(2); });
+  disk.ReadTrack(0, [&](Result<SharedBytes>) { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -153,31 +157,114 @@ TEST(NvramTest, CapacityEnforced) {
   EXPECT_TRUE(nv.Put("b", Bytes(5, 0)).ok());
 }
 
-TEST(NvramQueueTest, FifoOrder) {
-  NvramQueue q(1024);
-  ASSERT_TRUE(q.Append(ToBytes("one")).ok());
-  ASSERT_TRUE(q.Append(ToBytes("two")).ok());
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_EQ(ToString(q.entries()[0]), "one");
-  q.PopFront(1);
-  EXPECT_EQ(ToString(q.entries()[0]), "two");
-  EXPECT_EQ(q.used_bytes(), 3u);
+// Images of 32 bytes with 8-byte headers: 24 bytes of entries each.
+constexpr size_t kImageBytes = 32;
+constexpr size_t kHeaderBytes = 8;
+
+/// Appends an `n`-byte entry: its size in the first byte, then `fill`.
+Status AppendEntry(NvramQueue* q, size_t n, uint8_t fill) {
+  return q->Append(n, [&](const std::shared_ptr<Bytes>& image) {
+    image->push_back(static_cast<uint8_t>(n));
+    image->insert(image->end(), n - 1, fill);
+  });
+}
+
+size_t SizeFromFirstByte(const Bytes& image, size_t pos) {
+  return image[pos];
+}
+
+/// A header followed by the given entries.
+Bytes ImageOf(const std::vector<std::pair<size_t, uint8_t>>& entries) {
+  Bytes out(kHeaderBytes, 0);
+  for (const auto& [n, fill] : entries) {
+    out.push_back(static_cast<uint8_t>(n));
+    out.insert(out.end(), n - 1, fill);
+  }
+  return out;
+}
+
+TEST(NvramQueueTest, OverflowingEntrySealsImageAndOpensNext) {
+  NvramQueue q(1024, kImageBytes, kHeaderBytes);
+  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
+  ASSERT_EQ(q.images().size(), 1u);
+  // 30 entry bytes would overflow the 24 an image holds.
+  ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
+  ASSERT_EQ(q.images().size(), 2u);
+  EXPECT_EQ(q.images()[0].entries, 2u);
+  EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'a'}, {10, 'b'}}));
+  // The sealed image takes nothing more, even an entry that would fit.
+  ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
+  EXPECT_EQ(q.images()[0].entries, 2u);
+  EXPECT_EQ(*q.images()[1].bytes, ImageOf({{10, 'c'}, {4, 'd'}}));
+  // An entry larger than an image's entry space never fits.
+  EXPECT_EQ(AppendEntry(&q, 25, 'e').code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NvramQueueTest, UsedBytesCountsEntryBytesOnly) {
+  NvramQueue q(1024, kImageBytes, kHeaderBytes);
+  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
+  ASSERT_EQ(q.images().size(), 2u);
+  EXPECT_EQ(q.used_bytes(), 30u);  // two images, no header counted
+  q.Seal();
+  EXPECT_EQ(q.used_bytes(), 30u);
+}
+
+TEST(NvramQueueTest, PopFrontFreesExactlyItsEntries) {
+  NvramQueue q(1024, kImageBytes, kHeaderBytes);
+  std::vector<size_t> levels;
+  q.SetOccupancyProbe([&levels](size_t used) { levels.push_back(used); });
+  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
+  ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
+  q.PopFront();
+  EXPECT_EQ(q.used_bytes(), 14u);
+  ASSERT_EQ(q.images().size(), 1u);
+  EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'c'}, {4, 'd'}}));
+  q.PopFront();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.used_bytes(), 0u);
+  q.PopFront();  // nothing left: a no-op
+  EXPECT_EQ(levels, (std::vector<size_t>{10, 20, 30, 34, 14, 0}));
+  // The next entry opens a fresh image.
+  ASSERT_TRUE(AppendEntry(&q, 10, 'e').ok());
+  EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'e'}}));
 }
 
 TEST(NvramQueueTest, CapacityEnforced) {
-  NvramQueue q(5);
-  EXPECT_TRUE(q.Append(Bytes(5, 0)).ok());
-  EXPECT_EQ(q.Append(Bytes(1, 0)).code(), StatusCode::kResourceExhausted);
-  q.PopFront(1);
-  EXPECT_TRUE(q.Append(Bytes(5, 0)).ok());
+  NvramQueue q(20, kImageBytes, kHeaderBytes);
+  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
+  EXPECT_FALSE(q.HasRoom(1));
+  EXPECT_EQ(AppendEntry(&q, 1, 'c').code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(q.used_bytes(), 20u);
+  q.PopFront();
+  EXPECT_TRUE(AppendEntry(&q, 10, 'c').ok());
 }
 
-TEST(NvramQueueTest, PopMoreThanSizeIsSafe) {
-  NvramQueue q(100);
-  ASSERT_TRUE(q.Append(Bytes(10, 0)).ok());
-  q.PopFront(5);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.used_bytes(), 0u);
+TEST(NvramQueueTest, SealRightSizesAndRepackRestoresGreedyPacking) {
+  NvramQueue q(1024, kImageBytes, kHeaderBytes);
+  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
+  // A partly full image goes out: it shrinks to its written bytes...
+  q.Seal();
+  EXPECT_EQ(q.images()[0].bytes->capacity(), kHeaderBytes + 10);
+  // ...and the next entry opens a new image though 'a' left room.
+  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
+  ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
+  ASSERT_EQ(q.images().size(), 2u);
+  // The flush failed: packing from the front again puts 'b' beside 'a'.
+  q.Repack(&SizeFromFirstByte);
+  ASSERT_EQ(q.images().size(), 2u);
+  EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'a'}, {10, 'b'}}));
+  EXPECT_EQ(*q.images()[1].bytes, ImageOf({{10, 'c'}}));
+  EXPECT_EQ(q.images()[1].entries, 1u);
+  EXPECT_EQ(q.used_bytes(), 30u);
+  // The last image is open again.
+  ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
+  EXPECT_EQ(*q.images()[1].bytes, ImageOf({{10, 'c'}, {4, 'd'}}));
 }
 
 TEST(StableCellTest, ReadWrite) {
