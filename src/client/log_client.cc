@@ -6,47 +6,47 @@
 #include <cassert>
 #include <utility>
 
+#include "epoch/id_generator.h"
+
 namespace dlog::client {
 
-// Per-Init transient state, shared across the callback chain.
+// Per-Init transient state, shared by the steps of one Init.
 struct LogClient::InitState {
   std::function<void(Status)> done;
   uint64_t generation = 0;
-
-  // Interval gather.
-  int interval_ok = 0;
-  int interval_fail = 0;
-  bool intervals_done = false;
   std::vector<ServerInterval> intervals;
-
-  // Epoch acquisition.
-  int gen_read_ok = 0;
-  int gen_read_fail = 0;
-  bool gen_read_done = false;
+  /// The highest generator value the NewID read quorum returned.
   uint64_t gen_max = 0;
-  int gen_write_ok = 0;
-  int gen_write_fail = 0;
-  bool gen_write_done = false;
-  uint64_t gen_value = 0;
-
-  // Recovery copy.
+  /// The old end of log, and the next tail LSN to read back.
   Lsn high = kNoLsn;
-  std::vector<Lsn> tail_lsns;
-  size_t tail_cursor = 0;
-  std::map<Lsn, LogRecord> tail_records;
-  std::vector<net::NodeId> targets;
-  size_t copy_acks = 0;
-  size_t install_acks = 0;
-  bool failed = false;
-  bool finished = false;
+  Lsn tail = kNoLsn;
+  std::vector<LogRecord> tail_records;
 };
 
-// One ReadLog served by the log servers: the holders, tried in order.
-struct LogClient::ReadState {
-  Lsn lsn = kNoLsn;
+// Per-RepairLog state: the survey, then the segments repaired in turn.
+struct LogClient::RepairState {
   uint64_t generation = 0;
-  std::vector<ServerId> holders;
-  std::function<void(Result<Bytes>)> done;
+  std::function<void(Status)> done;
+  std::vector<ServerInterval> intervals;
+  /// Servers (ServerLink::bit) whose interval list arrived.
+  uint64_t listed = 0;
+
+  struct Work {
+    Lsn low = kNoLsn;
+    Lsn high = kNoLsn;
+    std::vector<ServerId> holders;
+    int missing = 0;
+  };
+  std::deque<Work> queue;
+  // The front segment's targets, and its records read so far.
+  std::vector<net::NodeId> targets;
+  std::vector<LogRecord> records;
+  Lsn cursor = kNoLsn;
+  bool partial = false;  // some segment could not be repaired
+  /// A failure was an explicit server shed (RpcStatus::kOverloaded), not
+  /// absence: report Overloaded so the caller backs off instead of
+  /// treating the cluster as down.
+  bool overloaded = false;
 };
 
 Status LogClientConfig::Validate() const {
@@ -923,40 +923,179 @@ Lsn LogClient::TruncateLog(Lsn below) {
   return below;
 }
 
-// --- Media repair ---
+// --- Recovery-time calls ---
 
-struct LogClient::RepairState {
-  uint64_t generation = 0;
-  std::function<void(Status)> done;
-  bool finished = false;
+std::vector<LogClient::Rpc> LogClient::ToEach(
+    const std::vector<net::NodeId>& nodes,
+    const std::function<Bytes(uint64_t)>& encode) {
+  std::vector<Rpc> calls;
+  for (net::NodeId node : nodes) calls.push_back(Rpc{node, encode});
+  return calls;
+}
 
-  // Interval gather.
-  int responses = 0;
-  int failures = 0;
-  bool gathered = false;
-  std::vector<ServerInterval> intervals;
+template <typename Resp>
+void LogClient::Call(
+    Rpc rpc, Decoder<Resp> decode,
+    std::type_identity_t<std::function<void(Result<Resp>)>> done) {
+  ServerLink& link = LinkFor(rpc.node);
+  EnsureConnected(&link);
+  link.rpc->Call(
+      std::move(rpc.encode), RpcOpts(),
+      [decode, done = std::move(done)](Result<wire::Envelope> env) {
+        if (!env.ok()) {
+          done(env.status());
+          return;
+        }
+        Result<Resp> resp = decode(env->body);
+        if (!resp.ok() || resp->status == wire::RpcStatus::kOk) {
+          done(std::move(resp));
+        } else if (resp->status == wire::RpcStatus::kOverloaded) {
+          done(Status::Overloaded("call shed by server"));
+        } else {
+          done(Status::Unavailable("call failed at server"));
+        }
+      });
+}
 
-  // Segments needing repair, processed sequentially.
-  struct Work {
-    Lsn low = kNoLsn;
-    Lsn high = kNoLsn;
-    std::vector<ServerId> holders;
-    int missing = 0;
+template <typename Resp>
+void LogClient::QuorumCall(std::vector<Rpc> calls, size_t need,
+                           Decoder<Resp> decode,
+                           std::type_identity_t<ReplyHook<Resp>> on_reply,
+                           std::function<void(Status)> done) {
+  assert(need >= 1 && need <= calls.size());
+  struct Round {
+    uint64_t generation = 0;
+    size_t need = 0;   // successes still missing
+    size_t spare = 0;  // failures that still leave `need` reachable
+    bool shed = false;
+    bool fired = false;
+    ReplyHook<Resp> on_reply;
+    std::function<void(Status)> done;
   };
-  std::deque<Work> queue;
-  // Current segment progress.
-  std::vector<LogRecord> records;
-  Lsn cursor = kNoLsn;
-  std::vector<net::NodeId> targets;
-  size_t copy_acks = 0;
-  size_t copy_calls_needed = 0;
-  size_t install_acks = 0;
-  bool partial = false;  // some segment could not be repaired
-  /// A failure was an explicit server shed (RpcStatus::kOverloaded), not
-  /// absence: report Overloaded so the caller backs off instead of
-  /// treating the cluster as down.
-  bool overloaded = false;
-};
+  auto round = std::make_shared<Round>();
+  round->generation = generation_;
+  round->need = need;
+  round->spare = calls.size() - need;
+  round->on_reply = std::move(on_reply);
+  round->done = std::move(done);
+  for (Rpc& rpc : calls) {
+    const net::NodeId node = rpc.node;
+    Call(std::move(rpc), decode,
+         [this, round, node](Result<Resp> resp) {
+           if (round->fired || round->generation != generation_) return;
+           const Status status =
+               round->on_reply ? round->on_reply(node, resp) : resp.status();
+           if (status.ok()) {
+             if (--round->need > 0) return;
+           } else {
+             round->shed = round->shed || status.IsOverloaded();
+             if (round->spare > 0) {
+               --round->spare;
+               return;
+             }
+           }
+           round->fired = true;
+           if (status.ok()) {
+             round->done(Status::OK());
+           } else if (round->shed) {
+             round->done(Status::Overloaded("round shed by a server"));
+           } else {
+             round->done(Status::Unavailable("quorum out of reach"));
+           }
+         });
+  }
+}
+
+void LogClient::ReadFrom(
+    std::vector<ServerId> holders, Lsn lsn,
+    std::function<void(Result<std::vector<LogRecord>>)> done) {
+  if (holders.empty()) {
+    done(Status::Unavailable("no holder answered"));
+    return;
+  }
+  const net::NodeId node = holders.front();
+  holders.erase(holders.begin());
+  const wire::ReadLogReq req{config_.client_id, lsn};
+  Call(Rpc{node,
+           [req](uint64_t id) {
+             return wire::EncodeReadLogReq(
+                 wire::MessageType::kReadLogForwardReq, req, id);
+           }},
+       wire::DecodeReadLogResp,
+       [this, generation = generation_, holders = std::move(holders), lsn,
+        done = std::move(done)](Result<wire::ReadLogResp> resp) mutable {
+         if (generation != generation_) {
+           done(Status::Aborted("client crashed"));
+         } else if (resp.ok() && !resp->records.empty() &&
+                    resp->records.front().lsn == lsn) {
+           done(std::move(resp->records));
+         } else {
+           ReadFrom(std::move(holders), lsn, std::move(done));
+         }
+       });
+}
+
+void LogClient::CopySegment(std::vector<LogRecord> records,
+                            std::vector<net::NodeId> targets,
+                            std::function<void(Status)> done) {
+  // Chunk the copies so each CopyLog call fits in a network packet.
+  std::vector<wire::CopyLogReq> chunks;
+  size_t bytes = 0;
+  for (LogRecord& r : records) {
+    r.epoch = epoch_;
+    const size_t cost = wire::EncodedRecordSize(r);
+    if (chunks.empty() || bytes + cost > config_.mtu_payload) {
+      chunks.push_back(wire::CopyLogReq{config_.client_id, epoch_, {}});
+      bytes = wire::RecordBatchOverhead();
+    }
+    chunks.back().records.push_back(r);
+    bytes += cost;
+  }
+  std::vector<Rpc> copies;
+  for (net::NodeId node : targets) {
+    for (const wire::CopyLogReq& req : chunks) {
+      copies.push_back(Rpc{node, [req](uint64_t id) {
+                             return wire::EncodeCopyLogReq(req, id);
+                           }});
+    }
+  }
+  const size_t calls = copies.size();
+  QuorumCall(
+      std::move(copies), calls, wire::DecodeCopyLogResp, nullptr,
+      [this, records = std::move(records), targets = std::move(targets),
+       done = std::move(done)](Status staged) {
+        // An explicit shed is not "server down": report Overloaded so
+        // the caller retries with backoff.
+        if (!staged.ok()) {
+          done(staged.IsOverloaded()
+                   ? Status::Overloaded("CopyLog shed by server")
+                   : Status::Unavailable("CopyLog failed"));
+          return;
+        }
+        // All copies staged: install everywhere.
+        const wire::InstallCopiesReq req{config_.client_id, epoch_};
+        QuorumCall(
+            ToEach(targets,
+                   [req](uint64_t id) {
+                     return wire::EncodeInstallCopiesReq(req, id);
+                   }),
+            targets.size(), wire::DecodeInstallCopiesResp, nullptr,
+            [this, records, targets, done](Status installed) {
+              if (!installed.ok()) {
+                done(installed.IsOverloaded()
+                         ? Status::Overloaded("InstallCopies shed by server")
+                         : Status::Unavailable("InstallCopies failed"));
+                return;
+              }
+              for (const LogRecord& r : records) {
+                view_.NoteWrite(r.lsn, r.epoch, targets);
+              }
+              done(Status::OK());
+            });
+      });
+}
+
+// --- Media repair ---
 
 void LogClient::RepairLog(std::function<void(Status)> done) {
   if (crashed_ || !initialized_) {
@@ -969,269 +1108,112 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   st->generation = generation_;
   st->done = std::move(done);
 
-  auto finish = [this, st](Status status) {
-    if (st->finished) return;
-    st->finished = true;
-    st->done(status);
-  };
-
-  // Step 3 (declared first; steps chain backwards): process the queue.
-  // Each recursive step captures itself weakly and takes a strong
-  // reference while it runs: the outstanding RPC callbacks own the
-  // chain, so it is freed once none remains.
-  auto process = std::make_shared<std::function<void()>>();
-  *process = [this, st, self = std::weak_ptr(process), finish]() {
-    const auto process = self.lock();
-    if (st->generation != generation_ || st->finished) return;
-    if (st->queue.empty()) {
-      if (!st->partial) {
-        finish(Status::OK());
-      } else if (st->overloaded) {
-        finish(Status::Overloaded(
-            "repair shed by overloaded servers; retry after backoff"));
-      } else {
-        finish(Status::Unavailable(
-            "some records could not be re-replicated"));
-      }
-      return;
-    }
-    RepairState::Work& work = st->queue.front();
-
-    // Choose repair targets: servers that do not hold the segment.
-    st->targets.clear();
-    for (net::NodeId node : config_.servers) {
-      if (static_cast<int>(st->targets.size()) >= work.missing) break;
-      if (std::find(work.holders.begin(), work.holders.end(), node) !=
-          work.holders.end()) {
-        continue;
-      }
-      st->targets.push_back(node);
-    }
-    if (static_cast<int>(st->targets.size()) < work.missing) {
-      st->partial = true;
-      st->queue.pop_front();
-      (*process)();
-      return;
-    }
-
-    // Read the segment's records from holders, then copy to targets.
-    st->records.clear();
-    st->cursor = work.low;
-    auto read_chunk = std::make_shared<std::function<void(size_t)>>();
-    *read_chunk = [this, st, process, self = std::weak_ptr(read_chunk),
-                   finish](size_t holder_index) {
-      const auto read_chunk = self.lock();
-      if (st->generation != generation_ || st->finished) return;
-      RepairState::Work& w = st->queue.front();
-      if (st->cursor > w.high) {
-        // All records read; stage the copies (re-stamped with the
-        // current epoch) on every target, then install.
-        std::vector<LogRecord> copies;
-        for (const LogRecord& r : st->records) {
-          LogRecord copy = r;
-          copy.epoch = epoch_;
-          copies.push_back(std::move(copy));
-        }
-        std::vector<std::vector<LogRecord>> chunks;
-        std::vector<LogRecord> chunk;
-        size_t bytes = wire::RecordBatchOverhead();
-        for (const LogRecord& r : copies) {
-          const size_t cost = wire::EncodedRecordSize(r);
-          if (!chunk.empty() && bytes + cost > config_.mtu_payload) {
-            chunks.push_back(std::move(chunk));
-            chunk.clear();
-            bytes = wire::RecordBatchOverhead();
+  // Survey every server: counting a segment's holders takes all M
+  // answers, so a failed reply counts as answered; at least M-N+1 of
+  // them must be real lists.
+  const wire::IntervalListReq req{config_.client_id};
+  QuorumCall(
+      ToEach(config_.servers,
+             [req](uint64_t id) {
+               return wire::EncodeIntervalListReq(req, id);
+             }),
+      config_.servers.size(), wire::DecodeIntervalListResp,
+      [this, st](net::NodeId node,
+                 const Result<wire::IntervalListResp>& resp) {
+        if (resp.ok()) {
+          st->listed |= BitOf(node);
+          for (const Interval& iv : resp->intervals) {
+            st->intervals.push_back(ServerInterval{node, iv});
           }
-          chunk.push_back(r);
-          bytes += cost;
         }
-        if (!chunk.empty()) chunks.push_back(std::move(chunk));
-
-        st->copy_acks = 0;
-        st->install_acks = 0;
-        st->copy_calls_needed = chunks.size() * st->targets.size();
-        if (st->copy_calls_needed == 0) {
-          st->queue.pop_front();
-          (*process)();
+        return Status::OK();
+      },
+      [this, st](Status) {
+        const int m = static_cast<int>(config_.servers.size());
+        if (std::popcount(st->listed) < m - config_.copies + 1) {
+          st->done(Status::Unavailable(
+              "fewer than M-N+1 servers answered the repair survey"));
           return;
         }
-        for (net::NodeId node : st->targets) {
-          ServerLink* link = &LinkFor(node);
-          EnsureConnected(link);
-          for (const std::vector<LogRecord>& c : chunks) {
-            wire::CopyLogReq creq;
-            creq.client = config_.client_id;
-            creq.epoch = epoch_;
-            creq.records = c;
-            link->rpc->Call(
-                [creq](uint64_t id) {
-                  return wire::EncodeCopyLogReq(creq, id);
-                },
-                RpcOpts(),
-                [this, st, process, finish,
-                 copies](Result<wire::Envelope> env) {
-                  if (st->generation != generation_ || st->finished) return;
-                  bool ok = false;
-                  if (env.ok()) {
-                    auto resp = wire::DecodeCopyLogResp(env->body);
-                    ok = resp.ok() &&
-                         resp->status == wire::RpcStatus::kOk;
-                    if (resp.ok() &&
-                        resp->status == wire::RpcStatus::kOverloaded) {
-                      st->overloaded = true;
-                    }
-                  }
-                  if (!ok) {
-                    st->partial = true;
-                    st->queue.pop_front();
-                    (*process)();
-                    return;
-                  }
-                  if (++st->copy_acks < st->copy_calls_needed) return;
-                  // Install on every target.
-                  for (net::NodeId inode : st->targets) {
-                    ServerLink* ilink = LinkOf(inode);
-                    wire::InstallCopiesReq ireq{config_.client_id, epoch_};
-                    ilink->rpc->Call(
-                        [ireq](uint64_t id) {
-                          return wire::EncodeInstallCopiesReq(ireq, id);
-                        },
-                        RpcOpts(),
-                        [this, st, process, finish, inode,
-                         copies](Result<wire::Envelope> ienv) {
-                          if (st->generation != generation_ ||
-                              st->finished) {
-                            return;
-                          }
-                          bool iok = false;
-                          if (ienv.ok()) {
-                            auto iresp =
-                                wire::DecodeInstallCopiesResp(ienv->body);
-                            iok = iresp.ok() && iresp->status ==
-                                                    wire::RpcStatus::kOk;
-                            if (iresp.ok() &&
-                                iresp->status ==
-                                    wire::RpcStatus::kOverloaded) {
-                              st->overloaded = true;
-                            }
-                          }
-                          if (!iok) {
-                            st->partial = true;
-                            st->queue.pop_front();
-                            (*process)();
-                            return;
-                          }
-                          if (++st->install_acks < st->targets.size()) {
-                            return;
-                          }
-                          // Segment repaired: note the new holders.
-                          for (const LogRecord& r : copies) {
-                            std::vector<ServerId> holders(
-                                st->targets.begin(), st->targets.end());
-                            view_.NoteWrite(r.lsn, r.epoch, holders);
-                          }
-                          st->queue.pop_front();
-                          (*process)();
-                        });
-                  }
-                });
+        // Queue the under-replicated segments.
+        const MergedLogView survey = MergedLogView::Build(st->intervals);
+        for (const MergedLogView::Segment& seg : survey.segments()) {
+          const int missing =
+              config_.copies - static_cast<int>(seg.servers.size());
+          if (missing > 0) {
+            st->queue.push_back({seg.low, seg.high, seg.servers, missing});
           }
         }
-        return;
-      }
+        RepairNext(st);
+      });
+}
 
-      // Read the next run of records starting at the cursor.
-      if (holder_index >= w.holders.size()) {
-        st->partial = true;
-        st->queue.pop_front();
-        (*process)();
-        return;
-      }
-      ServerLink* link = LinkOf(w.holders[holder_index]);
-      if (link == nullptr) {
-        (*read_chunk)(holder_index + 1);
-        return;
-      }
-      EnsureConnected(link);
-      wire::ReadLogReq req{config_.client_id, st->cursor};
-      link->rpc->Call(
-          [req](uint64_t id) {
-            return wire::EncodeReadLogReq(
-                wire::MessageType::kReadLogForwardReq, req, id);
-          },
-          RpcOpts(),
-          [this, st, read_chunk, holder_index](Result<wire::Envelope> env) {
-            if (st->generation != generation_ || st->finished) return;
-            RepairState::Work& w2 = st->queue.front();
-            if (env.ok()) {
-              auto resp = wire::DecodeReadLogResp(env->body);
-              if (resp.ok() && resp->status == wire::RpcStatus::kOk &&
-                  !resp->records.empty() &&
-                  resp->records.front().lsn == st->cursor) {
-                for (const LogRecord& r : resp->records) {
-                  if (r.lsn < st->cursor || r.lsn > w2.high) continue;
-                  st->records.push_back(r);
-                  st->cursor = r.lsn + 1;
-                }
-                (*read_chunk)(0);
-                return;
-              }
-            }
-            (*read_chunk)(holder_index + 1);
-          });
-    };
-    (*read_chunk)(0);
-  };
-
-  // Step 1: gather fresh interval lists from every server.
-  const int m = static_cast<int>(config_.servers.size());
-  for (net::NodeId node : config_.servers) {
-    ServerLink* link = &LinkFor(node);
-    EnsureConnected(link);
-    wire::IntervalListReq req{config_.client_id};
-    link->rpc->Call(
-        [req](uint64_t id) { return wire::EncodeIntervalListReq(req, id); },
-        RpcOpts(),
-        [this, st, node, m, process, finish](Result<wire::Envelope> env) {
-          if (st->generation != generation_ || st->finished ||
-              st->gathered) {
-            return;
-          }
-          bool ok = false;
-          if (env.ok()) {
-            auto resp = wire::DecodeIntervalListResp(env->body);
-            if (resp.ok() && resp->status == wire::RpcStatus::kOk) {
-              ok = true;
-              for (const Interval& iv : resp->intervals) {
-                st->intervals.push_back(ServerInterval{node, iv});
-              }
-            }
-          }
-          ok ? ++st->responses : ++st->failures;
-          if (st->responses + st->failures < m) return;
-          st->gathered = true;
-          if (st->responses < m - config_.copies + 1) {
-            finish(Status::Unavailable(
-                "fewer than M-N+1 servers answered the repair survey"));
-            return;
-          }
-          // Step 2: find under-replicated segments.
-          MergedLogView survey = MergedLogView::Build(st->intervals);
-          for (const MergedLogView::Segment& seg : survey.segments()) {
-            if (static_cast<int>(seg.servers.size()) >= config_.copies) {
-              continue;
-            }
-            RepairState::Work work;
-            work.low = seg.low;
-            work.high = seg.high;
-            work.holders = seg.servers;
-            work.missing =
-                config_.copies - static_cast<int>(seg.servers.size());
-            st->queue.push_back(std::move(work));
-          }
-          (*process)();
-        });
+void LogClient::RepairNext(std::shared_ptr<RepairState> st) {
+  if (st->queue.empty()) {
+    if (!st->partial) {
+      st->done(Status::OK());
+    } else if (st->overloaded) {
+      st->done(Status::Overloaded(
+          "repair shed by overloaded servers; retry after backoff"));
+    } else {
+      st->done(Status::Unavailable("some records could not be re-replicated"));
+    }
+    return;
   }
+  const RepairState::Work& work = st->queue.front();
+
+  // Choose repair targets: servers that do not hold the segment.
+  st->targets.clear();
+  for (net::NodeId node : config_.servers) {
+    if (static_cast<int>(st->targets.size()) >= work.missing) break;
+    if (std::find(work.holders.begin(), work.holders.end(), node) ==
+        work.holders.end()) {
+      st->targets.push_back(node);
+    }
+  }
+  if (static_cast<int>(st->targets.size()) < work.missing) {
+    EndSegment(std::move(st), Status::Unavailable("no spare server"));
+    return;
+  }
+  st->records.clear();
+  st->cursor = work.low;
+  RepairRead(std::move(st));
+}
+
+void LogClient::RepairRead(std::shared_ptr<RepairState> st) {
+  const RepairState::Work& work = st->queue.front();
+  if (st->cursor > work.high) {
+    // All records read: copy them to the targets.
+    CopySegment(std::move(st->records), st->targets,
+                [this, st](Status copied) { EndSegment(st, copied); });
+    return;
+  }
+  // Read the next run of records starting at the cursor.
+  ReadFrom(work.holders, st->cursor,
+           [this, st](Result<std::vector<LogRecord>> read) {
+             if (st->generation != generation_) return;
+             if (!read.ok()) {
+               EndSegment(st, read.status());
+               return;
+             }
+             const Lsn high = st->queue.front().high;
+             for (const LogRecord& r : *read) {
+               if (r.lsn < st->cursor || r.lsn > high) continue;
+               st->records.push_back(r);
+               st->cursor = r.lsn + 1;
+             }
+             RepairRead(st);
+           });
+}
+
+void LogClient::EndSegment(std::shared_ptr<RepairState> st,
+                           const Status& status) {
+  if (!status.ok()) {
+    st->partial = true;
+    st->overloaded = st->overloaded || status.IsOverloaded();
+  }
+  st->queue.pop_front();
+  RepairNext(std::move(st));
 }
 
 // --- Reads ---
@@ -1280,64 +1262,25 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     });
     return;
   }
-
-  auto st = std::make_shared<ReadState>();
-  st->lsn = lsn;
-  st->generation = generation_;
-  st->holders = seg->servers;
-  st->done = std::move(done);
-  ReadFromHolder(std::move(st), 0);
-}
-
-void LogClient::ReadFromHolder(std::shared_ptr<ReadState> st, size_t index) {
-  if (st->generation != generation_) {
-    st->done(Status::Aborted("client crashed"));
-    return;
-  }
-  if (index >= st->holders.size()) {
-    st->done(Status::Unavailable("no holder answered"));
-    return;
-  }
-  ServerLink* link = LinkOf(st->holders[index]);
-  if (link == nullptr) {
-    ReadFromHolder(std::move(st), index + 1);
-    return;
-  }
-  EnsureConnected(link);
-  wire::ReadLogReq req{config_.client_id, st->lsn};
-  link->rpc->Call(
-      [req](uint64_t id) {
-        return wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                      req, id);
-      },
-      RpcOpts(),
-      [this, st, index](Result<wire::Envelope> env) {
-        if (st->generation != generation_) {
-          st->done(Status::Aborted("client crashed"));
-          return;
-        }
-        if (!env.ok()) {
-          ReadFromHolder(st, index + 1);
-          return;
-        }
-        Result<wire::ReadLogResp> resp = wire::DecodeReadLogResp(env->body);
-        if (!resp.ok() || resp->status != wire::RpcStatus::kOk ||
-            resp->records.empty() || resp->records.front().lsn != st->lsn) {
-          ReadFromHolder(st, index + 1);
-          return;
-        }
-        // Cache the packed extra records for future reads.
-        for (const LogRecord& r : resp->records) {
-          if (read_cache_.size() > 4096) break;
-          read_cache_[r.lsn] = r;
-        }
-        const LogRecord& rec = resp->records.front();
-        if (!rec.present) {
-          st->done(Status::NotFound("record marked not present"));
-        } else {
-          st->done(rec.data.ToBytes());
-        }
-      });
+  ReadFrom(seg->servers, lsn,
+           [this, done = std::move(done)](
+               Result<std::vector<LogRecord>> read) {
+             if (!read.ok()) {
+               done(read.status());
+               return;
+             }
+             // Cache the packed extra records for future reads.
+             for (const LogRecord& r : *read) {
+               if (read_cache_.size() > 4096) break;
+               read_cache_[r.lsn] = r;
+             }
+             const LogRecord& rec = read->front();
+             if (!rec.present) {
+               done(Status::NotFound("record marked not present"));
+             } else {
+               done(rec.data.ToBytes());
+             }
+           });
 }
 
 // --- Initialization ---
@@ -1354,128 +1297,79 @@ void LogClient::Init(std::function<void(Status)> done) {
   st->done = std::move(done);
   st->generation = generation_;
   ConnectAll();
-  StartIntervalGather(st);
+
+  // Merge the interval lists of any M-N+1 servers (Section 3.1.2).
+  const wire::IntervalListReq req{config_.client_id};
+  QuorumCall(
+      ToEach(config_.servers,
+             [req](uint64_t id) {
+               return wire::EncodeIntervalListReq(req, id);
+             }),
+      config_.servers.size() - config_.copies + 1,
+      wire::DecodeIntervalListResp,
+      [st](net::NodeId node, const Result<wire::IntervalListResp>& resp) {
+        if (resp.ok()) {
+          for (const Interval& iv : resp->intervals) {
+            st->intervals.push_back(ServerInterval{node, iv});
+          }
+        }
+        return resp.status();
+      },
+      [this, st](Status gathered) {
+        if (!gathered.ok()) {
+          FinishInit(*st, Status::Unavailable(
+                              "fewer than M-N+1 interval lists gathered"));
+          return;
+        }
+        AcquireEpoch(st);
+      });
 }
 
-void LogClient::FinishInit(std::shared_ptr<InitState> st, Status status) {
-  if (st->finished) return;
-  st->finished = true;
+void LogClient::FinishInit(const InitState& st, Status status) {
   if (status.ok()) initialized_ = true;
-  st->done(status);
+  st.done(status);
 }
 
-void LogClient::StartIntervalGather(std::shared_ptr<InitState> st) {
-  const int m = static_cast<int>(config_.servers.size());
-  const int needed = m - config_.copies + 1;
-  for (net::NodeId node : config_.servers) {
-    ServerLink* link = LinkOf(node);
-    wire::IntervalListReq req{config_.client_id};
-    link->rpc->Call(
-        [req](uint64_t id) { return wire::EncodeIntervalListReq(req, id); },
-        RpcOpts(),
-        [this, st, node, m, needed](Result<wire::Envelope> env) {
-          if (st->generation != generation_ || st->finished ||
-              st->intervals_done) {
-            return;
-          }
-          bool ok = false;
-          if (env.ok()) {
-            Result<wire::IntervalListResp> resp =
-                wire::DecodeIntervalListResp(env->body);
-            if (resp.ok() && resp->status == wire::RpcStatus::kOk) {
-              ok = true;
-              for (const Interval& iv : resp->intervals) {
-                st->intervals.push_back(ServerInterval{node, iv});
+void LogClient::AcquireEpoch(std::shared_ptr<InitState> st) {
+  const size_t reps = config_.generator_reps.size();
+  const wire::GenReadReq req{config_.client_id};
+  QuorumCall(
+      ToEach(config_.generator_reps,
+             [req](uint64_t id) { return wire::EncodeGenReadReq(req, id); }),
+      epoch::ReadQuorum(reps), wire::DecodeGenReadResp,
+      [st](net::NodeId, const Result<wire::GenReadResp>& resp) {
+        if (resp.ok()) st->gen_max = std::max(st->gen_max, resp->value);
+        return resp.status();
+      },
+      [this, st, reps](Status read) {
+        if (!read.ok()) {
+          FinishInit(*st, Status::Unavailable("generator read quorum failed"));
+          return;
+        }
+        // Write a value above every value read.
+        const wire::GenWriteReq wreq{config_.client_id, st->gen_max + 1};
+        QuorumCall(
+            ToEach(config_.generator_reps,
+                   [wreq](uint64_t id) {
+                     return wire::EncodeGenWriteReq(wreq, id);
+                   }),
+            epoch::WriteQuorum(reps), wire::DecodeGenWriteResp, nullptr,
+            [this, st](Status written) {
+              if (!written.ok()) {
+                FinishInit(*st, Status::Unavailable(
+                                    "generator write quorum failed"));
+                return;
               }
-            }
-          }
-          ok ? ++st->interval_ok : ++st->interval_fail;
-          if (st->interval_ok >= needed) {
-            st->intervals_done = true;
-            StartEpochAcquisition(st);
-          } else if (st->interval_fail > m - needed) {
-            st->intervals_done = true;
-            FinishInit(st, Status::Unavailable(
-                               "fewer than M-N+1 interval lists gathered"));
-          }
-        });
-  }
-}
-
-void LogClient::StartEpochAcquisition(std::shared_ptr<InitState> st) {
-  const int reps = static_cast<int>(config_.generator_reps.size());
-  const int read_quorum = (reps + 2) / 2;   // ceil((R+1)/2)
-  const int write_quorum = (reps + 1) / 2;  // ceil(R/2)
-
-  for (net::NodeId node : config_.generator_reps) {
-    ServerLink* link = LinkOf(node);
-    wire::GenReadReq req{config_.client_id};
-    link->rpc->Call(
-        [req](uint64_t id) { return wire::EncodeGenReadReq(req, id); },
-        RpcOpts(),
-        [this, st, reps, read_quorum, write_quorum](
-            Result<wire::Envelope> env) {
-          if (st->generation != generation_ || st->finished ||
-              st->gen_read_done) {
-            return;
-          }
-          bool ok = false;
-          if (env.ok()) {
-            Result<wire::GenReadResp> resp = wire::DecodeGenReadResp(env->body);
-            if (resp.ok() && resp->status == wire::RpcStatus::kOk) {
-              ok = true;
-              st->gen_max = std::max(st->gen_max, resp->value);
-            }
-          }
-          ok ? ++st->gen_read_ok : ++st->gen_read_fail;
-          if (st->gen_read_ok >= read_quorum) {
-            st->gen_read_done = true;
-            st->gen_value = st->gen_max + 1;
-            // Write phase.
-            for (net::NodeId wnode : config_.generator_reps) {
-              ServerLink* wlink = LinkOf(wnode);
-              wire::GenWriteReq wreq{config_.client_id, st->gen_value};
-              wlink->rpc->Call(
-                  [wreq](uint64_t id) {
-                    return wire::EncodeGenWriteReq(wreq, id);
-                  },
-                  RpcOpts(),
-                  [this, st, reps, write_quorum](Result<wire::Envelope> wenv) {
-                    if (st->generation != generation_ || st->finished ||
-                        st->gen_write_done) {
-                      return;
-                    }
-                    bool wok = false;
-                    if (wenv.ok()) {
-                      auto wresp = wire::DecodeGenWriteResp(wenv->body);
-                      wok = wresp.ok() &&
-                            wresp->status == wire::RpcStatus::kOk;
-                    }
-                    wok ? ++st->gen_write_ok : ++st->gen_write_fail;
-                    if (st->gen_write_ok >= write_quorum) {
-                      st->gen_write_done = true;
-                      StartRecoveryCopy(st);
-                    } else if (st->gen_write_fail > reps - write_quorum) {
-                      st->gen_write_done = true;
-                      FinishInit(st, Status::Unavailable(
-                                         "generator write quorum failed"));
-                    }
-                  });
-            }
-          } else if (st->gen_read_fail > reps - read_quorum) {
-            st->gen_read_done = true;
-            FinishInit(st, Status::Unavailable(
-                               "generator read quorum failed"));
-          }
-        });
-  }
+              StartRecoveryCopy(st);
+            });
+      });
 }
 
 void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
   view_ = MergedLogView::Build(st->intervals);
-  epoch_ = st->gen_value;
+  epoch_ = st->gen_max + 1;
   if (view_.MaxEpoch().has_value() && epoch_ <= *view_.MaxEpoch()) {
-    FinishInit(st, Status::Internal("generator epoch not above log epochs"));
+    FinishInit(*st, Status::Internal("generator epoch not above log epochs"));
     return;
   }
 
@@ -1483,218 +1377,72 @@ void LogClient::StartRecoveryCopy(std::shared_ptr<InitState> st) {
   if (!high.has_value()) {
     next_lsn_ = 1;
     ChooseWriteSet();
-    FinishInit(st, Status::OK());
+    FinishInit(*st, Status::OK());
     return;
   }
-  st->high = *high;
-
   // The most recent δ records may each be partially written; read them
   // all back (Section 4.2's generalization of the single-record copy).
-  const Lsn delta = std::min<Lsn>(config_.delta, st->high);
-  for (Lsn lsn = st->high - delta + 1; lsn <= st->high; ++lsn) {
-    st->tail_lsns.push_back(lsn);
+  st->high = *high;
+  st->tail = st->high - std::min<Lsn>(config_.delta, st->high) + 1;
+  ReadTail(std::move(st));
+}
+
+void LogClient::ReadTail(std::shared_ptr<InitState> st) {
+  // A hole inside the last δ records means the record was partially
+  // written and its holder did not answer IntervalList; it will be
+  // superseded by a not-present record. Synthesize nothing.
+  while (st->tail <= st->high && view_.Find(st->tail) == nullptr) {
+    ++st->tail;
   }
+  if (st->tail > st->high) {
+    CopyTail(std::move(st));
+    return;
+  }
+  const Lsn lsn = st->tail++;
+  ReadFrom(view_.Find(lsn)->servers, lsn,
+           [this, st](Result<std::vector<LogRecord>> read) {
+             if (st->generation != generation_) return;
+             if (!read.ok()) {
+               FinishInit(*st, Status::Unavailable(
+                                   "no holder of a tail record answers"));
+               return;
+             }
+             st->tail_records.push_back(std::move(read->front()));
+             ReadTail(st);
+           });
+}
 
-  // Sequential async read of each tail record. The steps capture
-  // themselves weakly (see RepairLog): pending RPC callbacks own them.
-  auto read_next = std::make_shared<std::function<void()>>();
-  *read_next = [this, st, self = std::weak_ptr(read_next)]() {
-    const auto read_next = self.lock();
-    if (st->generation != generation_ || st->finished) return;
-    if (st->tail_cursor >= st->tail_lsns.size()) {
-      // All tail records read: choose targets and copy.
-      ChooseWriteSet();
-      for (net::NodeId node : write_set_) st->targets.push_back(node);
-      if (st->targets.size() < static_cast<size_t>(config_.copies)) {
-        FinishInit(st, Status::Unavailable("not enough copy targets"));
-        return;
-      }
-
-      // Build the copy batch: δ tail records re-stamped with the new
-      // epoch, then δ not-present records above the old end of log.
-      std::vector<LogRecord> copies;
-      for (const auto& [lsn, rec] : st->tail_records) {
-        LogRecord copy = rec;
-        copy.epoch = epoch_;
-        copies.push_back(std::move(copy));
-      }
-      const Lsn delta2 = std::min<Lsn>(config_.delta, st->high);
-      for (Lsn lsn = st->high + 1; lsn <= st->high + delta2; ++lsn) {
-        LogRecord np;
-        np.lsn = lsn;
-        np.epoch = epoch_;
-        np.present = false;
-        copies.push_back(std::move(np));
-      }
-      next_lsn_ = st->high + delta2 + 1;
-
-      // Chunk the copies so each CopyLog call fits in a network packet.
-      std::vector<std::vector<LogRecord>> chunks;
-      {
-        std::vector<LogRecord> chunk;
-        size_t bytes = wire::RecordBatchOverhead();
-        for (const LogRecord& r : copies) {
-          const size_t cost = wire::EncodedRecordSize(r);
-          if (!chunk.empty() && bytes + cost > config_.mtu_payload) {
-            chunks.push_back(std::move(chunk));
-            chunk.clear();
-            bytes = wire::RecordBatchOverhead();
-          }
-          chunk.push_back(r);
-          bytes += cost;
-        }
-        if (!chunk.empty()) chunks.push_back(std::move(chunk));
-      }
-      const size_t copy_calls_needed =
-          chunks.size() * st->targets.size();
-
-      for (net::NodeId node : st->targets) {
-        ServerLink* link = LinkOf(node);
-        for (const std::vector<LogRecord>& chunk : chunks) {
-          wire::CopyLogReq creq;
-          creq.client = config_.client_id;
-          creq.epoch = epoch_;
-          creq.records = chunk;
-          link->rpc->Call(
-              [creq](uint64_t id) {
-                return wire::EncodeCopyLogReq(creq, id);
-              },
-              RpcOpts(),
-              [this, st, node, copies,
-               copy_calls_needed](Result<wire::Envelope> env) {
-                if (st->generation != generation_ || st->finished) return;
-                bool ok = false;
-                bool shed = false;
-                if (env.ok()) {
-                  auto resp = wire::DecodeCopyLogResp(env->body);
-                  ok = resp.ok() && resp->status == wire::RpcStatus::kOk;
-                  shed = resp.ok() &&
-                         resp->status == wire::RpcStatus::kOverloaded;
-                }
-                if (!ok) {
-                  // An explicit shed is not "server down": report
-                  // Overloaded so the caller retries with backoff rather
-                  // than treating the cluster as unavailable.
-                  FinishInit(st, shed ? Status::Overloaded(
-                                            "CopyLog shed by server")
-                                      : Status::Unavailable(
-                                            "CopyLog failed"));
+void LogClient::CopyTail(std::shared_ptr<InitState> st) {
+  ChooseWriteSet();
+  if (write_set_.size() < static_cast<size_t>(config_.copies)) {
+    FinishInit(*st, Status::Unavailable("not enough copy targets"));
+    return;
+  }
+  // The copy batch: the δ tail records, then δ not-present records above
+  // the old end of log.
+  std::vector<LogRecord> records = std::move(st->tail_records);
+  const Lsn delta = std::min<Lsn>(config_.delta, st->high);
+  for (Lsn lsn = st->high + 1; lsn <= st->high + delta; ++lsn) {
+    records.push_back(LogRecord{lsn, epoch_, /*present=*/false, {}});
+  }
+  next_lsn_ = st->high + delta + 1;
+  const std::vector<net::NodeId> targets = write_set_;
+  CopySegment(std::move(records), targets,
+              [this, st, targets](Status copied) {
+                if (!copied.ok()) {
+                  FinishInit(*st, copied);
                   return;
                 }
-                if (++st->copy_acks < copy_calls_needed) {
-                  return;
+                // Recovery complete: the targets' streams continue past
+                // the copies.
+                for (net::NodeId node : targets) {
+                  ServerLink* link = LinkOf(node);
+                  link->sent_high = next_lsn_ - 1;
+                  link->acked_high =
+                      std::max(link->acked_high, next_lsn_ - 1);
                 }
-              // All copies staged: install everywhere.
-              for (net::NodeId inode : st->targets) {
-                ServerLink* ilink = LinkOf(inode);
-                wire::InstallCopiesReq ireq{config_.client_id, epoch_};
-                ilink->rpc->Call(
-                    [ireq](uint64_t id) {
-                      return wire::EncodeInstallCopiesReq(ireq, id);
-                    },
-                    RpcOpts(),
-                    [this, st, inode, copies](Result<wire::Envelope> ienv) {
-                      if (st->generation != generation_ || st->finished) {
-                        return;
-                      }
-                      bool iok = false;
-                      bool ished = false;
-                      if (ienv.ok()) {
-                        auto iresp = wire::DecodeInstallCopiesResp(ienv->body);
-                        iok = iresp.ok() &&
-                              iresp->status == wire::RpcStatus::kOk;
-                        ished = iresp.ok() &&
-                                iresp->status == wire::RpcStatus::kOverloaded;
-                      }
-                      if (!iok) {
-                        FinishInit(st, ished ? Status::Overloaded(
-                                                   "InstallCopies shed "
-                                                   "by server")
-                                             : Status::Unavailable(
-                                                   "InstallCopies failed"));
-                        return;
-                      }
-                      if (++st->install_acks <
-                          static_cast<size_t>(config_.copies)) {
-                        return;
-                      }
-                      // Recovery complete: update the cached view and the
-                      // per-link stream positions.
-                      for (const LogRecord& r : copies) {
-                        std::vector<ServerId> holders(st->targets.begin(),
-                                                      st->targets.end());
-                        view_.NoteWrite(r.lsn, r.epoch, holders);
-                      }
-                      for (net::NodeId tnode : st->targets) {
-                        ServerLink* tlink = LinkOf(tnode);
-                        tlink->sent_high = next_lsn_ - 1;
-                        tlink->acked_high =
-                            std::max(tlink->acked_high, next_lsn_ - 1);
-                      }
-                      FinishInit(st, Status::OK());
-                    });
-              }
-            });
-        }
-      }
-      return;
-    }
-
-    // Read one tail record from any holder.
-    const Lsn lsn = st->tail_lsns[st->tail_cursor];
-    const MergedLogView::Segment* seg = view_.Find(lsn);
-    if (seg == nullptr) {
-      // A hole inside the last δ records means the record was partially
-      // written and its holder did not answer IntervalList; it will be
-      // superseded by a not-present record. Synthesize nothing.
-      ++st->tail_cursor;
-      (*read_next)();
-      return;
-    }
-    auto holders = std::make_shared<std::vector<ServerId>>(seg->servers);
-    auto attempt = std::make_shared<std::function<void(size_t)>>();
-    *attempt = [this, st, read_next, self = std::weak_ptr(attempt), holders,
-                lsn](size_t index) {
-      const auto attempt = self.lock();
-      if (st->generation != generation_ || st->finished) return;
-      if (index >= holders->size()) {
-        FinishInit(st,
-                   Status::Unavailable("no holder of a tail record answers"));
-        return;
-      }
-      ServerLink* link = LinkOf((*holders)[index]);
-      if (link == nullptr) {
-        (*attempt)(index + 1);
-        return;
-      }
-      EnsureConnected(link);
-      wire::ReadLogReq req{config_.client_id, lsn};
-      link->rpc->Call(
-          [req](uint64_t id) {
-            return wire::EncodeReadLogReq(
-                wire::MessageType::kReadLogForwardReq, req, id);
-          },
-          RpcOpts(),
-          [this, st, read_next, attempt, index,
-           lsn](Result<wire::Envelope> env) {
-            if (st->generation != generation_ || st->finished) return;
-            if (env.ok()) {
-              auto resp = wire::DecodeReadLogResp(env->body);
-              if (resp.ok() && resp->status == wire::RpcStatus::kOk &&
-                  !resp->records.empty() &&
-                  resp->records.front().lsn == lsn) {
-                st->tail_records[lsn] = resp->records.front();
-                ++st->tail_cursor;
-                (*read_next)();
-                return;
-              }
-            }
-            (*attempt)(index + 1);
-          });
-    };
-    (*attempt)(0);
-  };
-  (*read_next)();
+                FinishInit(*st, Status::OK());
+              });
 }
 
 void LogClient::Crash() {

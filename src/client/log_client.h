@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.h"
@@ -369,18 +370,58 @@ class LogClient {
   /// that carry no fresh records).
   obs::SpanContext ForceContext() const;
 
-  // --- reads ---
-  struct ReadState;
-  /// Asks the read's holders in turn, from `index` on, for the record.
-  void ReadFromHolder(std::shared_ptr<ReadState> st, size_t index);
+  // --- recovery-time calls (Figure 4-1 RPCs) ---
+  /// One call: its server and its request encoder (given the rpc id).
+  struct Rpc {
+    net::NodeId node = 0;
+    std::function<Bytes(uint64_t)> encode;
+  };
+  template <typename Resp>
+  using Decoder = Result<Resp> (*)(const SharedBytes&);
+  template <typename Resp>
+  using ReplyHook = std::function<Status(net::NodeId, const Result<Resp>&)>;
+  /// The same request to each of `nodes`, in order.
+  static std::vector<Rpc> ToEach(const std::vector<net::NodeId>& nodes,
+                                 const std::function<Bytes(uint64_t)>& encode);
+  /// Issues `rpc` and hands `done` the decoded reply. A timeout, a garbled
+  /// reply or a non-OK status arrives as an error (Overloaded for a shed).
+  template <typename Resp>
+  void Call(Rpc rpc, Decoder<Resp> decode,
+            std::type_identity_t<std::function<void(Result<Resp>)>> done);
+  /// Issues `calls` (1 <= need <= calls.size()) and fires `done` once: OK
+  /// on the `need`-th success, or an error as soon as `need` is out of
+  /// reach (Overloaded if a counted failure was a shed). `on_reply`, if
+  /// set, sees each reply first and returns the status to count for it.
+  /// Replies after `done` fired, or after a crash, are dropped.
+  template <typename Resp>
+  void QuorumCall(std::vector<Rpc> calls, size_t need, Decoder<Resp> decode,
+                  std::type_identity_t<ReplyHook<Resp>> on_reply,
+                  std::function<void(Status)> done);
+  /// Asks `holders` in order for the record at `lsn` and hands `done` the
+  /// first reply that starts with it (plus the records packed after it);
+  /// Unavailable if no holder answers, Aborted if the client crashes.
+  void ReadFrom(std::vector<ServerId> holders, Lsn lsn,
+                std::function<void(Result<std::vector<LogRecord>>)> done);
+  /// Re-stamps `records` with the current epoch, stages them on every
+  /// target in packet-sized CopyLog chunks, installs them there and notes
+  /// the targets as their holders. `done` gets OK or the failed round's
+  /// error, and never fires once the client has crashed.
+  void CopySegment(std::vector<LogRecord> records,
+                   std::vector<net::NodeId> targets,
+                   std::function<void(Status)> done);
 
-  // --- init machinery ---
+  // --- initialization and repair steps ---
   struct InitState;
-  struct RepairState;
-  void StartIntervalGather(std::shared_ptr<InitState> st);
-  void StartEpochAcquisition(std::shared_ptr<InitState> st);
+  void AcquireEpoch(std::shared_ptr<InitState> st);
   void StartRecoveryCopy(std::shared_ptr<InitState> st);
-  void FinishInit(std::shared_ptr<InitState> st, Status status);
+  void ReadTail(std::shared_ptr<InitState> st);
+  void CopyTail(std::shared_ptr<InitState> st);
+  void FinishInit(const InitState& st, Status status);
+  struct RepairState;
+  void RepairNext(std::shared_ptr<RepairState> st);
+  void RepairRead(std::shared_ptr<RepairState> st);
+  /// Pops the front segment (a failure makes the repair partial).
+  void EndSegment(std::shared_ptr<RepairState> st, const Status& status);
 
   wire::RpcClient::CallOptions RpcOpts() const;
 

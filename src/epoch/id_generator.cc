@@ -24,21 +24,23 @@ Result<uint64_t> ReplicatedIdGenerator::ReadMax(size_t quorum) const {
 }
 
 Result<uint64_t> ReplicatedIdGenerator::NewId() {
-  DLOG_ASSIGN_OR_RETURN(uint64_t max_read, ReadMax(ReadQuorum()));
+  DLOG_ASSIGN_OR_RETURN(uint64_t max_read,
+                        ReadMax(ReadQuorum(reps_.size())));
   const uint64_t value = max_read + 1;
   // "Any overlapping assignment of reads and writes can be used": we
   // simply try representatives in order until a write quorum acks.
   size_t written = 0;
   for (GeneratorStateRep* rep : reps_) {
     if (rep->Write(value).ok()) {
-      if (++written >= WriteQuorum()) return value;
+      if (++written >= WriteQuorum(reps_.size())) return value;
     }
   }
   return Status::Unavailable("cannot assemble write quorum");
 }
 
 Status ReplicatedIdGenerator::NewIdCrashAfterWrites(int writes_before_crash) {
-  DLOG_ASSIGN_OR_RETURN(uint64_t max_read, ReadMax(ReadQuorum()));
+  DLOG_ASSIGN_OR_RETURN(uint64_t max_read,
+                        ReadMax(ReadQuorum(reps_.size())));
   const uint64_t value = max_read + 1;
   int written = 0;
   for (GeneratorStateRep* rep : reps_) {

@@ -1,6 +1,7 @@
 #ifndef DLOG_EPOCH_ID_GENERATOR_H_
 #define DLOG_EPOCH_ID_GENERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -9,6 +10,12 @@
 #include "storage/nvram.h"
 
 namespace dlog::epoch {
+
+/// ceil((R+1)/2): representatives out of R that a NewID read quorum needs.
+inline size_t ReadQuorum(size_t reps) { return (reps + 2) / 2; }
+/// ceil(R/2): representatives out of R that a NewID write quorum needs.
+/// Every read quorum intersects every write quorum.
+inline size_t WriteQuorum(size_t reps) { return (reps + 1) / 2; }
 
 /// A generator state representative (Appendix I): a node holding one
 /// integer in non-volatile storage with Read and Write operations that
@@ -69,10 +76,6 @@ class ReplicatedIdGenerator {
   Status NewIdCrashAfterWrites(int writes_before_crash);
 
   size_t num_reps() const { return reps_.size(); }
-  /// ceil((N+1)/2): representatives a read quorum needs.
-  size_t ReadQuorum() const { return (reps_.size() + 2) / 2; }
-  /// ceil(N/2): representatives a write quorum needs.
-  size_t WriteQuorum() const { return (reps_.size() + 1) / 2; }
 
  private:
   /// Reads from up to all representatives, stopping once `quorum`

@@ -13,12 +13,13 @@ namespace dlog::harness {
 /// Fans independent simulation trials across a thread pool.
 ///
 /// Each trial is a self-contained deterministic simulation (its own
-/// Simulator, Cluster, RNG seeds); the only shared state between trials
-/// is process-wide atomics (the bytes-copied counter) and the results
-/// vector, written at disjoint indices. Results come back in trial-index
-/// order regardless of completion order or thread count, so any report
-/// aggregated from them is byte-identical to a serial run — parallelism
-/// changes wall-clock time and nothing else.
+/// Simulator, Cluster, RNG seeds, and sim::Counter instances, which are
+/// plain integers); the only state trials share is the process-wide
+/// atomic bytes-copied counter and the results vector, written at
+/// disjoint indices. Results come back in trial-index order regardless
+/// of completion order or thread count, so any report aggregated from
+/// them is byte-identical to a serial run — parallelism changes
+/// wall-clock time and nothing else.
 ///
 /// The per-thread event-callback slab pool (sim/callback.cc) is
 /// thread_local; a trial runs start-to-finish on the worker that claimed

@@ -2,7 +2,6 @@
 #define DLOG_SIM_STATS_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -126,18 +125,16 @@ class StreamingHistogram {
 };
 
 /// A monotonically increasing event counter with a named meaning
-/// (messages sent, records written, ...). Increments are relaxed
-/// atomics. Reads are meaningful while the engine is quiescent.
+/// (messages sent, records written, ...). A plain integer: every counter
+/// belongs to one simulation, which runs on one thread.
 class Counter {
  public:
-  void Increment(uint64_t by = 1) {
-    value_.fetch_add(by, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Increment(uint64_t by = 1) { value_ += by; }
+  uint64_t value() const { return value_; }
+  void Reset() { value_ = 0; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// An instantaneous level that moves both ways (queue depth, buffered

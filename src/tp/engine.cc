@@ -253,14 +253,15 @@ void TransactionEngine::Crash() {
   active_.clear();
 }
 
+// Sequential asynchronous scan of the whole log.
+struct TransactionEngine::ScanState {
+  std::vector<std::pair<Lsn, WalRecord>> records;
+  Lsn cursor = 1;
+  Lsn end = kNoLsn;
+  std::function<void(Status)> done;
+};
+
 void TransactionEngine::Recover(std::function<void(Status)> done) {
-  // Sequential asynchronous scan of the whole log.
-  struct ScanState {
-    std::vector<std::pair<Lsn, WalRecord>> records;
-    Lsn cursor = 1;
-    Lsn end = kNoLsn;
-    std::function<void(Status)> done;
-  };
   auto st = std::make_shared<ScanState>();
   st->end = logger_->End();
   st->done = std::move(done);
@@ -270,89 +271,88 @@ void TransactionEngine::Recover(std::function<void(Status)> done) {
     sim_->After(0, [st]() { st->done(Status::OK()); });
     return;
   }
+  ScanNext(std::move(st));
+}
 
-  // The step captures itself weakly and takes a strong reference while
-  // it runs: the pending Read callback owns the chain, so it is freed
-  // when the scan ends.
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, self = std::weak_ptr(step)]() {
-    const auto step = self.lock();
-    if (st->cursor > st->end) {
-      // --- Analysis ---
-      std::map<TxnId, bool> finished;  // txn -> has outcome record
-      for (const auto& [lsn, rec] : st->records) {
-        switch (rec.type) {
-          case WalType::kBegin:
-            finished[rec.txn] = false;
-            break;
-          case WalType::kCommit:
-          case WalType::kAbort:
-            finished[rec.txn] = true;
-            break;
-          default:
-            break;
-        }
+void TransactionEngine::ScanNext(std::shared_ptr<ScanState> st) {
+  if (st->cursor > st->end) {
+    Replay(*st);
+    st->done(Status::OK());
+    return;
+  }
+  logger_->Read(st->cursor, [this, st](Result<Bytes> r) {
+    if (r.ok()) {
+      Result<WalRecord> rec = DecodeWalRecord(*r);
+      if (rec.ok()) {
+        st->records.emplace_back(st->cursor, *std::move(rec));
       }
-      // --- Redo (committed and aborted transactions, in LSN order) ---
-      for (const auto& [lsn, rec] : st->records) {
-        if (rec.type != WalType::kUpdate) continue;
-        auto f = finished.find(rec.txn);
-        if (f == finished.end() || !f->second) continue;
-        Page& page = pool_->Get(rec.page);
-        if (page.lsn < lsn) {
-          pool_->ApplyUpdate(rec.page, rec.offset, rec.redo, lsn);
-        }
+    } else if (!r.status().IsNotFound()) {
+      // OutOfRange / unreadable tail: treat as end of usable log.
+      // NotFound (not-present records from log recovery) is skipped.
+      if (!r.status().IsOutOfRange()) {
+        st->done(r.status());
+        return;
       }
-      // --- Undo (unfinished transactions, reverse LSN order) ---
-      // Undo components come from the update record itself or, under
-      // splitting, from kUndo records keyed by update LSN.
-      std::map<Lsn, Bytes> logged_undo;
-      for (const auto& [lsn, rec] : st->records) {
-        if (rec.type == WalType::kUndo) {
-          logged_undo[rec.update_lsn] = rec.undo;
-        }
-      }
-      for (auto it = st->records.rbegin(); it != st->records.rend(); ++it) {
-        const auto& [lsn, rec] = *it;
-        if (rec.type != WalType::kUpdate) continue;
-        auto f = finished.find(rec.txn);
-        if (f == finished.end() || f->second) continue;
-        Page& page = pool_->Get(rec.page);
-        if (page.lsn < lsn) continue;  // update never reached this image
-        Bytes undo = rec.undo;
-        if (undo.empty()) {
-          auto lu = logged_undo.find(lsn);
-          if (lu == logged_undo.end()) {
-            // Split record whose undo was never logged: then its page was
-            // never cleaned, so the disk image cannot contain the update.
-            continue;
-          }
-          undo = lu->second;
-        }
-        pool_->ApplyUpdate(rec.page, rec.offset, undo, lsn);
-      }
-      st->done(Status::OK());
-      return;
     }
-    logger_->Read(st->cursor, [this, st, step](Result<Bytes> r) {
-      if (r.ok()) {
-        Result<WalRecord> rec = DecodeWalRecord(*r);
-        if (rec.ok()) {
-          st->records.emplace_back(st->cursor, *std::move(rec));
-        }
-      } else if (!r.status().IsNotFound()) {
-        // OutOfRange / unreadable tail: treat as end of usable log.
-        // NotFound (not-present records from log recovery) is skipped.
-        if (!r.status().IsOutOfRange()) {
-          st->done(r.status());
-          return;
-        }
+    ++st->cursor;
+    ScanNext(st);
+  });
+}
+
+void TransactionEngine::Replay(const ScanState& st) {
+  // --- Analysis ---
+  std::map<TxnId, bool> finished;  // txn -> has outcome record
+  for (const auto& [lsn, rec] : st.records) {
+    switch (rec.type) {
+      case WalType::kBegin:
+        finished[rec.txn] = false;
+        break;
+      case WalType::kCommit:
+      case WalType::kAbort:
+        finished[rec.txn] = true;
+        break;
+      default:
+        break;
+    }
+  }
+  // --- Redo (committed and aborted transactions, in LSN order) ---
+  for (const auto& [lsn, rec] : st.records) {
+    if (rec.type != WalType::kUpdate) continue;
+    auto f = finished.find(rec.txn);
+    if (f == finished.end() || !f->second) continue;
+    Page& page = pool_->Get(rec.page);
+    if (page.lsn < lsn) {
+      pool_->ApplyUpdate(rec.page, rec.offset, rec.redo, lsn);
+    }
+  }
+  // --- Undo (unfinished transactions, reverse LSN order) ---
+  // Undo components come from the update record itself or, under
+  // splitting, from kUndo records keyed by update LSN.
+  std::map<Lsn, Bytes> logged_undo;
+  for (const auto& [lsn, rec] : st.records) {
+    if (rec.type == WalType::kUndo) {
+      logged_undo[rec.update_lsn] = rec.undo;
+    }
+  }
+  for (auto it = st.records.rbegin(); it != st.records.rend(); ++it) {
+    const auto& [lsn, rec] = *it;
+    if (rec.type != WalType::kUpdate) continue;
+    auto f = finished.find(rec.txn);
+    if (f == finished.end() || f->second) continue;
+    Page& page = pool_->Get(rec.page);
+    if (page.lsn < lsn) continue;  // update never reached this image
+    Bytes undo = rec.undo;
+    if (undo.empty()) {
+      auto lu = logged_undo.find(lsn);
+      if (lu == logged_undo.end()) {
+        // Split record whose undo was never logged: then its page was
+        // never cleaned, so the disk image cannot contain the update.
+        continue;
       }
-      ++st->cursor;
-      (*step)();
-    });
-  };
-  (*step)();
+      undo = lu->second;
+    }
+    pool_->ApplyUpdate(rec.page, rec.offset, undo, lsn);
+  }
 }
 
 }  // namespace dlog::tp

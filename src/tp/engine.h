@@ -125,6 +125,13 @@ class TransactionEngine {
   /// (required before cleaning under splitting).
   Status FlushUndoFor(PageId page);
 
+  /// Restart recovery's log scan: reads the record at the cursor, then
+  /// the next, and replays them all once the cursor passes the end.
+  struct ScanState;
+  void ScanNext(std::shared_ptr<ScanState> st);
+  /// Analysis, redo and undo over the scanned records.
+  void Replay(const ScanState& st);
+
   sim::Scheduler* sim_;
   TxnLogger* logger_;
   PageDisk* disk_;

@@ -23,15 +23,12 @@ struct Fixture {
 
 TEST(IdGeneratorTest, QuorumSizes) {
   // ceil((N+1)/2) reads, ceil(N/2) writes.
-  Fixture f3(3);
-  EXPECT_EQ(f3.gen->ReadQuorum(), 2u);
-  EXPECT_EQ(f3.gen->WriteQuorum(), 2u);
-  Fixture f4(4);
-  EXPECT_EQ(f4.gen->ReadQuorum(), 3u);   // ceil(5/2)
-  EXPECT_EQ(f4.gen->WriteQuorum(), 2u);  // ceil(4/2)
-  Fixture f5(5);
-  EXPECT_EQ(f5.gen->ReadQuorum(), 3u);
-  EXPECT_EQ(f5.gen->WriteQuorum(), 3u);
+  EXPECT_EQ(ReadQuorum(3), 2u);
+  EXPECT_EQ(WriteQuorum(3), 2u);
+  EXPECT_EQ(ReadQuorum(4), 3u);   // ceil(5/2)
+  EXPECT_EQ(WriteQuorum(4), 2u);  // ceil(4/2)
+  EXPECT_EQ(ReadQuorum(5), 3u);
+  EXPECT_EQ(WriteQuorum(5), 3u);
 }
 
 TEST(IdGeneratorTest, IdsStrictlyIncrease) {

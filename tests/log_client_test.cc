@@ -339,5 +339,45 @@ TEST(LogClientTest, DestroyingTheClusterMidReadNeverRunsTheCallback) {
   EXPECT_FALSE(called);
 }
 
+// A crash fails a read in flight with Aborted, while an Init or a
+// RepairLog it cuts off never calls back.
+TEST(LogClientTest, CrashAbortsAReadButSilencesInitAndRepair) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  const Lsn lsn = *c->WriteLog(ToBytes("r"));
+  bool forced = false;
+  c->ForceLog(lsn, [&](Status) { forced = true; });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return forced; }));
+
+  // Both wait on servers: the read for its record, the repair for its
+  // survey.
+  Result<Bytes> read = Status::Internal("never");
+  bool read_done = false;
+  c->ReadLog(lsn, [&](Result<Bytes> r) {
+    read = std::move(r);
+    read_done = true;
+  });
+  bool repaired = false;
+  c->RepairLog([&](Status) { repaired = true; });
+  cluster.RunFor(100 * sim::kMicrosecond);
+  ASSERT_FALSE(read_done);
+  ASSERT_FALSE(repaired);
+  cluster.CrashClient(c);
+  cluster.RunFor(5 * sim::kSecond);
+  EXPECT_TRUE(read_done);
+  EXPECT_TRUE(read.status().IsAborted()) << read.status().ToString();
+  EXPECT_FALSE(repaired);
+
+  cluster.RestartClient(c);
+  bool initialized = false;
+  c->Init([&](Status) { initialized = true; });
+  cluster.RunFor(100 * sim::kMicrosecond);
+  ASSERT_FALSE(initialized);
+  cluster.CrashClient(c);
+  cluster.RunFor(5 * sim::kSecond);
+  EXPECT_FALSE(initialized);
+}
+
 }  // namespace
 }  // namespace dlog

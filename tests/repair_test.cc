@@ -17,9 +17,10 @@ using harness::Cluster;
 using harness::ClusterConfig;
 
 struct Fixture {
-  explicit Fixture(int servers = 4) : cluster(MakeConfig(servers)) {
+  explicit Fixture(int servers = 4, ClientId client_id = 1)
+      : cluster(MakeConfig(servers)) {
     LogClientConfig cfg;
-    cfg.client_id = 1;
+    cfg.client_id = client_id;
     log = cluster.AddClient(cfg);
     bool ready = false;
     log->Init([&](Status st) { ready = st.ok(); });
@@ -33,10 +34,14 @@ struct Fixture {
     return cfg;
   }
 
-  void WriteForced(int n) {
+  /// Writes `n` records, each padded to at least `bytes`, and forces
+  /// them.
+  void WriteForced(int n, size_t bytes = 0) {
     Lsn last = kNoLsn;
     for (int i = 0; i < n; ++i) {
-      auto lsn = log->WriteLog(ToBytes("rec" + std::to_string(i)));
+      std::string data = "rec" + std::to_string(i);
+      if (data.size() < bytes) data.resize(bytes, '.');
+      auto lsn = log->WriteLog(ToBytes(data));
       ASSERT_TRUE(lsn.ok());
       last = *lsn;
     }
@@ -59,16 +64,18 @@ struct Fixture {
     return result;
   }
 
+  /// True if server `s` stores this client's record `lsn`.
+  bool Holds(int s, Lsn lsn) {
+    for (const LogRecord& r : cluster.server(s).RecordsOf(log->client_id())) {
+      if (r.lsn == lsn) return true;
+    }
+    return false;
+  }
+
   int HoldersOf(Lsn lsn) {
     int holders = 0;
     for (int s = 1; s <= cluster.num_servers(); ++s) {
-      if (!cluster.server(s).IsUp()) continue;
-      for (const LogRecord& r : cluster.server(s).RecordsOf(1)) {
-        if (r.lsn == lsn) {
-          ++holders;
-          break;
-        }
-      }
+      if (cluster.server(s).IsUp() && Holds(s, lsn)) ++holders;
     }
     return holders;
   }
@@ -76,9 +83,7 @@ struct Fixture {
   /// The server holding LSN 1 (a write-set member).
   int VictimFor(Lsn lsn) {
     for (int s = 1; s <= cluster.num_servers(); ++s) {
-      for (const LogRecord& r : cluster.server(s).RecordsOf(1)) {
-        if (r.lsn == lsn) return s;
-      }
+      if (Holds(s, lsn)) return s;
     }
     return 0;
   }
@@ -183,6 +188,37 @@ TEST(RepairTest, ReportsPartialWhenNoSpareServers) {
   // back onto it.
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_GE(f.HoldersOf(1), 2);
+}
+
+// A segment whose copy fails ends once, however many of its calls fail,
+// so the segment queued behind it is still repaired.
+TEST(RepairTest, AFailedSegmentDoesNotSkipTheNext) {
+  Fixture f(4, /*client_id=*/12);
+  // 300-byte records: LSN 1-30 take several CopyLog chunks.
+  f.WriteForced(30, 300);
+  // Sticky failover spreads clients by id: client 12 starts on {1, 2}.
+  for (int s = 1; s <= 4; ++s) {
+    ASSERT_EQ(f.Holds(s, 1), s <= 2) << "server " << s;
+  }
+  f.cluster.server(1).Crash();
+  f.WriteForced(30, 300);
+  // The client abandoned server 1 for server 3.
+  for (Lsn lsn = 31; lsn <= 60; ++lsn) {
+    ASSERT_TRUE(f.Holds(2, lsn) && f.Holds(3, lsn)) << "lsn " << lsn;
+  }
+  f.cluster.server(1).Restart();
+  f.cluster.sim().RunFor(sim::kSecond);
+  f.cluster.server(2).Crash();
+
+  // The survey sees LSN 1-30 on server 1 only and LSN 31-60 on server 3
+  // only. Server 2 is the first non-holder of LSN 1-30 in config order;
+  // it is down, so every CopyLog chunk of that segment times out.
+  EXPECT_TRUE(f.Repair().IsUnavailable());
+  // LSN 31-60 are still copied, to server 1.
+  for (Lsn lsn = 31; lsn <= 60; ++lsn) {
+    EXPECT_TRUE(f.Holds(1, lsn) && f.Holds(3, lsn)) << "lsn " << lsn;
+    EXPECT_EQ(f.HoldersOf(lsn), 2) << "lsn " << lsn;
+  }
 }
 
 }  // namespace
