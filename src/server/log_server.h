@@ -5,11 +5,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/log_types.h"
@@ -36,7 +35,7 @@ struct LogServerConfig {
   double cpu_mips = 4.0;
   size_t nic_ring_slots = 32;
   storage::DiskConfig disk;
-  /// Battery-backed CMOS buffer size (group buffer + interval checkpoint).
+  /// Battery-backed CMOS group buffer size.
   size_t nvram_bytes = 512 * 1024;
   /// Section 4.1: "two thousand instructions ... to process the log
   /// records in each message and to copy them to low latency non volatile
@@ -55,9 +54,6 @@ struct LogServerConfig {
   /// silently ignored above `admission.nvram_shed_fraction` (the legacy
   /// behavior).
   flow::AdmissionConfig admission;
-  /// Reorder buffer cap per client (records held past a gap while waiting
-  /// for a resend or NewInterval).
-  size_t max_pending_per_client = 128;
   /// Ablation (experiment E10): when true the server behaves as if it had
   /// no battery-backed buffer — ForceLog is acknowledged only after the
   /// records reach the disk, so every force pays rotational latency.
@@ -77,10 +73,12 @@ struct LogServerConfig {
 ///
 /// Durability model (what survives Crash()):
 ///   * the disk contents (torn in-flight writes are lost whole);
-///   * the NVRAM group buffer and interval checkpoint;
+///   * the NVRAM group buffer and truncation marks;
 ///   * the hosted generator state representatives (Appendix I).
-/// Volatile and rebuilt on Restart() from NVRAM + a disk scan:
-///   * per-client stores, reorder buffers, append-forest indexes,
+/// Volatile and rebuilt on Restart() from a scan of the whole disk and
+/// the NVRAM group buffer:
+///   * per-client stores and their append-forest indexes (records held
+///     past a gap are lost),
 ///   * all connection state (clients see resets and reconnect).
 class LogServer {
  public:
@@ -169,18 +167,6 @@ class LogServer {
   uint64_t bytes_logged() const { return bytes_logged_; }
 
  private:
-  struct ClientState {
-    /// The records, their interval list, and each record's disk track.
-    ClientLogStore store;
-    /// Records received past a gap, awaiting resend or NewInterval.
-    std::map<Lsn, LogRecord> pending;
-    /// A NewInterval announcement: the next sequence may start here even
-    /// though it does not extend the tail.
-    std::optional<std::pair<Epoch, Lsn>> allowed_start;
-    /// The Section 4.3 index over this client's disk-resident records.
-    forest::AppendForest forest;
-  };
-
   /// How to send a reply for the message being handled: over the
   /// originating connection, or as a datagram to the sender (multicast
   /// record streams).
@@ -204,8 +190,10 @@ class LogServer {
 
   /// Applies one in-order record: store + NVRAM group buffer.
   /// Returns false (and sheds) if NVRAM is too full.
-  bool ApplyRecord(ClientState* state, ClientId client,
+  bool ApplyRecord(ClientLogStore* store, ClientId client,
                    const LogRecord& record);
+  /// Applies the held records that now extend `store`'s stream.
+  void ApplyHeld(ClientLogStore* store, ClientId client);
   /// Encodes `record`'s stream entry into the NVRAM buffer's open track
   /// image; `payload` receives the view of its payload there.
   Status BufferRecord(ClientId client, const LogRecord& record,
@@ -216,18 +204,21 @@ class LogServer {
   /// Re-packs the NVRAM buffer greedily from the front and rebinds every
   /// buffered record's payload.
   void RepackNvram();
-  /// Drains contiguous pending records after a gap closes.
-  void DrainPending(ClientState* state, ClientId client);
   /// Writes full tracks from the NVRAM buffer to disk.
   void MaybeFlush();
   void ScheduleFlushTimer();
+  /// Indexes disk track `track`, whose first `count` entries are in
+  /// `image`: each entry's stored record now reads from the track, and
+  /// each client's append forest gains the LSN range the track adds.
+  void IndexTrack(uint64_t track, std::span<const uint8_t> image,
+                  uint32_t count);
   /// Replies on `conn` (no-op when down).
   void Reply(wire::Connection* conn, Bytes message);
   /// Serves `fn` after charging the disk read needed for `lsn` (free when
   /// the record still sits in NVRAM).
   void WithReadLatency(ClientId client, Lsn lsn, std::function<void()> fn);
 
-  ClientState& StateOf(ClientId client);
+  ClientLogStore& StoreOf(ClientId client);
   double NvramFraction() const;
   /// The flush backlog the buffered bytes imply, in track-sized disk
   /// writes — the admission controller's disk-queue-depth signal (SimDisk
@@ -271,7 +262,7 @@ class LogServer {
   sim::EventId flush_timer_ = 0;
   // Volatile. Hash map: looked up per record batch on the hot path and
   // never iterated (deterministic order is not needed here).
-  std::unordered_map<ClientId, ClientState> clients_;
+  std::unordered_map<ClientId, ClientLogStore> clients_;
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

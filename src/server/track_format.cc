@@ -35,7 +35,7 @@ uint64_t LoadLE(const uint8_t* p, int width) {
 /// The fixed fields of the entry at `pos`. The one indexed access bounds
 /// them all, so an entry that overruns the written bytes trips the
 /// standard library's assertions instead of reading stale capacity.
-const uint8_t* FixedFieldsAt(const Bytes& bytes, size_t pos) {
+const uint8_t* FixedFieldsAt(std::span<const uint8_t> bytes, size_t pos) {
   return &bytes[pos + kStreamEntryFixedBytes - 1] -
          (kStreamEntryFixedBytes - 1);
 }
@@ -86,7 +86,7 @@ size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos) {
          static_cast<size_t>(LoadLE(FixedFieldsAt(bytes, pos) + 21, 4));
 }
 
-StreamEntryRef StreamEntryAt(const Bytes& image, size_t pos) {
+StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos) {
   const uint8_t* fixed = FixedFieldsAt(image, pos);
   StreamEntryRef entry;
   entry.client = static_cast<ClientId>(LoadLE(fixed, 4));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,13 +76,14 @@ struct StreamEntryRef {
 size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos);
 
 /// Reads the entry at `pos` of a track image.
-StreamEntryRef StreamEntryAt(const Bytes& image, size_t pos);
+StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos);
 
 /// Calls `fn(const StreamEntryRef&)` for the first `count` entries of a
-/// track image this node built (no validation: its entries were written
-/// by AppendStreamEntry).
+/// track image this node built, or of a track DecodeTrack has verified
+/// (no validation here).
 template <typename Fn>
-void ForEachStreamEntry(const Bytes& image, uint32_t count, Fn&& fn) {
+void ForEachStreamEntry(std::span<const uint8_t> image, uint32_t count,
+                        Fn&& fn) {
   size_t pos = kTrackOverhead;
   for (uint32_t i = 0; i < count; ++i) {
     const StreamEntryRef entry = StreamEntryAt(image, pos);

@@ -4,32 +4,6 @@
 
 namespace dlog::storage {
 
-Status Nvram::Put(const std::string& region, Bytes data) {
-  size_t old_size = 0;
-  auto it = regions_.find(region);
-  if (it != regions_.end()) old_size = it->second.size();
-  const size_t new_used = used_ - old_size + data.size();
-  if (new_used > capacity_) {
-    return Status::ResourceExhausted("nvram full");
-  }
-  used_ = new_used;
-  regions_[region] = std::move(data);
-  return Status::OK();
-}
-
-Result<Bytes> Nvram::Get(const std::string& region) const {
-  auto it = regions_.find(region);
-  if (it == regions_.end()) return Status::NotFound("no such nvram region");
-  return it->second;
-}
-
-void Nvram::Erase(const std::string& region) {
-  auto it = regions_.find(region);
-  if (it == regions_.end()) return;
-  used_ -= it->second.size();
-  regions_.erase(it);
-}
-
 NvramQueue::Image& NvramQueue::ImageFor(size_t n) {
   if (back_open_ && images_.back().bytes->size() + n <= image_bytes_) {
     return images_.back();

@@ -5,61 +5,26 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/result.h"
 #include "common/status.h"
 
 namespace dlog::storage {
 
-/// Low-latency non-volatile memory (Section 5.1: battery-backed CMOS).
-/// Contents survive node crashes; access is at memory speed, so no
-/// simulated time is charged here — callers account CPU instructions for
-/// the copy (Section 4.1 budgets 2000 instructions per message to process
-/// records "and to copy them to low latency non volatile memory").
+/// The log server's group buffer in low-latency non-volatile memory
+/// (Section 5.1: battery-backed CMOS): a FIFO of track images. Records
+/// accumulate here (making them stable, so forces can be acknowledged
+/// immediately) until a full track's worth is written to disk at once
+/// (Section 4.1). Each entry is written once, in the owner's on-disk
+/// format, straight into the open image; an entry that would overflow it
+/// seals that image and opens the next. A flush hands the front image
+/// itself to the disk. Access is at memory speed, so no simulated time is
+/// charged here: callers account CPU instructions for the copy.
 ///
-/// Named regions hold whole-value blobs (e.g., the checkpointed interval
-/// lists); capacity is shared with any NvramQueue carved from the same
-/// device by the owning node.
-class Nvram {
- public:
-  explicit Nvram(size_t capacity_bytes) : capacity_(capacity_bytes) {}
-
-  Nvram(const Nvram&) = delete;
-  Nvram& operator=(const Nvram&) = delete;
-
-  /// Replaces the contents of `region`. Fails with ResourceExhausted when
-  /// the device would overflow.
-  Status Put(const std::string& region, Bytes data);
-
-  /// Reads a region; NotFound if absent.
-  Result<Bytes> Get(const std::string& region) const;
-
-  void Erase(const std::string& region);
-
-  size_t used() const { return used_; }
-  size_t capacity() const { return capacity_; }
-
- private:
-  size_t capacity_;
-  size_t used_ = 0;
-  std::map<std::string, Bytes> regions_;
-};
-
-/// The log server's group buffer in non-volatile memory: a FIFO of track
-/// images. Records accumulate here (making them stable, so forces can be
-/// acknowledged immediately) until a full track's worth is written to
-/// disk at once (Section 4.1). Each entry is written once, in the
-/// owner's on-disk format, straight into the open image; an entry that
-/// would overflow it seals that image and opens the next. A flush hands
-/// the front image itself to the disk.
-///
-/// Like Nvram, the queue survives Crash(): a restarted server drains
-/// whatever its predecessor had buffered.
+/// The queue survives Crash(): a restarted server drains whatever its
+/// predecessor had buffered.
 class NvramQueue {
  public:
   /// One track image: `header_bytes` reserved for the owner's track

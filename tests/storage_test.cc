@@ -133,29 +133,7 @@ TEST(SimDiskTest, UtilizationGrowsWithLoad) {
   EXPECT_NEAR(disk.Utilization(), busy / 2, 0.01);
 }
 
-// --- Nvram ---
-
-TEST(NvramTest, PutGetErase) {
-  Nvram nv(1024);
-  ASSERT_TRUE(nv.Put("intervals", ToBytes("abc")).ok());
-  EXPECT_EQ(ToString(*nv.Get("intervals")), "abc");
-  EXPECT_EQ(nv.used(), 3u);
-  ASSERT_TRUE(nv.Put("intervals", ToBytes("defg")).ok());  // replace
-  EXPECT_EQ(nv.used(), 4u);
-  nv.Erase("intervals");
-  EXPECT_EQ(nv.used(), 0u);
-  EXPECT_TRUE(nv.Get("intervals").status().IsNotFound());
-}
-
-TEST(NvramTest, CapacityEnforced) {
-  Nvram nv(10);
-  EXPECT_TRUE(nv.Put("a", Bytes(10, 0)).ok());
-  Status st = nv.Put("b", Bytes(1, 0));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  // Replacing an existing region accounts for the freed bytes.
-  EXPECT_TRUE(nv.Put("a", Bytes(5, 0)).ok());
-  EXPECT_TRUE(nv.Put("b", Bytes(5, 0)).ok());
-}
+// --- NvramQueue ---
 
 // Images of 32 bytes with 8-byte headers: 24 bytes of entries each.
 constexpr size_t kImageBytes = 32;
