@@ -218,6 +218,23 @@ TEST(LogServerTest, ProactiveNewIntervalAcceptsJump) {
   EXPECT_EQ(d.CountOf(wire::MessageType::kMissingInterval), 0);
 }
 
+// The stream rule does not depend on arrival order within a batch.
+TEST(LogServerTest, DescendingBatchIsStoredInLsnOrder) {
+  RawDriver d;
+  d.SendBatch(wire::MessageType::kForceLog, 1,
+              {Rec(3, 1), Rec(2, 1), Rec(1, 1)});
+  std::vector<Lsn> stored;
+  for (const LogRecord& r : d.server->RecordsOf(kClient)) {
+    stored.push_back(r.lsn);
+  }
+  EXPECT_EQ(stored, (std::vector<Lsn>{1, 2, 3}));
+  EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 3}}));
+  EXPECT_EQ(d.CountOf(wire::MessageType::kMissingInterval), 0);
+  EXPECT_EQ(wire::DecodeNewHighLsn(
+                d.Last(wire::MessageType::kNewHighLsn)->body)->new_high_lsn,
+            3u);
+}
+
 TEST(LogServerTest, DuplicateBatchIsIdempotent) {
   RawDriver d;
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});

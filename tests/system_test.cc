@@ -396,6 +396,61 @@ TEST(SystemTest, ServerForestIndexesDiskResidentRecords) {
   }
 }
 
+/// True if `server` stores a present record of client 1 at `lsn`.
+bool Holds(server::LogServer& server, Lsn lsn) {
+  for (const LogRecord& r : server.RecordsOf(1)) {
+    if (r.lsn == lsn && r.present) return true;
+  }
+  return false;
+}
+
+// Section 3.1.2: a force completes only once N servers hold its records.
+// The first force batch to one write-set member is lost, and the next
+// batch reaches that server first: it must report the gap, not start the
+// client's stream there and acknowledge LSNs it never received.
+TEST(SystemTest, ForceWaitsForNCopiesWhenAServersFirstBatchIsLost) {
+  constexpr net::NodeId kClientNode = 1001;
+  Cluster cluster(ClusterConfig{});
+  LogClientConfig cfg;
+  cfg.node_id = kClientNode;
+  auto c = cluster.AddClient(cfg);
+  ASSERT_TRUE(InitClient(cluster, *c).ok());
+
+  auto write_and_force = [&](int n, Status* forced, bool* done) {
+    Lsn last = kNoLsn;
+    for (int i = 0; i < n; ++i) {
+      Result<Lsn> lsn = c->WriteLog(ToBytes(std::string(50, 'f')));
+      ASSERT_TRUE(lsn.ok());
+      last = *lsn;
+    }
+    c->ForceLog(last, [forced, done](Status st) {
+      *forced = st;
+      *done = true;
+    });
+  };
+  Status first = Status::Internal("force never completed");
+  Status second = first;
+  bool first_done = false;
+  bool second_done = false;
+  cluster.network().SetLinkFault(kClientNode, 2, net::LinkFault{1.0, 0});
+  write_and_force(7, &first, &first_done);
+  cluster.sim().RunFor(2 * sim::kMillisecond);
+  cluster.network().ClearLinkFault(kClientNode, 2);
+  write_and_force(7, &second, &second_done);
+  ASSERT_TRUE(
+      cluster.RunUntil([&]() { return first_done && second_done; }));
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+
+  // The client's sticky write set is servers 2 and 3, so the dropped
+  // link hit a member; both hold every forced LSN.
+  EXPECT_TRUE(cluster.server(1).RecordsOf(1).empty());
+  for (Lsn lsn = 1; lsn <= 14; ++lsn) {
+    EXPECT_TRUE(Holds(cluster.server(2), lsn)) << "LSN " << lsn;
+    EXPECT_TRUE(Holds(cluster.server(3), lsn)) << "LSN " << lsn;
+  }
+}
+
 TEST(SystemTest, ShedThenRetryForceIsNotDuplicated) {
   // Servers with a tiny admission threshold shed mid-stream; the client
   // backs off per the Overloaded hint and re-offers. The force must still

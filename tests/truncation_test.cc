@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "harness/cluster.h"
 #include "server/client_log_store.h"
 #include "tp/bank.h"
@@ -165,6 +168,57 @@ TEST(TruncationSystemTest, ReadableRangeFollowsTruncation) {
   });
   ASSERT_TRUE(f.cluster.RunUntil([&]() { return done; }));
   EXPECT_TRUE(r.ok());
+}
+
+/// The <key_low, key_high, track> of each node of `server`'s append
+/// forest for client 1, in append order.
+std::vector<std::tuple<Lsn, Lsn, uint64_t>> ForestNodes(
+    server::LogServer& server) {
+  std::vector<std::tuple<Lsn, Lsn, uint64_t>> nodes;
+  const forest::AppendForest* forest = server.ForestOf(1);
+  for (uint64_t i = 0; forest != nullptr && i < forest->size(); ++i) {
+    const forest::AppendForest::Node& n = forest->node(i);
+    nodes.emplace_back(n.key_low, n.key_high, n.value);
+  }
+  return nodes;
+}
+
+// Section 4.3: the append forest indexes a server's disk tracks and is
+// append-only, so a truncation drops records but no nodes. A restarted
+// server rebuilds the forest from its disk scan, and must rebuild the one
+// its flushes built.
+TEST(TruncationSystemTest, RestartRebuildsTheForestItsFlushesBuilt) {
+  ClusterConfig cfg;
+  cfg.server.flush_interval = 10 * sim::kMillisecond;
+  cfg.server.disk.track_bytes = 2048;
+  Cluster cluster(cfg);
+  auto log = cluster.AddClient();
+  bool ready = false;
+  log->Init([&](Status st) { ready = st.ok(); });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return ready; }));
+  for (int i = 0; i < 60; ++i) {
+    auto lsn = log->WriteLog(ToBytes(std::string(120, 'z')));
+    ASSERT_TRUE(lsn.ok());
+    bool done = false;
+    log->ForceLog(*lsn, [&](Status st) {
+      EXPECT_TRUE(st.ok());
+      done = true;
+    });
+    ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+  }
+  ASSERT_EQ(log->TruncateLog(30), 30u);
+  cluster.sim().RunFor(sim::kSecond);  // flushes and truncations land
+
+  int indexed = 0;
+  for (int s = 1; s <= 3; ++s) {
+    const auto built = ForestNodes(cluster.server(s));
+    if (!built.empty()) ++indexed;
+    cluster.server(s).Crash();
+    cluster.sim().RunFor(100 * sim::kMillisecond);
+    cluster.server(s).Restart();
+    EXPECT_EQ(ForestNodes(cluster.server(s)), built) << "server " << s;
+  }
+  EXPECT_EQ(indexed, 2);  // the client's two copies
 }
 
 // --- Engine checkpoint-driven truncation ---
