@@ -240,9 +240,10 @@ LogRecord MakeRecord(Lsn lsn, size_t payload_bytes) {
   return r;
 }
 
-/// The current path: encode once, frame in place, decode envelope and
-/// records as views, materialize only at persistence (EncodeStreamEntry
-/// counts the copy). `receivers` models the N-server multicast fan-out.
+/// The current path: encode once, frame in place, read the envelope and
+/// records in place, and copy each record's wire bytes once, at
+/// persistence (AppendStreamEntry counts the copy). `receivers` models
+/// the N-server multicast fan-out.
 WireSample RunWireAfter(int batches, int records_per_batch,
                         size_t payload_bytes, int receivers) {
   ResetBytesCopied();
@@ -266,11 +267,15 @@ WireSample RunWireAfter(int batches, int records_per_batch,
           packet_payload.Slice(0, packet_payload.size() - 29);
       Result<wire::Envelope> env = wire::DecodeEnvelope(delivered);
       if (!env.ok()) std::abort();
-      Result<wire::RecordBatch> rb = wire::DecodeRecordBatch(env->body);
+      Result<wire::RecordBatchView> rb =
+          wire::RecordBatchView::Parse(env->body);
       if (!rb.ok()) std::abort();
-      for (const LogRecord& rec : rb->records) {
-        // Persistence: NVRAM group-buffer image (the one kept copy).
-        server::EncodeStreamEntry({batch.client, rec});
+      for (const wire::RecordView rec : *rb) {
+        // Persistence: the record's wire bytes into its NVRAM group-buffer
+        // image (the one kept copy).
+        Bytes image;
+        image.reserve(server::kStreamEntryClientBytes + rec.bytes.size());
+        server::AppendStreamEntry(&image, rb->client(), rec.bytes);
         ++decoded;
       }
     }
@@ -328,11 +333,13 @@ WireSample RunWireBefore(int batches, int records_per_batch,
       // 6. GetBlob per record (the old GetRecord materialization) —
       //    performed for real by ToBytes below, which also stands in for
       //    the old double-copy fixed in Decoder::GetString.
-      Result<wire::RecordBatch> rb = wire::DecodeRecordBatch(env->body);
+      Result<wire::RecordBatchView> rb =
+          wire::RecordBatchView::Parse(env->body);
       if (!rb.ok()) std::abort();
-      for (const LogRecord& rec : rb->records) {
-        Bytes materialized = rec.data.ToBytes();
-        // 7. Persistence encode, same as the new path.
+      for (const wire::RecordView rec : *rb) {
+        Bytes materialized(rec.data().begin(), rec.data().end());
+        AddBytesCopied(materialized.size());
+        // 7. Persistence encode, counted like the new path's one copy.
         server::EncodeStreamEntry(
             {batch.client, LogRecord{rec.lsn, rec.epoch, rec.present,
                                      std::move(materialized)}});

@@ -27,7 +27,7 @@ void PrintServers(std::vector<std::unique_ptr<InMemoryLogServerStub>>& s) {
   std::vector<std::vector<LogRecord>> rows;
   size_t max_rows = 0;
   for (auto& srv : s) {
-    rows.push_back(srv->store(kClient).stream());
+    rows.push_back(srv->store(kClient).Records());
     max_rows = std::max(max_rows, rows.back().size());
   }
   for (size_t i = 0; i < s.size(); ++i) {

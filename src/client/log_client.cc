@@ -366,16 +366,15 @@ void LogClient::ForceLog(Lsn upto, std::function<void(Status)> done) {
   CheckForceCompletion();
 }
 
-LogClient::LinkList LogClient::WriteSet() {
-  // Returned by value: callers iterate while nested sends can re-enter
-  // PumpSends (inline-delivery configurations), so a shared buffer
-  // would be mutated under the caller's feet.
-  LinkList out;
+void LogClient::CacheWriteSet() {
+  // WriteSet() hands out copies: callers iterate while nested sends can
+  // re-enter PumpSends (inline-delivery configurations) and change the
+  // write set under the caller's feet.
+  write_links_.clear();
   for (net::NodeId node : write_set_) {
     ServerLink* link = LinkOf(node);
-    if (link != nullptr) out.push_back(link);
+    if (link != nullptr) write_links_.push_back(link);
   }
-  return out;
 }
 
 net::NodeId LogClient::PickReplacement(uint64_t exclude) {
@@ -439,6 +438,7 @@ void LogClient::ChooseWriteSet() {
     members |= BitOf(pick);
     write_set_.push_back(pick);
     ServerLink& link = LinkFor(pick);
+    CacheWriteSet();
     link.in_write_set = true;
     EnsureConnected(&link);
     JoinWriteSetMember(pick);
@@ -890,6 +890,7 @@ void LogClient::SwitchAwayFrom(ServerLink* link) {
   write_set_.erase(
       std::remove(write_set_.begin(), write_set_.end(), link->node),
       write_set_.end());
+  CacheWriteSet();
   LeaveWriteSetMember(link->node);
   avoid_until_[link->node] = sim_->Now() + config_.server_retry_backoff;
   server_switches_.Increment();
@@ -1462,6 +1463,7 @@ void LogClient::Crash() {
   read_cache_.clear();
   for (net::NodeId node : write_set_) LeaveWriteSetMember(node);
   write_set_.clear();
+  write_links_.clear();
   links_.clear();  // RpcClient destructors fail pending calls (guarded)
   endpoint_->Crash();
   for (auto& nic : nics_) nic->SetUp(false);

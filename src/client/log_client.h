@@ -1,6 +1,7 @@
 #ifndef DLOG_CLIENT_LOG_CLIENT_H_
 #define DLOG_CLIENT_LOG_CLIENT_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -285,17 +286,29 @@ class LogClient {
 
   /// A by-value list of at most kMaxServers links (a write set never
   /// holds more): callers iterate it while nested sends may re-enter
-  /// PumpSends, and building one allocates nothing.
+  /// PumpSends, and building or copying one allocates nothing and
+  /// touches only its used slots.
   class LinkList {
    public:
+    LinkList() = default;
+    LinkList(const LinkList& other) : size_(other.size_) {
+      std::copy(other.begin(), other.end(), links_.begin());
+    }
+    LinkList& operator=(const LinkList& other) {
+      size_ = other.size_;
+      std::copy(other.begin(), other.end(), links_.begin());
+      return *this;
+    }
+
     void push_back(ServerLink* link) { links_[size_++] = link; }
+    void clear() { size_ = 0; }
     size_t size() const { return size_; }
     ServerLink* operator[](size_t i) const { return links_[i]; }
     ServerLink* const* begin() const { return links_.data(); }
     ServerLink* const* end() const { return links_.data() + size_; }
 
    private:
-    std::array<ServerLink*, kMaxServers> links_{};
+    std::array<ServerLink*, kMaxServers> links_;  // [0, size_) are set
     size_t size_ = 0;
   };
 
@@ -337,7 +350,9 @@ class LogClient {
   // --- write pipeline ---
   void ChooseWriteSet();
   /// The current write-set links in write_set_ order.
-  LinkList WriteSet();
+  LinkList WriteSet() const { return write_links_; }
+  /// Rebuilds write_links_ after write_set_ changed.
+  void CacheWriteSet();
   /// A server to add to the write set, outside the `exclude` bits.
   net::NodeId PickReplacement(uint64_t exclude);
   void PumpSends();
@@ -441,6 +456,8 @@ class LogClient {
   MergedLogView view_;
   std::map<net::NodeId, ServerLink> links_;
   std::vector<net::NodeId> write_set_;
+  /// write_set_'s links, kept current wherever write_set_ changes.
+  LinkList write_links_;
   size_t round_robin_cursor_ = 0;
   /// Servers recently abandoned as unresponsive, with the time until
   /// which they should not be re-chosen.

@@ -40,11 +40,15 @@ class LogServerStub {
   virtual Status ServerInstallCopies(ClientId client, Epoch epoch) = 0;
 };
 
-/// In-memory stub backed by the real per-client store semantics; the
-/// workhorse of the reference-model property tests.
+/// In-memory stub backed by the real per-client store semantics, its
+/// records kept in track images of its own; the workhorse of the
+/// reference-model property tests.
 class InMemoryLogServerStub : public LogServerStub {
  public:
   explicit InMemoryLogServerStub(ServerId id) : id_(id) {}
+  // The stores point at images_.
+  InMemoryLogServerStub(const InMemoryLogServerStub&) = delete;
+  InMemoryLogServerStub& operator=(const InMemoryLogServerStub&) = delete;
 
   ServerId id() const override { return id_; }
   bool IsAvailable() const override { return available_; }
@@ -57,36 +61,39 @@ class InMemoryLogServerStub : public LogServerStub {
   Status ServerWriteLog(ClientId client, const LogRecord& record) override {
     if (!available_) return Status::Unavailable("server down");
     if (shedding_) return Status::Overloaded("server shedding load");
-    return store_[client].Write(record);
+    return store(client).Write(record);
   }
 
   Result<LogRecord> ServerReadLog(ClientId client, Lsn lsn) override {
     if (!available_) return Status::Unavailable("server down");
-    return store_[client].Read(lsn);
+    return store(client).Read(lsn);
   }
 
   Result<IntervalList> ServerIntervalList(ClientId client) override {
     if (!available_) return Status::Unavailable("server down");
-    return store_[client].Intervals();
+    return store(client).Intervals();
   }
 
   Status ServerCopyLog(ClientId client, const LogRecord& record) override {
     if (!available_) return Status::Unavailable("server down");
-    return store_[client].StageCopy(record);
+    return store(client).StageCopy(record);
   }
 
   Status ServerInstallCopies(ClientId client, Epoch epoch) override {
     if (!available_) return Status::Unavailable("server down");
-    return store_[client].InstallCopies(epoch).status();
+    return store(client).InstallCopies(epoch).status();
   }
 
   /// Test access to the underlying store.
-  server::ClientLogStore& store(ClientId client) { return store_[client]; }
+  server::ClientLogStore& store(ClientId client) {
+    return store_.try_emplace(client, client, &images_).first->second;
+  }
 
  private:
   ServerId id_;
   bool available_ = true;
   bool shedding_ = false;
+  server::MemoryTrackImages images_;
   std::map<ClientId, server::ClientLogStore> store_;
 };
 

@@ -128,6 +128,16 @@ class SharedBytes {
   size_t size_ = 0;
 };
 
+/// Reads the `width`-byte little-endian integer at `p` (the layout
+/// Encoder writes).
+inline uint64_t LoadLE(const uint8_t* p, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
 /// Appends fixed-width little-endian integers and length-prefixed blobs to
 /// a Bytes buffer. All dlog on-wire and on-disk encodings go through this.
 class Encoder {
@@ -152,10 +162,13 @@ class Encoder {
   }
 
  private:
-  void PutLE(uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  void PutLE(uint64_t v, size_t width) {
+    // One insert of the whole field, not a push_back per byte.
+    uint8_t le[8];
+    for (size_t i = 0; i < width; ++i) {
+      le[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+    out_->insert(out_->end(), le, le + width);
   }
 
   Bytes* out_;
@@ -232,10 +245,7 @@ class Decoder {
   template <typename T>
   Result<T> GetLE(int width) {
     if (remaining() < static_cast<size_t>(width)) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
+    const uint64_t v = LoadLE(data_ + pos_, static_cast<size_t>(width));
     pos_ += width;
     return static_cast<T>(v);
   }

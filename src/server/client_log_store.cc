@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "server/track_format.h"
+
 namespace dlog::server {
 namespace {
 
@@ -16,11 +18,11 @@ bool KeyBefore(const IndexEntry& a, const IndexEntry& b) {
 
 }  // namespace
 
-void ClientLogStore::AppendToStream(LogRecord record, uint64_t track) {
-  const IndexEntry entry{record.lsn, record.epoch, stream_.size(), track};
-  // Callers only append keys not yet indexed. Stream writes extend the
-  // key order, so the common case is a push at the tail; a recovery copy
-  // landing below the tail takes a sorted insert.
+void ClientLogStore::Index(Lsn lsn, Epoch epoch, RecordLocation at) {
+  const IndexEntry entry{lsn, epoch, at.track, at.offset, next_pos_++};
+  // Stream writes extend the key order, so the common case is a push at
+  // the tail; a recovery copy landing below the tail takes a sorted
+  // insert.
   if (index_.empty() || KeyBefore(index_.back(), entry)) {
     index_.push_back(entry);
   } else {
@@ -28,9 +30,10 @@ void ClientLogStore::AppendToStream(LogRecord record, uint64_t track) {
         std::upper_bound(index_.begin(), index_.end(), entry, KeyBefore),
         entry);
   }
-  const Lsn lsn = record.lsn;
-  const Epoch epoch = record.epoch;
-  stream_.push_back(std::move(record));
+  ExtendSequences(lsn, epoch);
+}
+
+void ClientLogStore::ExtendSequences(Lsn lsn, Epoch epoch) {
   if (!sequences_.empty()) {
     Interval& tail = sequences_.back();
     if (tail.epoch == epoch && lsn == tail.high + 1) {
@@ -41,10 +44,15 @@ void ClientLogStore::AppendToStream(LogRecord record, uint64_t track) {
   sequences_.push_back(Interval{epoch, lsn, lsn});
 }
 
+LogRecord ClientLogStore::RecordOf(size_t i) const {
+  const IndexEntry& e = index_[i];
+  return RecordOfEntry(images_->Image(e.track), e.offset);
+}
+
 size_t ClientLogStore::IndexOf(Lsn lsn, Epoch epoch) const {
   const IndexEntry key{lsn, epoch};
-  // Stream writes probe keys past the tail, and payload rebinds the
-  // newest keys: answer those without a search.
+  // Stream writes probe keys past the tail: answer those without a
+  // search.
   if (index_.empty() || KeyBefore(index_.back(), key)) return index_.size();
   if (!KeyBefore(key, index_.back())) return index_.size() - 1;
   auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyBefore);
@@ -63,21 +71,25 @@ size_t ClientLogStore::HighestEpochOf(Lsn lsn) const {
   return static_cast<size_t>(it - 1 - index_.begin());
 }
 
-ClientLogStore::Placement ClientLogStore::Place(const LogRecord& record) {
+ClientLogStore::Placement ClientLogStore::Place(Lsn lsn, Epoch epoch) {
   const Lsn high = HighestLsn();
-  if (record.lsn < high) return Placement::kStale;
-  if (record.lsn == high) return Placement::kTail;
-  const bool announced =
-      announced_ == std::make_pair(record.epoch, record.lsn);
+  if (lsn < high) return Placement::kStale;
+  if (lsn == high) return Placement::kTail;
+  const bool announced = announced_ == std::make_pair(epoch, lsn);
   if (announced) announced_.reset();
   // Nothing else may start a sequence: the server's force acknowledgment
   // credits the client with every LSN up to its tail.
-  if (announced || record.lsn == high + 1) return Placement::kExtend;
-  if (held_.size() < kMaxHeld) held_[record.lsn] = record;
+  if (announced || lsn == high + 1) return Placement::kExtend;
   return Placement::kHold;
 }
 
-std::optional<LogRecord> ClientLogStore::TakeNextHeld() {
+void ClientLogStore::Hold(SharedBytes record) {
+  if (held_.size() < kMaxHeld) {
+    held_[wire::RecordAt(record.data()).lsn] = std::move(record);
+  }
+}
+
+std::optional<SharedBytes> ClientLogStore::TakeNextHeld() {
   while (!held_.empty()) {
     auto it = held_.begin();
     if (it->first <= HighestLsn()) {
@@ -85,7 +97,7 @@ std::optional<LogRecord> ClientLogStore::TakeNextHeld() {
       continue;
     }
     if (it->first != ExpectedNextLsn()) break;
-    LogRecord record = std::move(it->second);
+    SharedBytes record = std::move(it->second);
     held_.erase(it);
     return record;
   }
@@ -99,71 +111,94 @@ std::optional<std::pair<Lsn, Lsn>> ClientLogStore::Gap() const {
   return std::make_pair(ExpectedNextLsn(), held_.begin()->first - 1);
 }
 
-std::optional<LogRecord> ClientLogStore::Announce(Epoch epoch, Lsn start) {
+std::optional<SharedBytes> ClientLogStore::Announce(Epoch epoch, Lsn start) {
   held_.erase(held_.begin(), held_.lower_bound(start));
   announced_ = {epoch, start};
   auto it = held_.find(start);
-  if (it == held_.end() || it->second.epoch != epoch) return std::nullopt;
-  LogRecord record = std::move(it->second);
+  if (it == held_.end() || wire::RecordAt(it->second.data()).epoch != epoch) {
+    return std::nullopt;
+  }
+  SharedBytes record = std::move(it->second);
   held_.erase(it);
   announced_.reset();
   return record;
 }
 
-Status ClientLogStore::Write(LogRecord record) {
-  DLOG_RETURN_IF_ERROR(CheckWrite(record));
-  if (!Contains(record.lsn, record.epoch)) AppendToStream(std::move(record));
-  return Status::OK();
-}
-
-Status ClientLogStore::CheckWrite(const LogRecord& record) const {
+Status ClientLogStore::Write(const LogRecord& record) {
   if (record.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
   const size_t existing = IndexOf(record.lsn, record.epoch);
   if (existing < index_.size()) {
-    if (stream_[index_[existing].pos] == record) {
-      return Status::OK();  // redelivery
-    }
+    if (RecordOf(existing) == record) return Status::OK();  // redelivery
     return Status::Corruption(
         "different contents for an existing <LSN, Epoch>");
+  }
+  DLOG_RETURN_IF_ERROR(CheckAppend(record.lsn, record.epoch));
+  const Bytes encoded = wire::EncodeRecord(record);
+  if (!Append(wire::RecordAt(encoded.data()))) {
+    return Status::ResourceExhausted("no room for the record");
+  }
+  return Status::OK();
+}
+
+Status ClientLogStore::CheckAppend(Lsn lsn, Epoch epoch) const {
+  if (lsn == kNoLsn) {
+    return Status::InvalidArgument("LSN 0 is reserved");
   }
   if (!sequences_.empty()) {
     const Interval& tail = sequences_.back();
     // Keep both LSN and epoch non-decreasing along the stream. A repeat
     // of the tail LSN is legal only with a higher epoch (the recovery
     // re-copy of the highest record, e.g. <9,4> after <9,3> in Fig 3-3).
-    if (record.epoch < tail.epoch) {
+    if (epoch < tail.epoch) {
       return Status::FailedPrecondition("epoch lower than tail sequence");
     }
-    if (record.lsn <= tail.high &&
-        !(record.lsn == tail.high && record.epoch > tail.epoch)) {
+    if (lsn <= tail.high && !(lsn == tail.high && epoch > tail.epoch)) {
       return Status::FailedPrecondition("LSN not beyond the stream tail");
     }
   }
   return Status::OK();
 }
 
-void ClientLogStore::Restore(LogRecord record) {
-  if (!Contains(record.lsn, record.epoch)) AppendToStream(std::move(record));
+bool ClientLogStore::Append(const wire::RecordView& record) {
+  const std::optional<RecordLocation> at =
+      images_->Append(client_, record.bytes);
+  if (!at.has_value()) return false;
+  Index(record.lsn, record.epoch, *at);
+  return true;
 }
 
-void ClientLogStore::RebindPayload(Lsn lsn, Epoch epoch, SharedBytes data) {
+bool ClientLogStore::Recover(Lsn lsn, Epoch epoch, RecordLocation at) {
+  if (Contains(lsn, epoch)) return false;
+  Index(lsn, epoch, at);
+  return true;
+}
+
+std::optional<RecordLocation> ClientLogStore::LocationOf(Lsn lsn,
+                                                         Epoch epoch) const {
+  const size_t i = IndexOf(lsn, epoch);
+  if (i == index_.size()) return std::nullopt;
+  return index_[i].location();
+}
+
+void ClientLogStore::Relocate(Lsn lsn, Epoch epoch, RecordLocation to) {
   const size_t i = IndexOf(lsn, epoch);
   if (i == index_.size()) return;
-  SharedBytes& stored = stream_[index_[i].pos].data;
-  if (stored == data) stored = std::move(data);
+  index_[i].track = to.track;
+  index_[i].offset = to.offset;
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
   const size_t i = HighestEpochOf(lsn);
   if (i == index_.size()) return Status::NotFound("LSN not stored");
-  return stream_[index_[i].pos];
+  return RecordOf(i);
 }
 
-void ClientLogStore::SetTrack(Lsn lsn, Epoch epoch, uint64_t track) {
-  const size_t i = IndexOf(lsn, epoch);
-  if (i < index_.size()) index_[i].track = track;
+std::optional<RecordLocation> ClientLogStore::ReadLocation(Lsn lsn) const {
+  const size_t i = HighestEpochOf(lsn);
+  if (i == index_.size()) return std::nullopt;
+  return index_[i].location();
 }
 
 void ClientLogStore::AddToForest(uint64_t track, Lsn low, Lsn high) {
@@ -173,12 +208,6 @@ void ClientLogStore::AddToForest(uint64_t track, Lsn low, Lsn high) {
     low = prev_high + 1;
   }
   (void)forest_.Append(low, high, track);
-}
-
-std::optional<uint64_t> ClientLogStore::ReadTrack(Lsn lsn) const {
-  const size_t i = HighestEpochOf(lsn);
-  if (i == index_.size() || index_[i].track == kNoTrack) return std::nullopt;
-  return index_[i].track;
 }
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }
@@ -200,16 +229,27 @@ Result<std::vector<LogRecord>> ClientLogStore::InstallCopies(Epoch epoch) {
                    [](const LogRecord& a, const LogRecord& b) {
                      return a.lsn < b.lsn;
                    });
+  // Check every copy before installing any. A retried recovery may
+  // re-stage or re-install the same copy; those are skipped. (All copies
+  // carry `epoch`, so equal LSNs are equal keys, adjacent after the sort.)
   std::vector<LogRecord> installed;
-  for (const LogRecord& r : copies) {
-    const size_t existing = IndexOf(r.lsn, r.epoch);
-    if (existing < index_.size()) {
-      // A retried recovery may re-install the same copy.
-      if (stream_[index_[existing].pos] == r) continue;
+  for (LogRecord& r : copies) {
+    std::optional<LogRecord> stored;
+    if (!installed.empty() && installed.back().lsn == r.lsn) {
+      stored = installed.back();
+    } else if (const size_t i = IndexOf(r.lsn, r.epoch); i < index_.size()) {
+      stored = RecordOf(i);
+    }
+    if (stored.has_value()) {
+      if (*stored == r) continue;
       return Status::Corruption("conflicting copy for <LSN, Epoch>");
     }
-    AppendToStream(r);
-    installed.push_back(r);
+    installed.push_back(std::move(r));
+  }
+  for (const LogRecord& r : installed) {
+    const Bytes encoded = wire::EncodeRecord(r);
+    [[maybe_unused]] const bool stored = Append(wire::RecordAt(encoded.data()));
+    assert(stored);
   }
   return installed;
 }
@@ -228,22 +268,34 @@ size_t ClientLogStore::staged_count() const {
   return n;
 }
 
+std::vector<LogRecord> ClientLogStore::Records() const {
+  std::vector<size_t> order(index_.size());
+  for (size_t i = 0; i < index_.size(); ++i) order[index_[i].pos] = i;
+  std::vector<LogRecord> records;
+  records.reserve(order.size());
+  for (size_t i : order) records.push_back(RecordOf(i));
+  return records;
+}
+
 size_t ClientLogStore::TruncateBelow(Lsn below) {
-  const size_t removed = static_cast<size_t>(
-      std::count_if(stream_.begin(), stream_.end(),
-                    [below](const LogRecord& r) { return r.lsn < below; }));
+  // The index is in key order, so the discarded entries are its prefix.
+  const auto kept = std::partition_point(
+      index_.begin(), index_.end(),
+      [below](const IndexEntry& e) { return e.lsn < below; });
+  const size_t removed = static_cast<size_t>(kept - index_.begin());
   if (removed == 0) return 0;
-  // Replay the retained records in stream order, each with its track.
-  std::vector<uint64_t> track_at(stream_.size(), kNoTrack);
-  for (const IndexEntry& e : index_) track_at[e.pos] = e.track;
-  std::vector<LogRecord> old_stream = std::move(stream_);
-  stream_.clear();
-  index_.clear();
+  index_.erase(index_.begin(), kept);
+  // Replay the retained records in write order to rebuild the sequence
+  // list, renumbering their positions densely.
+  std::vector<std::pair<uint32_t, IndexEntry*>> order;
+  order.reserve(index_.size());
+  for (IndexEntry& e : index_) order.emplace_back(e.pos, &e);
+  std::sort(order.begin(), order.end());
   sequences_.clear();
-  for (size_t pos = 0; pos < old_stream.size(); ++pos) {
-    if (old_stream[pos].lsn >= below) {
-      AppendToStream(std::move(old_stream[pos]), track_at[pos]);
-    }
+  next_pos_ = 0;
+  for (const auto& [pos, e] : order) {
+    e->pos = next_pos_++;
+    ExtendSequences(e->lsn, e->epoch);
   }
   return removed;
 }

@@ -91,8 +91,59 @@ void LogServer::NoteNvramLevel() {
                        static_cast<double>(nvram_buffer_->used_bytes()));
 }
 
+namespace {
+
+/// The order of LogServer::clients_: by client id.
+bool IdBelow(const std::pair<ClientId, std::unique_ptr<ClientLogStore>>& entry,
+             ClientId client) {
+  return entry.first < client;
+}
+
+}  // namespace
+
 ClientLogStore& LogServer::StoreOf(ClientId client) {
-  return clients_[client];
+  auto it = std::lower_bound(clients_.begin(), clients_.end(), client,
+                             IdBelow);
+  if (it == clients_.end() || it->first != client) {
+    it = clients_.emplace(
+        it, client, std::make_unique<ClientLogStore>(client, &images_));
+  }
+  return *it->second;
+}
+
+const ClientLogStore* LogServer::FindStore(ClientId client) const {
+  auto it = std::lower_bound(clients_.begin(), clients_.end(), client,
+                             IdBelow);
+  return it == clients_.end() || it->first != client ? nullptr
+                                                     : it->second.get();
+}
+
+ClientLogStore* LogServer::FindStore(ClientId client) {
+  return const_cast<ClientLogStore*>(std::as_const(*this).FindStore(client));
+}
+
+std::optional<RecordLocation> LogServer::Images::Append(
+    ClientId client, std::span<const uint8_t> record) {
+  storage::NvramQueue::Position at;
+  const Status st = server_->nvram_buffer_->Append(
+      kStreamEntryClientBytes + record.size(),
+      [&](const std::shared_ptr<Bytes>& image) {
+        AppendStreamEntry(image.get(), client, record);
+      },
+      &at);
+  if (!st.ok()) return std::nullopt;
+  return RecordLocation{at.track, static_cast<uint32_t>(at.offset)};
+}
+
+SharedBytes LogServer::Images::Image(uint64_t track) const {
+  const storage::NvramQueue& nvram = *server_->nvram_buffer_;
+  if (track >= nvram.first_track()) {
+    const std::shared_ptr<Bytes>& image = nvram.image(track).bytes;
+    return SharedBytes(image, 0, image->size());
+  }
+  Result<SharedBytes> written = server_->disk_->Peek(track);
+  assert(written.ok());
+  return *std::move(written);
 }
 
 double LogServer::NvramFraction() const {
@@ -187,29 +238,25 @@ void LogServer::OnMessage(wire::Connection* conn,
 }
 
 bool LogServer::ApplyRecord(ClientLogStore* store, ClientId client,
-                            const LogRecord& record) {
+                            const wire::RecordView& record) {
   if (store->Contains(record.lsn, record.epoch)) {
     // Transport-level redelivery: already stored (and already in NVRAM
     // or on disk) — acknowledge progress without double-writing.
     return true;
   }
-  if (!nvram_buffer_->HasRoom(StreamEntrySize(record))) {
+  if (!nvram_buffer_->HasRoom(kStreamEntryClientBytes + record.bytes.size())) {
     writes_shed_.Increment();
     return false;
   }
-  // Out-of-order or conflicting record: drop it. The client's own
-  // end-to-end acknowledgment discipline recovers.
-  if (!store->CheckWrite(record).ok()) return false;
-  // Encoded once, into the open track image, and stored as a view of its
-  // bytes there: the arriving packet is not kept. (An entry larger than
-  // a track could never be flushed, so it is dropped too.)
-  LogRecord stored{record.lsn, record.epoch, record.present, {}};
-  if (!BufferRecord(client, record, &stored.data).ok()) return false;
-  Status st = store->Write(std::move(stored));
-  assert(st.ok());
-  (void)st;
+  // Out-of-order record: drop it. The client's own end-to-end
+  // acknowledgment discipline recovers.
+  if (!store->CheckAppend(record.lsn, record.epoch).ok()) return false;
+  // One copy of its wire bytes, into the open track image, is all the
+  // server keeps of the record: the arriving packet is not retained. (An
+  // entry larger than a track could never be flushed, so it is dropped.)
+  if (!store->Append(record)) return false;
   records_written_.Increment();
-  bytes_logged_ += record.data.size();
+  bytes_logged_ += record.data().size();
   NoteNvramLevel();
   if (tracer_ != nullptr && current_batch_ctx_.valid()) {
     obs::SpanContext instant =
@@ -224,8 +271,8 @@ bool LogServer::ApplyRecord(ClientLogStore* store, ClientId client,
 }
 
 void LogServer::ApplyHeld(ClientLogStore* store, ClientId client) {
-  while (std::optional<LogRecord> record = store->TakeNextHeld()) {
-    if (!ApplyRecord(store, client, *record)) break;
+  while (std::optional<SharedBytes> held = store->TakeNextHeld()) {
+    if (!ApplyRecord(store, client, wire::RecordAt(held->data()))) break;
   }
 }
 
@@ -259,12 +306,15 @@ void LogServer::OnDatagram(net::NodeId src, const SharedBytes& payload) {
 
 void LogServer::HandleRecords(const ReplyFn& reply,
                               const wire::Envelope& env, bool force) {
-  Result<wire::RecordBatch> batch = wire::DecodeRecordBatch(env.body);
+  // Every record's bounds are checked before any is applied; the records
+  // are then read in place from the packet.
+  Result<wire::RecordBatchView> batch = wire::RecordBatchView::Parse(env.body);
   if (!batch.ok()) return;
+  const ClientId client = batch->client();
 
   // The batch arrived: close the sender's wire.send span (the shared
   // tracer makes the client-minted id resolvable here).
-  const obs::SpanContext batch_ctx{batch->trace, batch->span};
+  const obs::SpanContext batch_ctx{batch->trace(), batch->span()};
   if (tracer_ != nullptr) tracer_->EndSpan(batch_ctx);
 
   // "They are free to ignore ForceLog and WriteLog messages if they
@@ -279,11 +329,11 @@ void LogServer::HandleRecords(const ReplyFn& reply,
     writes_shed_.Increment();
     if (config_.admission.enabled) {
       wire::OverloadedMsg shed;
-      shed.client = batch->client;
+      shed.client = client;
       shed.shed_type = static_cast<uint8_t>(
           force ? wire::MessageType::kForceLog : wire::MessageType::kWriteLog);
-      auto it = clients_.find(batch->client);
-      shed.high_lsn = it == clients_.end() ? kNoLsn : it->second.HighestLsn();
+      const ClientLogStore* known = FindStore(client);
+      shed.high_lsn = known == nullptr ? kNoLsn : known->HighestLsn();
       shed.retry_after_us = decision.retry_after / sim::kMicrosecond;
       admission_.overload_replies().Increment();
       if (tracer_ != nullptr) {
@@ -304,17 +354,19 @@ void LogServer::HandleRecords(const ReplyFn& reply,
   }
 
   current_batch_ctx_ = batch_ctx;
-  ClientLogStore& store = StoreOf(batch->client);
-  for (const LogRecord& record : batch->records) {
-    switch (store.Place(record)) {
+  ClientLogStore& store = StoreOf(client);
+  for (const wire::RecordView record : *batch) {
+    switch (store.Place(record.lsn, record.epoch)) {
       case ClientLogStore::Placement::kExtend:
-        ApplyRecord(&store, batch->client, record);
-        ApplyHeld(&store, batch->client);
+        ApplyRecord(&store, client, record);
+        ApplyHeld(&store, client);
         break;
       case ClientLogStore::Placement::kTail:
-        ApplyRecord(&store, batch->client, record);
+        ApplyRecord(&store, client, record);
         break;
       case ClientLogStore::Placement::kHold:
+        store.Hold(batch->Share(record));
+        break;
       case ClientLogStore::Placement::kStale:
         break;
     }
@@ -329,7 +381,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
   if (force) {
     if (config_.ack_after_disk) {
       // No-NVRAM ablation: the acknowledgment waits for the disk.
-      pending_acks_.push_back(PendingAck{reply, batch->client, batch_ctx});
+      pending_acks_.push_back(PendingAck{reply, client, batch_ctx});
       FlushNow();
     } else {
       // Records are stable the moment they reach NVRAM, so the force is
@@ -354,9 +406,10 @@ void LogServer::HandleNewInterval(const wire::Envelope& env) {
   Result<wire::NewIntervalMsg> msg = wire::DecodeNewInterval(env.body);
   if (!msg.ok()) return;
   ClientLogStore& store = StoreOf(msg->client);
-  const std::optional<LogRecord> start =
+  const std::optional<SharedBytes> start =
       store.Announce(msg->epoch, msg->starting_lsn);
-  if (start.has_value() && ApplyRecord(&store, msg->client, *start)) {
+  if (start.has_value() &&
+      ApplyRecord(&store, msg->client, wire::RecordAt(start->data()))) {
     ApplyHeld(&store, msg->client);
   }
   MaybeFlush();
@@ -367,18 +420,17 @@ void LogServer::HandleTruncate(const wire::Envelope& env) {
   if (!msg.ok()) return;
   Lsn& mark = truncate_marks_[msg->client];
   mark = std::max(mark, msg->below);
-  auto it = clients_.find(msg->client);
-  if (it == clients_.end()) return;
+  ClientLogStore* store = FindStore(msg->client);
+  if (store == nullptr) return;
   // The discarded records' disk tracks leave with their index entries
   // (the stream itself is append-only; space reclamation would be a
   // compaction/offline-spool pass outside this model).
-  records_truncated_.Increment(it->second.TruncateBelow(msg->below));
+  records_truncated_.Increment(store->TruncateBelow(msg->below));
 }
 
 size_t LogServer::LiveRecordsOf(ClientId client) const {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return 0;
-  return it->second.record_count();
+  const ClientLogStore* store = FindStore(client);
+  return store == nullptr ? 0 : store->record_count();
 }
 
 void LogServer::HandleIntervalList(wire::Connection* conn,
@@ -386,22 +438,23 @@ void LogServer::HandleIntervalList(wire::Connection* conn,
   Result<wire::IntervalListReq> req = wire::DecodeIntervalListReq(env.body);
   if (!req.ok()) return;
   wire::IntervalListResp resp;
-  auto it = clients_.find(req->client);
-  if (it != clients_.end()) resp.intervals = it->second.Intervals();
+  if (const ClientLogStore* store = FindStore(req->client)) {
+    resp.intervals = store->Intervals();
+  }
   Reply(conn, wire::EncodeIntervalListResp(resp, env.rpc_id));
 }
 
 void LogServer::WithReadLatency(ClientId client, Lsn lsn,
                                 std::function<void()> fn) {
-  auto it = clients_.find(client);
-  const std::optional<uint64_t> track =
-      it == clients_.end() ? std::nullopt : it->second.ReadTrack(lsn);
-  if (!track.has_value()) {
+  const ClientLogStore* store = FindStore(client);
+  const std::optional<RecordLocation> at =
+      store == nullptr ? std::nullopt : store->ReadLocation(lsn);
+  if (!at.has_value() || at->track >= nvram_buffer_->first_track()) {
     fn();  // in NVRAM (or absent): no disk motion
     return;
   }
   const uint64_t generation = generation_;
-  disk_->ReadTrack(*track, [this, generation, fn = std::move(fn)](
+  disk_->ReadTrack(at->track, [this, generation, fn = std::move(fn)](
                                const Result<SharedBytes>& r) {
     (void)r;
     if (generation != generation_ || !up_) return;
@@ -422,8 +475,7 @@ void LogServer::HandleReadLog(wire::Connection* conn,
   WithReadLatency(client, start, [this, conn, client, start, forward,
                                   rpc_id]() {
     wire::ReadLogResp resp;
-    auto it = clients_.find(client);
-    const ClientLogStore* store = it != clients_.end() ? &it->second : nullptr;
+    const ClientLogStore* store = FindStore(client);
 
     size_t budget = config_.read_reply_budget_bytes;
     Lsn lsn = start;
@@ -489,16 +541,13 @@ void LogServer::HandleInstallCopies(wire::Connection* conn,
     return;
   }
 
+  // All or nothing: a conflicting copy installs none, so nothing reaches
+  // the index that is not also in NVRAM.
   Result<std::vector<LogRecord>> installed = store.InstallCopies(req->epoch);
   if (!installed.ok()) {
     resp.status = wire::RpcStatus::kError;
   } else {
     for (const LogRecord& r : *installed) {
-      SharedBytes payload;
-      Status nv = BufferRecord(req->client, r, &payload);
-      assert(nv.ok());
-      (void)nv;
-      store.RebindPayload(r.lsn, r.epoch, std::move(payload));
       records_written_.Increment();
       bytes_logged_ += r.data.size();
     }
@@ -540,23 +589,6 @@ void LogServer::ScheduleFlushTimer() {
   });
 }
 
-Status LogServer::BufferRecord(ClientId client, const LogRecord& record,
-                               SharedBytes* payload) {
-  return nvram_buffer_->Append(
-      StreamEntrySize(record), [&](const std::shared_ptr<Bytes>& image) {
-        *payload = AppendStreamEntry(image, client, record);
-      });
-}
-
-void LogServer::RebindPayloads(const storage::NvramQueue::Image& image) {
-  const std::shared_ptr<const Bytes> bytes = image.bytes;
-  ForEachStreamEntry(*bytes, image.entries, [&](const StreamEntryRef& e) {
-    auto it = clients_.find(e.client);
-    if (it == clients_.end()) return;
-    it->second.RebindPayload(e.lsn, e.epoch, e.PayloadIn(bytes));
-  });
-}
-
 void LogServer::MaybeFlush() {
   if (nvram_buffer_->empty()) force_partial_flush_ = false;
   if (!up_ || flush_in_progress_ || nvram_buffer_->empty()) return;
@@ -571,20 +603,17 @@ void LogServer::MaybeFlush() {
   const bool track_full = nvram_buffer_->images().size() > 1;
   const bool timer_due = flush_timer_ == 0;
   if (!track_full && !timer_due && !force_partial_flush_) return;
-  if (!track_full) {
-    // A partly full image goes out: seal it into a buffer of its own size
-    // and move its records' payload views there.
-    nvram_buffer_->Seal();
-    RebindPayloads(nvram_buffer_->front());
-  }
+  // A partly full image goes out: seal it into a buffer of its own size.
+  if (!track_full) nvram_buffer_->Seal();
 
   flush_in_progress_ = true;
   const uint64_t track = next_track_++;
   const uint64_t generation = generation_;
   // The front image becomes the track in place. From here on the disk
-  // and the stored records share it, and nothing writes to it again (a
+  // and the stores' reads share it, and nothing writes to it again (a
   // failed or interrupted write re-packs the entries into new images).
   storage::NvramQueue::Image& front = nvram_buffer_->front();
+  assert(front.track == track);
   FinishTrackImage(front.bytes.get(), front.entries);
   std::shared_ptr<const Bytes> image = front.bytes;
   const uint32_t count = front.entries;
@@ -669,7 +698,7 @@ void LogServer::IndexTrack(uint64_t track, std::span<const uint8_t> image,
   std::vector<ClientRange> ranges;
   ForEachStreamEntry(image, count, [&](const StreamEntryRef& e) {
     // Entries arrive in per-batch runs of one client, so searching from
-    // the back finds a run's client at once (node handles are stable).
+    // the back finds a run's client at once.
     auto range = std::find_if(
         ranges.rbegin(), ranges.rend(),
         [&e](const ClientRange& r) { return r.client == e.client; });
@@ -677,9 +706,13 @@ void LogServer::IndexTrack(uint64_t track, std::span<const uint8_t> image,
       ranges.push_back({e.client, &StoreOf(e.client), e.lsn, e.lsn});
       range = ranges.rbegin();
     }
-    range->store->SetTrack(e.lsn, e.epoch, track);
     range->low = std::min(range->low, e.lsn);
     range->high = std::max(range->high, e.lsn);
+    if (!relocate_on_flush_.empty() &&
+        relocate_on_flush_.erase({e.client, e.lsn, e.epoch}) > 0) {
+      range->store->Relocate(e.lsn, e.epoch,
+                             {track, static_cast<uint32_t>(e.offset)});
+    }
   });
   for (const ClientRange& range : ranges) {
     range.store->AddToForest(track, range.low, range.high);
@@ -687,10 +720,23 @@ void LogServer::IndexTrack(uint64_t track, std::span<const uint8_t> image,
 }
 
 void LogServer::RepackNvram() {
-  nvram_buffer_->Repack(&StreamEntrySizeAt);
-  for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
-    RebindPayloads(image);
-  }
+  // A failed write burned its track number: the images are numbered on
+  // from the next one.
+  nvram_buffer_->Repack(
+      &StreamEntrySizeAt, next_track_,
+      [this](storage::NvramQueue::Position from,
+             storage::NvramQueue::Position to,
+             std::span<const uint8_t> entry) {
+        const StreamEntryRef e = StreamEntryAt(entry, 0);
+        ClientLogStore* store = FindStore(e.client);
+        // A record read from another copy (see relocate_on_flush_) stays.
+        const RecordLocation was{from.track,
+                                 static_cast<uint32_t>(from.offset)};
+        if (store != nullptr && store->LocationOf(e.lsn, e.epoch) == was) {
+          store->Relocate(e.lsn, e.epoch,
+                          {to.track, static_cast<uint32_t>(to.offset)});
+        }
+      });
 }
 
 void LogServer::FlushNow() {
@@ -706,6 +752,7 @@ void LogServer::Crash() {
   for (auto& nic : nics_) nic->SetUp(false);
   disk_->Crash();
   clients_.clear();
+  relocate_on_flush_.clear();
   pending_acks_.clear();
   record_ctx_.clear();
   current_batch_ctx_ = {};
@@ -750,64 +797,73 @@ void LogServer::Restart() {
 
 void LogServer::RebuildFromStableStorage() {
   clients_.clear();
+  relocate_on_flush_.clear();
 
   // Scan the log data stream from the start ("a server must scan the end
   // of the log data stream to find the ends of active intervals"; we keep
   // the whole-volume scan, which also rebuilds the record index this
   // simulation keeps in memory in place of on-demand disk reads), and
-  // index each track as its flush did. Payloads stay views of the track
-  // images they were read from.
+  // index each track as its flush did. A record found in several tracks
+  // keeps its first position in write order and reads from the latest.
   uint64_t track = 0;
   while (disk_->IsWritten(track)) {
     Result<SharedBytes> raw = disk_->Peek(track);
     assert(raw.ok());
     Result<std::vector<StreamEntry>> entries = DecodeTrack(*raw);
     if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    for (StreamEntry& e : *entries) {
-      StoreOf(e.client).Restore(std::move(e.record));
-    }
-    IndexTrack(track, {raw->data(), raw->size()},
-               static_cast<uint32_t>(entries->size()));
+    const std::span<const uint8_t> image{raw->data(), raw->size()};
+    const auto count = static_cast<uint32_t>(entries->size());
+    ForEachStreamEntry(image, count, [&](const StreamEntryRef& e) {
+      ClientLogStore& store = StoreOf(e.client);
+      const RecordLocation at{track, static_cast<uint32_t>(e.offset)};
+      if (!store.Recover(e.lsn, e.epoch, at)) {
+        store.Relocate(e.lsn, e.epoch, at);
+      }
+    });
+    IndexTrack(track, image, count);
     ++track;
   }
   next_track_ = track;
 
   // The NVRAM group buffer survived; replay it after the disk contents.
   // A flush the crash interrupted may have sealed a partly full image, so
-  // its entries are first packed greedily from the front again.
-  nvram_buffer_->Repack(&StreamEntrySizeAt);
+  // its entries are first packed greedily from the front again, into
+  // images numbered from the next free track.
+  nvram_buffer_->Repack(&StreamEntrySizeAt, next_track_);
   for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
-    const std::shared_ptr<const Bytes> bytes = image.bytes;
-    ForEachStreamEntry(*bytes, image.entries, [&](const StreamEntryRef& e) {
-      StoreOf(e.client).Restore(
-          LogRecord{e.lsn, e.epoch, e.present, e.PayloadIn(bytes)});
-    });
+    ForEachStreamEntry(*image.bytes, image.entries,
+                       [&](const StreamEntryRef& e) {
+                         const RecordLocation at{
+                             image.track, static_cast<uint32_t>(e.offset)};
+                         if (!StoreOf(e.client).Recover(e.lsn, e.epoch, at)) {
+                           relocate_on_flush_.insert(
+                               {e.client, e.lsn, e.epoch});
+                         }
+                       });
   }
 
   // Reapply the stable truncation marks: the append-only stream scan
   // resurrects discarded records otherwise.
   for (const auto& [client, mark] : truncate_marks_) {
-    auto it = clients_.find(client);
-    if (it != clients_.end()) (void)it->second.TruncateBelow(mark);
+    if (ClientLogStore* store = FindStore(client)) {
+      (void)store->TruncateBelow(mark);
+    }
   }
 }
 
 IntervalList LogServer::IntervalsOf(ClientId client) const {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return {};
-  return it->second.Intervals();
+  const ClientLogStore* store = FindStore(client);
+  return store == nullptr ? IntervalList{} : store->Intervals();
 }
 
 std::vector<LogRecord> LogServer::RecordsOf(ClientId client) const {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return {};
-  return it->second.stream();
+  const ClientLogStore* store = FindStore(client);
+  return store == nullptr ? std::vector<LogRecord>{} : store->Records();
 }
 
 const forest::AppendForest* LogServer::ForestOf(ClientId client) const {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return nullptr;
-  return &it->second.forest();
+  const ClientLogStore* store = FindStore(client);
+  return store == nullptr ? nullptr : &store->forest();
 }
 
 }  // namespace dlog::server

@@ -5,10 +5,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <tuple>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/log_types.h"
@@ -19,6 +21,7 @@
 #include "obs/trace.h"
 #include "server/client_log_store.h"
 #include "server/track_format.h"
+#include "server/track_images.h"
 #include "sim/cpu.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
@@ -188,28 +191,23 @@ class LogServer {
   void HandleGenRead(wire::Connection* conn, const wire::Envelope& env);
   void HandleGenWrite(wire::Connection* conn, const wire::Envelope& env);
 
-  /// Applies one in-order record: store + NVRAM group buffer.
-  /// Returns false (and sheds) if NVRAM is too full.
+  /// Applies one in-order record: its stream entry goes into the NVRAM
+  /// group buffer and its location into the store. Returns false (and
+  /// sheds) if NVRAM is too full.
   bool ApplyRecord(ClientLogStore* store, ClientId client,
-                   const LogRecord& record);
+                   const wire::RecordView& record);
   /// Applies the held records that now extend `store`'s stream.
   void ApplyHeld(ClientLogStore* store, ClientId client);
-  /// Encodes `record`'s stream entry into the NVRAM buffer's open track
-  /// image; `payload` receives the view of its payload there.
-  Status BufferRecord(ClientId client, const LogRecord& record,
-                      SharedBytes* payload);
-  /// Points the stored records of `image`'s entries at their payloads in
-  /// it (after the image moved to a new buffer).
-  void RebindPayloads(const storage::NvramQueue::Image& image);
-  /// Re-packs the NVRAM buffer greedily from the front and rebinds every
-  /// buffered record's payload.
+  /// Re-packs the NVRAM buffer greedily from the front (after a failed
+  /// track write) and moves each buffered record's location with it.
   void RepackNvram();
   /// Writes full tracks from the NVRAM buffer to disk.
   void MaybeFlush();
   void ScheduleFlushTimer();
   /// Indexes disk track `track`, whose first `count` entries are in
-  /// `image`: each entry's stored record now reads from the track, and
-  /// each client's append forest gains the LSN range the track adds.
+  /// `image`: each client's append forest gains the LSN range the track
+  /// adds, and a record waiting for this flush to become its read copy
+  /// (relocate_on_flush_) moves here.
   void IndexTrack(uint64_t track, std::span<const uint8_t> image,
                   uint32_t count);
   /// Replies on `conn` (no-op when down).
@@ -218,7 +216,11 @@ class LogServer {
   /// the record still sits in NVRAM).
   void WithReadLatency(ClientId client, Lsn lsn, std::function<void()> fn);
 
+  /// `client`'s store, created on first use.
   ClientLogStore& StoreOf(ClientId client);
+  /// `client`'s store; nullptr if it has none.
+  ClientLogStore* FindStore(ClientId client);
+  const ClientLogStore* FindStore(ClientId client) const;
   double NvramFraction() const;
   /// The flush backlog the buffered bytes imply, in track-sized disk
   /// writes — the admission controller's disk-queue-depth signal (SimDisk
@@ -260,9 +262,28 @@ class LogServer {
   /// FlushNow() sets this; cleared once the buffer drains.
   bool force_partial_flush_ = false;
   sim::EventId flush_timer_ = 0;
-  // Volatile. Hash map: looked up per record batch on the hot path and
-  // never iterated (deterministic order is not needed here).
-  std::unordered_map<ClientId, ClientLogStore> clients_;
+  /// The stores' track images: the NVRAM group buffer's images from
+  /// its first track on, and the disk's tracks below it.
+  class Images final : public TrackImages {
+   public:
+    explicit Images(LogServer* server) : server_(server) {}
+    std::optional<RecordLocation> Append(
+        ClientId client, std::span<const uint8_t> record) override;
+    SharedBytes Image(uint64_t track) const override;
+
+   private:
+    LogServer* server_;
+  };
+  Images images_{this};
+  // Volatile. Sorted by client id and searched per record batch and per
+  // client run of a flushed track. Only a client that has sent this
+  // server something has a store: the ids come off the wire, so they do
+  // not index a vector.
+  std::vector<std::pair<ClientId, std::unique_ptr<ClientLogStore>>> clients_;
+  /// Records the restart found both on disk and in the NVRAM buffer: each
+  /// keeps reading from its disk track until its NVRAM copy is flushed.
+  /// Volatile.
+  std::set<std::tuple<ClientId, Lsn, Epoch>> relocate_on_flush_;
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

@@ -26,12 +26,6 @@ Result<StreamEntry> GetEntry(Decoder* dec) {
   return entry;
 }
 
-uint64_t LoadLE(const uint8_t* p, int width) {
-  uint64_t v = 0;
-  for (int i = 0; i < width; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 /// The fixed fields of the entry at `pos`. The one indexed access bounds
 /// them all, so an entry that overruns the written bytes trips the
 /// standard library's assertions instead of reading stale capacity.
@@ -67,13 +61,14 @@ size_t StreamEntrySize(const LogRecord& record) {
   return kStreamEntryFixedBytes + record.data.size();
 }
 
-SharedBytes AppendStreamEntry(const std::shared_ptr<Bytes>& image,
-                              ClientId client, const LogRecord& record) {
-  const size_t data_offset = image->size() + kStreamEntryFixedBytes;
-  Encoder enc(image.get());
-  PutEntry(&enc, client, record);
-  if (record.data.empty()) return SharedBytes();
-  return SharedBytes(image, data_offset, record.data.size());
+void AppendStreamEntry(Bytes* image, ClientId client,
+                       std::span<const uint8_t> record) {
+  Encoder enc(image);
+  enc.PutU32(client);
+  // Persistence is where a record's bytes leave the shared wire buffer
+  // for a stable-storage image — the one copy the zero-copy path keeps.
+  AddBytesCopied(record.size() - wire::kRecordFixedBytes);
+  image->insert(image->end(), record.begin(), record.end());
 }
 
 void FinishTrackImage(Bytes* image, uint32_t count) {
@@ -89,6 +84,7 @@ size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos) {
 StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos) {
   const uint8_t* fixed = FixedFieldsAt(image, pos);
   StreamEntryRef entry;
+  entry.offset = pos;
   entry.client = static_cast<ClientId>(LoadLE(fixed, 4));
   entry.lsn = LoadLE(fixed + 4, 8);
   entry.epoch = LoadLE(fixed + 12, 8);
@@ -96,6 +92,13 @@ StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos) {
   entry.data_offset = pos + kStreamEntryFixedBytes;
   entry.data_size = static_cast<size_t>(LoadLE(fixed + 21, 4));
   return entry;
+}
+
+LogRecord RecordOfEntry(const SharedBytes& image, size_t pos) {
+  const StreamEntryRef e = StreamEntryAt({image.data(), image.size()}, pos);
+  LogRecord record{e.lsn, e.epoch, e.present, {}};
+  if (e.data_size > 0) record.data = image.Slice(e.data_offset, e.data_size);
+  return record;
 }
 
 Bytes EncodeTrack(const std::vector<StreamEntry>& entries) {

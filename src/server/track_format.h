@@ -10,6 +10,7 @@
 #include "common/bytes.h"
 #include "common/log_types.h"
 #include "common/result.h"
+#include "wire/messages.h"
 
 namespace dlog::server {
 
@@ -30,9 +31,16 @@ struct StreamEntry {
 Bytes EncodeStreamEntry(const StreamEntry& entry);
 Result<StreamEntry> DecodeStreamEntry(const Bytes& bytes);
 
+/// A stream entry is, byte for byte, the owning client's id followed by
+/// the record's wire encoding (wire::kRecordFixedBytes of lsn, epoch,
+/// present flag and data length, then the data), so a server stores an
+/// arriving record with one copy of the bytes it received.
+constexpr size_t kStreamEntryClientBytes = 4;
+
 /// Fixed (non-payload) bytes of an encoded stream entry:
 /// client(4) + lsn(8) + epoch(8) + present(1) + data length(4).
-constexpr size_t kStreamEntryFixedBytes = 25;
+constexpr size_t kStreamEntryFixedBytes =
+    kStreamEntryClientBytes + wire::kRecordFixedBytes;
 
 /// Encoded size of a record's entry, used when packing a track.
 size_t StreamEntrySize(const LogRecord& record);
@@ -44,31 +52,25 @@ constexpr size_t kTrackOverhead = 8;
 /// built in place: kTrackOverhead header bytes reserved up front, entries
 /// appended one by one, the header filled in last.
 
-/// Appends `record`'s entry to the track image `image`, whose capacity
-/// must already hold it, and returns the view of the record's payload in
-/// the image (empty for an empty payload). Counts the payload as copied
-/// into stable storage.
-SharedBytes AppendStreamEntry(const std::shared_ptr<Bytes>& image,
-                              ClientId client, const LogRecord& record);
+/// Appends the entry of `client`'s record whose wire encoding is `record`
+/// to the track image `image`, whose capacity must already hold it.
+/// Counts the payload as copied into stable storage.
+void AppendStreamEntry(Bytes* image, ClientId client,
+                       std::span<const uint8_t> record);
 
 /// Fills in the header of a track image holding `count` entries.
 void FinishTrackImage(Bytes* image, uint32_t count);
 
-/// One entry of a track image, read in place: its fixed fields and where
-/// its payload sits in the image.
+/// One entry of a track image, read in place: where it starts, its fixed
+/// fields, and where its payload sits in the image.
 struct StreamEntryRef {
+  size_t offset = 0;
   ClientId client = 0;
   Lsn lsn = kNoLsn;
   Epoch epoch = 0;
   bool present = true;
   size_t data_offset = 0;
   size_t data_size = 0;
-
-  /// The payload, as a view sharing `image` (empty when it is empty).
-  SharedBytes PayloadIn(const std::shared_ptr<const Bytes>& image) const {
-    if (data_size == 0) return SharedBytes();
-    return SharedBytes(image, data_offset, data_size);
-  }
 };
 
 /// Size of the encoded entry at `pos` in `bytes`, read from its length
@@ -77,6 +79,10 @@ size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos);
 
 /// Reads the entry at `pos` of a track image.
 StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos);
+
+/// The record of the entry at `pos` of `image`, its payload a view
+/// sharing the image (empty when the payload is).
+LogRecord RecordOfEntry(const SharedBytes& image, size_t pos);
 
 /// Calls `fn(const StreamEntryRef&)` for the first `count` entries of a
 /// track image this node built, or of a track DecodeTrack has verified

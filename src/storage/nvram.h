@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/bytes.h"
@@ -30,10 +31,19 @@ class NvramQueue {
   /// One track image: `header_bytes` reserved for the owner's track
   /// header, then entries. Its buffer is allocated at the full image size
   /// when the image opens and never moves, so views of written bytes stay
-  /// valid while later entries are appended.
+  /// valid while later entries are appended. `track` is the disk track
+  /// the image is to be written to, numbered when it opens: images flush
+  /// in FIFO order, so the front image always takes the next track.
   struct Image {
     std::shared_ptr<Bytes> bytes;
     uint32_t entries = 0;
+    uint64_t track = 0;
+  };
+
+  /// Where an entry sits: its image's track and its offset in the image.
+  struct Position {
+    uint64_t track = 0;
+    size_t offset = 0;
   };
 
   /// `capacity_bytes` bounds the buffered entry bytes (image headers are
@@ -52,23 +62,25 @@ class NvramQueue {
 
   /// Appends an `n`-byte entry that `write(image)` appends to the open
   /// image's buffer, sealing the open image first and opening a fresh one
-  /// when the entry would overflow it. ResourceExhausted if the entry
-  /// does not fit within capacity; InvalidArgument if it is larger than
-  /// an image's entry space.
+  /// when the entry would overflow it, and stores where it went in `at`
+  /// (if given). ResourceExhausted if the entry does not fit within
+  /// capacity; InvalidArgument if it is larger than an image's entry
+  /// space.
   template <typename Write>
-  Status Append(size_t n, Write&& write) {
+  Status Append(size_t n, Write&& write, Position* at = nullptr) {
     if (!HasRoom(n)) return Status::ResourceExhausted("nvram queue full");
     if (header_bytes_ + n > image_bytes_) {
       return Status::InvalidArgument("entry larger than an image");
     }
     Image& image = ImageFor(n);
     [[maybe_unused]] const uint8_t* const data = image.bytes->data();
-    [[maybe_unused]] const size_t before = image.bytes->size();
+    const size_t before = image.bytes->size();
     write(image.bytes);
     assert(image.bytes->size() == before + n && image.bytes->data() == data);
     ++image.entries;
     used_ += n;
     if (occupancy_probe_) occupancy_probe_(used_);
+    if (at != nullptr) *at = Position{image.track, before};
     return Status::OK();
   }
 
@@ -77,24 +89,38 @@ class NvramQueue {
   const std::deque<Image>& images() const { return images_; }
   Image& front() { return images_.front(); }
 
+  /// The track of the front image, or of the next image to open when
+  /// the queue is empty. Every track below it has left the queue.
+  uint64_t first_track() const { return first_track_; }
+
+  /// The buffered image numbered `track`, which must be in the queue.
+  const Image& image(uint64_t track) const {
+    return images_[static_cast<size_t>(track - first_track_)];
+  }
+
   /// Closes the open image to further entries and moves it into a buffer
   /// of exactly its written size: a partly full track is about to be
   /// flushed, and views of its entries would otherwise pin a whole
-  /// track's allocation. The caller repoints those views. No-op when no
+  /// track's allocation. Entries keep their positions. No-op when no
   /// image is open.
   void Seal();
 
-  /// Removes the front image (it has reached the disk).
+  /// Removes the front image (it has reached the disk); the next image
+  /// takes the next track.
   void PopFront();
 
   /// Re-lays every buffered entry greedily from the front, as appending
   /// them afresh in order would: a sealed, partly full image takes back
-  /// the entries that followed it. `entry_size(image, pos)` is the size
-  /// of the entry at `pos` of an image's buffer. The buffered bytes do not
-  /// change; every image gets a new buffer, so the caller repoints any
-  /// views.
+  /// the entries that followed it. The images are numbered from
+  /// `first_track` on. `entry_size(image, pos)` is the size of the entry
+  /// at `pos` of an image's buffer, and `moved(from, to, entry)`, when
+  /// given, learns each entry's old and new position and its bytes. The
+  /// buffered bytes do not change; every image gets a new buffer.
   using EntrySizeFn = size_t (*)(const Bytes& image, size_t pos);
-  void Repack(EntrySizeFn entry_size);
+  using MovedFn = std::function<void(Position from, Position to,
+                                     std::span<const uint8_t> entry)>;
+  void Repack(EntrySizeFn entry_size, uint64_t first_track,
+              const MovedFn& moved = nullptr);
 
   /// Buffered entry bytes.
   size_t used_bytes() const { return used_; }
@@ -120,6 +146,7 @@ class NvramQueue {
   size_t image_bytes_;
   size_t header_bytes_;
   size_t used_ = 0;
+  uint64_t first_track_ = 0;
   /// Whether images_.back() takes more entries.
   bool back_open_ = false;
   std::deque<Image> images_;

@@ -86,8 +86,15 @@ Result<RpcStatus> GetRpcStatus(Decoder* dec) {
 }  // namespace
 
 size_t EncodedRecordSize(const LogRecord& record) {
-  // lsn(8) + epoch(8) + present(1) + blob length(4) + data
-  return 8 + 8 + 1 + 4 + record.data.size();
+  return kRecordFixedBytes + record.data.size();
+}
+
+Bytes EncodeRecord(const LogRecord& record) {
+  Bytes out;
+  out.reserve(EncodedRecordSize(record));
+  Encoder enc(&out);
+  PutRecord(&enc, record);
+  return out;
 }
 
 size_t RecordBatchOverhead() {
@@ -339,15 +346,36 @@ Result<Envelope> DecodeEnvelope(const Bytes& wire) {
   return DecodeEnvelope(SharedBytes::Copy(wire.data(), wire.size()));
 }
 
-Result<RecordBatch> DecodeRecordBatch(const SharedBytes& body) {
-  Decoder dec(body);
-  RecordBatch m;
-  DLOG_ASSIGN_OR_RETURN(m.client, dec.GetU32());
-  DLOG_ASSIGN_OR_RETURN(m.epoch, dec.GetU64());
-  DLOG_ASSIGN_OR_RETURN(m.trace, dec.GetU64());
-  DLOG_ASSIGN_OR_RETURN(m.span, dec.GetU64());
-  DLOG_ASSIGN_OR_RETURN(m.records, GetRecords(&dec));
-  return m;
+Result<RecordBatchView> RecordBatchView::Parse(const SharedBytes& body) {
+  if (body.size() < kBatchHeaderBytes) {
+    return Status::Corruption("truncated record batch header");
+  }
+  const uint8_t* p = body.data();
+  RecordBatchView batch;
+  batch.client_ = static_cast<ClientId>(LoadLE(p, 4));
+  batch.epoch_ = LoadLE(p + 4, 8);
+  batch.trace_ = LoadLE(p + 12, 8);
+  batch.span_ = LoadLE(p + 20, 8);
+  batch.count_ = static_cast<uint32_t>(LoadLE(p + 28, 4));
+  // Every bound is checked here, before any record is applied, so an
+  // overrun anywhere rejects the whole batch.
+  size_t pos = kBatchHeaderBytes;
+  for (uint32_t i = 0; i < batch.count_; ++i) {
+    if (body.size() - pos < kRecordFixedBytes) {
+      return Status::Corruption("record header overruns the batch");
+    }
+    const uint8_t* record = p + pos;
+    // Only the canonical present bytes: the server stores the encoding
+    // as it arrived.
+    if (record[16] > 1) return Status::Corruption("bad present byte");
+    const size_t n = static_cast<size_t>(LoadLE(record + 17, 4));
+    if (body.size() - pos - kRecordFixedBytes < n) {
+      return Status::Corruption("record data overruns the batch");
+    }
+    pos += kRecordFixedBytes + n;
+  }
+  batch.body_ = body;
+  return batch;
 }
 
 Result<NewIntervalMsg> DecodeNewInterval(const SharedBytes& body) {

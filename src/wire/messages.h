@@ -2,6 +2,7 @@
 #define DLOG_WIRE_MESSAGES_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,7 +65,8 @@ struct Envelope {
 /// WriteLog / ForceLog (Figure 4-1): "Client processes and log servers
 /// attempt to pack as many log records as will fit in a network packet in
 /// each call." ForceLog additionally requests an immediate NewHighLsn
-/// acknowledgment.
+/// acknowledgment. Senders encode one from this struct; the server reads
+/// it in place with RecordBatchView.
 struct RecordBatch {
   ClientId client = 0;
   Epoch epoch = 0;
@@ -254,7 +256,6 @@ Result<Envelope> DecodeEnvelope(const Bytes& wire);
 /// Decode* bodies are SharedBytes so record payloads come out as views
 /// into the arriving buffer; a Bytes argument converts implicitly (with
 /// a copy) for callers that hold an owned buffer.
-Result<RecordBatch> DecodeRecordBatch(const SharedBytes& body);
 Result<NewIntervalMsg> DecodeNewInterval(const SharedBytes& body);
 Result<NewHighLsnMsg> DecodeNewHighLsn(const SharedBytes& body);
 Result<OverloadedMsg> DecodeOverloaded(const SharedBytes& body);
@@ -276,6 +277,101 @@ Result<TruncateLogMsg> DecodeTruncateLog(const SharedBytes& body);
 /// Bytes a LogRecord occupies inside a RecordBatch encoding; used by the
 /// client to pack "as many log records as will fit in a network packet".
 size_t EncodedRecordSize(const LogRecord& record);
+
+/// Fixed bytes of a record's wire encoding: lsn(8) + epoch(8) +
+/// present(1) + data length(4); the data follows.
+inline constexpr size_t kRecordFixedBytes = 8 + 8 + 1 + 4;
+
+/// One record read in place from its wire encoding: its key, its present
+/// flag, and the whole encoding (fixed fields and data). Valid while the
+/// buffer it was read from is.
+struct RecordView {
+  Lsn lsn = kNoLsn;
+  Epoch epoch = 0;
+  bool present = true;
+  std::span<const uint8_t> bytes;
+
+  std::span<const uint8_t> data() const {
+    return bytes.subspan(kRecordFixedBytes);
+  }
+};
+
+/// Reads the record whose wire encoding starts at `p`, with bounds the
+/// caller has checked (RecordBatchView::Parse, or an encoding this
+/// process made).
+inline RecordView RecordAt(const uint8_t* p) {
+  RecordView r;
+  r.lsn = LoadLE(p, 8);
+  r.epoch = LoadLE(p + 8, 8);
+  r.present = p[16] != 0;
+  r.bytes = {p, kRecordFixedBytes + static_cast<size_t>(LoadLE(p + 17, 4))};
+  return r;
+}
+
+/// A record's wire encoding in an owned buffer (the reference model's
+/// writes and installed recovery copies; the log client encodes its
+/// batches in place).
+Bytes EncodeRecord(const LogRecord& record);
+
+/// A WriteLog/ForceLog body read in place. Parse checks the batch header
+/// and every record's bounds in one pass; iterating then yields each
+/// record as a RecordView of the body, with no allocation and no
+/// per-record copy of the body's ownership.
+class RecordBatchView {
+ public:
+  /// Corruption, accepting no record, if the header is truncated, a
+  /// record overruns the body (however its count or length field lies),
+  /// or a present byte is neither 0 nor 1. Bytes after the last record
+  /// are ignored.
+  static Result<RecordBatchView> Parse(const SharedBytes& body);
+
+  ClientId client() const { return client_; }
+  Epoch epoch() const { return epoch_; }
+  uint64_t trace() const { return trace_; }
+  uint64_t span() const { return span_; }
+  uint32_t size() const { return count_; }
+
+  class Iterator {
+   public:
+    RecordView operator*() const { return RecordAt(pos_); }
+    Iterator& operator++() {
+      pos_ += kRecordFixedBytes + static_cast<size_t>(LoadLE(pos_ + 17, 4));
+      --left_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const {
+      return left_ != other.left_;
+    }
+
+   private:
+    friend class RecordBatchView;
+    Iterator(const uint8_t* pos, uint32_t left) : pos_(pos), left_(left) {}
+    const uint8_t* pos_;
+    uint32_t left_;
+  };
+  Iterator begin() const {
+    return Iterator(body_.data() + kBatchHeaderBytes, count_);
+  }
+  Iterator end() const { return Iterator(nullptr, 0); }
+
+  /// `record`, one of this batch's, as a view sharing the body's buffer:
+  /// how a record is kept past its batch.
+  SharedBytes Share(const RecordView& record) const {
+    return body_.Slice(static_cast<size_t>(record.bytes.data() - body_.data()),
+                       record.bytes.size());
+  }
+
+ private:
+  /// client(4) + epoch(8) + trace(8) + span(8) + count(4).
+  static constexpr size_t kBatchHeaderBytes = 4 + 8 + 8 + 8 + 4;
+
+  SharedBytes body_;
+  ClientId client_ = 0;
+  Epoch epoch_ = 0;
+  uint64_t trace_ = 0;
+  uint64_t span_ = 0;
+  uint32_t count_ = 0;
+};
 
 /// Fixed per-RecordBatch overhead (envelope header + batch fields).
 size_t RecordBatchOverhead();

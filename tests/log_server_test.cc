@@ -332,6 +332,66 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
             (IntervalList{{3, 1, 9}, {4, 9, 10}}));
 }
 
+// A staged copy that conflicts with a stored <LSN, Epoch> fails the whole
+// InstallCopies: none of the call's copies becomes readable or reaches
+// NVRAM.
+TEST(LogServerTest, ConflictingInstallCopiesInstallsNothing) {
+  RawDriver d;
+  d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
+  auto copy = [&d](std::vector<LogRecord> records) {
+    wire::CopyLogReq creq;
+    creq.client = kClient;
+    creq.epoch = 2;
+    creq.records = std::move(records);
+    d.Send(wire::EncodeCopyLogReq(creq, d.next_rpc++));
+    d.Send(wire::EncodeInstallCopiesReq({kClient, 2}, d.next_rpc++));
+    return wire::DecodeInstallCopiesResp(
+               d.Last(wire::MessageType::kInstallCopiesResp)->body)
+        ->status;
+  };
+  ASSERT_EQ(copy({Rec(5, 2, true, "x")}), wire::RpcStatus::kOk);
+  const IntervalList before = d.server->IntervalsOf(kClient);
+  ASSERT_EQ(before, (IntervalList{{1, 1, 2}, {2, 5, 5}}));
+  ASSERT_EQ(d.server->records_written().value(), 3u);
+  const size_t buffered = d.server->nvram_buffer().used_bytes();
+
+  EXPECT_EQ(copy({Rec(3, 2, true, "c"), Rec(5, 2, true, "y")}),
+            wire::RpcStatus::kError);
+  EXPECT_EQ(d.server->IntervalsOf(kClient), before);
+  EXPECT_EQ(d.server->records_written().value(), 3u);
+  EXPECT_EQ(d.server->nvram_buffer().used_bytes(), buffered);
+  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                {kClient, 3}, d.next_rpc++));
+  EXPECT_EQ(wire::DecodeReadLogResp(
+                d.Last(wire::MessageType::kReadLogResp)->body)
+                ->status,
+            wire::RpcStatus::kNotFound);
+}
+
+// A batch is checked whole before any record is applied: a ForceLog
+// whose last record overruns the packet stores nothing and is not
+// acknowledged.
+TEST(LogServerTest, ForceLogWithAnOverrunningRecordAppliesNothing) {
+  RawDriver d;
+  wire::RecordBatch batch;
+  batch.client = kClient;
+  batch.epoch = 1;
+  batch.records = {Rec(1, 1), Rec(2, 1, true, "last")};
+  Bytes message = wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch);
+  // The last record's length field (just before its 4 data bytes) claims
+  // one byte more than the packet holds.
+  message[message.size() - 8] = 5;
+  d.Send(std::move(message));
+  EXPECT_EQ(d.server->records_written().value(), 0u);
+  EXPECT_TRUE(d.server->IntervalsOf(kClient).empty());
+  EXPECT_EQ(d.Last(wire::MessageType::kNewHighLsn), nullptr);
+
+  // The same batch intact is applied and acknowledged.
+  d.SendBatch(wire::MessageType::kForceLog, 1, batch.records);
+  EXPECT_EQ(d.server->records_written().value(), 2u);
+  EXPECT_NE(d.Last(wire::MessageType::kNewHighLsn), nullptr);
+}
+
 TEST(LogServerTest, MismatchedCopyEpochRejected) {
   RawDriver d;
   wire::CopyLogReq creq;

@@ -7,6 +7,8 @@
 #include "common/log_types.h"
 #include "server/client_log_store.h"
 #include "server/track_format.h"
+#include "server/track_images.h"
+#include "wire/messages.h"
 
 namespace dlog::server {
 namespace {
@@ -21,16 +23,48 @@ LogRecord Rec(Lsn lsn, Epoch epoch, bool present = true,
   return r;
 }
 
-TEST(ClientLogStoreTest, EmptyStore) {
-  ClientLogStore store;
+/// The record whose wire encoding is `wire` (a held record).
+LogRecord FromWire(const SharedBytes& wire) {
+  const wire::RecordView v = wire::RecordAt(wire.data());
+  LogRecord r{v.lsn, v.epoch, v.present, {}};
+  if (!v.data().empty()) {
+    r.data = wire.Slice(wire::kRecordFixedBytes, v.data().size());
+  }
+  return r;
+}
+
+/// A store whose records live in in-memory track images.
+class ClientLogStoreTest : public ::testing::Test {
+ protected:
+  /// Place() for an arriving stream record, holding it (as its wire
+  /// encoding) when it lands past a gap, as the server does.
+  ClientLogStore::Placement Place(const LogRecord& r) {
+    const ClientLogStore::Placement p = store.Place(r.lsn, r.epoch);
+    if (p == ClientLogStore::Placement::kHold) {
+      store.Hold(SharedBytes(wire::EncodeRecord(r)));
+    }
+    return p;
+  }
+
+  /// Stores `r`'s entry in the images without indexing it: another copy,
+  /// such as a later track holding the same record.
+  RecordLocation CopyOf(const LogRecord& r) {
+    return *images.Append(kClient, wire::EncodeRecord(r));
+  }
+
+  static constexpr ClientId kClient = 7;
+  MemoryTrackImages images;
+  ClientLogStore store{kClient, &images};
+};
+
+TEST_F(ClientLogStoreTest, EmptyStore) {
   EXPECT_EQ(store.HighestLsn(), kNoLsn);
   EXPECT_EQ(store.TailEpoch(), 0u);
   EXPECT_TRUE(store.Intervals().empty());
   EXPECT_TRUE(store.Read(1).status().IsNotFound());
 }
 
-TEST(ClientLogStoreTest, SequentialWritesFormOneInterval) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, SequentialWritesFormOneInterval) {
   for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   IntervalList ivs = store.Intervals();
   ASSERT_EQ(ivs.size(), 1u);
@@ -39,13 +73,11 @@ TEST(ClientLogStoreTest, SequentialWritesFormOneInterval) {
   EXPECT_EQ(store.ExpectedNextLsn(), 6u);
 }
 
-TEST(ClientLogStoreTest, LsnZeroRejected) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, LsnZeroRejected) {
   EXPECT_FALSE(store.Write(Rec(0, 1)).ok());
 }
 
-TEST(ClientLogStoreTest, GapStartsNewInterval) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, GapStartsNewInterval) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
   // Client switched away and back: LSNs 3-4 live elsewhere.
@@ -56,24 +88,21 @@ TEST(ClientLogStoreTest, GapStartsNewInterval) {
   EXPECT_EQ(ivs[1], (Interval{1, 5, 5}));
 }
 
-TEST(ClientLogStoreTest, EpochChangeStartsNewInterval) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, EpochChangeStartsNewInterval) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(2, 3)).ok());
   ASSERT_EQ(store.Intervals().size(), 2u);
   EXPECT_EQ(store.TailEpoch(), 3u);
 }
 
-TEST(ClientLogStoreTest, OutOfOrderRejected) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, OutOfOrderRejected) {
   ASSERT_TRUE(store.Write(Rec(5, 2)).ok());
   EXPECT_FALSE(store.Write(Rec(3, 2)).ok());   // lower LSN
   EXPECT_FALSE(store.Write(Rec(6, 1)).ok());   // lower epoch
   EXPECT_FALSE(store.Write(Rec(5, 2, false)).ok());  // conflicting dup
 }
 
-TEST(ClientLogStoreTest, ExactDuplicateIsIdempotent) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, ExactDuplicateIsIdempotent) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());  // redelivery
   EXPECT_EQ(store.record_count(), 1u);
@@ -81,8 +110,7 @@ TEST(ClientLogStoreTest, ExactDuplicateIsIdempotent) {
 
 // Figure 3-3, Server 1: the recovery procedure rewrites the tail record
 // <9,3> as <9,4> — same LSN, higher epoch.
-TEST(ClientLogStoreTest, TailRecopyWithHigherEpoch) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, TailRecopyWithHigherEpoch) {
   for (Lsn l = 1; l <= 9; ++l) ASSERT_TRUE(store.Write(Rec(l, 3)).ok());
   ASSERT_TRUE(store.Write(Rec(9, 4)).ok());
   ASSERT_TRUE(store.Write(Rec(10, 4, false, "")).ok());
@@ -96,8 +124,7 @@ TEST(ClientLogStoreTest, TailRecopyWithHigherEpoch) {
 }
 
 // Reconstructs Server 1 of Figure 3-1 record by record.
-TEST(ClientLogStoreTest, Figure31Server1) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, Figure31Server1) {
   for (Lsn l = 1; l <= 3; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(3, 3)).ok());           // recovery copy
   ASSERT_TRUE(store.Write(Rec(4, 3, false, "")).ok());  // not present
@@ -112,8 +139,7 @@ TEST(ClientLogStoreTest, Figure31Server1) {
   EXPECT_TRUE(store.Read(5)->present);
 }
 
-TEST(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
   for (Lsn l = 1; l <= 9; ++l) ASSERT_TRUE(store.Write(Rec(l, 3)).ok());
   ASSERT_TRUE(store.StageCopy(Rec(9, 4, true, "copy")).ok());
   ASSERT_TRUE(store.StageCopy(Rec(10, 4, false, "")).ok());
@@ -133,15 +159,13 @@ TEST(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
   EXPECT_EQ(store.staged_count(), 0u);
 }
 
-TEST(ClientLogStoreTest, InstallOfUnknownEpochIsNoOp) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, InstallOfUnknownEpochIsNoOp) {
   Result<std::vector<LogRecord>> r = store.InstallCopies(99);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
 
-TEST(ClientLogStoreTest, InstallSortsByLsn) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, InstallSortsByLsn) {
   for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   // Staged out of order.
   ASSERT_TRUE(store.StageCopy(Rec(5, 2, true, "b")).ok());
@@ -153,8 +177,7 @@ TEST(ClientLogStoreTest, InstallSortsByLsn) {
   EXPECT_EQ(ivs[1], (Interval{2, 4, 5}));
 }
 
-TEST(ClientLogStoreTest, CopiesForDifferentEpochsAreIndependent) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, CopiesForDifferentEpochsAreIndependent) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.StageCopy(Rec(1, 2)).ok());
   ASSERT_TRUE(store.StageCopy(Rec(1, 3)).ok());
@@ -163,94 +186,135 @@ TEST(ClientLogStoreTest, CopiesForDifferentEpochsAreIndependent) {
   EXPECT_EQ(store.staged_count(), 1u);  // epoch-2 copy still staged
 }
 
-TEST(ClientLogStoreTest, RestoreRoundTrip) {
-  ClientLogStore store;
+// The restart scan rebuilds a store from the copies in its images, in
+// write order.
+TEST_F(ClientLogStoreTest, RestoreRoundTrip) {
   for (Lsn l = 1; l <= 3; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(3, 3)).ok());
   ASSERT_TRUE(store.Write(Rec(4, 3, false, "")).ok());
   ASSERT_TRUE(store.Write(Rec(5, 3)).ok());
+  const std::vector<LogRecord> written = {Rec(1, 1), Rec(2, 1),
+                                          Rec(3, 1), Rec(3, 3),
+                                          Rec(4, 3, false, ""), Rec(5, 3)};
+  EXPECT_EQ(store.Records(), written);
 
-  ClientLogStore rebuilt;
-  for (const LogRecord& r : store.stream()) rebuilt.Restore(r);
+  std::vector<ClientLogStore::IndexEntry> by_pos = store.index();
+  std::sort(by_pos.begin(), by_pos.end(),
+            [](const auto& a, const auto& b) { return a.pos < b.pos; });
+  ClientLogStore rebuilt(kClient, &images);
+  for (const ClientLogStore::IndexEntry& e : by_pos) {
+    EXPECT_TRUE(rebuilt.Recover(e.lsn, e.epoch, e.location()));
+  }
   EXPECT_EQ(rebuilt.Intervals(), store.Intervals());
   EXPECT_EQ(rebuilt.record_count(), store.record_count());
   EXPECT_EQ(rebuilt.Read(3)->epoch, 3u);
+  EXPECT_EQ(rebuilt.Records(), written);
 }
 
-// A record flushed to two tracks is scanned twice on restart.
-TEST(ClientLogStoreTest, RestoreSkipsDuplicates) {
-  ClientLogStore store;
+// A record flushed to two tracks is scanned twice on restart: it keeps
+// its first place in write order, and the caller moves it to the later
+// copy.
+TEST_F(ClientLogStoreTest, RestoreSkipsDuplicates) {
+  std::vector<bool> indexed;
+  std::vector<RecordLocation> at;
   for (const LogRecord& r :
        {Rec(1, 1), Rec(2, 1), Rec(1, 1), Rec(2, 1), Rec(3, 1)}) {
-    store.Restore(r);
+    at.push_back(CopyOf(r));
+    indexed.push_back(store.Recover(r.lsn, r.epoch, at.back()));
   }
+  EXPECT_EQ(indexed, (std::vector<bool>{true, true, false, false, true}));
   EXPECT_EQ(store.record_count(), 3u);
   ASSERT_EQ(store.Intervals().size(), 1u);
   EXPECT_EQ(store.Intervals()[0], (Interval{1, 1, 3}));
+  EXPECT_EQ(store.ReadLocation(1), at[0]);
+  store.Relocate(1, 1, at[2]);
+  EXPECT_EQ(store.ReadLocation(1), at[2]);
+  EXPECT_EQ(store.Records(),
+            (std::vector<LogRecord>{Rec(1, 1), Rec(2, 1), Rec(3, 1)}));
+}
+
+// Each stored record is one stream entry in the images — the client id,
+// then the record's wire encoding — and reads back as a view of it.
+TEST_F(ClientLogStoreTest, RecordsLiveInTheirTrackImages) {
+  static_assert(sizeof(ClientLogStore::IndexEntry) <= 32);
+  ASSERT_TRUE(store.Write(Rec(1, 1, true, "first")).ok());
+  ASSERT_TRUE(store.Write(Rec(2, 1, false, "")).ok());
+  const RecordLocation at = *store.ReadLocation(1);
+  const SharedBytes image = images.Image(at.track);
+  Bytes entry = {kClient, 0, 0, 0};
+  const Bytes wire = wire::EncodeRecord(Rec(1, 1, true, "first"));
+  entry.insert(entry.end(), wire.begin(), wire.end());
+  EXPECT_EQ(Bytes(image.begin() + at.offset,
+                  image.begin() + at.offset + entry.size()),
+            entry);
+  const LogRecord read = *store.Read(1);
+  EXPECT_EQ(read, Rec(1, 1, true, "first"));
+  EXPECT_EQ(read.data.data(), image.data() + at.offset +
+                                  kStreamEntryFixedBytes);
+  EXPECT_EQ(*store.Read(2), Rec(2, 1, false, ""));
 }
 
 // --- The stream rule (Sections 3.1.1, 4.2) ---
 
 using Placement = ClientLogStore::Placement;
 
-TEST(ClientLogStoreTest, EmptyStoreHoldsARecordPastLsnOneAndReportsTheGap) {
-  ClientLogStore store;
-  EXPECT_EQ(store.Place(Rec(5, 1)), Placement::kHold);
+TEST_F(ClientLogStoreTest, EmptyStoreHoldsARecordPastLsnOneAndReportsTheGap) {
+  EXPECT_EQ(Place(Rec(5, 1)), Placement::kHold);
   EXPECT_EQ(store.Gap(), (std::pair<Lsn, Lsn>{1, 4}));
   EXPECT_EQ(store.record_count(), 0u);
-  EXPECT_EQ(store.Place(Rec(1, 1)), Placement::kExtend);
+  EXPECT_EQ(Place(Rec(1, 1)), Placement::kExtend);
 }
 
-TEST(ClientLogStoreTest, HigherEpochPastAGapIsHeldUnlessAnnounced) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, HigherEpochPastAGapIsHeldUnlessAnnounced) {
   for (Lsn l = 1; l <= 3; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
-  EXPECT_EQ(store.Place(Rec(6, 2)), Placement::kHold);
+  EXPECT_EQ(Place(Rec(6, 2)), Placement::kHold);
   EXPECT_EQ(store.Gap(), (std::pair<Lsn, Lsn>{4, 5}));
 
   // The announced start extends the stream; the announcement is used up
   // by it, so the next jump is held again.
   EXPECT_EQ(store.Announce(2, 9), std::nullopt);
   EXPECT_EQ(store.Gap(), std::nullopt);  // the held LSN 6 lives elsewhere
-  EXPECT_EQ(store.Place(Rec(9, 2)), Placement::kExtend);
+  EXPECT_EQ(Place(Rec(9, 2)), Placement::kExtend);
   ASSERT_TRUE(store.Write(Rec(9, 2)).ok());
-  EXPECT_EQ(store.Place(Rec(12, 2)), Placement::kHold);
+  EXPECT_EQ(Place(Rec(12, 2)), Placement::kHold);
   EXPECT_EQ(store.Gap(), (std::pair<Lsn, Lsn>{10, 11}));
 }
 
-TEST(ClientLogStoreTest, AnnouncementAfterItsRecordReleasesIt) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, AnnouncementAfterItsRecordReleasesIt) {
   for (Lsn l = 1; l <= 3; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
-  EXPECT_EQ(store.Place(Rec(7, 1)), Placement::kHold);
-  EXPECT_EQ(store.Place(Rec(8, 1)), Placement::kHold);
+  EXPECT_EQ(Place(Rec(7, 1)), Placement::kHold);
+  EXPECT_EQ(Place(Rec(8, 1)), Placement::kHold);
 
-  const std::optional<LogRecord> start = store.Announce(1, 7);
+  const std::optional<SharedBytes> start = store.Announce(1, 7);
   ASSERT_TRUE(start.has_value());
-  EXPECT_EQ(start->lsn, 7u);
-  ASSERT_TRUE(store.Write(*start).ok());
-  const std::optional<LogRecord> next = store.TakeNextHeld();
+  EXPECT_EQ(FromWire(*start), Rec(7, 1));
+  ASSERT_TRUE(store.Write(FromWire(*start)).ok());
+  const std::optional<SharedBytes> next = store.TakeNextHeld();
   ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->lsn, 8u);
-  ASSERT_TRUE(store.Write(*next).ok());
+  EXPECT_EQ(FromWire(*next).lsn, 8u);
+  ASSERT_TRUE(store.Write(FromWire(*next)).ok());
   EXPECT_EQ(store.TakeNextHeld(), std::nullopt);
   EXPECT_EQ(store.Gap(), std::nullopt);
   EXPECT_EQ(store.Intervals(), (IntervalList{{1, 1, 3}, {1, 7, 8}}));
 }
 
-TEST(ClientLogStoreTest, HoldKeepsTheLatestCopyUpToItsCap) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, HoldKeepsTheLatestCopyUpToItsCap) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
-  store.Place(Rec(3, 1, true, "old"));
-  store.Place(Rec(3, 1, true, "new"));
+  Place(Rec(3, 1, true, "old"));
+  Place(Rec(3, 1, true, "new"));
   for (Lsn l = 4; l < 3 + ClientLogStore::kMaxHeld; ++l) {
-    store.Place(Rec(l, 1));
+    Place(Rec(l, 1));
   }
-  store.Place(Rec(3 + ClientLogStore::kMaxHeld, 1));  // the hold is full
+  Place(Rec(3 + ClientLogStore::kMaxHeld, 1));  // the hold is full
 
   ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
   Lsn taken = 2;
-  while (std::optional<LogRecord> r = store.TakeNextHeld()) {
-    if (r->lsn == 3) EXPECT_EQ(r->data, ToBytes("new"));
-    ASSERT_TRUE(store.Write(*std::move(r)).ok());
+  while (std::optional<SharedBytes> held = store.TakeNextHeld()) {
+    const LogRecord r = FromWire(*held);
+    if (r.lsn == 3) {
+      EXPECT_EQ(r.data, ToBytes("new"));
+    }
+    ASSERT_TRUE(store.Write(r).ok());
     ++taken;
   }
   EXPECT_EQ(taken, 2 + ClientLogStore::kMaxHeld);
@@ -259,8 +323,7 @@ TEST(ClientLogStoreTest, HoldKeepsTheLatestCopyUpToItsCap) {
 // A repair copy (re-stamped with a newer epoch) lands below the stream's
 // highest LSN, and a stream write may then start right after it: both
 // take sorted inserts into the index, which must keep every lookup right.
-TEST(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
   for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(store.Write(Rec(l, 2)).ok());
   ASSERT_TRUE(store.StageCopy(Rec(5, 3, true, "copy5")).ok());
   ASSERT_TRUE(store.StageCopy(Rec(4, 3, true, "copy4")).ok());
@@ -285,39 +348,59 @@ TEST(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
       }));
 }
 
-// The disk track the index holds for <lsn, epoch>; nullopt while the
-// record is only in NVRAM or when it is not stored.
-std::optional<uint64_t> TrackOf(const ClientLogStore& store, Lsn lsn,
-                                Epoch epoch) {
-  for (const ClientLogStore::IndexEntry& e : store.index()) {
-    if (e.lsn == lsn && e.epoch == epoch &&
-        e.track != ClientLogStore::kNoTrack) {
-      return e.track;
-    }
-  }
-  return std::nullopt;
-}
-
-TEST(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
-  ClientLogStore store;
+TEST_F(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
   for (Lsn l = 1; l <= 6; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   ASSERT_TRUE(store.StageCopy(Rec(5, 2)).ok());
   ASSERT_TRUE(store.InstallCopies(2).ok());
-  store.SetTrack(2, 1, 7);
-  store.SetTrack(4, 1, 7);
-  store.SetTrack(4, 1, 8);  // flushed again later: the later track wins
-  store.SetTrack(5, 1, 8);
-  store.SetTrack(5, 2, 9);
+  const RecordLocation buffered3 = *store.LocationOf(3, 1);
+  // Flushes move records to the tracks they were written to.
+  store.Relocate(2, 1, {7, 8});
+  store.Relocate(4, 1, {7, 40});
+  store.Relocate(4, 1, {8, 8});  // flushed again later: the later track wins
+  store.Relocate(5, 1, {8, 40});
+  store.Relocate(5, 2, {9, 8});
 
   ASSERT_EQ(store.TruncateBelow(3), 2u);
-  EXPECT_EQ(TrackOf(store, 4, 1), 8u);
-  EXPECT_EQ(TrackOf(store, 5, 1), 8u);
-  EXPECT_EQ(store.ReadTrack(5), 9u);  // the highest epoch's track
-  EXPECT_EQ(store.ReadTrack(3), std::nullopt);  // still only in NVRAM
-  EXPECT_EQ(store.ReadTrack(2), std::nullopt);  // discarded
-  store.SetTrack(2, 1, 10);  // a discarded record takes no track
+  EXPECT_EQ(store.LocationOf(4, 1), (RecordLocation{8, 8}));
+  EXPECT_EQ(store.LocationOf(5, 1), (RecordLocation{8, 40}));
+  EXPECT_EQ(store.ReadLocation(5), (RecordLocation{9, 8}));  // highest epoch
+  EXPECT_EQ(store.ReadLocation(3), buffered3);  // never moved
+  EXPECT_EQ(store.ReadLocation(2), std::nullopt);  // discarded
+  store.Relocate(2, 1, {10, 8});  // a discarded record takes no track
   EXPECT_FALSE(store.Contains(2, 1));
-  EXPECT_EQ(TrackOf(store, 2, 1), std::nullopt);
+  EXPECT_EQ(store.LocationOf(2, 1), std::nullopt);
+}
+
+// InstallCopies is all or nothing: a staged copy that conflicts with a
+// stored <LSN, Epoch> leaves every other staged copy out too, so nothing
+// readable is missing from the images.
+TEST_F(ClientLogStoreTest, ConflictingCopyInstallsNone) {
+  ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
+  ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
+  ASSERT_TRUE(store.Write(Rec(5, 2)).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(3, 2, true, "c")).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(5, 2, true, "y")).ok());
+  EXPECT_TRUE(store.InstallCopies(2).status().IsCorruption());
+  EXPECT_EQ(store.Intervals(), (IntervalList{{1, 1, 2}, {2, 5, 5}}));
+  EXPECT_TRUE(store.Read(3).status().IsNotFound());
+  EXPECT_EQ(store.record_count(), 3u);
+  EXPECT_EQ(store.staged_count(), 0u);
+}
+
+// A copy staged twice (a retried CopyLog) installs once; two different
+// copies of one <LSN, Epoch> conflict.
+TEST_F(ClientLogStoreTest, CopyStagedTwiceInstallsOnce) {
+  ASSERT_TRUE(store.StageCopy(Rec(1, 2, true, "a")).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(1, 2, true, "a")).ok());
+  Result<std::vector<LogRecord>> installed = store.InstallCopies(2);
+  ASSERT_TRUE(installed.ok());
+  EXPECT_EQ(installed->size(), 1u);
+  EXPECT_EQ(store.record_count(), 1u);
+
+  ASSERT_TRUE(store.StageCopy(Rec(2, 3, true, "b")).ok());
+  ASSERT_TRUE(store.StageCopy(Rec(2, 3, true, "c")).ok());
+  EXPECT_TRUE(store.InstallCopies(3).status().IsCorruption());
+  EXPECT_EQ(store.record_count(), 1u);
 }
 
 // --- Track format ---

@@ -234,7 +234,7 @@ TEST(NvramQueueTest, SealRightSizesAndRepackRestoresGreedyPacking) {
   ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
   ASSERT_EQ(q.images().size(), 2u);
   // The flush failed: packing from the front again puts 'b' beside 'a'.
-  q.Repack(&SizeFromFirstByte);
+  q.Repack(&SizeFromFirstByte, 0);
   ASSERT_EQ(q.images().size(), 2u);
   EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'a'}, {10, 'b'}}));
   EXPECT_EQ(*q.images()[1].bytes, ImageOf({{10, 'c'}}));
@@ -243,6 +243,48 @@ TEST(NvramQueueTest, SealRightSizesAndRepackRestoresGreedyPacking) {
   // The last image is open again.
   ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
   EXPECT_EQ(*q.images()[1].bytes, ImageOf({{10, 'c'}, {4, 'd'}}));
+}
+
+// Each image is numbered with the disk track it will be written to:
+// images flush in order, so the front image takes the next track, and a
+// repack numbers the images afresh and reports where each entry went.
+TEST(NvramQueueTest, ImagesAreNumberedByTheirTracks) {
+  NvramQueue q(1024, kImageBytes, kHeaderBytes);
+  NvramQueue::Position at;
+  ASSERT_TRUE(q.Append(10, [](const std::shared_ptr<Bytes>& image) {
+                 image->push_back(10);
+                 image->insert(image->end(), 9, 'a');
+               }, &at).ok());
+  EXPECT_EQ(at.track, 0u);
+  EXPECT_EQ(at.offset, kHeaderBytes);
+  ASSERT_TRUE(AppendEntry(&q, 20, 'b').ok());
+  ASSERT_TRUE(AppendEntry(&q, 20, 'c').ok());
+  ASSERT_EQ(q.images().size(), 3u);
+  EXPECT_EQ(q.images()[2].track, 2u);
+  EXPECT_EQ(q.first_track(), 0u);
+  q.PopFront();
+  EXPECT_EQ(q.first_track(), 1u);
+  EXPECT_EQ(q.image(2).bytes, q.images()[1].bytes);
+
+  // The write of track 1 failed and burned its number.
+  std::vector<std::pair<NvramQueue::Position, NvramQueue::Position>> moves;
+  q.Repack(&SizeFromFirstByte, 2,
+           [&moves](NvramQueue::Position from, NvramQueue::Position to,
+                    std::span<const uint8_t> entry) {
+             EXPECT_EQ(entry.size(), 20u);
+             moves.push_back({from, to});
+           });
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_EQ(moves[0].first.track, 1u);
+  EXPECT_EQ(moves[0].second.track, 2u);
+  EXPECT_EQ(moves[1].first.track, 2u);
+  EXPECT_EQ(moves[1].second.track, 3u);
+  EXPECT_EQ(moves[1].second.offset, kHeaderBytes);
+  EXPECT_EQ(q.first_track(), 2u);
+  q.PopFront();
+  q.PopFront();
+  ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
+  EXPECT_EQ(q.images()[0].track, 4u);  // an empty queue keeps counting
 }
 
 TEST(StableCellTest, ReadWrite) {

@@ -8,6 +8,7 @@
 
 #include "harness/cluster.h"
 #include "server/client_log_store.h"
+#include "server/track_images.h"
 #include "tp/bank.h"
 #include "tp/engine.h"
 #include "tp/logger.h"
@@ -26,7 +27,8 @@ LogRecord Rec(Lsn lsn, Epoch epoch) {
 }
 
 TEST(TruncationStoreTest, DropsRecordsAndClipsIntervals) {
-  ClientLogStore store;
+  server::MemoryTrackImages images;
+  ClientLogStore store(1, &images);
   for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   EXPECT_EQ(store.TruncateBelow(6), 5u);
   EXPECT_EQ(store.record_count(), 5u);
@@ -39,14 +41,16 @@ TEST(TruncationStoreTest, DropsRecordsAndClipsIntervals) {
 }
 
 TEST(TruncationStoreTest, TruncatingNothingIsFree) {
-  ClientLogStore store;
+  server::MemoryTrackImages images;
+  ClientLogStore store(1, &images);
   ASSERT_TRUE(store.Write(Rec(5, 1)).ok());
   EXPECT_EQ(store.TruncateBelow(3), 0u);
   EXPECT_EQ(store.record_count(), 1u);
 }
 
 TEST(TruncationStoreTest, SpansMultipleIntervals) {
-  ClientLogStore store;
+  server::MemoryTrackImages images;
+  ClientLogStore store(1, &images);
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(5, 1)).ok());  // gap

@@ -25,10 +25,19 @@ LogRecord MakeRecord(Lsn lsn, Epoch epoch, bool present,
   return r;
 }
 
+/// `view` as an owned record.
+LogRecord ToRecord(const RecordView& view) {
+  return MakeRecord(view.lsn, view.epoch, view.present,
+                    {reinterpret_cast<const char*>(view.data().data()),
+                     view.data().size()});
+}
+
 TEST(MessagesTest, RecordBatchRoundTrip) {
   RecordBatch batch;
   batch.client = 42;
   batch.epoch = 3;
+  batch.trace = 11;
+  batch.span = 12;
   batch.records = {MakeRecord(1, 3, true, "alpha"),
                    MakeRecord(2, 3, false, "")};
   Bytes wire = EncodeRecordBatch(MessageType::kForceLog, batch);
@@ -37,13 +46,125 @@ TEST(MessagesTest, RecordBatchRoundTrip) {
   ASSERT_TRUE(env.ok());
   EXPECT_EQ(env->type, MessageType::kForceLog);
   EXPECT_EQ(env->rpc_id, 0u);
-  Result<RecordBatch> decoded = DecodeRecordBatch(env->body);
+  Result<RecordBatchView> decoded = RecordBatchView::Parse(env->body);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->client, 42u);
-  EXPECT_EQ(decoded->epoch, 3u);
-  ASSERT_EQ(decoded->records.size(), 2u);
-  EXPECT_EQ(decoded->records[0], batch.records[0]);
-  EXPECT_EQ(decoded->records[1], batch.records[1]);
+  EXPECT_EQ(decoded->client(), 42u);
+  EXPECT_EQ(decoded->epoch(), 3u);
+  EXPECT_EQ(decoded->trace(), 11u);
+  EXPECT_EQ(decoded->span(), 12u);
+  ASSERT_EQ(decoded->size(), 2u);
+  std::vector<LogRecord> records;
+  for (const RecordView r : *decoded) {
+    // Each record is read in place: its bytes are its wire encoding,
+    // inside the body.
+    EXPECT_EQ(Bytes(r.bytes.begin(), r.bytes.end()),
+              EncodeRecord(batch.records[records.size()]));
+    EXPECT_GE(r.bytes.data(), env->body.begin());
+    EXPECT_LE(r.bytes.data() + r.bytes.size(), env->body.end());
+    records.push_back(ToRecord(r));
+  }
+  EXPECT_EQ(records, batch.records);
+}
+
+// A record kept past its batch is a view sharing the packet's buffer.
+TEST(MessagesTest, RecordBatchShareOutlivesTheView) {
+  RecordBatch batch;
+  batch.client = 1;
+  batch.records = {MakeRecord(9, 1, true, "kept")};
+  SharedBytes held;
+  {
+    Result<Envelope> env =
+        DecodeEnvelope(EncodeRecordBatch(MessageType::kWriteLog, batch));
+    ASSERT_TRUE(env.ok());
+    Result<RecordBatchView> view = RecordBatchView::Parse(env->body);
+    ASSERT_TRUE(view.ok());
+    held = view->Share(*view->begin());
+  }
+  EXPECT_EQ(ToRecord(RecordAt(held.data())), batch.records[0]);
+  EXPECT_EQ(held.size(), EncodedRecordSize(batch.records[0]));
+}
+
+// --- Hostile record batches: each is rejected whole, before any of its
+// records could be applied.
+
+/// The body of a WriteLog batch of `records`.
+Bytes BatchBody(const std::vector<LogRecord>& records) {
+  RecordBatch batch;
+  batch.client = 5;
+  batch.epoch = 1;
+  batch.records = records;
+  const Bytes message = EncodeRecordBatch(MessageType::kWriteLog, batch);
+  return Bytes(message.begin() + 9, message.end());  // past type + rpc id
+}
+
+/// Offset of the record count in a batch body.
+constexpr size_t kCountOffset = 4 + 8 + 8 + 8;
+
+void PutLE32(Bytes* bytes, size_t pos, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(MessagesTest, BatchWithCountBeyondItsRecordsIsRejected) {
+  Bytes body = BatchBody({MakeRecord(1, 1, true, "a"),
+                          MakeRecord(2, 1, true, "b")});
+  PutLE32(&body, kCountOffset, 3);
+  EXPECT_TRUE(RecordBatchView::Parse(body).status().IsCorruption());
+  PutLE32(&body, kCountOffset, 0xFFFFFFFFu);
+  EXPECT_TRUE(RecordBatchView::Parse(body).status().IsCorruption());
+  PutLE32(&body, kCountOffset, 2);
+  EXPECT_TRUE(RecordBatchView::Parse(body).ok());
+}
+
+TEST(MessagesTest, BatchWithARecordOverrunningTheBodyIsRejected) {
+  Bytes body = BatchBody({MakeRecord(1, 1, true, "first"),
+                          MakeRecord(2, 1, true, "last")});
+  // The last record's length field claims one byte more than is left.
+  const size_t last_len = body.size() - 4 - 4;
+  PutLE32(&body, last_len, 5);
+  EXPECT_TRUE(RecordBatchView::Parse(body).status().IsCorruption());
+  PutLE32(&body, last_len, 0xFFFFFFFFu);
+  EXPECT_TRUE(RecordBatchView::Parse(body).status().IsCorruption());
+  // A record cut inside its fixed fields.
+  Bytes cut = BatchBody({MakeRecord(1, 1, true, "first")});
+  cut.resize(kCountOffset + 4 + 10);
+  EXPECT_TRUE(RecordBatchView::Parse(cut).status().IsCorruption());
+}
+
+TEST(MessagesTest, BatchWithATruncatedHeaderIsRejected) {
+  const Bytes body = BatchBody({});
+  for (size_t n = 0; n < body.size(); ++n) {
+    EXPECT_TRUE(RecordBatchView::Parse(Bytes(body.begin(), body.begin() + n))
+                    .status()
+                    .IsCorruption())
+        << n << " bytes";
+  }
+}
+
+TEST(MessagesTest, BatchWithANonCanonicalPresentByteIsRejected) {
+  Bytes body = BatchBody({MakeRecord(1, 1, true, "x")});
+  body[kCountOffset + 4 + 16] = 2;  // the present flag
+  EXPECT_TRUE(RecordBatchView::Parse(body).status().IsCorruption());
+  body[kCountOffset + 4 + 16] = 0;
+  EXPECT_TRUE(RecordBatchView::Parse(body).ok());
+}
+
+TEST(MessagesTest, EmptyBatchAndEmptyPayloadParse) {
+  Result<RecordBatchView> empty = RecordBatchView::Parse(BatchBody({}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_FALSE(empty->begin() != empty->end());
+
+  Result<RecordBatchView> blank =
+      RecordBatchView::Parse(BatchBody({MakeRecord(4, 2, false, "")}));
+  ASSERT_TRUE(blank.ok());
+  ASSERT_EQ(blank->size(), 1u);
+  const RecordView r = *blank->begin();
+  EXPECT_EQ(r.lsn, 4u);
+  EXPECT_EQ(r.epoch, 2u);
+  EXPECT_FALSE(r.present);
+  EXPECT_TRUE(r.data().empty());
 }
 
 TEST(MessagesTest, AsyncMessagesRoundTrip) {
