@@ -240,6 +240,23 @@ LogRecord MakeRecord(Lsn lsn, size_t payload_bytes) {
   return r;
 }
 
+constexpr ClientId kBatchClient = 7;
+
+/// The `b`-th ForceLog batch of `records_per_batch` records.
+Bytes EncodeBatch(int b, int records_per_batch, size_t payload_bytes) {
+  wire::RecordBatch header;
+  header.client = kBatchClient;
+  header.epoch = 1;
+  wire::RecordBatchWriter writer(
+      wire::MessageType::kForceLog, header,
+      records_per_batch * (wire::kRecordFixedBytes + payload_bytes));
+  for (int i = 0; i < records_per_batch; ++i) {
+    writer.Add(MakeRecord(static_cast<Lsn>(b * records_per_batch + i),
+                          payload_bytes));
+  }
+  return writer.Take();
+}
+
 /// The current path: encode once, frame in place, read the envelope and
 /// records in place, and copy each record's wire bytes once, at
 /// persistence (AppendStreamEntry counts the copy). `receivers` models
@@ -249,15 +266,7 @@ WireSample RunWireAfter(int batches, int records_per_batch,
   ResetBytesCopied();
   uint64_t decoded = 0;
   for (int b = 0; b < batches; ++b) {
-    wire::RecordBatch batch;
-    batch.client = 7;
-    batch.epoch = 1;
-    for (int i = 0; i < records_per_batch; ++i) {
-      batch.records.push_back(
-          MakeRecord(static_cast<Lsn>(b * records_per_batch + i),
-                     payload_bytes));
-    }
-    Bytes msg = wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch);
+    Bytes msg = EncodeBatch(b, records_per_batch, payload_bytes);
     // Trailer framing appends in place; the frame then becomes the
     // refcounted packet payload shared by every receiver.
     msg.resize(msg.size() + 29);
@@ -270,12 +279,12 @@ WireSample RunWireAfter(int batches, int records_per_batch,
       Result<wire::RecordBatchView> rb =
           wire::RecordBatchView::Parse(env->body);
       if (!rb.ok()) std::abort();
-      for (const wire::RecordView rec : *rb) {
+      for (const wire::RecordView rec : rb->records) {
         // Persistence: the record's wire bytes into its NVRAM group-buffer
         // image (the one kept copy).
         Bytes image;
         image.reserve(server::kStreamEntryClientBytes + rec.bytes.size());
-        server::AppendStreamEntry(&image, rb->client(), rec.bytes);
+        server::AppendStreamEntry(&image, rb->header.client, rec.bytes);
         ++decoded;
       }
     }
@@ -294,15 +303,7 @@ WireSample RunWireBefore(int batches, int records_per_batch,
   ResetBytesCopied();
   uint64_t decoded = 0;
   for (int b = 0; b < batches; ++b) {
-    wire::RecordBatch batch;
-    batch.client = 7;
-    batch.epoch = 1;
-    for (int i = 0; i < records_per_batch; ++i) {
-      batch.records.push_back(
-          MakeRecord(static_cast<Lsn>(b * records_per_batch + i),
-                     payload_bytes));
-    }
-    Bytes msg = wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch);
+    Bytes msg = EncodeBatch(b, records_per_batch, payload_bytes);
 
     // 1. SendFrame: header-prefixed rebuild into a fresh buffer.
     Bytes framed;
@@ -336,13 +337,16 @@ WireSample RunWireBefore(int batches, int records_per_batch,
       Result<wire::RecordBatchView> rb =
           wire::RecordBatchView::Parse(env->body);
       if (!rb.ok()) std::abort();
-      for (const wire::RecordView rec : *rb) {
+      for (const wire::RecordView rec : rb->records) {
         Bytes materialized(rec.data().begin(), rec.data().end());
         AddBytesCopied(materialized.size());
-        // 7. Persistence encode, counted like the new path's one copy.
-        server::EncodeStreamEntry(
-            {batch.client, LogRecord{rec.lsn, rec.epoch, rec.present,
-                                     std::move(materialized)}});
+        // 7. Persistence: the record re-encoded into its entry, counted
+        //    like the new path's one copy.
+        const Bytes encoded = wire::EncodeRecord(LogRecord{
+            rec.lsn, rec.epoch, rec.present, std::move(materialized)});
+        Bytes image;
+        image.reserve(server::kStreamEntryClientBytes + encoded.size());
+        server::AppendStreamEntry(&image, kBatchClient, encoded);
         ++decoded;
       }
     }

@@ -542,10 +542,7 @@ void LogClient::Stream(const LinkList& targets, Lsn from, bool to_group) {
       send_batch();
     }
     if (pr->sent_to == 0) ++unacked_sent;
-    if (batch.count == 0) batch.first = lsn;
-    batch.last = lsn;
-    ++batch.count;
-    batch.bytes += cost;
+    batch.Add(lsn, cost);
     batch.forced = batch.forced || pr->forced;
   }
   // A trailing partial packet goes out only when a force needs it;
@@ -572,27 +569,14 @@ void LogClient::Stream(const LinkList& targets, Lsn from, bool to_group) {
       continue;
     }
     link->force_ping_high = force_upto;
-    wire::RecordBatch ping;
-    ping.client = config_.client_id;
-    ping.epoch = epoch_;
-    if (tracer_ != nullptr) {
-      obs::SpanContext send =
-          tracer_->StartSpan("wire.send", trace_node_, ForceContext());
-      tracer_->AddArg(send, "server", link->node);
-      ping.trace = send.trace;
-      ping.span = send.span;
-    }
-    link->conn->Send(
-        wire::EncodeRecordBatch(wire::MessageType::kForceLog, ping),
-        ping.trace, ping.span);
+    Batch ping;
+    ping.forced = true;
+    Transmit(ping, link, ForceContext());
   }
 }
 
 void LogClient::SendBatch(const LinkList& targets, const Batch& batch,
                           bool to_group) {
-  wire::RecordBatch header;
-  header.client = config_.client_id;
-  header.epoch = epoch_;
   obs::SpanContext send_parent;
   for (Lsn lsn = batch.first; lsn <= batch.last; ++lsn) {
     PendingRecord* pr = pending_.Find(lsn);
@@ -609,32 +593,42 @@ void LogClient::SendBatch(const LinkList& targets, const Batch& batch,
     }
     records_sent_.Increment();
   }
-  const wire::MessageType type = batch.forced ? wire::MessageType::kForceLog
-                                              : wire::MessageType::kWriteLog;
+  if (batch.forced && ForceContext().valid()) send_parent = ForceContext();
+  Transmit(batch, to_group ? nullptr : targets[0], send_parent);
+  batches_sent_.Increment();
+}
+
+void LogClient::Transmit(const Batch& batch, ServerLink* link,
+                         obs::SpanContext parent) {
+  wire::RecordBatch header;
+  header.client = config_.client_id;
+  header.epoch = epoch_;
   if (tracer_ != nullptr) {
-    if (batch.forced && ForceContext().valid()) send_parent = ForceContext();
     obs::SpanContext send =
-        tracer_->StartSpan("wire.send", trace_node_, send_parent);
-    if (to_group) {
+        tracer_->StartSpan("wire.send", trace_node_, parent);
+    if (link == nullptr) {
       tracer_->AddArg(send, "group", Group());
     } else {
-      tracer_->AddArg(send, "server", targets[0]->node);
+      tracer_->AddArg(send, "server", link->node);
     }
-    tracer_->AddArg(send, "records", batch.count);
+    if (batch.first != kNoLsn) tracer_->AddArg(send, "records", batch.count);
     header.trace = send.trace;
     header.span = send.span;
   }
-  wire::RecordBatchWriter writer(type, header, batch.count, batch.bytes);
-  for (Lsn lsn = batch.first; lsn <= batch.last; ++lsn) {
-    if (const PendingRecord* pr = pending_.Find(lsn)) writer.Add(pr->record);
+  wire::RecordBatchWriter writer(batch.forced ? wire::MessageType::kForceLog
+                                              : wire::MessageType::kWriteLog,
+                                 header,
+                                 batch.bytes - wire::RecordBatchOverhead());
+  for (Lsn lsn = batch.first; batch.count > 0 && lsn <= batch.last; ++lsn) {
+    const PendingRecord* pr = pending_.Find(lsn);
+    if (pr != nullptr && batch.Takes(*pr)) writer.Add(pr->record);
   }
-  if (to_group) {
+  if (link == nullptr) {
     endpoint_->SendDatagram(Group(), writer.Take(), header.trace,
                             header.span);
   } else {
-    targets[0]->conn->Send(writer.Take(), header.trace, header.span);
+    link->conn->Send(writer.Take(), header.trace, header.span);
   }
-  batches_sent_.Increment();
 }
 
 void LogClient::OnNewHighLsn(ServerLink* link, Lsn high) {
@@ -766,29 +760,19 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
     wire::NewIntervalMsg msg{config_.client_id, epoch_, first_pending};
     link->conn->Send(wire::EncodeNewInterval(msg));
   }
-  // Resend the pending remainder of the gap as a force.
-  wire::RecordBatch batch;
-  batch.client = config_.client_id;
-  batch.epoch = epoch_;
+  // Resend the pending remainder of the gap as one force, however large:
+  // the network drops an oversized one, which sheds load (ROADMAP).
+  Batch batch;
+  batch.forced = true;
   for (Lsn lsn = first_pending; lsn <= high && lsn < pending_.end(); ++lsn) {
     PendingRecord* pr = pending_.Find(lsn);
     if (pr == nullptr) continue;
     if (pr->sent_to == 0) ++unacked_sent_records_;
     pr->sent_to |= link->bit;
-    batch.records.push_back(pr->record);
+    batch.Add(lsn, wire::EncodedRecordSize(pr->record));
   }
   resends_.Increment();
-  if (tracer_ != nullptr) {
-    obs::SpanContext send =
-        tracer_->StartSpan("wire.send", trace_node_, ForceContext());
-    tracer_->AddArg(send, "server", link->node);
-    tracer_->AddArg(send, "records", batch.records.size());
-    batch.trace = send.trace;
-    batch.span = send.span;
-  }
-  link->conn->Send(
-      wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch),
-      batch.trace, batch.span);
+  Transmit(batch, link, ForceContext());
 }
 
 void LogClient::ArmRetryTimer() {
@@ -849,33 +833,21 @@ void LogClient::OnRetryTimer() {
       retries_suppressed_.Increment();
       continue;
     }
-    wire::RecordBatch batch;
-    batch.client = config_.client_id;
-    batch.epoch = epoch_;
-    size_t bytes = wire::RecordBatchOverhead();
-    for (Lsn lsn = pending_.front(); lsn < pending_.end(); ++lsn) {
+    // One packet of what the server has not acknowledged. The run starts
+    // at the ring's front even when nothing there fits.
+    Batch batch;
+    batch.first = pending_.front();
+    batch.unacked_by = link->bit;
+    batch.forced = true;
+    for (Lsn lsn = batch.first; lsn < pending_.end(); ++lsn) {
       const PendingRecord* pr = pending_.Find(lsn);
-      if (pr == nullptr || (pr->sent_to & link->bit) == 0 ||
-          (pr->acked_by & link->bit) != 0) {
-        continue;
-      }
+      if (pr == nullptr || !batch.Takes(*pr)) continue;
       const size_t cost = wire::EncodedRecordSize(pr->record);
-      if (bytes + cost > config_.mtu_payload) break;
-      batch.records.push_back(pr->record);
-      bytes += cost;
+      if (batch.bytes + cost > config_.mtu_payload) break;
+      batch.Add(lsn, cost);
     }
     resends_.Increment();
-    if (tracer_ != nullptr) {
-      obs::SpanContext send =
-          tracer_->StartSpan("wire.send", trace_node_, ForceContext());
-      tracer_->AddArg(send, "server", link->node);
-      tracer_->AddArg(send, "records", batch.records.size());
-      batch.trace = send.trace;
-      batch.span = send.span;
-    }
-    link->conn->Send(
-        wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch),
-        batch.trace, batch.span);
+    Transmit(batch, link, ForceContext());
   }
   for (ServerLink* link : to_switch) SwitchAwayFrom(link);
   PumpSends();
@@ -1007,9 +979,8 @@ void LogClient::QuorumCall(std::vector<Rpc> calls, size_t need,
   }
 }
 
-void LogClient::ReadFrom(
-    std::vector<ServerId> holders, Lsn lsn,
-    std::function<void(Result<std::vector<LogRecord>>)> done) {
+void LogClient::ReadFrom(std::vector<ServerId> holders, Lsn lsn,
+                         std::function<void(Result<wire::RecordRun>)> done) {
   if (holders.empty()) {
     done(Status::Unavailable("no holder answered"));
     return;
@@ -1040,23 +1011,32 @@ void LogClient::CopySegment(std::vector<LogRecord> records,
                             std::vector<net::NodeId> targets,
                             std::function<void(Status)> done) {
   // Chunk the copies so each CopyLog call fits in a network packet.
-  std::vector<wire::CopyLogReq> chunks;
-  size_t bytes = 0;
+  struct Chunk {
+    std::vector<LogRecord> records;
+    size_t bytes = 0;  // their encoded size
+  };
+  std::vector<Chunk> chunks;
   for (LogRecord& r : records) {
     r.epoch = epoch_;
     const size_t cost = wire::EncodedRecordSize(r);
-    if (chunks.empty() || bytes + cost > config_.mtu_payload) {
-      chunks.push_back(wire::CopyLogReq{config_.client_id, epoch_, {}});
-      bytes = wire::RecordBatchOverhead();
-    }
+    const bool fits = !chunks.empty() && wire::RecordBatchOverhead() +
+                                                 chunks.back().bytes + cost <=
+                                             config_.mtu_payload;
+    if (!fits) chunks.emplace_back();
     chunks.back().records.push_back(r);
-    bytes += cost;
+    chunks.back().bytes += cost;
   }
+  const wire::CopyLogReq header{config_.client_id, epoch_, {}};
   std::vector<Rpc> copies;
   for (net::NodeId node : targets) {
-    for (const wire::CopyLogReq& req : chunks) {
-      copies.push_back(Rpc{node, [req](uint64_t id) {
-                             return wire::EncodeCopyLogReq(req, id);
+    for (const Chunk& chunk : chunks) {
+      copies.push_back(Rpc{node, [header, chunk](uint64_t id) {
+                             wire::RecordBatchWriter writer(header, id,
+                                                            chunk.bytes);
+                             for (const LogRecord& r : chunk.records) {
+                               writer.Add(r);
+                             }
+                             return writer.Take();
                            }});
     }
   }
@@ -1191,16 +1171,16 @@ void LogClient::RepairRead(std::shared_ptr<RepairState> st) {
   }
   // Read the next run of records starting at the cursor.
   ReadFrom(work.holders, st->cursor,
-           [this, st](Result<std::vector<LogRecord>> read) {
+           [this, st](Result<wire::RecordRun> read) {
              if (st->generation != generation_) return;
              if (!read.ok()) {
                EndSegment(st, read.status());
                return;
              }
              const Lsn high = st->queue.front().high;
-             for (const LogRecord& r : *read) {
+             for (const wire::RecordView r : *read) {
                if (r.lsn < st->cursor || r.lsn > high) continue;
-               st->records.push_back(r);
+               st->records.push_back(wire::ToLogRecord(read->Share(r)));
                st->cursor = r.lsn + 1;
              }
              RepairRead(st);
@@ -1264,18 +1244,21 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     return;
   }
   ReadFrom(seg->servers, lsn,
-           [this, done = std::move(done)](
-               Result<std::vector<LogRecord>> read) {
+           [this, done = std::move(done)](Result<wire::RecordRun> read) {
              if (!read.ok()) {
                done(read.status());
                return;
              }
-             // Cache the packed extra records for future reads.
-             for (const LogRecord& r : *read) {
-               if (read_cache_.size() > 4096) break;
-               read_cache_[r.lsn] = r;
+             // Cache the packed extra records for future reads. A replay
+             // reads upward, so the lowest LSN is the one least needed.
+             for (const wire::RecordView r : *read) {
+               read_cache_[r.lsn] = wire::ToLogRecord(read->Share(r));
+               if (read_cache_.size() > kReadCacheEntries) {
+                 read_cache_.erase(read_cache_.begin());
+               }
              }
-             const LogRecord& rec = read->front();
+             const LogRecord rec =
+                 wire::ToLogRecord(read->Share(read->front()));
              if (!rec.present) {
                done(Status::NotFound("record marked not present"));
              } else {
@@ -1401,14 +1384,15 @@ void LogClient::ReadTail(std::shared_ptr<InitState> st) {
   }
   const Lsn lsn = st->tail++;
   ReadFrom(view_.Find(lsn)->servers, lsn,
-           [this, st](Result<std::vector<LogRecord>> read) {
+           [this, st](Result<wire::RecordRun> read) {
              if (st->generation != generation_) return;
              if (!read.ok()) {
                FinishInit(*st, Status::Unavailable(
                                    "no holder of a tail record answers"));
                return;
              }
-             st->tail_records.push_back(std::move(read->front()));
+             st->tail_records.push_back(
+                 wire::ToLogRecord(read->Share(read->front())));
              ReadTail(st);
            });
 }

@@ -312,15 +312,31 @@ class LogClient {
     size_t size_ = 0;
   };
 
-  /// A batch being packed: the pending records in the LSN run
+  /// A batch being packed: the pending records it takes in the LSN run
   /// [first, last] (retired slots inside it are skipped), how many there
-  /// are, whether any is forced, and the encoded message size.
+  /// are, whether it goes as a ForceLog, and the encoded message size. A
+  /// batch with no run (first == kNoLsn) is the empty ForceLog prod.
   struct Batch {
     Lsn first = kNoLsn;
     Lsn last = kNoLsn;
+    /// Servers (ServerLink::bit) a taken record was sent to and is not
+    /// acknowledged by (a resend's); 0 takes every pending record.
+    uint64_t unacked_by = 0;
     size_t count = 0;
     size_t bytes = wire::RecordBatchOverhead();
     bool forced = false;
+
+    bool Takes(const PendingRecord& pr) const {
+      return (pr.sent_to & unacked_by) == unacked_by &&
+             (pr.acked_by & unacked_by) == 0;
+    }
+    /// Takes the record at `lsn`, `cost` encoded bytes, past the last.
+    void Add(Lsn lsn, size_t cost) {
+      if (first == kNoLsn) first = lsn;
+      last = lsn;
+      ++count;
+      bytes += cost;
+    }
   };
 
   struct ForceWaiter {
@@ -367,9 +383,14 @@ class LogClient {
   /// target; marks the final batch ForceLog if a force is outstanding,
   /// and prods lagging targets once per force point.
   void Stream(const LinkList& targets, Lsn from, bool to_group);
-  /// Marks `batch`'s records sent to `targets`, encodes the batch at its
-  /// exact size, and transmits it.
+  /// Marks `batch`'s records sent to `targets` and transmits it.
   void SendBatch(const LinkList& targets, const Batch& batch, bool to_group);
+  /// Encodes `batch` from the pending ring at its exact size, in a
+  /// "wire.send" span under `parent`, and sends it to `link`, or to the
+  /// write-set group when `link` is null. Every record batch the client
+  /// sends goes out here: streamed batches, resends and force prods.
+  void Transmit(const Batch& batch, ServerLink* link,
+                obs::SpanContext parent);
   /// The multicast group carrying this client's record stream.
   net::NodeId Group() const {
     return net::kMulticastBase + config_.client_id;
@@ -413,10 +434,11 @@ class LogClient {
                   std::type_identity_t<ReplyHook<Resp>> on_reply,
                   std::function<void(Status)> done);
   /// Asks `holders` in order for the record at `lsn` and hands `done` the
-  /// first reply that starts with it (plus the records packed after it);
-  /// Unavailable if no holder answers, Aborted if the client crashes.
+  /// records of the first reply that starts with it (plus the records
+  /// packed after it); Unavailable if no holder answers, Aborted if the
+  /// client crashes.
   void ReadFrom(std::vector<ServerId> holders, Lsn lsn,
-                std::function<void(Result<std::vector<LogRecord>>)> done);
+                std::function<void(Result<wire::RecordRun>)> done);
   /// Re-stamps `records` with the current epoch, stages them on every
   /// target in packet-sized CopyLog chunks, installs them there and notes
   /// the targets as their holders. `done` gets OK or the failed round's
@@ -476,7 +498,9 @@ class LogClient {
   obs::SpanContext force_ctx_cache_;
   size_t force_ctx_valid_spans_ = 0;
   sim::EventId retry_timer_ = 0;
-  /// Small cache of records brought back by ReadLogForward packing.
+  /// Records brought back by ReadLogForward packing; when full, the
+  /// lowest LSN makes room.
+  static constexpr size_t kReadCacheEntries = 4096;
   std::map<Lsn, LogRecord> read_cache_;
 
   obs::Tracer* tracer_ = nullptr;

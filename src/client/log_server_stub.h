@@ -7,6 +7,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "server/client_log_store.h"
+#include "wire/messages.h"
 
 namespace dlog::client {
 
@@ -76,7 +77,7 @@ class InMemoryLogServerStub : public LogServerStub {
 
   Status ServerCopyLog(ClientId client, const LogRecord& record) override {
     if (!available_) return Status::Unavailable("server down");
-    return store(client).StageCopy(record);
+    return store(client).StageCopy(wire::EncodeRecord(record));
   }
 
   Status ServerInstallCopies(ClientId client, Epoch epoch) override {

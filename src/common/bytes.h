@@ -138,6 +138,14 @@ inline uint64_t LoadLE(const uint8_t* p, size_t width) {
   return v;
 }
 
+/// Overwrites the `width`-byte little-endian integer at `p` (a field an
+/// encoding fills in after the bytes that follow it).
+inline void StoreLE(uint8_t* p, uint64_t v, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
 /// Appends fixed-width little-endian integers and length-prefixed blobs to
 /// a Bytes buffer. All dlog on-wire and on-disk encodings go through this.
 class Encoder {
@@ -148,7 +156,6 @@ class Encoder {
   void PutU16(uint16_t v) { PutLE(v, 2); }
   void PutU32(uint32_t v) { PutLE(v, 4); }
   void PutU64(uint64_t v) { PutLE(v, 8); }
-  void PutBool(bool v) { PutU8(v ? 1 : 0); }
 
   /// Length-prefixed (u32) byte string.
   void PutBlob(const uint8_t* data, size_t n) {
@@ -182,10 +189,7 @@ class Decoder {
   Decoder(const uint8_t* data, size_t size)
       : data_(data), size_(size), pos_(0) {}
   explicit Decoder(const Bytes& b) : Decoder(b.data(), b.size()) {}
-  /// Decoding a SharedBytes remembers the owning buffer, so GetBlobView()
-  /// can return zero-copy views that share its ownership.
-  explicit Decoder(const SharedBytes& b)
-      : owner_(b), data_(b.data()), size_(b.size()), pos_(0) {}
+  explicit Decoder(const SharedBytes& b) : Decoder(b.data(), b.size()) {}
 
   size_t remaining() const { return size_ - pos_; }
   bool Done() const { return pos_ == size_; }
@@ -197,33 +201,14 @@ class Decoder {
   Result<uint16_t> GetU16() { return GetLE<uint16_t>(2); }
   Result<uint32_t> GetU32() { return GetLE<uint32_t>(4); }
   Result<uint64_t> GetU64() { return GetLE<uint64_t>(8); }
-  Result<bool> GetBool() {
-    DLOG_ASSIGN_OR_RETURN(uint8_t v, GetU8());
-    return v != 0;
-  }
 
   /// Materializes a length-prefixed blob into an owned buffer (a counted
-  /// payload copy — prefer GetBlobView() on hot paths).
+  /// payload copy).
   Result<Bytes> GetBlob() {
     DLOG_ASSIGN_OR_RETURN(uint32_t n, GetU32());
     if (remaining() < n) return Truncated();
     AddBytesCopied(n);
     Bytes out(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return out;
-  }
-
-  /// Zero-copy blob access: when the Decoder was constructed from a
-  /// SharedBytes the result is a view sharing that buffer; otherwise the
-  /// bytes are copied (the input's lifetime is unknown).
-  Result<SharedBytes> GetBlobView() {
-    DLOG_ASSIGN_OR_RETURN(uint32_t n, GetU32());
-    if (remaining() < n) return Truncated();
-    SharedBytes out;
-    if (n > 0) {
-      out = owner_.data() != nullptr ? owner_.Slice(pos_, n)
-                                     : SharedBytes::Copy(data_ + pos_, n);
-    }
     pos_ += n;
     return out;
   }
@@ -250,7 +235,6 @@ class Decoder {
     return static_cast<T>(v);
   }
 
-  SharedBytes owner_;  // set only for the SharedBytes constructor
   const uint8_t* data_;
   size_t size_;
   size_t pos_;

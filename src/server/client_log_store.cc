@@ -44,9 +44,13 @@ void ClientLogStore::ExtendSequences(Lsn lsn, Epoch epoch) {
   sequences_.push_back(Interval{epoch, lsn, lsn});
 }
 
-LogRecord ClientLogStore::RecordOf(size_t i) const {
+SharedBytes ClientLogStore::EncodingOf(size_t i) const {
   const IndexEntry& e = index_[i];
-  return RecordOfEntry(images_->Image(e.track), e.offset);
+  const SharedBytes image = images_->Image(e.track);
+  const StreamEntryRef entry =
+      StreamEntryAt({image.data(), image.size()}, e.offset);
+  return image.Slice(e.offset + kStreamEntryClientBytes,
+                     entry.record.bytes.size());
 }
 
 size_t ClientLogStore::IndexOf(Lsn lsn, Epoch epoch) const {
@@ -128,14 +132,14 @@ Status ClientLogStore::Write(const LogRecord& record) {
   if (record.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
+  const SharedBytes encoded = wire::EncodeRecord(record);
   const size_t existing = IndexOf(record.lsn, record.epoch);
   if (existing < index_.size()) {
-    if (RecordOf(existing) == record) return Status::OK();  // redelivery
+    if (EncodingOf(existing) == encoded) return Status::OK();  // redelivery
     return Status::Corruption(
         "different contents for an existing <LSN, Epoch>");
   }
   DLOG_RETURN_IF_ERROR(CheckAppend(record.lsn, record.epoch));
-  const Bytes encoded = wire::EncodeRecord(record);
   if (!Append(wire::RecordAt(encoded.data()))) {
     return Status::ResourceExhausted("no room for the record");
   }
@@ -190,9 +194,14 @@ void ClientLogStore::Relocate(Lsn lsn, Epoch epoch, RecordLocation to) {
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
+  DLOG_ASSIGN_OR_RETURN(SharedBytes encoding, ReadEncoded(lsn));
+  return wire::ToLogRecord(encoding);
+}
+
+Result<SharedBytes> ClientLogStore::ReadEncoded(Lsn lsn) const {
   const size_t i = HighestEpochOf(lsn);
   if (i == index_.size()) return Status::NotFound("LSN not stored");
-  return RecordOf(i);
+  return EncodingOf(i);
 }
 
 std::optional<RecordLocation> ClientLogStore::ReadLocation(Lsn lsn) const {
@@ -212,43 +221,44 @@ void ClientLogStore::AddToForest(uint64_t track, Lsn low, Lsn high) {
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }
 
-Status ClientLogStore::StageCopy(const LogRecord& record) {
-  if (record.lsn == kNoLsn) {
+Status ClientLogStore::StageCopy(SharedBytes record) {
+  const wire::RecordView copy = wire::RecordAt(record.data());
+  if (copy.lsn == kNoLsn) {
     return Status::InvalidArgument("LSN 0 is reserved");
   }
-  staged_[record.epoch].push_back(record);
+  staged_[copy.epoch].push_back(std::move(record));
   return Status::OK();
 }
 
-Result<std::vector<LogRecord>> ClientLogStore::InstallCopies(Epoch epoch) {
+Result<std::vector<SharedBytes>> ClientLogStore::InstallCopies(Epoch epoch) {
   auto it = staged_.find(epoch);
-  if (it == staged_.end()) return std::vector<LogRecord>{};
-  std::vector<LogRecord> copies = std::move(it->second);
+  if (it == staged_.end()) return std::vector<SharedBytes>{};
+  std::vector<SharedBytes> copies = std::move(it->second);
   staged_.erase(it);
+  const auto lsn_of = [](const SharedBytes& r) {
+    return wire::RecordAt(r.data()).lsn;
+  };
   std::stable_sort(copies.begin(), copies.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     return a.lsn < b.lsn;
+                   [&lsn_of](const SharedBytes& a, const SharedBytes& b) {
+                     return lsn_of(a) < lsn_of(b);
                    });
-  // Check every copy before installing any. A retried recovery may
-  // re-stage or re-install the same copy; those are skipped. (All copies
-  // carry `epoch`, so equal LSNs are equal keys, adjacent after the sort.)
-  std::vector<LogRecord> installed;
-  for (LogRecord& r : copies) {
-    std::optional<LogRecord> stored;
-    if (!installed.empty() && installed.back().lsn == r.lsn) {
-      stored = installed.back();
-    } else if (const size_t i = IndexOf(r.lsn, r.epoch); i < index_.size()) {
-      stored = RecordOf(i);
-    }
-    if (stored.has_value()) {
-      if (*stored == r) continue;
+  // Check every copy's bytes before installing any. A retried recovery
+  // may re-stage or re-install the same copy; those are skipped. (All
+  // copies carry `epoch`, so equal LSNs are equal keys, adjacent after
+  // the sort.)
+  std::vector<SharedBytes> installed;
+  for (SharedBytes& copy : copies) {
+    const Lsn lsn = lsn_of(copy);
+    const size_t i = IndexOf(lsn, epoch);
+    const bool repeat = !installed.empty() && lsn_of(installed.back()) == lsn;
+    if (repeat || i < index_.size()) {
+      if ((repeat ? installed.back() : EncodingOf(i)) == copy) continue;
       return Status::Corruption("conflicting copy for <LSN, Epoch>");
     }
-    installed.push_back(std::move(r));
+    installed.push_back(std::move(copy));
   }
-  for (const LogRecord& r : installed) {
-    const Bytes encoded = wire::EncodeRecord(r);
-    [[maybe_unused]] const bool stored = Append(wire::RecordAt(encoded.data()));
+  for (const SharedBytes& r : installed) {
+    [[maybe_unused]] const bool stored = Append(wire::RecordAt(r.data()));
     assert(stored);
   }
   return installed;
@@ -258,7 +268,9 @@ size_t ClientLogStore::StagedBytes(Epoch epoch) const {
   auto it = staged_.find(epoch);
   if (it == staged_.end()) return 0;
   size_t n = 0;
-  for (const LogRecord& r : it->second) n += r.data.size() + 32;
+  for (const SharedBytes& r : it->second) {
+    n += r.size() - wire::kRecordFixedBytes + 32;
+  }
   return n;
 }
 
@@ -273,7 +285,7 @@ std::vector<LogRecord> ClientLogStore::Records() const {
   for (size_t i = 0; i < index_.size(); ++i) order[index_[i].pos] = i;
   std::vector<LogRecord> records;
   records.reserve(order.size());
-  for (size_t i : order) records.push_back(RecordOf(i));
+  for (size_t i : order) records.push_back(wire::ToLogRecord(EncodingOf(i)));
   return records;
 }
 

@@ -140,6 +140,10 @@ class ClientLogStore {
   /// stored at any epoch. The payload is a view of its track image.
   Result<LogRecord> Read(Lsn lsn) const;
 
+  /// The wire encoding of the record Read(lsn) returns, as stored: a view
+  /// of its track image.
+  Result<SharedBytes> ReadEncoded(Lsn lsn) const;
+
   /// Where the record Read(lsn) returns sits; nullopt when the LSN is not
   /// stored.
   std::optional<RecordLocation> ReadLocation(Lsn lsn) const;
@@ -159,19 +163,21 @@ class ClientLogStore {
   /// equal epochs, in stream order.
   IntervalList Intervals() const;
 
-  /// Stages a recovery-time copy tagged with `record.epoch` (the client's
-  /// new epoch). Staged records are not readable and not in Intervals().
-  /// Copies may target any LSN ("log servers accept CopyLog calls for
-  /// records with LSNs that are lower than the highest...").
-  Status StageCopy(const LogRecord& record);
+  /// Stages a recovery-time copy, `record` being its wire encoding (a view
+  /// of its packet) tagged with the client's new epoch. Staged records are
+  /// not readable and not in Intervals(). Copies may target any LSN ("log
+  /// servers accept CopyLog calls for records with LSNs that are lower
+  /// than the highest...").
+  Status StageCopy(SharedBytes record);
 
   /// Atomically installs every record staged with `epoch`, in LSN order,
-  /// and returns the records actually installed. Every copy is checked
-  /// first: if one conflicts with a stored <LSN, Epoch> (or with another
-  /// staged copy), none is installed and the result is Corruption. OK and
-  /// empty if none are staged. Either way the staged copies are used up.
-  /// The caller guarantees the images have room for them (StagedBytes).
-  Result<std::vector<LogRecord>> InstallCopies(Epoch epoch);
+  /// and returns the wire encodings actually installed. Every copy is
+  /// checked first: if its bytes differ from a stored <LSN, Epoch>'s (or
+  /// from another staged copy's), none is installed and the result is
+  /// Corruption. OK and empty if none are staged. Either way the staged
+  /// copies are used up. The caller guarantees the images have room for
+  /// them (StagedBytes).
+  Result<std::vector<SharedBytes>> InstallCopies(Epoch epoch);
 
   /// Total encoded payload bytes staged under `epoch` (capacity checks).
   size_t StagedBytes(Epoch epoch) const;
@@ -208,8 +214,8 @@ class ClientLogStore {
   void Index(Lsn lsn, Epoch epoch, RecordLocation at);
   /// Extends the sequence list by the record <lsn, epoch>.
   void ExtendSequences(Lsn lsn, Epoch epoch);
-  /// The record of index_[i], read from its image.
-  LogRecord RecordOf(size_t i) const;
+  /// The wire encoding of index_[i]'s record, a view of its image.
+  SharedBytes EncodingOf(size_t i) const;
   /// Position in index_ of exactly <lsn, epoch>; index_.size() if absent.
   size_t IndexOf(Lsn lsn, Epoch epoch) const;
   /// Position in index_ of the highest epoch stored for `lsn`;
@@ -222,8 +228,8 @@ class ClientLogStore {
   uint32_t next_pos_ = 0;          // write-order position of the next record
   // Derived interval list in write order; the last element is the tail.
   std::vector<Interval> sequences_;
-  // Copies staged by epoch, in arrival order.
-  std::map<Epoch, std::vector<LogRecord>> staged_;
+  // Wire encodings of the copies staged by epoch, in arrival order.
+  std::map<Epoch, std::vector<SharedBytes>> staged_;
   // Wire encodings of stream records received past a gap, by LSN.
   std::map<Lsn, SharedBytes> held_;
   // The <epoch, LSN> a NewInterval announced, until its record arrives.

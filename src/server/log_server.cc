@@ -310,11 +310,11 @@ void LogServer::HandleRecords(const ReplyFn& reply,
   // are then read in place from the packet.
   Result<wire::RecordBatchView> batch = wire::RecordBatchView::Parse(env.body);
   if (!batch.ok()) return;
-  const ClientId client = batch->client();
+  const ClientId client = batch->header.client;
 
   // The batch arrived: close the sender's wire.send span (the shared
   // tracer makes the client-minted id resolvable here).
-  const obs::SpanContext batch_ctx{batch->trace(), batch->span()};
+  const obs::SpanContext batch_ctx{batch->header.trace, batch->header.span};
   if (tracer_ != nullptr) tracer_->EndSpan(batch_ctx);
 
   // "They are free to ignore ForceLog and WriteLog messages if they
@@ -355,7 +355,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
 
   current_batch_ctx_ = batch_ctx;
   ClientLogStore& store = StoreOf(client);
-  for (const wire::RecordView record : *batch) {
+  for (const wire::RecordView record : batch->records) {
     switch (store.Place(record.lsn, record.epoch)) {
       case ClientLogStore::Placement::kExtend:
         ApplyRecord(&store, client, record);
@@ -365,7 +365,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
         ApplyRecord(&store, client, record);
         break;
       case ClientLogStore::Placement::kHold:
-        store.Hold(batch->Share(record));
+        store.Hold(batch->records.Share(record));
         break;
       case ClientLogStore::Placement::kStale:
         break;
@@ -474,17 +474,20 @@ void LogServer::HandleReadLog(wire::Connection* conn,
 
   WithReadLatency(client, start, [this, conn, client, start, forward,
                                   rpc_id]() {
-    wire::ReadLogResp resp;
+    // The stored wire bytes of the records to pack, copied as they are
+    // into the reply.
+    std::vector<SharedBytes> records;
+    size_t record_bytes = 0;
     const ClientLogStore* store = FindStore(client);
-
     size_t budget = config_.read_reply_budget_bytes;
     Lsn lsn = start;
     while (store != nullptr) {
-      Result<LogRecord> rec = store->Read(lsn);
+      Result<SharedBytes> rec = store->ReadEncoded(lsn);
       if (!rec.ok()) break;
-      const size_t cost = wire::EncodedRecordSize(*rec);
-      if (!resp.records.empty() && cost > budget) break;
-      resp.records.push_back(*std::move(rec));
+      const size_t cost = rec->size();
+      if (!records.empty() && cost > budget) break;
+      records.push_back(*std::move(rec));
+      record_bytes += cost;
       budget = cost > budget ? 0 : budget - cost;
       if (forward) {
         ++lsn;
@@ -493,14 +496,17 @@ void LogServer::HandleReadLog(wire::Connection* conn,
         --lsn;
       }
     }
-    if (resp.records.empty()) {
+    wire::ReadLogResp resp;
+    if (records.empty()) {
       // The paper's server "does not respond to ServerReadLog requests
       // for records that it does not store"; we respond with a NotFound
       // status instead so the client can distinguish a missing record
       // from a dead server. (Documented deviation.)
       resp.status = wire::RpcStatus::kNotFound;
     }
-    Reply(conn, wire::EncodeReadLogResp(resp, rpc_id));
+    wire::RecordBatchWriter reply(resp, rpc_id, record_bytes);
+    for (const SharedBytes& r : records) reply.Add({r.data(), r.size()});
+    Reply(conn, reply.Take());
   });
 }
 
@@ -510,15 +516,17 @@ void LogServer::HandleCopyLog(wire::Connection* conn,
   if (!req.ok()) return;
   wire::CopyLogResp resp;
   ClientLogStore& store = StoreOf(req->client);
-  for (const LogRecord& r : req->records) {
+  for (const wire::RecordView record : req->records) {
     // A copy must match the call's epoch, and fit in one track so that
     // InstallCopies can always buffer it.
-    if (r.epoch != req->epoch ||
-        kTrackOverhead + StreamEntrySize(r) > config_.disk.track_bytes) {
+    if (record.epoch != req->epoch ||
+        kTrackOverhead + kStreamEntryClientBytes + record.bytes.size() >
+            config_.disk.track_bytes) {
       resp.status = wire::RpcStatus::kError;
       break;
     }
-    if (!store.StageCopy(r).ok()) {
+    // Kept as a view of the packet until InstallCopies writes it.
+    if (!store.StageCopy(req->records.Share(record)).ok()) {
       resp.status = wire::RpcStatus::kError;
       break;
     }
@@ -543,13 +551,14 @@ void LogServer::HandleInstallCopies(wire::Connection* conn,
 
   // All or nothing: a conflicting copy installs none, so nothing reaches
   // the index that is not also in NVRAM.
-  Result<std::vector<LogRecord>> installed = store.InstallCopies(req->epoch);
+  Result<std::vector<SharedBytes>> installed =
+      store.InstallCopies(req->epoch);
   if (!installed.ok()) {
     resp.status = wire::RpcStatus::kError;
   } else {
-    for (const LogRecord& r : *installed) {
+    for (const SharedBytes& r : *installed) {
       records_written_.Increment();
-      bytes_logged_ += r.data.size();
+      bytes_logged_ += r.size() - wire::kRecordFixedBytes;
     }
     NoteNvramLevel();
     ScheduleFlushTimer();
@@ -623,17 +632,17 @@ void LogServer::MaybeFlush() {
   std::vector<obs::SpanContext> track_spans;
   if (tracer_ != nullptr) {
     std::map<obs::TraceId, bool> seen;
-    ForEachStreamEntry(*image, count, [&](const StreamEntryRef& e) {
-      auto it = record_ctx_.find({e.client, e.lsn, e.epoch});
-      if (it == record_ctx_.end()) return;
+    for (const StreamEntryRef& e : TrackView(*image, count)) {
+      auto it = record_ctx_.find({e.client, e.record.lsn, e.record.epoch});
+      if (it == record_ctx_.end()) continue;
       const obs::SpanContext ctx = it->second;
       record_ctx_.erase(it);
-      if (!seen.insert({ctx.trace, true}).second) return;
+      if (!seen.insert({ctx.trace, true}).second) continue;
       obs::SpanContext span =
           tracer_->StartSpan("track.write", trace_node_, ctx);
       tracer_->AddArg(span, "track", track);
       track_spans.push_back(span);
-    });
+    }
   }
 
   cpu_->Execute(config_.instr_per_track_write, [this, generation, track,
@@ -664,7 +673,7 @@ void LogServer::MaybeFlush() {
           tracks_written_.Increment();
           nvram_buffer_->PopFront();
           NoteNvramLevel();
-          IndexTrack(track, *image, count);
+          IndexTrack(track, TrackView(*image, count));
           if (config_.ack_after_disk && nvram_buffer_->empty()) {
             std::vector<PendingAck> acks = std::move(pending_acks_);
             pending_acks_.clear();
@@ -686,8 +695,7 @@ void LogServer::MaybeFlush() {
   });
 }
 
-void LogServer::IndexTrack(uint64_t track, std::span<const uint8_t> image,
-                           uint32_t count) {
+void LogServer::IndexTrack(uint64_t track, const TrackView& entries) {
   // Each client's LSN range in the track, for its append forest.
   struct ClientRange {
     ClientId client;
@@ -696,24 +704,25 @@ void LogServer::IndexTrack(uint64_t track, std::span<const uint8_t> image,
     Lsn high;
   };
   std::vector<ClientRange> ranges;
-  ForEachStreamEntry(image, count, [&](const StreamEntryRef& e) {
+  for (const StreamEntryRef& e : entries) {
+    const Lsn lsn = e.record.lsn;
     // Entries arrive in per-batch runs of one client, so searching from
     // the back finds a run's client at once.
     auto range = std::find_if(
         ranges.rbegin(), ranges.rend(),
         [&e](const ClientRange& r) { return r.client == e.client; });
     if (range == ranges.rend()) {
-      ranges.push_back({e.client, &StoreOf(e.client), e.lsn, e.lsn});
+      ranges.push_back({e.client, &StoreOf(e.client), lsn, lsn});
       range = ranges.rbegin();
     }
-    range->low = std::min(range->low, e.lsn);
-    range->high = std::max(range->high, e.lsn);
+    range->low = std::min(range->low, lsn);
+    range->high = std::max(range->high, lsn);
     if (!relocate_on_flush_.empty() &&
-        relocate_on_flush_.erase({e.client, e.lsn, e.epoch}) > 0) {
-      range->store->Relocate(e.lsn, e.epoch,
+        relocate_on_flush_.erase({e.client, lsn, e.record.epoch}) > 0) {
+      range->store->Relocate(lsn, e.record.epoch,
                              {track, static_cast<uint32_t>(e.offset)});
     }
-  });
+  }
   for (const ClientRange& range : ranges) {
     range.store->AddToForest(track, range.low, range.high);
   }
@@ -728,12 +737,13 @@ void LogServer::RepackNvram() {
              storage::NvramQueue::Position to,
              std::span<const uint8_t> entry) {
         const StreamEntryRef e = StreamEntryAt(entry, 0);
+        const wire::RecordView& r = e.record;
         ClientLogStore* store = FindStore(e.client);
         // A record read from another copy (see relocate_on_flush_) stays.
         const RecordLocation was{from.track,
                                  static_cast<uint32_t>(from.offset)};
-        if (store != nullptr && store->LocationOf(e.lsn, e.epoch) == was) {
-          store->Relocate(e.lsn, e.epoch,
+        if (store != nullptr && store->LocationOf(r.lsn, r.epoch) == was) {
+          store->Relocate(r.lsn, r.epoch,
                           {to.track, static_cast<uint32_t>(to.offset)});
         }
       });
@@ -809,18 +819,16 @@ void LogServer::RebuildFromStableStorage() {
   while (disk_->IsWritten(track)) {
     Result<SharedBytes> raw = disk_->Peek(track);
     assert(raw.ok());
-    Result<std::vector<StreamEntry>> entries = DecodeTrack(*raw);
+    Result<TrackView> entries = TrackView::Parse({raw->data(), raw->size()});
     if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    const std::span<const uint8_t> image{raw->data(), raw->size()};
-    const auto count = static_cast<uint32_t>(entries->size());
-    ForEachStreamEntry(image, count, [&](const StreamEntryRef& e) {
+    for (const StreamEntryRef& e : *entries) {
       ClientLogStore& store = StoreOf(e.client);
       const RecordLocation at{track, static_cast<uint32_t>(e.offset)};
-      if (!store.Recover(e.lsn, e.epoch, at)) {
-        store.Relocate(e.lsn, e.epoch, at);
+      if (!store.Recover(e.record.lsn, e.record.epoch, at)) {
+        store.Relocate(e.record.lsn, e.record.epoch, at);
       }
-    });
-    IndexTrack(track, image, count);
+    }
+    IndexTrack(track, *entries);
     ++track;
   }
   next_track_ = track;
@@ -831,15 +839,12 @@ void LogServer::RebuildFromStableStorage() {
   // images numbered from the next free track.
   nvram_buffer_->Repack(&StreamEntrySizeAt, next_track_);
   for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
-    ForEachStreamEntry(*image.bytes, image.entries,
-                       [&](const StreamEntryRef& e) {
-                         const RecordLocation at{
-                             image.track, static_cast<uint32_t>(e.offset)};
-                         if (!StoreOf(e.client).Recover(e.lsn, e.epoch, at)) {
-                           relocate_on_flush_.insert(
-                               {e.client, e.lsn, e.epoch});
-                         }
-                       });
+    for (const StreamEntryRef& e : TrackView(*image.bytes, image.entries)) {
+      const RecordLocation at{image.track, static_cast<uint32_t>(e.offset)};
+      if (!StoreOf(e.client).Recover(e.record.lsn, e.record.epoch, at)) {
+        relocate_on_flush_.insert({e.client, e.record.lsn, e.record.epoch});
+      }
+    }
   }
 
   // Reapply the stable truncation marks: the append-only stream scan

@@ -204,12 +204,11 @@ class LogServer {
   /// Writes full tracks from the NVRAM buffer to disk.
   void MaybeFlush();
   void ScheduleFlushTimer();
-  /// Indexes disk track `track`, whose first `count` entries are in
-  /// `image`: each client's append forest gains the LSN range the track
-  /// adds, and a record waiting for this flush to become its read copy
+  /// Indexes disk track `track`, whose entries are `entries`: each
+  /// client's append forest gains the LSN range the track adds, and a
+  /// record waiting for this flush to become its read copy
   /// (relocate_on_flush_) moves here.
-  void IndexTrack(uint64_t track, std::span<const uint8_t> image,
-                  uint32_t count);
+  void IndexTrack(uint64_t track, const TrackView& entries);
   /// Replies on `conn` (no-op when down).
   void Reply(wire::Connection* conn, Bytes message);
   /// Serves `fn` after charging the disk read needed for `lsn` (free when

@@ -2,7 +2,6 @@
 #define DLOG_SERVER_TRACK_FORMAT_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -14,36 +13,19 @@
 
 namespace dlog::server {
 
-/// One element of the merged log data stream: a log record tagged with
-/// the client that owns it. "Records from different logs must be
+/// One element of the merged log data stream is a log record tagged with
+/// the client that owns it: "Records from different logs must be
 /// interleaved in a data stream that is written sequentially to disk"
-/// (Section 4.1).
-struct StreamEntry {
-  ClientId client = 0;
-  LogRecord record;
-
-  friend bool operator==(const StreamEntry& a, const StreamEntry& b) {
-    return a.client == b.client && a.record == b.record;
-  }
-};
-
-/// Encodes a single stream entry (the per-entry format of a track).
-Bytes EncodeStreamEntry(const StreamEntry& entry);
-Result<StreamEntry> DecodeStreamEntry(const Bytes& bytes);
-
-/// A stream entry is, byte for byte, the owning client's id followed by
-/// the record's wire encoding (wire::kRecordFixedBytes of lsn, epoch,
-/// present flag and data length, then the data), so a server stores an
-/// arriving record with one copy of the bytes it received.
+/// (Section 4.1). A stream entry is, byte for byte, the owning client's
+/// id followed by the record's wire encoding (wire::kRecordFixedBytes of
+/// lsn, epoch, present flag and data length, then the data), so a server
+/// stores an arriving record with one copy of the bytes it received.
 constexpr size_t kStreamEntryClientBytes = 4;
 
 /// Fixed (non-payload) bytes of an encoded stream entry:
 /// client(4) + lsn(8) + epoch(8) + present(1) + data length(4).
 constexpr size_t kStreamEntryFixedBytes =
     kStreamEntryClientBytes + wire::kRecordFixedBytes;
-
-/// Encoded size of a record's entry, used when packing a track.
-size_t StreamEntrySize(const LogRecord& record);
 
 /// Fixed per-track overhead bytes (CRC + count).
 constexpr size_t kTrackOverhead = 8;
@@ -61,16 +43,12 @@ void AppendStreamEntry(Bytes* image, ClientId client,
 /// Fills in the header of a track image holding `count` entries.
 void FinishTrackImage(Bytes* image, uint32_t count);
 
-/// One entry of a track image, read in place: where it starts, its fixed
-/// fields, and where its payload sits in the image.
+/// One entry of a track image, read in place: where it starts, its
+/// client, and its record.
 struct StreamEntryRef {
   size_t offset = 0;
   ClientId client = 0;
-  Lsn lsn = kNoLsn;
-  Epoch epoch = 0;
-  bool present = true;
-  size_t data_offset = 0;
-  size_t data_size = 0;
+  wire::RecordView record;
 };
 
 /// Size of the encoded entry at `pos` in `bytes`, read from its length
@@ -80,31 +58,58 @@ size_t StreamEntrySizeAt(const Bytes& bytes, size_t pos);
 /// Reads the entry at `pos` of a track image.
 StreamEntryRef StreamEntryAt(std::span<const uint8_t> image, size_t pos);
 
-/// The record of the entry at `pos` of `image`, its payload a view
-/// sharing the image (empty when the payload is).
-LogRecord RecordOfEntry(const SharedBytes& image, size_t pos);
+/// The entries of a track, read in place. Parse checks a track read back
+/// from disk; a track image this node built is read as it is.
+class TrackView {
+ public:
+  /// Checks the CRC, the count and every entry's bounds in one pass.
+  /// Corruption if the header is truncated, the checksum does not match,
+  /// an entry overruns the track (however the count or a length field
+  /// lies) or has a present byte other than 0 or 1, or bytes follow the
+  /// last entry.
+  static Result<TrackView> Parse(std::span<const uint8_t> track);
 
-/// Calls `fn(const StreamEntryRef&)` for the first `count` entries of a
-/// track image this node built, or of a track DecodeTrack has verified
-/// (no validation here).
-template <typename Fn>
-void ForEachStreamEntry(std::span<const uint8_t> image, uint32_t count,
-                        Fn&& fn) {
-  size_t pos = kTrackOverhead;
-  for (uint32_t i = 0; i < count; ++i) {
-    const StreamEntryRef entry = StreamEntryAt(image, pos);
-    pos = entry.data_offset + entry.data_size;
-    fn(entry);
-  }
-}
+  /// The first `count` entries of a track image this node built.
+  TrackView(std::span<const uint8_t> image, uint32_t count)
+      : image_(image), count_(count) {}
 
-/// Encodes a full track from entries (reference encoder; the log server
-/// builds its tracks in place in NVRAM).
-Bytes EncodeTrack(const std::vector<StreamEntry>& entries);
+  uint32_t size() const { return count_; }
 
-/// Decodes a track, verifying its checksum so torn/corrupt tracks surface
-/// as Corruption instead of bad data. Payloads are views sharing `track`.
-Result<std::vector<StreamEntry>> DecodeTrack(const SharedBytes& track);
+  class Iterator {
+   public:
+    StreamEntryRef operator*() const { return StreamEntryAt(image_, pos_); }
+    Iterator& operator++() {
+      // The record's data length ends the entry's fixed fields.
+      pos_ += kStreamEntryFixedBytes +
+              static_cast<size_t>(LoadLE(
+                  image_.data() + pos_ + kStreamEntryFixedBytes - 4, 4));
+      --left_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const {
+      return left_ != other.left_;
+    }
+
+   private:
+    friend class TrackView;
+    Iterator(std::span<const uint8_t> image, size_t pos, uint32_t left)
+        : image_(image), pos_(pos), left_(left) {}
+    std::span<const uint8_t> image_;
+    size_t pos_;
+    uint32_t left_;
+  };
+  Iterator begin() const { return Iterator(image_, kTrackOverhead, count_); }
+  Iterator end() const { return Iterator({}, 0, 0); }
+
+ private:
+  std::span<const uint8_t> image_;
+  uint32_t count_;
+};
+
+/// Encodes a full track of (client, record) entries: the tests' builder
+/// of expected tracks (the log server builds its tracks in place in
+/// NVRAM).
+Bytes EncodeTrack(const std::vector<std::pair<ClientId, LogRecord>>& entries);
 
 }  // namespace dlog::server
 

@@ -1,6 +1,7 @@
 #include "wire/messages.h"
 
 #include <cassert>
+#include <utility>
 
 namespace dlog::wire {
 namespace {
@@ -24,55 +25,8 @@ void PutHeader(Encoder* enc, MessageType type, uint64_t rpc_id) {
 void PutRecord(Encoder* enc, const LogRecord& r) {
   enc->PutU64(r.lsn);
   enc->PutU64(r.epoch);
-  enc->PutBool(r.present);
+  enc->PutU8(r.present ? 1 : 0);
   enc->PutBlob(r.data);
-}
-
-Result<LogRecord> GetRecord(Decoder* dec) {
-  LogRecord r;
-  DLOG_ASSIGN_OR_RETURN(r.lsn, dec->GetU64());
-  DLOG_ASSIGN_OR_RETURN(r.epoch, dec->GetU64());
-  DLOG_ASSIGN_OR_RETURN(r.present, dec->GetBool());
-  // View into the arriving buffer: record data stays zero-copy until a
-  // consumer materializes it (e.g. persistence into a track).
-  DLOG_ASSIGN_OR_RETURN(r.data, dec->GetBlobView());
-  return r;
-}
-
-Result<std::vector<LogRecord>> GetRecords(Decoder* dec) {
-  DLOG_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-  std::vector<LogRecord> records;
-  records.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    DLOG_ASSIGN_OR_RETURN(LogRecord r, GetRecord(dec));
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-/// Encoded bytes of `records`, not counting the count prefix.
-size_t RecordBytes(const std::vector<LogRecord>& records) {
-  size_t n = 0;
-  for (const LogRecord& r : records) n += EncodedRecordSize(r);
-  return n;
-}
-
-void PutRecords(Encoder* enc, const std::vector<LogRecord>& records) {
-  enc->PutU32(static_cast<uint32_t>(records.size()));
-  for (const LogRecord& r : records) PutRecord(enc, r);
-}
-
-/// A WriteLog/ForceLog message up to its records: envelope header, batch
-/// fields, and the record count.
-void PutBatchHeader(Encoder* enc, MessageType type, uint64_t rpc_id,
-                    const RecordBatch& m, size_t count) {
-  assert(type == MessageType::kWriteLog || type == MessageType::kForceLog);
-  PutHeader(enc, type, rpc_id);
-  enc->PutU32(m.client);
-  enc->PutU64(m.epoch);
-  enc->PutU64(m.trace);
-  enc->PutU64(m.span);
-  enc->PutU32(static_cast<uint32_t>(count));
 }
 
 Result<RpcStatus> GetRpcStatus(Decoder* dec) {
@@ -89,6 +43,25 @@ size_t EncodedRecordSize(const LogRecord& record) {
   return kRecordFixedBytes + record.data.size();
 }
 
+size_t CheckedRecordSize(std::span<const uint8_t> bytes) {
+  if (bytes.size() < kRecordFixedBytes) return 0;
+  // Only the canonical present bytes: nodes keep the encoding as it
+  // arrived.
+  if (bytes[16] > 1) return 0;
+  const size_t n = static_cast<size_t>(LoadLE(bytes.data() + 17, 4));
+  if (bytes.size() - kRecordFixedBytes < n) return 0;
+  return kRecordFixedBytes + n;
+}
+
+LogRecord ToLogRecord(const SharedBytes& encoding) {
+  const RecordView v = RecordAt(encoding.data());
+  LogRecord record{v.lsn, v.epoch, v.present, {}};
+  if (!v.data().empty()) {
+    record.data = encoding.Slice(kRecordFixedBytes, v.data().size());
+  }
+  return record;
+}
+
 Bytes EncodeRecord(const LogRecord& record) {
   Bytes out;
   out.reserve(EncodedRecordSize(record));
@@ -103,26 +76,61 @@ size_t RecordBatchOverhead() {
   return 1 + 8 + 4 + 8 + 8 + 8 + 4;
 }
 
-Bytes EncodeRecordBatch(MessageType type, const RecordBatch& m,
-                        uint64_t rpc_id) {
-  Bytes out = MessageBuffer(RecordBatchOverhead() + RecordBytes(m.records));
-  Encoder enc(&out);
-  PutBatchHeader(&enc, type, rpc_id, m, m.records.size());
-  for (const LogRecord& r : m.records) PutRecord(&enc, r);
-  return out;
+RecordBatchWriter::RecordBatchWriter(size_t message_bytes)
+    : out_(MessageBuffer(message_bytes)) {}
+
+void RecordBatchWriter::StartRun() {
+  count_at_ = out_.size();
+  Encoder(&out_).PutU32(0);
 }
 
 RecordBatchWriter::RecordBatchWriter(MessageType type,
-                                     const RecordBatch& header, size_t count,
-                                     size_t message_bytes)
-    : out_(MessageBuffer(message_bytes)) {
+                                     const RecordBatch& header,
+                                     size_t record_bytes)
+    : RecordBatchWriter(RecordBatchOverhead() + record_bytes) {
+  assert(type == MessageType::kWriteLog || type == MessageType::kForceLog);
   Encoder enc(&out_);
-  PutBatchHeader(&enc, type, 0, header, count);
+  PutHeader(&enc, type, 0);
+  enc.PutU32(header.client);
+  enc.PutU64(header.epoch);
+  enc.PutU64(header.trace);
+  enc.PutU64(header.span);
+  StartRun();
+}
+
+RecordBatchWriter::RecordBatchWriter(const CopyLogReq& header,
+                                     uint64_t rpc_id, size_t record_bytes)
+    : RecordBatchWriter(kHeaderBytes + 4 + 8 + 4 + record_bytes) {
+  Encoder enc(&out_);
+  PutHeader(&enc, MessageType::kCopyLogReq, rpc_id);
+  enc.PutU32(header.client);
+  enc.PutU64(header.epoch);
+  StartRun();
+}
+
+RecordBatchWriter::RecordBatchWriter(const ReadLogResp& header,
+                                     uint64_t rpc_id, size_t record_bytes)
+    : RecordBatchWriter(kHeaderBytes + 1 + 4 + record_bytes) {
+  Encoder enc(&out_);
+  PutHeader(&enc, MessageType::kReadLogResp, rpc_id);
+  enc.PutU8(static_cast<uint8_t>(header.status));
+  StartRun();
 }
 
 void RecordBatchWriter::Add(const LogRecord& record) {
   Encoder enc(&out_);
   PutRecord(&enc, record);
+  ++count_;
+}
+
+void RecordBatchWriter::Add(std::span<const uint8_t> encoding) {
+  out_.insert(out_.end(), encoding.begin(), encoding.end());
+  ++count_;
+}
+
+Bytes RecordBatchWriter::Take() {
+  StoreLE(out_.data() + count_at_, count_, 4);
+  return std::move(out_);
 }
 
 Bytes EncodeNewInterval(const NewIntervalMsg& m) {
@@ -195,26 +203,6 @@ Bytes EncodeReadLogReq(MessageType type, const ReadLogReq& m,
   PutHeader(&enc, type, rpc_id);
   enc.PutU32(m.client);
   enc.PutU64(m.lsn);
-  return out;
-}
-
-Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id) {
-  Bytes out = MessageBuffer(kHeaderBytes + 1 + 4 + RecordBytes(m.records));
-  Encoder enc(&out);
-  PutHeader(&enc, MessageType::kReadLogResp, rpc_id);
-  enc.PutU8(static_cast<uint8_t>(m.status));
-  PutRecords(&enc, m.records);
-  return out;
-}
-
-Bytes EncodeCopyLogReq(const CopyLogReq& m, uint64_t rpc_id) {
-  Bytes out =
-      MessageBuffer(kHeaderBytes + 4 + 8 + 4 + RecordBytes(m.records));
-  Encoder enc(&out);
-  PutHeader(&enc, MessageType::kCopyLogReq, rpc_id);
-  enc.PutU32(m.client);
-  enc.PutU64(m.epoch);
-  PutRecords(&enc, m.records);
   return out;
 }
 
@@ -346,35 +334,36 @@ Result<Envelope> DecodeEnvelope(const Bytes& wire) {
   return DecodeEnvelope(SharedBytes::Copy(wire.data(), wire.size()));
 }
 
-Result<RecordBatchView> RecordBatchView::Parse(const SharedBytes& body) {
-  if (body.size() < kBatchHeaderBytes) {
-    return Status::Corruption("truncated record batch header");
+Result<RecordRun> RecordRun::Parse(const SharedBytes& body, size_t offset) {
+  if (body.size() < offset || body.size() - offset < 4) {
+    return Status::Corruption("truncated record count");
   }
-  const uint8_t* p = body.data();
-  RecordBatchView batch;
-  batch.client_ = static_cast<ClientId>(LoadLE(p, 4));
-  batch.epoch_ = LoadLE(p + 4, 8);
-  batch.trace_ = LoadLE(p + 12, 8);
-  batch.span_ = LoadLE(p + 20, 8);
-  batch.count_ = static_cast<uint32_t>(LoadLE(p + 28, 4));
+  RecordRun run;
+  run.count_ = static_cast<uint32_t>(LoadLE(body.data() + offset, 4));
   // Every bound is checked here, before any record is applied, so an
-  // overrun anywhere rejects the whole batch.
-  size_t pos = kBatchHeaderBytes;
-  for (uint32_t i = 0; i < batch.count_; ++i) {
-    if (body.size() - pos < kRecordFixedBytes) {
-      return Status::Corruption("record header overruns the batch");
-    }
-    const uint8_t* record = p + pos;
-    // Only the canonical present bytes: the server stores the encoding
-    // as it arrived.
-    if (record[16] > 1) return Status::Corruption("bad present byte");
-    const size_t n = static_cast<size_t>(LoadLE(record + 17, 4));
-    if (body.size() - pos - kRecordFixedBytes < n) {
-      return Status::Corruption("record data overruns the batch");
-    }
-    pos += kRecordFixedBytes + n;
+  // overrun anywhere rejects the whole run. A lying count ends the loop
+  // when the bytes run out, so it allocates nothing.
+  const size_t first = offset + 4;
+  size_t pos = first;
+  for (uint32_t i = 0; i < run.count_; ++i) {
+    const size_t n =
+        CheckedRecordSize({body.data() + pos, body.size() - pos});
+    if (n == 0) return Status::Corruption("malformed record in a run");
+    pos += n;
   }
-  batch.body_ = body;
+  run.records_ = body.Slice(first, pos - first);
+  return run;
+}
+
+Result<RecordBatchView> RecordBatchView::Parse(const SharedBytes& body) {
+  Decoder dec(body);
+  RecordBatchView batch;
+  DLOG_ASSIGN_OR_RETURN(batch.header.client, dec.GetU32());
+  DLOG_ASSIGN_OR_RETURN(batch.header.epoch, dec.GetU64());
+  DLOG_ASSIGN_OR_RETURN(batch.header.trace, dec.GetU64());
+  DLOG_ASSIGN_OR_RETURN(batch.header.span, dec.GetU64());
+  DLOG_ASSIGN_OR_RETURN(batch.records,
+                        RecordRun::Parse(body, body.size() - dec.remaining()));
   return batch;
 }
 
@@ -424,6 +413,10 @@ Result<IntervalListResp> DecodeIntervalListResp(const SharedBytes& body) {
   IntervalListResp m;
   DLOG_ASSIGN_OR_RETURN(m.status, GetRpcStatus(&dec));
   DLOG_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+  // Check the count against the bytes before reserving for it.
+  if (dec.remaining() / (8 + 8 + 8) < n) {
+    return Status::Corruption("interval count overruns the message");
+  }
   m.intervals.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Interval iv;
@@ -447,7 +440,8 @@ Result<ReadLogResp> DecodeReadLogResp(const SharedBytes& body) {
   Decoder dec(body);
   ReadLogResp m;
   DLOG_ASSIGN_OR_RETURN(m.status, GetRpcStatus(&dec));
-  DLOG_ASSIGN_OR_RETURN(m.records, GetRecords(&dec));
+  DLOG_ASSIGN_OR_RETURN(m.records,
+                        RecordRun::Parse(body, body.size() - dec.remaining()));
   return m;
 }
 
@@ -456,7 +450,8 @@ Result<CopyLogReq> DecodeCopyLogReq(const SharedBytes& body) {
   CopyLogReq m;
   DLOG_ASSIGN_OR_RETURN(m.client, dec.GetU32());
   DLOG_ASSIGN_OR_RETURN(m.epoch, dec.GetU64());
-  DLOG_ASSIGN_OR_RETURN(m.records, GetRecords(&dec));
+  DLOG_ASSIGN_OR_RETURN(m.records,
+                        RecordRun::Parse(body, body.size() - dec.remaining()));
   return m;
 }
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/log_types.h"
@@ -62,11 +60,112 @@ struct Envelope {
   SharedBytes body;
 };
 
+/// Bytes a LogRecord occupies inside a run of records; used by the client
+/// to pack "as many log records as will fit in a network packet".
+size_t EncodedRecordSize(const LogRecord& record);
+
+/// Fixed bytes of a record's wire encoding: lsn(8) + epoch(8) +
+/// present(1) + data length(4); the data follows.
+inline constexpr size_t kRecordFixedBytes = 8 + 8 + 1 + 4;
+
+/// One record read in place from its wire encoding: its key, its present
+/// flag, and the whole encoding (fixed fields and data). Valid while the
+/// buffer it was read from is.
+struct RecordView {
+  Lsn lsn = kNoLsn;
+  Epoch epoch = 0;
+  bool present = true;
+  std::span<const uint8_t> bytes;
+
+  std::span<const uint8_t> data() const {
+    return bytes.subspan(kRecordFixedBytes);
+  }
+};
+
+/// Reads the record whose wire encoding starts at `p`, with bounds the
+/// caller has checked (CheckedRecordSize, or an encoding this process
+/// made).
+inline RecordView RecordAt(const uint8_t* p) {
+  RecordView r;
+  r.lsn = LoadLE(p, 8);
+  r.epoch = LoadLE(p + 8, 8);
+  r.present = p[16] != 0;
+  r.bytes = {p, kRecordFixedBytes + static_cast<size_t>(LoadLE(p + 17, 4))};
+  return r;
+}
+
+/// The size of the record encoding at the start of `bytes`; 0 if it
+/// overruns them or its present byte is neither 0 nor 1 (nodes store and
+/// serve an encoding as it arrived, so only canonical ones pass). The
+/// one check of a record's bytes, in a run or in a track.
+size_t CheckedRecordSize(std::span<const uint8_t> bytes);
+
+/// A record's wire encoding in an owned buffer (the reference model's
+/// writes; the log client encodes its batches in place).
+Bytes EncodeRecord(const LogRecord& record);
+
+/// The record whose wire encoding is `encoding`, its data a view sharing
+/// it (empty when the data is).
+LogRecord ToLogRecord(const SharedBytes& encoding);
+
+/// A count-prefixed run of records (a u32 count, then each record's wire
+/// encoding) read in place: the records of a WriteLog/ForceLog batch, a
+/// CopyLog request or a ReadLog reply. Parse checks the count and every
+/// record in one pass; iterating then yields each record as a RecordView
+/// of the message, with no allocation.
+class RecordRun {
+ public:
+  /// The run whose count starts at byte `offset` of `body`. Corruption,
+  /// accepting no record, if the count is truncated, a record overruns
+  /// the body (however its count or length field lies), or a present
+  /// byte is neither 0 nor 1. Bytes after the last record are ignored.
+  static Result<RecordRun> Parse(const SharedBytes& body, size_t offset);
+
+  uint32_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  class Iterator {
+   public:
+    RecordView operator*() const { return RecordAt(pos_); }
+    Iterator& operator++() {
+      pos_ += kRecordFixedBytes + static_cast<size_t>(LoadLE(pos_ + 17, 4));
+      --left_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const {
+      return left_ != other.left_;
+    }
+
+   private:
+    friend class RecordRun;
+    Iterator(const uint8_t* pos, uint32_t left) : pos_(pos), left_(left) {}
+    const uint8_t* pos_;
+    uint32_t left_;
+  };
+  Iterator begin() const { return Iterator(records_.data(), count_); }
+  Iterator end() const { return Iterator(nullptr, 0); }
+  /// The first record; the run must not be empty.
+  RecordView front() const { return *begin(); }
+
+  /// `record`, one of this run's, as a view sharing the message's buffer:
+  /// how a record is kept past its message.
+  SharedBytes Share(const RecordView& record) const {
+    return records_.Slice(
+        static_cast<size_t>(record.bytes.data() - records_.data()),
+        record.bytes.size());
+  }
+
+ private:
+  SharedBytes records_;  // from the first record to the end of the last
+  uint32_t count_ = 0;
+};
+
 /// WriteLog / ForceLog (Figure 4-1): "Client processes and log servers
 /// attempt to pack as many log records as will fit in a network packet in
 /// each call." ForceLog additionally requests an immediate NewHighLsn
-/// acknowledgment. Senders encode one from this struct; the server reads
-/// it in place with RecordBatchView.
+/// acknowledgment. These are the fields ahead of the batch's records:
+/// senders write one with RecordBatchWriter, the server reads it in place
+/// with RecordBatchView.
 struct RecordBatch {
   ClientId client = 0;
   Epoch epoch = 0;
@@ -76,7 +175,6 @@ struct RecordBatch {
   /// buffering/track writes to the originating transaction.
   uint64_t trace = 0;
   uint64_t span = 0;
-  std::vector<LogRecord> records;
 };
 
 /// NewInterval: tells the server to ignore a missing-LSN gap and start a
@@ -139,18 +237,20 @@ struct ReadLogReq {
   Lsn lsn = kNoLsn;
 };
 
+/// Written with RecordBatchWriter; DecodeReadLogResp reads it in place.
 struct ReadLogResp {
   RpcStatus status = RpcStatus::kOk;
-  std::vector<LogRecord> records;
+  RecordRun records;
 };
 
 /// CopyLog: recovery-time rewrite of possibly partially-written records;
 /// "log servers accept CopyLog calls for records with LSNs that are lower
 /// than the highest log sequence number written to the log server."
+/// Written with RecordBatchWriter; DecodeCopyLogReq reads it in place.
 struct CopyLogReq {
   ClientId client = 0;
   Epoch epoch = 0;
-  std::vector<LogRecord> records;
+  RecordRun records;
 };
 
 struct CopyLogResp {
@@ -206,27 +306,40 @@ struct GenWriteResp {
 /// headroom the encoders reserve instead of copying the payload.
 inline constexpr size_t kFrameTrailerBytes = 1 + 8 + 8 + 8 + 4;
 
-Bytes EncodeRecordBatch(MessageType type, const RecordBatch& m,
-                        uint64_t rpc_id = 0);
-
-/// Builds a WriteLog/ForceLog message record by record, for a sender
-/// whose records are not held in one vector (the log client packs runs
-/// of its pending ring). `header` supplies the client, epoch and trace
-/// ids (its records are not read). `count` records follow, and
-/// `message_bytes` is RecordBatchOverhead() plus their EncodedRecordSize
-/// sum, so the buffer is allocated once, at its final size.
+/// Writes a message that ends in a run of records (a WriteLog/ForceLog
+/// batch, a CopyLog request or a ReadLog reply) record by record, from
+/// wherever the sender keeps them: the log client's pending ring, the log
+/// server's track images. The header's own records are not read.
+/// `record_bytes` is the EncodedRecordSize sum of the records to come, so
+/// the buffer is allocated once, at its final size; Take fills in their
+/// count.
 class RecordBatchWriter {
  public:
+  /// A WriteLog or ForceLog message (rpc id 0).
   RecordBatchWriter(MessageType type, const RecordBatch& header,
-                    size_t count, size_t message_bytes);
+                    size_t record_bytes);
+  RecordBatchWriter(const CopyLogReq& header, uint64_t rpc_id,
+                    size_t record_bytes);
+  RecordBatchWriter(const ReadLogResp& header, uint64_t rpc_id,
+                    size_t record_bytes);
 
   void Add(const LogRecord& record);
+  /// Adds a record's wire encoding as it is.
+  void Add(std::span<const uint8_t> encoding);
   /// The finished message.
-  Bytes Take() { return std::move(out_); }
+  Bytes Take();
 
  private:
+  /// An empty message of `message_bytes`; the caller writes its header.
+  explicit RecordBatchWriter(size_t message_bytes);
+  /// Writes the count's placeholder, after the header.
+  void StartRun();
+
   Bytes out_;
+  size_t count_at_ = 0;
+  uint32_t count_ = 0;
 };
+
 Bytes EncodeNewInterval(const NewIntervalMsg& m);
 Bytes EncodeNewHighLsn(const NewHighLsnMsg& m);
 Bytes EncodeOverloaded(const OverloadedMsg& m);
@@ -235,8 +348,6 @@ Bytes EncodeIntervalListReq(const IntervalListReq& m, uint64_t rpc_id);
 Bytes EncodeIntervalListResp(const IntervalListResp& m, uint64_t rpc_id);
 Bytes EncodeReadLogReq(MessageType type, const ReadLogReq& m,
                        uint64_t rpc_id);
-Bytes EncodeReadLogResp(const ReadLogResp& m, uint64_t rpc_id);
-Bytes EncodeCopyLogReq(const CopyLogReq& m, uint64_t rpc_id);
 Bytes EncodeCopyLogResp(const CopyLogResp& m, uint64_t rpc_id);
 Bytes EncodeInstallCopiesReq(const InstallCopiesReq& m, uint64_t rpc_id);
 Bytes EncodeInstallCopiesResp(const InstallCopiesResp& m, uint64_t rpc_id);
@@ -274,103 +385,15 @@ Result<GenWriteReq> DecodeGenWriteReq(const SharedBytes& body);
 Result<GenWriteResp> DecodeGenWriteResp(const SharedBytes& body);
 Result<TruncateLogMsg> DecodeTruncateLog(const SharedBytes& body);
 
-/// Bytes a LogRecord occupies inside a RecordBatch encoding; used by the
-/// client to pack "as many log records as will fit in a network packet".
-size_t EncodedRecordSize(const LogRecord& record);
+/// A WriteLog/ForceLog body read in place: the batch fields, then its run
+/// of records.
+struct RecordBatchView {
+  RecordBatch header;
+  RecordRun records;
 
-/// Fixed bytes of a record's wire encoding: lsn(8) + epoch(8) +
-/// present(1) + data length(4); the data follows.
-inline constexpr size_t kRecordFixedBytes = 8 + 8 + 1 + 4;
-
-/// One record read in place from its wire encoding: its key, its present
-/// flag, and the whole encoding (fixed fields and data). Valid while the
-/// buffer it was read from is.
-struct RecordView {
-  Lsn lsn = kNoLsn;
-  Epoch epoch = 0;
-  bool present = true;
-  std::span<const uint8_t> bytes;
-
-  std::span<const uint8_t> data() const {
-    return bytes.subspan(kRecordFixedBytes);
-  }
-};
-
-/// Reads the record whose wire encoding starts at `p`, with bounds the
-/// caller has checked (RecordBatchView::Parse, or an encoding this
-/// process made).
-inline RecordView RecordAt(const uint8_t* p) {
-  RecordView r;
-  r.lsn = LoadLE(p, 8);
-  r.epoch = LoadLE(p + 8, 8);
-  r.present = p[16] != 0;
-  r.bytes = {p, kRecordFixedBytes + static_cast<size_t>(LoadLE(p + 17, 4))};
-  return r;
-}
-
-/// A record's wire encoding in an owned buffer (the reference model's
-/// writes and installed recovery copies; the log client encodes its
-/// batches in place).
-Bytes EncodeRecord(const LogRecord& record);
-
-/// A WriteLog/ForceLog body read in place. Parse checks the batch header
-/// and every record's bounds in one pass; iterating then yields each
-/// record as a RecordView of the body, with no allocation and no
-/// per-record copy of the body's ownership.
-class RecordBatchView {
- public:
-  /// Corruption, accepting no record, if the header is truncated, a
-  /// record overruns the body (however its count or length field lies),
-  /// or a present byte is neither 0 nor 1. Bytes after the last record
-  /// are ignored.
+  /// Corruption, accepting no record, if the batch fields are truncated
+  /// or the run is malformed (RecordRun::Parse).
   static Result<RecordBatchView> Parse(const SharedBytes& body);
-
-  ClientId client() const { return client_; }
-  Epoch epoch() const { return epoch_; }
-  uint64_t trace() const { return trace_; }
-  uint64_t span() const { return span_; }
-  uint32_t size() const { return count_; }
-
-  class Iterator {
-   public:
-    RecordView operator*() const { return RecordAt(pos_); }
-    Iterator& operator++() {
-      pos_ += kRecordFixedBytes + static_cast<size_t>(LoadLE(pos_ + 17, 4));
-      --left_;
-      return *this;
-    }
-    bool operator!=(const Iterator& other) const {
-      return left_ != other.left_;
-    }
-
-   private:
-    friend class RecordBatchView;
-    Iterator(const uint8_t* pos, uint32_t left) : pos_(pos), left_(left) {}
-    const uint8_t* pos_;
-    uint32_t left_;
-  };
-  Iterator begin() const {
-    return Iterator(body_.data() + kBatchHeaderBytes, count_);
-  }
-  Iterator end() const { return Iterator(nullptr, 0); }
-
-  /// `record`, one of this batch's, as a view sharing the body's buffer:
-  /// how a record is kept past its batch.
-  SharedBytes Share(const RecordView& record) const {
-    return body_.Slice(static_cast<size_t>(record.bytes.data() - body_.data()),
-                       record.bytes.size());
-  }
-
- private:
-  /// client(4) + epoch(8) + trace(8) + span(8) + count(4).
-  static constexpr size_t kBatchHeaderBytes = 4 + 8 + 8 + 8 + 4;
-
-  SharedBytes body_;
-  ClientId client_ = 0;
-  Epoch epoch_ = 0;
-  uint64_t trace_ = 0;
-  uint64_t span_ = 0;
-  uint32_t count_ = 0;
 };
 
 /// Fixed per-RecordBatch overhead (envelope header + batch fields).

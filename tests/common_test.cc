@@ -67,7 +67,6 @@ TEST(BytesTest, RoundTripScalars) {
   enc.PutU16(0x1234);
   enc.PutU32(0xDEADBEEF);
   enc.PutU64(0x0123456789ABCDEFull);
-  enc.PutBool(true);
   enc.PutString("hello");
 
   Decoder dec(buf);
@@ -75,7 +74,6 @@ TEST(BytesTest, RoundTripScalars) {
   EXPECT_EQ(*dec.GetU16(), 0x1234);
   EXPECT_EQ(*dec.GetU32(), 0xDEADBEEFu);
   EXPECT_EQ(*dec.GetU64(), 0x0123456789ABCDEFull);
-  EXPECT_TRUE(*dec.GetBool());
   EXPECT_EQ(*dec.GetString(), "hello");
   EXPECT_TRUE(dec.Done());
 }
@@ -143,42 +141,6 @@ TEST(SharedBytesTest, CopyAndToBytesAreCounted) {
   SharedBytes c = SharedBytes::Copy(a.data(), a.size());  // counted
   EXPECT_EQ(BytesCopied(), 16u);
   EXPECT_TRUE(c == a);
-  ResetBytesCopied();
-}
-
-TEST(SharedBytesTest, DecoderBlobViewIsZeroCopy) {
-  Bytes buf;
-  Encoder enc(&buf);
-  enc.PutU32(7);
-  enc.PutBlob(ToBytes("payload"));
-  enc.PutBlob(Bytes{});
-  SharedBytes wire(std::move(buf));
-
-  ResetBytesCopied();
-  Decoder dec(wire);
-  ASSERT_TRUE(dec.GetU32().ok());
-  Result<SharedBytes> blob = dec.GetBlobView();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(blob->view(), "payload");
-  // The view points into the wire buffer itself: zero bytes copied.
-  EXPECT_EQ(blob->data(), wire.data() + 8);
-  EXPECT_EQ(BytesCopied(), 0u);
-  Result<SharedBytes> empty = dec.GetBlobView();
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  EXPECT_TRUE(dec.Done());
-}
-
-TEST(SharedBytesTest, DecoderBlobViewWithoutOwnerCopies) {
-  Bytes buf;
-  Encoder enc(&buf);
-  enc.PutBlob(ToBytes("abc"));
-  ResetBytesCopied();
-  Decoder dec(buf);  // plain Bytes: lifetime unknown, so views must copy
-  Result<SharedBytes> blob = dec.GetBlobView();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(blob->view(), "abc");
-  EXPECT_EQ(BytesCopied(), 3u);
   ResetBytesCopied();
 }
 

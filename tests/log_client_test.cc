@@ -164,6 +164,43 @@ TEST(LogClientTest, ReadCacheServesPackedNeighbors) {
   EXPECT_EQ(rpcs_after_all, rpcs_after_first);
 }
 
+// A full read cache evicts its lowest LSN rather than refusing new
+// records, so a replay longer than the cache still reads one packet of
+// records per read RPC instead of one record.
+TEST(LogClientTest, ReadCacheKeepsCachingPastItsCapacity) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  for (int chunk = 0; chunk < 50; ++chunk) {
+    Lsn last = kNoLsn;
+    for (int i = 0; i < 100; ++i) {
+      last = *c->WriteLog(Bytes(100, static_cast<uint8_t>(i)));
+    }
+    bool forced = false;
+    c->ForceLog(last, [&](Status) { forced = true; });
+    ASSERT_TRUE(cluster.RunUntil([&]() { return forced; }));
+  }
+  auto read_rpcs = [&cluster]() {
+    uint64_t n = 0;
+    for (int s = 1; s <= 3; ++s) n += cluster.server(s).read_rpcs().value();
+    return n;
+  };
+  auto read = [&](Lsn from, Lsn to) {
+    for (Lsn lsn = from; lsn <= to; ++lsn) {
+      bool done = false;
+      c->ReadLog(lsn, [&](Result<Bytes> r) {
+        EXPECT_TRUE(r.ok());
+        done = true;
+      });
+      ASSERT_TRUE(cluster.RunUntil([&]() { return done; }));
+    }
+  };
+  read(1, 4000);
+  const uint64_t before = read_rpcs();
+  read(4001, 5000);
+  EXPECT_LE(read_rpcs() - before, 150u);
+}
+
 // A record travels whole in one batch, so one whose encoding exceeds
 // mtu_payload could never reach a server: WriteLog refuses it up front.
 TEST(LogClientTest, RecordLargerThanOnePacketIsRejected) {

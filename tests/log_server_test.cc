@@ -28,6 +28,32 @@ LogRecord Rec(Lsn lsn, Epoch epoch, bool present = true,
   return r;
 }
 
+/// A message ending in `records`, written by the one RecordBatchWriter;
+/// `header` is the writer's arguments ahead of the record bytes.
+template <typename... Header>
+Bytes WriteWithRecords(const std::vector<LogRecord>& records,
+                       const Header&... header) {
+  size_t bytes = 0;
+  for (const LogRecord& r : records) bytes += wire::EncodedRecordSize(r);
+  wire::RecordBatchWriter writer(header..., bytes);
+  for (const LogRecord& r : records) writer.Add(r);
+  return writer.Take();
+}
+
+/// A CopyLog request staging `records` under `epoch`.
+Bytes CopyLogMessage(Epoch epoch, const std::vector<LogRecord>& records,
+                 uint64_t rpc_id) {
+  return WriteWithRecords(records, wire::CopyLogReq{kClient, epoch, {}},
+                          rpc_id);
+}
+
+/// The LSNs of a ReadLog reply's records, in reply order.
+std::vector<Lsn> Lsns(const wire::ReadLogResp& resp) {
+  std::vector<Lsn> lsns;
+  for (const wire::RecordView r : resp.records) lsns.push_back(r.lsn);
+  return lsns;
+}
+
 /// Drives a LogServer with raw protocol messages, recording everything
 /// the server sends back.
 struct RawDriver {
@@ -70,8 +96,7 @@ struct RawDriver {
     wire::RecordBatch batch;
     batch.client = kClient;
     batch.epoch = epoch;
-    batch.records = std::move(records);
-    Send(wire::EncodeRecordBatch(type, batch));
+    Send(WriteWithRecords(records, type, batch));
   }
 
   /// Last message of the given type, if any.
@@ -106,8 +131,7 @@ void SendWriteNow(RawDriver& d, std::vector<LogRecord> records) {
   wire::RecordBatch batch;
   batch.client = kClient;
   batch.epoch = 1;
-  batch.records = std::move(records);
-  d.conn->Send(wire::EncodeRecordBatch(wire::MessageType::kWriteLog, batch));
+  d.conn->Send(WriteWithRecords(records, wire::MessageType::kWriteLog, batch));
 }
 
 /// `records` of kClient packed into tracks the way the server packs its
@@ -115,10 +139,10 @@ void SendWriteNow(RawDriver& d, std::vector<LogRecord> records) {
 std::vector<Bytes> GreedyTracks(const std::vector<LogRecord>& records,
                                 size_t track_bytes) {
   std::vector<Bytes> tracks;
-  std::vector<StreamEntry> current;
+  std::vector<std::pair<ClientId, LogRecord>> current;
   size_t bytes = kTrackOverhead;
   for (const LogRecord& r : records) {
-    const size_t n = StreamEntrySize(r);
+    const size_t n = kStreamEntryClientBytes + wire::EncodedRecordSize(r);
     if (!current.empty() && bytes + n > track_bytes) {
       tracks.push_back(EncodeTrack(current));
       current.clear();
@@ -275,9 +299,10 @@ TEST(LogServerTest, ReadLogForwardPacksFollowingRecords) {
       d.Last(wire::MessageType::kReadLogResp)->body);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->status, wire::RpcStatus::kOk);
-  ASSERT_GE(m->records.size(), 2u);
-  EXPECT_EQ(m->records[0].lsn, 4u);
-  EXPECT_EQ(m->records[1].lsn, 5u);  // forward fill
+  const std::vector<Lsn> lsns = Lsns(*m);
+  ASSERT_GE(lsns.size(), 2u);
+  EXPECT_EQ(lsns[0], 4u);
+  EXPECT_EQ(lsns[1], 5u);  // forward fill
 }
 
 TEST(LogServerTest, ReadLogBackwardPacksPrecedingRecords) {
@@ -291,9 +316,10 @@ TEST(LogServerTest, ReadLogBackwardPacksPrecedingRecords) {
   auto m = wire::DecodeReadLogResp(
       d.Last(wire::MessageType::kReadLogResp)->body);
   ASSERT_TRUE(m.ok());
-  ASSERT_GE(m->records.size(), 2u);
-  EXPECT_EQ(m->records[0].lsn, 5u);
-  EXPECT_EQ(m->records[1].lsn, 4u);  // backward fill
+  const std::vector<Lsn> lsns = Lsns(*m);
+  ASSERT_GE(lsns.size(), 2u);
+  EXPECT_EQ(lsns[0], 5u);
+  EXPECT_EQ(lsns[1], 4u);  // backward fill
 }
 
 TEST(LogServerTest, ReadOfUnstoredLsnIsNotFound) {
@@ -313,11 +339,8 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
   d.SendBatch(wire::MessageType::kForceLog, 3, records);
 
   // Stage copies with the new epoch 4.
-  wire::CopyLogReq creq;
-  creq.client = kClient;
-  creq.epoch = 4;
-  creq.records = {Rec(9, 4, true, "copy"), Rec(10, 4, false, "")};
-  d.Send(wire::EncodeCopyLogReq(creq, d.next_rpc++));
+  d.Send(CopyLogMessage(4, {Rec(9, 4, true, "copy"), Rec(10, 4, false, "")},
+                        d.next_rpc++));
   auto cresp = wire::DecodeCopyLogResp(
       d.Last(wire::MessageType::kCopyLogResp)->body);
   EXPECT_EQ(cresp->status, wire::RpcStatus::kOk);
@@ -330,6 +353,9 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
   EXPECT_EQ(iresp->status, wire::RpcStatus::kOk);
   EXPECT_EQ(d.server->IntervalsOf(kClient),
             (IntervalList{{3, 1, 9}, {4, 9, 10}}));
+  const std::vector<LogRecord> stored = d.server->RecordsOf(kClient);
+  EXPECT_EQ(stored.back(), Rec(10, 4, false, ""));
+  EXPECT_EQ(stored[stored.size() - 2], Rec(9, 4, true, "copy"));
 }
 
 // A staged copy that conflicts with a stored <LSN, Epoch> fails the whole
@@ -338,12 +364,8 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
 TEST(LogServerTest, ConflictingInstallCopiesInstallsNothing) {
   RawDriver d;
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
-  auto copy = [&d](std::vector<LogRecord> records) {
-    wire::CopyLogReq creq;
-    creq.client = kClient;
-    creq.epoch = 2;
-    creq.records = std::move(records);
-    d.Send(wire::EncodeCopyLogReq(creq, d.next_rpc++));
+  auto copy = [&d](const std::vector<LogRecord>& records) {
+    d.Send(CopyLogMessage(2, records, d.next_rpc++));
     d.Send(wire::EncodeInstallCopiesReq({kClient, 2}, d.next_rpc++));
     return wire::DecodeInstallCopiesResp(
                d.Last(wire::MessageType::kInstallCopiesResp)->body)
@@ -376,8 +398,9 @@ TEST(LogServerTest, ForceLogWithAnOverrunningRecordAppliesNothing) {
   wire::RecordBatch batch;
   batch.client = kClient;
   batch.epoch = 1;
-  batch.records = {Rec(1, 1), Rec(2, 1, true, "last")};
-  Bytes message = wire::EncodeRecordBatch(wire::MessageType::kForceLog, batch);
+  const std::vector<LogRecord> records = {Rec(1, 1), Rec(2, 1, true, "last")};
+  Bytes message =
+      WriteWithRecords(records, wire::MessageType::kForceLog, batch);
   // The last record's length field (just before its 4 data bytes) claims
   // one byte more than the packet holds.
   message[message.size() - 8] = 5;
@@ -387,21 +410,32 @@ TEST(LogServerTest, ForceLogWithAnOverrunningRecordAppliesNothing) {
   EXPECT_EQ(d.Last(wire::MessageType::kNewHighLsn), nullptr);
 
   // The same batch intact is applied and acknowledged.
-  d.SendBatch(wire::MessageType::kForceLog, 1, batch.records);
+  d.SendBatch(wire::MessageType::kForceLog, 1, records);
   EXPECT_EQ(d.server->records_written().value(), 2u);
   EXPECT_NE(d.Last(wire::MessageType::kNewHighLsn), nullptr);
 }
 
 TEST(LogServerTest, MismatchedCopyEpochRejected) {
   RawDriver d;
-  wire::CopyLogReq creq;
-  creq.client = kClient;
-  creq.epoch = 4;
-  creq.records = {Rec(9, 5)};  // record epoch != call epoch
-  d.Send(wire::EncodeCopyLogReq(creq, d.next_rpc++));
+  d.Send(CopyLogMessage(4, {Rec(9, 5)}, d.next_rpc++));  // record epoch 5
   auto resp = wire::DecodeCopyLogResp(
       d.Last(wire::MessageType::kCopyLogResp)->body);
   EXPECT_EQ(resp->status, wire::RpcStatus::kError);
+}
+
+// A CopyLog request whose record count lies is dropped unanswered, like
+// any garbled message, and the server keeps serving the stream.
+TEST(LogServerTest, CopyLogWithALyingCountGetsNoReply) {
+  RawDriver d;
+  Bytes lying = CopyLogMessage(2, {}, d.next_rpc++);
+  StoreLE(lying.data() + lying.size() - 4, 0xFFFFFFFFu, 4);
+  d.Send(std::move(lying));
+  EXPECT_EQ(d.Last(wire::MessageType::kCopyLogResp), nullptr);
+
+  d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1)});
+  const wire::Envelope* ack = d.Last(wire::MessageType::kNewHighLsn);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(wire::DecodeNewHighLsn(ack->body)->new_high_lsn, 1u);
 }
 
 TEST(LogServerTest, LoadSheddingIgnoresWritesWhenNvramFull) {
@@ -636,6 +670,51 @@ TEST(LogServerTest, RestartRepacksAnInterruptedPartialFlush) {
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 4}}));
 }
 
+// The restart scan stops at the first disk track that fails its check
+// ("torn/corrupt track terminates the stream"): the tracks before it are
+// indexed, and none of its records is served.
+TEST(LogServerTest, RestartStopsAtACorruptDiskTrack) {
+  LogServerConfig cfg;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 10 * sim::kMillisecond;
+  RawDriver d(cfg);
+  const std::vector<LogRecord> records = AssortedRecords(12);
+  for (size_t i = 0; i < records.size(); i += 4) {
+    d.SendBatch(wire::MessageType::kWriteLog, 1,
+                {records.begin() + static_cast<long>(i),
+                 records.begin() + static_cast<long>(i + 4)});
+  }
+  d.sim.RunFor(sim::kSecond);
+  ASSERT_TRUE(d.server->nvram_buffer().empty());  // all on disk
+  const std::vector<Bytes> tracks = DiskTracks(*d.server);
+  ASSERT_GE(tracks.size(), 3u);
+  const Lsn end_of_0 = TrackView::Parse(tracks[0])->size();
+  const Lsn end_of_1 = end_of_0 + TrackView::Parse(tracks[1])->size();
+
+  d.server->Crash();
+  Bytes corrupt = tracks[1];
+  corrupt[corrupt.size() / 2] ^= 0xFF;
+  d.server->disk().WriteTrack(1, corrupt, nullptr);
+  d.sim.RunFor(sim::kSecond);
+  d.server->Restart();
+  d.Connect();
+
+  EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, end_of_0}}));
+  EXPECT_EQ(d.server->RecordsOf(kClient),
+            std::vector<LogRecord>(records.begin(),
+                                   records.begin() + end_of_0));
+  auto read = [&d](Lsn lsn) {
+    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
+                                  {kClient, lsn}, d.next_rpc++));
+    return *wire::DecodeReadLogResp(
+        d.Last(wire::MessageType::kReadLogResp)->body);
+  };
+  EXPECT_EQ(Lsns(read(1)).front(), 1u);
+  for (Lsn lsn = end_of_0 + 1; lsn <= end_of_1; ++lsn) {
+    EXPECT_EQ(read(lsn).status, wire::RpcStatus::kNotFound) << "LSN " << lsn;
+  }
+}
+
 // A failed track write still uses up its track number, and its entries
 // are packed greedily with whatever was buffered after them.
 TEST(LogServerTest, FailedTrackWriteBurnsItsNumberAndRepacks) {
@@ -699,7 +778,8 @@ TEST(LogServerTest, StoredRecordsReadBackFromTheirTrackImages) {
         d.Last(wire::MessageType::kReadLogResp)->body);
     ASSERT_TRUE(resp.ok());
     ASSERT_FALSE(resp->records.empty());
-    EXPECT_EQ(resp->records[0], r);
+    EXPECT_EQ(wire::ToLogRecord(resp->records.Share(resp->records.front())),
+              r);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -23,16 +24,6 @@ LogRecord Rec(Lsn lsn, Epoch epoch, bool present = true,
   return r;
 }
 
-/// The record whose wire encoding is `wire` (a held record).
-LogRecord FromWire(const SharedBytes& wire) {
-  const wire::RecordView v = wire::RecordAt(wire.data());
-  LogRecord r{v.lsn, v.epoch, v.present, {}};
-  if (!v.data().empty()) {
-    r.data = wire.Slice(wire::kRecordFixedBytes, v.data().size());
-  }
-  return r;
-}
-
 /// A store whose records live in in-memory track images.
 class ClientLogStoreTest : public ::testing::Test {
  protected:
@@ -44,6 +35,11 @@ class ClientLogStoreTest : public ::testing::Test {
       store.Hold(SharedBytes(wire::EncodeRecord(r)));
     }
     return p;
+  }
+
+  /// Stages `r` as a recovery copy, as its wire encoding.
+  Status StageCopy(const LogRecord& r) {
+    return store.StageCopy(wire::EncodeRecord(r));
   }
 
   /// Stores `r`'s entry in the images without indexing it: another copy,
@@ -141,8 +137,8 @@ TEST_F(ClientLogStoreTest, Figure31Server1) {
 
 TEST_F(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
   for (Lsn l = 1; l <= 9; ++l) ASSERT_TRUE(store.Write(Rec(l, 3)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(9, 4, true, "copy")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(10, 4, false, "")).ok());
+  ASSERT_TRUE(StageCopy(Rec(9, 4, true, "copy")).ok());
+  ASSERT_TRUE(StageCopy(Rec(10, 4, false, "")).ok());
 
   // Not visible yet.
   EXPECT_EQ(store.Read(9)->epoch, 3u);
@@ -150,7 +146,7 @@ TEST_F(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
   EXPECT_EQ(store.Intervals().size(), 1u);
   EXPECT_EQ(store.staged_count(), 2u);
 
-  Result<std::vector<LogRecord>> installed = store.InstallCopies(4);
+  Result<std::vector<SharedBytes>> installed = store.InstallCopies(4);
   ASSERT_TRUE(installed.ok());
   EXPECT_EQ(installed->size(), 2u);
   EXPECT_EQ(store.Read(9)->epoch, 4u);
@@ -160,7 +156,7 @@ TEST_F(ClientLogStoreTest, StagedCopiesInvisibleUntilInstall) {
 }
 
 TEST_F(ClientLogStoreTest, InstallOfUnknownEpochIsNoOp) {
-  Result<std::vector<LogRecord>> r = store.InstallCopies(99);
+  Result<std::vector<SharedBytes>> r = store.InstallCopies(99);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -168,8 +164,8 @@ TEST_F(ClientLogStoreTest, InstallOfUnknownEpochIsNoOp) {
 TEST_F(ClientLogStoreTest, InstallSortsByLsn) {
   for (Lsn l = 1; l <= 5; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
   // Staged out of order.
-  ASSERT_TRUE(store.StageCopy(Rec(5, 2, true, "b")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(4, 2, true, "a")).ok());
+  ASSERT_TRUE(StageCopy(Rec(5, 2, true, "b")).ok());
+  ASSERT_TRUE(StageCopy(Rec(4, 2, true, "a")).ok());
   ASSERT_TRUE(store.InstallCopies(2).ok());
   IntervalList ivs = store.Intervals();
   // Installed copies form a contiguous epoch-2 sequence 4-5.
@@ -179,8 +175,8 @@ TEST_F(ClientLogStoreTest, InstallSortsByLsn) {
 
 TEST_F(ClientLogStoreTest, CopiesForDifferentEpochsAreIndependent) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(1, 2)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(1, 3)).ok());
+  ASSERT_TRUE(StageCopy(Rec(1, 2)).ok());
+  ASSERT_TRUE(StageCopy(Rec(1, 3)).ok());
   ASSERT_TRUE(store.InstallCopies(3).ok());
   EXPECT_EQ(store.Read(1)->epoch, 3u);
   EXPECT_EQ(store.staged_count(), 1u);  // epoch-2 copy still staged
@@ -287,12 +283,12 @@ TEST_F(ClientLogStoreTest, AnnouncementAfterItsRecordReleasesIt) {
 
   const std::optional<SharedBytes> start = store.Announce(1, 7);
   ASSERT_TRUE(start.has_value());
-  EXPECT_EQ(FromWire(*start), Rec(7, 1));
-  ASSERT_TRUE(store.Write(FromWire(*start)).ok());
+  EXPECT_EQ(wire::ToLogRecord(*start), Rec(7, 1));
+  ASSERT_TRUE(store.Write(wire::ToLogRecord(*start)).ok());
   const std::optional<SharedBytes> next = store.TakeNextHeld();
   ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(FromWire(*next).lsn, 8u);
-  ASSERT_TRUE(store.Write(FromWire(*next)).ok());
+  EXPECT_EQ(wire::ToLogRecord(*next).lsn, 8u);
+  ASSERT_TRUE(store.Write(wire::ToLogRecord(*next)).ok());
   EXPECT_EQ(store.TakeNextHeld(), std::nullopt);
   EXPECT_EQ(store.Gap(), std::nullopt);
   EXPECT_EQ(store.Intervals(), (IntervalList{{1, 1, 3}, {1, 7, 8}}));
@@ -310,7 +306,7 @@ TEST_F(ClientLogStoreTest, HoldKeepsTheLatestCopyUpToItsCap) {
   ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
   Lsn taken = 2;
   while (std::optional<SharedBytes> held = store.TakeNextHeld()) {
-    const LogRecord r = FromWire(*held);
+    const LogRecord r = wire::ToLogRecord(*held);
     if (r.lsn == 3) {
       EXPECT_EQ(r.data, ToBytes("new"));
     }
@@ -325,8 +321,8 @@ TEST_F(ClientLogStoreTest, HoldKeepsTheLatestCopyUpToItsCap) {
 // take sorted inserts into the index, which must keep every lookup right.
 TEST_F(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
   for (Lsn l = 1; l <= 10; ++l) ASSERT_TRUE(store.Write(Rec(l, 2)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(5, 3, true, "copy5")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(4, 3, true, "copy4")).ok());
+  ASSERT_TRUE(StageCopy(Rec(5, 3, true, "copy5")).ok());
+  ASSERT_TRUE(StageCopy(Rec(4, 3, true, "copy4")).ok());
   ASSERT_TRUE(store.InstallCopies(3).ok());
   ASSERT_TRUE(store.Write(Rec(6, 3, true, "new6")).ok());
 
@@ -350,7 +346,7 @@ TEST_F(ClientLogStoreTest, CopyInstalledBelowTheTailKeepsLookupsCorrect) {
 
 TEST_F(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
   for (Lsn l = 1; l <= 6; ++l) ASSERT_TRUE(store.Write(Rec(l, 1)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(5, 2)).ok());
+  ASSERT_TRUE(StageCopy(Rec(5, 2)).ok());
   ASSERT_TRUE(store.InstallCopies(2).ok());
   const RecordLocation buffered3 = *store.LocationOf(3, 1);
   // Flushes move records to the tracks they were written to.
@@ -378,8 +374,8 @@ TEST_F(ClientLogStoreTest, ConflictingCopyInstallsNone) {
   ASSERT_TRUE(store.Write(Rec(1, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(2, 1)).ok());
   ASSERT_TRUE(store.Write(Rec(5, 2)).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(3, 2, true, "c")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(5, 2, true, "y")).ok());
+  ASSERT_TRUE(StageCopy(Rec(3, 2, true, "c")).ok());
+  ASSERT_TRUE(StageCopy(Rec(5, 2, true, "y")).ok());
   EXPECT_TRUE(store.InstallCopies(2).status().IsCorruption());
   EXPECT_EQ(store.Intervals(), (IntervalList{{1, 1, 2}, {2, 5, 5}}));
   EXPECT_TRUE(store.Read(3).status().IsNotFound());
@@ -390,15 +386,15 @@ TEST_F(ClientLogStoreTest, ConflictingCopyInstallsNone) {
 // A copy staged twice (a retried CopyLog) installs once; two different
 // copies of one <LSN, Epoch> conflict.
 TEST_F(ClientLogStoreTest, CopyStagedTwiceInstallsOnce) {
-  ASSERT_TRUE(store.StageCopy(Rec(1, 2, true, "a")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(1, 2, true, "a")).ok());
-  Result<std::vector<LogRecord>> installed = store.InstallCopies(2);
+  ASSERT_TRUE(StageCopy(Rec(1, 2, true, "a")).ok());
+  ASSERT_TRUE(StageCopy(Rec(1, 2, true, "a")).ok());
+  Result<std::vector<SharedBytes>> installed = store.InstallCopies(2);
   ASSERT_TRUE(installed.ok());
   EXPECT_EQ(installed->size(), 1u);
   EXPECT_EQ(store.record_count(), 1u);
 
-  ASSERT_TRUE(store.StageCopy(Rec(2, 3, true, "b")).ok());
-  ASSERT_TRUE(store.StageCopy(Rec(2, 3, true, "c")).ok());
+  ASSERT_TRUE(StageCopy(Rec(2, 3, true, "b")).ok());
+  ASSERT_TRUE(StageCopy(Rec(2, 3, true, "c")).ok());
   EXPECT_TRUE(store.InstallCopies(3).status().IsCorruption());
   EXPECT_EQ(store.record_count(), 1u);
 }
@@ -406,37 +402,107 @@ TEST_F(ClientLogStoreTest, CopyStagedTwiceInstallsOnce) {
 // --- Track format ---
 
 TEST(TrackFormatTest, EntryRoundTrip) {
-  StreamEntry e{42, Rec(7, 3, true, "payload")};
-  Bytes encoded = EncodeStreamEntry(e);
-  EXPECT_EQ(encoded.size(), StreamEntrySize(e.record));
-  Result<StreamEntry> decoded = DecodeStreamEntry(encoded);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, e);
+  const LogRecord r = Rec(7, 3, true, "payload");
+  const Bytes record = wire::EncodeRecord(r);
+  Bytes image(3, 0xAA);  // an entry may start anywhere in its image
+  image.reserve(image.size() + kStreamEntryClientBytes + record.size());
+  AppendStreamEntry(&image, 42, record);
+  EXPECT_EQ(image.size(), 3 + kStreamEntryFixedBytes + r.data.size());
+  EXPECT_EQ(StreamEntrySizeAt(image, 3), image.size() - 3);
+  const StreamEntryRef e = StreamEntryAt(image, 3);
+  EXPECT_EQ(e.offset, 3u);
+  EXPECT_EQ(e.client, 42u);
+  EXPECT_EQ(Bytes(e.record.bytes.begin(), e.record.bytes.end()), record);
+  EXPECT_EQ(e.record.lsn, 7u);
+  EXPECT_EQ(e.record.epoch, 3u);
+  EXPECT_TRUE(e.record.present);
+}
+
+/// The (client, record) entries of `track`, read through TrackView.
+std::vector<std::pair<ClientId, LogRecord>> EntriesOf(const TrackView& track) {
+  std::vector<std::pair<ClientId, LogRecord>> entries;
+  for (const StreamEntryRef& e : track) {
+    entries.emplace_back(
+        e.client, wire::ToLogRecord(SharedBytes::Copy(e.record.bytes.data(),
+                                                      e.record.bytes.size())));
+  }
+  return entries;
 }
 
 TEST(TrackFormatTest, TrackRoundTrip) {
-  std::vector<StreamEntry> entries = {
+  const std::vector<std::pair<ClientId, LogRecord>> entries = {
       {1, Rec(1, 1, true, "a")},
       {2, Rec(100, 5, false, "")},
       {1, Rec(2, 1, true, "interleaved")},
   };
-  Bytes track = EncodeTrack(entries);
-  Result<std::vector<StreamEntry>> decoded = DecodeTrack(track);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, entries);
+  const Bytes track = EncodeTrack(entries);
+  Result<TrackView> parsed = TrackView::Parse(track);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->size(), 3u);
+  EXPECT_EQ(EntriesOf(*parsed), entries);
+  // An image this node built reads the same without the check.
+  EXPECT_EQ(EntriesOf(TrackView(track, 3)), entries);
 }
 
+// Hostile tracks: each is rejected whole, so the restart scan stops at it
+// instead of indexing part of it.
 TEST(TrackFormatTest, CorruptTrackDetected) {
-  Bytes track = EncodeTrack({{1, Rec(1, 1)}});
-  track[track.size() / 2] ^= 0xFF;
-  EXPECT_TRUE(DecodeTrack(track).status().IsCorruption());
+  const Bytes good =
+      EncodeTrack({{1, Rec(1, 1, true, "first")},
+                   {1, Rec(2, 1, true, "last")}});
+  ASSERT_TRUE(TrackView::Parse(good).ok());
+  const size_t first_entry = kTrackOverhead;
+  const size_t last_len = good.size() - 4 - 4;  // before "last"
+  struct Case {
+    const char* name;
+    std::function<void(Bytes*)> mutate;
+  };
+  const Case cases[] = {
+      {"checksum mismatch", [](Bytes* t) { (*t)[t->size() / 2] ^= 0xFF; }},
+      {"count beyond its entries",
+       [](Bytes* t) { FinishTrackImage(t, 3); }},
+      {"an 8-byte track counting 0xFFFFFFFF entries",
+       [](Bytes* t) {
+         t->resize(kTrackOverhead);
+         FinishTrackImage(t, 0xFFFFFFFFu);
+       }},
+      {"an entry overrunning the track",
+       [last_len](Bytes* t) {
+         StoreLE(t->data() + last_len, 5, 4);
+         FinishTrackImage(t, 2);
+       }},
+      {"a non-canonical present byte",
+       [first_entry](Bytes* t) {
+         (*t)[first_entry + kStreamEntryClientBytes + 16] = 2;
+         FinishTrackImage(t, 2);
+       }},
+      {"trailing bytes",
+       [](Bytes* t) {
+         t->push_back(0);
+         FinishTrackImage(t, 2);
+       }},
+  };
+  for (const Case& c : cases) {
+    Bytes track = good;
+    c.mutate(&track);
+    EXPECT_TRUE(TrackView::Parse(track).status().IsCorruption()) << c.name;
+  }
+  // Every truncation, down into the header (resealed once it has one).
+  for (size_t n = 0; n < good.size(); ++n) {
+    Bytes track(good.begin(), good.begin() + n);
+    if (n >= kTrackOverhead) FinishTrackImage(&track, 2);
+    EXPECT_TRUE(TrackView::Parse(track).status().IsCorruption())
+        << n << " bytes";
+  }
 }
 
 TEST(TrackFormatTest, EmptyTrack) {
-  Bytes track = EncodeTrack({});
-  Result<std::vector<StreamEntry>> decoded = DecodeTrack(track);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
+  const Bytes track = EncodeTrack({});
+  EXPECT_EQ(track.size(), kTrackOverhead);
+  Result<TrackView> parsed = TrackView::Parse(track);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->size(), 0u);
+  EXPECT_FALSE(parsed->begin() != parsed->end());
 }
 
 }  // namespace

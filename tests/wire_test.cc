@@ -32,15 +32,34 @@ LogRecord ToRecord(const RecordView& view) {
                      view.data().size()});
 }
 
+/// The records of `run`, as owned records.
+std::vector<LogRecord> RecordsOf(const RecordRun& run) {
+  std::vector<LogRecord> records;
+  for (const RecordView r : run) records.push_back(ToRecord(r));
+  return records;
+}
+
+/// A message ending in `records`, written by the one RecordBatchWriter;
+/// `header` is the writer's arguments ahead of the record bytes.
+template <typename... Header>
+Bytes WriteWithRecords(const std::vector<LogRecord>& records,
+                       const Header&... header) {
+  size_t bytes = 0;
+  for (const LogRecord& r : records) bytes += EncodedRecordSize(r);
+  RecordBatchWriter writer(header..., bytes);
+  for (const LogRecord& r : records) writer.Add(r);
+  return writer.Take();
+}
+
 TEST(MessagesTest, RecordBatchRoundTrip) {
   RecordBatch batch;
   batch.client = 42;
   batch.epoch = 3;
   batch.trace = 11;
   batch.span = 12;
-  batch.records = {MakeRecord(1, 3, true, "alpha"),
-                   MakeRecord(2, 3, false, "")};
-  Bytes wire = EncodeRecordBatch(MessageType::kForceLog, batch);
+  const std::vector<LogRecord> records = {MakeRecord(1, 3, true, "alpha"),
+                                          MakeRecord(2, 3, false, "")};
+  Bytes wire = WriteWithRecords(records, MessageType::kForceLog, batch);
 
   Result<Envelope> env = DecodeEnvelope(wire);
   ASSERT_TRUE(env.ok());
@@ -48,43 +67,45 @@ TEST(MessagesTest, RecordBatchRoundTrip) {
   EXPECT_EQ(env->rpc_id, 0u);
   Result<RecordBatchView> decoded = RecordBatchView::Parse(env->body);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->client(), 42u);
-  EXPECT_EQ(decoded->epoch(), 3u);
-  EXPECT_EQ(decoded->trace(), 11u);
-  EXPECT_EQ(decoded->span(), 12u);
-  ASSERT_EQ(decoded->size(), 2u);
-  std::vector<LogRecord> records;
-  for (const RecordView r : *decoded) {
+  EXPECT_EQ(decoded->header.client, 42u);
+  EXPECT_EQ(decoded->header.epoch, 3u);
+  EXPECT_EQ(decoded->header.trace, 11u);
+  EXPECT_EQ(decoded->header.span, 12u);
+  ASSERT_EQ(decoded->records.size(), 2u);
+  size_t i = 0;
+  for (const RecordView r : decoded->records) {
     // Each record is read in place: its bytes are its wire encoding,
     // inside the body.
     EXPECT_EQ(Bytes(r.bytes.begin(), r.bytes.end()),
-              EncodeRecord(batch.records[records.size()]));
+              EncodeRecord(records[i++]));
     EXPECT_GE(r.bytes.data(), env->body.begin());
     EXPECT_LE(r.bytes.data() + r.bytes.size(), env->body.end());
-    records.push_back(ToRecord(r));
   }
-  EXPECT_EQ(records, batch.records);
+  EXPECT_EQ(RecordsOf(decoded->records), records);
 }
 
-// A record kept past its batch is a view sharing the packet's buffer.
+// A record kept past its message is a view sharing the packet's buffer.
 TEST(MessagesTest, RecordBatchShareOutlivesTheView) {
   RecordBatch batch;
   batch.client = 1;
-  batch.records = {MakeRecord(9, 1, true, "kept")};
+  const LogRecord record = MakeRecord(9, 1, true, "kept");
   SharedBytes held;
   {
-    Result<Envelope> env =
-        DecodeEnvelope(EncodeRecordBatch(MessageType::kWriteLog, batch));
+    Result<Envelope> env = DecodeEnvelope(
+        WriteWithRecords({record}, MessageType::kWriteLog, batch));
     ASSERT_TRUE(env.ok());
     Result<RecordBatchView> view = RecordBatchView::Parse(env->body);
     ASSERT_TRUE(view.ok());
-    held = view->Share(*view->begin());
+    held = view->records.Share(view->records.front());
   }
-  EXPECT_EQ(ToRecord(RecordAt(held.data())), batch.records[0]);
-  EXPECT_EQ(held.size(), EncodedRecordSize(batch.records[0]));
+  EXPECT_EQ(ToRecord(RecordAt(held.data())), record);
+  EXPECT_EQ(held.size(), EncodedRecordSize(record));
+  EXPECT_EQ(ToLogRecord(held), record);
+  EXPECT_EQ(ToLogRecord(held).data.data(),
+            held.data() + kRecordFixedBytes);  // a view, not a copy
 }
 
-// --- Hostile record batches: each is rejected whole, before any of its
+// --- Hostile record runs: each is rejected whole, before any of its
 // records could be applied.
 
 /// The body of a WriteLog batch of `records`.
@@ -92,8 +113,8 @@ Bytes BatchBody(const std::vector<LogRecord>& records) {
   RecordBatch batch;
   batch.client = 5;
   batch.epoch = 1;
-  batch.records = records;
-  const Bytes message = EncodeRecordBatch(MessageType::kWriteLog, batch);
+  const Bytes message =
+      WriteWithRecords(records, MessageType::kWriteLog, batch);
   return Bytes(message.begin() + 9, message.end());  // past type + rpc id
 }
 
@@ -101,9 +122,7 @@ Bytes BatchBody(const std::vector<LogRecord>& records) {
 constexpr size_t kCountOffset = 4 + 8 + 8 + 8;
 
 void PutLE32(Bytes* bytes, size_t pos, uint32_t v) {
-  for (size_t i = 0; i < 4; ++i) {
-    (*bytes)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
+  StoreLE(bytes->data() + pos, v, 4);
 }
 
 TEST(MessagesTest, BatchWithCountBeyondItsRecordsIsRejected) {
@@ -150,17 +169,48 @@ TEST(MessagesTest, BatchWithANonCanonicalPresentByteIsRejected) {
   EXPECT_TRUE(RecordBatchView::Parse(body).ok());
 }
 
+// The other record-bearing messages and the interval list check a count
+// against the bytes that follow it before trusting it: a count of
+// 0xFFFFFFFF in an otherwise empty body is Corruption, not an attempt to
+// reserve room for four billion entries.
+TEST(MessagesTest, LyingCountsAreRejected) {
+  Bytes read(5, 0);  // status kOk, then the count
+  PutLE32(&read, 1, 0xFFFFFFFFu);
+  EXPECT_TRUE(DecodeReadLogResp(read).status().IsCorruption());
+
+  Bytes intervals(5, 0);
+  PutLE32(&intervals, 1, 0xFFFFFFFFu);
+  EXPECT_TRUE(DecodeIntervalListResp(intervals).status().IsCorruption());
+
+  Bytes copy(16, 0);  // client, epoch, then the count
+  PutLE32(&copy, 12, 0xFFFFFFFFu);
+  EXPECT_TRUE(DecodeCopyLogReq(copy).status().IsCorruption());
+
+  // A count one past the intervals present is rejected too; the true
+  // count decodes.
+  IntervalListResp two;
+  two.intervals = {{1, 1, 3}, {2, 4, 9}};
+  Result<Envelope> env = DecodeEnvelope(EncodeIntervalListResp(two, 1));
+  ASSERT_TRUE(env.ok());
+  Bytes body(env->body.begin(), env->body.end());
+  PutLE32(&body, 1, 3);
+  EXPECT_TRUE(DecodeIntervalListResp(body).status().IsCorruption());
+  PutLE32(&body, 1, 2);
+  EXPECT_EQ(DecodeIntervalListResp(body)->intervals, two.intervals);
+}
+
 TEST(MessagesTest, EmptyBatchAndEmptyPayloadParse) {
   Result<RecordBatchView> empty = RecordBatchView::Parse(BatchBody({}));
   ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->size(), 0u);
-  EXPECT_FALSE(empty->begin() != empty->end());
+  EXPECT_EQ(empty->records.size(), 0u);
+  EXPECT_TRUE(empty->records.empty());
+  EXPECT_FALSE(empty->records.begin() != empty->records.end());
 
   Result<RecordBatchView> blank =
       RecordBatchView::Parse(BatchBody({MakeRecord(4, 2, false, "")}));
   ASSERT_TRUE(blank.ok());
-  ASSERT_EQ(blank->size(), 1u);
-  const RecordView r = *blank->begin();
+  ASSERT_EQ(blank->records.size(), 1u);
+  const RecordView r = blank->records.front();
   EXPECT_EQ(r.lsn, 4u);
   EXPECT_EQ(r.epoch, 2u);
   EXPECT_FALSE(r.present);
@@ -223,20 +273,38 @@ TEST(MessagesTest, RpcMessagesRoundTrip) {
   {
     ReadLogResp resp;
     resp.status = RpcStatus::kNotFound;
-    Bytes w = EncodeReadLogResp(resp, 5);
+    Bytes w = WriteWithRecords({}, resp, uint64_t{5});
     auto env = DecodeEnvelope(w);
-    EXPECT_EQ(DecodeReadLogResp(env->body)->status, RpcStatus::kNotFound);
+    EXPECT_EQ(env->rpc_id, 5u);
+    auto m = DecodeReadLogResp(env->body);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(m->status, RpcStatus::kNotFound);
+    EXPECT_TRUE(m->records.empty());
+  }
+  {
+    const std::vector<LogRecord> records = {MakeRecord(4, 2, true, "four"),
+                                            MakeRecord(5, 2, false, "")};
+    Bytes w = WriteWithRecords(records, ReadLogResp{}, uint64_t{6});
+    auto env = DecodeEnvelope(w);
+    auto m = DecodeReadLogResp(env->body);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(m->status, RpcStatus::kOk);
+    EXPECT_EQ(RecordsOf(m->records), records);
   }
   {
     CopyLogReq req;
     req.client = 1;
     req.epoch = 4;
-    req.records = {MakeRecord(9, 4, true, "copy")};
-    Bytes w = EncodeCopyLogReq(req, 8);
+    Bytes w = WriteWithRecords({MakeRecord(9, 4, true, "copy")}, req,
+                               uint64_t{8});
     auto env = DecodeEnvelope(w);
+    EXPECT_EQ(env->rpc_id, 8u);
     auto m = DecodeCopyLogReq(env->body);
     ASSERT_TRUE(m.ok());
-    EXPECT_EQ(m->records[0].data, ToBytes("copy"));
+    EXPECT_EQ(m->client, 1u);
+    EXPECT_EQ(m->epoch, 4u);
+    ASSERT_EQ(m->records.size(), 1u);
+    EXPECT_EQ(ToRecord(m->records.front()), MakeRecord(9, 4, true, "copy"));
   }
   {
     Bytes w = EncodeInstallCopiesReq({1, 4}, 9);
@@ -269,9 +337,8 @@ TEST(MessagesTest, EncodedRecordSizeMatchesActual) {
   batch.client = 1;
   batch.epoch = 1;
   const LogRecord r = MakeRecord(5, 1, true, "0123456789");
-  Bytes empty = EncodeRecordBatch(MessageType::kWriteLog, batch);
-  batch.records.push_back(r);
-  Bytes one = EncodeRecordBatch(MessageType::kWriteLog, batch);
+  Bytes empty = WriteWithRecords({}, MessageType::kWriteLog, batch);
+  Bytes one = WriteWithRecords({r}, MessageType::kWriteLog, batch);
   EXPECT_EQ(one.size() - empty.size(), EncodedRecordSize(r));
   EXPECT_EQ(empty.size(), RecordBatchOverhead());
 }
@@ -282,17 +349,13 @@ TEST(MessagesTest, EncodersReserveExactSizePlusFrameTrailer) {
   RecordBatch batch;
   batch.client = 1;
   batch.epoch = 2;
-  batch.records = {MakeRecord(5, 2, true, "0123456789"),
-                   MakeRecord(6, 2, false, "")};
-  ReadLogResp read;
-  read.records = batch.records;
-  CopyLogReq copy;
-  copy.records = batch.records;
+  const std::vector<LogRecord> records = {MakeRecord(5, 2, true, "0123456789"),
+                                          MakeRecord(6, 2, false, "")};
   IntervalListResp intervals;
   intervals.intervals = {{1, 1, 4}, {2, 5, 9}};
   // Moved, never copied, into the list: a copy would drop the headroom.
   std::vector<Bytes> messages;
-  messages.push_back(EncodeRecordBatch(MessageType::kForceLog, batch));
+  messages.push_back(WriteWithRecords(records, MessageType::kForceLog, batch));
   messages.push_back(EncodeNewInterval({1, 2, 3}));
   messages.push_back(EncodeNewHighLsn({7}));
   messages.push_back(EncodeOverloaded({1, 2, 3, 4}));
@@ -301,8 +364,8 @@ TEST(MessagesTest, EncodersReserveExactSizePlusFrameTrailer) {
   messages.push_back(EncodeIntervalListResp(intervals, 9));
   messages.push_back(
       EncodeReadLogReq(MessageType::kReadLogForwardReq, {1, 5}, 9));
-  messages.push_back(EncodeReadLogResp(read, 9));
-  messages.push_back(EncodeCopyLogReq(copy, 9));
+  messages.push_back(WriteWithRecords(records, ReadLogResp{}, uint64_t{9}));
+  messages.push_back(WriteWithRecords(records, CopyLogReq{}, uint64_t{9}));
   messages.push_back(EncodeCopyLogResp({}, 9));
   messages.push_back(EncodeInstallCopiesReq({1, 2}, 9));
   messages.push_back(EncodeInstallCopiesResp({}, 9));
@@ -315,14 +378,14 @@ TEST(MessagesTest, EncodersReserveExactSizePlusFrameTrailer) {
     EXPECT_EQ(m.capacity(), m.size() + kFrameTrailerBytes);
   }
 
-  RecordBatchWriter writer(MessageType::kForceLog, batch,
-                           batch.records.size(),
-                           RecordBatchOverhead() +
-                               EncodedRecordSize(batch.records[0]) +
-                               EncodedRecordSize(batch.records[1]));
-  for (const LogRecord& r : batch.records) writer.Add(r);
+  // Records added as their wire encodings (as a server copies stored
+  // ones into a reply) give the same message.
+  RecordBatchWriter writer(ReadLogResp{}, 9,
+                           EncodedRecordSize(records[0]) +
+                               EncodedRecordSize(records[1]));
+  for (const LogRecord& r : records) writer.Add(EncodeRecord(r));
   const Bytes written = writer.Take();
-  EXPECT_EQ(written, EncodeRecordBatch(MessageType::kForceLog, batch));
+  EXPECT_EQ(written, WriteWithRecords(records, ReadLogResp{}, uint64_t{9}));
   EXPECT_EQ(written.capacity(), written.size() + kFrameTrailerBytes);
 }
 
