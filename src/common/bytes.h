@@ -160,7 +160,7 @@ class Encoder {
   /// Length-prefixed (u32) byte string.
   void PutBlob(const uint8_t* data, size_t n) {
     PutU32(static_cast<uint32_t>(n));
-    out_->insert(out_->end(), data, data + n);
+    if (n > 0) std::memcpy(Grow(n), data, n);
   }
   void PutBlob(const Bytes& b) { PutBlob(b.data(), b.size()); }
   void PutBlob(const SharedBytes& b) { PutBlob(b.data(), b.size()); }
@@ -169,14 +169,13 @@ class Encoder {
   }
 
  private:
-  void PutLE(uint64_t v, size_t width) {
-    // One insert of the whole field, not a push_back per byte.
-    uint8_t le[8];
-    for (size_t i = 0; i < width; ++i) {
-      le[i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-    out_->insert(out_->end(), le, le + width);
+  /// Extends the buffer by `n` bytes and returns where they start.
+  uint8_t* Grow(size_t n) {
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
   }
+  void PutLE(uint64_t v, size_t width) { StoreLE(Grow(width), v, width); }
 
   Bytes* out_;
 };

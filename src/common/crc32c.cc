@@ -1,6 +1,11 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace dlog::crc32c {
 namespace {
@@ -39,9 +44,35 @@ const Tables& AllTables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+// SSE4.2's crc32 instruction computes exactly this polynomial, eight
+// bytes per instruction. Compiled for SSE4.2 on its own, so the rest of
+// the build keeps the baseline instruction set.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init,
+                                                       const uint8_t* data,
+                                                       size_t n) {
+  uint64_t crc = init ^ 0xFFFFFFFFu;
+  while (n >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+    data += 8;
+    n -= 8;
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  while (n > 0) {
+    crc32 = _mm_crc32_u8(crc32, *data++);
+    --n;
+  }
+  return crc32 ^ 0xFFFFFFFFu;
+}
+#endif
+
 }  // namespace
 
-uint32_t Extend(uint32_t init, const uint8_t* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init, const uint8_t* data, size_t n) {
   const auto& t = AllTables().t;
   uint32_t crc = init ^ 0xFFFFFFFFu;
   while (n >= 8) {
@@ -60,6 +91,27 @@ uint32_t Extend(uint32_t init, const uint8_t* data, size_t n) {
     --n;
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+bool HardwareAccelerated() {
+#if defined(__x86_64__)
+  static const bool sse42 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return sse42;
+#else
+  return false;
+#endif
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init, const uint8_t* data, size_t n) {
+#if defined(__x86_64__)
+  if (internal::HardwareAccelerated()) return ExtendSse42(init, data, n);
+#endif
+  return internal::ExtendPortable(init, data, n);
 }
 
 }  // namespace dlog::crc32c

@@ -352,6 +352,10 @@ void TickSequencer::Drain() {
   std::vector<Item> batch;
   batch.swap(buffer_);
   for (Item& item : batch) item.fn();
+  // Hand the capacity back for the next tick's posts, unless the batch
+  // posted for a later drain of its own.
+  batch.clear();
+  if (buffer_.empty()) buffer_.swap(batch);
 }
 
 }  // namespace dlog::sim

@@ -8,23 +8,10 @@ namespace {
 constexpr size_t kSlotBytes = 8;
 constexpr size_t kHistoryRowBytes = 64;
 
-Bytes EncodeI64(int64_t v) {
-  Bytes out;
-  out.reserve(kSlotBytes);
-  Encoder enc(&out);
-  enc.PutU64(static_cast<uint64_t>(v));
-  return out;
-}
-
-int64_t DecodeI64(const Bytes& page_data, uint32_t offset) {
-  Decoder dec(page_data.data() + offset, kSlotBytes);
-  return static_cast<int64_t>(*dec.GetU64());
-}
-
 }  // namespace
 
 BankDb::BankDb(TransactionEngine* engine, const BankConfig& config)
-    : engine_(engine), config_(config) {
+    : engine_(engine), config_(config), audit_(config.audit_padding, 0xA5) {
   const uint32_t slots = SlotsPerPage();
   const PageId account_pages = (config_.accounts + slots - 1) / slots;
   const PageId teller_pages = (config_.tellers + slots - 1) / slots;
@@ -56,12 +43,15 @@ uint32_t BankDb::BranchOffset(int i) const {
 }
 
 int64_t BankDb::ReadSlot(PageId page, uint32_t offset) {
-  return DecodeI64(engine_->buffer_pool().Get(page).data, offset);
+  const Bytes& data = engine_->buffer_pool().Get(page).data;
+  return static_cast<int64_t>(LoadLE(data.data() + offset, kSlotBytes));
 }
 
 Status BankDb::UpdateSlot(TxnId txn, PageId page, uint32_t offset,
                           int64_t value) {
-  return engine_->Update(txn, page, offset, EncodeI64(value));
+  uint8_t slot[kSlotBytes] = {};
+  StoreLE(slot, static_cast<uint64_t>(value), kSlotBytes);
+  return engine_->Update(txn, page, offset, slot);
 }
 
 Result<TxnId> BankDb::Prepare(int account, int teller, int branch,
@@ -93,23 +83,19 @@ Result<TxnId> BankDb::Prepare(int account, int teller, int branch,
       static_cast<uint32_t>((history_seq_ % rows_per_page) *
                             kHistoryRowBytes);
   ++history_seq_;
-  Bytes row;
-  row.reserve(kHistoryRowBytes);
-  Encoder enc(&row);
-  enc.PutU64(txn);
-  enc.PutU32(static_cast<uint32_t>(account));
-  enc.PutU32(static_cast<uint32_t>(teller));
-  enc.PutU32(static_cast<uint32_t>(branch));
-  enc.PutU64(static_cast<uint64_t>(delta));
-  row.resize(kHistoryRowBytes, 0);
+  // txn, account, teller, branch, delta, then zeros.
+  uint8_t row[kHistoryRowBytes] = {};
+  StoreLE(row, txn, 8);
+  StoreLE(row + 8, static_cast<uint32_t>(account), 4);
+  StoreLE(row + 12, static_cast<uint32_t>(teller), 4);
+  StoreLE(row + 16, static_cast<uint32_t>(branch), 4);
+  StoreLE(row + 20, static_cast<uint64_t>(delta), 8);
   DLOG_RETURN_IF_ERROR(
-      engine_->Update(txn, history_page, history_offset, std::move(row)));
+      engine_->Update(txn, history_page, history_offset, row));
 
   // Audit record padding the transaction to the ET1 log-volume profile,
   // in its own page past the history rotation region.
-  Bytes audit(config_.audit_padding, 0xA5);
-  DLOG_RETURN_IF_ERROR(
-      engine_->Update(txn, history_base_ + 64, 0, std::move(audit)));
+  DLOG_RETURN_IF_ERROR(engine_->Update(txn, history_base_ + 64, 0, audit_));
 
   return txn;
 }

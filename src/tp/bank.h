@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "tp/engine.h"
 
@@ -72,6 +73,8 @@ class BankDb {
   PageId branch_base_ = 0;
   PageId history_base_ = 0;
   uint64_t history_seq_ = 0;
+  /// The audit record's padding bytes, logged by every transaction.
+  Bytes audit_;
 };
 
 }  // namespace dlog::tp

@@ -2,9 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <memory>
 
 namespace dlog::tp {
+namespace {
+
+/// Whether a scanned record's byte images fit the page they apply to.
+bool FitsPage(const WalRecord& rec, size_t page_bytes) {
+  if (rec.type != WalType::kUpdate && rec.type != WalType::kUndo) {
+    return true;
+  }
+  auto fits = [&](const Bytes& image) {
+    return rec.offset <= page_bytes && image.size() <= page_bytes - rec.offset;
+  };
+  return fits(rec.redo) && fits(rec.undo);
+}
+
+}  // namespace
 
 TransactionEngine::TransactionEngine(sim::Scheduler* sim, TxnLogger* logger,
                                      PageDisk* disk,
@@ -35,6 +50,22 @@ Result<Lsn> TransactionEngine::AppendPayload(Bytes payload) {
   return logger_->Append(std::move(payload));
 }
 
+TransactionEngine::ActiveTxn* TransactionEngine::FindActive(TxnId txn) {
+  auto it = std::lower_bound(
+      active_.begin(), active_.end(), txn,
+      [](const ActiveTxn& a, TxnId id) { return a.txn < id; });
+  return it != active_.end() && it->txn == txn ? &*it : nullptr;
+}
+
+void TransactionEngine::Finish(TxnId txn) {
+  ActiveTxn* t = FindActive(txn);
+  if (t == nullptr) return;
+  t->updates.clear();
+  t->undo.clear();
+  finished_.push_back(std::move(*t));
+  active_.erase(active_.begin() + (t - active_.data()));
+}
+
 Result<TxnId> TransactionEngine::Begin() {
   if (crashed_) return Status::Aborted("engine crashed");
   const TxnId txn = next_txn_++;
@@ -54,60 +85,71 @@ Result<TxnId> TransactionEngine::Begin() {
       return st;
     }
   }
-  active_[txn] = ActiveTxn{{}, root};
+  ActiveTxn state;
+  if (!finished_.empty()) {
+    state = std::move(finished_.back());
+    finished_.pop_back();
+  }
+  state.txn = txn;
+  state.span = root;
+  // Ids only grow, but the logger can re-enter and begin a later one.
+  auto at = std::lower_bound(
+      active_.begin(), active_.end(), txn,
+      [](const ActiveTxn& a, TxnId id) { return a.txn < id; });
+  active_.insert(at, std::move(state));
   return txn;
 }
 
 Status TransactionEngine::Update(TxnId txn, PageId page, uint32_t offset,
-                                 Bytes bytes) {
+                                 std::span<const uint8_t> bytes) {
   if (crashed_) return Status::Aborted("engine crashed");
-  auto it = active_.find(txn);
-  if (it == active_.end()) {
+  ActiveTxn* t = FindActive(txn);
+  if (t == nullptr) {
     return Status::InvalidArgument("unknown transaction");
   }
-  Page& current = pool_->Get(page);
+  const Page& current = pool_->Get(page);
   if (offset + bytes.size() > current.data.size()) {
     return Status::OutOfRange("update beyond page");
   }
-  Bytes old_image(current.data.begin() + offset,
-                  current.data.begin() + offset + bytes.size());
+  // The old image goes into the transaction's undo buffer, and the
+  // record is logged straight from there.
+  UpdateInfo info;
+  info.page = page;
+  info.offset = offset;
+  info.undo_at = t->undo.size();
+  info.size = static_cast<uint32_t>(bytes.size());
+  info.undo_logged = !config_.split_records;
+  const auto old_image = current.data.begin() + offset;
+  t->undo.insert(t->undo.end(), old_image, old_image + info.size);
 
-  // Logged straight from `bytes` and `old_image`, which the undo cache
-  // keeps anyway.
-  std::span<const uint8_t> logged_undo = old_image;
+  std::span<const uint8_t> logged_undo = t->UndoOf(info);
   if (config_.split_records) {
     // "Redo components of log records are sent to log servers as they
     // are generated ... Undo components ... are cached in virtual memory
     // at client nodes."
-    undo_bytes_cached_ += old_image.size();
+    undo_bytes_cached_ += info.size;
     logged_undo = {};
   }
-  obs::Tracer::Scope scope(tracer_, it->second.span);
-  DLOG_ASSIGN_OR_RETURN(
-      Lsn lsn, AppendPayload(EncodeWalRecord(WalType::kUpdate, txn, page,
-                                             offset, kNoLsn, bytes,
-                                             logged_undo)));
-
-  pool_->ApplyUpdate(page, offset, bytes, lsn);
-  UpdateInfo info;
-  info.lsn = lsn;
-  info.page = page;
-  info.offset = offset;
-  info.redo = std::move(bytes);
-  info.undo = std::move(old_image);
-  info.undo_logged = !config_.split_records;
-  it->second.updates.push_back(std::move(info));
-  return Status::OK();
+  obs::Tracer::Scope scope(tracer_, t->span);
+  Result<Lsn> lsn = AppendPayload(EncodeWalRecord(
+      WalType::kUpdate, txn, page, offset, kNoLsn, bytes, logged_undo));
+  if (!lsn.ok()) return lsn.status();
+  t = FindActive(txn);
+  if (t == nullptr) return Status::Aborted("engine crashed");
+  info.lsn = *lsn;
+  t->updates.push_back(info);
+  return pool_->ApplyUpdate(page, offset, bytes, *lsn);
 }
 
 void TransactionEngine::Commit(TxnId txn, std::function<void(Status)> done) {
-  if (crashed_ || active_.find(txn) == active_.end()) {
+  const ActiveTxn* t = FindActive(txn);
+  if (crashed_ || t == nullptr) {
     sim_->After(0, [done = std::move(done)]() {
       done(Status::InvalidArgument("unknown or dead transaction"));
     });
     return;
   }
-  const obs::SpanContext root = active_[txn].span;
+  const obs::SpanContext root = t->span;
   obs::SpanContext commit_span;
   if (tracer_ != nullptr) {
     commit_span = tracer_->StartSpan("commit", trace_node_, root);
@@ -133,7 +175,7 @@ void TransactionEngine::Commit(TxnId txn, std::function<void(Status)> done) {
   // be forced to disk, preceding records are buffered."
   // "When a transaction commits, the undo components of log records
   // written by the transaction are flushed from the cache."
-  active_.erase(txn);
+  Finish(txn);
   {
     // The scoped context makes the client's ForceLog span (and the sends
     // it triggers) children of the commit span.
@@ -152,8 +194,8 @@ void TransactionEngine::Commit(TxnId txn, std::function<void(Status)> done) {
 
 Status TransactionEngine::Abort(TxnId txn) {
   if (crashed_) return Status::Aborted("engine crashed");
-  auto it = active_.find(txn);
-  if (it == active_.end()) {
+  ActiveTxn* t = FindActive(txn);
+  if (t == nullptr) {
     return Status::InvalidArgument("unknown transaction");
   }
   // Undo from the local cache ("If a transaction aborts while the undo
@@ -161,24 +203,25 @@ Status TransactionEngine::Abort(TxnId txn) {
   // are available locally and do not need to be retrieved from a log
   // server"), logging redo-only compensation records so recovery replays
   // the rollback.
-  ActiveTxn& state = it->second;
-  obs::Tracer::Scope scope(tracer_, state.span);
-  const obs::SpanContext root = state.span;
-  for (auto u = state.updates.rbegin(); u != state.updates.rend(); ++u) {
-    WalRecord clr;
-    clr.type = WalType::kUpdate;
-    clr.txn = txn;
-    clr.page = u->page;
-    clr.offset = u->offset;
-    clr.redo = u->undo;  // compensation: restore the old image
-    DLOG_ASSIGN_OR_RETURN(Lsn lsn, AppendRecord(clr));
-    pool_->ApplyUpdate(u->page, u->offset, u->undo, lsn);
+  const obs::SpanContext root = t->span;
+  obs::Tracer::Scope scope(tracer_, root);
+  for (size_t k = t->updates.size(); k-- > 0;) {
+    const UpdateInfo u = t->updates[k];
+    // Compensation: restore the old image.
+    DLOG_ASSIGN_OR_RETURN(
+        Lsn lsn, AppendPayload(EncodeWalRecord(WalType::kUpdate, txn, u.page,
+                                               u.offset, kNoLsn,
+                                               t->UndoOf(u), {})));
+    t = FindActive(txn);
+    if (t == nullptr) return Status::Aborted("engine crashed");
+    DLOG_RETURN_IF_ERROR(
+        pool_->ApplyUpdate(u.page, u.offset, t->UndoOf(u), lsn));
   }
   WalRecord rec;
   rec.type = WalType::kAbort;
   rec.txn = txn;
   DLOG_RETURN_IF_ERROR(AppendRecord(rec).status());
-  active_.erase(it);
+  Finish(txn);
   aborts_.Increment();
   if (tracer_ != nullptr) tracer_->EndSpan(root);
   return Status::OK();
@@ -188,20 +231,24 @@ Status TransactionEngine::FlushUndoFor(PageId page) {
   if (!config_.split_records) return Status::OK();
   // "If a page referenced by an undo component of a log record in the
   // cache is scheduled for cleaning, the undo component must be sent to
-  // log servers first."
-  for (auto& [txn, state] : active_) {
-    for (UpdateInfo& u : state.updates) {
+  // log servers first." Walked by txn id and update index, looked up
+  // again after every append: the logger can re-enter the engine.
+  std::vector<TxnId> txns;
+  for (const ActiveTxn& t : active_) txns.push_back(t.txn);
+  for (TxnId txn : txns) {
+    for (size_t k = 0;; ++k) {
+      const ActiveTxn* t = FindActive(txn);
+      if (t == nullptr || k >= t->updates.size()) break;
+      const UpdateInfo u = t->updates[k];
       if (u.page != page || u.undo_logged) continue;
-      WalRecord rec;
-      rec.type = WalType::kUndo;
-      rec.txn = txn;
-      rec.page = u.page;
-      rec.offset = u.offset;
-      rec.update_lsn = u.lsn;
-      rec.undo = u.undo;
-      DLOG_RETURN_IF_ERROR(AppendRecord(rec).status());
-      undo_bytes_logged_ += u.undo.size();
-      u.undo_logged = true;
+      DLOG_RETURN_IF_ERROR(
+          AppendPayload(EncodeWalRecord(WalType::kUndo, txn, u.page,
+                                        u.offset, u.lsn, {}, t->UndoOf(u)))
+              .status());
+      undo_bytes_logged_ += u.size;
+      if (ActiveTxn* again = FindActive(txn)) {
+        again->updates[k].undo_logged = true;
+      }
     }
   }
   return Status::OK();
@@ -214,8 +261,7 @@ void TransactionEngine::CleanPages(std::function<void(Status)> done) {
     });
     return;
   }
-  std::vector<PageId> dirty(pool_->dirty_pages().begin(),
-                            pool_->dirty_pages().end());
+  const std::vector<PageId> dirty = pool_->dirty_pages();
   for (PageId page : dirty) {
     Status st = FlushUndoFor(page);
     if (!st.ok()) {
@@ -276,14 +322,17 @@ void TransactionEngine::Recover(std::function<void(Status)> done) {
 
 void TransactionEngine::ScanNext(std::shared_ptr<ScanState> st) {
   if (st->cursor > st->end) {
-    Replay(*st);
-    st->done(Status::OK());
+    st->done(Replay(*st));
     return;
   }
   logger_->Read(st->cursor, [this, st](Result<Bytes> r) {
     if (r.ok()) {
       Result<WalRecord> rec = DecodeWalRecord(*r);
       if (rec.ok()) {
+        if (!FitsPage(*rec, disk_->page_bytes())) {
+          st->done(Status::Corruption("logged image overruns its page"));
+          return;
+        }
         st->records.emplace_back(st->cursor, *std::move(rec));
       }
     } else if (!r.status().IsNotFound()) {
@@ -299,7 +348,7 @@ void TransactionEngine::ScanNext(std::shared_ptr<ScanState> st) {
   });
 }
 
-void TransactionEngine::Replay(const ScanState& st) {
+Status TransactionEngine::Replay(const ScanState& st) {
   // --- Analysis ---
   std::map<TxnId, bool> finished;  // txn -> has outcome record
   for (const auto& [lsn, rec] : st.records) {
@@ -320,9 +369,9 @@ void TransactionEngine::Replay(const ScanState& st) {
     if (rec.type != WalType::kUpdate) continue;
     auto f = finished.find(rec.txn);
     if (f == finished.end() || !f->second) continue;
-    Page& page = pool_->Get(rec.page);
-    if (page.lsn < lsn) {
-      pool_->ApplyUpdate(rec.page, rec.offset, rec.redo, lsn);
+    if (pool_->Get(rec.page).lsn < lsn) {
+      DLOG_RETURN_IF_ERROR(
+          pool_->ApplyUpdate(rec.page, rec.offset, rec.redo, lsn));
     }
   }
   // --- Undo (unfinished transactions, reverse LSN order) ---
@@ -339,20 +388,25 @@ void TransactionEngine::Replay(const ScanState& st) {
     if (rec.type != WalType::kUpdate) continue;
     auto f = finished.find(rec.txn);
     if (f == finished.end() || f->second) continue;
-    Page& page = pool_->Get(rec.page);
-    if (page.lsn < lsn) continue;  // update never reached this image
-    Bytes undo = rec.undo;
-    if (undo.empty()) {
+    // An update that never reached this image needs no undo.
+    if (pool_->Get(rec.page).lsn < lsn) continue;
+    const Bytes* undo = &rec.undo;
+    if (undo->empty()) {
       auto lu = logged_undo.find(lsn);
       if (lu == logged_undo.end()) {
         // Split record whose undo was never logged: then its page was
         // never cleaned, so the disk image cannot contain the update.
         continue;
       }
-      undo = lu->second;
+      undo = &lu->second;
     }
-    pool_->ApplyUpdate(rec.page, rec.offset, undo, lsn);
+    // A logged undo whose own offset fit can still overrun at its
+    // update's offset in a corrupt log.
+    if (!pool_->ApplyUpdate(rec.page, rec.offset, *undo, lsn).ok()) {
+      return Status::Corruption("logged undo overruns its page");
+    }
   }
+  return Status::OK();
 }
 
 }  // namespace dlog::tp

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +58,8 @@ class TransactionEngine {
 
   /// Logs and applies an update of `bytes` at [offset, offset+size) of
   /// `page`.
-  Status Update(TxnId txn, PageId page, uint32_t offset, Bytes bytes);
+  Status Update(TxnId txn, PageId page, uint32_t offset,
+                std::span<const uint8_t> bytes);
 
   /// Logs the commit record, forces the log through it, and completes.
   void Commit(TxnId txn, std::function<void(Status)> done);
@@ -77,7 +78,8 @@ class TransactionEngine {
   void Crash();
 
   /// Restart recovery: scans the log, redoes committed/aborted work,
-  /// undoes unfinished transactions.
+  /// undoes unfinished transactions. Fails with Corruption, before any
+  /// page is touched, if a logged image does not fit its page.
   void Recover(std::function<void(Status)> done);
 
   BufferPool& buffer_pool() { return *pool_; }
@@ -106,15 +108,32 @@ class TransactionEngine {
     Lsn lsn = kNoLsn;
     PageId page = 0;
     uint32_t offset = 0;
-    Bytes redo;
-    Bytes undo;        // cached undo component
+    /// The cached undo component: ActiveTxn::undo[undo_at, +size).
+    size_t undo_at = 0;
+    uint32_t size = 0;
     bool undo_logged = false;
   };
+  /// One transaction's state. Finished transactions' buffers are kept
+  /// for reuse, so a transaction allocates nothing once they are grown.
   struct ActiveTxn {
-    std::vector<UpdateInfo> updates;
+    TxnId txn = 0;
     /// Root span of this transaction's causal trace.
     obs::SpanContext span;
+    std::vector<UpdateInfo> updates;
+    /// Every update's old image, back to back.
+    Bytes undo;
+
+    std::span<const uint8_t> UndoOf(const UpdateInfo& u) const {
+      return {undo.data() + u.undo_at, u.size};
+    }
   };
+
+  /// The active transaction `txn`, or null. The logger can re-enter the
+  /// engine, so the result must not be held across an append: look it
+  /// up again.
+  ActiveTxn* FindActive(TxnId txn);
+  /// Drops `txn` from the active set, keeping its buffers for reuse.
+  void Finish(TxnId txn);
 
   /// Appends a WAL record, tracking volume statistics.
   Result<Lsn> AppendRecord(const WalRecord& record);
@@ -130,7 +149,7 @@ class TransactionEngine {
   struct ScanState;
   void ScanNext(std::shared_ptr<ScanState> st);
   /// Analysis, redo and undo over the scanned records.
-  void Replay(const ScanState& st);
+  Status Replay(const ScanState& st);
 
   sim::Scheduler* sim_;
   TxnLogger* logger_;
@@ -140,7 +159,8 @@ class TransactionEngine {
 
   bool crashed_ = false;
   TxnId next_txn_ = 1;
-  std::map<TxnId, ActiveTxn> active_;
+  std::vector<ActiveTxn> active_;  // ascending by txn id
+  std::vector<ActiveTxn> finished_;  // cleared, capacity kept for reuse
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

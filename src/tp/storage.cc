@@ -1,5 +1,6 @@
 #include "tp/storage.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dlog::tp {
@@ -17,28 +18,48 @@ void PageDisk::Write(PageId id, const Page& page) {
   pages_[id] = page;
 }
 
-Page& BufferPool::Get(PageId id) {
-  auto it = cache_.find(id);
-  if (it == cache_.end()) {
-    it = cache_.emplace(id, disk_->Read(id)).first;
-  }
-  return it->second;
+size_t BufferPool::LowerBound(PageId id) const {
+  auto it = std::lower_bound(
+      cache_.begin(), cache_.end(), id,
+      [](const CachedPage& c, PageId key) { return c.id < key; });
+  return static_cast<size_t>(it - cache_.begin());
 }
 
-void BufferPool::ApplyUpdate(PageId id, uint32_t offset, const Bytes& bytes,
-                             Lsn lsn) {
-  Page& page = Get(id);
-  assert(offset + bytes.size() <= page.data.size());
+BufferPool::CachedPage& BufferPool::Cached(PageId id) {
+  const size_t i = LowerBound(id);
+  if (!IsCachedAt(i, id)) {
+    cache_.insert(cache_.begin() + static_cast<ptrdiff_t>(i),
+                  CachedPage{id, false, disk_->Read(id)});
+  }
+  return cache_[i];
+}
+
+Status BufferPool::ApplyUpdate(PageId id, uint32_t offset,
+                               std::span<const uint8_t> bytes, Lsn lsn) {
+  CachedPage& cached = Cached(id);
+  Page& page = cached.page;
+  if (offset > page.data.size() || bytes.size() > page.data.size() - offset) {
+    return Status::OutOfRange("update beyond page");
+  }
   std::copy(bytes.begin(), bytes.end(), page.data.begin() + offset);
   page.lsn = lsn;
-  dirty_.insert(id);
+  cached.dirty = true;
+  return Status::OK();
+}
+
+std::vector<PageId> BufferPool::dirty_pages() const {
+  std::vector<PageId> dirty;
+  for (const CachedPage& cached : cache_) {
+    if (cached.dirty) dirty.push_back(cached.id);
+  }
+  return dirty;
 }
 
 void BufferPool::Clean(PageId id) {
-  auto it = cache_.find(id);
-  if (it == cache_.end()) return;
-  disk_->Write(id, it->second);
-  dirty_.erase(id);
+  const size_t i = LowerBound(id);
+  if (!IsCachedAt(i, id)) return;
+  disk_->Write(id, cache_[i].page);
+  cache_[i].dirty = false;
 }
 
 }  // namespace dlog::tp

@@ -3,7 +3,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <span>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/log_types.h"
@@ -48,6 +49,10 @@ class PageDisk {
 /// enforced by the engine: a dirty page may only be cleaned once the log
 /// is forced past the page's LSN (and, under record splitting, once the
 /// relevant undo components are logged — Section 5.2).
+///
+/// Cached pages sit in one vector sorted by page id and are found by
+/// binary search, never indexed by id: a page id read from a log record
+/// must not size an allocation.
 class BufferPool {
  public:
   explicit BufferPool(PageDisk* disk) : disk_(disk) {}
@@ -55,29 +60,46 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Fetches a page (from cache or the page disk).
-  Page& Get(PageId id);
+  /// Fetches a page (from cache or the page disk). The reference is valid
+  /// until the next call that caches another page (Get or ApplyUpdate of
+  /// an uncached id) or LoseAll.
+  Page& Get(PageId id) { return Cached(id).page; }
 
-  /// Applies `bytes` at `offset` and stamps the page with `lsn`.
-  void ApplyUpdate(PageId id, uint32_t offset, const Bytes& bytes, Lsn lsn);
+  /// Applies `bytes` at `offset` and stamps the page with `lsn`. Fails
+  /// with OutOfRange, touching nothing, if the bytes overrun the page.
+  Status ApplyUpdate(PageId id, uint32_t offset,
+                     std::span<const uint8_t> bytes, Lsn lsn);
 
-  bool IsDirty(PageId id) const { return dirty_.count(id) > 0; }
-  const std::set<PageId>& dirty_pages() const { return dirty_; }
+  bool IsDirty(PageId id) const {
+    const size_t i = LowerBound(id);
+    return IsCachedAt(i, id) && cache_[i].dirty;
+  }
+  /// Ids of the dirty pages, ascending.
+  std::vector<PageId> dirty_pages() const;
 
   /// Writes one page image to the page disk and clears its dirty bit.
   /// The caller must have satisfied the WAL rule first.
   void Clean(PageId id);
 
   /// Crash: the cache is volatile.
-  void LoseAll() {
-    cache_.clear();
-    dirty_.clear();
-  }
+  void LoseAll() { cache_.clear(); }
 
  private:
+  struct CachedPage {
+    PageId id = 0;
+    bool dirty = false;
+    Page page;
+  };
+  /// The cached entry for `id`, read from the page disk on a miss.
+  CachedPage& Cached(PageId id);
+  /// Index of the first cached page whose id is not below `id`.
+  size_t LowerBound(PageId id) const;
+  bool IsCachedAt(size_t i, PageId id) const {
+    return i < cache_.size() && cache_[i].id == id;
+  }
+
   PageDisk* disk_;
-  std::map<PageId, Page> cache_;
-  std::set<PageId> dirty_;
+  std::vector<CachedPage> cache_;  // ascending by id
 };
 
 }  // namespace dlog::tp

@@ -1,11 +1,45 @@
 #include "wire/connection.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "wire/messages.h"
 
 namespace dlog::wire {
+
+// --- ReceivedSeqs ---
+
+bool ReceivedSeqs::Accept(uint64_t seq) {
+  if (seq <= cumulative_) return false;
+  if (seq == cumulative_ + 1) {
+    ++cumulative_;
+    size_t drained = 0;
+    while (drained < recorded_.size() &&
+           recorded_[drained] == cumulative_ + 1) {
+      ++cumulative_;
+      ++drained;
+    }
+    if (drained > 0) {
+      recorded_.erase(recorded_.begin(),
+                      recorded_.begin() + static_cast<ptrdiff_t>(drained));
+    }
+    return true;
+  }
+  auto at = recorded_.end();
+  if (!recorded_.empty() && seq <= recorded_.back()) {
+    at = std::lower_bound(recorded_.begin(), recorded_.end(), seq);
+    if (*at == seq) return false;
+  }
+  if (recorded_.size() == kMaxRecorded) {
+    // Recording this seq would pass the bound: collapse instead.
+    cumulative_ = std::max(seq, recorded_.back());
+    recorded_.clear();
+    return true;
+  }
+  recorded_.insert(at, seq);
+  return true;
+}
 
 // --- Connection ---
 
@@ -180,25 +214,7 @@ void Connection::OnFrame(uint8_t frame_type, uint64_t seq, uint64_t alloc,
       NoteAllocation(alloc);
       if (state_ == State::kSynReceived) state_ = State::kEstablished;
       // Duplicate detection on permanently unique sequence numbers.
-      bool duplicate = false;
-      if (seq <= recv_cumulative_ || recv_out_of_order_.count(seq) > 0) {
-        duplicate = true;
-      } else if (seq == recv_cumulative_ + 1) {
-        ++recv_cumulative_;
-        while (recv_out_of_order_.erase(recv_cumulative_ + 1) > 0) {
-          ++recv_cumulative_;
-        }
-      } else {
-        recv_out_of_order_.insert(seq);
-        // Bound the gap set: sequences the transport lost will never be
-        // retransmitted (only re-sent as new payloads under new seqs), so
-        // collapsing old gaps into the cumulative mark is safe.
-        constexpr size_t kMaxGapSet = 1024;
-        if (recv_out_of_order_.size() > kMaxGapSet) {
-          recv_cumulative_ = *recv_out_of_order_.rbegin();
-          recv_out_of_order_.clear();
-        }
-      }
+      const bool duplicate = !recv_seqs_.Accept(seq);
       recv_highest_seen_ = std::max(recv_highest_seen_, seq);
       if (duplicate) {
         duplicates_dropped_.Increment();

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +57,35 @@ struct WireConfig {
 };
 
 class Endpoint;
+
+/// A connection's receive-side duplicate detection over permanently
+/// unique DATA sequence numbers. Every seq <= cumulative() counts as
+/// seen, and so does every seq recorded above it. Because the transport
+/// never retransmits (loss recovery is end-to-end, Section 4.2), a lost
+/// seq leaves a gap that never fills: later arrivals come in order past
+/// it, so the recorded seqs are held in one sorted vector where such an
+/// arrival appends at the back and only an older seq is searched for.
+class ReceivedSeqs {
+ public:
+  /// More recorded seqs than this collapse the mark to the highest one:
+  /// seqs the transport lost are never retransmitted (only re-sent as new
+  /// payloads under new seqs), so giving up on old gaps is safe.
+  static constexpr size_t kMaxRecorded = 1024;
+
+  /// Notes the arrival of `seq`; false if it was seen before (a
+  /// duplicate). The seq after the mark advances it through every
+  /// consecutive recorded seq; any other new seq is recorded.
+  bool Accept(uint64_t seq);
+
+  uint64_t cumulative() const { return cumulative_; }
+  size_t recorded() const { return recorded_.size(); }
+
+ private:
+  uint64_t cumulative_ = 0;
+  /// Ascending; every element exceeds cumulative_ + 1. Never allocated
+  /// on a connection that has lost and reordered nothing.
+  std::vector<uint64_t> recorded_;
+};
 
 /// One direction-agnostic protocol connection between two endpoints.
 /// Delivery is unordered and unreliable by design: the transport detects
@@ -164,9 +192,8 @@ class Connection {
   // retransmits (loss recovery is end-to-end, Section 4.2), a lost DATA
   // sequence number leaves a permanent gap; the allocation therefore
   // follows the highest sequence seen, not the contiguous prefix.
-  uint64_t recv_cumulative_ = 0;        // all seqs <= this count as seen
+  ReceivedSeqs recv_seqs_;
   uint64_t recv_highest_seen_ = 0;
-  std::set<uint64_t> recv_out_of_order_;
   uint64_t last_advertised_grant_ = 0;
 
   // Handshake.

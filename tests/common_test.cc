@@ -182,6 +182,39 @@ TEST(Crc32cTest, DetectsBitFlip) {
   EXPECT_NE(before, crc32c::Value(data));
 }
 
+TEST(Crc32cTest, PortablePathGivesTheKnownVector) {
+  const Bytes data = ToBytes("123456789");
+  EXPECT_EQ(crc32c::internal::ExtendPortable(0, data.data(), data.size()),
+            0xE3069283u);
+}
+
+// Extend runs the SSE4.2 instruction where the CPU has it; the portable
+// tables are the reference it must match at every length, alignment and
+// split of the input.
+TEST(Crc32cTest, HardwarePathMatchesPortableTables) {
+  if (!crc32c::internal::HardwareAccelerated()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2: Extend is the portable path";
+  }
+  Rng rng(20);
+  Bytes buffer(20000 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextU64());
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = trial < 64 ? static_cast<size_t>(trial)
+                                : rng.NextBelow(20001);
+    const uint32_t init = static_cast<uint32_t>(rng.NextU64());
+    for (size_t start = 0; start < 8; ++start) {
+      const uint8_t* data = buffer.data() + start;
+      const uint32_t want = crc32c::internal::ExtendPortable(init, data, n);
+      ASSERT_EQ(crc32c::Extend(init, data, n), want)
+          << "n=" << n << " start=" << start;
+      const size_t cut = n == 0 ? 0 : rng.NextBelow(n + 1);
+      const uint32_t head = crc32c::Extend(init, data, cut);
+      ASSERT_EQ(crc32c::Extend(head, data + cut, n - cut), want)
+          << "n=" << n << " start=" << start << " cut=" << cut;
+    }
+  }
+}
+
 // --- Rng ---
 
 TEST(RngTest, DeterministicForSeed) {

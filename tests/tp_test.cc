@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "tp/bank.h"
@@ -57,6 +59,31 @@ TEST(BufferPoolTest, LoseAllDropsDirtyData) {
   pool.ApplyUpdate(1, 0, ToBytes("xyz"), 5);
   pool.LoseAll();
   EXPECT_EQ(pool.Get(1).data[0], 0);  // re-read from (empty) disk
+}
+
+TEST(BufferPoolTest, UpdateBeyondPageIsRefusedAndTouchesNothing) {
+  PageDisk disk(64);
+  BufferPool pool(&disk);
+  EXPECT_TRUE(pool.ApplyUpdate(2, 60, Bytes(200, 0xEE), 7).IsOutOfRange());
+  EXPECT_TRUE(pool.ApplyUpdate(2, 65, Bytes(), 7).IsOutOfRange());
+  EXPECT_FALSE(pool.IsDirty(2));
+  EXPECT_EQ(pool.Get(2).lsn, kNoLsn);
+  EXPECT_TRUE(pool.ApplyUpdate(2, 60, Bytes(4, 0xEE), 7).ok());  // fits
+  EXPECT_EQ(pool.Get(2).data[63], 0xEE);
+}
+
+TEST(BufferPoolTest, DirtyPagesAreListedByAscendingId) {
+  PageDisk disk(64);
+  BufferPool pool(&disk);
+  pool.ApplyUpdate(9, 0, ToBytes("a"), 1);
+  pool.ApplyUpdate(2, 0, ToBytes("b"), 2);
+  pool.Get(5);  // cached, clean
+  pool.ApplyUpdate(7, 0, ToBytes("c"), 3);
+  pool.Clean(7);
+  pool.ApplyUpdate(9, 1, ToBytes("d"), 4);  // already dirty
+  EXPECT_EQ(pool.dirty_pages(), (std::vector<PageId>{2, 9}));
+  EXPECT_EQ(pool.Get(9).data[1], 'd');
+  EXPECT_EQ(pool.Get(9).lsn, 4u);
 }
 
 struct EngineFixture {
@@ -233,6 +260,100 @@ TEST(EngineTest, UnforcedCommittedSuffixVanishesAtomically) {
   f.sim.Run();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(recovered.buffer_pool().Get(0).data[0], 'k');
+}
+
+/// Appends `records` to `logger` as one forced log.
+void LogRecords(InMemoryTxnLogger* logger,
+                const std::vector<WalRecord>& records) {
+  for (const WalRecord& rec : records) {
+    ASSERT_TRUE(logger->Append(EncodeWalRecord(rec)).ok());
+  }
+  logger->Force(logger->End(), [](Status) {});
+}
+
+WalRecord Outcome(WalType type, TxnId txn) {
+  WalRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  return rec;
+}
+
+TEST(EngineTest, RecoveryRejectsAnUpdateThatOverrunsItsPage) {
+  // A committed update whose 200-byte redo starts 4 bytes before the end
+  // of a 64-byte page: replaying it would write past the page.
+  sim::Simulator sim;
+  InMemoryTxnLogger logger(&sim);
+  PageDisk disk(64);
+  WalRecord update = Outcome(WalType::kUpdate, 1);
+  update.offset = 60;
+  update.redo = Bytes(200, 0xEE);
+  LogRecords(&logger, {update, Outcome(WalType::kCommit, 1)});
+
+  EngineConfig cfg;
+  cfg.page_bytes = 64;
+  TransactionEngine engine(&sim, &logger, &disk, cfg);
+  Status st = Status::Internal("pending");
+  engine.Recover([&](Status s) { st = s; });
+  sim.Run();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_TRUE(engine.buffer_pool().dirty_pages().empty());
+  EXPECT_EQ(disk.page_count(), 0u);
+}
+
+TEST(EngineTest, RecoveryRejectsALoggedUndoThatOverrunsItsUpdatesPage) {
+  // An unfinished split update at offset 60 whose page reached the disk,
+  // and a logged undo component that fits at its own offset 0 but not at
+  // its update's.
+  sim::Simulator sim;
+  InMemoryTxnLogger logger(&sim);
+  PageDisk disk(64);
+  Page cleaned;
+  cleaned.lsn = 2;
+  cleaned.data.assign(64, 0xEE);
+  disk.Write(0, cleaned);
+  WalRecord update = Outcome(WalType::kUpdate, 1);
+  update.offset = 60;
+  update.redo = Bytes(4, 0xEE);
+  WalRecord undo = Outcome(WalType::kUndo, 1);
+  undo.update_lsn = 2;
+  undo.undo = Bytes(60, 0);
+  LogRecords(&logger, {Outcome(WalType::kBegin, 1), update, undo});
+
+  EngineConfig cfg;
+  cfg.page_bytes = 64;
+  cfg.split_records = true;
+  TransactionEngine engine(&sim, &logger, &disk, cfg);
+  Status st = Status::Internal("pending");
+  engine.Recover([&](Status s) { st = s; });
+  sim.Run();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+TEST(EngineTest, ConcurrentTransactionsKeepTheirOwnUndoImages) {
+  // Two open transactions interleave updates; aborting one restores only
+  // its own old images, from its own slice of the reused undo buffer.
+  EngineFixture f;
+  ASSERT_TRUE(f.CommitUpdate(0, 0, "base").ok());
+  Result<TxnId> a = f.engine->Begin();
+  Result<TxnId> b = f.engine->Begin();
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(f.engine->Update(*a, 0, 0, ToBytes("AA")).ok());
+  ASSERT_TRUE(f.engine->Update(*b, 0, 2, ToBytes("BB")).ok());
+  ASSERT_TRUE(f.engine->Update(*a, 1, 0, ToBytes("aaa")).ok());
+  EXPECT_EQ(f.engine->active_transactions(), 2u);
+  ASSERT_TRUE(f.engine->Abort(*a).ok());
+  EXPECT_EQ(f.engine->active_transactions(), 1u);
+  const Bytes& page0 = f.engine->buffer_pool().Get(0).data;
+  EXPECT_EQ(std::string(page0.begin(), page0.begin() + 4), "baBB");
+  EXPECT_EQ(f.engine->buffer_pool().Get(1).data[0], 0);
+  Status committed = Status::Internal("pending");
+  f.engine->Commit(*b, [&](Status s) { committed = s; });
+  f.sim.Run();
+  ASSERT_TRUE(committed.ok());
+  EXPECT_EQ(f.engine->active_transactions(), 0u);
+  // A later transaction reuses the finished ones' buffers.
+  ASSERT_TRUE(f.CommitUpdate(0, 0, "next").ok());
+  EXPECT_EQ(f.engine->buffer_pool().Get(0).data[0], 'n');
 }
 
 // --- BankDb ---

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
 #include "sim/cpu.h"
 #include "sim/simulator.h"
@@ -387,6 +389,147 @@ TEST(MessagesTest, EncodersReserveExactSizePlusFrameTrailer) {
   const Bytes written = writer.Take();
   EXPECT_EQ(written, WriteWithRecords(records, ReadLogResp{}, uint64_t{9}));
   EXPECT_EQ(written.capacity(), written.size() + kFrameTrailerBytes);
+}
+
+// --- Receive-side duplicate detection ---
+
+/// The receive rule as it was first written, over a std::set: the model
+/// ReceivedSeqs must match decision for decision.
+class SetReceiveModel {
+ public:
+  bool Accept(uint64_t seq) {
+    if (seq <= cumulative_ || seen_.count(seq) > 0) return false;
+    if (seq == cumulative_ + 1) {
+      ++cumulative_;
+      while (seen_.erase(cumulative_ + 1) > 0) ++cumulative_;
+    } else {
+      seen_.insert(seq);
+      if (seen_.size() > 1024) {
+        cumulative_ = *seen_.rbegin();
+        seen_.clear();
+        ++collapses_;
+      }
+    }
+    return true;
+  }
+  uint64_t cumulative() const { return cumulative_; }
+  size_t recorded() const { return seen_.size(); }
+  int collapses() const { return collapses_; }
+
+ private:
+  uint64_t cumulative_ = 0;
+  std::set<uint64_t> seen_;
+  int collapses_ = 0;
+};
+
+/// What the network does to each DATA frame of a seeded stream.
+struct Channel {
+  double loss = 0;
+  double duplicate = 0;  // a copy of an earlier frame arrives too
+  double reorder = 0;    // the frame is held and arrives later
+};
+
+/// Sends seqs 1..n through `channel` into a ReceivedSeqs and the model,
+/// and checks every accept/drop decision, the mark and the recorded
+/// count against the model's.
+void DriveBoth(uint64_t seed, uint64_t n, const Channel& channel,
+               SetReceiveModel* model) {
+  Rng rng(seed);
+  ReceivedSeqs tracker;
+  std::vector<uint64_t> held;
+  std::vector<uint64_t> arrived;
+  uint64_t arrivals = 0;
+  auto arrive = [&](uint64_t seq) {
+    ++arrivals;
+    const bool fresh = model->Accept(seq);
+    ASSERT_EQ(tracker.Accept(seq), fresh)
+        << "seq " << seq << " at arrival " << arrivals << ", seed " << seed;
+    ASSERT_EQ(tracker.cumulative(), model->cumulative())
+        << "after seq " << seq << ", seed " << seed;
+    ASSERT_EQ(tracker.recorded(), model->recorded())
+        << "after seq " << seq << ", seed " << seed;
+    arrived.push_back(seq);
+  };
+  for (uint64_t seq = 1; seq <= n; ++seq) {
+    if (!rng.Bernoulli(channel.loss)) {
+      if (rng.Bernoulli(channel.reorder)) {
+        held.push_back(seq);
+      } else {
+        arrive(seq);
+      }
+    }
+    while (!held.empty() && rng.Bernoulli(0.4)) {
+      const size_t i = rng.NextBelow(held.size());
+      const uint64_t late = held[i];
+      held.erase(held.begin() + static_cast<ptrdiff_t>(i));
+      arrive(late);
+    }
+    if (!arrived.empty() && rng.Bernoulli(channel.duplicate)) {
+      arrive(arrived[rng.NextBelow(arrived.size())]);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (uint64_t late : held) arrive(late);
+}
+
+TEST(ReceivedSeqsTest, InOrderStreamAdvancesTheMarkAndRecordsNothing) {
+  SetReceiveModel model;
+  DriveBoth(1, 5000, Channel{}, &model);
+  EXPECT_EQ(model.cumulative(), 5000u);
+  EXPECT_EQ(model.recorded(), 0u);
+}
+
+TEST(ReceivedSeqsTest, MatchesTheSetRuleUnderLoss) {
+  // Lost seqs are never resent: the recorded seqs grow past every gap
+  // until more than kMaxRecorded collapse the mark.
+  SetReceiveModel model;
+  DriveBoth(2, 20000, Channel{0.05, 0, 0}, &model);
+  EXPECT_GE(model.collapses(), 10);
+}
+
+TEST(ReceivedSeqsTest, MatchesTheSetRuleUnderDuplication) {
+  SetReceiveModel model;
+  DriveBoth(3, 5000, Channel{0, 0.3, 0}, &model);
+  EXPECT_EQ(model.cumulative(), 5000u);
+}
+
+TEST(ReceivedSeqsTest, MatchesTheSetRuleUnderReordering) {
+  // Held frames fill their gaps late, draining recorded runs.
+  SetReceiveModel model;
+  DriveBoth(4, 5000, Channel{0, 0, 0.3}, &model);
+  EXPECT_EQ(model.cumulative(), 5000u);
+  EXPECT_EQ(model.recorded(), 0u);
+}
+
+TEST(ReceivedSeqsTest, MatchesTheSetRuleUnderMixedFaultsAcrossSeeds) {
+  for (uint64_t seed = 10; seed < 40; ++seed) {
+    SetReceiveModel model;
+    const Channel channel{0.002 * static_cast<double>(seed % 7),
+                          0.05 * static_cast<double>(seed % 3),
+                          0.1 * static_cast<double>(seed % 4)};
+    DriveBoth(seed, 6000, channel, &model);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ReceivedSeqsTest, MoreThanTheBoundOutstandingCollapsesTheMark) {
+  ReceivedSeqs seqs;
+  // Seq 1 is lost; 2..1025 are recorded behind the gap.
+  for (uint64_t seq = 2; seq <= 1 + ReceivedSeqs::kMaxRecorded; ++seq) {
+    ASSERT_TRUE(seqs.Accept(seq));
+  }
+  EXPECT_EQ(seqs.cumulative(), 0u);
+  EXPECT_EQ(seqs.recorded(), ReceivedSeqs::kMaxRecorded);
+  EXPECT_FALSE(seqs.Accept(700));  // a duplicate found behind the gap
+  // One more collapses the mark to the highest seq seen.
+  EXPECT_TRUE(seqs.Accept(1030));
+  EXPECT_EQ(seqs.cumulative(), 1030u);
+  EXPECT_EQ(seqs.recorded(), 0u);
+  // The lost seq and the skipped ones now count as seen.
+  EXPECT_FALSE(seqs.Accept(1));
+  EXPECT_FALSE(seqs.Accept(1027));
+  EXPECT_TRUE(seqs.Accept(1031));
+  EXPECT_EQ(seqs.cumulative(), 1031u);
 }
 
 // --- Connection / Endpoint ---
