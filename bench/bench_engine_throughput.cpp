@@ -248,8 +248,8 @@ Bytes EncodeBatch(int b, int records_per_batch, size_t payload_bytes) {
   header.client = kBatchClient;
   header.epoch = 1;
   wire::RecordBatchWriter writer(
-      wire::MessageType::kForceLog, header,
-      records_per_batch * (wire::kRecordFixedBytes + payload_bytes));
+      header, 0, records_per_batch * (wire::kRecordFixedBytes + payload_bytes),
+      wire::MessageType::kForceLog);
   for (int i = 0; i < records_per_batch; ++i) {
     writer.Add(MakeRecord(static_cast<Lsn>(b * records_per_batch + i),
                           payload_bytes));
@@ -276,15 +276,15 @@ WireSample RunWireAfter(int batches, int records_per_batch,
           packet_payload.Slice(0, packet_payload.size() - 29);
       Result<wire::Envelope> env = wire::DecodeEnvelope(delivered);
       if (!env.ok()) std::abort();
-      Result<wire::RecordBatchView> rb =
-          wire::RecordBatchView::Parse(env->body);
+      Result<wire::RecordBatch> rb =
+          wire::Decode<wire::RecordBatch>(env->body);
       if (!rb.ok()) std::abort();
       for (const wire::RecordView rec : rb->records) {
         // Persistence: the record's wire bytes into its NVRAM group-buffer
         // image (the one kept copy).
         Bytes image;
         image.reserve(server::kStreamEntryClientBytes + rec.bytes.size());
-        server::AppendStreamEntry(&image, rb->header.client, rec.bytes);
+        server::AppendStreamEntry(&image, rb->client, rec.bytes);
         ++decoded;
       }
     }
@@ -334,8 +334,8 @@ WireSample RunWireBefore(int batches, int records_per_batch,
       // 6. GetBlob per record (the old GetRecord materialization) —
       //    performed for real by ToBytes below, which also stands in for
       //    the old double-copy fixed in Decoder::GetString.
-      Result<wire::RecordBatchView> rb =
-          wire::RecordBatchView::Parse(env->body);
+      Result<wire::RecordBatch> rb =
+          wire::Decode<wire::RecordBatch>(env->body);
       if (!rb.ok()) std::abort();
       for (const wire::RecordView rec : rb->records) {
         Bytes materialized(rec.data().begin(), rec.data().end());

@@ -251,7 +251,8 @@ void LogClient::OnServerMessage(net::NodeId node,
   if (!env.ok()) return;
   switch (env->type) {
     case wire::MessageType::kNewHighLsn: {
-      Result<wire::NewHighLsnMsg> m = wire::DecodeNewHighLsn(env->body);
+      Result<wire::NewHighLsnMsg> m =
+          wire::Decode<wire::NewHighLsnMsg>(env->body);
       if (m.ok()) {
         // A real acknowledgment means the server is admitting writes
         // again: clear any shed backoff.
@@ -262,13 +263,14 @@ void LogClient::OnServerMessage(net::NodeId node,
       return;
     }
     case wire::MessageType::kOverloaded: {
-      Result<wire::OverloadedMsg> m = wire::DecodeOverloaded(env->body);
+      Result<wire::OverloadedMsg> m =
+          wire::Decode<wire::OverloadedMsg>(env->body);
       if (m.ok()) OnOverloaded(link, *m);
       return;
     }
     case wire::MessageType::kMissingInterval: {
       Result<wire::MissingIntervalMsg> m =
-          wire::DecodeMissingInterval(env->body);
+          wire::Decode<wire::MissingIntervalMsg>(env->body);
       if (m.ok()) OnMissingInterval(link, m->low, m->high);
       return;
     }
@@ -447,7 +449,7 @@ void LogClient::ChooseWriteSet() {
     const Lsn first = pending_.empty() ? next_lsn_ : pending_.front();
     if (link.sent_high != first - 1) {
       wire::NewIntervalMsg msg{config_.client_id, epoch_, first};
-      if (link.conn != nullptr) link.conn->Send(wire::EncodeNewInterval(msg));
+      if (link.conn != nullptr) link.conn->Send(wire::Encode(msg));
       link.sent_high = first - 1;
     }
   }
@@ -615,10 +617,10 @@ void LogClient::Transmit(const Batch& batch, ServerLink* link,
     header.trace = send.trace;
     header.span = send.span;
   }
-  wire::RecordBatchWriter writer(batch.forced ? wire::MessageType::kForceLog
-                                              : wire::MessageType::kWriteLog,
-                                 header,
-                                 batch.bytes - wire::RecordBatchOverhead());
+  wire::RecordBatchWriter writer(header, 0,
+                                 batch.bytes - wire::RecordBatchOverhead(),
+                                 batch.forced ? wire::MessageType::kForceLog
+                                              : wire::MessageType::kWriteLog);
   for (Lsn lsn = batch.first; batch.count > 0 && lsn <= batch.last; ++lsn) {
     const PendingRecord* pr = pending_.Find(lsn);
     if (pr != nullptr && batch.Takes(*pr)) writer.Add(pr->record);
@@ -750,7 +752,7 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
   if (first_pending == kNoLsn) {
     // Everything missing is durable on other servers.
     wire::NewIntervalMsg msg{config_.client_id, epoch_, high + 1};
-    link->conn->Send(wire::EncodeNewInterval(msg));
+    link->conn->Send(wire::Encode(msg));
     link->sent_high = std::max(link->sent_high, high);
     StreamTo(link);
     return;
@@ -758,7 +760,7 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
   if (first_pending > low) {
     // The prefix of the gap is durable elsewhere; skip the server past it.
     wire::NewIntervalMsg msg{config_.client_id, epoch_, first_pending};
-    link->conn->Send(wire::EncodeNewInterval(msg));
+    link->conn->Send(wire::Encode(msg));
   }
   // Resend the pending remainder of the gap as one force, however large:
   // the network drops an oversized one, which sheds load (ROADMAP).
@@ -884,7 +886,7 @@ Lsn LogClient::TruncateLog(Lsn below) {
   if (below <= 1) return kNoLsn;
 
   wire::TruncateLogMsg msg{config_.client_id, below};
-  const Bytes encoded = wire::EncodeTruncateLog(msg);
+  const Bytes encoded = wire::Encode(msg);
   for (net::NodeId node : config_.servers) {
     ServerLink* link = LinkOf(node);
     if (link == nullptr) continue;
@@ -898,28 +900,26 @@ Lsn LogClient::TruncateLog(Lsn below) {
 
 // --- Recovery-time calls ---
 
-std::vector<LogClient::Rpc> LogClient::ToEach(
-    const std::vector<net::NodeId>& nodes,
-    const std::function<Bytes(uint64_t)>& encode) {
-  std::vector<Rpc> calls;
-  for (net::NodeId node : nodes) calls.push_back(Rpc{node, encode});
+template <typename Req>
+std::vector<LogClient::Rpc<Req>> LogClient::ToEach(
+    const std::vector<net::NodeId>& nodes, const Req& req) {
+  std::vector<Rpc<Req>> calls;
+  for (net::NodeId node : nodes) calls.push_back(Rpc<Req>{node, req});
   return calls;
 }
 
-template <typename Resp>
-void LogClient::Call(
-    Rpc rpc, Decoder<Resp> decode,
-    std::type_identity_t<std::function<void(Result<Resp>)>> done) {
+template <typename Req>
+void LogClient::Call(Rpc<Req> rpc, std::function<void(ReplyOf<Req>)> done) {
   ServerLink& link = LinkFor(rpc.node);
   EnsureConnected(&link);
   link.rpc->Call(
-      std::move(rpc.encode), RpcOpts(),
-      [decode, done = std::move(done)](Result<wire::Envelope> env) {
+      rpc.req, RpcOpts(),
+      [done = std::move(done)](Result<wire::Envelope> env) {
         if (!env.ok()) {
           done(env.status());
           return;
         }
-        Result<Resp> resp = decode(env->body);
+        ReplyOf<Req> resp = wire::Decode<typename Req::Reply>(env->body);
         if (!resp.ok() || resp->status == wire::RpcStatus::kOk) {
           done(std::move(resp));
         } else if (resp->status == wire::RpcStatus::kOverloaded) {
@@ -930,10 +930,9 @@ void LogClient::Call(
       });
 }
 
-template <typename Resp>
-void LogClient::QuorumCall(std::vector<Rpc> calls, size_t need,
-                           Decoder<Resp> decode,
-                           std::type_identity_t<ReplyHook<Resp>> on_reply,
+template <typename Req>
+void LogClient::QuorumCall(std::vector<Rpc<Req>> calls, size_t need,
+                           ReplyHook<Req> on_reply,
                            std::function<void(Status)> done) {
   assert(need >= 1 && need <= calls.size());
   struct Round {
@@ -942,7 +941,7 @@ void LogClient::QuorumCall(std::vector<Rpc> calls, size_t need,
     size_t spare = 0;  // failures that still leave `need` reachable
     bool shed = false;
     bool fired = false;
-    ReplyHook<Resp> on_reply;
+    ReplyHook<Req> on_reply;
     std::function<void(Status)> done;
   };
   auto round = std::make_shared<Round>();
@@ -951,10 +950,10 @@ void LogClient::QuorumCall(std::vector<Rpc> calls, size_t need,
   round->spare = calls.size() - need;
   round->on_reply = std::move(on_reply);
   round->done = std::move(done);
-  for (Rpc& rpc : calls) {
+  for (Rpc<Req>& rpc : calls) {
     const net::NodeId node = rpc.node;
-    Call(std::move(rpc), decode,
-         [this, round, node](Result<Resp> resp) {
+    Call(std::move(rpc),
+         [this, round, node](ReplyOf<Req> resp) {
            if (round->fired || round->generation != generation_) return;
            const Status status =
                round->on_reply ? round->on_reply(node, resp) : resp.status();
@@ -987,13 +986,7 @@ void LogClient::ReadFrom(std::vector<ServerId> holders, Lsn lsn,
   }
   const net::NodeId node = holders.front();
   holders.erase(holders.begin());
-  const wire::ReadLogReq req{config_.client_id, lsn};
-  Call(Rpc{node,
-           [req](uint64_t id) {
-             return wire::EncodeReadLogReq(
-                 wire::MessageType::kReadLogForwardReq, req, id);
-           }},
-       wire::DecodeReadLogResp,
+  Call(Rpc<wire::ReadLogReq>{node, {config_.client_id, lsn}},
        [this, generation = generation_, holders = std::move(holders), lsn,
         done = std::move(done)](Result<wire::ReadLogResp> resp) mutable {
          if (generation != generation_) {
@@ -1011,38 +1004,32 @@ void LogClient::CopySegment(std::vector<LogRecord> records,
                             std::vector<net::NodeId> targets,
                             std::function<void(Status)> done) {
   // Chunk the copies so each CopyLog call fits in a network packet.
-  struct Chunk {
-    std::vector<LogRecord> records;
-    size_t bytes = 0;  // their encoded size
-  };
-  std::vector<Chunk> chunks;
+  std::vector<std::vector<LogRecord>> chunks;
+  size_t chunk_bytes = 0;  // the last chunk's encoded size
   for (LogRecord& r : records) {
     r.epoch = epoch_;
     const size_t cost = wire::EncodedRecordSize(r);
     const bool fits = !chunks.empty() && wire::RecordBatchOverhead() +
-                                                 chunks.back().bytes + cost <=
+                                                 chunk_bytes + cost <=
                                              config_.mtu_payload;
-    if (!fits) chunks.emplace_back();
-    chunks.back().records.push_back(r);
-    chunks.back().bytes += cost;
-  }
-  const wire::CopyLogReq header{config_.client_id, epoch_, {}};
-  std::vector<Rpc> copies;
-  for (net::NodeId node : targets) {
-    for (const Chunk& chunk : chunks) {
-      copies.push_back(Rpc{node, [header, chunk](uint64_t id) {
-                             wire::RecordBatchWriter writer(header, id,
-                                                            chunk.bytes);
-                             for (const LogRecord& r : chunk.records) {
-                               writer.Add(r);
-                             }
-                             return writer.Take();
-                           }});
+    if (!fits) {
+      chunks.emplace_back();
+      chunk_bytes = 0;
     }
+    chunks.back().push_back(r);
+    chunk_bytes += cost;
+  }
+  std::vector<wire::CopyLogReq> reqs;
+  for (const std::vector<LogRecord>& chunk : chunks) {
+    reqs.push_back({config_.client_id, epoch_, wire::RecordRun::Of(chunk)});
+  }
+  std::vector<Rpc<wire::CopyLogReq>> copies;
+  for (net::NodeId node : targets) {
+    for (const wire::CopyLogReq& req : reqs) copies.push_back({node, req});
   }
   const size_t calls = copies.size();
   QuorumCall(
-      std::move(copies), calls, wire::DecodeCopyLogResp, nullptr,
+      std::move(copies), calls, nullptr,
       [this, records = std::move(records), targets = std::move(targets),
        done = std::move(done)](Status staged) {
         // An explicit shed is not "server down": report Overloaded so
@@ -1054,13 +1041,9 @@ void LogClient::CopySegment(std::vector<LogRecord> records,
           return;
         }
         // All copies staged: install everywhere.
-        const wire::InstallCopiesReq req{config_.client_id, epoch_};
         QuorumCall(
-            ToEach(targets,
-                   [req](uint64_t id) {
-                     return wire::EncodeInstallCopiesReq(req, id);
-                   }),
-            targets.size(), wire::DecodeInstallCopiesResp, nullptr,
+            ToEach(targets, wire::InstallCopiesReq{config_.client_id, epoch_}),
+            targets.size(), nullptr,
             [this, records, targets, done](Status installed) {
               if (!installed.ok()) {
                 done(installed.IsOverloaded()
@@ -1092,13 +1075,9 @@ void LogClient::RepairLog(std::function<void(Status)> done) {
   // Survey every server: counting a segment's holders takes all M
   // answers, so a failed reply counts as answered; at least M-N+1 of
   // them must be real lists.
-  const wire::IntervalListReq req{config_.client_id};
   QuorumCall(
-      ToEach(config_.servers,
-             [req](uint64_t id) {
-               return wire::EncodeIntervalListReq(req, id);
-             }),
-      config_.servers.size(), wire::DecodeIntervalListResp,
+      ToEach(config_.servers, wire::IntervalListReq{config_.client_id}),
+      config_.servers.size(),
       [this, st](net::NodeId node,
                  const Result<wire::IntervalListResp>& resp) {
         if (resp.ok()) {
@@ -1283,14 +1262,9 @@ void LogClient::Init(std::function<void(Status)> done) {
   ConnectAll();
 
   // Merge the interval lists of any M-N+1 servers (Section 3.1.2).
-  const wire::IntervalListReq req{config_.client_id};
   QuorumCall(
-      ToEach(config_.servers,
-             [req](uint64_t id) {
-               return wire::EncodeIntervalListReq(req, id);
-             }),
+      ToEach(config_.servers, wire::IntervalListReq{config_.client_id}),
       config_.servers.size() - config_.copies + 1,
-      wire::DecodeIntervalListResp,
       [st](net::NodeId node, const Result<wire::IntervalListResp>& resp) {
         if (resp.ok()) {
           for (const Interval& iv : resp->intervals) {
@@ -1316,11 +1290,9 @@ void LogClient::FinishInit(const InitState& st, Status status) {
 
 void LogClient::AcquireEpoch(std::shared_ptr<InitState> st) {
   const size_t reps = config_.generator_reps.size();
-  const wire::GenReadReq req{config_.client_id};
   QuorumCall(
-      ToEach(config_.generator_reps,
-             [req](uint64_t id) { return wire::EncodeGenReadReq(req, id); }),
-      epoch::ReadQuorum(reps), wire::DecodeGenReadResp,
+      ToEach(config_.generator_reps, wire::GenReadReq{config_.client_id}),
+      epoch::ReadQuorum(reps),
       [st](net::NodeId, const Result<wire::GenReadResp>& resp) {
         if (resp.ok()) st->gen_max = std::max(st->gen_max, resp->value);
         return resp.status();
@@ -1331,13 +1303,10 @@ void LogClient::AcquireEpoch(std::shared_ptr<InitState> st) {
           return;
         }
         // Write a value above every value read.
-        const wire::GenWriteReq wreq{config_.client_id, st->gen_max + 1};
         QuorumCall(
             ToEach(config_.generator_reps,
-                   [wreq](uint64_t id) {
-                     return wire::EncodeGenWriteReq(wreq, id);
-                   }),
-            epoch::WriteQuorum(reps), wire::DecodeGenWriteResp, nullptr,
+                   wire::GenWriteReq{config_.client_id, st->gen_max + 1}),
+            epoch::WriteQuorum(reps), nullptr,
             [this, st](Status written) {
               if (!written.ok()) {
                 FinishInit(*st, Status::Unavailable(

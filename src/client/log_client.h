@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "common/bytes.h"
@@ -407,32 +406,32 @@ class LogClient {
   obs::SpanContext ForceContext() const;
 
   // --- recovery-time calls (Figure 4-1 RPCs) ---
-  /// One call: its server and its request encoder (given the rpc id).
+  /// One call: its server and its request, which names its reply type.
+  template <typename Req>
   struct Rpc {
     net::NodeId node = 0;
-    std::function<Bytes(uint64_t)> encode;
+    Req req;
   };
-  template <typename Resp>
-  using Decoder = Result<Resp> (*)(const SharedBytes&);
-  template <typename Resp>
-  using ReplyHook = std::function<Status(net::NodeId, const Result<Resp>&)>;
+  template <typename Req>
+  using ReplyOf = Result<typename Req::Reply>;
+  template <typename Req>
+  using ReplyHook = std::function<Status(net::NodeId, const ReplyOf<Req>&)>;
   /// The same request to each of `nodes`, in order.
-  static std::vector<Rpc> ToEach(const std::vector<net::NodeId>& nodes,
-                                 const std::function<Bytes(uint64_t)>& encode);
-  /// Issues `rpc` and hands `done` the decoded reply. A timeout, a garbled
-  /// reply or a non-OK status arrives as an error (Overloaded for a shed).
-  template <typename Resp>
-  void Call(Rpc rpc, Decoder<Resp> decode,
-            std::type_identity_t<std::function<void(Result<Resp>)>> done);
+  template <typename Req>
+  static std::vector<Rpc<Req>> ToEach(const std::vector<net::NodeId>& nodes,
+                                      const Req& req);
+  /// Issues `rpc` and hands `done` its reply. A timeout, a garbled reply
+  /// or a non-OK status arrives as an error (Overloaded for a shed).
+  template <typename Req>
+  void Call(Rpc<Req> rpc, std::function<void(ReplyOf<Req>)> done);
   /// Issues `calls` (1 <= need <= calls.size()) and fires `done` once: OK
   /// on the `need`-th success, or an error as soon as `need` is out of
   /// reach (Overloaded if a counted failure was a shed). `on_reply`, if
   /// set, sees each reply first and returns the status to count for it.
   /// Replies after `done` fired, or after a crash, are dropped.
-  template <typename Resp>
-  void QuorumCall(std::vector<Rpc> calls, size_t need, Decoder<Resp> decode,
-                  std::type_identity_t<ReplyHook<Resp>> on_reply,
-                  std::function<void(Status)> done);
+  template <typename Req>
+  void QuorumCall(std::vector<Rpc<Req>> calls, size_t need,
+                  ReplyHook<Req> on_reply, std::function<void(Status)> done);
   /// Asks `holders` in order for the record at `lsn` and hands `done` the
   /// records of the first reply that starts with it (plus the records
   /// packed after it); Unavailable if no holder answers, Aborted if the

@@ -157,10 +157,14 @@ class Encoder {
   void PutU32(uint32_t v) { PutLE(v, 4); }
   void PutU64(uint64_t v) { PutLE(v, 8); }
 
+  /// Appends `n` bytes as they are (no length prefix).
+  void PutRaw(const uint8_t* data, size_t n) {
+    if (n > 0) std::memcpy(Grow(n), data, n);
+  }
   /// Length-prefixed (u32) byte string.
   void PutBlob(const uint8_t* data, size_t n) {
     PutU32(static_cast<uint32_t>(n));
-    if (n > 0) std::memcpy(Grow(n), data, n);
+    PutRaw(data, n);
   }
   void PutBlob(const Bytes& b) { PutBlob(b.data(), b.size()); }
   void PutBlob(const SharedBytes& b) { PutBlob(b.data(), b.size()); }

@@ -167,6 +167,18 @@ void LogServer::Reply(wire::Connection* conn, Bytes message) {
   conn->Send(std::move(message));
 }
 
+template <typename M>
+void LogServer::Serve(const Incoming& in) {
+  Result<M> msg = wire::Decode<M>(in.env.body);
+  if (msg.ok()) Handle(in, *msg);
+}
+
+template <typename Req>
+void LogServer::Answer(const Incoming& in, const Req&,
+                       const typename Req::Reply& resp) {
+  Reply(in.conn, wire::Encode(resp, in.env.rpc_id));
+}
+
 void LogServer::OnMessage(wire::Connection* conn,
                           const SharedBytes& payload) {
   if (!up_) return;
@@ -192,39 +204,36 @@ void LogServer::OnMessage(wire::Connection* conn,
     const ReplyFn reply = [this, conn](Bytes message) {
       Reply(conn, std::move(message));
     };
+    const Incoming in{env, conn, reply};
     switch (env.type) {
       case wire::MessageType::kWriteLog:
-        HandleRecords(reply, env, /*force=*/false);
-        break;
       case wire::MessageType::kForceLog:
-        HandleRecords(reply, env, /*force=*/true);
+        Serve<wire::RecordBatch>(in);
         break;
       case wire::MessageType::kNewInterval:
-        HandleNewInterval(env);
+        Serve<wire::NewIntervalMsg>(in);
         break;
       case wire::MessageType::kTruncateLog:
-        HandleTruncate(env);
+        Serve<wire::TruncateLogMsg>(in);
         break;
       case wire::MessageType::kIntervalListReq:
-        HandleIntervalList(conn, env);
+        Serve<wire::IntervalListReq>(in);
         break;
       case wire::MessageType::kReadLogForwardReq:
-        HandleReadLog(conn, env, /*forward=*/true);
-        break;
       case wire::MessageType::kReadLogBackwardReq:
-        HandleReadLog(conn, env, /*forward=*/false);
+        Serve<wire::ReadLogReq>(in);
         break;
       case wire::MessageType::kCopyLogReq:
-        HandleCopyLog(conn, env);
+        Serve<wire::CopyLogReq>(in);
         break;
       case wire::MessageType::kInstallCopiesReq:
-        HandleInstallCopies(conn, env);
+        Serve<wire::InstallCopiesReq>(in);
         break;
       case wire::MessageType::kGenReadReq:
-        HandleGenRead(conn, env);
+        Serve<wire::GenReadReq>(in);
         break;
       case wire::MessageType::kGenWriteReq:
-        HandleGenWrite(conn, env);
+        Serve<wire::GenWriteReq>(in);
         break;
       default:
         break;  // responses and client-bound messages: not for us
@@ -292,29 +301,28 @@ void LogServer::OnDatagram(net::NodeId src, const SharedBytes& payload) {
                                             env = *std::move(env),
                                             generation]() {
     if (generation != generation_ || !up_) return;
-    if (env.type == wire::MessageType::kNewInterval) {
-      HandleNewInterval(env);
-      return;
-    }
     const ReplyFn reply = [this, src](Bytes message) {
       if (up_) endpoint_->SendDatagram(src, message);
     };
-    HandleRecords(reply, env,
-                  /*force=*/env.type == wire::MessageType::kForceLog);
+    const Incoming in{env, nullptr, reply};
+    if (env.type == wire::MessageType::kNewInterval) {
+      Serve<wire::NewIntervalMsg>(in);
+    } else {
+      Serve<wire::RecordBatch>(in);
+    }
   });
 }
 
-void LogServer::HandleRecords(const ReplyFn& reply,
-                              const wire::Envelope& env, bool force) {
-  // Every record's bounds are checked before any is applied; the records
-  // are then read in place from the packet.
-  Result<wire::RecordBatchView> batch = wire::RecordBatchView::Parse(env.body);
-  if (!batch.ok()) return;
-  const ClientId client = batch->header.client;
+void LogServer::Handle(const Incoming& in, const wire::RecordBatch& batch) {
+  // Every record's bounds were checked before any is applied; the records
+  // are read in place from the packet.
+  const ClientId client = batch.client;
+  const bool force = in.env.type == wire::MessageType::kForceLog;
+  const ReplyFn& reply = in.reply;
 
   // The batch arrived: close the sender's wire.send span (the shared
   // tracer makes the client-minted id resolvable here).
-  const obs::SpanContext batch_ctx{batch->header.trace, batch->header.span};
+  const obs::SpanContext batch_ctx{batch.trace, batch.span};
   if (tracer_ != nullptr) tracer_->EndSpan(batch_ctx);
 
   // "They are free to ignore ForceLog and WriteLog messages if they
@@ -347,7 +355,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
         tracer_->AddArg(instant, "retry_after_us", shed.retry_after_us);
         tracer_->EndSpan(instant);
       }
-      reply(wire::EncodeOverloaded(shed));
+      reply(wire::Encode(shed));
     }
     MaybeFlush();
     return;
@@ -355,7 +363,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
 
   current_batch_ctx_ = batch_ctx;
   ClientLogStore& store = StoreOf(client);
-  for (const wire::RecordView record : batch->records) {
+  for (const wire::RecordView record : batch.records) {
     switch (store.Place(record.lsn, record.epoch)) {
       case ClientLogStore::Placement::kExtend:
         ApplyRecord(&store, client, record);
@@ -365,7 +373,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
         ApplyRecord(&store, client, record);
         break;
       case ClientLogStore::Placement::kHold:
-        store.Hold(batch->records.Share(record));
+        store.Hold(batch.records.Share(record));
         break;
       case ClientLogStore::Placement::kStale:
         break;
@@ -375,7 +383,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
   if (const auto gap = store.Gap()) {
     // "It notifies the client of the missing interval immediately."
     missing_interval_sent_.Increment();
-    reply(wire::EncodeMissingInterval({gap->first, gap->second}));
+    reply(wire::Encode(wire::MissingIntervalMsg{gap->first, gap->second}));
   }
 
   if (force) {
@@ -394,7 +402,7 @@ void LogServer::HandleRecords(const ReplyFn& reply,
             tracer_->Instant("force.ack", trace_node_, batch_ctx);
         tracer_->AddArg(instant, "lsn", ack.new_high_lsn);
       }
-      reply(wire::EncodeNewHighLsn(ack));
+      reply(wire::Encode(ack));
     }
   }
 
@@ -402,30 +410,26 @@ void LogServer::HandleRecords(const ReplyFn& reply,
   MaybeFlush();
 }
 
-void LogServer::HandleNewInterval(const wire::Envelope& env) {
-  Result<wire::NewIntervalMsg> msg = wire::DecodeNewInterval(env.body);
-  if (!msg.ok()) return;
-  ClientLogStore& store = StoreOf(msg->client);
+void LogServer::Handle(const Incoming&, const wire::NewIntervalMsg& msg) {
+  ClientLogStore& store = StoreOf(msg.client);
   const std::optional<SharedBytes> start =
-      store.Announce(msg->epoch, msg->starting_lsn);
+      store.Announce(msg.epoch, msg.starting_lsn);
   if (start.has_value() &&
-      ApplyRecord(&store, msg->client, wire::RecordAt(start->data()))) {
-    ApplyHeld(&store, msg->client);
+      ApplyRecord(&store, msg.client, wire::RecordAt(start->data()))) {
+    ApplyHeld(&store, msg.client);
   }
   MaybeFlush();
 }
 
-void LogServer::HandleTruncate(const wire::Envelope& env) {
-  Result<wire::TruncateLogMsg> msg = wire::DecodeTruncateLog(env.body);
-  if (!msg.ok()) return;
-  Lsn& mark = truncate_marks_[msg->client];
-  mark = std::max(mark, msg->below);
-  ClientLogStore* store = FindStore(msg->client);
+void LogServer::Handle(const Incoming&, const wire::TruncateLogMsg& msg) {
+  Lsn& mark = truncate_marks_[msg.client];
+  mark = std::max(mark, msg.below);
+  ClientLogStore* store = FindStore(msg.client);
   if (store == nullptr) return;
   // The discarded records' disk tracks leave with their index entries
   // (the stream itself is append-only; space reclamation would be a
   // compaction/offline-spool pass outside this model).
-  records_truncated_.Increment(store->TruncateBelow(msg->below));
+  records_truncated_.Increment(store->TruncateBelow(msg.below));
 }
 
 size_t LogServer::LiveRecordsOf(ClientId client) const {
@@ -433,15 +437,12 @@ size_t LogServer::LiveRecordsOf(ClientId client) const {
   return store == nullptr ? 0 : store->record_count();
 }
 
-void LogServer::HandleIntervalList(wire::Connection* conn,
-                                   const wire::Envelope& env) {
-  Result<wire::IntervalListReq> req = wire::DecodeIntervalListReq(env.body);
-  if (!req.ok()) return;
+void LogServer::Handle(const Incoming& in, const wire::IntervalListReq& req) {
   wire::IntervalListResp resp;
-  if (const ClientLogStore* store = FindStore(req->client)) {
+  if (const ClientLogStore* store = FindStore(req.client)) {
     resp.intervals = store->Intervals();
   }
-  Reply(conn, wire::EncodeIntervalListResp(resp, env.rpc_id));
+  Answer(in, req, resp);
 }
 
 void LogServer::WithReadLatency(ClientId client, Lsn lsn,
@@ -462,15 +463,14 @@ void LogServer::WithReadLatency(ClientId client, Lsn lsn,
   });
 }
 
-void LogServer::HandleReadLog(wire::Connection* conn,
-                              const wire::Envelope& env, bool forward) {
-  Result<wire::ReadLogReq> req = wire::DecodeReadLogReq(env.body);
-  if (!req.ok()) return;
+void LogServer::Handle(const Incoming& in, const wire::ReadLogReq& req) {
   read_rpcs_.Increment();
 
-  const ClientId client = req->client;
-  const Lsn start = req->lsn;
-  const uint64_t rpc_id = env.rpc_id;
+  wire::Connection* conn = in.conn;
+  const ClientId client = req.client;
+  const Lsn start = req.lsn;
+  const bool forward = in.env.type == wire::MessageType::kReadLogForwardReq;
+  const uint64_t rpc_id = in.env.rpc_id;
 
   WithReadLatency(client, start, [this, conn, client, start, forward,
                                   rpc_id]() {
@@ -510,49 +510,43 @@ void LogServer::HandleReadLog(wire::Connection* conn,
   });
 }
 
-void LogServer::HandleCopyLog(wire::Connection* conn,
-                              const wire::Envelope& env) {
-  Result<wire::CopyLogReq> req = wire::DecodeCopyLogReq(env.body);
-  if (!req.ok()) return;
+void LogServer::Handle(const Incoming& in, const wire::CopyLogReq& req) {
   wire::CopyLogResp resp;
-  ClientLogStore& store = StoreOf(req->client);
-  for (const wire::RecordView record : req->records) {
+  ClientLogStore& store = StoreOf(req.client);
+  for (const wire::RecordView record : req.records) {
     // A copy must match the call's epoch, and fit in one track so that
     // InstallCopies can always buffer it.
-    if (record.epoch != req->epoch ||
+    if (record.epoch != req.epoch ||
         kTrackOverhead + kStreamEntryClientBytes + record.bytes.size() >
             config_.disk.track_bytes) {
       resp.status = wire::RpcStatus::kError;
       break;
     }
     // Kept as a view of the packet until InstallCopies writes it.
-    if (!store.StageCopy(req->records.Share(record)).ok()) {
+    if (!store.StageCopy(req.records.Share(record)).ok()) {
       resp.status = wire::RpcStatus::kError;
       break;
     }
   }
-  Reply(conn, wire::EncodeCopyLogResp(resp, env.rpc_id));
+  Answer(in, req, resp);
 }
 
-void LogServer::HandleInstallCopies(wire::Connection* conn,
-                                    const wire::Envelope& env) {
-  Result<wire::InstallCopiesReq> req =
-      wire::DecodeInstallCopiesReq(env.body);
-  if (!req.ok()) return;
+void LogServer::Handle(const Incoming& in,
+                       const wire::InstallCopiesReq& req) {
   wire::InstallCopiesResp resp;
-  ClientLogStore& store = StoreOf(req->client);
+  ClientLogStore& store = StoreOf(req.client);
 
-  if (nvram_buffer_->used_bytes() + store.StagedBytes(req->epoch) >
+  if (nvram_buffer_->used_bytes() + store.StagedBytes(req.epoch) >
       nvram_buffer_->capacity()) {
     resp.status = wire::RpcStatus::kOverloaded;
-    Reply(conn, wire::EncodeInstallCopiesResp(resp, env.rpc_id));
+    Answer(in, req, resp);
     return;
   }
 
   // All or nothing: a conflicting copy installs none, so nothing reaches
   // the index that is not also in NVRAM.
   Result<std::vector<SharedBytes>> installed =
-      store.InstallCopies(req->epoch);
+      store.InstallCopies(req.epoch);
   if (!installed.ok()) {
     resp.status = wire::RpcStatus::kError;
   } else {
@@ -563,26 +557,19 @@ void LogServer::HandleInstallCopies(wire::Connection* conn,
     NoteNvramLevel();
     ScheduleFlushTimer();
   }
-  Reply(conn, wire::EncodeInstallCopiesResp(resp, env.rpc_id));
+  Answer(in, req, resp);
   MaybeFlush();
 }
 
-void LogServer::HandleGenRead(wire::Connection* conn,
-                              const wire::Envelope& env) {
-  Result<wire::GenReadReq> req = wire::DecodeGenReadReq(env.body);
-  if (!req.ok()) return;
+void LogServer::Handle(const Incoming& in, const wire::GenReadReq& req) {
   wire::GenReadResp resp;
-  resp.value = generator_cells_[req->client].Read();
-  Reply(conn, wire::EncodeGenReadResp(resp, env.rpc_id));
+  resp.value = generator_cells_[req.client].Read();
+  Answer(in, req, resp);
 }
 
-void LogServer::HandleGenWrite(wire::Connection* conn,
-                               const wire::Envelope& env) {
-  Result<wire::GenWriteReq> req = wire::DecodeGenWriteReq(env.body);
-  if (!req.ok()) return;
-  generator_cells_[req->client].Write(req->value);
-  wire::GenWriteResp resp;
-  Reply(conn, wire::EncodeGenWriteResp(resp, env.rpc_id));
+void LogServer::Handle(const Incoming& in, const wire::GenWriteReq& req) {
+  generator_cells_[req.client].Write(req.value);
+  Answer(in, req, wire::GenWriteResp{});
 }
 
 void LogServer::ScheduleFlushTimer() {
@@ -686,7 +673,7 @@ void LogServer::MaybeFlush() {
                     tracer_->Instant("force.ack", trace_node_, pa.ctx);
                 tracer_->AddArg(instant, "lsn", ack.new_high_lsn);
               }
-              pa.reply(wire::EncodeNewHighLsn(ack));
+              pa.reply(wire::Encode(ack));
             }
           }
           MaybeFlush();       // more may have accumulated

@@ -175,21 +175,38 @@ class LogServer {
   /// record streams).
   using ReplyFn = std::function<void(Bytes)>;
 
+  /// The message being served: its envelope (type, rpc id), the
+  /// connection it came on (null for a datagram) and how to reply.
+  struct Incoming {
+    const wire::Envelope& env;
+    wire::Connection* conn;
+    const ReplyFn& reply;
+  };
+
   void OnAccept(wire::Connection* conn);
   void OnMessage(wire::Connection* conn, const SharedBytes& payload);
   void OnDatagram(net::NodeId src, const SharedBytes& payload);
-  void HandleRecords(const ReplyFn& reply, const wire::Envelope& env,
-                     bool force);
-  void HandleNewInterval(const wire::Envelope& env);
-  void HandleTruncate(const wire::Envelope& env);
-  void HandleIntervalList(wire::Connection* conn, const wire::Envelope& env);
-  void HandleReadLog(wire::Connection* conn, const wire::Envelope& env,
-                     bool forward);
-  void HandleCopyLog(wire::Connection* conn, const wire::Envelope& env);
-  void HandleInstallCopies(wire::Connection* conn,
-                           const wire::Envelope& env);
-  void HandleGenRead(wire::Connection* conn, const wire::Envelope& env);
-  void HandleGenWrite(wire::Connection* conn, const wire::Envelope& env);
+  /// Reads the body as an M and hands it to its Handle; a garbled body
+  /// is dropped (the medium is lossy anyway).
+  template <typename M>
+  void Serve(const Incoming& in);
+  // One handler per message a server serves (WriteLog and ForceLog share
+  // the RecordBatch one, both ReadLog directions the ReadLogReq one).
+  // The RPC handlers answer with their request's Reply type.
+  void Handle(const Incoming& in, const wire::RecordBatch& batch);
+  void Handle(const Incoming& in, const wire::NewIntervalMsg& msg);
+  void Handle(const Incoming& in, const wire::TruncateLogMsg& msg);
+  void Handle(const Incoming& in, const wire::IntervalListReq& req);
+  void Handle(const Incoming& in, const wire::ReadLogReq& req);
+  void Handle(const Incoming& in, const wire::CopyLogReq& req);
+  void Handle(const Incoming& in, const wire::InstallCopiesReq& req);
+  void Handle(const Incoming& in, const wire::GenReadReq& req);
+  void Handle(const Incoming& in, const wire::GenWriteReq& req);
+  /// Sends `resp` on `in`'s connection as the reply to its request, a
+  /// Req: only Req's Reply type compiles.
+  template <typename Req>
+  void Answer(const Incoming& in, const Req& req,
+              const typename Req::Reply& resp);
 
   /// Applies one in-order record: its stream entry goes into the NVRAM
   /// group buffer and its location into the store. Returns false (and

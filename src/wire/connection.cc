@@ -297,16 +297,12 @@ void Endpoint::SendFrame(net::NodeId dst, uint8_t frame_type,
                          Bytes payload, uint64_t trace, uint64_t span) {
   // Frame in place: append the trailer to the payload buffer (reserved
   // headroom makes this a plain append) and hand the buffer itself to
-  // the packet. The payload length is stored explicitly so a truncated
-  // or corrupt packet is detected before slicing.
-  const uint32_t payload_len = static_cast<uint32_t>(payload.size());
+  // the packet.
+  const FrameTrailer trailer{frame_type, conn_id, seq, alloc,
+                             static_cast<uint32_t>(payload.size())};
   payload.reserve(payload.size() + kFrameTrailerBytes);
   Encoder enc(&payload);
-  enc.PutU8(frame_type);
-  enc.PutU64(conn_id);
-  enc.PutU64(seq);
-  enc.PutU64(alloc);
-  enc.PutU32(payload_len);
+  fields::PutAll(&enc, trailer);
   SharedBytes frame(std::move(payload));
 
   packets_sent_.Increment();
@@ -347,57 +343,54 @@ void Endpoint::ProcessPacket(const net::Packet& packet) {
   if (buf.size() < kFrameTrailerBytes) {
     return;  // malformed packet; the medium is unreliable anyway
   }
-  Decoder dec(buf.data() + buf.size() - kFrameTrailerBytes,
-              kFrameTrailerBytes);
-  auto frame_type = dec.GetU8();
-  auto conn_id = dec.GetU64();
-  auto seq = dec.GetU64();
-  auto alloc = dec.GetU64();
-  auto payload_len = dec.GetU32();
-  if (!frame_type.ok() || !conn_id.ok() || !seq.ok() || !alloc.ok() ||
-      !payload_len.ok() ||
-      *payload_len != buf.size() - kFrameTrailerBytes) {
+  const size_t payload_len = buf.size() - kFrameTrailerBytes;
+  Result<FrameTrailer> frame = Decode<FrameTrailer>(buf, payload_len);
+  // The stored payload length finds a truncated or corrupt packet before
+  // the payload is sliced out.
+  if (!frame.ok() || frame->payload_len != payload_len) {
     return;  // malformed packet
   }
+  const uint8_t frame_type = frame->frame_type;
+  const uint64_t conn_id = frame->conn_id;
   // Zero-copy: the payload is a view into the arriving packet buffer,
   // shared up through envelope and record decoding.
-  SharedBytes payload = buf.Slice(0, *payload_len);
+  SharedBytes payload = buf.Slice(0, payload_len);
 
-  if (*frame_type == kDatagram) {
+  if (frame_type == kDatagram) {
     if (datagram_handler_) datagram_handler_(packet.src, payload);
     return;
   }
 
-  auto it = connections_.find(*conn_id);
+  auto it = connections_.find(conn_id);
   if (it == connections_.end()) {
-    if (*frame_type == kSyn) {
+    if (frame_type == kSyn) {
       // Passive open.
       auto conn = std::unique_ptr<Connection>(
-          new Connection(this, packet.src, *conn_id, /*initiator=*/false));
+          new Connection(this, packet.src, conn_id, /*initiator=*/false));
       Connection* raw = conn.get();
-      raw->peer_allocation_ = *alloc;
-      connections_[*conn_id] = std::move(conn);
-      SendFrame(packet.src, kSynAck, *conn_id, 0, raw->CurrentGrant(), {});
+      raw->peer_allocation_ = frame->alloc;
+      connections_[conn_id] = std::move(conn);
+      SendFrame(packet.src, kSynAck, conn_id, 0, raw->CurrentGrant(), {});
       raw->last_advertised_grant_ = raw->CurrentGrant();
       if (accept_handler_) accept_handler_(raw);
-    } else if (*frame_type != kReset) {
+    } else if (frame_type != kReset) {
       // Unknown connection (e.g., we crashed): tell the peer.
-      SendFrame(packet.src, kReset, *conn_id, 0, 0, {});
+      SendFrame(packet.src, kReset, conn_id, 0, 0, {});
     }
     return;
   }
 
   Connection* conn = it->second.get();
-  if (*frame_type == kReset) {
+  if (frame_type == kReset) {
     conn->Close();
     return;
   }
-  if (*frame_type == kSyn) {
+  if (frame_type == kSyn) {
     // Duplicate SYN for an existing connection: re-answer.
-    SendFrame(packet.src, kSynAck, *conn_id, 0, conn->CurrentGrant(), {});
+    SendFrame(packet.src, kSynAck, conn_id, 0, conn->CurrentGrant(), {});
     return;
   }
-  conn->OnFrame(*frame_type, *seq, *alloc, payload);
+  conn->OnFrame(frame_type, frame->seq, frame->alloc, payload);
 }
 
 }  // namespace dlog::wire

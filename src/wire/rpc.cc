@@ -5,11 +5,13 @@
 
 namespace dlog::wire {
 
-void RpcClient::Call(std::function<Bytes(uint64_t)> encode,
-                     const CallOptions& opts, ResponseCallback cb) {
+void RpcClient::Start(MessageType reply,
+                      std::function<Bytes(uint64_t)> encode,
+                      const CallOptions& opts, ResponseCallback cb) {
   const uint64_t rpc_id = next_rpc_id_++;
   PendingCall call;
   call.encode = std::move(encode);
+  call.reply = reply;
   call.opts = opts;
   call.cb = std::move(cb);
   pending_[rpc_id] = std::move(call);
@@ -46,6 +48,7 @@ void RpcClient::OnTimeout(uint64_t rpc_id) {
 bool RpcClient::HandleResponse(const Envelope& envelope) {
   auto it = pending_.find(envelope.rpc_id);
   if (it == pending_.end()) return false;  // stale duplicate response
+  if (it->second.reply != envelope.type) return false;  // not its reply
   if (it->second.timer != 0) sim_->Cancel(it->second.timer);
   ResponseCallback cb = std::move(it->second.cb);
   pending_.erase(it);

@@ -25,8 +25,6 @@ class RpcClient {
  public:
   using ResponseCallback = std::function<void(Result<Envelope>)>;
 
-  /// `encode` builds the request bytes for a given rpc id; retries reuse
-  /// the id so the server's duplicate work is at worst recomputation.
   struct CallOptions {
     sim::Duration timeout = 500 * sim::kMillisecond;
     int max_attempts = 4;
@@ -50,12 +48,20 @@ class RpcClient {
 
   ~RpcClient() { FailAll(Status::Aborted("rpc client destroyed")); }
 
-  /// Issues a call; `cb` receives the response envelope or a TimedOut /
-  /// Aborted status.
-  void Call(std::function<Bytes(uint64_t)> encode, const CallOptions& opts,
-            ResponseCallback cb);
+  /// Issues `req`; `cb` receives the envelope of its reply (a message of
+  /// type Req::Reply::kType) or a TimedOut / Aborted status. Retries
+  /// reuse the rpc id, so the server's duplicate work is at worst
+  /// recomputation.
+  template <typename Req>
+  void Call(const Req& req, const CallOptions& opts, ResponseCallback cb) {
+    Start(Req::Reply::kType, [req](uint64_t id) { return Encode(req, id); },
+          opts, std::move(cb));
+  }
 
-  /// Returns true if the envelope completed a pending call.
+  /// Returns true if the envelope completed a pending call: it carries
+  /// the call's rpc id and its reply type. A reply of another type is
+  /// left unanswered, like a garbled packet; the call still completes
+  /// with the right reply or times out.
   bool HandleResponse(const Envelope& envelope);
 
   /// Fails every pending call (e.g., connection reset).
@@ -69,13 +75,17 @@ class RpcClient {
 
  private:
   struct PendingCall {
+    /// The request for a given rpc id, and the type of its reply.
     std::function<Bytes(uint64_t)> encode;
+    MessageType reply;
     CallOptions opts;
     ResponseCallback cb;
     int attempts = 0;
     sim::EventId timer = 0;
   };
 
+  void Start(MessageType reply, std::function<Bytes(uint64_t)> encode,
+             const CallOptions& opts, ResponseCallback cb);
   void Transmit(uint64_t rpc_id);
   void OnTimeout(uint64_t rpc_id);
 

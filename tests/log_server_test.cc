@@ -28,14 +28,15 @@ LogRecord Rec(Lsn lsn, Epoch epoch, bool present = true,
   return r;
 }
 
-/// A message ending in `records`, written by the one RecordBatchWriter;
-/// `header` is the writer's arguments ahead of the record bytes.
-template <typename... Header>
+/// `header`'s message ending in `records`, written by the one
+/// RecordBatchWriter.
+template <typename Header>
 Bytes WriteWithRecords(const std::vector<LogRecord>& records,
-                       const Header&... header) {
+                       const Header& header, uint64_t rpc_id = 0,
+                       wire::MessageType type = Header::kType) {
   size_t bytes = 0;
   for (const LogRecord& r : records) bytes += wire::EncodedRecordSize(r);
-  wire::RecordBatchWriter writer(header..., bytes);
+  wire::RecordBatchWriter writer(header, rpc_id, bytes, type);
   for (const LogRecord& r : records) writer.Add(r);
   return writer.Take();
 }
@@ -96,7 +97,7 @@ struct RawDriver {
     wire::RecordBatch batch;
     batch.client = kClient;
     batch.epoch = epoch;
-    Send(WriteWithRecords(records, type, batch));
+    Send(WriteWithRecords(records, batch, 0, type));
   }
 
   /// Last message of the given type, if any.
@@ -131,7 +132,7 @@ void SendWriteNow(RawDriver& d, std::vector<LogRecord> records) {
   wire::RecordBatch batch;
   batch.client = kClient;
   batch.epoch = 1;
-  d.conn->Send(WriteWithRecords(records, wire::MessageType::kWriteLog, batch));
+  d.conn->Send(WriteWithRecords(records, batch));
 }
 
 /// `records` of kClient packed into tracks the way the server packs its
@@ -182,7 +183,7 @@ TEST(LogServerTest, ForceLogAcknowledgedWithNewHighLsn) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
   const wire::Envelope* ack = d.Last(wire::MessageType::kNewHighLsn);
   ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(wire::DecodeNewHighLsn(ack->body)->new_high_lsn, 2u);
+  EXPECT_EQ(wire::Decode<wire::NewHighLsnMsg>(ack->body)->new_high_lsn, 2u);
   EXPECT_EQ(d.server->records_written().value(), 2u);
 }
 
@@ -200,11 +201,11 @@ TEST(LogServerTest, GapTriggersMissingInterval) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(5, 1), Rec(6, 1)});
   const wire::Envelope* miss = d.Last(wire::MessageType::kMissingInterval);
   ASSERT_NE(miss, nullptr);
-  auto m = wire::DecodeMissingInterval(miss->body);
+  auto m = wire::Decode<wire::MissingIntervalMsg>(miss->body);
   EXPECT_EQ(m->low, 3u);
   EXPECT_EQ(m->high, 4u);
   // The force ack reports only the contiguous prefix.
-  auto ack = wire::DecodeNewHighLsn(
+  auto ack = wire::Decode<wire::NewHighLsnMsg>(
       d.Last(wire::MessageType::kNewHighLsn)->body);
   EXPECT_EQ(ack->new_high_lsn, 2u);
 }
@@ -215,7 +216,7 @@ TEST(LogServerTest, ResendFillsGapAndDrainsPending) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(4, 1), Rec(5, 1)});
   // Resend the missing records.
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(2, 1), Rec(3, 1)});
-  auto ack = wire::DecodeNewHighLsn(
+  auto ack = wire::Decode<wire::NewHighLsnMsg>(
       d.Last(wire::MessageType::kNewHighLsn)->body);
   EXPECT_EQ(ack->new_high_lsn, 5u);
   EXPECT_EQ(d.server->IntervalsOf(kClient),
@@ -227,7 +228,7 @@ TEST(LogServerTest, NewIntervalSkipsGap) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1)});
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(4, 1), Rec(5, 1)});
   // The skipped records live elsewhere: start a new interval at 4.
-  d.Send(wire::EncodeNewInterval({kClient, 1, 4}));
+  d.Send(wire::Encode(wire::NewIntervalMsg{kClient, 1, 4}));
   EXPECT_EQ(d.server->IntervalsOf(kClient),
             (IntervalList{{1, 1, 1}, {1, 4, 5}}));
 }
@@ -235,7 +236,7 @@ TEST(LogServerTest, NewIntervalSkipsGap) {
 TEST(LogServerTest, ProactiveNewIntervalAcceptsJump) {
   RawDriver d;
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1)});
-  d.Send(wire::EncodeNewInterval({kClient, 1, 10}));
+  d.Send(wire::Encode(wire::NewIntervalMsg{kClient, 1, 10}));
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(10, 1), Rec(11, 1)});
   EXPECT_EQ(d.server->IntervalsOf(kClient),
             (IntervalList{{1, 1, 1}, {1, 10, 11}}));
@@ -254,7 +255,7 @@ TEST(LogServerTest, DescendingBatchIsStoredInLsnOrder) {
   EXPECT_EQ(stored, (std::vector<Lsn>{1, 2, 3}));
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 3}}));
   EXPECT_EQ(d.CountOf(wire::MessageType::kMissingInterval), 0);
-  EXPECT_EQ(wire::DecodeNewHighLsn(
+  EXPECT_EQ(wire::Decode<wire::NewHighLsnMsg>(
                 d.Last(wire::MessageType::kNewHighLsn)->body)->new_high_lsn,
             3u);
 }
@@ -270,18 +271,18 @@ TEST(LogServerTest, DuplicateBatchIsIdempotent) {
 TEST(LogServerTest, IntervalListRpc) {
   RawDriver d;
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
-  d.Send(wire::EncodeIntervalListReq({kClient}, d.next_rpc++));
+  d.Send(wire::Encode(wire::IntervalListReq{kClient}, d.next_rpc++));
   const wire::Envelope* resp = d.Last(wire::MessageType::kIntervalListResp);
   ASSERT_NE(resp, nullptr);
-  auto m = wire::DecodeIntervalListResp(resp->body);
+  auto m = wire::Decode<wire::IntervalListResp>(resp->body);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->intervals, (IntervalList{{1, 1, 2}}));
 }
 
 TEST(LogServerTest, IntervalListForUnknownClientIsEmpty) {
   RawDriver d;
-  d.Send(wire::EncodeIntervalListReq({1234}, d.next_rpc++));
-  auto m = wire::DecodeIntervalListResp(
+  d.Send(wire::Encode(wire::IntervalListReq{1234}, d.next_rpc++));
+  auto m = wire::Decode<wire::IntervalListResp>(
       d.Last(wire::MessageType::kIntervalListResp)->body);
   EXPECT_EQ(m->status, wire::RpcStatus::kOk);
   EXPECT_TRUE(m->intervals.empty());
@@ -293,9 +294,8 @@ TEST(LogServerTest, ReadLogForwardPacksFollowingRecords) {
   for (Lsn l = 1; l <= 10; ++l) records.push_back(Rec(l, 1));
   d.SendBatch(wire::MessageType::kForceLog, 1, records);
 
-  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                {kClient, 4}, d.next_rpc++));
-  auto m = wire::DecodeReadLogResp(
+  d.Send(wire::Encode(wire::ReadLogReq{kClient, 4}, d.next_rpc++));
+  auto m = wire::Decode<wire::ReadLogResp>(
       d.Last(wire::MessageType::kReadLogResp)->body);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->status, wire::RpcStatus::kOk);
@@ -311,9 +311,9 @@ TEST(LogServerTest, ReadLogBackwardPacksPrecedingRecords) {
   for (Lsn l = 1; l <= 10; ++l) records.push_back(Rec(l, 1));
   d.SendBatch(wire::MessageType::kForceLog, 1, records);
 
-  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogBackwardReq,
-                                {kClient, 5}, d.next_rpc++));
-  auto m = wire::DecodeReadLogResp(
+  d.Send(wire::Encode(wire::ReadLogReq{kClient, 5}, d.next_rpc++,
+                      wire::MessageType::kReadLogBackwardReq));
+  auto m = wire::Decode<wire::ReadLogResp>(
       d.Last(wire::MessageType::kReadLogResp)->body);
   ASSERT_TRUE(m.ok());
   const std::vector<Lsn> lsns = Lsns(*m);
@@ -325,9 +325,8 @@ TEST(LogServerTest, ReadLogBackwardPacksPrecedingRecords) {
 TEST(LogServerTest, ReadOfUnstoredLsnIsNotFound) {
   RawDriver d;
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1)});
-  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                {kClient, 7}, d.next_rpc++));
-  auto m = wire::DecodeReadLogResp(
+  d.Send(wire::Encode(wire::ReadLogReq{kClient, 7}, d.next_rpc++));
+  auto m = wire::Decode<wire::ReadLogResp>(
       d.Last(wire::MessageType::kReadLogResp)->body);
   EXPECT_EQ(m->status, wire::RpcStatus::kNotFound);
 }
@@ -341,14 +340,14 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
   // Stage copies with the new epoch 4.
   d.Send(CopyLogMessage(4, {Rec(9, 4, true, "copy"), Rec(10, 4, false, "")},
                         d.next_rpc++));
-  auto cresp = wire::DecodeCopyLogResp(
+  auto cresp = wire::Decode<wire::CopyLogResp>(
       d.Last(wire::MessageType::kCopyLogResp)->body);
   EXPECT_EQ(cresp->status, wire::RpcStatus::kOk);
   // Not yet visible.
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{3, 1, 9}}));
 
-  d.Send(wire::EncodeInstallCopiesReq({kClient, 4}, d.next_rpc++));
-  auto iresp = wire::DecodeInstallCopiesResp(
+  d.Send(wire::Encode(wire::InstallCopiesReq{kClient, 4}, d.next_rpc++));
+  auto iresp = wire::Decode<wire::InstallCopiesResp>(
       d.Last(wire::MessageType::kInstallCopiesResp)->body);
   EXPECT_EQ(iresp->status, wire::RpcStatus::kOk);
   EXPECT_EQ(d.server->IntervalsOf(kClient),
@@ -366,8 +365,8 @@ TEST(LogServerTest, ConflictingInstallCopiesInstallsNothing) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
   auto copy = [&d](const std::vector<LogRecord>& records) {
     d.Send(CopyLogMessage(2, records, d.next_rpc++));
-    d.Send(wire::EncodeInstallCopiesReq({kClient, 2}, d.next_rpc++));
-    return wire::DecodeInstallCopiesResp(
+    d.Send(wire::Encode(wire::InstallCopiesReq{kClient, 2}, d.next_rpc++));
+    return wire::Decode<wire::InstallCopiesResp>(
                d.Last(wire::MessageType::kInstallCopiesResp)->body)
         ->status;
   };
@@ -382,9 +381,8 @@ TEST(LogServerTest, ConflictingInstallCopiesInstallsNothing) {
   EXPECT_EQ(d.server->IntervalsOf(kClient), before);
   EXPECT_EQ(d.server->records_written().value(), 3u);
   EXPECT_EQ(d.server->nvram_buffer().used_bytes(), buffered);
-  d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                {kClient, 3}, d.next_rpc++));
-  EXPECT_EQ(wire::DecodeReadLogResp(
+  d.Send(wire::Encode(wire::ReadLogReq{kClient, 3}, d.next_rpc++));
+  EXPECT_EQ(wire::Decode<wire::ReadLogResp>(
                 d.Last(wire::MessageType::kReadLogResp)->body)
                 ->status,
             wire::RpcStatus::kNotFound);
@@ -400,7 +398,7 @@ TEST(LogServerTest, ForceLogWithAnOverrunningRecordAppliesNothing) {
   batch.epoch = 1;
   const std::vector<LogRecord> records = {Rec(1, 1), Rec(2, 1, true, "last")};
   Bytes message =
-      WriteWithRecords(records, wire::MessageType::kForceLog, batch);
+      WriteWithRecords(records, batch, 0, wire::MessageType::kForceLog);
   // The last record's length field (just before its 4 data bytes) claims
   // one byte more than the packet holds.
   message[message.size() - 8] = 5;
@@ -418,7 +416,7 @@ TEST(LogServerTest, ForceLogWithAnOverrunningRecordAppliesNothing) {
 TEST(LogServerTest, MismatchedCopyEpochRejected) {
   RawDriver d;
   d.Send(CopyLogMessage(4, {Rec(9, 5)}, d.next_rpc++));  // record epoch 5
-  auto resp = wire::DecodeCopyLogResp(
+  auto resp = wire::Decode<wire::CopyLogResp>(
       d.Last(wire::MessageType::kCopyLogResp)->body);
   EXPECT_EQ(resp->status, wire::RpcStatus::kError);
 }
@@ -435,7 +433,7 @@ TEST(LogServerTest, CopyLogWithALyingCountGetsNoReply) {
   d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1)});
   const wire::Envelope* ack = d.Last(wire::MessageType::kNewHighLsn);
   ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(wire::DecodeNewHighLsn(ack->body)->new_high_lsn, 1u);
+  EXPECT_EQ(wire::Decode<wire::NewHighLsnMsg>(ack->body)->new_high_lsn, 1u);
 }
 
 TEST(LogServerTest, LoadSheddingIgnoresWritesWhenNvramFull) {
@@ -478,7 +476,7 @@ TEST(LogServerTest, AdmissionRejectsWithOverloadedReplyAtThreshold) {
   EXPECT_EQ(d.server->admission().overload_replies().value(), 1u);
   const wire::Envelope* shed = d.Last(wire::MessageType::kOverloaded);
   ASSERT_NE(shed, nullptr);
-  auto msg = wire::DecodeOverloaded(shed->body);
+  auto msg = wire::Decode<wire::OverloadedMsg>(shed->body);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->client, kClient);
   EXPECT_EQ(msg->shed_type,
@@ -510,13 +508,13 @@ TEST(LogServerTest, AdmissionRecoversAfterDrain) {
   EXPECT_EQ(d.server->writes_shed().value(), shed_before);
   const wire::Envelope* ack = d.Last(wire::MessageType::kNewHighLsn);
   ASSERT_NE(ack, nullptr);
-  EXPECT_EQ(wire::DecodeNewHighLsn(ack->body)->new_high_lsn, 2u);
+  EXPECT_EQ(wire::Decode<wire::NewHighLsnMsg>(ack->body)->new_high_lsn, 2u);
 }
 
 TEST(LogServerTest, GeneratorCellsSurviveCrash) {
   RawDriver d;
-  d.Send(wire::EncodeGenWriteReq({kClient, 42}, d.next_rpc++));
-  auto wr = wire::DecodeGenWriteResp(
+  d.Send(wire::Encode(wire::GenWriteReq{kClient, 42}, d.next_rpc++));
+  auto wr = wire::Decode<wire::GenWriteResp>(
       d.Last(wire::MessageType::kGenWriteResp)->body);
   EXPECT_EQ(wr->status, wire::RpcStatus::kOk);
 
@@ -599,11 +597,10 @@ TEST(LogServerTest, RestartChargesReadsToTheLatestTrackHoldingARecord) {
   d.Connect();
 
   auto read_first = [&d]() {
-    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                  {kClient, 1}, d.next_rpc++));
+    d.Send(wire::Encode(wire::ReadLogReq{kClient, 1}, d.next_rpc++));
     const wire::Envelope* resp = d.Last(wire::MessageType::kReadLogResp);
     ASSERT_NE(resp, nullptr);
-    EXPECT_EQ(wire::DecodeReadLogResp(resp->body)->status,
+    EXPECT_EQ(wire::Decode<wire::ReadLogResp>(resp->body)->status,
               wire::RpcStatus::kOk);
   };
   read_first();
@@ -704,9 +701,8 @@ TEST(LogServerTest, RestartStopsAtACorruptDiskTrack) {
             std::vector<LogRecord>(records.begin(),
                                    records.begin() + end_of_0));
   auto read = [&d](Lsn lsn) {
-    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                  {kClient, lsn}, d.next_rpc++));
-    return *wire::DecodeReadLogResp(
+    d.Send(wire::Encode(wire::ReadLogReq{kClient, lsn}, d.next_rpc++));
+    return *wire::Decode<wire::ReadLogResp>(
         d.Last(wire::MessageType::kReadLogResp)->body);
   };
   EXPECT_EQ(Lsns(read(1)).front(), 1u);
@@ -772,9 +768,8 @@ TEST(LogServerTest, StoredRecordsReadBackFromTheirTrackImages) {
     EXPECT_TRUE(in_a_track) << "LSN " << r.lsn;
   }
   for (const LogRecord& r : records) {
-    d.Send(wire::EncodeReadLogReq(wire::MessageType::kReadLogForwardReq,
-                                  {kClient, r.lsn}, d.next_rpc++));
-    auto resp = wire::DecodeReadLogResp(
+    d.Send(wire::Encode(wire::ReadLogReq{kClient, r.lsn}, d.next_rpc++));
+    auto resp = wire::Decode<wire::ReadLogResp>(
         d.Last(wire::MessageType::kReadLogResp)->body);
     ASSERT_TRUE(resp.ok());
     ASSERT_FALSE(resp->records.empty());

@@ -108,7 +108,7 @@ TEST_P(RpcSweep, CallsCompleteWithEnoughRetries) {
     conn->SetMessageHandler([&](const SharedBytes& payload) {
       auto env = DecodeEnvelope(payload);
       if (env.ok() && env->type == MessageType::kIntervalListReq) {
-        accepted->Send(EncodeIntervalListResp({}, env->rpc_id));
+        accepted->Send(Encode(IntervalListResp{}, env->rpc_id));
       }
     });
   });
@@ -126,11 +126,9 @@ TEST_P(RpcSweep, CallsCompleteWithEnoughRetries) {
   opts.max_attempts = 60;
   int completed = 0;
   for (int i = 0; i < 25; ++i) {
-    rpc.Call(
-        [](uint64_t id) { return EncodeIntervalListReq({1}, id); }, opts,
-        [&](Result<Envelope> env) {
-          if (env.ok()) ++completed;
-        });
+    rpc.Call(IntervalListReq{1}, opts, [&](Result<Envelope> env) {
+      if (env.ok()) ++completed;
+    });
   }
   sim.RunFor(300 * sim::kSecond);
   EXPECT_EQ(completed, 25);
