@@ -1,22 +1,15 @@
 // Engine throughput — the fast-path optimizations measured head to head.
 //
-// Five sections, one BENCH_ENGINE.json:
+// Four sections, one BENCH_ENGINE.json:
 //
 //   * engine: raw discrete-event throughput (events/sec) of the current
 //     sim::Simulator (slot/generation table, pooled small-buffer
 //     callbacks, POD heap entries) against a faithful inline replica of
 //     the previous engine (std::function events copied on every pop,
 //     lazy cancellation through an unordered_set probed per pop). Both
-//     run the identical timer-wheel workload: a ring of self-
-//     rescheduling events with steady cancel churn, captures sized like
-//     the wire layer's (inline-eligible in the new engine).
-//
-//   * wheel: the same cancel-heavy workload on the current engine with
-//     the hierarchical timer wheel enabled (the default) and disabled
-//     (pure binary heap). The workload's far-out retry timers are the
-//     wheel's target: cancelled entries die in their bucket for free
-//     instead of riding the heap until expiry. The executed schedules
-//     must be identical — the wheel is schedule-invisible.
+//     run the identical workload: a ring of self-rescheduling events
+//     with steady cancel churn, captures sized like the wire layer's
+//     (inline-eligible in the new engine).
 //
 //   * obs: the disabled-tracer hot path, gated at zero heap
 //     allocations. Span names and node labels pass as string_views, so
@@ -39,8 +32,7 @@
 //
 // Wall-clock numbers vary by machine; the JSON is for trend tracking,
 // not byte-diffing. CI gates on this binary exiting 0 and, via
-// tools/bench_diff.py, on the machine-independent schedule_identical and
-// zero_alloc_ok metrics.
+// tools/bench_diff.py, on the machine-independent zero_alloc_ok metric.
 //
 // Usage: bench_engine_throughput [engine_events] [cluster_records]
 
@@ -168,6 +160,9 @@ struct PacketCapture {
   void* e = nullptr;
 };
 
+/// How far out each chain's retry timer is armed.
+constexpr sim::Duration kDecoyDelay = 3000;
+
 /// The shared workload: `width` self-rescheduling timer chains with
 /// packet-sized captures, each also arming a far-out retry timer that is
 /// disarmed on the next step — the mix the real simulations produce
@@ -176,14 +171,12 @@ struct PacketCapture {
 /// population of cancelled entries). Runs until `target` events have
 /// executed.
 template <typename Sim>
-uint64_t RunEngineWorkload(Sim& sim, uint64_t target, int width,
-                           sim::Duration decoy_delay = 3000) {
+uint64_t RunEngineWorkload(Sim& sim, uint64_t target, int width) {
   struct Chain {
     Sim* sim;
     uint64_t remaining;
     uint64_t step = 0;
     uint64_t decoy = 0;
-    sim::Duration decoy_delay = 0;
 
     void Fire(const PacketCapture& pkt) {
       if (remaining == 0) return;
@@ -196,7 +189,7 @@ uint64_t RunEngineWorkload(Sim& sim, uint64_t target, int width,
       // The retry timer: armed now, disarmed next step, dead weight in
       // the queue until its expiry sweeps past.
       PacketCapture decoy_pkt = pkt;
-      decoy = sim->After(decoy_delay + (step % 7), [decoy_pkt] {
+      decoy = sim->After(kDecoyDelay + (step % 7), [decoy_pkt] {
         (void)decoy_pkt;
       });
       Chain* self = this;
@@ -213,7 +206,6 @@ uint64_t RunEngineWorkload(Sim& sim, uint64_t target, int width,
     c->sim = &sim;
     c->remaining = per_chain;
     c->step = static_cast<uint64_t>(i);
-    c->decoy_delay = decoy_delay;
     chains.push_back(std::move(c));
   }
   for (auto& c : chains) {
@@ -445,50 +437,6 @@ int main(int argc, char** argv) {
     report.SetMetric("events_per_sec_before", before_rate);
     report.SetMetric("events_per_sec_after", after_rate);
     report.SetMetric("speedup", after_rate / before_rate);
-  }
-
-  // Wheel: timer wheel vs heap-only on the cancel-heavy workload. The
-  // wheel only re-stages insertion, so both runs must execute the exact
-  // same number of events.
-  {
-    double wheel_rate = 0;
-    double heap_rate = 0;
-    uint64_t wheel_events = 0;
-    uint64_t heap_events = 0;
-    // Decoys sit milliseconds out — the force/RPC-timeout distance that
-    // clears the wheel's staging horizon (2^20 ticks), where a heap-only
-    // queue carries every cancelled timer until its expiry sweeps past.
-    const sim::Duration decoy_delay = 2 * sim::kMillisecond;
-    for (int rep = 0; rep < 3; ++rep) {
-      sim::Simulator wheel;  // the wheel is on by default
-      auto t0 = std::chrono::steady_clock::now();
-      wheel_events =
-          RunEngineWorkload(wheel, engine_events, /*width=*/64, decoy_delay);
-      const double r_wheel = wheel_events / SecondsSince(t0);
-      if (r_wheel > wheel_rate) wheel_rate = r_wheel;
-
-      sim::Simulator heap_only;
-      heap_only.EnableTimerWheel(false);
-      t0 = std::chrono::steady_clock::now();
-      heap_events = RunEngineWorkload(heap_only, engine_events, /*width=*/64,
-                                      decoy_delay);
-      const double r_heap = heap_events / SecondsSince(t0);
-      if (r_heap > heap_rate) heap_rate = r_heap;
-    }
-    const bool identical = wheel_events == heap_events;
-    std::printf("wheel: heap-only %.0f events/s, wheel %.0f events/s "
-                "(%.2fx), schedules %s\n",
-                heap_rate, wheel_rate, wheel_rate / heap_rate,
-                identical ? "identical" : "DIVERGED");
-    if (!identical) return 1;
-
-    report.BeginRow();
-    report.SetConfig("section", std::string("wheel"));
-    report.SetConfig("target_events", static_cast<double>(engine_events));
-    report.SetMetric("events_per_sec_heap_only", heap_rate);
-    report.SetMetric("events_per_sec_wheel", wheel_rate);
-    report.SetMetric("speedup_wheel", wheel_rate / heap_rate);
-    report.SetMetric("schedule_identical", identical ? 1.0 : 0.0);
   }
 
   // Obs: the disabled-tracer hot path must not allocate. Every call

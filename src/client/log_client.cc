@@ -62,9 +62,6 @@ Status LogClientConfig::Validate() const {
   if (cpu_mips <= 0) {
     return Status::InvalidArgument("cpu_mips must be > 0");
   }
-  if (nic_ring_slots == 0) {
-    return Status::InvalidArgument("nic_ring_slots must be > 0");
-  }
   if (mtu_payload == 0) {
     return Status::InvalidArgument("mtu_payload must be > 0");
   }
@@ -125,7 +122,8 @@ LogClient::~LogClient() {
 }
 
 void LogClient::AttachNetwork(net::Network* network) {
-  auto nic = std::make_unique<net::Nic>(sim_, config_.nic_ring_slots);
+  constexpr size_t kNicRingSlots = 16;
+  auto nic = std::make_unique<net::Nic>(sim_, kNicRingSlots);
   network->Attach(config_.node_id, nic.get());
   endpoint_->AttachNetwork(network, nic.get());
   networks_.push_back(network);

@@ -55,7 +55,6 @@ struct LogClientConfig {
   /// means the first min(3, M) servers.
   std::vector<net::NodeId> generator_reps;
   double cpu_mips = 2.0;
-  size_t nic_ring_slots = 16;
   /// Packing budget for a record batch ("as many log records as will fit
   /// in a network packet").
   size_t mtu_payload = 1400;

@@ -7,15 +7,13 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "server/client_log_store.h"
-#include "wire/messages.h"
 
 namespace dlog::client {
 
 /// The abstract log-server interface the Section 3.1 replication
-/// algorithm is written against: the three operations of Section 3.1.1
-/// plus the recovery pair of Section 4.2. The synchronous reference model
-/// (ReplicatedLog) uses this directly; tests plug in in-memory or fault-
-/// injecting implementations.
+/// algorithm is written against: the three operations of Section 3.1.1.
+/// The synchronous reference model (ReplicatedLog) uses this directly;
+/// tests plug in in-memory or fault-injecting implementations.
 class LogServerStub {
  public:
   virtual ~LogServerStub() = default;
@@ -35,10 +33,6 @@ class LogServerStub {
   /// IntervalList: "returns the epoch number, low LSN, and high LSN for
   /// each consecutive sequence of log records stored for a client node".
   virtual Result<IntervalList> ServerIntervalList(ClientId client) = 0;
-
-  /// CopyLog/InstallCopies (Section 4.2) for the multi-record recovery.
-  virtual Status ServerCopyLog(ClientId client, const LogRecord& record) = 0;
-  virtual Status ServerInstallCopies(ClientId client, Epoch epoch) = 0;
 };
 
 /// In-memory stub backed by the real per-client store semantics, its
@@ -54,14 +48,9 @@ class InMemoryLogServerStub : public LogServerStub {
   ServerId id() const override { return id_; }
   bool IsAvailable() const override { return available_; }
   void SetAvailable(bool available) { available_ = available; }
-  /// Load-shedding fault injection: an up-but-overloaded server rejects
-  /// writes with Overloaded (distinct from down = Unavailable) until the
-  /// flag clears — the reference-model analogue of admission control.
-  void SetShedding(bool shedding) { shedding_ = shedding; }
 
   Status ServerWriteLog(ClientId client, const LogRecord& record) override {
     if (!available_) return Status::Unavailable("server down");
-    if (shedding_) return Status::Overloaded("server shedding load");
     return store(client).Write(record);
   }
 
@@ -75,16 +64,6 @@ class InMemoryLogServerStub : public LogServerStub {
     return store(client).Intervals();
   }
 
-  Status ServerCopyLog(ClientId client, const LogRecord& record) override {
-    if (!available_) return Status::Unavailable("server down");
-    return store(client).StageCopy(wire::EncodeRecord(record));
-  }
-
-  Status ServerInstallCopies(ClientId client, Epoch epoch) override {
-    if (!available_) return Status::Unavailable("server down");
-    return store(client).InstallCopies(epoch).status();
-  }
-
   /// Test access to the underlying store.
   server::ClientLogStore& store(ClientId client) {
     return store_.try_emplace(client, client, &images_).first->second;
@@ -93,7 +72,6 @@ class InMemoryLogServerStub : public LogServerStub {
  private:
   ServerId id_;
   bool available_ = true;
-  bool shedding_ = false;
   server::MemoryTrackImages images_;
   std::map<ClientId, server::ClientLogStore> store_;
 };

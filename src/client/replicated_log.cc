@@ -46,15 +46,7 @@ Status ReplicatedLog::WriteRecord(const LogRecord& record,
                                   const std::vector<LogServerStub*>& targets) {
   std::vector<ServerId> succeeded;
   for (LogServerStub* s : targets) {
-    // A shed (Overloaded) means the server is up but refusing load:
-    // re-offer a bounded number of times before giving up on it. A down
-    // server (Unavailable) is not retried at all.
-    Status st = s->ServerWriteLog(client_, record);
-    for (int retry = 0; st.IsOverloaded() && retry < options_.shed_retries;
-         ++retry) {
-      st = s->ServerWriteLog(client_, record);
-    }
-    if (st.ok()) {
+    if (s->ServerWriteLog(client_, record).ok()) {
       succeeded.push_back(s->id());
     }
   }

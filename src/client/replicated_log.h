@@ -28,11 +28,6 @@ class ReplicatedLog {
     /// N: copies per record, "constrained by performance and cost
     /// considerations to having values of two or three".
     int copies = 2;
-    /// How many times a write is re-offered to a server that rejected it
-    /// with Overloaded (an explicit shed — the server is up, just
-    /// refusing load) before substituting another server. Distinct from
-    /// Unavailable, which substitutes immediately.
-    int shed_retries = 2;
   };
 
   /// `servers` are the M log servers, `generator` issues epoch numbers

@@ -35,12 +35,6 @@ class Rng {
     return NextU64() % n;
   }
 
-  /// Uniform in [lo, hi]. Requires lo <= hi.
-  uint64_t NextInRange(uint64_t lo, uint64_t hi) {
-    assert(lo <= hi);
-    return lo + NextBelow(hi - lo + 1);
-  }
-
   /// Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
@@ -51,9 +45,6 @@ class Rng {
 
   /// Exponentially distributed value with the given mean (> 0).
   double NextExponential(double mean);
-
-  /// Forks an independent deterministic stream (e.g., one per node).
-  Rng Fork() { return Rng(NextU64()); }
 
  private:
   static uint64_t Mix(uint64_t* x) {

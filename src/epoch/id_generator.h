@@ -75,8 +75,6 @@ class ReplicatedIdGenerator {
   /// skip values, never repeat them.
   Status NewIdCrashAfterWrites(int writes_before_crash);
 
-  size_t num_reps() const { return reps_.size(); }
-
  private:
   /// Reads from up to all representatives, stopping once `quorum`
   /// responded; returns the max value read.

@@ -92,9 +92,7 @@ Cluster::Cluster(const ClusterConfig& config)
     return static_cast<double>(dlog::BytesCopied() - bytes_copied_base);
   });
   if (config.flight_recorder) {
-    obs::FlightRecorderConfig flight_cfg;
-    flight_cfg.ring_spans = config.flight_ring_spans;
-    flight_ = std::make_unique<obs::FlightRecorder>(flight_cfg);
+    flight_ = std::make_unique<obs::FlightRecorder>();
     // Ring mode: with tracing off the tracer still routes every
     // completed span into the recorder's bounded rings; with tracing on
     // it feeds both the full span log and the rings.
@@ -105,7 +103,6 @@ Cluster::Cluster(const ClusterConfig& config)
     collector_ =
         std::make_unique<obs::TimeSeriesCollector>(config.telemetry,
                                                    &metrics_);
-    if (config.profiling) collector_->AttachProfiler(&profiler_);
     next_sample_ = config.telemetry.interval;
     if (config.health.enabled) {
       health_ = std::make_unique<obs::HealthMonitor>(config.health,
@@ -188,7 +185,7 @@ void Cluster::RestartClient(int index) {
 }
 
 void Cluster::SampleWindow() {
-  collector_->Sample(next_sample_);
+  collector_->Sample();
   if (health_ != nullptr) health_->Evaluate(next_sample_);
   next_sample_ += config_.telemetry.interval;
 }

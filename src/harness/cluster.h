@@ -94,8 +94,6 @@ struct ClusterConfig {
   /// no unbounded state), and chaos crash faults dump the victim's ring
   /// for post-mortem.
   bool flight_recorder = false;
-  /// Spans retained per node ring when `flight_recorder` is set.
-  size_t flight_ring_spans = 256;
 
   /// OK iff the deployment is constructible (at least one server and
   /// network, valid server/network templates, consistent telemetry and

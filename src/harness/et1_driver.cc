@@ -50,9 +50,7 @@ void Et1Driver::Stop() { stopped_ = true; }
 
 void Et1Driver::ScheduleNext() {
   if (stopped_) return;
-  const double mean_gap_s = 1.0 / config_.tps;
-  const double gap_s =
-      config_.poisson ? rng_.NextExponential(mean_gap_s) : mean_gap_s;
+  const double gap_s = rng_.NextExponential(1.0 / config_.tps);
   sched_->After(sim::SecondsToDuration(gap_s), [this]() {
     if (stopped_) return;
     RunOne();

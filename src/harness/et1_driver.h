@@ -18,10 +18,8 @@ namespace dlog::harness {
 /// Workload parameters for one transaction-processing node.
 struct Et1DriverConfig {
   /// Target local transaction rate (the paper's clients "execute ten
-  /// local ET1 transactions per second").
+  /// local ET1 transactions per second"), with Poisson arrivals.
   double tps = 10.0;
-  /// Poisson arrivals when true; fixed spacing otherwise.
-  bool poisson = true;
   tp::BankConfig bank;
   tp::EngineConfig engine;
   uint64_t seed = 1;

@@ -162,10 +162,6 @@ void Network::ClearLinkFault(NodeId src, NodeId dst) {
   Sequenced([this, src, dst] { link_faults_.erase({src, dst}); });
 }
 
-void Network::ClearLinkFaults() {
-  Sequenced([this] { link_faults_.clear(); });
-}
-
 void Network::DeliverTo(NodeId dst, const Packet& packet,
                         sim::Time arrival, PacketTiming timing) {
   timing.dst = dst;

@@ -112,7 +112,6 @@ class Network {
   /// configured loss probability and arrive `extra_latency` later.
   void SetLinkFault(NodeId src, NodeId dst, const LinkFault& fault);
   void ClearLinkFault(NodeId src, NodeId dst);
-  void ClearLinkFaults();
 
   const NetworkConfig& config() const { return config_; }
 

@@ -121,28 +121,4 @@ std::string FlightDumpsJson(const FlightRecorder& recorder) {
   return out;
 }
 
-std::string FlightDumpsText(const FlightRecorder& recorder) {
-  std::string out;
-  char buf[192];
-  for (const FlightRecorder::DumpRecord& dump : recorder.dumps()) {
-    std::snprintf(buf, sizeof(buf),
-                  "=== flight dump %s at %.6fs (%s): %zu of %llu spans\n",
-                  dump.node.c_str(), sim::DurationToSeconds(dump.at),
-                  dump.reason.c_str(), dump.spans.size(),
-                  static_cast<unsigned long long>(dump.spans_recorded));
-    out += buf;
-    for (const Span& span : dump.spans) {
-      std::snprintf(buf, sizeof(buf),
-                    "  [%.6fs +%.3fms] %s trace=%llu span=%llu\n",
-                    sim::DurationToSeconds(span.start),
-                    sim::DurationToSeconds(span.end - span.start) * 1e3,
-                    span.name.c_str(),
-                    static_cast<unsigned long long>(span.trace),
-                    static_cast<unsigned long long>(span.id));
-      out += buf;
-    }
-  }
-  return out;
-}
-
 }  // namespace dlog::obs

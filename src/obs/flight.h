@@ -15,10 +15,6 @@ namespace dlog::obs {
 struct FlightRecorderConfig {
   /// Completed spans retained per node; older spans are overwritten.
   size_t ring_spans = 256;
-  /// Bound on spans that started but have not ended (ring mode keeps
-  /// them outside the rings until they close); the oldest are evicted —
-  /// a span whose packet the network dropped would otherwise leak.
-  size_t max_open_spans = 1024;
 };
 
 /// A per-node bounded ring of recently *completed* spans, fed by the
@@ -78,9 +74,8 @@ class FlightRecorder {
   std::vector<DumpRecord> dumps_;
 };
 
-/// Deterministic serializations of every dump, for bench artifacts.
+/// Deterministic serialization of every dump, for bench artifacts.
 std::string FlightDumpsJson(const FlightRecorder& recorder);
-std::string FlightDumpsText(const FlightRecorder& recorder);
 
 }  // namespace dlog::obs
 

@@ -13,8 +13,8 @@ Status HealthConfig::Validate() const {
   if (imbalance_min_mean_util < 0) {
     return Status::InvalidArgument("imbalance_min_mean_util must be >= 0");
   }
-  if (slo_force_p99_us < 0 || shed_rate_per_sec < 0) {
-    return Status::InvalidArgument("rule thresholds must be >= 0");
+  if (slo_force_p99_us < 0) {
+    return Status::InvalidArgument("slo_force_p99_us must be >= 0");
   }
   if (starvation_windows < 0) {
     return Status::InvalidArgument("starvation_windows must be >= 0");
@@ -44,7 +44,6 @@ void HealthMonitor::RegisterMetrics(MetricsRegistry* registry) {
   registry->RegisterCounter("health/alerts_cleared", &alerts_cleared_);
   registry->RegisterCounter("health/imbalance_fired", &imbalance_fired_);
   registry->RegisterCounter("health/slo_burn_fired", &slo_burn_fired_);
-  registry->RegisterCounter("health/shed_spike_fired", &shed_spike_fired_);
   registry->RegisterCounter("health/starvation_fired", &starvation_fired_);
   registry->RegisterGauge("health/active_alerts", &active_alerts_);
 }
@@ -85,7 +84,6 @@ void HealthMonitor::Judge(const std::string& rule,
     active_alerts_.Add(1);
     if (rule == "imbalance") imbalance_fired_.Increment();
     if (rule == "slo_burn") slo_burn_fired_.Increment();
-    if (rule == "shed_spike") shed_spike_fired_.Increment();
     if (rule == "starvation") starvation_fired_.Increment();
   } else {
     alerts_cleared_.Increment();
@@ -148,17 +146,6 @@ void HealthMonitor::Evaluate(sim::Time window_end) {
           config_.clear_windows, w, window_end);
   }
 
-  // --- Shed-rate spike (admission control rejecting work).
-  if (config_.shed_rate_per_sec > 0) {
-    double shed = 0.0;
-    for (const std::string& name : servers_) {
-      shed += collector_->At(name + "/flow/shed", w);
-    }
-    const double rate = shed / (interval_ns / 1e9);
-    Judge("shed_spike", "cluster", rate > config_.shed_rate_per_sec, rate,
-          config_.fire_windows, config_.clear_windows, w, window_end);
-  }
-
   // --- Per-client stream starvation: pending records but no force
   // completions, for starvation_windows consecutive windows.
   if (config_.starvation_windows > 0) {
@@ -182,14 +169,6 @@ size_t HealthMonitor::active_alerts() const {
   return n;
 }
 
-std::vector<std::string> HealthMonitor::ActiveAlerts() const {
-  std::vector<std::string> out;
-  for (const auto& [key, st] : states_) {
-    if (st.active) out.push_back(key);
-  }
-  return out;
-}
-
 std::string AlertsJson(const HealthMonitor& monitor) {
   std::string out = "{\"alerts\":[";
   char buf[96];
@@ -210,20 +189,6 @@ std::string AlertsJson(const HealthMonitor& monitor) {
     out += buf;
   }
   out += "]}\n";
-  return out;
-}
-
-std::string AlertsText(const HealthMonitor& monitor) {
-  std::string out;
-  char buf[160];
-  for (const HealthAlert& alert : monitor.alerts()) {
-    std::snprintf(buf, sizeof(buf), "[w%llu %.3fs] %s %s %s (%.4g)\n",
-                  static_cast<unsigned long long>(alert.window),
-                  sim::DurationToSeconds(alert.at), alert.rule.c_str(),
-                  alert.subject.c_str(),
-                  alert.fired ? "FIRED" : "cleared", alert.value);
-    out += buf;
-  }
   return out;
 }
 

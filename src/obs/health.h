@@ -35,11 +35,6 @@ struct HealthConfig {
   /// samples make noisy quantiles).
   uint64_t slo_min_forces = 8;
 
-  /// Shed spike: fires when the cluster-wide admission shed rate
-  /// (ops/second of simulated time, summed over servers) exceeds this.
-  /// 0 disables the rule.
-  double shed_rate_per_sec = 0.0;
-
   /// Per-client starvation: a client with pending records but zero
   /// force completions for this many consecutive windows is starving.
   /// 0 disables the rule.
@@ -61,7 +56,7 @@ struct HealthConfig {
 struct HealthAlert {
   uint64_t window = 0;   // window index of the transition
   sim::Time at = 0;      // simulated time of the window edge
-  std::string rule;      // "imbalance", "slo_burn", "shed_spike", ...
+  std::string rule;      // "imbalance", "slo_burn" or "starvation"
   std::string subject;   // "servers", "cluster", "client-7"
   bool fired = false;    // true = raised, false = cleared
   double value = 0.0;    // the measured value at the transition
@@ -103,8 +98,6 @@ class HealthMonitor {
   const HealthConfig& config() const { return config_; }
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
   size_t active_alerts() const;
-  /// Alerts currently raised, as "rule subject" keys.
-  std::vector<std::string> ActiveAlerts() const;
 
   /// Per-window imbalance CV (0 while below the mean-utilization floor),
   /// indexed by window-1. Exposed for the E18 bench's per-window keys.
@@ -142,7 +135,6 @@ class HealthMonitor {
   sim::Counter alerts_cleared_;
   sim::Counter imbalance_fired_;
   sim::Counter slo_burn_fired_;
-  sim::Counter shed_spike_fired_;
   sim::Counter starvation_fired_;
   sim::Gauge active_alerts_;
 };
@@ -150,7 +142,6 @@ class HealthMonitor {
 /// Deterministic serialization of the alert sequence (the byte-identity
 /// artifact for the E18 gate).
 std::string AlertsJson(const HealthMonitor& monitor);
-std::string AlertsText(const HealthMonitor& monitor);
 
 }  // namespace dlog::obs
 

@@ -138,9 +138,6 @@ class Profiler {
   }
 
   // --- timelines ---
-  const std::map<std::string, UtilizationTimeline>& timelines() const {
-    return timelines_;
-  }
   const std::map<std::string, LevelTimeline>& levels() const {
     return levels_;
   }
@@ -196,10 +193,6 @@ class Profiler {
                        std::function<sim::Time()> now_fn);
 
   const std::vector<PacketEvent>& packets() const { return packets_; }
-  const std::map<std::string, std::vector<DiskEvent>>& disk_events()
-      const {
-    return disk_events_;
-  }
 
  private:
   void RegisterUtilization(const std::string& resource);

@@ -37,11 +37,6 @@ TimeSeriesCollector::TimeSeriesCollector(const TimeSeriesConfig& config,
   DLOG_CHECK_OK(config.Validate());
 }
 
-void TimeSeriesCollector::Push(const std::string& key, SeriesKind kind,
-                               double value) {
-  PushTo(EnsureSeries(key, kind), value);
-}
-
 void TimeSeriesCollector::PushTo(SeriesData* s, double value) {
   if (s->count == 0) s->first_window = windows_;
   // Gap-fill every window the source skipped (idle windows are not
@@ -111,15 +106,14 @@ void TimeSeriesCollector::Rebuild() {
   tw_slots_.clear();
   callback_slots_.clear();
   stream_slots_.clear();
+  // Process-wide tallies (dlog::BytesCopied) are shared by every cluster
+  // in the process, so concurrent TrialRunner trials would bleed into
+  // each other's windows and break the byte-identity guarantee. They are
+  // not sampled; end-of-run snapshots, taken when the process is
+  // quiescent, still show them.
+  constexpr std::string_view kUnsampledPrefix = "process/";
   for (MetricRef& ref : refs_) {
-    bool excluded = false;
-    for (const std::string& prefix : config_.exclude_prefixes) {
-      if (ref.name.compare(0, prefix.size(), prefix) == 0) {
-        excluded = true;
-        break;
-      }
-    }
-    if (excluded) continue;
+    if (ref.name.starts_with(kUnsampledPrefix)) continue;
     switch (ref.kind) {
       case MetricKind::kCounter:
         counter_slots_.push_back({ref.counter,
@@ -165,7 +159,7 @@ void TimeSeriesCollector::Rebuild() {
   }
 }
 
-void TimeSeriesCollector::Sample(sim::Time window_end) {
+void TimeSeriesCollector::Sample() {
   ++windows_;
   const uint64_t version = registry_->version();
   if (version != synced_version_) {
@@ -281,13 +275,6 @@ void TimeSeriesCollector::Sample(sim::Time window_end) {
                         agg.buckets.data(), n, agg.count, 0.99, agg.lo));
     PushTo(agg.cnt, static_cast<double>(agg.count));
   }
-  if (profiler_ != nullptr) {
-    for (const auto& [resource, timeline] : profiler_->timelines()) {
-      Push(resource + "/util_exact", SeriesKind::kLevel,
-           timeline.Utilization(last_sample_time_, window_end));
-    }
-  }
-  last_sample_time_ = window_end;
 }
 
 double TimeSeriesCollector::At(std::string_view key, uint64_t window,
@@ -374,27 +361,6 @@ std::string TimeSeriesJson(const TimeSeriesCollector& collector) {
     out += "]}";
   }
   out += "}}\n";
-  return out;
-}
-
-std::string TimeSeriesCsv(const TimeSeriesCollector& collector) {
-  std::string out = "window,key,value\n";
-  const uint64_t retention =
-      static_cast<uint64_t>(collector.config().retention_windows);
-  char buf[40];
-  for (const auto& [name, index] : collector.series_index()) {
-    const TimeSeriesCollector::SeriesData& s = collector.series_at(index);
-    const uint64_t retained = s.count < retention ? s.count : retention;
-    for (uint64_t p = s.count - retained; p < s.count; ++p) {
-      std::snprintf(buf, sizeof(buf), "%llu,",
-                    static_cast<unsigned long long>(s.first_window + p));
-      out += buf;
-      out += name;
-      out.push_back(',');
-      AppendDouble(&out, s.values[p % retention]);
-      out.push_back('\n');
-    }
-  }
   return out;
 }
 

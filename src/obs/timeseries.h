@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 
@@ -31,13 +30,6 @@ struct TimeSeriesConfig {
   /// — the cluster-wide ForceLog quantiles the SLO-burn rule watches.
   /// At most 32 suffixes (slots track membership in a bitmask).
   std::vector<std::string> aggregate_streaming = {"log/force_latency_us"};
-  /// Registered names with these prefixes are not sampled. Default:
-  /// "process/" — process-wide tallies (dlog::BytesCopied) are shared
-  /// by every cluster in the process, so concurrent TrialRunner trials
-  /// would bleed into each other's windows and break the byte-identity
-  /// guarantee. They remain visible in end-of-run snapshots, which are
-  /// taken when the process is quiescent.
-  std::vector<std::string> exclude_prefixes = {"process/"};
 
   Status Validate() const;
 };
@@ -84,16 +76,12 @@ class TimeSeriesCollector {
   TimeSeriesCollector(const TimeSeriesCollector&) = delete;
   TimeSeriesCollector& operator=(const TimeSeriesCollector&) = delete;
 
-  /// Serial profiled runs only: additionally samples every profiler
-  /// utilization timeline into "<resource>/util_exact" level series.
-  void AttachProfiler(const Profiler* profiler) { profiler_ = profiler; }
-
   const TimeSeriesConfig& config() const { return config_; }
   sim::Duration interval() const { return config_.interval; }
 
-  /// Closes window `windows() + 1` at simulated time `window_end`. The
-  /// harness calls this with the engine quiescent at the window edge.
-  void Sample(sim::Time window_end);
+  /// Closes window `windows() + 1`. The harness calls this with the
+  /// engine quiescent at the window edge.
+  void Sample();
 
   /// Windows sampled so far; the current window index is windows().
   uint64_t windows() const { return windows_; }
@@ -120,7 +108,6 @@ class TimeSeriesCollector {
   const SeriesData& series_at(size_t index) const {
     return series_store_[index];
   }
-  size_t series_count() const { return series_store_.size(); }
 
   /// The value of `key` at window `window`. Level series hold: a
   /// window past the last sampled change reads the held level. Rate and
@@ -188,13 +175,11 @@ class TimeSeriesCollector {
   SeriesData* EnsureSeries(const std::string& key, SeriesKind kind);
   double* EnsurePrevValue(const std::string& key);
   StreamPrev* EnsurePrevStream(const std::string& key);
-  void Push(const std::string& key, SeriesKind kind, double value);
   void PushTo(SeriesData* s, double value);
   void Append(SeriesData* s, double value);
 
   TimeSeriesConfig config_;
   MetricsRegistry* registry_;
-  const Profiler* profiler_ = nullptr;
 
   /// Cached registry enumeration (owns the callback functors the
   /// callback slots point into), rebuilt when the version moves.
@@ -207,7 +192,6 @@ class TimeSeriesCollector {
   uint64_t synced_version_ = UINT64_MAX;
 
   uint64_t windows_ = 0;
-  sim::Time last_sample_time_ = 0;
 
   /// Series and per-source prev state live in deques (stable addresses,
   /// contiguous chunks, allocated in sampling order) with name->index
@@ -231,12 +215,10 @@ class TimeSeriesCollector {
   std::vector<Aggregate> aggregates_;
 };
 
-/// Deterministic serializations of every series, for artifacts and the
-/// byte-identity gates. JSON: {"interval_ns":..., "windows":...,
+/// Deterministic serialization of every series, for artifacts and the
+/// byte-identity gates: {"interval_ns":..., "windows":...,
 /// "series":{name:{"kind":...,"first_window":...,"values":[...]}}}.
-/// CSV: "window,key,value" rows, keys sorted, retained windows only.
 std::string TimeSeriesJson(const TimeSeriesCollector& collector);
-std::string TimeSeriesCsv(const TimeSeriesCollector& collector);
 
 }  // namespace dlog::obs
 

@@ -24,8 +24,8 @@ SpanContext Tracer::Admit(Span span) {
   // Ring mode: hold the open span aside until EndSpan routes it into the
   // recorder. Evict the oldest past the bound — a span whose packet the
   // network dropped never closes and must not leak.
-  if (!open_spans_.empty() &&
-      open_spans_.size() >= recorder_->config().max_open_spans) {
+  constexpr size_t kMaxOpenSpans = 1024;
+  if (open_spans_.size() >= kMaxOpenSpans) {
     open_spans_.erase(open_spans_.begin());
   }
   open_spans_.emplace(ctx.span, std::move(span));

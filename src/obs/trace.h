@@ -73,8 +73,8 @@ class Tracer {
   /// spans are recorded and routed to the recorder but never retained in
   /// spans_ — memory stays bounded by the recorder's rings however long
   /// the run. Open spans wait in a bounded side map until they close
-  /// (kept per Span::node count-agnostic; the oldest are evicted past
-  /// FlightRecorderConfig::max_open_spans). Only flipped while quiescent,
+  /// (kept per Span::node count-agnostic; the oldest are evicted past a
+  /// fixed bound, see Admit). Only flipped while quiescent,
   /// like set_enabled.
   void SetFlightRecorder(FlightRecorder* recorder);
 
@@ -161,7 +161,7 @@ class Tracer {
   std::vector<Span> spans_;
   /// Ring mode only: spans started but not yet ended, keyed by id.
   /// Ordered map: ids are minted monotonically, so begin() is always the
-  /// oldest — eviction past max_open_spans is deterministic.
+  /// oldest — eviction past the bound is deterministic.
   std::map<SpanId, Span> open_spans_;
   std::vector<SpanContext> context_stack_;
 };

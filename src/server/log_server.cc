@@ -6,12 +6,17 @@
 
 namespace dlog::server {
 
+namespace {
+
+/// Section 4.1: "two thousand instructions ... to process the log records
+/// in each message and to copy them to low latency non volatile memory".
+constexpr uint64_t kInstrPerMessage = 2000;
+
+}  // namespace
+
 Status LogServerConfig::Validate() const {
   if (cpu_mips <= 0) {
     return Status::InvalidArgument("cpu_mips must be > 0");
-  }
-  if (nic_ring_slots == 0) {
-    return Status::InvalidArgument("nic_ring_slots must be > 0");
   }
   DLOG_RETURN_IF_ERROR(disk.Validate());
   if (nvram_bytes == 0) {
@@ -21,9 +26,6 @@ Status LogServerConfig::Validate() const {
     return Status::InvalidArgument("flush_interval must be > 0");
   }
   DLOG_RETURN_IF_ERROR(admission.Validate());
-  if (read_reply_budget_bytes == 0) {
-    return Status::InvalidArgument("read_reply_budget_bytes must be > 0");
-  }
   return Status::OK();
 }
 
@@ -49,7 +51,8 @@ LogServer::~LogServer() {
 }
 
 void LogServer::AttachNetwork(net::Network* network) {
-  auto nic = std::make_unique<net::Nic>(sim_, config_.nic_ring_slots);
+  constexpr size_t kNicRingSlots = 32;
+  auto nic = std::make_unique<net::Nic>(sim_, kNicRingSlots);
   network->Attach(config_.node_id, nic.get());
   endpoint_->AttachNetwork(network, nic.get());
   networks_.push_back(network);
@@ -192,7 +195,7 @@ void LogServer::OnMessage(wire::Connection* conn,
     case wire::MessageType::kWriteLog:
     case wire::MessageType::kForceLog:
     case wire::MessageType::kCopyLogReq:
-      extra_instr = config_.instr_per_message;
+      extra_instr = kInstrPerMessage;
       break;
     default:
       break;
@@ -297,9 +300,8 @@ void LogServer::OnDatagram(net::NodeId src, const SharedBytes& payload) {
     return;
   }
   const uint64_t generation = generation_;
-  cpu_->Execute(config_.instr_per_message, [this, src,
-                                            env = *std::move(env),
-                                            generation]() {
+  cpu_->Execute(kInstrPerMessage, [this, src, env = *std::move(env),
+                                    generation]() {
     if (generation != generation_ || !up_) return;
     const ReplyFn reply = [this, src](Bytes message) {
       if (up_) endpoint_->SendDatagram(src, message);
@@ -471,6 +473,8 @@ void LogServer::Handle(const Incoming& in, const wire::ReadLogReq& req) {
   const Lsn start = req.lsn;
   const bool forward = in.env.type == wire::MessageType::kReadLogForwardReq;
   const uint64_t rpc_id = in.env.rpc_id;
+  // Max payload bytes packed into a ReadLogForward/Backward response.
+  constexpr size_t kReadReplyBudgetBytes = 1200;
 
   WithReadLatency(client, start, [this, conn, client, start, forward,
                                   rpc_id]() {
@@ -479,7 +483,7 @@ void LogServer::Handle(const Incoming& in, const wire::ReadLogReq& req) {
     std::vector<SharedBytes> records;
     size_t record_bytes = 0;
     const ClientLogStore* store = FindStore(client);
-    size_t budget = config_.read_reply_budget_bytes;
+    size_t budget = kReadReplyBudgetBytes;
     Lsn lsn = start;
     while (store != nullptr) {
       Result<SharedBytes> rec = store->ReadEncoded(lsn);
@@ -632,12 +636,13 @@ void LogServer::MaybeFlush() {
     }
   }
 
-  cpu_->Execute(config_.instr_per_track_write, [this, generation, track,
-                                                image = std::move(image),
-                                                count,
-                                                track_spans =
-                                                    std::move(track_spans)]()
-                                                   mutable {
+  // Section 4.1: "writing a track to disk requires an additional two
+  // thousand instructions".
+  constexpr uint64_t kInstrPerTrackWrite = 2000;
+  cpu_->Execute(kInstrPerTrackWrite, [this, generation, track,
+                                      image = std::move(image), count,
+                                      track_spans =
+                                          std::move(track_spans)]() mutable {
     if (generation != generation_ || !up_) return;
     SharedBytes data(image, 0, image->size());
     disk_->WriteTrack(

@@ -36,16 +36,9 @@ namespace dlog::server {
 struct LogServerConfig {
   net::NodeId node_id = 0;
   double cpu_mips = 4.0;
-  size_t nic_ring_slots = 32;
   storage::DiskConfig disk;
   /// Battery-backed CMOS group buffer size.
   size_t nvram_bytes = 512 * 1024;
-  /// Section 4.1: "two thousand instructions ... to process the log
-  /// records in each message and to copy them to low latency non volatile
-  /// memory", and "writing a track to disk requires an additional two
-  /// thousand instructions".
-  uint64_t instr_per_message = 2000;
-  uint64_t instr_per_track_write = 2000;
   /// A partially filled track is flushed after this long, bounding NVRAM
   /// occupancy (records are already stable in NVRAM, so this is a
   /// capacity matter, not a durability one).
@@ -61,13 +54,11 @@ struct LogServerConfig {
   /// no battery-backed buffer — ForceLog is acknowledged only after the
   /// records reach the disk, so every force pays rotational latency.
   bool ack_after_disk = false;
-  /// Max payload bytes packed into a ReadLogForward/Backward response.
-  size_t read_reply_budget_bytes = 1200;
   wire::WireConfig wire;
 
   /// OK iff the configuration describes a runnable server (positive CPU,
-  /// nonzero NIC ring, NVRAM at least one track, valid disk geometry,
-  /// shed fraction in (0, 1], ...).
+  /// NVRAM at least one track, valid disk geometry, shed fraction in
+  /// (0, 1], ...).
   Status Validate() const;
 };
 

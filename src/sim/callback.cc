@@ -29,11 +29,6 @@ Slab& slab() {
 
 }  // namespace
 
-CallbackAllocStats& callback_alloc_stats() {
-  thread_local CallbackAllocStats stats;
-  return stats;
-}
-
 void* PoolAllocate(size_t bytes) {
   (void)bytes;  // every pooled block has kPoolBlockBytes capacity
   Slab& s = slab();

@@ -2,26 +2,13 @@
 #define DLOG_SIM_CALLBACK_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace dlog::sim {
 
-/// Allocation statistics for Callback, per thread. The simulator schedules
-/// millions of events per run; these counters let benchmarks prove that
-/// the common captures stay inline (no heap traffic at all) and that the
-/// rest are served from the slab free list instead of the allocator.
-struct CallbackAllocStats {
-  uint64_t inline_constructed = 0;
-  uint64_t pooled_constructed = 0;  // oversize, served from the slab pool
-  uint64_t heap_constructed = 0;    // oversize, slab pool missed (cold)
-};
-
 namespace internal {
-
-CallbackAllocStats& callback_alloc_stats();
 
 /// Thread-local slab pool for callback captures that do not fit inline.
 /// Blocks are a fixed size; anything larger falls back to operator new.
@@ -59,25 +46,21 @@ class Callback {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   Callback(F&& f) {  // NOLINT: implicit, like std::function
     using Fn = std::decay_t<F>;
-    auto& stats = internal::callback_alloc_stats();
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (storage_) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
-      ++stats.inline_constructed;
     } else {
       void* block;
       if (sizeof(Fn) <= internal::kPoolBlockBytes) {
         block = internal::PoolAllocate(sizeof(Fn));
       } else {
         block = ::operator new(sizeof(Fn));
-        ++stats.heap_constructed;
       }
       ::new (block) Fn(std::forward<F>(f));
       *reinterpret_cast<void**>(storage_) = block;
       ops_ = &HeapOps<Fn>::ops;
-      ++stats.pooled_constructed;
     }
   }
 
@@ -111,11 +94,6 @@ class Callback {
   }
 
   explicit operator bool() const { return ops_ != nullptr; }
-
-  /// This thread's allocation tally (benchmarks reset/inspect it).
-  static CallbackAllocStats& alloc_stats() {
-    return internal::callback_alloc_stats();
-  }
 
  private:
   struct Ops {

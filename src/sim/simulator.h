@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "sim/callback.h"
@@ -29,17 +28,6 @@ namespace dlog::sim {
 /// stale EventIds in O(1) — no hashing, and Cancel() of an event that
 /// already ran is detected exactly (the generation has advanced) instead
 /// of poisoning a cancelled-set forever.
-///
-/// Coarse-deadline timers (client retry/force timers, RPC timeouts,
-/// chaos repair events — anything >= ~1 ms out) take a hierarchical
-/// timer-wheel tier instead of the heap: O(1) insertion into a bucketed
-/// calendar, with each bucket flushed wholesale into the heap when the
-/// clock reaches its start. Entries keep their original (time, seq)
-/// keys, so the executed schedule is bit-for-bit the same as a heap-only
-/// build — the wheel only changes *where* a far-out timer waits. The
-/// point is the churn: at thousands of clients most of these timers are
-/// cancelled long before they fire (acks beat timeouts), and a wheeled
-/// timer that dies in its bucket never pays heap sifts at all.
 class Simulator final : public Scheduler {
  public:
   Simulator() = default;
@@ -93,15 +81,6 @@ class Simulator final : public Scheduler {
   /// posts from quiescent ones that must apply inline.
   bool Executing() const { return executing_; }
 
-  /// Toggles the timer-wheel tier (on by default). Disabling while
-  /// timers are wheeled flushes them into the heap — legal at any time,
-  /// and invisible on the executed schedule either way; the toggle
-  /// exists so tests and benches can compare wheel vs heap-only builds.
-  void EnableTimerWheel(bool on);
-  bool timer_wheel_enabled() const { return wheel_enabled_; }
-  /// Entries currently waiting in wheel buckets (live + cancelled).
-  size_t wheel_pending() const { return wheel_ ? wheel_->size : 0; }
-
  private:
   /// A queued event: plain data only — the callback stays in its slot.
   /// `key` packs the schedule-order tie-break (`seq`, the role the public
@@ -132,51 +111,7 @@ class Simulator final : public Scheduler {
     Callback fn;
     uint32_t generation = 0;
     bool cancelled = false;
-    /// Entry waits in a wheel bucket, not the heap: its cancellation is
-    /// counted against the wheel, and PurgeCancelled must not expect to
-    /// find it.
-    bool in_wheel = false;
   };
-
-  /// The timer-wheel calendar: kLevels levels of kBuckets buckets, level
-  /// l bucketing time in widths of 2^(kShift + l*kBucketBits) ns. An
-  /// event at delta >= its level's bucket width lands in a bucket whose
-  /// start is strictly in the future, so flushing buckets as the clock
-  /// reaches their starts never moves time backwards. Deltas under ~1 ms
-  /// or beyond the top level's span stay in the heap. Lazily allocated:
-  /// simulations that never see coarse timers pay one null check.
-  struct Wheel {
-    static constexpr int kShift = 20;      // level-0 bucket ~1.05 ms
-    static constexpr int kBucketBits = 6;  // 64 buckets per level
-    static constexpr int kLevels = 4;      // top span ~4.9 simulated hours
-    static constexpr int kBuckets = 1 << kBucketBits;
-    /// Bit b set iff bucket[l][b] is non-empty.
-    uint64_t occupied[kLevels] = {};
-    std::vector<Entry> bucket[kLevels][kBuckets];
-    size_t size = 0;        // entries across all buckets (incl. cancelled)
-    size_t tombstones = 0;  // cancelled entries still in buckets
-    /// Earliest occupied bucket start (kNoEvent when empty). Always
-    /// > now_: due buckets are flushed before the clock passes them.
-    Time next = std::numeric_limits<Time>::max();
-  };
-
-  /// Wheel level for an event `delta` ahead of now, or -1 for the heap.
-  static int WheelLevel(Duration delta);
-  /// Absolute start of occupied bucket (level, b) — the unique boundary
-  /// with that index in (now_, now_ + span].
-  Time WheelBucketStart(int level, int b) const;
-  /// Moves every bucket starting exactly at wheel_->next into the heap
-  /// (frees cancelled entries) and advances wheel_->next.
-  void FlushDueWheelBuckets();
-  /// Recomputes wheel_->next by scanning the occupancy bitmaps.
-  void RecomputeWheelNext();
-  /// Drops cancelled wheel entries (the wheel-side PurgeCancelled).
-  void PurgeWheel();
-  /// Raw earliest heap time (tombstones included) — a conservative
-  /// horizon for deciding whether a wheel bucket is due.
-  Time HeapTopTime() const {
-    return heap_.empty() ? kNoEvent : heap_.front().time;
-  }
 
   static EventId MakeId(uint32_t slot, uint32_t generation) {
     // slot+1 keeps id 0 unissued.
@@ -214,7 +149,6 @@ class Simulator final : public Scheduler {
 
   Time now_ = 0;
   bool executing_ = false;
-  bool wheel_enabled_ = true;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
   size_t live_events_ = 0;
@@ -222,7 +156,6 @@ class Simulator final : public Scheduler {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  std::unique_ptr<Wheel> wheel_;
 };
 
 /// Replays sequenced posts at the end of their tick in (key, post order)

@@ -1,7 +1,6 @@
 #include "sim/stats.h"
 
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 
 namespace dlog::sim {
@@ -161,15 +160,6 @@ void StreamingHistogram::Clear() {
   max_ = 0;
   bucket_lo_ = kNumBuckets;
   bucket_hi_ = 0;
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-                count(), Mean(), Percentile(0.5), Percentile(0.95),
-                Percentile(0.99), Max());
-  return buf;
 }
 
 }  // namespace dlog::sim

@@ -34,9 +34,6 @@ class Histogram {
   /// aggregation). Merging a histogram into itself doubles every sample.
   void Merge(const Histogram& other);
 
-  /// "n=… mean=… p50=… p95=… max=…" one-line summary.
-  std::string Summary() const;
-
   void Clear() {
     samples_.clear();
     sorted_ = false;

@@ -72,12 +72,9 @@ void SimDisk::WriteTrack(uint64_t track, SharedBytes data,
 
   const uint64_t generation = crash_generation_;
   sim_->At(free_at_, [this, track, data = std::move(data),
-                      done = std::move(done), submitted,
-                      generation]() mutable {
+                      done = std::move(done), generation]() mutable {
     if (generation != crash_generation_) return;  // lost in a crash
     tracks_[track] = std::move(data);
-    write_latency_.Add(
-        sim::DurationToSeconds(sim_->Now() - submitted) * 1e3);  // ms
     if (done) done(Status::OK());
   });
 }

@@ -91,7 +91,6 @@ class SimDisk {
 
   sim::Counter& writes() { return writes_; }
   sim::Counter& reads() { return reads_; }
-  sim::Histogram& write_latency() { return write_latency_; }
 
   /// Per-request timing record for the profiler: when the request was
   /// submitted, when the arm started serving it, and the mechanical
@@ -136,7 +135,6 @@ class SimDisk {
   uint64_t crash_generation_ = 0;
   sim::Counter writes_;
   sim::Counter reads_;
-  sim::Histogram write_latency_;
   RequestProbe request_probe_;
 };
 

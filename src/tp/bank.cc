@@ -7,11 +7,14 @@ namespace {
 
 constexpr size_t kSlotBytes = 8;
 constexpr size_t kHistoryRowBytes = 64;
+/// Padding of the audit record, sized so a default transaction logs
+/// about 700 bytes in 7 records.
+constexpr size_t kAuditPadding = 130;
 
 }  // namespace
 
 BankDb::BankDb(TransactionEngine* engine, const BankConfig& config)
-    : engine_(engine), config_(config), audit_(config.audit_padding, 0xA5) {
+    : engine_(engine), config_(config), audit_(kAuditPadding, 0xA5) {
   const uint32_t slots = SlotsPerPage();
   const PageId account_pages = (config_.accounts + slots - 1) / slots;
   const PageId teller_pages = (config_.tellers + slots - 1) / slots;

@@ -18,9 +18,6 @@ struct BankConfig {
   int accounts = 10000;
   int tellers = 100;
   int branches = 10;
-  /// Padding of the audit record, sized so a default transaction logs
-  /// about 700 bytes in 7 records.
-  size_t audit_padding = 130;
 };
 
 /// The ET1 bank database: fixed arrays of account/teller/branch balances

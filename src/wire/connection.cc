@@ -8,6 +8,14 @@
 
 namespace dlog::wire {
 
+namespace {
+
+/// Section 4.1: "network and RPC implementation processing can be
+/// performed in one thousand instructions per packet".
+constexpr uint64_t kInstructionsPerPacket = 1000;
+
+}  // namespace
+
 // --- ReceivedSeqs ---
 
 bool ReceivedSeqs::Accept(uint64_t seq) {
@@ -61,8 +69,9 @@ void Connection::StartHandshake() {
   ++handshake_attempts_;
   endpoint_->SendFrame(peer_, Endpoint::kSyn, conn_id_, 0, CurrentGrant(),
                        {});
+  constexpr sim::Duration kHandshakeRetry = 200 * sim::kMillisecond;
   handshake_timer_ = endpoint_->simulator()->After(
-      endpoint_->config().handshake_retry, [this]() { HandshakeTimeout(); });
+      kHandshakeRetry, [this]() { HandshakeTimeout(); });
 }
 
 void Connection::HandshakeTimeout() {
@@ -307,7 +316,7 @@ void Endpoint::SendFrame(net::NodeId dst, uint8_t frame_type,
 
   packets_sent_.Increment();
   // Charge the transmission path CPU cost, then hand to a network.
-  cpu_->Execute(config_.instructions_per_packet,
+  cpu_->Execute(kInstructionsPerPacket,
                 [this, dst, frame = std::move(frame), trace, span]() mutable {
                   if (networks_.empty()) return;
                   auto& [network, nic] = networks_[next_network_];
@@ -331,7 +340,7 @@ void Endpoint::SendDatagram(net::NodeId dst, Bytes payload, uint64_t trace,
 void Endpoint::OnNicDeliver(const net::Packet& packet, net::Nic* nic) {
   // Hold the ring slot until the CPU has processed the packet; this is
   // what makes back-to-back bursts overflow small NICs (Section 4.1).
-  cpu_->Execute(config_.instructions_per_packet, [this, packet, nic]() {
+  cpu_->Execute(kInstructionsPerPacket, [this, packet, nic]() {
     ProcessPacket(packet);
     nic->CompleteReceive();
   });

@@ -26,17 +26,13 @@ namespace dlog::wire {
 /// even across a crash of the receiving node), and every packet carries an
 /// allocation implementing moving-window flow control.
 struct WireConfig {
-  /// Section 4.1: "network and RPC implementation processing can be
-  /// performed in one thousand instructions per packet".
-  uint64_t instructions_per_packet = 1000;
   /// Moving-window size, in packets: how much unconsumed allocation each
   /// party tries to keep granted to the other.
   uint64_t window_packets = 16;
   /// Grant refresh threshold: a standalone window-update packet is sent
   /// when the peer's unsent grant lags by at least this many packets.
   uint64_t window_update_threshold = 8;
-  /// Handshake retransmission interval and retry budget.
-  sim::Duration handshake_retry = 200 * sim::kMillisecond;
+  /// Handshake retransmission budget.
   int handshake_max_retries = 10;
   /// "Deadlocks are prevented by allowing either party to exceed its
   /// allocation, so long as it pauses several seconds between packets."

@@ -160,122 +160,56 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.Now(), 100u);
 }
 
-// --- Timer-wheel tier ---
-//
-// Timers at least 2^20 ticks out are staged in wheel buckets instead of
-// the heap; the wheel is schedule-invisible, so everything observable
-// (firing order, firing times, cancellation semantics) must match a
-// heap-only engine exactly.
+// Far timers: from just over 2^20 ns to hours out, they wait in the one
+// heap like any other event.
 
-constexpr Duration kWheelHorizon = Duration{1} << 20;
+constexpr Duration kFar = (Duration{1} << 20) + 1;
+constexpr Duration kHour = 3600 * kSecond;
 
-TEST(TimerWheelTest, FarTimersAreStagedNearTimersAreNot) {
-  Simulator sim;
-  ASSERT_TRUE(sim.timer_wheel_enabled());
-  sim.At(100, []() {});
-  EXPECT_EQ(sim.wheel_pending(), 0u);  // below the horizon: straight to heap
-  sim.At(kWheelHorizon + 5, []() {});
-  EXPECT_EQ(sim.wheel_pending(), 1u);
-}
-
-TEST(TimerWheelTest, WheeledTimersFireInOrderAtExactTimes) {
+TEST(SimulatorTest, FarTimersFireInTimeOrderAtExactTimes) {
   Simulator sim;
   std::vector<std::pair<int, Time>> fired;
-  sim.At(3 * kWheelHorizon + 7, [&]() { fired.push_back({3, sim.Now()}); });
-  sim.At(kWheelHorizon + 5, [&]() { fired.push_back({1, sim.Now()}); });
-  sim.At(2 * kWheelHorizon, [&]() { fired.push_back({2, sim.Now()}); });
+  const Time hours = 3 * kHour + 7;
+  sim.At(hours, [&]() { fired.push_back({4, sim.Now()}); });
+  sim.At(3 * kFar, [&]() { fired.push_back({2, sim.Now()}); });
+  sim.At(kFar, [&]() { fired.push_back({1, sim.Now()}); });
+  sim.At(kSecond, [&]() { fired.push_back({3, sim.Now()}); });
   sim.At(10, [&]() { fired.push_back({0, sim.Now()}); });
   sim.Run();
-  ASSERT_EQ(fired.size(), 4u);
-  EXPECT_EQ(fired[0], (std::pair<int, Time>{0, 10}));
-  EXPECT_EQ(fired[1], (std::pair<int, Time>{1, kWheelHorizon + 5}));
-  EXPECT_EQ(fired[2], (std::pair<int, Time>{2, 2 * kWheelHorizon}));
-  EXPECT_EQ(fired[3], (std::pair<int, Time>{3, 3 * kWheelHorizon + 7}));
-  EXPECT_EQ(sim.wheel_pending(), 0u);
+  EXPECT_EQ(fired, (std::vector<std::pair<int, Time>>{{0, 10},
+                                                      {1, kFar},
+                                                      {2, 3 * kFar},
+                                                      {3, kSecond},
+                                                      {4, hours}}));
 }
 
-TEST(TimerWheelTest, EqualFarTimesFireInScheduleOrder) {
+TEST(SimulatorTest, EqualFarTimesFireInScheduleOrder) {
   Simulator sim;
   std::vector<int> order;
-  const Time t = kWheelHorizon + 123;
-  sim.At(t, [&]() { order.push_back(1); });
-  sim.At(t, [&]() { order.push_back(2); });
-  sim.At(t, [&]() { order.push_back(3); });
+  for (const Time t : {kFar + 123, 2 * kHour}) {
+    for (int i = 0; i < 3; ++i) {
+      sim.At(t, [&order, i]() { order.push_back(i); });
+    }
+  }
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
 }
 
-TEST(TimerWheelTest, CancelledWheeledTimerNeverFires) {
+TEST(SimulatorTest, CancelledFarTimerNeverFires) {
   Simulator sim;
   bool fired = false;
-  EventId id = sim.At(kWheelHorizon + 50, [&]() { fired = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.Cancel(id));  // double-cancel reports failure
-  sim.At(2 * kWheelHorizon, []() {});  // run time past the cancelled slot
+  EventId near_id = sim.At(kFar + 50, [&]() { fired = true; });
+  EventId far_id = sim.At(5 * kHour, [&]() { fired = true; });
+  sim.At(6 * kHour, []() {});  // runs time past both cancelled timers
+  ASSERT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.Cancel(near_id));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Cancel(far_id));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.Cancel(far_id));  // a second cancel reports failure
   sim.Run();
   EXPECT_FALSE(fired);
-}
-
-TEST(TimerWheelTest, DisableFlushesWheelAndPreservesSchedule) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.At(kWheelHorizon + 20, [&]() { order.push_back(2); });
-  sim.At(kWheelHorizon + 10, [&]() { order.push_back(1); });
-  ASSERT_EQ(sim.wheel_pending(), 2u);
-  sim.EnableTimerWheel(false);
-  EXPECT_EQ(sim.wheel_pending(), 0u);  // flushed into the heap
-  EXPECT_FALSE(sim.timer_wheel_enabled());
-  sim.At(kWheelHorizon + 15, [&]() { order.push_back(15); });  // heap now
-  EXPECT_EQ(sim.wheel_pending(), 0u);
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 15, 2}));
-}
-
-TEST(TimerWheelTest, ReenablingResumesStaging) {
-  Simulator sim;
-  sim.EnableTimerWheel(false);
-  sim.At(kWheelHorizon + 1, []() {});
-  EXPECT_EQ(sim.wheel_pending(), 0u);
-  sim.EnableTimerWheel(true);
-  sim.At(kWheelHorizon + 2, []() {});
-  EXPECT_EQ(sim.wheel_pending(), 1u);
-  sim.Run();
-}
-
-TEST(TimerWheelTest, IdenticalExecutionToHeapOnlyOnMixedWorkload) {
-  // A self-rescheduling mix of near and far (later cancelled) timers;
-  // the executed (time, label) sequence must be identical with the
-  // wheel on and off.
-  auto run = [](bool wheel) {
-    Simulator sim;
-    sim.EnableTimerWheel(wheel);
-    std::vector<std::pair<Time, int>> log;
-    struct Chain {
-      Simulator* sim;
-      std::vector<std::pair<Time, int>>* log;
-      int id;
-      int remaining;
-      EventId decoy = 0;
-      void Fire() {
-        log->push_back({sim->Now(), id});
-        if (decoy != 0) sim->Cancel(decoy);
-        if (remaining-- == 0) return;
-        decoy = sim->After(kWheelHorizon + 3 * id, []() {});
-        sim->After(17 + id, [this]() { Fire(); });
-      }
-    };
-    std::vector<Chain> chains;
-    chains.reserve(4);
-    for (int i = 0; i < 4; ++i) {
-      chains.push_back(Chain{&sim, &log, i, 40});
-    }
-    for (auto& c : chains) {
-      sim.At(static_cast<Time>(c.id), [&c]() { c.Fire(); });
-    }
-    sim.Run();
-    return log;
-  };
-  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(sim.Now(), 6 * kHour);
 }
 
 // --- TickSequencer ---

@@ -172,13 +172,13 @@ TEST(TimeSeriesCollectorTest, CounterDeltasAreSparse) {
   TimeSeriesCollector col(UnitConfig(), &reg);
 
   c.Increment(5);
-  col.Sample(1 * sim::kSecond);
+  col.Sample();
   c.Increment(3);
-  col.Sample(2 * sim::kSecond);
-  col.Sample(3 * sim::kSecond);  // idle: nothing stored
-  col.Sample(4 * sim::kSecond);  // idle
+  col.Sample();
+  col.Sample();  // idle: nothing stored
+  col.Sample();  // idle
   c.Increment(7);
-  col.Sample(5 * sim::kSecond);
+  col.Sample();
 
   EXPECT_EQ(col.windows(), 5u);
   EXPECT_EQ(col.At("n/ops", 1), 5.0);
@@ -198,16 +198,16 @@ TEST(TimeSeriesCollectorTest, LevelsSampleAndHold) {
   TimeSeriesCollector col(UnitConfig(), &reg);
 
   g.Set(4);
-  col.Sample(1 * sim::kSecond);
-  col.Sample(2 * sim::kSecond);  // unchanged: not stored
+  col.Sample();
+  col.Sample();  // unchanged: not stored
   g.Set(9);
-  col.Sample(3 * sim::kSecond);
+  col.Sample();
 
   EXPECT_EQ(col.At("n/depth", 1), 4.0);
   EXPECT_EQ(col.At("n/depth", 2), 4.0);  // held, not zero
   EXPECT_EQ(col.At("n/depth", 3), 9.0);
   // Past the last change a level keeps reading the held value...
-  col.Sample(4 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("n/depth", 4), 9.0);
   // ...while a rate series would read zero (see CounterDeltasAreSparse).
 }
@@ -219,7 +219,7 @@ TEST(TimeSeriesCollectorTest, ReRegisteredCounterResetClamps) {
   TimeSeriesCollector col(UnitConfig(), &reg);
 
   first->Increment(100);
-  col.Sample(1 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("n/ops", 1), 100.0);
 
   // Component restart: a fresh counter replaces the old name. The new
@@ -229,7 +229,7 @@ TEST(TimeSeriesCollectorTest, ReRegisteredCounterResetClamps) {
   first.reset();
   reg.RegisterCounter("n/ops", &second);
   second.Increment(7);
-  col.Sample(2 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("n/ops", 2), 7.0);
 }
 
@@ -243,7 +243,7 @@ TEST(TimeSeriesCollectorTest, RetentionEvictsOldWindows) {
 
   for (int w = 1; w <= 3; ++w) {
     c.Increment(static_cast<uint64_t>(w) * 10);
-    col.Sample(w * sim::kSecond);
+    col.Sample();
   }
   EXPECT_EQ(col.At("n/ops", 1, -1.0), -1.0);  // evicted
   EXPECT_EQ(col.At("n/ops", 2), 20.0);
@@ -260,7 +260,7 @@ TEST(TimeSeriesCollectorTest, StreamQuantilesPerWindowAndRestart) {
   TimeSeriesCollector col(UnitConfig(), &reg);
 
   for (int i = 0; i < 10; ++i) first->Record(100);
-  col.Sample(1 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("c1/log/force_latency_us/count", 1), 10.0);
   // Windowed quantiles interpolate inside the landing bucket: within
   // the histogram's 1/16 relative resolution of the exact value.
@@ -271,7 +271,7 @@ TEST(TimeSeriesCollectorTest, StreamQuantilesPerWindowAndRestart) {
               100.0 / 16);
 
   // Quiet window: no quantile values stored, reads fall back to zero.
-  col.Sample(2 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("c1/log/force_latency_us/p99", 2), 0.0);
   EXPECT_EQ(col.At("cluster/log/force_latency_us/count", 2), 0.0);
 
@@ -283,7 +283,7 @@ TEST(TimeSeriesCollectorTest, StreamQuantilesPerWindowAndRestart) {
   first.reset();
   reg.RegisterStreamingHistogram("c1/log/force_latency_us", &second);
   for (int i = 0; i < 4; ++i) second.Record(9000);
-  col.Sample(3 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("c1/log/force_latency_us/count", 3), 4.0);
   const double p99 = col.At("c1/log/force_latency_us/p99", 3);
   EXPECT_NEAR(p99, 9000.0, 9000.0 * 0.07);  // bucket resolution
@@ -298,7 +298,7 @@ TEST(TimeSeriesCollectorTest, ExcludedPrefixesAreNotSampled) {
   reg.RegisterCallback("process/bytes_copied", []() { return 123.0; });
   TimeSeriesCollector col(UnitConfig(), &reg);
   sampled.Increment(1);
-  col.Sample(1 * sim::kSecond);
+  col.Sample();
   EXPECT_EQ(col.At("n/ops", 1), 1.0);
   EXPECT_EQ(col.At("process/bytes_copied", 1, -1.0), -1.0);
   EXPECT_EQ(col.series_index().count("process/bytes_copied"), 0u);
@@ -342,7 +342,7 @@ struct HealthRig {
     busy_b.Increment(b_busy_ns);
     const sim::Time edge =
         static_cast<sim::Time>(col->windows() + 1) * sim::kSecond;
-    col->Sample(edge);
+    col->Sample();
     mon->Evaluate(edge);
   }
 };
@@ -403,13 +403,13 @@ TEST(HealthMonitorTest, SloBurnNeedsMinForces) {
 
   // Slow forces, but below the sample floor: no judgment.
   lat.Record(50'000, 2);
-  col.Sample(1 * sim::kSecond);
+  col.Sample();
   mon.Evaluate(1 * sim::kSecond);
   EXPECT_TRUE(mon.alerts().empty());
 
   // Enough slow forces: fires.
   lat.Record(50'000, 8);
-  col.Sample(2 * sim::kSecond);
+  col.Sample();
   mon.Evaluate(2 * sim::kSecond);
   ASSERT_EQ(mon.alerts().size(), 1u);
   EXPECT_EQ(mon.alerts()[0].rule, "slo_burn");
@@ -430,7 +430,7 @@ TEST(HealthMonitorTest, StarvationWatchesPendingWithoutProgress) {
   mon.AddClientNode("c1");
 
   auto window = [&](sim::Time w) {
-    col.Sample(w * sim::kSecond);
+    col.Sample();
     mon.Evaluate(w * sim::kSecond);
   };
 
