@@ -18,7 +18,8 @@
 //
 // Usage: bench_e17_scale [clients] [servers] [window_seconds]
 // Defaults: 5000 50 5. CI gates a reduced geometry (400 10 2) via
-// tools/bench_diff.py on determinism_ok / committed_txns / events_per_sec;
+// tools/bench_diff.py on determinism_ok / committed_txns / events_per_sec,
+// and pins its plain row's end-state hash with tools/e17_hash_gate.sh;
 // the full-size run is the acceptance configuration. Exit is nonzero on
 // any determinism mismatch. Engine speed varies run to run, so
 // BENCH_E17.json is bench_diff-gated (directional, generous threshold),
