@@ -269,7 +269,7 @@ size_t ClientLogStore::StagedBytes(Epoch epoch) const {
   if (it == staged_.end()) return 0;
   size_t n = 0;
   for (const SharedBytes& r : it->second) {
-    n += r.size() - wire::kRecordFixedBytes + 32;
+    n += kStreamEntryClientBytes + r.size();
   }
   return n;
 }

@@ -179,7 +179,8 @@ class ClientLogStore {
   /// them (StagedBytes).
   Result<std::vector<SharedBytes>> InstallCopies(Epoch epoch);
 
-  /// Total encoded payload bytes staged under `epoch` (capacity checks).
+  /// Bytes the stream entries of the copies staged under `epoch` take in
+  /// the track images: what Append charges to install them all.
   size_t StagedBytes(Epoch epoch) const;
 
   /// Log space management (Section 5.3): discards every record with

@@ -357,6 +357,38 @@ TEST(LogServerTest, CopyLogInstallCopiesFlow) {
   EXPECT_EQ(stored[stored.size() - 2], Rec(9, 4, true, "copy"));
 }
 
+// InstallCopies admits copies by the bytes their stream entries take in
+// NVRAM: copies that exactly fill the space left are installed.
+TEST(LogServerTest, InstallCopiesThatExactlyFillNvramAreInstalled) {
+  const LogRecord stored = Rec(1, 1);
+  const std::vector<LogRecord> copies = {Rec(2, 2, true, "copy"),
+                                         Rec(3, 2, false, "")};
+  auto entry_bytes = [](const LogRecord& r) {
+    return kStreamEntryClientBytes + wire::EncodedRecordSize(r);
+  };
+  LogServerConfig cfg;
+  cfg.nvram_bytes =
+      entry_bytes(stored) + entry_bytes(copies[0]) + entry_bytes(copies[1]);
+  cfg.flush_interval = 60 * sim::kSecond;  // no flushing: NVRAM stays full
+  RawDriver d(cfg);
+  d.SendBatch(wire::MessageType::kForceLog, 1, {stored});
+  ASSERT_EQ(d.server->records_written().value(), 1u);
+
+  d.Send(CopyLogMessage(2, copies, d.next_rpc++));
+  ASSERT_EQ(wire::Decode<wire::CopyLogResp>(
+                d.Last(wire::MessageType::kCopyLogResp)->body)
+                ->status,
+            wire::RpcStatus::kOk);
+  d.Send(wire::Encode(wire::InstallCopiesReq{kClient, 2}, d.next_rpc++));
+  EXPECT_EQ(wire::Decode<wire::InstallCopiesResp>(
+                d.Last(wire::MessageType::kInstallCopiesResp)->body)
+                ->status,
+            wire::RpcStatus::kOk);
+  EXPECT_EQ(d.server->IntervalsOf(kClient),
+            (IntervalList{{1, 1, 1}, {2, 2, 3}}));
+  EXPECT_EQ(d.server->nvram_buffer().used_bytes(), cfg.nvram_bytes);
+}
+
 // A staged copy that conflicts with a stored <LSN, Epoch> fails the whole
 // InstallCopies: none of the call's copies becomes readable or reaches
 // NVRAM.
