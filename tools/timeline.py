@@ -3,15 +3,17 @@
 
 One heatmap per selected series suffix, one row per emitting node,
 columns downsampled to the terminal width; cell brightness is the
-window value on a scale shared by every row of the map, so a skewed
-cluster reads as one bright row above dim ones:
+window value on a scale shared by every row of the map. In E18's skewed
+placement three of six servers carry the load, and the idle three,
+which store no windows, have no row:
 
-    server/cpu/util_exact  63w x 250ms  max=0.87
-    server-1 |▇███████████████████████████████|
-    server-2 |▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂▂▁▂|
+    cpu/busy_ns  63w x 250ms  max=1.055e+08
+    server-1 |▂▅▇▆▇▇▆▇▇▇▆▇▇▇▇▆▇▆▇█▇▇▇▇▆▆▇▆▆▇▆▅|
+    server-2 |▂▄▇▇▆▇▆▇▆▇▇▇██▇▇▆▆▇█▆▆▆▆█▇█▆▇▆▆▆|
+    server-3 |▂▄▇▇▆▇▆▇▇▇▆▇▇▇▇▆▆▆▇▇▆▆▇▇▇▆▇▇▇█▇▆|
 
 Usage:
-    timeline.py E18_series_skewed.json --suffix server/cpu/util_exact \
+    timeline.py E18_series_skewed.json --suffix cpu/busy_ns \
         --suffix log/force_latency_us/p99 [--width 64]
     timeline.py E18_series_skewed.json --list   # see what's available
 
