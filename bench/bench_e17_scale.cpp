@@ -21,7 +21,8 @@
 // tools/bench_diff.py on determinism_ok / committed_txns / events_per_sec,
 // and pins its plain row's end-state hash with tools/e17_hash_gate.sh;
 // the full-size run is the acceptance configuration. Exit is nonzero on
-// any determinism mismatch. Engine speed varies run to run, so
+// any determinism mismatch, and when telemetry sampling takes more than
+// 5% of the sampled fleet's thread CPU. Engine speed varies run to run, so
 // BENCH_E17.json is bench_diff-gated (directional, generous threshold),
 // never byte-compared.
 
@@ -46,8 +47,8 @@ using namespace dlog;
 struct RunResult {
   /// Live telemetry sampling on (obs::TimeSeriesCollector at the
   /// fleet-scale 1 s cadence). Schedule-invisible — the end-state hash
-  /// must still match — and its events/s ratio against the plain run is
-  /// the overhead gate: telemetry must keep >= 95% throughput.
+  /// must still match — and gated on its cost: sampling may take at most
+  /// 5% of the sampled fleet's CPU.
   bool telemetry = false;
   uint64_t committed = 0;
   uint64_t failed = 0;
@@ -207,8 +208,8 @@ int main(int argc, char** argv) {
 
   // Plain run first: peak RSS is a process-wide high-water mark, so only
   // the first cluster's numbers are attributable. The telemetry run
-  // repeats it with live sampling on: same hash, >= 95% of the plain
-  // events/s.
+  // repeats it with live sampling on: same hash, and sampling takes at
+  // most 5% of the sampled fleet's CPU.
   const bool runs[] = {false, true};
 
   std::printf(
@@ -237,14 +238,14 @@ int main(int argc, char** argv) {
     if (r.hash != results[0].hash) deterministic = false;
   }
 
-  // Telemetry-overhead ratio, measured apart from the table rows: a
-  // single run's events/s jitters ~10% with machine load while the
-  // sampling cost itself is a few percent, so independent runs (even
-  // long, even best-of-N) cannot resolve it. Instead hold two live
-  // fleets — identical but for sampling — and alternate one-simulated-
-  // second slices between them: both sides walk the same load phases
-  // within milliseconds of each other, and the ratio of summed walls
-  // cancels the noise that run-level comparisons cannot.
+  // Telemetry overhead, measured apart from the table rows. Hold two
+  // live fleets — identical but for sampling — and alternate one-
+  // simulated-second slices between them. The gate is the share of the
+  // sampled fleet's thread CPU its sampling passes take: each pass is
+  // timed where it runs (Cluster::sampling_cpu_s), so the share does
+  // not move with machine load. The per-round events/s ratio (summed
+  // walls) is reported beside it: wall time jitters with load by more
+  // than the sampling costs, which left a gate on it flaky.
   const int ratio_rounds = std::max(window_seconds, 10);
   std::printf("\nmeasuring telemetry overhead (%d interleaved 1s rounds)\n",
               ratio_rounds);
@@ -252,14 +253,17 @@ int main(int argc, char** argv) {
   Fleet sampled = BuildFleet(/*telemetry=*/true, clients, servers);
   StartFleet(plain);
   StartFleet(sampled);
-  double wall_plain = 0.0, wall_sampled = 0.0;
+  double wall_plain = 0.0, wall_sampled = 0.0, cpu_sampled = 0.0;
+  const double sampling_before = sampled.cluster->sampling_cpu_s();
   std::vector<double> round_ratios;
   round_ratios.reserve(static_cast<size_t>(ratio_rounds));
   for (int round = 0; round < ratio_rounds; ++round) {
     auto t0 = std::chrono::steady_clock::now();
     plain.cluster->RunFor(1 * sim::kSecond);
     auto t1 = std::chrono::steady_clock::now();
+    const double cpu0 = harness::ThreadCpuSeconds();
     sampled.cluster->RunFor(1 * sim::kSecond);
+    cpu_sampled += harness::ThreadCpuSeconds() - cpu0;
     auto t2 = std::chrono::steady_clock::now();
     const double p = std::chrono::duration<double>(t1 - t0).count();
     const double s = std::chrono::duration<double>(t2 - t1).count();
@@ -267,6 +271,9 @@ int main(int argc, char** argv) {
     wall_sampled += s;
     round_ratios.push_back(p / s);
   }
+  const double sampling_cpu =
+      sampled.cluster->sampling_cpu_s() - sampling_before;
+  const double cpu_share = sampling_cpu / cpu_sampled;
   // Both fleets executed the identical event sequence (sampling is
   // schedule-invisible), so each round's events/s ratio is its wall
   // ratio. A background burst lands on one side of one round and skews
@@ -305,6 +312,7 @@ int main(int argc, char** argv) {
     }
     if (r.telemetry) {
       report.SetMetric("telemetry_events_ratio", ratio);
+      report.SetMetric("telemetry_cpu_share", cpu_share);
     }
   }
   Status st = report.WriteJson("BENCH_E17.json");
@@ -323,15 +331,20 @@ int main(int argc, char** argv) {
   }
   std::printf("determinism: end-state identical with telemetry on and "
               "off\n");
-  std::printf("telemetry overhead: %.3fs wall with sampling vs %.3fs "
-              "without over %d interleaved rounds (median events/s ratio "
-              "%.3f)\n",
-              wall_sampled, wall_plain, ratio_rounds, ratio);
-  // Wall-clock, so noisy — but a sampling path that costs more than 5%
-  // is a hot-loop bug, not noise, which is what this gate is for.
-  if (ratio < 0.95) {
-    std::printf("FAIL: telemetry overhead exceeds 5%% (ratio %.3f)\n",
-                ratio);
+  std::printf("telemetry overhead: sampling took %.1f ms of the sampled "
+              "fleet's %.3f s thread CPU over %d interleaved rounds "
+              "(share %.2f%%)\n",
+              sampling_cpu * 1e3, cpu_sampled, ratio_rounds,
+              cpu_share * 100.0);
+  std::printf("  wall: %.3fs with sampling vs %.3fs without (median "
+              "events/s ratio %.3f, information only)\n",
+              wall_sampled, wall_plain, ratio);
+  // A sampling path that costs more than 5% of the fleet is a hot-loop
+  // bug, which is what this gate is for.
+  if (cpu_share > 0.05) {
+    std::printf("FAIL: telemetry sampling takes %.2f%% of the fleet's CPU "
+                "(bound 5%%)\n",
+                cpu_share * 100.0);
     return 1;
   }
   return 0;

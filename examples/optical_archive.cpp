@@ -7,6 +7,7 @@
 // Build & run:  cmake --build build && ./build/examples/optical_archive
 
 #include <cstdio>
+#include <optional>
 
 #include "harness/cluster.h"
 
@@ -44,18 +45,17 @@ int main() {
 
   for (int s = 1; s <= 3; ++s) {
     auto& server = cluster.server(s);
-    const forest::AppendForest* forest = server.ForestOf(1);
+    const std::optional<forest::AppendForest> forest = server.ForestOf(1);
     std::printf(
         "server %d: %3llu tracks appended, %3zu records online, "
         "append-forest %s (%llu nodes)\n",
         s,
         static_cast<unsigned long long>(server.tracks_written().value()),
         server.LiveRecordsOf(1),
-        forest != nullptr && forest->CheckInvariants().ok() ? "consistent"
-                                                            : "(empty)",
-        forest != nullptr
-            ? static_cast<unsigned long long>(forest->size())
-            : 0ULL);
+        forest.has_value() && forest->CheckInvariants().ok() ? "consistent"
+                                                             : "(empty)",
+        forest.has_value() ? static_cast<unsigned long long>(forest->size())
+                           : 0ULL);
   }
 
   // Crash and restart every server: recovery replays the write-once

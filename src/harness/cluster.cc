@@ -1,5 +1,7 @@
 #include "harness/cluster.h"
 
+#include <time.h>
+
 #include <string>
 #include <utility>
 
@@ -184,10 +186,19 @@ void Cluster::RestartClient(int index) {
   slot.node = BuildClient(slot.config);
 }
 
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 void Cluster::SampleWindow() {
+  const double start = ThreadCpuSeconds();
   collector_->Sample();
   if (health_ != nullptr) health_->Evaluate(next_sample_);
   next_sample_ += config_.telemetry.interval;
+  sampling_cpu_s_ += ThreadCpuSeconds() - start;
 }
 
 void Cluster::EngineRunUntil(sim::Time t) {
@@ -217,20 +228,6 @@ void Cluster::SampleWindowsBeforeStep() {
 }
 
 void Cluster::RunFor(sim::Duration d) { EngineRunUntil(Now() + d); }
-
-void Cluster::Run() {
-  if (collector_ == nullptr) {
-    sim_.Run();
-    return;
-  }
-  // Run to exhaustion, window by window. Sampling stops with the last
-  // event: trailing empty windows carry nothing.
-  for (;;) {
-    const sim::Time next = sim_.PeekNextTime();
-    if (next == sim::Simulator::kNoEvent) return;
-    EngineRunUntil(std::max(next, next_sample_));
-  }
-}
 
 bool Cluster::RunUntil(std::function<bool()> fn, sim::Duration timeout) {
   const sim::Time deadline = Now() + timeout;

@@ -101,6 +101,11 @@ struct ClusterConfig {
   Status Validate() const;
 };
 
+/// The calling thread's CPU time so far, in seconds
+/// (CLOCK_THREAD_CPUTIME_ID): host cost that other processes' load does
+/// not inflate.
+double ThreadCpuSeconds();
+
 /// Owns a Simulator, the networks, the log server nodes, the client
 /// nodes, and a chaos::ChaosController for one experiment. Server node
 /// ids are 1..M; client node ids start at 1000.
@@ -119,12 +124,11 @@ class Cluster : public chaos::FaultTargets {
   /// The simulator every node of the cluster schedules on.
   sim::Simulator& sim() { return sim_; }
 
-  /// Clock and run controls. With telemetry enabled, RunFor/Run/RunUntil
-  /// all stop at every telemetry window edge to sample, so series and
+  /// Clock and run controls. With telemetry enabled, RunFor and RunUntil
+  /// both stop at every telemetry window edge to sample, so series and
   /// alerts accumulate live however the experiment drives the clock.
   sim::Time Now() const { return sim_.Now(); }
   void RunFor(sim::Duration d);
-  void Run();
 
   /// The scheduler the client at AddClient index `index` runs on (the
   /// cluster's simulator): where components built outside the cluster
@@ -151,6 +155,10 @@ class Cluster : public chaos::FaultTargets {
   obs::TimeSeriesCollector* telemetry() { return collector_.get(); }
   obs::HealthMonitor* health() { return health_.get(); }
   obs::FlightRecorder* flight_recorder() { return flight_.get(); }
+  /// Host CPU seconds the calling thread has spent sampling telemetry
+  /// windows and evaluating health rules over them: what live telemetry
+  /// costs this cluster's run.
+  double sampling_cpu_s() const { return sampling_cpu_s_; }
 
   /// Injects scheduled or Markov-sampled faults into this cluster.
   chaos::ChaosController& chaos() { return *chaos_; }
@@ -269,6 +277,7 @@ class Cluster : public chaos::FaultTargets {
   std::unique_ptr<obs::HealthMonitor> health_;
   /// End of the next unsampled telemetry window.
   sim::Time next_sample_ = 0;
+  double sampling_cpu_s_ = 0.0;
   net::NodeId next_client_node_ = 1000;
 };
 

@@ -49,11 +49,6 @@ size_t FlightRecorder::RingSize(std::string_view node) const {
   return it == rings_.end() ? 0 : it->second.slots.size();
 }
 
-void FlightRecorder::Clear() {
-  rings_.clear();
-  dumps_.clear();
-}
-
 namespace {
 
 void AppendEscaped(std::string* out, const std::string& s) {

@@ -60,8 +60,6 @@ class FlightRecorder {
   /// Spans currently retained for `node` (0 when unknown).
   size_t RingSize(std::string_view node) const;
 
-  void Clear();
-
  private:
   struct Ring {
     std::vector<Span> slots;

@@ -97,12 +97,4 @@ void Tracer::EndSpan(SpanContext ctx) {
   recorder_->Record(std::move(span));
 }
 
-void Tracer::Clear() {
-  spans_.clear();
-  open_spans_.clear();
-  context_stack_.clear();
-  next_trace_ = 1;
-  next_span_ = 1;
-}
-
 }  // namespace dlog::obs

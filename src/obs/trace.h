@@ -145,8 +145,6 @@ class Tracer {
   const std::vector<Span>& spans() const { return spans_; }
   size_t span_count() const { return spans_.size(); }
 
-  void Clear();
-
  private:
   Span* Find(SpanId id);
   /// Files a freshly started span in spans_ (enabled) or the open-span

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <span>
 #include <utility>
 
 #include "server/track_format.h"
@@ -9,28 +11,60 @@
 namespace dlog::server {
 namespace {
 
-using IndexEntry = ClientLogStore::IndexEntry;
+using Run = ClientLogStore::Run;
 
-/// <LSN, Epoch> key order.
-bool KeyBefore(const IndexEntry& a, const IndexEntry& b) {
+/// <LSN, Epoch> order of the runs' first records.
+bool KeyBefore(const Run& a, const Run& b) {
   return a.lsn != b.lsn ? a.lsn < b.lsn : a.epoch < b.epoch;
+}
+
+/// Offset in `image` of the entry `k` entries past the one at `offset`:
+/// a run's entries lie back to back.
+uint32_t EntryAfter(std::span<const uint8_t> image, uint32_t offset, Lsn k) {
+  for (; k > 0; --k) {
+    offset += static_cast<uint32_t>(
+        kStreamEntryClientBytes +
+        StreamEntryAt(image, offset).record.bytes.size());
+  }
+  return offset;
 }
 
 }  // namespace
 
-void ClientLogStore::Index(Lsn lsn, Epoch epoch, RecordLocation at) {
-  const IndexEntry entry{lsn, epoch, at.track, at.offset, next_pos_++};
-  // Stream writes extend the key order, so the common case is a push at
-  // the tail; a recovery copy landing below the tail takes a sorted
-  // insert.
-  if (index_.empty() || KeyBefore(index_.back(), entry)) {
-    index_.push_back(entry);
+void ClientLogStore::Index(Lsn lsn, Epoch epoch, RecordLocation at,
+                           uint32_t entry_bytes) {
+  const uint32_t pos = next_pos_++;
+  // A stream batch or a batch of installed copies lands back to back in
+  // one image: each record extends the run holding the one before it,
+  // whose last record is the one before it in write order too.
+  Run* tail = tail_ == kNoRun ? nullptr : &runs_[tail_];
+  assert(tail == nullptr || tail->pos + tail->count == pos);
+  if (tail != nullptr && tail->epoch == epoch &&
+      tail->lsn + tail->count == lsn && at == tail_end_ &&
+      tail->count < kMaxRunRecords) {
+    ++tail->count;
   } else {
-    index_.insert(
-        std::upper_bound(index_.begin(), index_.end(), entry, KeyBefore),
-        entry);
+    tail_ = InsertRun(Run{lsn, epoch, at.track, at.offset, pos, 1});
   }
+  tail_end_ = {at.track, at.offset + entry_bytes};
+  ++record_count_;
+  max_key_ = std::max(max_key_, std::make_pair(lsn, epoch));
   ExtendSequences(lsn, epoch);
+}
+
+size_t ClientLogStore::InsertRun(const Run& run) {
+  // Stream writes extend the key order, so the common case is a push at
+  // the back; a recovery copy landing below the tail takes a sorted
+  // insert.
+  size_t i = runs_.size();
+  if (!runs_.empty() && !KeyBefore(runs_.back(), run)) {
+    i = static_cast<size_t>(
+        std::upper_bound(runs_.begin(), runs_.end(), run, KeyBefore) -
+        runs_.begin());
+  }
+  runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i), run);
+  if (tail_ != kNoRun && tail_ >= i) ++tail_;
+  return i;
 }
 
 void ClientLogStore::ExtendSequences(Lsn lsn, Epoch epoch) {
@@ -44,35 +78,58 @@ void ClientLogStore::ExtendSequences(Lsn lsn, Epoch epoch) {
   sequences_.push_back(Interval{epoch, lsn, lsn});
 }
 
-SharedBytes ClientLogStore::EncodingOf(size_t i) const {
-  const IndexEntry& e = index_[i];
-  const SharedBytes image = images_->Image(e.track);
-  const StreamEntryRef entry =
-      StreamEntryAt({image.data(), image.size()}, e.offset);
-  return image.Slice(e.offset + kStreamEntryClientBytes,
-                     entry.record.bytes.size());
+RecordLocation ClientLogStore::LocationIn(const Run& run, Lsn lsn) const {
+  if (lsn == run.lsn) return {run.track, run.offset};
+  const SharedBytes image = images_->Image(run.track);
+  return {run.track,
+          EntryAfter({image.data(), image.size()}, run.offset, lsn - run.lsn)};
+}
+
+SharedBytes ClientLogStore::EncodingOf(const Run& run, Lsn lsn) const {
+  const SharedBytes image = images_->Image(run.track);
+  const std::span<const uint8_t> bytes(image.data(), image.size());
+  const uint32_t offset = EntryAfter(bytes, run.offset, lsn - run.lsn);
+  return image.Slice(offset + kStreamEntryClientBytes,
+                     StreamEntryAt(bytes, offset).record.bytes.size());
+}
+
+size_t ClientLogStore::FirstRunNear(Lsn lsn) const {
+  // Runs are sorted by first LSN, and none spans kMaxRunRecords LSNs.
+  return static_cast<size_t>(
+      std::partition_point(runs_.begin(), runs_.end(),
+                           [lsn](const Run& r) {
+                             return r.lsn + kMaxRunRecords <= lsn;
+                           }) -
+      runs_.begin());
 }
 
 size_t ClientLogStore::IndexOf(Lsn lsn, Epoch epoch) const {
-  const IndexEntry key{lsn, epoch};
-  // Stream writes probe keys past the tail: answer those without a
-  // search.
-  if (index_.empty() || KeyBefore(index_.back(), key)) return index_.size();
-  if (!KeyBefore(key, index_.back())) return index_.size() - 1;
-  auto it = std::lower_bound(index_.begin(), index_.end(), key, KeyBefore);
-  if (it == index_.end() || it->lsn != lsn || it->epoch != epoch) {
-    return index_.size();
+  // Stream writes probe keys past the highest, or the records just
+  // written: answer those without a search.
+  if (max_key_ < std::make_pair(lsn, epoch)) return runs_.size();
+  if (tail_ != kNoRun && runs_[tail_].epoch == epoch &&
+      runs_[tail_].Holds(lsn)) {
+    return tail_;
   }
-  return static_cast<size_t>(it - index_.begin());
+  for (size_t i = FirstRunNear(lsn); i < runs_.size() && runs_[i].lsn <= lsn;
+       ++i) {
+    if (runs_[i].epoch == epoch && runs_[i].Holds(lsn)) return i;
+  }
+  return runs_.size();
 }
 
 size_t ClientLogStore::HighestEpochOf(Lsn lsn) const {
-  // One before the first entry with a larger LSN.
-  auto it = std::partition_point(
-      index_.begin(), index_.end(),
-      [lsn](const IndexEntry& e) { return e.lsn <= lsn; });
-  if (it == index_.begin() || (it - 1)->lsn != lsn) return index_.size();
-  return static_cast<size_t>(it - 1 - index_.begin());
+  // Runs of several epochs may hold the LSN (a copy installed below the
+  // tail): the highest epoch wins.
+  size_t best = runs_.size();
+  for (size_t i = FirstRunNear(lsn); i < runs_.size() && runs_[i].lsn <= lsn;
+       ++i) {
+    if (runs_[i].Holds(lsn) &&
+        (best == runs_.size() || runs_[i].epoch > runs_[best].epoch)) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 ClientLogStore::Placement ClientLogStore::Place(Lsn lsn, Epoch epoch) {
@@ -134,8 +191,10 @@ Status ClientLogStore::Write(const LogRecord& record) {
   }
   const SharedBytes encoded = wire::EncodeRecord(record);
   const size_t existing = IndexOf(record.lsn, record.epoch);
-  if (existing < index_.size()) {
-    if (EncodingOf(existing) == encoded) return Status::OK();  // redelivery
+  if (existing < runs_.size()) {
+    if (EncodingOf(runs_[existing], record.lsn) == encoded) {
+      return Status::OK();  // redelivery
+    }
     return Status::Corruption(
         "different contents for an existing <LSN, Epoch>");
   }
@@ -169,28 +228,53 @@ bool ClientLogStore::Append(const wire::RecordView& record) {
   const std::optional<RecordLocation> at =
       images_->Append(client_, record.bytes);
   if (!at.has_value()) return false;
-  Index(record.lsn, record.epoch, *at);
+  Index(record.lsn, record.epoch, *at,
+        static_cast<uint32_t>(kStreamEntryClientBytes + record.bytes.size()));
   return true;
 }
 
-bool ClientLogStore::Recover(Lsn lsn, Epoch epoch, RecordLocation at) {
-  if (Contains(lsn, epoch)) return false;
-  Index(lsn, epoch, at);
+bool ClientLogStore::Recover(const wire::RecordView& record,
+                             RecordLocation at) {
+  if (Contains(record.lsn, record.epoch)) return false;
+  Index(record.lsn, record.epoch, at,
+        static_cast<uint32_t>(kStreamEntryClientBytes + record.bytes.size()));
   return true;
 }
 
 std::optional<RecordLocation> ClientLogStore::LocationOf(Lsn lsn,
                                                          Epoch epoch) const {
   const size_t i = IndexOf(lsn, epoch);
-  if (i == index_.size()) return std::nullopt;
-  return index_[i].location();
+  if (i == runs_.size()) return std::nullopt;
+  return LocationIn(runs_[i], lsn);
 }
 
 void ClientLogStore::Relocate(Lsn lsn, Epoch epoch, RecordLocation to) {
   const size_t i = IndexOf(lsn, epoch);
-  if (i == index_.size()) return;
-  index_[i].track = to.track;
-  index_[i].offset = to.offset;
+  if (i == runs_.size()) return;
+  // The run splits into the records before this one, this one (now at
+  // `to`) and the records after it.
+  const Run run = runs_[i];
+  const uint32_t k = static_cast<uint32_t>(lsn - run.lsn);
+  const bool tail = i == tail_;
+  const Run moved{lsn, epoch, to.track, to.offset, run.pos + k, 1};
+  Run after = run;
+  after.lsn = lsn + 1;
+  after.pos = run.pos + k + 1;
+  after.count = run.count - k - 1;
+  if (after.count > 0) after.offset = LocationIn(run, after.lsn).offset;
+  // The piece that starts the run keeps its place in key order.
+  if (k > 0) {
+    runs_[i].count = k;
+    InsertRun(moved);
+  } else {
+    runs_[i] = moved;
+  }
+  if (tail) tail_ = kNoRun;
+  if (after.count > 0) {
+    const size_t j = InsertRun(after);
+    // The last record indexed did not move: the next may extend its run.
+    if (tail) tail_ = j;
+  }
 }
 
 Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
@@ -200,23 +284,14 @@ Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
 
 Result<SharedBytes> ClientLogStore::ReadEncoded(Lsn lsn) const {
   const size_t i = HighestEpochOf(lsn);
-  if (i == index_.size()) return Status::NotFound("LSN not stored");
-  return EncodingOf(i);
+  if (i == runs_.size()) return Status::NotFound("LSN not stored");
+  return EncodingOf(runs_[i], lsn);
 }
 
 std::optional<RecordLocation> ClientLogStore::ReadLocation(Lsn lsn) const {
   const size_t i = HighestEpochOf(lsn);
-  if (i == index_.size()) return std::nullopt;
-  return index_[i].location();
-}
-
-void ClientLogStore::AddToForest(uint64_t track, Lsn low, Lsn high) {
-  if (!forest_.empty()) {
-    const Lsn prev_high = forest_.node(forest_.size() - 1).key_high;
-    if (high <= prev_high) return;
-    low = prev_high + 1;
-  }
-  (void)forest_.Append(low, high, track);
+  if (i == runs_.size()) return std::nullopt;
+  return LocationIn(runs_[i], lsn);
 }
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }
@@ -251,8 +326,10 @@ Result<std::vector<SharedBytes>> ClientLogStore::InstallCopies(Epoch epoch) {
     const Lsn lsn = lsn_of(copy);
     const size_t i = IndexOf(lsn, epoch);
     const bool repeat = !installed.empty() && lsn_of(installed.back()) == lsn;
-    if (repeat || i < index_.size()) {
-      if ((repeat ? installed.back() : EncodingOf(i)) == copy) continue;
+    if (repeat || i < runs_.size()) {
+      if ((repeat ? installed.back() : EncodingOf(runs_[i], lsn)) == copy) {
+        continue;
+      }
       return Status::Corruption("conflicting copy for <LSN, Epoch>");
     }
     installed.push_back(std::move(copy));
@@ -281,34 +358,85 @@ size_t ClientLogStore::staged_count() const {
 }
 
 std::vector<LogRecord> ClientLogStore::Records() const {
-  std::vector<size_t> order(index_.size());
-  for (size_t i = 0; i < index_.size(); ++i) order[index_[i].pos] = i;
+  // Each run holds consecutive positions, so the runs in position order
+  // give the records in write order.
+  std::vector<const Run*> order;
+  order.reserve(runs_.size());
+  for (const Run& run : runs_) order.push_back(&run);
+  std::sort(order.begin(), order.end(),
+            [](const Run* a, const Run* b) { return a->pos < b->pos; });
   std::vector<LogRecord> records;
-  records.reserve(order.size());
-  for (size_t i : order) records.push_back(wire::ToLogRecord(EncodingOf(i)));
+  records.reserve(record_count_);
+  for (const Run* run : order) {
+    for (Lsn lsn = run->lsn; lsn < run->lsn + run->count; ++lsn) {
+      records.push_back(wire::ToLogRecord(EncodingOf(*run, lsn)));
+    }
+  }
   return records;
 }
 
 size_t ClientLogStore::TruncateBelow(Lsn below) {
-  // The index is in key order, so the discarded entries are its prefix.
-  const auto kept = std::partition_point(
-      index_.begin(), index_.end(),
-      [below](const IndexEntry& e) { return e.lsn < below; });
-  const size_t removed = static_cast<size_t>(kept - index_.begin());
-  if (removed == 0) return 0;
-  index_.erase(index_.begin(), kept);
-  // Replay the retained records in write order to rebuild the sequence
-  // list, renumbering their positions densely.
-  std::vector<std::pair<uint32_t, IndexEntry*>> order;
-  order.reserve(index_.size());
-  for (IndexEntry& e : index_) order.emplace_back(e.pos, &e);
-  std::sort(order.begin(), order.end());
-  sequences_.clear();
-  next_pos_ = 0;
-  for (const auto& [pos, e] : order) {
-    e->pos = next_pos_++;
-    ExtendSequences(e->lsn, e->epoch);
+  // The runs that start below `below` are a prefix of the key order.
+  const size_t below_end = static_cast<size_t>(
+      std::partition_point(runs_.begin(), runs_.end(),
+                           [below](const Run& r) { return r.lsn < below; }) -
+      runs_.begin());
+  if (below_end == 0) return 0;
+  // Drop the prefix, except for the runs that straddle `below`: trim each
+  // of those to start there, and pack them, in order, at its end.
+  size_t removed = 0;
+  size_t kept_from = below_end;
+  for (size_t i = below_end; i-- > 0;) {
+    Run run = runs_[i];
+    if (!run.Holds(below)) {
+      removed += run.count;
+      continue;
+    }
+    const uint32_t k = static_cast<uint32_t>(below - run.lsn);
+    removed += k;
+    run.offset = LocationIn(run, below).offset;
+    run.lsn = below;
+    run.pos += k;
+    run.count -= k;
+    runs_[--kept_from] = run;
   }
+  runs_.erase(runs_.begin(),
+              runs_.begin() + static_cast<std::ptrdiff_t>(kept_from));
+  // The trimmed runs now start at `below`: sort them in among the kept
+  // runs that start there too (at most one run per epoch).
+  const auto at_below = std::partition_point(
+      runs_.begin() + static_cast<std::ptrdiff_t>(below_end - kept_from),
+      runs_.end(), [below](const Run& r) { return r.lsn == below; });
+  std::sort(runs_.begin(), at_below, KeyBefore);
+  record_count_ -= removed;
+  if (runs_.empty()) max_key_ = {kNoLsn, 0};
+  if (tail_ != kNoRun) {
+    // The run holding the last record indexed, if it was kept.
+    tail_ = kNoRun;
+    for (size_t i = runs_.size(); i-- > 0;) {
+      if (runs_[i].pos + runs_[i].count == next_pos_) {
+        tail_ = i;
+        break;
+      }
+    }
+  }
+  // Clip the interval list in place: intervals wholly below `below` go,
+  // the one straddling it starts at `below`, and neighbours the removal
+  // left adjacent (same epoch, consecutive LSNs) merge, as replaying the
+  // kept records in write order would.
+  size_t n = 0;
+  for (size_t i = 0; i < sequences_.size(); ++i) {
+    Interval interval = sequences_[i];
+    if (interval.high < below) continue;
+    interval.low = std::max(interval.low, below);
+    if (n > 0 && sequences_[n - 1].epoch == interval.epoch &&
+        sequences_[n - 1].high + 1 == interval.low) {
+      sequences_[n - 1].high = interval.high;
+    } else {
+      sequences_[n++] = interval;
+    }
+  }
+  sequences_.resize(n);
   return removed;
 }
 

@@ -10,7 +10,6 @@
 #include "common/log_types.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "forest/append_forest.h"
 #include "server/track_images.h"
 #include "wire/messages.h"
 
@@ -19,8 +18,7 @@ namespace dlog::server {
 /// One client's portion of a log server's state (Section 3.1.1): the
 /// index of its stored records (keyed <LSN, Epoch>, each with a present
 /// flag), the derived interval list, the staging area for recovery-time
-/// copies, the records held past a gap, and the index of its
-/// disk-resident tracks.
+/// copies, and the records held past a gap.
 ///
 /// Semantics enforced here:
 ///  * the stream rule: "Successive records on a log server are written
@@ -38,31 +36,42 @@ namespace dlog::server {
 ///
 /// The records themselves live in the owner's track images (Section
 /// 4.1's merged data stream): the store writes each one there once, as
-/// its stream entry, and keeps only where it sits — the track its image
-/// is (or will be) written to and the entry's offset in it. A LogRecord
-/// is built only when something reads one. The <LSN, Epoch> index is a
-/// sorted vector: stream writes arrive in ascending key order and append
-/// at its tail, so only recovery copies installed below the tail pay for
-/// a sorted insert. The append forest summarizes the client's disk
-/// tracks by LSN range (Section 4.3).
+/// its stream entry, and keeps only where it sits. A LogRecord is built
+/// only when something reads one. The index holds one entry per run of
+/// records written one after another (a stream batch, a batch of
+/// installed copies), sorted by each run's first <LSN, Epoch>: stream
+/// writes arrive in ascending key order and extend the tail run or append
+/// a run, so only recovery copies installed below the tail pay for a
+/// sorted insert. A lookup finds a record's run by binary search and its
+/// entry by walking the run's entries in their image.
 class ClientLogStore {
  public:
   /// Records held past a gap at most; a record arriving when the hold is
   /// full is dropped (the client resends it).
   static constexpr size_t kMaxHeld = 128;
 
-  /// One stored record: its key, where its copy sits (RecordLocation,
-  /// flattened to keep the entry at 32 bytes), and its position in write
-  /// order.
-  struct IndexEntry {
+  /// Records one run holds at most, so that a lookup walks at most
+  /// kMaxRunRecords - 1 entries. A 7-record ET1 stream batch stays whole.
+  static constexpr uint32_t kMaxRunRecords = 16;
+
+  /// One index entry: a run of records with consecutive LSNs of one
+  /// epoch, whose stream entries lie back to back in one track image and
+  /// were written one after another. It holds the first record's key,
+  /// where that record's entry sits (RecordLocation, flattened) and its
+  /// position in write order; the run's i-th record has LSN lsn + i and
+  /// position pos + i.
+  struct Run {
     Lsn lsn = kNoLsn;
     Epoch epoch = 0;
     uint64_t track = 0;
     uint32_t offset = 0;
     uint32_t pos = 0;
+    uint32_t count = 0;
 
-    RecordLocation location() const { return {track, offset}; }
+    /// True if the run holds LSN `l` (at its epoch).
+    bool Holds(Lsn l) const { return l >= lsn && l - lsn < count; }
   };
+  static_assert(sizeof(Run) <= 40);
 
   /// Where Place() puts an arriving stream record.
   enum class Placement {
@@ -123,16 +132,20 @@ class ClientLogStore {
   /// storing nothing, when the images have no room for it.
   bool Append(const wire::RecordView& record);
 
-  /// Indexes a copy the restart scan found at `at`, in stream write
-  /// order. False, indexing nothing, when <lsn, epoch> is already stored.
-  bool Recover(Lsn lsn, Epoch epoch, RecordLocation at);
+  /// Indexes `record`, a copy the restart scan found at `at`, in stream
+  /// write order. False, indexing nothing, when its <LSN, Epoch> is
+  /// already stored.
+  bool Recover(const wire::RecordView& record, RecordLocation at);
 
   /// Where the stored record <lsn, epoch> sits; nullopt if not stored.
   std::optional<RecordLocation> LocationOf(Lsn lsn, Epoch epoch) const;
 
   /// Points the stored record <lsn, epoch> at `to`, another copy of the
   /// same entry (a later track holding it, or its place after the images
-  /// were repacked). No-op when the record is not stored.
+  /// were repacked). No-op when the record is not stored. The record
+  /// leaves its run, which splits around it; finding the records after
+  /// it reads the run's image, so moving the last record of a run reads
+  /// none.
   void Relocate(Lsn lsn, Epoch epoch, RecordLocation to);
 
   /// ServerReadLog: "returns the present flag and log record with highest
@@ -150,14 +163,8 @@ class ClientLogStore {
 
   /// True if a record with this exact <LSN, Epoch> is stored.
   bool Contains(Lsn lsn, Epoch epoch) const {
-    return IndexOf(lsn, epoch) < index_.size();
+    return IndexOf(lsn, epoch) < runs_.size();
   }
-
-  /// Adds disk track `track`, which holds this client's records with
-  /// LSNs in [low, high], to the append forest. Only the part of the
-  /// range past the forest's last node is new: a track of recovery
-  /// copies below it adds nothing.
-  void AddToForest(uint64_t track, Lsn low, Lsn high);
 
   /// The IntervalList operation: maximal runs of consecutive LSNs with
   /// equal epochs, in stream order.
@@ -188,45 +195,62 @@ class ClientLogStore {
   /// their locations. Returns the number of records discarded.
   size_t TruncateBelow(Lsn below);
 
-  /// Highest LSN in the stream (kNoLsn when empty).
-  Lsn HighestLsn() const {
-    return index_.empty() ? kNoLsn : index_.back().lsn;
-  }
+  /// Highest LSN stored (kNoLsn when empty).
+  Lsn HighestLsn() const { return max_key_.first; }
   /// Epoch of the tail sequence (0 when empty).
   Epoch TailEpoch() const;
   /// The LSN that would extend the tail sequence.
   Lsn ExpectedNextLsn() const { return HighestLsn() + 1; }
 
-  size_t record_count() const { return index_.size(); }
+  size_t record_count() const { return record_count_; }
   size_t staged_count() const;
 
   /// All stored records in stream write order, read from their images.
   std::vector<LogRecord> Records() const;
 
-  /// Every stored record's index entry, in ascending <LSN, Epoch> order.
-  const std::vector<IndexEntry>& index() const { return index_; }
-
-  /// The Section 4.3 index over the client's disk tracks.
-  const forest::AppendForest& forest() const { return forest_; }
+  /// Every run, in ascending order of its first <LSN, Epoch>. Runs of
+  /// different epochs may overlap in LSN.
+  const std::vector<Run>& runs() const { return runs_; }
 
  private:
-  /// Indexes <lsn, epoch> at `at`, next in write order, and extends the
-  /// sequence list. Callers only index keys not yet indexed.
-  void Index(Lsn lsn, Epoch epoch, RecordLocation at);
+  /// Index into runs_ meaning "no run".
+  static constexpr size_t kNoRun = ~size_t{0};
+
+  /// Indexes <lsn, epoch>, whose stream entry of `entry_bytes` bytes sits
+  /// at `at`, next in write order, and extends the sequence list. Callers
+  /// only index keys not yet indexed.
+  void Index(Lsn lsn, Epoch epoch, RecordLocation at, uint32_t entry_bytes);
+  /// Inserts `run` at its place in key order; its position in runs_.
+  size_t InsertRun(const Run& run);
   /// Extends the sequence list by the record <lsn, epoch>.
   void ExtendSequences(Lsn lsn, Epoch epoch);
-  /// The wire encoding of index_[i]'s record, a view of its image.
-  SharedBytes EncodingOf(size_t i) const;
-  /// Position in index_ of exactly <lsn, epoch>; index_.size() if absent.
+  /// Where the record of LSN `lsn` in `run` sits.
+  RecordLocation LocationIn(const Run& run, Lsn lsn) const;
+  /// The wire encoding of the record of LSN `lsn` in `run`, a view of its
+  /// image.
+  SharedBytes EncodingOf(const Run& run, Lsn lsn) const;
+  /// Position in runs_ of the run holding exactly <lsn, epoch>;
+  /// runs_.size() if absent.
   size_t IndexOf(Lsn lsn, Epoch epoch) const;
-  /// Position in index_ of the highest epoch stored for `lsn`;
-  /// index_.size() if the LSN is not stored.
+  /// Position in runs_ of the run holding the highest epoch stored for
+  /// `lsn`; runs_.size() if the LSN is not stored.
   size_t HighestEpochOf(Lsn lsn) const;
+  /// Position in runs_ of the first run that may hold `lsn`: every run
+  /// before it ends below `lsn`.
+  size_t FirstRunNear(Lsn lsn) const;
 
   ClientId client_;
   TrackImages* images_;
-  std::vector<IndexEntry> index_;  // ascending <LSN, Epoch>
-  uint32_t next_pos_ = 0;          // write-order position of the next record
+  std::vector<Run> runs_;      // ascending first <LSN, Epoch>
+  size_t record_count_ = 0;    // records the runs hold
+  // The highest <LSN, Epoch> stored; <kNoLsn, 0> when empty.
+  std::pair<Lsn, Epoch> max_key_{kNoLsn, 0};
+  uint32_t next_pos_ = 0;      // write-order position of the next record
+  // The run holding the last record indexed, which the next one may
+  // extend, and where that record's entry ends; kNoRun once the record
+  // moved or was discarded.
+  size_t tail_ = kNoRun;
+  RecordLocation tail_end_;
   // Derived interval list in write order; the last element is the tail.
   std::vector<Interval> sequences_;
   // Wire encodings of the copies staged by epoch, in arrival order.
@@ -235,7 +259,6 @@ class ClientLogStore {
   std::map<Lsn, SharedBytes> held_;
   // The <epoch, LSN> a NewInterval announced, until its record arrives.
   std::optional<std::pair<Epoch, Lsn>> announced_;
-  forest::AppendForest forest_;
 };
 
 }  // namespace dlog::server

@@ -665,7 +665,9 @@ void LogServer::MaybeFlush() {
           tracks_written_.Increment();
           nvram_buffer_->PopFront();
           NoteNvramLevel();
-          IndexTrack(track, TrackView(*image, count));
+          if (!relocate_on_flush_.empty()) {
+            RelocateToTrack(track, TrackView(*image, count));
+          }
           if (config_.ack_after_disk && nvram_buffer_->empty()) {
             std::vector<PendingAck> acks = std::move(pending_acks_);
             pending_acks_.clear();
@@ -687,58 +689,55 @@ void LogServer::MaybeFlush() {
   });
 }
 
-void LogServer::IndexTrack(uint64_t track, const TrackView& entries) {
-  // Each client's LSN range in the track, for its append forest.
-  struct ClientRange {
-    ClientId client;
-    ClientLogStore* store;
-    Lsn low;
-    Lsn high;
-  };
-  std::vector<ClientRange> ranges;
+void LogServer::RelocateToTrack(uint64_t track, const TrackView& entries) {
   for (const StreamEntryRef& e : entries) {
-    const Lsn lsn = e.record.lsn;
-    // Entries arrive in per-batch runs of one client, so searching from
-    // the back finds a run's client at once.
-    auto range = std::find_if(
-        ranges.rbegin(), ranges.rend(),
-        [&e](const ClientRange& r) { return r.client == e.client; });
-    if (range == ranges.rend()) {
-      ranges.push_back({e.client, &StoreOf(e.client), lsn, lsn});
-      range = ranges.rbegin();
+    if (relocate_on_flush_.empty()) return;
+    if (relocate_on_flush_.erase({e.client, e.record.lsn, e.record.epoch}) >
+        0) {
+      StoreOf(e.client).Relocate(e.record.lsn, e.record.epoch,
+                                 {track, static_cast<uint32_t>(e.offset)});
     }
-    range->low = std::min(range->low, lsn);
-    range->high = std::max(range->high, lsn);
-    if (!relocate_on_flush_.empty() &&
-        relocate_on_flush_.erase({e.client, lsn, e.record.epoch}) > 0) {
-      range->store->Relocate(lsn, e.record.epoch,
-                             {track, static_cast<uint32_t>(e.offset)});
-    }
-  }
-  for (const ClientRange& range : ranges) {
-    range.store->AddToForest(track, range.low, range.high);
   }
 }
 
 void LogServer::RepackNvram() {
+  // Which buffered entries are their record's read copy, found while the
+  // images still hold them: a record read from another copy (see
+  // relocate_on_flush_) stays there.
+  std::vector<bool> read_copy;
+  for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
+    for (const StreamEntryRef& e : TrackView(*image.bytes, image.entries)) {
+      const ClientLogStore* store = FindStore(e.client);
+      read_copy.push_back(
+          store != nullptr &&
+          store->LocationOf(e.record.lsn, e.record.epoch) ==
+              RecordLocation{image.track, static_cast<uint32_t>(e.offset)});
+    }
+  }
   // A failed write burned its track number: the images are numbered on
   // from the next one.
+  struct Move {
+    ClientId client;
+    Lsn lsn;
+    Epoch epoch;
+    RecordLocation to;
+  };
+  std::vector<Move> moves;
+  size_t i = 0;
   nvram_buffer_->Repack(
       &StreamEntrySizeAt, next_track_,
-      [this](storage::NvramQueue::Position from,
-             storage::NvramQueue::Position to,
-             std::span<const uint8_t> entry) {
+      [&](storage::NvramQueue::Position, storage::NvramQueue::Position to,
+          std::span<const uint8_t> entry) {
+        if (!read_copy[i++]) return;
         const StreamEntryRef e = StreamEntryAt(entry, 0);
-        const wire::RecordView& r = e.record;
-        ClientLogStore* store = FindStore(e.client);
-        // A record read from another copy (see relocate_on_flush_) stays.
-        const RecordLocation was{from.track,
-                                 static_cast<uint32_t>(from.offset)};
-        if (store != nullptr && store->LocationOf(r.lsn, r.epoch) == was) {
-          store->Relocate(r.lsn, r.epoch,
-                          {to.track, static_cast<uint32_t>(to.offset)});
-        }
+        moves.push_back({e.client, e.record.lsn, e.record.epoch,
+                         {to.track, static_cast<uint32_t>(to.offset)}});
       });
+  // Last to first: each record moved is then the last of its run, so no
+  // run is walked in the images the repack replaced.
+  for (auto it = moves.rbegin(); it != moves.rend(); ++it) {
+    FindStore(it->client)->Relocate(it->lsn, it->epoch, it->to);
+  }
 }
 
 void LogServer::FlushNow() {
@@ -804,26 +803,18 @@ void LogServer::RebuildFromStableStorage() {
   // Scan the log data stream from the start ("a server must scan the end
   // of the log data stream to find the ends of active intervals"; we keep
   // the whole-volume scan, which also rebuilds the record index this
-  // simulation keeps in memory in place of on-demand disk reads), and
-  // index each track as its flush did. A record found in several tracks
-  // keeps its first position in write order and reads from the latest.
-  uint64_t track = 0;
-  while (disk_->IsWritten(track)) {
-    Result<SharedBytes> raw = disk_->Peek(track);
-    assert(raw.ok());
-    Result<TrackView> entries = TrackView::Parse({raw->data(), raw->size()});
-    if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    for (const StreamEntryRef& e : *entries) {
+  // simulation keeps in memory in place of on-demand disk reads). A record
+  // found in several tracks keeps its first position in write order and
+  // reads from the latest.
+  next_track_ = ScanDisk([this](uint64_t track, const TrackView& entries) {
+    for (const StreamEntryRef& e : entries) {
       ClientLogStore& store = StoreOf(e.client);
       const RecordLocation at{track, static_cast<uint32_t>(e.offset)};
-      if (!store.Recover(e.record.lsn, e.record.epoch, at)) {
+      if (!store.Recover(e.record, at)) {
         store.Relocate(e.record.lsn, e.record.epoch, at);
       }
     }
-    IndexTrack(track, *entries);
-    ++track;
-  }
-  next_track_ = track;
+  });
 
   // The NVRAM group buffer survived; replay it after the disk contents.
   // A flush the crash interrupted may have sealed a partly full image, so
@@ -833,7 +824,7 @@ void LogServer::RebuildFromStableStorage() {
   for (const storage::NvramQueue::Image& image : nvram_buffer_->images()) {
     for (const StreamEntryRef& e : TrackView(*image.bytes, image.entries)) {
       const RecordLocation at{image.track, static_cast<uint32_t>(e.offset)};
-      if (!StoreOf(e.client).Recover(e.record.lsn, e.record.epoch, at)) {
+      if (!StoreOf(e.client).Recover(e.record, at)) {
         relocate_on_flush_.insert({e.client, e.record.lsn, e.record.epoch});
       }
     }
@@ -858,9 +849,46 @@ std::vector<LogRecord> LogServer::RecordsOf(ClientId client) const {
   return store == nullptr ? std::vector<LogRecord>{} : store->Records();
 }
 
-const forest::AppendForest* LogServer::ForestOf(ClientId client) const {
-  const ClientLogStore* store = FindStore(client);
-  return store == nullptr ? nullptr : &store->forest();
+uint64_t LogServer::ScanDisk(
+    const std::function<void(uint64_t, const TrackView&)>& fn) const {
+  uint64_t track = 0;
+  for (; disk_->IsWritten(track); ++track) {
+    Result<SharedBytes> raw = disk_->Peek(track);
+    assert(raw.ok());
+    Result<TrackView> entries = TrackView::Parse({raw->data(), raw->size()});
+    if (!entries.ok()) break;  // torn/corrupt track terminates the stream
+    fn(track, *entries);
+  }
+  return track;
+}
+
+std::optional<forest::AppendForest> LogServer::ForestOf(
+    ClientId client) const {
+  if (FindStore(client) == nullptr) return std::nullopt;
+  // Each track adds the client's LSN range in it. Only the part of the
+  // range past the forest's last node is new: a track of recovery copies
+  // below it adds nothing.
+  forest::AppendForest forest;
+  ScanDisk([client, &forest](uint64_t track, const TrackView& entries) {
+    std::optional<std::pair<Lsn, Lsn>> range;
+    for (const StreamEntryRef& e : entries) {
+      if (e.client != client) continue;
+      const Lsn lsn = e.record.lsn;
+      range = range.has_value()
+                  ? std::make_pair(std::min(range->first, lsn),
+                                   std::max(range->second, lsn))
+                  : std::make_pair(lsn, lsn);
+    }
+    if (!range.has_value()) return;
+    auto [low, high] = *range;
+    if (!forest.empty()) {
+      const Lsn prev_high = forest.node(forest.size() - 1).key_high;
+      if (high <= prev_high) return;
+      low = prev_high + 1;
+    }
+    (void)forest.Append(low, high, track);
+  });
+  return forest;
 }
 
 }  // namespace dlog::server

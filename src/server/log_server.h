@@ -71,8 +71,7 @@ struct LogServerConfig {
 ///   * the hosted generator state representatives (Appendix I).
 /// Volatile and rebuilt on Restart() from a scan of the whole disk and
 /// the NVRAM group buffer:
-///   * per-client stores and their append-forest indexes (records held
-///     past a gap are lost),
+///   * per-client stores (records held past a gap are lost),
 ///   * all connection state (clients see resets and reconnect).
 class LogServer {
  public:
@@ -140,8 +139,10 @@ class LogServer {
   IntervalList IntervalsOf(ClientId client) const;
   /// All records stored for `client`, in stream write order.
   std::vector<LogRecord> RecordsOf(ClientId client) const;
-  /// The append-forest indexing `client`'s disk-resident records.
-  const forest::AppendForest* ForestOf(ClientId client) const;
+  /// The append forest (Section 4.3) indexing `client`'s disk tracks by
+  /// LSN range, built by the restart scan's walk of the disk; nullopt
+  /// when the client has no store.
+  std::optional<forest::AppendForest> ForestOf(ClientId client) const;
 
   sim::Cpu& cpu() { return *cpu_; }
   storage::SimDisk& disk() { return *disk_; }
@@ -212,11 +213,15 @@ class LogServer {
   /// Writes full tracks from the NVRAM buffer to disk.
   void MaybeFlush();
   void ScheduleFlushTimer();
-  /// Indexes disk track `track`, whose entries are `entries`: each
-  /// client's append forest gains the LSN range the track adds, and a
-  /// record waiting for this flush to become its read copy
-  /// (relocate_on_flush_) moves here.
-  void IndexTrack(uint64_t track, const TrackView& entries);
+  /// Points each record waiting for this flush to become its read copy
+  /// (relocate_on_flush_) at its entry in disk track `track`, whose
+  /// entries are `entries`.
+  void RelocateToTrack(uint64_t track, const TrackView& entries);
+  /// Calls `fn(track, entries)` for each disk track from track 0 on, and
+  /// stops at the first one not written or not a valid track (a torn or
+  /// corrupt track ends the stream). Returns the number of tracks read.
+  uint64_t ScanDisk(
+      const std::function<void(uint64_t, const TrackView&)>& fn) const;
   /// Replies on `conn` (no-op when down).
   void Reply(wire::Connection* conn, Bytes message);
   /// Serves `fn` after charging the disk read needed for `lsn` (free when

@@ -766,6 +766,8 @@ TEST(LogServerTest, FailedTrackWriteBurnsItsNumberAndRepacks) {
   EXPECT_EQ(d.server->tracks_written().value(), 1u);
   EXPECT_EQ(DiskTracks(*d.server, 1), GreedyTracks(records, 512));
   EXPECT_EQ(ToString(*d.server->disk().Peek(0)), "taken");
+  // Every record reads back from where the repack put it.
+  EXPECT_EQ(d.server->RecordsOf(kClient), records);
 }
 
 // Stored records are views of the track images the disk keeps, not of

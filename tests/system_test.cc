@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "harness/cluster.h"
@@ -385,8 +386,9 @@ TEST(SystemTest, ServerForestIndexesDiskResidentRecords) {
     ASSERT_TRUE(WriteForced(cluster, *c, std::string(120, 'z')).ok());
   }
   cluster.sim().RunFor(sim::kSecond);
-  const forest::AppendForest* forest = cluster.server(1).ForestOf(1);
-  if (forest != nullptr && !forest->empty()) {
+  const std::optional<forest::AppendForest> forest =
+      cluster.server(1).ForestOf(1);
+  if (forest.has_value() && !forest->empty()) {
     EXPECT_TRUE(forest->CheckInvariants().ok());
     // The forest locates a disk-resident record's track.
     Result<forest::AppendForest::Node> node = forest->Find(5);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -179,8 +180,8 @@ TEST(TruncationSystemTest, ReadableRangeFollowsTruncation) {
 std::vector<std::tuple<Lsn, Lsn, uint64_t>> ForestNodes(
     server::LogServer& server) {
   std::vector<std::tuple<Lsn, Lsn, uint64_t>> nodes;
-  const forest::AppendForest* forest = server.ForestOf(1);
-  for (uint64_t i = 0; forest != nullptr && i < forest->size(); ++i) {
+  const std::optional<forest::AppendForest> forest = server.ForestOf(1);
+  for (uint64_t i = 0; forest.has_value() && i < forest->size(); ++i) {
     const forest::AppendForest::Node& n = forest->node(i);
     nodes.emplace_back(n.key_low, n.key_high, n.value);
   }
