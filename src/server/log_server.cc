@@ -856,8 +856,13 @@ uint64_t LogServer::ScanDisk(
     Result<SharedBytes> raw = disk_->Peek(track);
     assert(raw.ok());
     Result<TrackView> entries = TrackView::Parse({raw->data(), raw->size()});
-    if (!entries.ok()) break;  // torn/corrupt track terminates the stream
-    fn(track, *entries);
+    if (entries.ok()) {
+      fn(track, *entries);
+    } else if (!disk_->config().write_once) {
+      break;  // torn/corrupt track terminates the stream
+    }
+    // A write-once track that fails is burned: the flush that met it
+    // moved on to the next track, so the stream continues past it.
   }
   return track;
 }

@@ -218,8 +218,10 @@ class LogServer {
   /// entries are `entries`.
   void RelocateToTrack(uint64_t track, const TrackView& entries);
   /// Calls `fn(track, entries)` for each disk track from track 0 on, and
-  /// stops at the first one not written or not a valid track (a torn or
-  /// corrupt track ends the stream). Returns the number of tracks read.
+  /// stops at the first one not written. A written track that is not a
+  /// valid track ends the stream on a rewritable disk (it is torn or
+  /// corrupt) and is skipped on a write-once disk (it is burned). Returns
+  /// the number of tracks scanned.
   uint64_t ScanDisk(
       const std::function<void(uint64_t, const TrackView&)>& fn) const;
   /// Replies on `conn` (no-op when down).

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -767,6 +768,50 @@ TEST(LogServerTest, FailedTrackWriteBurnsItsNumberAndRepacks) {
   EXPECT_EQ(DiskTracks(*d.server, 1), GreedyTracks(records, 512));
   EXPECT_EQ(ToString(*d.server->disk().Peek(0)), "taken");
   // Every record reads back from where the repack put it.
+  EXPECT_EQ(d.server->RecordsOf(kClient), records);
+}
+
+// On a write-once disk a written track that fails its check is burned,
+// not the end of the stream: the flush that met it moved on to the next
+// track, so a restart scans past it to the tracks written after it.
+TEST(LogServerTest, WriteOnceRestartScansPastABurnedTrack) {
+  LogServerConfig cfg;
+  cfg.disk.write_once = true;
+  cfg.disk.track_bytes = 512;
+  cfg.flush_interval = 60 * sim::kSecond;
+  RawDriver d(cfg);
+  d.server->disk().WriteTrack(0, ToBytes("taken"), nullptr);
+  std::vector<LogRecord> records;
+  for (Lsn l = 1; l <= 8; ++l) {
+    records.push_back(Rec(l, 1, true, std::string(100, 'w')));
+  }
+  const std::vector<LogRecord> first(records.begin(), records.begin() + 4);
+  const std::vector<LogRecord> next(records.begin() + 4, records.end());
+  d.SendBatch(wire::MessageType::kWriteLog, 1, {first[0], first[1]});
+  d.server->FlushNow();  // write-once conflict on track 0
+  d.sim.RunFor(sim::kSecond);
+  d.SendBatch(wire::MessageType::kWriteLog, 1, {first[2], first[3]});
+  ASSERT_EQ(DiskTracks(*d.server, 1), GreedyTracks(first, 512));
+
+  d.server->Crash();
+  d.sim.RunFor(sim::kSecond);
+  d.server->Restart();
+  d.Connect();
+  EXPECT_EQ(d.server->RecordsOf(kClient), first);
+  EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 4}}));
+  const std::optional<forest::AppendForest> forest =
+      d.server->ForestOf(kClient);
+  ASSERT_TRUE(forest.has_value());
+  ASSERT_EQ(forest->size(), 1u);
+  EXPECT_EQ(forest->node(0).key_low, 1u);
+  EXPECT_EQ(forest->node(0).key_high, 4u);
+  EXPECT_EQ(forest->node(0).value, 1u);
+
+  // The stream goes on, and its next track lands past track 1.
+  d.SendBatch(wire::MessageType::kWriteLog, 1, next);
+  d.server->FlushNow();
+  d.sim.RunFor(sim::kSecond);
+  EXPECT_EQ(DiskTracks(*d.server, 2), GreedyTracks(next, 512));
   EXPECT_EQ(d.server->RecordsOf(kClient), records);
 }
 
