@@ -14,7 +14,10 @@
 // A second, small trace-capture run exports the colored Chrome trace
 // with the extracted critical-path lane (E15_trace.json) and prints
 // the per-force latency attribution -- the profiler walkthrough the
-// README documents.
+// README documents. It also runs the trace invariant probes (every
+// ForceLog acknowledged by N servers before it completes, each server's
+// per-client LSN stream monotonic, every span's parent recorded) and
+// exits nonzero on any violation.
 
 #include <algorithm>
 #include <cmath>
@@ -29,6 +32,7 @@
 #include "obs/bench_report.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
+#include "obs/probes.h"
 #include "obs/profiler.h"
 
 namespace {
@@ -165,8 +169,10 @@ Point RunPoint(double tps_per_client) {
 
 /// The small trace-capture run: few clients, short horizon, so the
 /// exported Chrome trace stays browsable. Returns the metrics snapshot
-/// (per-component attribution histograms included) for the report.
-obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report) {
+/// (per-component attribution histograms included) for the report, and
+/// sets `*violations` to the number of trace invariants the run broke.
+obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report,
+                                     size_t* violations) {
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = 3;
   cluster_cfg.tracing = true;
@@ -203,6 +209,14 @@ obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report) {
     std::printf("wrote E15_trace.json (%zu spans, %zu critical paths)\n",
                 cluster.tracer().spans().size(), paths.size());
   }
+
+  // Every client keeps the default N copies.
+  const std::vector<std::string> broken = obs::RunAllProbes(
+      cluster.tracer(), client::LogClientConfig{}.copies);
+  std::printf("trace invariants: %zu violations over %zu spans\n",
+              broken.size(), cluster.tracer().spans().size());
+  for (const std::string& v : broken) std::printf("  %s\n", v.c_str());
+  *violations = broken.size();
 
   std::printf("\n%s\n",
               prof.UtilizationText(0, cluster.sim().Now()).c_str());
@@ -272,7 +286,8 @@ int main() {
   }
 
   std::printf("\ntrace capture (3 clients x 10 TPS, 3 servers, 2s):\n");
-  const obs::MetricsSnapshot snap = TraceCaptureRun(&report);
+  size_t violations = 0;
+  const obs::MetricsSnapshot snap = TraceCaptureRun(&report, &violations);
   report.AddSnapshot("trace_run/", snap);
 
   Status st = report.WriteJson("BENCH_E15.json");
@@ -282,6 +297,11 @@ int main() {
     return 1;
   }
   std::printf("\nwrote BENCH_E15.json (%zu rows)\n", report.rows());
+  if (violations > 0) {
+    std::printf("FAIL: the trace-capture run broke %zu trace invariants\n",
+                violations);
+    return 1;
+  }
   if (!all_ok) {
     std::printf(
         "FAIL: a below-knee point exceeded the +/-%.2f utilization or "
