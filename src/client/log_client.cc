@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <deque>
+#include <optional>
 #include <utility>
 
 #include "epoch/id_generator.h"
@@ -514,8 +516,8 @@ void LogClient::StreamTo(ServerLink* link) {
 void LogClient::Stream(const LinkList& targets, Lsn from, bool to_group) {
   // Is there an outstanding force the targets have not yet acknowledged?
   Lsn force_upto = kNoLsn;
-  for (const ForceWaiter& w : force_waiters_) {
-    force_upto = std::max(force_upto, w.upto);
+  for (size_t i = 0; i < force_waiters_.size(); ++i) {
+    force_upto = std::max(force_upto, force_waiters_[i].upto);
   }
 
   // Grouping (Section 4.1): records stay in the client buffer until a
@@ -892,7 +894,13 @@ Lsn LogClient::TruncateLog(Lsn below) {
     if (link->conn != nullptr) link->conn->Send(encoded);
   }
   view_.TruncateBelow(below);
-  read_cache_.erase(read_cache_.begin(), read_cache_.lower_bound(below));
+  // No truncated LSN may be read back from the read-ahead.
+  for (const wire::RecordView r : read_ahead_) {
+    if (r.lsn < below) {
+      read_ahead_ = {};
+      break;
+    }
+  }
   return below;
 }
 
@@ -1199,9 +1207,13 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     });
     return;
   }
-  auto cit = read_cache_.find(lsn);
-  if (cit != read_cache_.end()) {
-    const LogRecord& rec = cit->second;
+  // A reply may carry one LSN twice; its last copy answers.
+  std::optional<wire::RecordView> ahead;
+  for (const wire::RecordView r : read_ahead_) {
+    if (r.lsn == lsn) ahead = r;
+  }
+  if (ahead.has_value()) {
+    const LogRecord rec = wire::ToLogRecord(read_ahead_.Share(*ahead));
     Result<Bytes> result =
         rec.present ? Result<Bytes>(rec.data.ToBytes())
                     : Result<Bytes>(
@@ -1226,16 +1238,9 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
                done(read.status());
                return;
              }
-             // Cache the packed extra records for future reads. A replay
-             // reads upward, so the lowest LSN is the one least needed.
-             for (const wire::RecordView r : *read) {
-               read_cache_[r.lsn] = wire::ToLogRecord(read->Share(r));
-               if (read_cache_.size() > kReadCacheEntries) {
-                 read_cache_.erase(read_cache_.begin());
-               }
-             }
+             read_ahead_ = std::move(*read);
              const LogRecord rec =
-                 wire::ToLogRecord(read->Share(read->front()));
+                 wire::ToLogRecord(read_ahead_.Share(read_ahead_.front()));
              if (!rec.present) {
                done(Status::NotFound("record marked not present"));
              } else {
@@ -1411,7 +1416,7 @@ void LogClient::Crash() {
   force_ctx_valid_spans_ = 0;
   pending_ = PendingRing();
   unacked_sent_records_ = 0;
-  read_cache_.clear();
+  read_ahead_ = {};
   for (net::NodeId node : write_set_) LeaveWriteSetMember(node);
   write_set_.clear();
   write_links_.clear();

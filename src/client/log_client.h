@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -14,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/log_types.h"
 #include "common/result.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "flow/retry_policy.h"
@@ -135,8 +135,10 @@ class LogClient {
   void ForceLog(Lsn upto, std::function<void(Status)> done);
 
   /// Reads a record via the cached merged view (one ServerReadLog in the
-  /// common case). Errors: OutOfRange beyond end of log, NotFound for
-  /// not-present records, Unavailable/TimedOut when no holder answers.
+  /// common case), or with no RPC from the records still buffered or
+  /// packed into the newest read's reply. Errors: OutOfRange beyond end
+  /// of log, NotFound for not-present records, Unavailable/TimedOut when
+  /// no holder answers.
   void ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done);
 
   /// LSN of the most recently written (possibly still buffered) record.
@@ -488,18 +490,19 @@ class LogClient {
   /// the sent_to/retire transition points so the δ-bound check in the
   /// streaming hot path is O(1) instead of a pending_ sweep.
   size_t unacked_sent_records_ = 0;
-  std::deque<ForceWaiter> force_waiters_;
+  RingQueue<ForceWaiter> force_waiters_;
   /// Cached ForceContext(): the span of the newest force_waiters_ entry
-  /// with a valid span, plus the count of valid spans in the deque
+  /// with a valid span, plus the count of valid spans in the queue
   /// (waiters only ever push at the back and pop at the front, so the
   /// newest valid span changes only on push or on drain-to-zero).
   obs::SpanContext force_ctx_cache_;
   size_t force_ctx_valid_spans_ = 0;
   sim::EventId retry_timer_ = 0;
-  /// Records brought back by ReadLogForward packing; when full, the
-  /// lowest LSN makes room.
-  static constexpr size_t kReadCacheEntries = 4096;
-  std::map<Lsn, LogRecord> read_cache_;
+  /// The read-ahead: the records of the newest ReadLogForward reply, in
+  /// its one buffer. A server packs the records after the one asked for
+  /// into the reply, and a replay reads them next; a ReadLog it cannot
+  /// answer replaces it with the reply that answers the read.
+  wire::RecordRun read_ahead_;
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

@@ -2,7 +2,6 @@
 #define DLOG_WIRE_CONNECTION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/ring_queue.h"
 #include "flow/window.h"
 #include "net/network.h"
 #include "sim/cpu.h"
@@ -171,7 +171,7 @@ class Connection {
   };
   uint64_t next_send_seq_ = 1;
   uint64_t peer_allocation_ = 0;  // highest seq we may send
-  std::deque<Outgoing> send_queue_;
+  RingQueue<Outgoing> send_queue_;
   sim::EventId override_timer_ = 0;
 
   // Adaptive (AIMD) window over outstanding bytes. The peer's allocation

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/log_types.h"
 #include "common/result.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -213,6 +216,45 @@ TEST(Crc32cTest, HardwarePathMatchesPortableTables) {
           << "n=" << n << " start=" << start << " cut=" << cut;
     }
   }
+}
+
+// --- RingQueue ---
+
+// Elements leave in the order they came, while the ring wraps and while
+// it grows with its live elements split across the wrap.
+TEST(RingQueueTest, KeepsFifoOrderAcrossWrapAndGrowth) {
+  RingQueue<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (int depth : {1, 3, 2, 7, 4, 16, 5}) {
+    while (static_cast<int>(q.size()) < depth) q.push_back(next_in++);
+    for (size_t i = 0; i < q.size(); ++i) {
+      EXPECT_EQ(q[i], next_out + static_cast<int>(i));
+    }
+    while (q.size() > 1) {
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.front(), next_out);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push_back(42);
+  EXPECT_EQ(q.front(), 42);
+}
+
+// A pop destroys what its element held, as a deque's does.
+TEST(RingQueueTest, PopReleasesTheElement) {
+  auto held = std::make_shared<int>(7);
+  RingQueue<std::shared_ptr<int>> q;
+  q.push_back(held);
+  q.push_back(nullptr);
+  EXPECT_EQ(held.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(held.use_count(), 1);
+  q.push_back(held);
+  q.clear();
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 // --- Rng ---

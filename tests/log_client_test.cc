@@ -1,6 +1,6 @@
 // Focused unit tests of LogClient behaviours that the system tests only
 // exercise incidentally: the δ bound, grouping thresholds, policies,
-// read caching, and crash semantics.
+// the read-ahead, and crash semantics.
 
 #include <gtest/gtest.h>
 
@@ -164,9 +164,9 @@ TEST(LogClientTest, ReadCacheServesPackedNeighbors) {
   EXPECT_EQ(rpcs_after_all, rpcs_after_first);
 }
 
-// A full read cache evicts its lowest LSN rather than refusing new
-// records, so a replay longer than the cache still reads one packet of
-// records per read RPC instead of one record.
+// Each read RPC brings back a packet of records and the client reads the
+// next ones from it, however long the replay, so a replay reads one
+// packet of records per read RPC instead of one record.
 TEST(LogClientTest, ReadCacheKeepsCachingPastItsCapacity) {
   Cluster cluster(ClusterConfig{});
   auto c = cluster.AddClient();
@@ -199,6 +199,97 @@ TEST(LogClientTest, ReadCacheKeepsCachingPastItsCapacity) {
   const uint64_t before = read_rpcs();
   read(4001, 5000);
   EXPECT_LE(read_rpcs() - before, 150u);
+}
+
+/// Writes `n` records of 100 bytes to `c` and forces them.
+void WriteForced(Cluster& cluster, client::LogClient& c, int n) {
+  Lsn last = kNoLsn;
+  for (int i = 0; i < n; ++i) {
+    last = *c.WriteLog(Bytes(100, static_cast<uint8_t>(i)));
+  }
+  bool forced = false;
+  c.ForceLog(last, [&](Status) { forced = true; });
+  ASSERT_TRUE(cluster.RunUntil([&]() { return forced; }));
+}
+
+/// Reads `lsn` from `c`, running the cluster until the read completes.
+Result<Bytes> ReadSync(Cluster& cluster, client::LogClient& c, Lsn lsn) {
+  Result<Bytes> result = Status::Internal("never");
+  bool done = false;
+  c.ReadLog(lsn, [&](Result<Bytes> r) {
+    result = std::move(r);
+    done = true;
+  });
+  cluster.RunUntil([&]() { return done; });
+  return result;
+}
+
+/// ReadLog RPCs the cluster's servers have served.
+uint64_t ReadRpcs(Cluster& cluster) {
+  uint64_t n = 0;
+  for (int s = 1; s <= cluster.num_servers(); ++s) {
+    n += cluster.server(s).read_rpcs().value();
+  }
+  return n;
+}
+
+/// Reads forward from LSN 1 until a read costs a second RPC; returns the
+/// LSN that read asked for, the first of the newest reply's records
+/// (kNoLsn if no read did).
+Lsn ReadIntoTheSecondReply(Cluster& cluster, client::LogClient& c) {
+  const uint64_t before = ReadRpcs(cluster);
+  for (Lsn lsn = 1; lsn <= c.EndOfLog(); ++lsn) {
+    EXPECT_TRUE(ReadSync(cluster, c, lsn).ok()) << "LSN " << lsn;
+    if (ReadRpcs(cluster) - before == 2) return lsn;
+  }
+  return kNoLsn;
+}
+
+// The client keeps only the newest reply's records: past the first reply,
+// an LSN of the newest one reads with no RPC, and LSN 1, from the first
+// reply, costs one RPC again.
+TEST(LogClientTest, ReadAheadHoldsTheNewestReplyOnly) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  WriteForced(cluster, *c, 100);
+  const Lsn second = ReadIntoTheSecondReply(cluster, *c);
+  ASSERT_GT(second, 2u);  // the first reply packed records after LSN 1
+
+  uint64_t before = ReadRpcs(cluster);
+  const Result<Bytes> ahead = ReadSync(cluster, *c, second + 1);
+  ASSERT_TRUE(ahead.ok());
+  EXPECT_EQ(*ahead, Bytes(100, static_cast<uint8_t>(second)));
+  EXPECT_EQ(ReadRpcs(cluster) - before, 0u);
+
+  before = ReadRpcs(cluster);
+  const Result<Bytes> first = ReadSync(cluster, *c, 1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, Bytes(100, 0));
+  EXPECT_EQ(ReadRpcs(cluster) - before, 1u);
+}
+
+// TruncateLog drops the read-ahead when it holds a truncated LSN, so that
+// LSN is not read back from it, and keeps it when the truncation point
+// lies below it.
+TEST(LogClientTest, TruncateLogDropsAReadAheadHoldingTruncatedRecords) {
+  Cluster cluster(ClusterConfig{});
+  auto c = cluster.AddClient();
+  ASSERT_TRUE(InitSync(cluster, *c).ok());
+  WriteForced(cluster, *c, 100);
+  const Lsn second = ReadIntoTheSecondReply(cluster, *c);
+  ASSERT_GT(second, 2u);
+
+  ASSERT_EQ(c->TruncateLog(second), second);
+  uint64_t before = ReadRpcs(cluster);
+  EXPECT_TRUE(ReadSync(cluster, *c, second + 1).ok());
+  EXPECT_EQ(ReadRpcs(cluster) - before, 0u);
+
+  ASSERT_EQ(c->TruncateLog(second + 1), second + 1);
+  EXPECT_TRUE(ReadSync(cluster, *c, second).status().IsNotFound());
+  before = ReadRpcs(cluster);
+  EXPECT_TRUE(ReadSync(cluster, *c, second + 1).ok());
+  EXPECT_EQ(ReadRpcs(cluster) - before, 1u);
 }
 
 // A record travels whole in one batch, so one whose encoding exceeds
