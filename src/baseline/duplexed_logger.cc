@@ -53,7 +53,7 @@ void DuplexedDiskLogger::MaybeFlush() {
       current.clear();
     }
     // Record boundary: 4-byte length prefix (a simple on-disk framing).
-    Encoder enc(&current);
+    Encoder enc(&current, 4 + rec.size());
     enc.PutBlob(rec);
   }
   if (!current.empty()) tracks.push_back(std::move(current));

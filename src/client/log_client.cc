@@ -164,12 +164,16 @@ void LogClient::RegisterMetrics(obs::MetricsRegistry* registry) const {
                              [this]() { return retry_policy_.tokens(); });
   // The smallest adaptive window across currently-established links: the
   // sweep's view of how hard the AIMD loop is squeezing this client.
+  // With the adaptive window off every window is its initial size, so
+  // the first established link gives the answer.
   registry->RegisterCallback(prefix + "flow/min_window_bytes", [this]() {
+    const bool adaptive = config_.wire.adaptive_window.enabled;
     double min_window = 0.0;
     for (const auto& [node, link] : links_) {
       if (link.conn == nullptr || !link.conn->IsEstablished()) continue;
       const double w = static_cast<double>(link.conn->window_bytes());
       if (min_window == 0.0 || w < min_window) min_window = w;
+      if (!adaptive) break;
     }
     return min_window;
   });
@@ -300,16 +304,16 @@ LogClient::PendingRecord& LogClient::PendingRing::Add(Lsn lsn) {
   base_ = low;
   span_ = high - low;
   PendingRecord& slot = Slot(lsn);
-  if (slot.record.lsn != lsn) ++live_;
+  if (slot.lsn != lsn) ++live_;
   slot = PendingRecord{};
-  slot.record.lsn = lsn;
+  slot.lsn = lsn;
   return slot;
 }
 
 void LogClient::PendingRing::Retire(Lsn lsn) {
   Slot(lsn) = PendingRecord{};
   --live_;
-  while (span_ > 0 && Slot(base_).record.lsn == kNoLsn) {
+  while (span_ > 0 && Slot(base_).lsn == kNoLsn) {
     ++base_;
     --span_;
   }
@@ -322,15 +326,15 @@ Result<Lsn> LogClient::WriteLog(Bytes data) {
   if (!initialized_) {
     return Status::FailedPrecondition("log client not initialized");
   }
-  LogRecord record{next_lsn_, epoch_, /*present=*/true, std::move(data)};
   // A record travels whole in one batch, and batches are packed against
   // mtu_payload: the network would drop a larger one on every send.
-  if (wire::EncodedRecordSize(record) > config_.mtu_payload) {
+  if (wire::kRecordFixedBytes + data.size() > config_.mtu_payload) {
     return Status::InvalidArgument("record larger than one packet");
   }
   PendingRecord& pr = pending_.Add(next_lsn_);
-  pr.record = std::move(record);
-  bytes_buffered_ += pr.record.data.size();
+  pr.epoch = epoch_;
+  pr.data = std::move(data);
+  bytes_buffered_ += pr.data.size();
   if (tracer_ != nullptr) {
     pr.group_span =
         tracer_->StartSpan("wal.group", trace_node_, tracer_->Current());
@@ -539,7 +543,7 @@ void LogClient::Stream(const LinkList& targets, Lsn from, bool to_group) {
     // δ bound: throttle first-time sends so that at most `delta` records
     // can ever be partially written.
     if (pr->sent_to == 0 && unacked_sent >= config_.delta) break;
-    const size_t cost = wire::EncodedRecordSize(pr->record);
+    const size_t cost = pr->encoded_size();
     if (batch.count > 0 && batch.bytes + cost > config_.mtu_payload) {
       send_batch();
     }
@@ -623,7 +627,9 @@ void LogClient::Transmit(const Batch& batch, ServerLink* link,
                                               : wire::MessageType::kWriteLog);
   for (Lsn lsn = batch.first; batch.count > 0 && lsn <= batch.last; ++lsn) {
     const PendingRecord* pr = pending_.Find(lsn);
-    if (pr != nullptr && batch.Takes(*pr)) writer.Add(pr->record);
+    if (pr != nullptr && batch.Takes(*pr)) {
+      writer.Add(pr->lsn, pr->epoch, pr->data);
+    }
   }
   if (link == nullptr) {
     endpoint_->SendDatagram(Group(), writer.Take(), header.trace,
@@ -710,8 +716,8 @@ void LogClient::CheckForceCompletion() {
       holders[n++] = config_.servers[std::countr_zero(acked)];
     }
     std::sort(holders.begin(), holders.begin() + n);
-    view_.NoteWrite(lsn, pr->record.epoch, {holders.data(), n});
-    bytes_buffered_ -= pr->record.data.size();
+    view_.NoteWrite(lsn, pr->epoch, {holders.data(), n});
+    bytes_buffered_ -= pr->data.size();
     if (pr->sent_to != 0) --unacked_sent_records_;
     pending_.Retire(lsn);
   }
@@ -771,7 +777,7 @@ void LogClient::OnMissingInterval(ServerLink* link, Lsn low, Lsn high) {
     if (pr == nullptr) continue;
     if (pr->sent_to == 0) ++unacked_sent_records_;
     pr->sent_to |= link->bit;
-    batch.Add(lsn, wire::EncodedRecordSize(pr->record));
+    batch.Add(lsn, pr->encoded_size());
   }
   resends_.Increment();
   Transmit(batch, link, ForceContext());
@@ -844,7 +850,7 @@ void LogClient::OnRetryTimer() {
     for (Lsn lsn = batch.first; lsn < pending_.end(); ++lsn) {
       const PendingRecord* pr = pending_.Find(lsn);
       if (pr == nullptr || !batch.Takes(*pr)) continue;
-      const size_t cost = wire::EncodedRecordSize(pr->record);
+      const size_t cost = pr->encoded_size();
       if (batch.bytes + cost > config_.mtu_payload) break;
       batch.Add(lsn, cost);
     }
@@ -1201,7 +1207,8 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
   // paper's Section 5.2 motivation: aborts read from the client cache).
   if (const PendingRecord* pr = pending_.Find(lsn)) {
     // User-facing materialization: reads hand back an owned copy.
-    Bytes data = pr->record.data.ToBytes();
+    AddBytesCopied(pr->data.size());
+    Bytes data = pr->data;
     sim_->After(0, [done = std::move(done), data = std::move(data)]() {
       done(data);
     });

@@ -236,8 +236,13 @@ class LogClient {
   };
 
   struct PendingRecord {
-    /// `record.lsn` is kNoLsn in a retired ring slot.
-    LogRecord record;
+    /// kNoLsn in a retired ring slot.
+    Lsn lsn = kNoLsn;
+    Epoch epoch = 0;
+    /// The payload WriteLog was handed, owned here until the record
+    /// retires (a retired slot keeps no buffer). Every batch that carries
+    /// the record encodes it from these bytes.
+    Bytes data;
     /// Servers (ServerLink::bit) the record was streamed to, and those
     /// that acknowledged it.
     uint64_t sent_to = 0;
@@ -246,6 +251,11 @@ class LogClient {
     bool forced = false;
     /// "wal.group" span: client-buffer residency, WriteLog to first send.
     obs::SpanContext group_span;
+
+    /// Bytes of the record's wire encoding.
+    size_t encoded_size() const {
+      return wire::kRecordFixedBytes + data.size();
+    }
   };
 
   /// The records written but not yet acknowledged by N servers, indexed
@@ -266,7 +276,7 @@ class LogClient {
     PendingRecord* Find(Lsn lsn) {
       if (lsn < base_ || lsn >= end()) return nullptr;
       PendingRecord& slot = Slot(lsn);
-      return slot.record.lsn == lsn ? &slot : nullptr;
+      return slot.lsn == lsn ? &slot : nullptr;
     }
     /// A fresh pending record at `lsn` (replacing one already there).
     PendingRecord& Add(Lsn lsn);

@@ -2,6 +2,7 @@
 #define DLOG_COMMON_BYTES_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -24,7 +25,7 @@ using Bytes = std::vector<uint8_t>;
 /// materialization, SharedBytes materialization, and the explicit
 /// persistence copy into stable storage. Not counted: the one
 /// unavoidable serialization pass that first builds a message or disk
-/// image (Encoder appends). Benchmarks reset and diff this around a
+/// image (Encoder writes). Benchmarks reset and diff this around a
 /// workload; the counter is atomic so parallel trial runners can share
 /// it without races.
 uint64_t BytesCopied();
@@ -129,8 +130,33 @@ class SharedBytes {
 };
 
 /// Reads the `width`-byte little-endian integer at `p` (the layout
-/// Encoder writes).
+/// Encoder writes). On a little-endian host each width the codecs use is
+/// one unaligned load; once inlined with a constant width the switch
+/// folds away.
 inline uint64_t LoadLE(const uint8_t* p, size_t width) {
+  if constexpr (std::endian::native == std::endian::little) {
+    switch (width) {
+      case 1:
+        return p[0];
+      case 2: {
+        uint16_t v;
+        std::memcpy(&v, p, 2);
+        return v;
+      }
+      case 4: {
+        uint32_t v;
+        std::memcpy(&v, p, 4);
+        return v;
+      }
+      case 8: {
+        uint64_t v;
+        std::memcpy(&v, p, 8);
+        return v;
+      }
+      default:
+        break;
+    }
+  }
   uint64_t v = 0;
   for (size_t i = 0; i < width; ++i) {
     v |= static_cast<uint64_t>(p[i]) << (8 * i);
@@ -138,28 +164,69 @@ inline uint64_t LoadLE(const uint8_t* p, size_t width) {
   return v;
 }
 
-/// Overwrites the `width`-byte little-endian integer at `p` (a field an
-/// encoding fills in after the bytes that follow it).
+/// Writes `v` as the `width`-byte little-endian integer at `p` (one
+/// unaligned store on a little-endian host, as LoadLE reads).
 inline void StoreLE(uint8_t* p, uint64_t v, size_t width) {
+  if constexpr (std::endian::native == std::endian::little) {
+    switch (width) {
+      case 1:
+        p[0] = static_cast<uint8_t>(v);
+        return;
+      case 2: {
+        const auto w = static_cast<uint16_t>(v);
+        std::memcpy(p, &w, 2);
+        return;
+      }
+      case 4: {
+        const auto w = static_cast<uint32_t>(v);
+        std::memcpy(p, &w, 4);
+        return;
+      }
+      case 8:
+        std::memcpy(p, &v, 8);
+        return;
+      default:
+        break;
+    }
+  }
   for (size_t i = 0; i < width; ++i) {
     p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
-/// Appends fixed-width little-endian integers and length-prefixed blobs to
-/// a Bytes buffer. All dlog on-wire and on-disk encodings go through this.
+namespace internal {
+/// Reports an Encoder write past its declared size and aborts.
+[[noreturn]] void EncoderOverrun(size_t wanted, size_t left);
+}  // namespace internal
+
+/// Writes fixed-width little-endian integers and length-prefixed blobs
+/// into a Bytes buffer. All dlog on-wire and on-disk encodings go through
+/// this. The constructor grows the buffer once, by the exact size of the
+/// encoding the caller computed, and each Put writes through a cursor. A
+/// write past that size means the computed size is wrong: it aborts, in
+/// every build type, rather than write past the buffer.
 class Encoder {
  public:
-  explicit Encoder(Bytes* out) : out_(out) {}
+  /// Appends `size` bytes to `*out`, which the Puts then fill in order.
+  /// `*out` must not change until the encoding is written.
+  Encoder(Bytes* out, size_t size) {
+    const size_t at = out->size();
+    out->resize(at + size);
+    pos_ = out->data() + at;
+    end_ = pos_ + size;
+  }
 
-  void PutU8(uint8_t v) { out_->push_back(v); }
-  void PutU16(uint16_t v) { PutLE(v, 2); }
-  void PutU32(uint32_t v) { PutLE(v, 4); }
-  void PutU64(uint64_t v) { PutLE(v, 8); }
+  /// Declared bytes not yet written.
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
 
-  /// Appends `n` bytes as they are (no length prefix).
+  void PutU8(uint8_t v) { *Take(1) = v; }
+  void PutU16(uint16_t v) { StoreLE(Take(2), v, 2); }
+  void PutU32(uint32_t v) { StoreLE(Take(4), v, 4); }
+  void PutU64(uint64_t v) { StoreLE(Take(8), v, 8); }
+
+  /// Writes `n` bytes as they are (no length prefix).
   void PutRaw(const uint8_t* data, size_t n) {
-    if (n > 0) std::memcpy(Grow(n), data, n);
+    if (n > 0) std::memcpy(Take(n), data, n);
   }
   /// Length-prefixed (u32) byte string.
   void PutBlob(const uint8_t* data, size_t n) {
@@ -173,15 +240,19 @@ class Encoder {
   }
 
  private:
-  /// Extends the buffer by `n` bytes and returns where they start.
-  uint8_t* Grow(size_t n) {
-    const size_t at = out_->size();
-    out_->resize(at + n);
-    return out_->data() + at;
+  /// Advances the cursor past the next `n` bytes and returns where they
+  /// start.
+  uint8_t* Take(size_t n) {
+    if (n > remaining()) [[unlikely]] {
+      internal::EncoderOverrun(n, remaining());
+    }
+    uint8_t* at = pos_;
+    pos_ += n;
+    return at;
   }
-  void PutLE(uint64_t v, size_t width) { StoreLE(Grow(width), v, width); }
 
-  Bytes* out_;
+  uint8_t* pos_;
+  uint8_t* end_;
 };
 
 /// Consumes values previously written by Encoder. All getters return a

@@ -226,22 +226,18 @@ void TimeSeriesCollector::Sample() {
     const size_t hi = slot.src->bucket_hi();
     if (delta_scratch_.size() != n) delta_scratch_.assign(n, 0);
     if (prev.buckets.size() != n) prev.buckets.assign(n, 0);
-    uint64_t dcount;
-    if (ccount < prev.count) {
-      // Reset (restart): the whole current contents are this window,
-      // and the stale previous snapshot is replaced outright — a
-      // leftover count outside the new life's range would otherwise
-      // distort deltas if the new histogram grows into it.
-      dcount = ccount;
-      std::fill(prev.buckets.begin(), prev.buckets.end(), 0);
-      for (size_t b = lo; b <= hi; ++b) delta_scratch_[b] = cur[b];
-    } else {
-      dcount = ccount - prev.count;
-      for (size_t b = lo; b <= hi; ++b) {
-        delta_scratch_[b] = cur[b] - prev.buckets[b];
-      }
+    // Reset (restart): the whole current contents are this window, and
+    // the stale previous snapshot is replaced outright — a leftover count
+    // outside the new life's range would otherwise distort deltas if the
+    // new histogram grows into it.
+    const bool reset = ccount < prev.count;
+    const uint64_t dcount = reset ? ccount : ccount - prev.count;
+    if (reset) std::fill(prev.buckets.begin(), prev.buckets.end(), 0);
+    // One pass takes the window's delta and the new snapshot.
+    for (size_t b = lo; b <= hi; ++b) {
+      delta_scratch_[b] = cur[b] - prev.buckets[b];
+      prev.buckets[b] = cur[b];
     }
-    for (size_t b = lo; b <= hi; ++b) prev.buckets[b] = cur[b];
     prev.count = ccount;
     PushTo(slot.p50,
            sim::StreamingHistogram::PercentileFromCounts(

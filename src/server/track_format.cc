@@ -17,12 +17,14 @@ const uint8_t* FixedFieldsAt(std::span<const uint8_t> bytes, size_t pos) {
 
 void AppendStreamEntry(Bytes* image, ClientId client,
                        std::span<const uint8_t> record) {
-  Encoder enc(image);
-  enc.PutU32(client);
   // Persistence is where a record's bytes leave the shared wire buffer
   // for a stable-storage image — the one copy the zero-copy path keeps.
+  // Counted first: the counter's atomic add would otherwise wait for the
+  // entry's stores into the image to drain.
   AddBytesCopied(record.size() - wire::kRecordFixedBytes);
-  image->insert(image->end(), record.begin(), record.end());
+  Encoder enc(image, kStreamEntryClientBytes + record.size());
+  enc.PutU32(client);
+  enc.PutRaw(record.data(), record.size());
 }
 
 void FinishTrackImage(Bytes* image, uint32_t count) {

@@ -7,8 +7,7 @@ Bytes EncodeWalRecord(WalType type, TxnId txn, PageId page, uint32_t offset,
                       std::span<const uint8_t> undo) {
   Bytes out;
   // type, txn, page, offset, update_lsn, then two length-prefixed images.
-  out.reserve(1 + 8 + 4 + 4 + 8 + 4 + redo.size() + 4 + undo.size());
-  Encoder enc(&out);
+  Encoder enc(&out, 1 + 8 + 4 + 4 + 8 + 4 + redo.size() + 4 + undo.size());
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutU64(txn);
   enc.PutU32(page);

@@ -1,6 +1,7 @@
 #include "wire/connection.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -86,10 +87,15 @@ void Connection::HandshakeTimeout() {
 
 void Connection::Send(Bytes payload, uint64_t trace, uint64_t span) {
   if (state_ == State::kClosed) return;
-  // Make room for the frame trailer now so framing at flush time appends
-  // in place without reallocating (and so without copying the payload).
+  // Make room for the frame trailer now so framing appends in place
+  // without reallocating (and so without copying the payload).
   payload.reserve(payload.size() + kFrameTrailerBytes);
-  send_queue_.push_back({std::move(payload), trace, span});
+  if (send_queue_.empty() && MaySend(payload.size())) {
+    // Nothing waits ahead of it: skip the queue.
+    SendData({std::move(payload), trace, span});
+  } else {
+    send_queue_.push_back({std::move(payload), trace, span});
+  }
   TryFlush();
 }
 
@@ -126,18 +132,26 @@ void Connection::NoteOverload() {
   window_.OnCongestion(endpoint_->simulator()->Now());
 }
 
+bool Connection::MaySend(size_t bytes) const {
+  return state_ == State::kEstablished && next_send_seq_ <= peer_allocation_ &&
+         window_.Allows(bytes_in_flight_, bytes);
+}
+
+void Connection::SendData(Outgoing out) {
+  const uint64_t seq = next_send_seq_++;
+  RecordInflight(seq, out.payload.size());
+  endpoint_->SendFrame(peer_, Endpoint::kData, conn_id_, seq, CurrentGrant(),
+                       std::move(out.payload), out.trace, out.span);
+  last_advertised_grant_ = CurrentGrant();
+}
+
 void Connection::TryFlush() {
   if (state_ != State::kEstablished) return;
-  while (!send_queue_.empty() && next_send_seq_ <= peer_allocation_ &&
-         window_.Allows(bytes_in_flight_, send_queue_.front().payload.size())) {
+  while (!send_queue_.empty() &&
+         MaySend(send_queue_.front().payload.size())) {
     Outgoing out = std::move(send_queue_.front());
     send_queue_.pop_front();
-    const uint64_t seq = next_send_seq_++;
-    RecordInflight(seq, out.payload.size());
-    endpoint_->SendFrame(peer_, Endpoint::kData, conn_id_, seq,
-                         CurrentGrant(), std::move(out.payload), out.trace,
-                         out.span);
-    last_advertised_grant_ = CurrentGrant();
+    SendData(std::move(out));
   }
   if (!send_queue_.empty()) {
     ArmOverrideTimer();
@@ -160,12 +174,7 @@ void Connection::ArmOverrideTimer() {
         // pause; the receiver may drop it if genuinely overrun.
         Outgoing out = std::move(send_queue_.front());
         send_queue_.pop_front();
-        const uint64_t seq = next_send_seq_++;
-        RecordInflight(seq, out.payload.size());
-        endpoint_->SendFrame(peer_, Endpoint::kData, conn_id_, seq,
-                             CurrentGrant(), std::move(out.payload),
-                             out.trace, out.span);
-        last_advertised_grant_ = CurrentGrant();
+        SendData(std::move(out));
         if (!send_queue_.empty()) ArmOverrideTimer();
       });
 }
@@ -255,6 +264,30 @@ void Connection::Close() {
   if (close_handler_) close_handler_();
 }
 
+// --- ConnectionTable ---
+
+void ConnectionTable::Insert(uint64_t id, Connection* conn) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Rehash into a table twice as large.
+    std::vector<Slot> old = std::move(slots_);
+    const size_t capacity = std::max<size_t>(8, 2 * old.size());
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& slot : old) {
+      if (slot.conn != nullptr) Place(slot.id, slot.conn);
+    }
+  }
+  Place(id, conn);
+  ++size_;
+}
+
+void ConnectionTable::Place(uint64_t id, Connection* conn) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  while (slots_[i].conn != nullptr) i = (i + 1) & mask;
+  slots_[i] = {id, conn};
+}
+
 // --- Endpoint ---
 
 Endpoint::Endpoint(sim::Scheduler* sim, sim::Cpu* cpu, net::NodeId id,
@@ -277,25 +310,32 @@ uint64_t Endpoint::NewConnectionId() {
          conn_counter_;
 }
 
+Connection* Endpoint::AddConnection(net::NodeId peer, uint64_t conn_id,
+                                    bool initiator) {
+  connections_.push_back(std::unique_ptr<Connection>(
+      new Connection(this, peer, conn_id, initiator)));
+  Connection* conn = connections_.back().get();
+  by_id_.Insert(conn_id, conn);
+  return conn;
+}
+
 Connection* Endpoint::Connect(net::NodeId peer) {
-  const uint64_t conn_id = NewConnectionId();
-  auto conn = std::unique_ptr<Connection>(
-      new Connection(this, peer, conn_id, /*initiator=*/true));
-  Connection* raw = conn.get();
-  connections_[conn_id] = std::move(conn);
-  raw->StartHandshake();
-  return raw;
+  Connection* conn = AddConnection(peer, NewConnectionId(),
+                                   /*initiator=*/true);
+  conn->StartHandshake();
+  return conn;
 }
 
 void Endpoint::Crash() {
   // Volatile connection state is lost; the incarnation (modeling a tiny
   // stable counter) ensures packets from the previous life are rejected
   // as addressing unknown connections.
-  for (auto& [id, conn] : connections_) {
+  for (const std::unique_ptr<Connection>& conn : connections_) {
     conn->state_ = Connection::State::kClosed;
     if (conn->handshake_timer_ != 0) sim_->Cancel(conn->handshake_timer_);
     if (conn->override_timer_ != 0) sim_->Cancel(conn->override_timer_);
   }
+  by_id_.Clear();
   connections_.clear();
   ++incarnation_;
   conn_counter_ = 0;
@@ -310,7 +350,7 @@ void Endpoint::SendFrame(net::NodeId dst, uint8_t frame_type,
   const FrameTrailer trailer{frame_type, conn_id, seq, alloc,
                              static_cast<uint32_t>(payload.size())};
   payload.reserve(payload.size() + kFrameTrailerBytes);
-  Encoder enc(&payload);
+  Encoder enc(&payload, kFrameTrailerBytes);
   fields::PutAll(&enc, trailer);
   SharedBytes frame(std::move(payload));
 
@@ -370,18 +410,15 @@ void Endpoint::ProcessPacket(const net::Packet& packet) {
     return;
   }
 
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) {
+  Connection* conn = by_id_.Find(conn_id);
+  if (conn == nullptr) {
     if (frame_type == kSyn) {
       // Passive open.
-      auto conn = std::unique_ptr<Connection>(
-          new Connection(this, packet.src, conn_id, /*initiator=*/false));
-      Connection* raw = conn.get();
-      raw->peer_allocation_ = frame->alloc;
-      connections_[conn_id] = std::move(conn);
-      SendFrame(packet.src, kSynAck, conn_id, 0, raw->CurrentGrant(), {});
-      raw->last_advertised_grant_ = raw->CurrentGrant();
-      if (accept_handler_) accept_handler_(raw);
+      conn = AddConnection(packet.src, conn_id, /*initiator=*/false);
+      conn->peer_allocation_ = frame->alloc;
+      SendFrame(packet.src, kSynAck, conn_id, 0, conn->CurrentGrant(), {});
+      conn->last_advertised_grant_ = conn->CurrentGrant();
+      if (accept_handler_) accept_handler_(conn);
     } else if (frame_type != kReset) {
       // Unknown connection (e.g., we crashed): tell the peer.
       SendFrame(packet.src, kReset, conn_id, 0, 0, {});
@@ -389,7 +426,6 @@ void Endpoint::ProcessPacket(const net::Packet& packet) {
     return;
   }
 
-  Connection* conn = it->second.get();
   if (frame_type == kReset) {
     conn->Close();
     return;

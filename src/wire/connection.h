@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -104,13 +103,15 @@ class Connection {
   /// exhaustion, local crash).
   void SetCloseHandler(CloseHandler h) { close_handler_ = std::move(h); }
 
-  /// Queues a payload for transmission. Transmission respects the peer's
-  /// allocation; when out of allocation the packet waits, and after
-  /// `allocation_override_delay` one packet is sent anyway (the deadlock-
-  /// prevention rule). Sending on a closed connection is a silent no-op
-  /// (the close handler has already fired). `trace`/`span` are optional
-  /// obs span ids stamped on the outgoing packet so the network's packet
-  /// probe can attribute its queueing and transmission time (0 = untraced).
+  /// Sends a payload. Transmission respects the peer's allocation: a
+  /// payload goes out at once when nothing waits and the allocation has
+  /// room, and otherwise waits behind the others; after
+  /// `allocation_override_delay` without progress one waiting packet is
+  /// sent anyway (the deadlock-prevention rule). Sending on a closed
+  /// connection is a silent no-op (the close handler has already fired).
+  /// `trace`/`span` are optional obs span ids stamped on the outgoing
+  /// packet so the network's packet probe can attribute its queueing and
+  /// transmission time (0 = untraced).
   void Send(Bytes payload, uint64_t trace = 0, uint64_t span = 0);
 
   bool IsEstablished() const { return state_ == State::kEstablished; }
@@ -135,6 +136,14 @@ class Connection {
 
   enum class State { kSynSent, kSynReceived, kEstablished, kClosed };
 
+  // A payload to send. Waiting payloads keep their span identity so
+  // attribution still works for packets that waited on allocation.
+  struct Outgoing {
+    Bytes payload;
+    uint64_t trace = 0;
+    uint64_t span = 0;
+  };
+
   Connection(Endpoint* endpoint, net::NodeId peer, uint64_t conn_id,
              bool initiator);
 
@@ -142,7 +151,16 @@ class Connection {
   void HandshakeTimeout();
   void OnFrame(uint8_t frame_type, uint64_t seq, uint64_t alloc,
                const SharedBytes& payload);
+  /// Sends waiting payloads while the allocation allows, then arms the
+  /// override timer if any still wait and cancels it otherwise.
   void TryFlush();
+  /// Whether a payload of `bytes` may go out now: the connection is
+  /// established and the peer's allocation and the adaptive window have
+  /// room for it.
+  bool MaySend(size_t bytes) const;
+  /// Frames `out` as the next DATA seq and hands it to the endpoint: the
+  /// one send path of Send, TryFlush and the allocation override.
+  void SendData(Outgoing out);
   /// Folds a peer allocation into `peer_allocation_` and, when it
   /// advances, credits the adaptive window with the bytes the advance
   /// acknowledges.
@@ -162,13 +180,7 @@ class Connection {
   bool initiator_;
   State state_;
 
-  // Send side. Queued payloads keep their span identity so attribution
-  // still works for packets that waited on allocation.
-  struct Outgoing {
-    Bytes payload;
-    uint64_t trace = 0;
-    uint64_t span = 0;
-  };
+  // Send side.
   uint64_t next_send_seq_ = 1;
   uint64_t peer_allocation_ = 0;  // highest seq we may send
   RingQueue<Outgoing> send_queue_;
@@ -200,6 +212,46 @@ class Connection {
   CloseHandler close_handler_;
 
   sim::Counter duplicates_dropped_;
+};
+
+/// An endpoint's connections by id: an open-addressed table of (id,
+/// connection) pairs stored inline, probed linearly and kept at most half
+/// full, so a lookup reads one or two adjacent slots. An endpoint only
+/// adds connections until it crashes, and a crash clears the table, so
+/// nothing is ever erased from it.
+class ConnectionTable {
+ public:
+  /// The connection with this id, or nullptr.
+  Connection* Find(uint64_t id) const {
+    if (slots_.empty()) return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(id);; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.conn == nullptr) return nullptr;
+      if (slot.id == id) return slot.conn;
+    }
+  }
+  /// Adds `conn` under `id`, which the table must not hold yet.
+  void Insert(uint64_t id, Connection* conn);
+  /// Forgets every connection and frees the slots.
+  void Clear() { *this = ConnectionTable(); }
+
+ private:
+  struct Slot {
+    uint64_t id = 0;
+    Connection* conn = nullptr;  // null: the slot is free
+  };
+  /// The slot `id` probes first. The multiply mixes the node, incarnation
+  /// and counter fields of an id into the top bits, which pick the slot.
+  size_t Home(uint64_t id) const {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Puts `conn` in the first free slot from `id`'s home.
+  void Place(uint64_t id, Connection* conn);
+
+  std::vector<Slot> slots_;  // empty or a power of two
+  int shift_ = 64;           // 64 - log2(slots_.size())
+  size_t size_ = 0;
 };
 
 /// The per-node protocol endpoint: owns this node's connections,
@@ -284,6 +336,9 @@ class Endpoint {
   void OnNicDeliver(const net::Packet& packet, net::Nic* nic);
   void ProcessPacket(const net::Packet& packet);
   uint64_t NewConnectionId();
+  /// A new connection to `peer` under `conn_id`, owned and indexed here.
+  Connection* AddConnection(net::NodeId peer, uint64_t conn_id,
+                            bool initiator);
 
   sim::Scheduler* sim_;
   sim::Cpu* cpu_;
@@ -293,10 +348,10 @@ class Endpoint {
   uint64_t conn_counter_ = 0;
   size_t next_network_ = 0;
   std::vector<std::pair<net::Network*, net::Nic*>> networks_;
-  /// Hash map, keyed by connection id: looked up once per received
-  /// packet, and only ever iterated by Crash() (whose per-connection
-  /// work is order-independent).
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
+  /// Every connection of this life, in the order they were opened. Only
+  /// Crash() walks it; a received packet finds its connection in by_id_.
+  std::vector<std::unique_ptr<Connection>> connections_;
+  ConnectionTable by_id_;
   AcceptHandler accept_handler_;
   DatagramHandler datagram_handler_;
   sim::Counter packets_sent_;

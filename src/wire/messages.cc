@@ -5,11 +5,18 @@
 namespace dlog::wire {
 namespace {
 
+/// Writes one record's wire encoding: kRecordFixedBytes + data.size()
+/// bytes.
+void PutRecord(Encoder* enc, Lsn lsn, Epoch epoch, bool present,
+               std::span<const uint8_t> data) {
+  enc->PutU64(lsn);
+  enc->PutU64(epoch);
+  enc->PutU8(present ? 1 : 0);
+  enc->PutBlob(data.data(), data.size());
+}
+
 void PutRecord(Encoder* enc, const LogRecord& r) {
-  enc->PutU64(r.lsn);
-  enc->PutU64(r.epoch);
-  enc->PutU8(r.present ? 1 : 0);
-  enc->PutBlob(r.data);
+  PutRecord(enc, r.lsn, r.epoch, r.present, {r.data.data(), r.data.size()});
 }
 
 }  // namespace
@@ -39,8 +46,7 @@ LogRecord ToLogRecord(const SharedBytes& encoding) {
 
 Bytes EncodeRecord(const LogRecord& record) {
   Bytes out;
-  out.reserve(EncodedRecordSize(record));
-  Encoder enc(&out);
+  Encoder enc(&out, EncodedRecordSize(record));
   PutRecord(&enc, record);
   return out;
 }
@@ -98,9 +104,10 @@ bool Reader::Get(IntervalList* v) {
 
 }  // namespace fields
 
-void RecordBatchWriter::Add(const LogRecord& record) {
-  Encoder enc(&out_);
-  PutRecord(&enc, record);
+void RecordBatchWriter::Add(Lsn lsn, Epoch epoch,
+                            std::span<const uint8_t> data, bool present) {
+  Encoder enc(&out_, kRecordFixedBytes + data.size());
+  PutRecord(&enc, lsn, epoch, present, data);
   ++count_;
 }
 
@@ -140,8 +147,7 @@ RecordRun RecordRun::Of(std::span<const LogRecord> records) {
   size_t bytes = 0;
   for (const LogRecord& r : records) bytes += EncodedRecordSize(r);
   Bytes out;
-  out.reserve(bytes);
-  Encoder enc(&out);
+  Encoder enc(&out, bytes);
   for (const LogRecord& r : records) PutRecord(&enc, r);
   RecordRun run;
   run.count_ = static_cast<uint32_t>(records.size());

@@ -528,9 +528,10 @@ namespace fields {
 template <typename M>
 Bytes Message(const M& m, uint64_t rpc_id, MessageType type, size_t room) {
   assert(SentAs<M>(type));
+  const size_t size = kHeaderBytes + SizeOf(m);
   Bytes out;
-  out.reserve(kHeaderBytes + SizeOf(m) + room + kFrameTrailerBytes);
-  Encoder enc(&out);
+  out.reserve(size + room + kFrameTrailerBytes);
+  Encoder enc(&out, size);
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutU64(rpc_id);
   PutAll(&enc, m);
@@ -592,7 +593,14 @@ class RecordBatchWriter {
     assert(header.records.empty());
   }
 
-  void Add(const LogRecord& record);
+  /// Adds the record <lsn, epoch> holding `data` (present unless told
+  /// otherwise): how the log client writes the records it keeps.
+  void Add(Lsn lsn, Epoch epoch, std::span<const uint8_t> data,
+           bool present = true);
+  void Add(const LogRecord& record) {
+    Add(record.lsn, record.epoch, {record.data.data(), record.data.size()},
+        record.present);
+  }
   /// Adds a record's wire encoding as it is.
   void Add(std::span<const uint8_t> encoding);
   /// The finished message.

@@ -61,17 +61,19 @@ constexpr int kServers = 8;
 // kept per copy), no append forest built as tracks flush, an ET1
 // transaction run through the engine with no per-update heap allocation
 // (slots and the history row encoded on the stack, undo images in one
-// reused buffer), and the connection send queues and force waiters in
-// rings that reuse their slots; the budgets leave 20% for benign drift.
+// reused buffer), the connection send queues and force waiters in rings
+// that reuse their slots, and each pending record keeping the payload
+// buffer the engine handed it; the budgets leave 20% for benign drift.
 // A heap-allocated slot image, undo copy and active-transaction map node
 // per update or transaction measured 50.9 allocations here, past the
-// allocation budget, and std::deque queues, whose nodes are freed and
-// allocated again as the queue moves through them, 29.43. Past the
-// live-byte budget: a LogRecord beside each copy's index entry measured
-// 3,773 live bytes; one 32-byte index entry per stored copy, with every
-// flush extending each client's append forest, measured 2,624 (pinned
-// earlier at 2,655), and 2,476 without the forests.
-constexpr double kMeasuredAllocsPerTxn = 28.97;
+// allocation budget, std::deque queues, whose nodes are freed and
+// allocated again as the queue moves through them, 29.43, and a
+// refcounted SharedBytes owner made for every pending record, 28.97.
+// Past the live-byte budget: a LogRecord beside each copy's index entry
+// measured 3,773 live bytes; one 32-byte index entry per stored copy,
+// with every flush extending each client's append forest, measured 2,624
+// (pinned earlier at 2,655), and 2,476 without the forests.
+constexpr double kMeasuredAllocsPerTxn = 21.97;
 constexpr double kBudget = 1.2 * kMeasuredAllocsPerTxn;
 constexpr double kMeasuredLiveBytesPerTxn = 1953.0;
 constexpr double kLiveBytesBudget = 1.2 * kMeasuredLiveBytesPerTxn;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "common/bytes.h"
@@ -65,7 +67,7 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 
 TEST(BytesTest, RoundTripScalars) {
   Bytes buf;
-  Encoder enc(&buf);
+  Encoder enc(&buf, 1 + 2 + 4 + 8 + 4 + 5);
   enc.PutU8(0xAB);
   enc.PutU16(0x1234);
   enc.PutU32(0xDEADBEEF);
@@ -79,11 +81,12 @@ TEST(BytesTest, RoundTripScalars) {
   EXPECT_EQ(*dec.GetU64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(*dec.GetString(), "hello");
   EXPECT_TRUE(dec.Done());
+  EXPECT_EQ(enc.remaining(), 0u);
 }
 
 TEST(BytesTest, TruncatedDecodeFailsWithCorruption) {
   Bytes buf;
-  Encoder enc(&buf);
+  Encoder enc(&buf, 8);
   enc.PutU64(7);
   Decoder dec(buf.data(), 3);  // cut mid-integer
   Result<uint64_t> r = dec.GetU64();
@@ -93,7 +96,7 @@ TEST(BytesTest, TruncatedDecodeFailsWithCorruption) {
 
 TEST(BytesTest, TruncatedBlobFails) {
   Bytes buf;
-  Encoder enc(&buf);
+  Encoder enc(&buf, 4 + 6);
   enc.PutBlob(ToBytes("abcdef"));
   Decoder dec(buf.data(), buf.size() - 2);
   EXPECT_FALSE(dec.GetBlob().ok());
@@ -101,12 +104,89 @@ TEST(BytesTest, TruncatedBlobFails) {
 
 TEST(BytesTest, EmptyBlobRoundTrip) {
   Bytes buf;
-  Encoder enc(&buf);
+  Encoder enc(&buf, 4);
   enc.PutBlob(Bytes{});
   Decoder dec(buf);
   Result<Bytes> r = dec.GetBlob();
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
+}
+
+// The byte-at-a-time definition of the little-endian layout, which the
+// memcpy kernels must match on a little-endian host.
+uint64_t LoadLEByBytes(const uint8_t* p, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(BytesTest, LoadAndStoreAgreeWithTheByteLoopAtEveryWidthAndOffset) {
+  Rng rng(29);
+  for (const size_t width : {1u, 2u, 4u, 8u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (int trial = 0; trial < 32; ++trial) {
+        uint8_t buf[24];
+        for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+        const uint64_t expected = LoadLEByBytes(buf + offset, width);
+        EXPECT_EQ(LoadLE(buf + offset, width), expected)
+            << "width " << width << " offset " << offset;
+
+        // A store writes exactly `width` bytes, low byte first, and
+        // leaves its neighbours alone.
+        const uint64_t v = rng.NextU64();
+        uint8_t stored[24];
+        std::copy(std::begin(buf), std::end(buf), stored);
+        StoreLE(stored + offset, v, width);
+        for (size_t i = 0; i < sizeof(stored); ++i) {
+          const bool inside = i >= offset && i < offset + width;
+          const uint8_t want =
+              inside ? static_cast<uint8_t>(v >> (8 * (i - offset))) : buf[i];
+          EXPECT_EQ(stored[i], want) << "width " << width << " offset "
+                                     << offset << " byte " << i;
+        }
+        EXPECT_EQ(LoadLE(stored + offset, width),
+                  width == 8 ? v : v & ((uint64_t{1} << (8 * width)) - 1));
+      }
+    }
+  }
+}
+
+TEST(BytesTest, SizedEncoderWritesExactlyItsDeclaredBytes) {
+  Bytes buf = ToBytes("head");
+  const Bytes blob = ToBytes("xyz");
+  Encoder enc(&buf, 2 + 8 + 4 + blob.size());
+  // The buffer grows once, by the declared size, before anything is put.
+  EXPECT_EQ(buf.size(), 4u + 17u);
+  EXPECT_EQ(enc.remaining(), 17u);
+  enc.PutU16(0x0102);
+  enc.PutU64(0x1122334455667788ull);
+  enc.PutBlob(blob);
+  EXPECT_EQ(enc.remaining(), 0u);
+  EXPECT_EQ(buf, Bytes({'h', 'e', 'a', 'd', 0x02, 0x01, 0x88, 0x77, 0x66,
+                        0x55, 0x44, 0x33, 0x22, 0x11, 3, 0, 0, 0, 'x', 'y',
+                        'z'}));
+}
+
+// An encoding whose declared size is too small must stop the program in
+// every build type (asserts are off in Release), never write past it.
+TEST(EncoderDeathTest, WritingPastTheDeclaredSizeAborts) {
+  EXPECT_DEATH(
+      {
+        Bytes buf;
+        Encoder enc(&buf, 6);
+        enc.PutU32(1);
+        enc.PutU32(2);  // 4 bytes with 2 left
+      },
+      "past its declared size");
+  EXPECT_DEATH(
+      {
+        Bytes buf;
+        Encoder enc(&buf, 4);
+        enc.PutBlob(ToBytes("a"));  // the prefix fits, the byte does not
+      },
+      "past its declared size");
 }
 
 // --- SharedBytes / zero-copy decode ---
@@ -149,7 +229,7 @@ TEST(SharedBytesTest, CopyAndToBytesAreCounted) {
 
 TEST(SharedBytesTest, GetStringCountsOneCopy) {
   Bytes buf;
-  Encoder enc(&buf);
+  Encoder enc(&buf, 4 + 12);
   enc.PutString("twelve bytes");
   ResetBytesCopied();
   Decoder dec(buf);

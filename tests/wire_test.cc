@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -561,9 +562,14 @@ TYPED_TEST(MessageCodecTest, IsAllocatedOnceAtItsSizePlusTheFrameTrailer) {
                                    TypeParam::kType);
     RecordBatchWriter from_encodings(header, TestFixture::kRpcId, bytes,
                                      TypeParam::kType);
+    // ... or each record's key and payload, as the log client keeps them.
+    RecordBatchWriter from_fields(header, TestFixture::kRpcId, bytes,
+                                  TypeParam::kType);
     for (const LogRecord& r : records) {
       from_records.Add(r);
       from_encodings.Add(EncodeRecord(r));
+      from_fields.Add(r.lsn, r.epoch, {r.data.data(), r.data.size()},
+                      r.present);
     }
     const Bytes written = from_records.Take();
     EXPECT_EQ(written, wire);
@@ -571,6 +577,9 @@ TYPED_TEST(MessageCodecTest, IsAllocatedOnceAtItsSizePlusTheFrameTrailer) {
     const Bytes copied = from_encodings.Take();
     EXPECT_EQ(copied, wire);
     EXPECT_EQ(copied.capacity(), copied.size() + kFrameTrailerBytes);
+    const Bytes fielded = from_fields.Take();
+    EXPECT_EQ(fielded, wire);
+    EXPECT_EQ(fielded.capacity(), fielded.size() + kFrameTrailerBytes);
   }
 }
 
@@ -907,6 +916,248 @@ TEST(ConnectionTest, AllocationOverrideAfterPause) {
   for (int i = 0; i < 10; ++i) conn->Send(Bytes(10, 'x'));
   p.sim.RunFor(120 * sim::kSecond);
   EXPECT_EQ(p.b_received.size(), 10u);
+}
+
+// --- Direct sends and the send queue ---
+
+// Frame types of the low-level protocol, as wire::Endpoint numbers them.
+constexpr uint8_t kSynFrame = 1;
+constexpr uint8_t kAckFrame = 3;
+constexpr uint8_t kDataFrame = 4;
+constexpr uint8_t kWindowFrame = 5;
+constexpr uint8_t kResetFrame = 6;
+
+/// `payload` framed with a trailer, as an Endpoint frames it.
+Bytes Frame(uint8_t type, uint64_t conn_id, uint64_t seq, uint64_t alloc,
+            Bytes payload) {
+  const FrameTrailer trailer{type, conn_id, seq, alloc,
+                             static_cast<uint32_t>(payload.size())};
+  Encoder enc(&payload, kFrameTrailerBytes);
+  fields::PutAll(&enc, trailer);
+  return payload;
+}
+
+/// A node that speaks the transport by hand: it sends frames it builds
+/// and keeps every frame it receives, trailer decoded.
+struct RawNode {
+  struct Received {
+    FrameTrailer trailer;
+    std::string payload;
+  };
+
+  RawNode(sim::Simulator* sim, net::Network* network, net::NodeId id)
+      : network(network), id(id), nic(sim, 64) {
+    network->Attach(id, &nic);
+    nic.SetHandler([this](const net::Packet& packet) {
+      const size_t n = packet.payload.size() - kFrameTrailerBytes;
+      Result<FrameTrailer> trailer =
+          Decode<FrameTrailer>(packet.payload, n);
+      if (trailer.ok()) {
+        received.push_back(
+            {*trailer, std::string(packet.payload.view().substr(0, n))});
+      }
+      nic.CompleteReceive();
+    });
+  }
+
+  void Send(net::NodeId dst, uint8_t type, uint64_t conn_id, uint64_t seq,
+            uint64_t alloc, std::string_view payload = {}) {
+    net::Packet packet;
+    packet.src = id;
+    packet.dst = dst;
+    packet.payload = Frame(type, conn_id, seq, alloc, ToBytes(payload));
+    network->Send(packet);
+  }
+
+  /// The DATA frames received, as "seq:payload".
+  std::vector<std::string> Data() const {
+    std::vector<std::string> out;
+    for (const Received& r : received) {
+      if (r.trailer.frame_type == kDataFrame) {
+        out.push_back(std::to_string(r.trailer.seq) + ":" + r.payload);
+      }
+    }
+    return out;
+  }
+
+  net::Network* network;
+  net::NodeId id;
+  net::Nic nic;
+  std::vector<Received> received;
+};
+
+// A payload sent while others wait behind an exhausted allocation goes
+// behind them, even when it is sent from inside the upcall of the frame
+// that brings the new allocation (the allocation has room then, but the
+// waiting payloads have not gone out yet).
+TEST(ConnectionSendTest, ASendBehindWaitingPayloadsKeepsFifoOrder) {
+  sim::Simulator sim;
+  net::Network network(&sim, net::NetworkConfig{});
+  TestPeer b(&sim, &network, 2);
+  RawNode a(&sim, &network, 1);
+  Connection* conn = nullptr;
+  b.endpoint.SetAcceptHandler([&](Connection* accepted) {
+    conn = accepted;
+    // Each ping is answered with one reply.
+    accepted->SetMessageHandler([accepted](const SharedBytes& payload) {
+      accepted->Send(ToBytes("re-" + ToString(payload)));
+    });
+  });
+  constexpr uint64_t kConn = 0x0001000100000001;
+  // The handshake grants b one packet.
+  a.Send(2, kSynFrame, kConn, 0, /*alloc=*/1);
+  a.Send(2, kAckFrame, kConn, 0, 1);
+  sim.RunFor(sim::kSecond);
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(conn->IsEstablished());
+
+  a.Send(2, kDataFrame, kConn, 1, 1, "p1");  // re-p1 goes out as seq 1
+  a.Send(2, kDataFrame, kConn, 2, 1, "p2");  // re-p2 waits: no allocation
+  sim.RunFor(sim::kSecond);
+  EXPECT_EQ(a.Data(), std::vector<std::string>({"1:re-p1"}));
+  EXPECT_EQ(conn->send_queue_depth(), 1u);
+
+  // p3 grants two more packets; its upcall sends re-p3 while re-p2 still
+  // waits, so re-p3 must follow it.
+  a.Send(2, kDataFrame, kConn, 3, 3, "p3");
+  sim.RunFor(sim::kSecond);
+  EXPECT_EQ(a.Data(),
+            std::vector<std::string>({"1:re-p1", "2:re-p2", "3:re-p3"}));
+  EXPECT_EQ(conn->send_queue_depth(), 0u);
+}
+
+// The allocation-override timer runs only while a payload waits: a
+// backlog arms it, the grant that drains the backlog cancels it, and a
+// payload that goes out directly, with nothing waiting, leaves none.
+TEST(ConnectionSendTest, ADirectSendLeavesNoOverrideTimerArmed) {
+  sim::Simulator sim;
+  net::Network network(&sim, net::NetworkConfig{});
+  TestPeer b(&sim, &network, 2);
+  RawNode a(&sim, &network, 1);
+  Connection* conn = nullptr;
+  b.endpoint.SetAcceptHandler([&](Connection* accepted) { conn = accepted; });
+  constexpr uint64_t kConn = 0x0001000100000001;
+  a.Send(2, kSynFrame, kConn, 0, /*alloc=*/1);
+  a.Send(2, kAckFrame, kConn, 0, 1);
+  sim.RunFor(sim::kSecond);
+  ASSERT_NE(conn, nullptr);
+
+  conn->Send(ToBytes("x1"));  // direct: seq 1 of 1
+  conn->Send(ToBytes("x2"));  // waits, arming the 3 s override timer
+  sim.RunFor(sim::kSecond);
+  EXPECT_EQ(conn->send_queue_depth(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);  // the override timer
+
+  a.Send(2, kWindowFrame, kConn, 0, /*alloc=*/4);
+  sim.RunFor(sim::kSecond);
+  EXPECT_EQ(conn->send_queue_depth(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  conn->Send(ToBytes("x3"));  // direct: seq 3 of 4
+  sim.RunFor(sim::kSecond);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // Nothing more goes out when the override delay has passed.
+  sim.RunFor(10 * sim::kSecond);
+  EXPECT_EQ(a.Data(), std::vector<std::string>({"1:x1", "2:x2", "3:x3"}));
+}
+
+// --- The connection table ---
+
+// A server endpoint finds each arriving packet's connection in its table:
+// 1,000 connections from 50 peers take it through eight growths (8 to
+// 2,048 slots), a restarted peer's new connection sits beside its old
+// one, an unknown id is answered with RESET, and after a crash every
+// frame is.
+TEST(ConnectionTableTest, AThousandConnectionsFromManyPeers) {
+  constexpr int kPeers = 50;
+  constexpr int kPerPeer = 20;
+  sim::Simulator sim;
+  net::Network network(&sim, net::NetworkConfig{});
+  TestPeer server(&sim, &network, 1);
+  // Payloads received per server-side connection, by connection id.
+  std::map<uint64_t, std::vector<std::string>> received;
+  std::map<uint64_t, Connection*> accepted;
+  server.endpoint.SetAcceptHandler([&](Connection* conn) {
+    accepted[conn->id()] = conn;
+    const uint64_t id = conn->id();
+    conn->SetMessageHandler([&received, id](const SharedBytes& payload) {
+      received[id].push_back(ToString(payload));
+    });
+  });
+
+  std::vector<std::unique_ptr<TestPeer>> peers;
+  std::vector<Connection*> conns;
+  int closed = 0;
+  for (int p = 0; p < kPeers; ++p) {
+    peers.push_back(std::make_unique<TestPeer>(
+        &sim, &network, static_cast<net::NodeId>(100 + p)));
+    for (int c = 0; c < kPerPeer; ++c) {
+      Connection* conn = peers.back()->endpoint.Connect(1);
+      conn->SetCloseHandler([&closed]() { ++closed; });
+      conns.push_back(conn);
+    }
+  }
+  /// The payloads connection `i` sends.
+  auto payload = [](size_t i, int k) {
+    return "c" + std::to_string(i) + "-" + std::to_string(k);
+  };
+  for (size_t i = 0; i < conns.size(); ++i) {
+    conns[i]->Send(ToBytes(payload(i, 0)));  // queued behind the handshake
+  }
+  sim.Run();
+  for (size_t i = 0; i < conns.size(); ++i) {
+    ASSERT_TRUE(conns[i]->IsEstablished()) << i;
+    conns[i]->Send(ToBytes(payload(i, 1)));
+  }
+  sim.Run();
+  ASSERT_EQ(accepted.size(), conns.size());
+  for (size_t i = 0; i < conns.size(); ++i) {
+    const Connection* server_side = accepted.at(conns[i]->id());
+    EXPECT_EQ(server_side->peer(),
+              static_cast<net::NodeId>(100 + i / kPerPeer));
+    EXPECT_EQ(received[conns[i]->id()],
+              std::vector<std::string>({payload(i, 0), payload(i, 1)}));
+  }
+
+  // The first peer restarts, which ends its connections: its new life's
+  // first connection has the same counter under a higher incarnation,
+  // and the server keeps it beside the old one, which it cannot know is
+  // dead.
+  TestPeer& restarted = *peers[0];
+  const uint64_t old_id = conns[0]->id();
+  restarted.endpoint.Crash();
+  Connection* fresh = restarted.endpoint.Connect(1);
+  fresh->Send(ToBytes("fresh"));
+  sim.Run();
+  ASSERT_NE(fresh->id(), old_id);
+  EXPECT_EQ(fresh->id() & 0xFFFFFFFF, old_id & 0xFFFFFFFF);
+  ASSERT_EQ(accepted.size(), conns.size() + 1);
+  EXPECT_EQ(accepted.at(fresh->id())->peer(), restarted.endpoint.id());
+  EXPECT_EQ(received[fresh->id()], std::vector<std::string>({"fresh"}));
+  EXPECT_TRUE(accepted.at(old_id)->IsEstablished());
+  EXPECT_EQ(received[old_id], std::vector<std::string>(
+                                  {payload(0, 0), payload(0, 1)}));
+
+  // A DATA frame naming no connection the server holds gets a RESET.
+  RawNode stranger(&sim, &network, 999);
+  const uint64_t unknown = (uint64_t{999} << 48) | (uint64_t{1} << 32) | 1;
+  stranger.Send(1, kDataFrame, unknown, 1, 16, "who");
+  sim.Run();
+  ASSERT_EQ(stranger.received.size(), 1u);
+  EXPECT_EQ(stranger.received[0].trailer.frame_type, kResetFrame);
+  EXPECT_EQ(stranger.received[0].trailer.conn_id, unknown);
+  EXPECT_EQ(accepted.size(), conns.size() + 1);
+
+  // After the server crashes, every later frame is answered with RESET,
+  // which closes each client connection that sends one.
+  server.endpoint.Crash();
+  closed = 0;
+  const std::vector<Connection*> live(conns.begin() + kPerPeer, conns.end());
+  for (Connection* conn : live) conn->Send(ToBytes("after"));
+  sim.Run();
+  EXPECT_EQ(closed, static_cast<int>(live.size()));
+  for (Connection* conn : live) EXPECT_TRUE(conn->IsClosed());
+  EXPECT_EQ(accepted.size(), conns.size() + 1);
 }
 
 // The transport's frame trailer as the receiving NIC sees it: a DATA
