@@ -18,9 +18,11 @@
 //   - past the knee the flow run actually sheds (nonzero shed_rate and
 //     overload_replies_per_sec) — the gate is meaningless otherwise.
 //
-// Usage: bench_e16_overload_sweep [measure_seconds] [threads]
-// The report is a pure function of the config and seeds: any thread
-// count yields a byte-identical BENCH_E16.json.
+// Usage: bench_e16_overload_sweep [measure_seconds] [threads] [seed]
+// The seed (default 1) feeds every cluster and ET1 driver the bench
+// builds; the default reproduces the committed baseline. The report is
+// a pure function of the config and seed: any thread count yields a
+// byte-identical BENCH_E16.json.
 
 #include <cstdio>
 #include <cstdlib>
@@ -60,7 +62,8 @@ struct Point {
   double txns_shed = 0;  // refused at the application layer, per second
 };
 
-Point RunPoint(bool flow, double tps_per_client, int measure_seconds) {
+Point RunPoint(bool flow, double tps_per_client, int measure_seconds,
+               uint64_t seed) {
   Point p;
   p.flow = flow;
   p.tps_per_client = tps_per_client;
@@ -81,6 +84,7 @@ Point RunPoint(bool flow, double tps_per_client, int measure_seconds) {
   // clients far longer than the congestion they are reacting to.
   cluster_cfg.server.admission.min_retry_after = 10 * sim::kMillisecond;
   cluster_cfg.server.admission.max_retry_after = 150 * sim::kMillisecond;
+  cluster_cfg.seed = seed;
   harness::Cluster cluster(cluster_cfg);
 
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
@@ -93,7 +97,7 @@ Point RunPoint(bool flow, double tps_per_client, int measure_seconds) {
     log_cfg.wire.adaptive_window.enabled = flow;
     harness::Et1DriverConfig driver_cfg;
     driver_cfg.tps = tps_per_client;
-    driver_cfg.seed = 1600 + i;
+    driver_cfg.seed = 1600 + 1000 * (seed - 1) + i;
     // End-to-end backpressure: with flow on, arrivals are refused while
     // the log backlog is deep, instead of queueing without bound.
     driver_cfg.max_log_backlog = flow ? 32 : 0;
@@ -157,6 +161,7 @@ Point RunPoint(bool flow, double tps_per_client, int measure_seconds) {
 int main(int argc, char** argv) {
   const int measure_seconds = argc > 1 ? std::atoi(argv[1]) : 10;
   const int threads = argc > 2 ? std::atoi(argv[2]) : 1;
+  const uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
   harness::TrialRunner runner(threads > 0 ? threads : 1);
 
   const std::vector<double> loads = {kKneeTps / 2, kKneeTps, 2 * kKneeTps};
@@ -176,7 +181,8 @@ int main(int argc, char** argv) {
 
   const std::vector<Point> points = runner.Run(
       trials.size(), [&](size_t i) {
-        return RunPoint(trials[i].flow, trials[i].tps, measure_seconds);
+        return RunPoint(trials[i].flow, trials[i].tps, measure_seconds,
+                        seed);
       });
 
   obs::BenchReport report("E16");
