@@ -65,63 +65,21 @@ const char* ColorFor(const std::string& name) {
 
 }  // namespace
 
-std::string ChromeTraceJson(const Tracer& tracer) {
-  // Stable node -> tid assignment in first-appearance order.
-  std::map<std::string, int> tids;
-  std::string events;
-  for (const Span& span : tracer.spans()) {
-    tids.try_emplace(span.node, static_cast<int>(tids.size()) + 1);
-  }
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const auto& [node, tid] : tids) {
-    if (!first) out += ",";
-    first = false;
-    AppendF(&out,
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\","
-            "\"args\":{\"name\":\"%s\"}}",
-            tid, JsonEscape(node).c_str());
-  }
-  for (const Span& span : tracer.spans()) {
-    const sim::Time end = span.open ? span.start : span.end;
-    if (!first) out += ",";
-    first = false;
-    AppendF(&out, "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"ts\":",
-            tids[span.node], JsonEscape(span.name).c_str());
-    AppendMicros(&out, span.start);
-    out += ",\"dur\":";
-    AppendMicros(&out, end - span.start);
-    AppendF(&out,
-            ",\"cat\":\"dlog\",\"args\":{\"trace\":%" PRIu64
-            ",\"span\":%" PRIu64 ",\"parent\":%" PRIu64,
-            span.trace, span.id, span.parent);
-    if (span.open) out += ",\"open\":1";
-    for (const auto& [key, value] : span.args) {
-      AppendF(&out, ",\"%s\":%" PRIu64, JsonEscape(key).c_str(), value);
-    }
-    out += "}}";
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string ChromeTraceJsonColored(const Tracer& tracer,
-                                   const std::vector<CriticalPath>& paths) {
+std::string ChromeTraceJson(const Tracer& tracer,
+                            const std::vector<CriticalPath>& paths) {
+  // Stable node -> tid assignment in first-appearance order; tid 0 is
+  // the critical-path lane.
   std::map<std::string, int> tids;
   for (const Span& span : tracer.spans()) {
     tids.try_emplace(span.node, static_cast<int>(tids.size()) + 1);
   }
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
   AppendF(&out,
           "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
           "\"args\":{\"name\":\"critical-path\"}}");
-  first = false;
   for (const auto& [node, tid] : tids) {
-    if (!first) out += ",";
-    first = false;
+    out += ",";
     AppendF(&out,
             "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\","
             "\"args\":{\"name\":\"%s\"}}",
@@ -129,8 +87,7 @@ std::string ChromeTraceJsonColored(const Tracer& tracer,
   }
   for (const Span& span : tracer.spans()) {
     const sim::Time end = span.open ? span.start : span.end;
-    if (!first) out += ",";
-    first = false;
+    out += ",";
     AppendF(&out,
             "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\","
             "\"cname\":\"%s\",\"ts\":",
@@ -152,8 +109,7 @@ std::string ChromeTraceJsonColored(const Tracer& tracer,
   // The gating chain, re-emitted contiguously in its own lane.
   for (const CriticalPath& path : paths) {
     for (const PathStep& step : path.steps) {
-      if (!first) out += ",";
-      first = false;
+      out += ",";
       AppendF(&out,
               "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"%s\","
               "\"cname\":\"%s\",\"ts\":",

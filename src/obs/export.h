@@ -13,20 +13,17 @@ namespace dlog::obs {
 /// Renders the recorded span stream as Chrome trace-event JSON
 /// (load in chrome://tracing or https://ui.perfetto.dev). Each simulated
 /// node becomes a named thread; spans are complete ("X") events with
-/// trace/span/parent ids in args. The output is a pure function of the
-/// span stream, so a (config, seed) pair exports byte-identical JSON.
-/// Spans still open at export time are emitted with zero duration and
-/// "open":1 (e.g. a wire.send whose packet the network dropped).
-std::string ChromeTraceJson(const Tracer& tracer);
-
-/// ChromeTraceJson plus profiler decoration: every span gets a stable
-/// per-component color ("cname") keyed by its name, and each extracted
-/// critical path is re-emitted as a synthetic "critical-path" lane
-/// (tid 0) so the gating chain reads as one contiguous colored row in
-/// the trace viewer. Also a pure function of its inputs (byte-identical
-/// per config/seed).
-std::string ChromeTraceJsonColored(const Tracer& tracer,
-                                   const std::vector<CriticalPath>& paths);
+/// trace/span/parent ids in args and a stable per-component color
+/// ("cname") keyed by the span name. Each critical path in `paths`
+/// (obs::ExtractCriticalPaths) is re-emitted as a synthetic
+/// "critical-path" lane (tid 0), so the gating chain reads as one
+/// contiguous colored row in the viewer; the lane is named even when
+/// `paths` is empty. The output is a pure function of its inputs, so a
+/// (config, seed) pair exports byte-identical JSON. Spans still open at
+/// export time are emitted with zero duration and "open":1 (e.g. a
+/// wire.send whose packet the network dropped).
+std::string ChromeTraceJson(const Tracer& tracer,
+                            const std::vector<CriticalPath>& paths = {});
 
 /// A compact fixed-point text rendering for tests and terminal diffing:
 /// one line per span, in creation order:

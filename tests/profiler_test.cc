@@ -336,7 +336,7 @@ std::string RunProfiledFaultedWorkload() {
       obs::ExtractCriticalPaths(cluster.tracer());
   return prof.UtilizationText(0, cluster.sim().Now()) + "---\n" +
          obs::CriticalPathText(paths) + "---\n" + attr_text + "---\n" +
-         obs::ChromeTraceJsonColored(cluster.tracer(), paths);
+         obs::ChromeTraceJson(cluster.tracer(), paths);
 }
 
 TEST(ProfilerDeterminismTest, ArtifactsByteIdenticalUnderFaultPlan) {
