@@ -1,32 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace dlog::obs {
-
-MetricsSnapshot MetricsSnapshot::Diff(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot out;
-  out.at = at;
-  for (const auto& [name, value] : values) {
-    out.values[name] = value - earlier.Get(name);
-  }
-  for (const auto& [name, value] : earlier.values) {
-    if (values.find(name) == values.end()) out.values[name] = -value;
-  }
-  return out;
-}
-
-std::string MetricsSnapshot::ToText() const {
-  std::string out;
-  char buf[64];
-  for (const auto& [name, value] : values) {
-    std::snprintf(buf, sizeof(buf), " %.6g\n", value);
-    out += name;
-    out += buf;
-  }
-  return out;
-}
 
 namespace {
 

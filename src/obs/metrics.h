@@ -16,23 +16,16 @@ namespace dlog::obs {
 
 /// A point-in-time reading of every registered metric, flattened to
 /// `name -> double` (histograms contribute `name/count`, `/mean`, `/p50`,
-/// `/p95`, `/p99`, `/max` sub-keys). Snapshots are value types: diff two of them
-/// to get per-interval rates.
+/// `/p95`, `/p99`, `/max` sub-keys). Snapshots are value types, sorted
+/// by name: obs::BenchReport::AddSnapshot copies one into a report row.
 struct MetricsSnapshot {
   sim::Time at = 0;
   std::map<std::string, double> values;
-
-  /// this - earlier, per key (keys only in one side pass through
-  /// unchanged / negated respectively).
-  MetricsSnapshot Diff(const MetricsSnapshot& earlier) const;
 
   double Get(const std::string& name, double fallback = 0.0) const {
     auto it = values.find(name);
     return it == values.end() ? fallback : it->second;
   }
-
-  /// "name value" lines, sorted by name (deterministic).
-  std::string ToText() const;
 };
 
 /// What a registered metric is, for consumers (the telemetry collector)
