@@ -37,9 +37,6 @@ Cluster::Cluster(const ClusterConfig& config)
     net::NetworkConfig net_cfg = config.network;
     net_cfg.seed = config.seed * 1000 + i;
     networks_.push_back(std::make_unique<net::Network>(&sim_, net_cfg));
-    // Same-tick sends arbitrate in (src node, post order), not in
-    // heap-insertion order.
-    networks_.back()->SetSequencer(&tick_seq_);
     if (config.profiling) {
       net::Network* network = networks_.back().get();
       const std::string name = "net-" + std::to_string(i);

@@ -108,7 +108,9 @@ double ThreadCpuSeconds();
 
 /// Owns a Simulator, the networks, the log server nodes, the client
 /// nodes, and a chaos::ChaosController for one experiment. Server node
-/// ids are 1..M; client node ids start at 1000.
+/// ids are 1..M; client node ids start at 1000. Every node schedules on
+/// the one Simulator, so its (time, schedule order) is the only tie
+/// rule: a run is a pure function of (config, seed).
 ///
 /// Clients are owned by the cluster: AddClient returns a ClientHandle,
 /// and CrashClient/RestartClient cycle the node while preserving its
@@ -252,10 +254,6 @@ class Cluster : public chaos::FaultTargets {
   ClusterConfig config_;
   /// Declared before everything that schedules on it.
   sim::Simulator sim_;
-  /// Sequencer for shared-actor mutations (the networks): drains
-  /// same-tick posts in (src node, post order), so tie arbitration is a
-  /// pure function of simulated state.
-  sim::TickSequencer tick_seq_{&sim_};
   /// Declared before the nodes that hold pointers into them.
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;

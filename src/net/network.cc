@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/simulator.h"
-
 namespace dlog::net {
 
 Status NetworkConfig::Validate() const {
@@ -29,62 +27,33 @@ Network::Network(sim::Scheduler* sim, const NetworkConfig& config)
   DLOG_CHECK_OK(config.Validate());
 }
 
-void Network::Sequenced(sim::Callback fn) {
-  if (sequencer_ != nullptr) {
-    sequencer_->Post(/*key=*/0, std::move(fn));
-    return;
-  }
-  fn();
-}
-
 void Network::Attach(NodeId id, Nic* nic) {
   assert(!IsMulticast(id));
-  Sequenced([this, id, nic] {
-    if (id >= node_table_.size()) node_table_.resize(id + 1, nullptr);
-    assert(node_table_[id] == nullptr);
-    node_table_[id] = nic;
-  });
+  if (id >= node_table_.size()) node_table_.resize(id + 1, nullptr);
+  assert(node_table_[id] == nullptr);
+  node_table_[id] = nic;
 }
 
 void Network::Detach(NodeId id) {
-  Sequenced([this, id] {
-    if (id < node_table_.size()) node_table_[id] = nullptr;
-  });
+  if (id < node_table_.size()) node_table_[id] = nullptr;
 }
 
 void Network::JoinGroup(NodeId group, NodeId member) {
   assert(IsMulticast(group));
-  Sequenced([this, group, member] {
-    std::vector<NodeId>& members = groups_[group];
-    auto it = std::lower_bound(members.begin(), members.end(), member);
-    if (it == members.end() || *it != member) members.insert(it, member);
-  });
+  std::vector<NodeId>& members = groups_[group];
+  auto it = std::lower_bound(members.begin(), members.end(), member);
+  if (it == members.end() || *it != member) members.insert(it, member);
 }
 
 void Network::LeaveGroup(NodeId group, NodeId member) {
-  Sequenced([this, group, member] {
-    auto it = groups_.find(group);
-    if (it == groups_.end()) return;
-    std::vector<NodeId>& members = it->second;
-    auto pos = std::lower_bound(members.begin(), members.end(), member);
-    if (pos != members.end() && *pos == member) members.erase(pos);
-  });
+  auto it = groups_.find(group);
+  if (it == groups_.end()) return;
+  std::vector<NodeId>& members = it->second;
+  auto pos = std::lower_bound(members.begin(), members.end(), member);
+  if (pos != members.end() && *pos == member) members.erase(pos);
 }
 
 void Network::Send(const Packet& packet) {
-  if (sequencer_ != nullptr) {
-    // Keyed by the source node: equal-time sends replay in ascending
-    // node order, so shared-medium tie arbitration is a pure function of
-    // simulated state.
-    const sim::Time enqueue = sim_->Now();
-    sequencer_->Post(static_cast<uint64_t>(packet.src),
-                     [this, packet, enqueue] { SendNow(packet, enqueue); });
-    return;
-  }
-  SendNow(packet, sim_->Now());
-}
-
-void Network::SendNow(const Packet& packet, sim::Time enqueue) {
   if (packet.payload.size() > config_.mtu_bytes) {
     packets_oversized_.Increment();
     return;
@@ -96,6 +65,7 @@ void Network::SendNow(const Packet& packet, sim::Time enqueue) {
   bits_sent_ += bits;
 
   // Serialize transmissions on the shared medium.
+  const sim::Time enqueue = sim_->Now();
   const sim::Duration tx_time = sim::SecondsToDuration(
       static_cast<double>(bits) / config_.bandwidth_bits_per_sec);
   const sim::Time tx_start = std::max(enqueue, medium_free_at_);
@@ -125,24 +95,18 @@ void Network::SendNow(const Packet& packet, sim::Time enqueue) {
 }
 
 void Network::SetPartition(const std::vector<std::vector<NodeId>>& groups) {
-  partition_logical_ = true;
-  Sequenced([this, groups] {
-    partition_group_.clear();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (NodeId node : groups[g]) {
-        partition_group_[node] = static_cast<int>(g);
-      }
+  partition_group_.clear();
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (NodeId node : groups[g]) {
+      partition_group_[node] = static_cast<int>(g);
     }
-    partition_active_ = true;
-  });
+  }
+  partition_active_ = true;
 }
 
 void Network::HealPartition() {
-  partition_logical_ = false;
-  Sequenced([this] {
-    partition_active_ = false;
-    partition_group_.clear();
-  });
+  partition_active_ = false;
+  partition_group_.clear();
 }
 
 bool Network::Partitioned(NodeId a, NodeId b) const {
@@ -155,11 +119,11 @@ bool Network::Partitioned(NodeId a, NodeId b) const {
 }
 
 void Network::SetLinkFault(NodeId src, NodeId dst, const LinkFault& fault) {
-  Sequenced([this, src, dst, fault] { link_faults_[{src, dst}] = fault; });
+  link_faults_[{src, dst}] = fault;
 }
 
 void Network::ClearLinkFault(NodeId src, NodeId dst) {
-  Sequenced([this, src, dst] { link_faults_.erase({src, dst}); });
+  link_faults_.erase({src, dst});
 }
 
 void Network::DeliverTo(NodeId dst, const Packet& packet,

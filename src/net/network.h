@@ -17,10 +17,6 @@
 #include "sim/stats.h"
 #include "sim/time.h"
 
-namespace dlog::sim {
-class TickSequencer;
-}  // namespace dlog::sim
-
 namespace dlog::net {
 
 class Nic;
@@ -55,6 +51,11 @@ struct LinkFault {
 /// queues senders. Supports unicast and multicast delivery, independent
 /// per-delivery loss, and duplication.
 ///
+/// Every call applies inline. Two sends in the same simulated tick take
+/// the medium in the order their events run, which is the scheduler's
+/// (time, schedule order); a topology change is visible to the next
+/// call, in the same event or a later one.
+///
 /// For the paper's dual-network availability configuration, instantiate
 /// two Networks and attach each node's two Nics.
 class Network {
@@ -63,17 +64,6 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// Sequencing seam. The Network is the one actor every node touches
-  /// (shared-medium arbitration, one loss/duplication Rng, the topology
-  /// maps), so its mutations decide tie order whenever two nodes act in
-  /// the same simulated tick. With a sequencer set (the cluster always
-  /// sets one), Send() and the topology mutators capture their arguments
-  /// plus the caller's clock and Post them to it, and it replays them at
-  /// the end of the tick, ordered by (src node, post order), through the
-  /// arbitration code below. With none (standalone Network unit tests),
-  /// everything executes inline in call order.
-  void SetSequencer(sim::TickSequencer* sequencer) { sequencer_ = sequencer; }
 
   /// Attaches a NIC under the given address. The address must be unused
   /// and must not be a multicast id.
@@ -99,11 +89,8 @@ class Network {
   void SetPartition(const std::vector<std::vector<NodeId>>& groups);
   /// Removes the partition: full connectivity again.
   void HealPartition();
-  /// Logical partition state as of the last SetPartition/HealPartition
-  /// *call* (with a sequencer the filtering itself applies when the
-  /// tick's posts drain; callers sequencing set/heal decisions — the
-  /// chaos controller — need call-time semantics).
-  bool HasPartition() const { return partition_logical_; }
+  /// True from SetPartition until HealPartition.
+  bool HasPartition() const { return partition_active_; }
   /// True when a partition is active and separates `a` from `b`.
   bool Partitioned(NodeId a, NodeId b) const;
 
@@ -158,18 +145,11 @@ class Network {
   }
 
  private:
-  /// The Send body: shared-medium arbitration at `enqueue` plus fan-out.
-  /// Called inline, or replayed by the sequencer.
-  void SendNow(const Packet& packet, sim::Time enqueue);
   void DeliverTo(NodeId dst, const Packet& packet, sim::Time arrival,
                  PacketTiming timing);
-  /// Runs a shared-state mutation now, or Posts it to the sequencer with
-  /// control key 0.
-  void Sequenced(sim::Callback fn);
 
   sim::Scheduler* sim_;
   NetworkConfig config_;
-  sim::TickSequencer* sequencer_ = nullptr;
   Rng rng_;
   /// Unicast routing, dense-indexed by NodeId (node ids are small and
   /// contiguous in practice; nullptr = no NIC attached): O(1) lookup on
@@ -180,9 +160,7 @@ class Network {
   /// replaces, with no per-send allocation.
   std::map<NodeId, std::vector<NodeId>> groups_;
   /// Partition state: group index per named node; unnamed nodes share
-  /// the implicit group -1. `partition_logical_` tracks the call-time
-  /// view (see HasPartition); `partition_active_` the applied one.
-  bool partition_logical_ = false;
+  /// the implicit group -1.
   bool partition_active_ = false;
   std::map<NodeId, int> partition_group_;
   /// Directed-link degradations, keyed src->dst.

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -130,9 +129,7 @@ bool Simulator::PopAndMaybeRun() {
   --live_events_;
   now_ = entry.time;
   ++events_executed_;
-  executing_ = true;
   fn();
-  executing_ = false;
   return true;
 }
 
@@ -165,36 +162,6 @@ void Simulator::RunUntil(Time t) {
   // head PopAndMaybeRun takes is always live.
   while (PeekNextTime() <= t && !heap_.empty()) PopAndMaybeRun();
   if (t > now_) now_ = t;
-}
-
-void TickSequencer::Post(uint64_t key, Callback fn) {
-  if (!sim_->Executing()) {
-    // Quiescent: setup/teardown code observes its effects synchronously,
-    // and there is no same-tick contention to arbitrate.
-    fn();
-    return;
-  }
-  if (buffer_.empty()) {
-    sim_->At(sim_->Now(), [this] { Drain(); });
-  }
-  buffer_.push_back({key, next_seq_++, std::move(fn)});
-}
-
-void TickSequencer::Drain() {
-  // Sort, not stable_sort: seq is unique, so (key, seq) is a total order.
-  std::sort(buffer_.begin(), buffer_.end(), [](const Item& a, const Item& b) {
-    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
-  });
-  // Swap out before running: a replayed callback may Post again (at this
-  // same tick only via a zero-delay chain, which schedules a fresh drain
-  // that pops later in the tick).
-  std::vector<Item> batch;
-  batch.swap(buffer_);
-  for (Item& item : batch) item.fn();
-  // Hand the capacity back for the next tick's posts, unless the batch
-  // posted for a later drain of its own.
-  batch.clear();
-  if (buffer_.empty()) buffer_.swap(batch);
 }
 
 }  // namespace dlog::sim

@@ -75,12 +75,6 @@ class Simulator final : public Scheduler {
   /// even while their queue entry awaits garbage collection).
   size_t pending_events() const { return live_events_; }
 
-  /// True while an event callback is running — i.e., the caller is code
-  /// executing *inside* the simulation rather than setup/teardown code
-  /// between runs. TickSequencer uses this to tell deferrable in-run
-  /// posts from quiescent ones that must apply inline.
-  bool Executing() const { return executing_; }
-
  private:
   /// A queued event: plain data only — the callback stays in its slot.
   /// `key` packs the schedule-order tie-break (`seq`, the role the public
@@ -148,7 +142,6 @@ class Simulator final : public Scheduler {
   void PurgeCancelled();
 
   Time now_ = 0;
-  bool executing_ = false;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
   size_t live_events_ = 0;
@@ -156,47 +149,6 @@ class Simulator final : public Scheduler {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-};
-
-/// Replays sequenced posts at the end of their tick in (key, post order)
-/// order. Actors shared by every node (the Network's medium arbitration
-/// and topology maps) Post their mutations here instead of applying them
-/// inline, so same-tick posts from different nodes apply in ascending
-/// key order — with key = source node id, a pure function of simulated
-/// state — rather than in heap-insertion order. This is the tie order
-/// every committed baseline was recorded under. Key 0 is reserved for
-/// control-plane mutations (attach/detach, partitions, link faults).
-///
-/// Mechanics: the first Post in a tick schedules one drain event at the
-/// current time; since every event of tick T is already queued when T
-/// begins (components never schedule at zero delay into the running
-/// tick), the drain pops after all of them and replays the sorted batch.
-/// A post made from inside a drained callback lands in a fresh buffer
-/// whose own drain runs later in the same tick. Posts while quiescent
-/// (setup/teardown between runs) apply inline.
-class TickSequencer final {
- public:
-  explicit TickSequencer(Simulator* sim) : sim_(sim) {}
-
-  TickSequencer(const TickSequencer&) = delete;
-  TickSequencer& operator=(const TickSequencer&) = delete;
-
-  /// Runs `fn` at the end of the current tick, after every other event
-  /// of the tick, in (key, post order); inline when quiescent.
-  void Post(uint64_t key, Callback fn);
-
- private:
-  void Drain();
-
-  struct Item {
-    uint64_t key;
-    uint64_t seq;
-    Callback fn;
-  };
-
-  Simulator* sim_;
-  uint64_t next_seq_ = 0;
-  std::vector<Item> buffer_;
 };
 
 }  // namespace dlog::sim

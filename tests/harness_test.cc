@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
+#include "net/network.h"
 
 namespace dlog::harness {
 namespace {
@@ -136,6 +139,75 @@ TEST(Et1DriverTest, RetriesInitWhenServersComeUpLate) {
   cluster.sim().RunFor(5 * sim::kSecond);
   EXPECT_TRUE(driver.started());
   EXPECT_GT(driver.committed(), 0u);
+}
+
+// --- The one tie rule: (time, schedule order) ---
+
+/// A NIC attached to a cluster's network that records when each packet
+/// arrives and from whom.
+struct ProbeNic {
+  ProbeNic(Cluster* cluster, net::NodeId id) : nic(&cluster->sim(), 8) {
+    nic.SetHandler([this, cluster](const net::Packet& p) {
+      arrivals.push_back({p.src, cluster->Now()});
+      nic.CompleteReceive();
+    });
+    cluster->network(0).Attach(id, &nic);
+  }
+  struct Arrival {
+    net::NodeId src;
+    sim::Time at;
+  };
+  net::Nic nic;
+  std::vector<Arrival> arrivals;
+};
+
+net::Packet ProbePacket(net::NodeId src, net::NodeId dst) {
+  net::Packet p;
+  p.src = src;
+  p.dst = dst;
+  p.payload = Bytes(500, 0x5a);
+  return p;
+}
+
+TEST(NetworkTieRuleTest, SameEventSendsTakeTheMediumInScheduleOrder) {
+  Cluster cluster(ClusterConfig{});
+  ProbeNic low(&cluster, 2000), high(&cluster, 2001);
+  // The higher-id node sends first within one event: its packet must
+  // take the shared medium first, whatever the node ids.
+  cluster.sim().At(cluster.Now() + sim::kMillisecond, [&cluster] {
+    cluster.network(0).Send(ProbePacket(2001, 2000));
+    cluster.network(0).Send(ProbePacket(2000, 2001));
+  });
+  cluster.RunFor(10 * sim::kMillisecond);
+  ASSERT_EQ(low.arrivals.size(), 1u);
+  ASSERT_EQ(high.arrivals.size(), 1u);
+  EXPECT_EQ(low.arrivals[0].src, 2001u);
+  EXPECT_EQ(high.arrivals[0].src, 2000u);
+  EXPECT_LT(low.arrivals[0].at, high.arrivals[0].at);
+}
+
+TEST(NetworkTieRuleTest, PartitionAppliesInsideTheEvent) {
+  Cluster cluster(ClusterConfig{});
+  ProbeNic a(&cluster, 2000), b(&cluster, 2001);
+  net::Network& network = cluster.network(0);
+  cluster.sim().At(cluster.Now() + sim::kMillisecond, [&network] {
+    network.SetPartition({{2000}, {2001}});
+    EXPECT_TRUE(network.HasPartition());
+    EXPECT_TRUE(network.Partitioned(2000, 2001));
+    EXPECT_FALSE(network.Partitioned(1, 2));  // unnamed nodes: one group
+    // A send in the same event already meets the partition.
+    network.Send(ProbePacket(2000, 2001));
+  });
+  cluster.sim().At(cluster.Now() + 2 * sim::kMillisecond, [&network] {
+    network.HealPartition();
+    EXPECT_FALSE(network.HasPartition());
+    EXPECT_FALSE(network.Partitioned(2000, 2001));
+    network.Send(ProbePacket(2000, 2001));
+  });
+  cluster.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(network.packets_partition_dropped().value(), 1u);
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_GT(b.arrivals[0].at, cluster.Now() - 8 * sim::kMillisecond);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,75 +209,6 @@ TEST(SimulatorTest, CancelledFarTimerNeverFires) {
   sim.Run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.Now(), 6 * kHour);
-}
-
-// --- TickSequencer ---
-
-TEST(TickSequencerTest, PostsRunInKeyOrderAfterTheTicksOtherEvents) {
-  Simulator sim;
-  TickSequencer seq(&sim);
-  std::vector<std::string> order;
-  auto post = [&](uint64_t key) {
-    seq.Post(key,
-             [&order, key]() { order.push_back("k" + std::to_string(key)); });
-  };
-  sim.At(10, [&]() { post(3); order.push_back("e1"); });
-  sim.At(10, [&]() { post(1); order.push_back("e2"); });
-  sim.At(10, [&]() { post(2); order.push_back("e3"); });
-  sim.At(10, [&]() { order.push_back("e4"); });
-  sim.At(11, [&]() { order.push_back("next"); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<std::string>{"e1", "e2", "e3", "e4", "k1",
-                                             "k2", "k3", "next"}));
-}
-
-TEST(TickSequencerTest, EqualKeysKeepPostOrder) {
-  Simulator sim;
-  TickSequencer seq(&sim);
-  std::vector<std::string> order;
-  auto post = [&](uint64_t key, std::string tag) {
-    seq.Post(key, [&order, tag]() { order.push_back(tag); });
-  };
-  sim.At(10, [&]() {
-    post(5, "a");
-    post(5, "b");
-  });
-  sim.At(10, [&]() {
-    post(5, "c");
-    post(2, "d");
-  });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<std::string>{"d", "a", "b", "c"}));
-}
-
-TEST(TickSequencerTest, QuiescentPostRunsInline) {
-  Simulator sim;
-  TickSequencer seq(&sim);
-  bool ran = false;
-  seq.Post(7, [&]() { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(TickSequencerTest, PostFromDrainedCallbackRunsInLaterDrainOfSameTick) {
-  Simulator sim;
-  TickSequencer seq(&sim);
-  std::vector<std::pair<std::string, Time>> order;
-  auto record = [&](std::string tag) { order.emplace_back(tag, sim.Now()); };
-  sim.At(10, [&]() {
-    seq.Post(1, [&]() {
-      record("outer");
-      // Key 0 sorts before everything in the running batch, but the
-      // batch is already being replayed: it waits for the next drain.
-      seq.Post(0, [&]() { record("inner"); });
-    });
-    seq.Post(2, [&]() { record("second"); });
-  });
-  sim.At(11, [&]() { record("next"); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<std::pair<std::string, Time>>{
-                       {"outer", 10}, {"second", 10}, {"inner", 10},
-                       {"next", 11}}));
 }
 
 TEST(TimeTest, Conversions) {
