@@ -26,25 +26,15 @@ double Severity(double value, double threshold, double full_scale) {
 }  // namespace
 
 AdmissionController::Decision AdmissionController::Admit(
-    double nvram_fraction, size_t disk_queue_tracks) {
-  bool over = nvram_fraction > config_.nvram_shed_fraction;
-  double severity =
-      Severity(nvram_fraction, config_.nvram_shed_fraction, 1.0);
-  if (config_.enabled && config_.disk_queue_shed_tracks > 0 &&
-      disk_queue_tracks > config_.disk_queue_shed_tracks) {
-    over = true;
-    severity = std::max(
-        severity,
-        Severity(static_cast<double>(disk_queue_tracks),
-                 static_cast<double>(config_.disk_queue_shed_tracks),
-                 2.0 * static_cast<double>(config_.disk_queue_shed_tracks)));
-  }
+    double nvram_fraction) {
   Decision decision;
-  if (!over) {
+  if (nvram_fraction <= config_.nvram_shed_fraction) {
     decision.admit = true;
     admitted_.Increment();
     return decision;
   }
+  const double severity =
+      Severity(nvram_fraction, config_.nvram_shed_fraction, 1.0);
   decision.admit = false;
   decision.retry_after =
       config_.min_retry_after +

@@ -1,7 +1,6 @@
 #ifndef DLOG_FLOW_ADMISSION_H_
 #define DLOG_FLOW_ADMISSION_H_
 
-#include <cstddef>
 #include <string>
 
 #include "common/status.h"
@@ -23,14 +22,9 @@ struct AdmissionConfig {
   /// NVRAM group-buffer occupancy fraction above which new WriteLog /
   /// ForceLog batches are rejected.
   double nvram_shed_fraction = 0.95;
-  /// Flush backlog, measured in track-sized disk writes implied by the
-  /// buffered bytes, above which batches are rejected even below the
-  /// NVRAM threshold (the disk, not the buffer, is the bottleneck then).
-  /// 0 disables the disk-queue signal.
-  size_t disk_queue_shed_tracks = 0;
   /// Bounds for the advisory retry-after hint. The hint scales linearly
-  /// with how far past its threshold the strongest overload signal sits,
-  /// so deeper overload pushes clients further away. Deterministic: any
+  /// with how far past its threshold the NVRAM occupancy sits, so deeper
+  /// overload pushes clients further away. Deterministic: any
   /// jitter is the client's job (per-client Rng streams).
   sim::Duration min_retry_after = 20 * sim::kMillisecond;
   sim::Duration max_retry_after = 1 * sim::kSecond;
@@ -50,10 +44,9 @@ class AdmissionController {
   explicit AdmissionController(const AdmissionConfig& config)
       : config_(config) {}
 
-  /// Decides one arriving record batch given the current overload
-  /// signals: NVRAM occupancy in [0, 1] and the flush backlog in track
-  /// writes. Counts the outcome.
-  Decision Admit(double nvram_fraction, size_t disk_queue_tracks);
+  /// Decides one arriving record batch given the current NVRAM occupancy
+  /// in [0, 1]. Counts the outcome.
+  Decision Admit(double nvram_fraction);
 
   /// Registers admitted/shed/overload-reply counters under `prefix`
   /// (e.g. "server-3/flow/").

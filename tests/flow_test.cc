@@ -13,7 +13,7 @@ namespace {
 
 TEST(AdmissionTest, AdmitsBelowThreshold) {
   AdmissionController ctrl(AdmissionConfig{});
-  const auto d = ctrl.Admit(/*nvram_fraction=*/0.3, /*disk_queue_tracks=*/0);
+  const auto d = ctrl.Admit(/*nvram_fraction=*/0.3);
   EXPECT_TRUE(d.admit);
   EXPECT_EQ(d.retry_after, 0u);
   EXPECT_EQ(ctrl.admitted().value(), 1u);
@@ -24,7 +24,7 @@ TEST(AdmissionTest, ShedsAboveNvramThreshold) {
   AdmissionConfig cfg;
   cfg.nvram_shed_fraction = 0.5;
   AdmissionController ctrl(cfg);
-  const auto d = ctrl.Admit(0.6, 0);
+  const auto d = ctrl.Admit(0.6);
   EXPECT_FALSE(d.admit);
   EXPECT_GE(d.retry_after, cfg.min_retry_after);
   EXPECT_LE(d.retry_after, cfg.max_retry_after);
@@ -35,31 +35,21 @@ TEST(AdmissionTest, RetryAfterGrowsWithSeverity) {
   AdmissionConfig cfg;
   cfg.nvram_shed_fraction = 0.5;
   AdmissionController ctrl(cfg);
-  const auto mild = ctrl.Admit(0.55, 0);
-  const auto deep = ctrl.Admit(0.99, 0);
+  const auto mild = ctrl.Admit(0.55);
+  const auto deep = ctrl.Admit(0.99);
   ASSERT_FALSE(mild.admit);
   ASSERT_FALSE(deep.admit);
   EXPECT_GT(deep.retry_after, mild.retry_after);
-}
-
-TEST(AdmissionTest, DiskQueueSignalSheds) {
-  AdmissionConfig cfg;
-  cfg.disk_queue_shed_tracks = 4;
-  AdmissionController ctrl(cfg);
-  EXPECT_TRUE(ctrl.Admit(0.1, 4).admit);   // at the limit: fine
-  EXPECT_FALSE(ctrl.Admit(0.1, 5).admit);  // beyond it: shed
 }
 
 TEST(AdmissionTest, DisabledModeUsesLegacyNvramDecisionOnly) {
   AdmissionConfig cfg;
   cfg.enabled = false;
   cfg.nvram_shed_fraction = 0.5;
-  cfg.disk_queue_shed_tracks = 1;
   AdmissionController ctrl(cfg);
-  // Disabled: the disk-queue signal is ignored (legacy behavior was
-  // NVRAM-fraction only) but the NVRAM threshold still sheds.
-  EXPECT_TRUE(ctrl.Admit(0.4, 100).admit);
-  EXPECT_FALSE(ctrl.Admit(0.6, 0).admit);
+  // Disabled: the NVRAM threshold still sheds (silently, at the server).
+  EXPECT_TRUE(ctrl.Admit(0.4).admit);
+  EXPECT_FALSE(ctrl.Admit(0.6).admit);
 }
 
 TEST(AdmissionTest, ValidateRejectsBadConfig) {
