@@ -127,26 +127,6 @@ std::string ChromeTraceJson(const Tracer& tracer,
   return out;
 }
 
-std::string TextTimeline(const Tracer& tracer) {
-  std::string out;
-  for (const Span& span : tracer.spans()) {
-    const sim::Time end = span.open ? span.start : span.end;
-    out += "[";
-    AppendMicros(&out, span.start);
-    out += "..";
-    AppendMicros(&out, end);
-    AppendF(&out, "] %s %s trace=%" PRIu64 " span=%" PRIu64, span.node.c_str(),
-            span.name.c_str(), span.trace, span.id);
-    if (span.parent != kNoSpan) AppendF(&out, " parent=%" PRIu64, span.parent);
-    if (span.open) out += " open";
-    for (const auto& [key, value] : span.args) {
-      AppendF(&out, " %s=%" PRIu64, key.c_str(), value);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 Status WriteFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::Unavailable("cannot open " + path);

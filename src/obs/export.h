@@ -25,11 +25,6 @@ namespace dlog::obs {
 std::string ChromeTraceJson(const Tracer& tracer,
                             const std::vector<CriticalPath>& paths = {});
 
-/// A compact fixed-point text rendering for tests and terminal diffing:
-/// one line per span, in creation order:
-///   [start_us..end_us] node name trace=T span=S parent=P k=v ...
-std::string TextTimeline(const Tracer& tracer);
-
 /// Writes `content` to `path` (0644), overwriting.
 Status WriteFile(const std::string& path, const std::string& content);
 

@@ -2,7 +2,6 @@
 // metrics registry and snapshot diffing, the exporters, BenchReport
 // JSON, and the trace-driven invariant probes.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -196,19 +195,6 @@ TEST(ExportTest, ChromeTraceJsonShape) {
   (void)send;
 }
 
-TEST(ExportTest, TextTimelineOneLinePerSpan) {
-  sim::Simulator sim;
-  Tracer tracer(&sim);
-  SpanContext root = tracer.StartTrace("txn", "client-1");
-  tracer.AddArg(root, "txn", 3);
-  sim.RunFor(2000);
-  tracer.EndSpan(root);
-  std::string text = TextTimeline(tracer);
-  EXPECT_NE(text.find("client-1 txn"), std::string::npos);
-  EXPECT_NE(text.find("txn=3"), std::string::npos);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
-}
-
 TEST(ExportTest, IdenticalRunsExportIdenticalBytes) {
   auto run = []() {
     sim::Simulator sim;
@@ -235,7 +221,6 @@ TEST(ExportTest, EmptyTraceExportsValidSkeletons) {
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
             "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
             "\"args\":{\"name\":\"critical-path\"}}]}\n");
-  EXPECT_EQ(TextTimeline(tracer), "");
 }
 
 TEST(ExportTest, JsonSpecialCharactersAreEscaped) {

@@ -137,8 +137,7 @@ std::string RunDeterministicWorkload() {
     EXPECT_TRUE(node.RunOneEt1(i).ok());
   }
   cluster.sim().RunFor(300 * sim::kMillisecond);
-  return obs::ChromeTraceJson(cluster.tracer()) + "---\n" +
-         obs::TextTimeline(cluster.tracer());
+  return obs::ChromeTraceJson(cluster.tracer());
 }
 
 TEST(TraceSystemTest, SameConfigAndSeedExportByteIdenticalTraces) {
