@@ -11,6 +11,7 @@
 // Reports force latency and disk writes/second for NVRAM vs no-NVRAM
 // servers under the same multi-client ET1 load.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -62,7 +63,10 @@ AblationResult Run(bool nvram_ack, int clients, int seconds) {
   for (int s = 1; s <= cluster.num_servers(); ++s) {
     writes += static_cast<double>(cluster.server(s).disk().writes().value());
     forces += static_cast<double>(cluster.server(s).forces_acked().value());
-    util += cluster.server(s).disk().Utilization();
+    // Busy fraction since construction, up to when queued work ends.
+    const storage::SimDisk& disk = cluster.server(s).disk();
+    util += static_cast<double>(disk.busy_time()) /
+            static_cast<double>(std::max(cluster.Now(), disk.busy_until()));
   }
   r.disk_writes_per_sec = writes / seconds;
   r.forces_per_sec = forces / seconds;

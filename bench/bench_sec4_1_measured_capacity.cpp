@@ -1,12 +1,13 @@
 // Experiment E15 — measured capacity: the Section 4.1 closed forms
-// cross-checked against the profiler's exact resource timelines.
+// cross-checked against the resources' exact busy accounts.
 //
 // A fixed 50-client fleet sweeps its per-client ET1 rate from light
 // load up past the saturation knee (the dual 10 Mbit LANs give out
-// first). At every point the obs::Profiler measures each resource's
-// utilization over the post-warmup window from its busy/idle probes,
-// and the analytic model (analysis::ComputeCapacity) predicts the same
-// quantities from the offered load. Below the knee the two must agree
+// first). At every point each resource's utilization over the
+// post-warmup window is the difference of two readings of its busy
+// account (sim::BusyElapsed), and the analytic model
+// (analysis::ComputeCapacity) predicts the same quantities from the
+// offered load. Below the knee the two must agree
 // within +/-0.05 absolute and the committed rate must track the
 // offered rate within 5%; the binary exits nonzero otherwise, which is
 // what lets CI gate on it.
@@ -61,7 +62,7 @@ struct Point {
   double tps_per_client = 0;
   double offered = 0;
   double tps = 0;
-  // Measured over the post-warmup window (profiler busy timelines).
+  // Measured over the post-warmup window (busy accounts).
   double cpu_util = 0;   // mean across servers
   double disk_util = 0;  // mean across servers
   double net_util = 0;   // mean across LANs
@@ -75,6 +76,34 @@ struct Point {
   bool below_knee = false;
   bool ok = true;
 };
+
+/// One reading, at one instant, of every account the sweep measures:
+/// per server the busy time its CPU and disk arm have elapsed and its
+/// NVRAM level × time integral, and per LAN the medium's elapsed busy
+/// time. A window's figures are differences of two readings.
+struct Accounts {
+  std::vector<sim::Duration> cpu_busy, disk_busy, net_busy;
+  std::vector<double> nvram_integral;
+};
+
+Accounts ReadAccounts(harness::Cluster& cluster) {
+  const sim::Time now = cluster.sim().Now();
+  Accounts a;
+  for (int s = 1; s <= kServers; ++s) {
+    server::LogServer& server = cluster.server(s);
+    a.cpu_busy.push_back(sim::BusyElapsed(
+        server.cpu().busy_ns().value(), server.cpu().busy_until(), now));
+    a.disk_busy.push_back(sim::BusyElapsed(
+        server.disk().busy_time(), server.disk().busy_until(), now));
+    a.nvram_integral.push_back(server.nvram_occupancy().Integral(now));
+  }
+  for (int n = 0; n < kNetworks; ++n) {
+    const net::Network& network = cluster.network(n);
+    a.net_busy.push_back(sim::BusyElapsed(network.busy_time(),
+                                          network.busy_until(), now));
+  }
+  return a;
+}
 
 Point RunPoint(double tps_per_client, uint64_t seed) {
   Point p;
@@ -90,8 +119,6 @@ Point RunPoint(double tps_per_client, uint64_t seed) {
   // sized so a second of peak log volume never triggers shedding.
   cluster_cfg.server.flush_interval = 1 * sim::kSecond;
   cluster_cfg.server.nvram_bytes = 1024 * 1024;
-  cluster_cfg.tracing = true;
-  cluster_cfg.profiling = true;
   cluster_cfg.seed = seed;
   harness::Cluster cluster(cluster_cfg);
 
@@ -110,37 +137,37 @@ Point RunPoint(double tps_per_client, uint64_t seed) {
   // Warm up through initialization traffic, then measure a clean window.
   cluster.sim().RunFor(2 * sim::kSecond);
   const sim::Time window_start = cluster.sim().Now();
+  const Accounts before = ReadAccounts(cluster);
   uint64_t committed_before = 0;
   for (auto& d : drivers) committed_before += d->committed();
 
   cluster.sim().RunFor(kMeasureSeconds * sim::kSecond);
   const sim::Time window_end = cluster.sim().Now();
+  const Accounts after = ReadAccounts(cluster);
 
   uint64_t committed = 0;
   for (auto& d : drivers) committed += d->committed();
   p.tps = static_cast<double>(committed - committed_before) /
           kMeasureSeconds;
 
-  const obs::Profiler& prof = cluster.profiler();
-  for (int s = 1; s <= kServers; ++s) {
-    const std::string name = "server-" + std::to_string(s);
+  const double window = static_cast<double>(window_end - window_start);
+  for (int s = 0; s < kServers; ++s) {
     p.cpu_util +=
-        prof.Utilization(name + "/cpu", window_start, window_end);
+        static_cast<double>(after.cpu_busy[s] - before.cpu_busy[s]) / window;
     p.disk_util +=
-        prof.Utilization(name + "/disk", window_start, window_end);
-    auto level = prof.levels().find(name + "/nvram");
-    if (level != prof.levels().end()) {
-      p.nvram_avg_bytes += level->second.Average(window_start, window_end);
-      p.nvram_max_bytes =
-          std::max(p.nvram_max_bytes, level->second.Max());
-    }
+        static_cast<double>(after.disk_busy[s] - before.disk_busy[s]) /
+        window;
+    p.nvram_avg_bytes +=
+        (after.nvram_integral[s] - before.nvram_integral[s]) / window;
+    p.nvram_max_bytes = std::max(
+        p.nvram_max_bytes, cluster.server(s + 1).nvram_occupancy().max());
   }
   p.cpu_util /= kServers;
   p.disk_util /= kServers;
   p.nvram_avg_bytes /= kServers;
   for (int n = 0; n < kNetworks; ++n) {
-    p.net_util += prof.Utilization("net-" + std::to_string(n),
-                                   window_start, window_end);
+    p.net_util +=
+        static_cast<double>(after.net_busy[n] - before.net_busy[n]) / window;
   }
   p.net_util /= kNetworks;
 
@@ -182,7 +209,6 @@ obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report,
   harness::ClusterConfig cluster_cfg;
   cluster_cfg.num_servers = 3;
   cluster_cfg.tracing = true;
-  cluster_cfg.profiling = true;
   cluster_cfg.seed = seed;
   harness::Cluster cluster(cluster_cfg);
 
@@ -200,8 +226,7 @@ obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report,
   cluster.sim().RunFor(2 * sim::kSecond);
 
   obs::Profiler& prof = cluster.profiler();
-  prof.RegisterMetrics(&cluster.metrics(),
-                       [&cluster]() { return cluster.sim().Now(); });
+  prof.RegisterMetrics(&cluster.metrics());
   prof.UpdateAttributionMetrics(cluster.tracer());
 
   const std::vector<obs::CriticalPath> paths =
@@ -225,8 +250,6 @@ obs::MetricsSnapshot TraceCaptureRun(obs::BenchReport* report,
   for (const std::string& v : broken) std::printf("  %s\n", v.c_str());
   *violations = broken.size();
 
-  std::printf("\n%s\n",
-              prof.UtilizationText(0, cluster.sim().Now()).c_str());
   // A taste of the critical-path report: the first transactions.
   std::vector<obs::CriticalPath> head(
       paths.begin(),

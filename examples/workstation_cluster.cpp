@@ -6,6 +6,7 @@
 //
 // Usage:  ./build/examples/workstation_cluster [clients] [servers] [secs]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -41,16 +42,9 @@ int main(int argc, char** argv) {
   cluster.sim().RunFor(static_cast<sim::Duration>(seconds) * sim::kSecond);
 
   uint64_t committed = 0;
-  sim::Histogram latency;
-  for (auto& d : drivers) {
-    committed += d->committed();
-    for (double v :
-         {d->txn_latency_ms().Percentile(0.5), 0.0}) {  // merge roughly
-      (void)v;
-    }
-  }
   double p50 = 0, p95 = 0;
   for (auto& d : drivers) {
+    committed += d->committed();
     p50 = std::max(p50, d->txn_latency_ms().Percentile(0.5));
     p95 = std::max(p95, d->txn_latency_ms().Percentile(0.95));
   }
@@ -64,6 +58,13 @@ int main(int argc, char** argv) {
   std::printf("txn latency (worst client): p50=%.2f ms p95=%.2f ms\n", p50,
               p95);
 
+  // Each resource's busy account over the whole run, up to when its
+  // queued work ends.
+  const sim::Time now = cluster.Now();
+  auto busy_percent = [now](sim::Duration busy, sim::Time busy_until) {
+    return static_cast<double>(busy) /
+           static_cast<double>(std::max(now, busy_until)) * 100.0;
+  };
   for (int s = 1; s <= servers; ++s) {
     auto& srv = cluster.server(s);
     std::printf(
@@ -71,14 +72,20 @@ int main(int argc, char** argv) {
         "%4.1f%%  %7.2f KB/s logged\n",
         s, static_cast<double>(srv.forces_acked().value()) / seconds,
         static_cast<double>(srv.tracks_written().value()) / seconds,
-        srv.cpu().Utilization() * 100.0, srv.disk().Utilization() * 100.0,
+        busy_percent(srv.cpu().busy_ns().value(), srv.cpu().busy_until()),
+        busy_percent(srv.disk().busy_time(), srv.disk().busy_until()),
         static_cast<double>(srv.bytes_logged()) / seconds / 1024.0);
   }
   for (int n = 0; n < cluster.num_networks(); ++n) {
+    // Offered load: the bits accepted over what the medium could carry.
+    const net::Network& network = cluster.network(n);
+    const double offered =
+        static_cast<double>(network.bits_sent()) /
+        (network.config().bandwidth_bits_per_sec *
+         sim::DurationToSeconds(now));
     std::printf("network %d: %.2f Mbit/s offered (%.1f%% of 10 Mbit)\n", n,
-                static_cast<double>(cluster.network(n).bits_sent()) /
-                    seconds / 1e6,
-                cluster.network(n).Utilization() * 100.0);
+                static_cast<double>(network.bits_sent()) / seconds / 1e6,
+                offered * 100.0);
   }
   return 0;
 }

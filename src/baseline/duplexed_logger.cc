@@ -10,8 +10,7 @@ DuplexedDiskLogger::DuplexedDiskLogger(sim::Scheduler* sim,
     : sim_(sim), config_(config) {
   assert(config.num_disks >= 1);
   for (int i = 0; i < config.num_disks; ++i) {
-    disks_.push_back(std::make_unique<storage::SimDisk>(
-        sim, config.disk, "local-log-disk-" + std::to_string(i)));
+    disks_.push_back(std::make_unique<storage::SimDisk>(sim, config.disk));
   }
 }
 

@@ -102,7 +102,7 @@ LogClient::LogClient(sim::Scheduler* sim, const LogClientConfig& config)
   // Decentralized spreading: each client starts its rotation at a
   // different point (Section 5.4's "simple decentralized strategies").
   round_robin_cursor_ = config_.client_id;
-  cpu_ = std::make_unique<sim::Cpu>(sim, config_.cpu_mips, "client-cpu");
+  cpu_ = std::make_unique<sim::Cpu>(sim, config_.cpu_mips);
   endpoint_ = std::make_unique<wire::Endpoint>(sim, cpu_.get(),
                                                config_.node_id,
                                                config_.wire);

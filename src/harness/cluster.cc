@@ -37,17 +37,13 @@ Cluster::Cluster(const ClusterConfig& config)
     net::NetworkConfig net_cfg = config.network;
     net_cfg.seed = config.seed * 1000 + i;
     networks_.push_back(std::make_unique<net::Network>(&sim_, net_cfg));
-    if (config.profiling) {
-      net::Network* network = networks_.back().get();
-      const std::string name = "net-" + std::to_string(i);
-      network->SetBusyProbe([this, name](sim::Time s, sim::Time e) {
-        profiler_.RecordBusy(name, s, e);
-      });
-      network->SetPacketProbe([this](const net::Network::PacketTiming& t) {
-        profiler_.RecordPacket({t.trace, t.span, t.src, t.dst,
-                                t.wire_bytes, t.enqueue, t.tx_start,
-                                t.tx_end, t.arrival, t.delivered});
-      });
+    if (config.tracing) {
+      networks_.back()->SetPacketProbe(
+          [this](const net::Network::PacketTiming& t) {
+            profiler_.RecordPacket({t.trace, t.span, t.src, t.dst,
+                                    t.wire_bytes, t.enqueue, t.tx_start,
+                                    t.tx_end, t.arrival, t.delivered});
+          });
     }
   }
   for (int i = 0; i < config.num_servers; ++i) {
@@ -57,14 +53,11 @@ Cluster::Cluster(const ClusterConfig& config)
     for (auto& network : networks_) server->AttachNetwork(network.get());
     server->SetTracer(&tracer_);
     server->RegisterMetrics(&metrics_);
-    if (config.profiling) {
-      // A server's CPU/disk/NVRAM objects survive Crash()/Restart(), so
-      // attaching once here covers the node's whole lifetime.
+    if (config.tracing) {
+      // A server's disk survives Crash()/Restart(), so attaching once
+      // here covers the node's whole lifetime.
       const std::string name = "server-" + std::to_string(i + 1);
       profiler_.SetNodeName(server_cfg.node_id, name);
-      server->cpu().SetBusyProbe([this, name](sim::Time s, sim::Time e) {
-        profiler_.RecordBusy(name + "/cpu", s, e);
-      });
       server->disk().SetRequestProbe(
           [this, name](const storage::SimDisk::RequestTiming& t) {
             profiler_.RecordDisk(name + "/disk",
@@ -72,10 +65,6 @@ Cluster::Cluster(const ClusterConfig& config)
                                   t.start, t.seek, t.rotation, t.transfer,
                                   t.end});
           });
-      server->nvram_buffer().SetOccupancyProbe([this, name](size_t used) {
-        profiler_.RecordLevel(name + "/nvram", sim_.Now(),
-                              static_cast<double>(used));
-      });
     }
     servers_.push_back(std::move(server));
   }
@@ -129,16 +118,6 @@ std::unique_ptr<client::LogClient> Cluster::BuildClient(
   for (auto& network : networks_) node->AttachNetwork(network.get());
   node->SetTracer(&tracer_);
   node->RegisterMetrics(&metrics_);
-  if (config_.profiling) {
-    // Re-attached on every (re)build: a restarted client is a new object
-    // with a new CPU, feeding the same per-identity timeline.
-    const std::string name =
-        "client-" + std::to_string(config.client_id);
-    profiler_.SetNodeName(config.node_id, name);
-    node->cpu().SetBusyProbe([this, name](sim::Time s, sim::Time e) {
-      profiler_.RecordBusy(name + "/cpu", s, e);
-    });
-  }
   return node;
 }
 

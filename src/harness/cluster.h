@@ -64,15 +64,10 @@ struct ClusterConfig {
   /// When true the cluster-wide tracer records causal spans (txn →
   /// wal.group → wire.send → nvram.buffer/track.write/force.ack) for
   /// every traced operation; export with obs::ChromeTraceJson. Off by
-  /// default: bulk experiments should not accumulate span memory.
+  /// default: bulk experiments should not accumulate span memory. With
+  /// tracing on, the cluster also feeds every packet's and disk request's
+  /// timing into its obs::Profiler for ForceLog latency attribution.
   bool tracing = false;
-  /// When true the cluster wires every resource's probe hooks (CPUs,
-  /// LANs, disk arms, NVRAM buffers, per-packet timing) into an owned
-  /// obs::Profiler: exact utilization timelines plus — combined with
-  /// `tracing` — per-component ForceLog latency attribution and
-  /// critical-path extraction. Off by default for the same reason as
-  /// tracing.
-  bool profiling = false;
   uint64_t seed = 1;
   /// RunUntil(predicate) polling grid. 0 (default) checks the predicate
   /// after every event. > 0 checks it only every this much simulated
@@ -148,8 +143,8 @@ class Cluster : public chaos::FaultTargets {
   /// here for their whole lifetime.
   obs::Tracer& tracer() { return tracer_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// The resource profiler (collecting only when ClusterConfig::profiling
-  /// is set; empty otherwise).
+  /// The force-latency profiler (collecting only when
+  /// ClusterConfig::tracing is set; empty otherwise).
   obs::Profiler& profiler() { return profiler_; }
 
   /// The live telemetry collector, health monitor, and flight recorder.

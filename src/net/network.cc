@@ -70,8 +70,8 @@ void Network::Send(const Packet& packet) {
       static_cast<double>(bits) / config_.bandwidth_bits_per_sec);
   const sim::Time tx_start = std::max(enqueue, medium_free_at_);
   medium_free_at_ = tx_start + tx_time;
+  busy_time_ += tx_time;
   const sim::Time arrival = medium_free_at_ + config_.propagation_delay;
-  if (busy_probe_) busy_probe_(tx_start, medium_free_at_);
 
   PacketTiming timing;
   timing.trace = packet.trace;
@@ -172,15 +172,6 @@ void Network::DeliverTo(NodeId dst, const Packet& packet,
     sim_->At(arrival + static_cast<sim::Duration>(i) * sim::kMicrosecond,
              [nic, packet]() { nic->Deliver(packet); });
   }
-}
-
-double Network::Utilization() const {
-  const sim::Duration elapsed = sim_->Now() - start_time_;
-  if (elapsed == 0) return 0.0;
-  const double capacity_bits =
-      config_.bandwidth_bits_per_sec * sim::DurationToSeconds(elapsed);
-  if (capacity_bits <= 0) return 0.0;
-  return static_cast<double>(bits_sent_) / capacity_bits;
 }
 
 Nic::Nic(sim::Scheduler* sim, size_t ring_slots)

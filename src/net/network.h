@@ -102,13 +102,6 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
 
-  /// Medium busy-interval probe: invoked once per accepted transmission
-  /// with the interval [tx_start, tx_end) the shared medium is occupied.
-  /// Transmissions serialize, so intervals never overlap and arrive in
-  /// non-decreasing start order — an exact utilization timeline feed.
-  using BusyProbe = std::function<void(sim::Time start, sim::Time end)>;
-  void SetBusyProbe(BusyProbe probe) { busy_probe_ = std::move(probe); }
-
   /// Per-delivery timing record for latency attribution: when the packet
   /// was offered to the medium (enqueue), when its transmission started
   /// and ended on the shared medium, and when this copy reached `dst`
@@ -133,8 +126,12 @@ class Network {
 
   /// Total payload+header bits accepted for transmission.
   uint64_t bits_sent() const { return bits_sent_; }
-  /// Offered-load utilization of the medium since construction.
-  double Utilization() const;
+  /// The medium's busy account: cumulative transmission time of the
+  /// packets accepted so far. With busy_until(), sim::BusyElapsed gives
+  /// the busy time elapsed by any instant.
+  sim::Duration busy_time() const { return busy_time_; }
+  /// When the transmissions queued so far end.
+  sim::Time busy_until() const { return medium_free_at_; }
 
   sim::Counter& packets_sent() { return packets_sent_; }
   sim::Counter& packets_delivered() { return packets_delivered_; }
@@ -167,13 +164,12 @@ class Network {
   std::map<std::pair<NodeId, NodeId>, LinkFault> link_faults_;
   sim::Time medium_free_at_ = 0;
   uint64_t bits_sent_ = 0;
-  sim::Time start_time_ = 0;
+  sim::Duration busy_time_ = 0;
   sim::Counter packets_sent_;
   sim::Counter packets_delivered_;
   sim::Counter packets_lost_;
   sim::Counter packets_oversized_;
   sim::Counter packets_partition_dropped_;
-  BusyProbe busy_probe_;
   PacketProbe packet_probe_;
 };
 

@@ -1,124 +1,9 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <deque>
 
 namespace dlog::obs {
-namespace {
-
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  *out += buf;
-}
-
-}  // namespace
-
-void UtilizationTimeline::AddBusy(sim::Time start, sim::Time end) {
-  if (end <= start) return;
-  if (!intervals_.empty() && start <= intervals_.back().end) {
-    // Contiguous or overlapping with the previous interval (probes report
-    // in non-decreasing start order): extend instead of appending.
-    intervals_.back().end = std::max(intervals_.back().end, end);
-    return;
-  }
-  intervals_.push_back({start, end});
-}
-
-sim::Duration UtilizationTimeline::BusyTime(sim::Time from,
-                                            sim::Time to) const {
-  sim::Duration busy = 0;
-  for (const BusyInterval& iv : intervals_) {
-    if (iv.end <= from) continue;
-    if (iv.start >= to) break;
-    busy += std::min(iv.end, to) - std::max(iv.start, from);
-  }
-  return busy;
-}
-
-double UtilizationTimeline::Utilization(sim::Time from, sim::Time to) const {
-  if (to <= from) return 0.0;
-  return static_cast<double>(BusyTime(from, to)) /
-         static_cast<double>(to - from);
-}
-
-void LevelTimeline::Set(sim::Time now, double level) {
-  max_ = std::max(max_, level);
-  if (!points_.empty() && points_.back().first == now) {
-    points_.back().second = level;
-    return;
-  }
-  points_.push_back({now, level});
-}
-
-double LevelTimeline::Average(sim::Time from, sim::Time to) const {
-  if (to <= from || points_.empty()) return 0.0;
-  double weighted = 0;
-  // The level before the first point is 0 by convention (empty buffer).
-  double level = 0;
-  sim::Time cursor = from;
-  for (const auto& [at, value] : points_) {
-    if (at >= to) break;
-    if (at > cursor) {
-      weighted += level * static_cast<double>(at - cursor);
-      cursor = at;
-    }
-    level = value;
-  }
-  weighted += level * static_cast<double>(to - cursor);
-  return weighted / static_cast<double>(to - from);
-}
-
-void Profiler::RecordBusy(const std::string& resource, sim::Time start,
-                          sim::Time end) {
-  auto [it, inserted] = timelines_.try_emplace(resource);
-  it->second.AddBusy(start, end);
-  if (inserted && registry_ != nullptr) RegisterUtilization(resource);
-}
-
-void Profiler::RecordLevel(const std::string& resource, sim::Time now,
-                           double level) {
-  auto [it, inserted] = levels_.try_emplace(resource);
-  it->second.Set(now, level);
-  if (inserted && registry_ != nullptr) RegisterOccupancy(resource);
-}
-
-void Profiler::RecordDisk(const std::string& resource,
-                          const DiskEvent& event) {
-  disk_events_[resource].push_back(event);
-  RecordBusy(resource, event.start, event.end);
-}
-
-double Profiler::Utilization(const std::string& resource, sim::Time from,
-                             sim::Time to) const {
-  auto it = timelines_.find(resource);
-  if (it == timelines_.end()) return 0.0;
-  return it->second.Utilization(from, to);
-}
-
-std::string Profiler::UtilizationText(sim::Time from, sim::Time to) const {
-  std::string out;
-  AppendF(&out, "resource utilization over [%" PRIu64 "..%" PRIu64 "]ns\n",
-          from, to);
-  for (const auto& [resource, timeline] : timelines_) {
-    AppendF(&out, "  %-20s %6.4f\n", resource.c_str(),
-            timeline.Utilization(from, to));
-  }
-  for (const auto& [resource, level] : levels_) {
-    AppendF(&out, "  %-20s avg=%.1fB max=%.0fB\n", resource.c_str(),
-            level.Average(from, to), level.Max());
-  }
-  return out;
-}
 
 std::vector<Profiler::Attribution> Profiler::AttributeForces(
     const Tracer& tracer) const {
@@ -258,35 +143,11 @@ void Profiler::UpdateAttributionMetrics(const Tracer& tracer) {
   }
 }
 
-void Profiler::RegisterUtilization(const std::string& resource) {
-  registry_->RegisterCallback(
-      "profiler/util/" + resource,
-      [this, resource]() { return Utilization(resource, 0, now_fn_()); });
-}
-
-void Profiler::RegisterOccupancy(const std::string& resource) {
-  registry_->RegisterCallback(
-      "profiler/occupancy/" + resource, [this, resource]() {
-        auto it = levels_.find(resource);
-        return it == levels_.end() ? 0.0
-                                   : it->second.Average(0, now_fn_());
-      });
-}
-
-void Profiler::RegisterMetrics(MetricsRegistry* registry,
-                               std::function<sim::Time()> now_fn) {
-  registry_ = registry;
-  now_fn_ = std::move(now_fn);
+void Profiler::RegisterMetrics(MetricsRegistry* registry) {
   for (const std::string& name : AttributionComponents()) {
     registry->RegisterHistogram("profiler/attr/" + name, &attr_ms_[name]);
   }
   registry->RegisterHistogram("profiler/attr/total", &attr_ms_["total"]);
-  for (const auto& [resource, timeline] : timelines_) {
-    RegisterUtilization(resource);
-  }
-  for (const auto& [resource, level] : levels_) {
-    RegisterOccupancy(resource);
-  }
 }
 
 }  // namespace dlog::obs

@@ -14,53 +14,6 @@
 
 namespace dlog::obs {
 
-/// One busy interval of a serially-served resource.
-struct BusyInterval {
-  sim::Time start = 0;
-  sim::Time end = 0;
-};
-
-/// Exact busy/idle timeline of one resource (a node CPU, a LAN medium, a
-/// disk arm). Fed from the components' busy probes, which report
-/// non-overlapping intervals in non-decreasing start order — so this is
-/// bookkeeping, not sampling: Utilization() is exact over any window.
-class UtilizationTimeline {
- public:
-  /// Appends a busy interval; contiguous intervals are merged.
-  void AddBusy(sim::Time start, sim::Time end);
-
-  const std::vector<BusyInterval>& intervals() const { return intervals_; }
-
-  /// Busy fraction over [from, to), clipping intervals at the window
-  /// edges. Returns 0 for an empty window.
-  double Utilization(sim::Time from, sim::Time to) const;
-
-  /// Total busy time inside [from, to).
-  sim::Duration BusyTime(sim::Time from, sim::Time to) const;
-
- private:
-  std::vector<BusyInterval> intervals_;
-};
-
-/// Step timeline of an instantaneous level (NVRAM buffer occupancy in
-/// bytes): the level holds from each point until the next.
-class LevelTimeline {
- public:
-  void Set(sim::Time now, double level);
-
-  const std::vector<std::pair<sim::Time, double>>& points() const {
-    return points_;
-  }
-
-  /// Time-weighted mean level over [from, to).
-  double Average(sim::Time from, sim::Time to) const;
-  double Max() const { return max_; }
-
- private:
-  std::vector<std::pair<sim::Time, double>> points_;
-  double max_ = 0;
-};
-
 /// Per-delivery packet timing, as reported by the network's packet probe
 /// (mirrors net::Network::PacketTiming without the net dependency —
 /// obs stays a leaf layer over sim).
@@ -99,19 +52,17 @@ inline const std::vector<std::string>& AttributionComponents() {
   return kComponents;
 }
 
-/// The resource-attribution layer: collects probe feeds from the
-/// simulated hardware (CPUs, LANs, disk arms, NVRAM buffers) during a
+/// The force-latency attribution layer: collects the network's
+/// per-delivery packet timings and the disks' request timings during a
 /// run, then — against the causal span forest — decomposes each traced
-/// ForceLog into named latency components and reports exact per-resource
-/// utilizations. All inputs arrive in deterministic simulator order, so
-/// every derived artifact is byte-identical per (config, seed).
+/// ForceLog into named latency components. All inputs arrive in
+/// deterministic simulator order, so every derived artifact is
+/// byte-identical per (config, seed). Resource utilizations are not kept
+/// here: each Cpu, SimDisk and Network keeps its own busy account.
 ///
-/// Wiring (done by harness::Cluster when `profiling` is on):
-///   cpu.SetBusyProbe      -> RecordBusy("server-2/cpu", ...)
-///   network.SetBusyProbe  -> RecordBusy("net-0", ...)
-///   network.SetPacketProbe-> RecordPacket(...)
-///   disk.SetRequestProbe  -> RecordDisk("server-2/disk", ...)
-///   nvram.SetOccupancyProbe -> RecordLevel("server-2/nvram", bytes)
+/// Wiring (done by harness::Cluster when `tracing` is on):
+///   network.SetPacketProbe -> RecordPacket(...)
+///   disk.SetRequestProbe   -> RecordDisk("server-2/disk", ...)
 class Profiler {
  public:
   Profiler() = default;
@@ -120,34 +71,19 @@ class Profiler {
   Profiler& operator=(const Profiler&) = delete;
 
   // --- probe feeds ---
-  void RecordBusy(const std::string& resource, sim::Time start,
-                  sim::Time end);
-  void RecordLevel(const std::string& resource, sim::Time now,
-                   double level);
   void RecordPacket(const PacketEvent& event) {
     packets_.push_back(event);
   }
-  /// Records one disk request; also feeds `resource`'s busy timeline
-  /// (the arm is serially busy over [event.start, event.end)).
-  void RecordDisk(const std::string& resource, const DiskEvent& event);
+  /// Records one request of `resource`'s disk arm.
+  void RecordDisk(const std::string& resource, const DiskEvent& event) {
+    disk_events_[resource].push_back(event);
+  }
 
   /// Maps a network node id to its span-node name ("server-2"), so packet
   /// deliveries can be matched to the force.ack instants they produced.
   void SetNodeName(uint32_t id, const std::string& name) {
     node_names_[id] = name;
   }
-
-  // --- timelines ---
-  const std::map<std::string, LevelTimeline>& levels() const {
-    return levels_;
-  }
-  /// Busy fraction of `resource` over [from, to); 0 if unknown.
-  double Utilization(const std::string& resource, sim::Time from,
-                     sim::Time to) const;
-
-  /// Text table of every resource's utilization (and NVRAM mean/max
-  /// occupancy) over [from, to). Deterministic.
-  std::string UtilizationText(sim::Time from, sim::Time to) const;
 
   // --- latency attribution ---
   struct Attribution {
@@ -182,30 +118,14 @@ class Profiler {
   }
 
   /// Registers the per-component histograms under
-  /// "profiler/attr/<component>" (ms, filled by
-  /// UpdateAttributionMetrics), a callback utilization metric
-  /// "profiler/util/<resource>" per busy timeline, and
-  /// "profiler/occupancy/<resource>" per level timeline. Resources first
-  /// seen after this call register themselves on arrival, so call order
-  /// does not matter. `now_fn` supplies the snapshot-window end
-  /// (normally the simulator clock).
-  void RegisterMetrics(MetricsRegistry* registry,
-                       std::function<sim::Time()> now_fn);
-
-  const std::vector<PacketEvent>& packets() const { return packets_; }
+  /// "profiler/attr/<component>" (ms, filled by UpdateAttributionMetrics).
+  void RegisterMetrics(MetricsRegistry* registry);
 
  private:
-  void RegisterUtilization(const std::string& resource);
-  void RegisterOccupancy(const std::string& resource);
-
-  std::map<std::string, UtilizationTimeline> timelines_;
-  std::map<std::string, LevelTimeline> levels_;
   std::map<std::string, std::vector<DiskEvent>> disk_events_;
   std::vector<PacketEvent> packets_;
   std::map<uint32_t, std::string> node_names_;
   std::map<std::string, sim::Histogram> attr_ms_;
-  MetricsRegistry* registry_ = nullptr;
-  std::function<sim::Time()> now_fn_;
 };
 
 }  // namespace dlog::obs

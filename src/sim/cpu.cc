@@ -6,8 +6,7 @@
 
 namespace dlog::sim {
 
-Cpu::Cpu(Scheduler* sim, double mips, std::string name)
-    : sim_(sim), mips_(mips), name_(std::move(name)) {
+Cpu::Cpu(Scheduler* sim, double mips) : sim_(sim), mips_(mips) {
   assert(mips > 0);
 }
 
@@ -21,28 +20,9 @@ void Cpu::Execute(uint64_t instructions, Callback done) {
   const Duration service = InstructionsToTime(instructions);
   const Time start = std::max(sim_->Now(), free_at_);
   free_at_ = start + service;
-  busy_time_ += service;
   busy_ns_.Increment(service);
-  if (busy_probe_ && service > 0) busy_probe_(start, free_at_);
   if (done) {
     sim_->At(free_at_, std::move(done));
-  }
-}
-
-double Cpu::Utilization() const {
-  const Time now = std::max(sim_->Now(), free_at_);
-  const Duration window = now - window_start_;
-  if (window == 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(window);
-}
-
-void Cpu::ResetStats() {
-  window_start_ = sim_->Now();
-  busy_time_ = 0;
-  // Work already queued past Now() still counts as busy time in the new
-  // window; approximate by carrying the in-flight tail.
-  if (free_at_ > window_start_) {
-    busy_time_ = free_at_ - window_start_;
   }
 }
 

@@ -121,6 +121,17 @@ class StreamingHistogram {
   size_t bucket_hi_ = 0;
 };
 
+/// Busy time a FIFO-served resource (a Cpu, a SimDisk arm, a Network
+/// medium) has elapsed by `now`, from its busy account read at `now`:
+/// `busy`, the cumulative service time of the work submitted to it, and
+/// `busy_until`, when that work ends. Work submitted by `now` runs back to
+/// back from `now` on, so what has not elapsed is the tail past `now`.
+/// Busy time over a window [t0, t1) is the difference of the readings at
+/// t1 and t0, exact in integer nanoseconds.
+inline Duration BusyElapsed(Duration busy, Time busy_until, Time now) {
+  return busy_until > now ? busy - (busy_until - now) : busy;
+}
+
 /// A monotonically increasing event counter with a named meaning
 /// (messages sent, records written, ...). A plain integer: every counter
 /// belongs to one simulation, which runs on one thread.
@@ -181,15 +192,22 @@ class TimeWeightedGauge {
   double value() const { return value_; }
   double max() const { return max_; }
 
+  /// Level × time accumulated over [first Set, now] (0 before any Set);
+  /// `now` must not precede the last Set. The mean over a window
+  /// [t0, t1) is the difference of the readings at t1 and t0, divided by
+  /// t1 - t0.
+  double Integral(Time now) const {
+    if (!started_) return 0.0;
+    return weighted_sum_ + value_ * static_cast<double>(now - last_change_);
+  }
+
   /// Time-weighted mean level over [first Set, now]. Returns the current
   /// level when no time has elapsed, 0 before any Set.
   double Average(Time now) const {
     if (!started_) return 0.0;
     const double elapsed = static_cast<double>(now - start_);
     if (elapsed <= 0) return value_;
-    const double sum =
-        weighted_sum_ + value_ * static_cast<double>(now - last_change_);
-    return sum / elapsed;
+    return Integral(now) / elapsed;
   }
 
   void Reset(Time now) {

@@ -17,9 +17,8 @@ Status DiskConfig::Validate() const {
   return Status::OK();
 }
 
-SimDisk::SimDisk(sim::Scheduler* sim, const DiskConfig& config,
-                 std::string name)
-    : sim_(sim), config_(config), name_(std::move(name)) {
+SimDisk::SimDisk(sim::Scheduler* sim, const DiskConfig& config)
+    : sim_(sim), config_(config) {
   DLOG_CHECK_OK(config.Validate());
 }
 
@@ -120,19 +119,15 @@ Result<SharedBytes> SimDisk::Peek(uint64_t track) const {
 
 void SimDisk::Crash() {
   ++crash_generation_;
-  free_at_ = sim_->Now();
+  const sim::Time now = sim_->Now();
+  if (free_at_ > now) busy_time_ -= free_at_ - now;
+  free_at_ = now;
 }
 
 void SimDisk::WipeMedia() {
   Crash();
   tracks_.clear();
   head_track_ = 0;
-}
-
-double SimDisk::Utilization() const {
-  const sim::Time now = std::max(sim_->Now(), free_at_);
-  if (now == 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(now);
 }
 
 }  // namespace dlog::storage

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -46,8 +45,7 @@ struct DiskConfig {
 /// crash time is lost without effect (the old track contents remain).
 class SimDisk {
  public:
-  SimDisk(sim::Scheduler* sim, const DiskConfig& config,
-          std::string name = "disk");
+  SimDisk(sim::Scheduler* sim, const DiskConfig& config);
 
   SimDisk(const SimDisk&) = delete;
   SimDisk& operator=(const SimDisk&) = delete;
@@ -85,9 +83,13 @@ class SimDisk {
 
   const DiskConfig& config() const { return config_; }
   sim::Duration RotationTime() const;
+  /// The arm's busy account: cumulative service time of the requests
+  /// submitted to it, less the unserved tail a Crash() drops. With
+  /// busy_until(), sim::BusyElapsed gives the busy time elapsed by any
+  /// instant.
   sim::Duration busy_time() const { return busy_time_; }
-  /// Busy fraction since construction.
-  double Utilization() const;
+  /// When the requests queued so far complete.
+  sim::Time busy_until() const { return free_at_; }
 
   sim::Counter& writes() { return writes_; }
   sim::Counter& reads() { return reads_; }
@@ -127,7 +129,6 @@ class SimDisk {
 
   sim::Scheduler* sim_;
   DiskConfig config_;
-  std::string name_;
   std::map<uint64_t, SharedBytes> tracks_;
   sim::Time free_at_ = 0;
   uint64_t head_track_ = 0;

@@ -32,7 +32,6 @@ void NvramQueue::PopFront() {
   images_.pop_front();
   ++first_track_;
   if (images_.empty()) back_open_ = false;
-  if (occupancy_probe_) occupancy_probe_(used_);
 }
 
 void NvramQueue::Repack(EntrySizeFn entry_size, uint64_t first_track,

@@ -79,7 +79,6 @@ class NvramQueue {
     assert(image.bytes->size() == before + n && image.bytes->data() == data);
     ++image.entries;
     used_ += n;
-    if (occupancy_probe_) occupancy_probe_(used_);
     if (at != nullptr) *at = Position{image.track, before};
     return Status::OK();
   }
@@ -127,15 +126,6 @@ class NvramQueue {
   size_t capacity() const { return capacity_; }
   bool empty() const { return images_.empty(); }
 
-  /// Occupancy probe: invoked with the new used-byte count after every
-  /// successful Append and after PopFront. Feeds the profiler's buffer-
-  /// occupancy timeline (the caller timestamps against its simulator; the
-  /// queue itself is timeless).
-  using OccupancyProbe = std::function<void(size_t used_bytes)>;
-  void SetOccupancyProbe(OccupancyProbe probe) {
-    occupancy_probe_ = std::move(probe);
-  }
-
  private:
   /// The image an `n`-byte entry goes into: the open image if the entry
   /// fits it, else a fresh one (its header zeroed), which becomes the
@@ -150,7 +140,6 @@ class NvramQueue {
   /// Whether images_.back() takes more entries.
   bool back_open_ = false;
   std::deque<Image> images_;
-  OccupancyProbe occupancy_probe_;
 };
 
 /// A single non-volatile integer cell with atomic read/write, used for

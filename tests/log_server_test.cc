@@ -605,6 +605,49 @@ TEST(LogServerTest, UnflushedNvramRecordsSurviveCrash) {
   EXPECT_EQ(d.server->IntervalsOf(kClient), (IntervalList{{1, 1, 2}}));
 }
 
+TEST(LogServerTest, NvramOccupancyGaugeTracksTheBufferAcrossLossAndRestart) {
+  LogServerConfig cfg;
+  cfg.flush_interval = 60 * sim::kSecond;  // records stay in NVRAM
+  RawDriver d(cfg);
+  const sim::TimeWeightedGauge& gauge = d.server->nvram_occupancy();
+  auto used = [&d]() {
+    return static_cast<double>(d.server->nvram_buffer().used_bytes());
+  };
+  d.SendBatch(wire::MessageType::kForceLog, 1, {Rec(1, 1), Rec(2, 1)});
+  const double buffered = used();
+  EXPECT_GT(buffered, 0.0);
+  EXPECT_EQ(gauge.value(), buffered);
+
+  // The buffer survives a crash and restart, and so does its level.
+  d.server->Crash();
+  d.sim.RunFor(10 * sim::kMillisecond);
+  d.server->Restart();
+  EXPECT_EQ(used(), buffered);
+  EXPECT_EQ(gauge.value(), buffered);
+
+  // Losing the NVRAM replaces the buffer; the gauge follows it to empty.
+  d.server->LoseNvram();
+  EXPECT_EQ(used(), 0.0);
+  EXPECT_EQ(gauge.value(), 0.0);
+  const sim::Time lost_at = d.sim.Now();
+  const double integral_at_loss = gauge.Integral(lost_at);
+  d.sim.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(gauge.Integral(d.sim.Now()), integral_at_loss);  // empty
+  d.server->Restart();
+
+  // New writes into the replacement buffer keep counting.
+  d.Connect();
+  d.SendBatch(wire::MessageType::kForceLog, 1,
+              {Rec(1, 1), Rec(2, 1), Rec(3, 1)});
+  EXPECT_GT(used(), buffered);
+  EXPECT_EQ(gauge.value(), used());
+  const sim::Time t0 = d.sim.Now();
+  d.sim.RunFor(1 * sim::kSecond);
+  EXPECT_EQ(gauge.Integral(d.sim.Now()) - gauge.Integral(t0),
+            used() * static_cast<double>(1 * sim::kSecond));
+  EXPECT_EQ(gauge.max(), used());
+}
+
 // A restarted server can find a record both on disk and still in NVRAM
 // (the track write landed, but the crash lost the flush's completion). Its
 // reads are charged to that track until the NVRAM copy flushes, and then

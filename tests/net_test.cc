@@ -181,8 +181,19 @@ TEST(NetworkTest, UtilizationAccounting) {
   net.Attach(1, &a.nic);
   net.Attach(2, &b.nic);
   net.Send(MakePacket(1, 2, 1250));  // 1 ms of a 10 Mbit medium
+  net.Send(MakePacket(1, 2, 1250));  // queued behind it: [1, 2) ms
+  EXPECT_EQ(net.bits_sent(), 2u * 1250 * 8);
+  EXPECT_EQ(net.busy_time(), 2 * sim::kMillisecond);
+  EXPECT_EQ(net.busy_until(), 2 * sim::kMillisecond);
+  sim.RunUntil(1 * sim::kMillisecond);
+  EXPECT_EQ(sim::BusyElapsed(net.busy_time(), net.busy_until(), sim.Now()),
+            1 * sim::kMillisecond);
   sim.RunUntil(10 * sim::kMillisecond);
-  EXPECT_NEAR(net.Utilization(), 0.1, 1e-9);
+  const sim::Duration busy =
+      sim::BusyElapsed(net.busy_time(), net.busy_until(), sim.Now());
+  EXPECT_EQ(busy, 2 * sim::kMillisecond);
+  EXPECT_DOUBLE_EQ(static_cast<double>(busy) / static_cast<double>(sim.Now()),
+                   0.2);
 }
 
 // --- Nic ---

@@ -1,25 +1,33 @@
-// Tests of the critical-path profiler and resource-attribution layer:
-// timeline bookkeeping, hand-built critical-path/slack extraction, the
-// exact-summation contract of ForceLog latency attribution (including
-// the ack-after-disk ablation where the disk phases are nonzero), the
-// closed-form cross-check of measured utilizations, and byte-for-byte
-// determinism of every profiler artifact under an active fault plan.
+// Tests of the resources' busy accounts and the force-latency
+// attribution layer: window busy times from two account readings against
+// a clipped-interval model, hand-built critical-path/slack extraction,
+// the exact-summation contract of ForceLog latency attribution
+// (including the ack-after-disk ablation where the disk phases are
+// nonzero), the closed-form cross-check of measured utilizations, and
+// byte-for-byte determinism of every profiler artifact under an active
+// fault plan.
 
+#include <algorithm>
 #include <cinttypes>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/capacity.h"
 #include "chaos/fault_plan.h"
+#include "common/rng.h"
 #include "harness/cluster.h"
 #include "harness/et1_driver.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "sim/cpu.h"
+#include "sim/simulator.h"
+#include "storage/disk.h"
 
 namespace dlog {
 namespace {
@@ -51,35 +59,143 @@ Status ForceAll(harness::Cluster& cluster, client::LogClient& log,
   return result;
 }
 
-// --- timelines ---
+// --- busy accounts ---
 
-TEST(UtilizationTimelineTest, MergesContiguousAndClipsWindows) {
-  obs::UtilizationTimeline t;
-  t.AddBusy(10, 20);
-  t.AddBusy(20, 30);  // contiguous: merged
-  t.AddBusy(50, 60);
-  ASSERT_EQ(t.intervals().size(), 2u);
-  EXPECT_EQ(t.intervals()[0].start, 10u);
-  EXPECT_EQ(t.intervals()[0].end, 30u);
+/// The exact busy schedule of one FIFO-served resource, kept as the
+/// intervals [start, end) it is busy on each piece of work.
+struct IntervalModel {
+  std::vector<std::pair<sim::Time, sim::Time>> intervals;
 
-  EXPECT_EQ(t.BusyTime(0, 100), 30u);
-  EXPECT_EQ(t.BusyTime(15, 55), 20u);  // clipped at both edges
-  EXPECT_DOUBLE_EQ(t.Utilization(0, 100), 0.30);
-  EXPECT_DOUBLE_EQ(t.Utilization(30, 50), 0.0);
-  EXPECT_DOUBLE_EQ(t.Utilization(5, 5), 0.0);  // empty window
-  t.AddBusy(70, 70);                           // zero-length: ignored
-  EXPECT_EQ(t.intervals().size(), 2u);
-}
+  /// A crash at `at` drops the work not yet served: every interval is
+  /// clipped there.
+  void CutAt(sim::Time at) {
+    for (auto& [start, end] : intervals) {
+      start = std::min(start, at);
+      end = std::min(end, at);
+    }
+  }
 
-TEST(LevelTimelineTest, TimeWeightedAverageAndMax) {
-  obs::LevelTimeline t;
-  t.Set(10, 100.0);
-  t.Set(20, 300.0);
-  t.Set(20, 200.0);  // same instant: overwritten
-  // Level is 0 before the first point: [0,10)=0, [10,20)=100, [20,40)=200.
-  EXPECT_DOUBLE_EQ(t.Average(0, 40), (0 * 10 + 100 * 10 + 200 * 20) / 40.0);
-  EXPECT_DOUBLE_EQ(t.Average(10, 20), 100.0);
-  EXPECT_DOUBLE_EQ(t.Max(), 300.0);  // max tracks every Set, even overwritten
+  /// Busy time inside [from, to): the clipped intervals' sum.
+  sim::Duration BusyIn(sim::Time from, sim::Time to) const {
+    sim::Duration busy = 0;
+    for (const auto& [start, end] : intervals) {
+      const sim::Time lo = std::max(start, from);
+      const sim::Time hi = std::min(end, to);
+      if (hi > lo) busy += hi - lo;
+    }
+    return busy;
+  }
+};
+
+/// One reading of the three accounts at `at`.
+struct Reading {
+  sim::Time at = 0;
+  sim::Duration cpu = 0;
+  sim::Duration disk = 0;
+  sim::Duration net = 0;
+};
+
+TEST(BusyAccountTest, WindowDifferencesMatchClippedIntervals) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulator sim;
+    sim::Cpu cpu(&sim, 1.0 + static_cast<double>(rng.NextBelow(8)));
+    storage::SimDisk disk(&sim, storage::DiskConfig{});
+    net::NetworkConfig net_cfg;
+    net_cfg.header_bytes = 0;
+    net::Network network(&sim, net_cfg);
+
+    IntervalModel cpu_model, disk_model, net_model;
+    sim::Time cpu_free = 0;
+    disk.SetRequestProbe([&](const storage::SimDisk::RequestTiming& t) {
+      disk_model.intervals.push_back({t.start, t.end});
+    });
+    network.SetPacketProbe([&](const net::Network::PacketTiming& t) {
+      net_model.intervals.push_back({t.tx_start, t.tx_end});
+    });
+
+    std::vector<Reading> readings;
+    auto read = [&]() {
+      const sim::Time now = sim.Now();
+      readings.push_back(
+          {now,
+           sim::BusyElapsed(cpu.busy_ns().value(), cpu.busy_until(), now),
+           sim::BusyElapsed(disk.busy_time(), disk.busy_until(), now),
+           sim::BusyElapsed(network.busy_time(), network.busy_until(),
+                            now)});
+    };
+    // Also read just before a resource's queued work ends, where only a
+    // tail of a few ns separates the reading from the end.
+    auto read_before = [&](sim::Time busy_until, uint64_t ns) {
+      sim.At(busy_until - std::min<sim::Duration>(ns, busy_until - sim.Now()),
+             read);
+    };
+
+    // Random submissions and readings, in bursts (several in one tick),
+    // short gaps and idle stretches.
+    sim::Time t = 0;
+    for (int op = 0; op < 300; ++op) {
+      if (rng.Bernoulli(0.05)) t += rng.NextBelow(500 * sim::kMillisecond);
+      if (rng.Bernoulli(0.7)) t += rng.NextBelow(8 * sim::kMillisecond);
+      const uint64_t kind = rng.NextBelow(6);
+      const uint64_t size = rng.NextBelow(3000);
+      sim.At(t, [&, kind, size]() {
+        const sim::Time now = sim.Now();
+        switch (kind) {
+          case 0: {
+            const sim::Duration service = cpu.InstructionsToTime(size);
+            const sim::Time start = std::max(now, cpu_free);
+            cpu_free = start + service;
+            cpu_model.intervals.push_back({start, cpu_free});
+            cpu.Execute(size, nullptr);
+            read_before(cpu.busy_until(), size % 1500);
+            break;
+          }
+          case 1:
+            disk.WriteTrack(size % 4, Bytes(16, 0), nullptr);
+            read_before(disk.busy_until(), size % 1500);
+            break;
+          case 2:
+            disk.ReadTrack(size % 4, [](Result<SharedBytes>) {});
+            read_before(disk.busy_until(), size % 1500);
+            break;
+          case 3: {
+            net::Packet packet;
+            packet.src = 1;
+            packet.dst = 2;
+            packet.payload = Bytes(size % net_cfg.mtu_bytes, 0);
+            network.Send(packet);
+            read_before(network.busy_until(), size % 1500);
+            break;
+          }
+          case 4:
+            // A crash drops the disk's unserved tail, now and then.
+            if (size < 300) {
+              disk.Crash();
+              disk_model.CutAt(now);
+            }
+            break;
+          default:
+            read();
+        }
+      });
+    }
+    sim.Run();
+    ASSERT_GT(readings.size(), 10u);
+
+    // Every window between two readings, including from time 0.
+    readings.insert(readings.begin(), Reading{});
+    for (size_t i = 0; i < readings.size(); ++i) {
+      for (size_t j = i; j < readings.size(); ++j) {
+        const Reading& a = readings[i];
+        const Reading& b = readings[j];
+        ASSERT_EQ(b.cpu - a.cpu, cpu_model.BusyIn(a.at, b.at));
+        ASSERT_EQ(b.disk - a.disk, disk_model.BusyIn(a.at, b.at));
+        ASSERT_EQ(b.net - a.net, net_model.BusyIn(a.at, b.at));
+      }
+    }
+  }
 }
 
 // --- critical paths ---
@@ -169,7 +285,6 @@ TEST(AttributionTest, ComponentsSumExactlyOnEt1Workload) {
   harness::ClusterConfig cfg;
   cfg.num_servers = 3;
   cfg.tracing = true;
-  cfg.profiling = true;
   harness::Cluster cluster(cfg);
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   for (int i = 0; i < 2; ++i) {
@@ -204,7 +319,6 @@ TEST(AttributionTest, DiskPhasesNonzeroWhenAckAfterDisk) {
   harness::ClusterConfig cfg;
   cfg.num_servers = 3;
   cfg.tracing = true;
-  cfg.profiling = true;
   cfg.server.ack_after_disk = true;
   harness::Cluster cluster(cfg);
   harness::ClientHandle c = cluster.AddClient();
@@ -249,7 +363,6 @@ TEST(ProfilerTest, MeasuredUtilizationTracksClosedFormsBelowSaturation) {
   cfg.num_networks = kNetworks;
   cfg.server.cpu_mips = 4.0;
   cfg.server.flush_interval = 1 * sim::kSecond;
-  cfg.profiling = true;
   harness::Cluster cluster(cfg);
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;
   for (int i = 0; i < kClients; ++i) {
@@ -261,24 +374,36 @@ TEST(ProfilerTest, MeasuredUtilizationTracksClosedFormsBelowSaturation) {
         &cluster, log_cfg, driver_cfg));
     drivers.back()->Start();
   }
+  // Busy time elapsed by now, summed over servers' CPUs, servers' disks
+  // and the LANs.
+  auto read = [&cluster]() {
+    const sim::Time now = cluster.Now();
+    sim::Duration cpu = 0, disk = 0, net = 0;
+    for (int s = 1; s <= kServers; ++s) {
+      server::LogServer& server = cluster.server(s);
+      cpu += sim::BusyElapsed(server.cpu().busy_ns().value(),
+                              server.cpu().busy_until(), now);
+      disk += sim::BusyElapsed(server.disk().busy_time(),
+                               server.disk().busy_until(), now);
+    }
+    for (int n = 0; n < kNetworks; ++n) {
+      net += sim::BusyElapsed(cluster.network(n).busy_time(),
+                              cluster.network(n).busy_until(), now);
+    }
+    return std::vector<sim::Duration>{cpu, disk, net};
+  };
   cluster.sim().RunFor(2 * sim::kSecond);
-  const sim::Time w0 = cluster.sim().Now();
+  const std::vector<sim::Duration> before = read();
   cluster.sim().RunFor(kSeconds * sim::kSecond);
-  const sim::Time w1 = cluster.sim().Now();
+  const std::vector<sim::Duration> after = read();
 
-  double cpu = 0, disk = 0, net = 0;
-  const obs::Profiler& prof = cluster.profiler();
-  for (int s = 1; s <= kServers; ++s) {
-    const std::string name = "server-" + std::to_string(s);
-    cpu += prof.Utilization(name + "/cpu", w0, w1);
-    disk += prof.Utilization(name + "/disk", w0, w1);
-  }
-  cpu /= kServers;
-  disk /= kServers;
-  for (int n = 0; n < kNetworks; ++n) {
-    net += prof.Utilization("net-" + std::to_string(n), w0, w1);
-  }
-  net /= kNetworks;
+  const double window = static_cast<double>(kSeconds * sim::kSecond);
+  const double cpu = static_cast<double>(after[0] - before[0]) / window /
+                     kServers;
+  const double disk = static_cast<double>(after[1] - before[1]) / window /
+                      kServers;
+  const double net = static_cast<double>(after[2] - before[2]) / window /
+                     kNetworks;
 
   analysis::CapacityInputs in;
   in.clients = kClients;
@@ -294,7 +419,6 @@ TEST(ProfilerTest, MeasuredUtilizationTracksClosedFormsBelowSaturation) {
 std::string RunProfiledFaultedWorkload() {
   harness::ClusterConfig cfg;
   cfg.tracing = true;
-  cfg.profiling = true;
   cfg.seed = 7;
   harness::Cluster cluster(cfg);
   harness::ClientHandle c = cluster.AddClient();
@@ -332,11 +456,34 @@ std::string RunProfiledFaultedWorkload() {
     }
     attr_text += "\n";
   }
+  // Every resource's busy account and every server's occupancy account,
+  // the crashed and restarted server's included.
+  std::string accounts;
+  const sim::Time now = cluster.Now();
+  for (int s = 1; s <= cluster.num_servers(); ++s) {
+    server::LogServer& server = cluster.server(s);
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "server-%d cpu=%" PRIu64 " disk=%" PRIu64
+                  " nvram=%.17g/%.17g\n",
+                  s,
+                  sim::BusyElapsed(server.cpu().busy_ns().value(),
+                                   server.cpu().busy_until(), now),
+                  sim::BusyElapsed(server.disk().busy_time(),
+                                   server.disk().busy_until(), now),
+                  server.nvram_occupancy().Integral(now),
+                  server.nvram_occupancy().max());
+    accounts += line;
+  }
+  accounts += "net-0 " +
+              std::to_string(sim::BusyElapsed(cluster.network().busy_time(),
+                                              cluster.network().busy_until(),
+                                              now)) +
+              "\n";
   const std::vector<obs::CriticalPath> paths =
       obs::ExtractCriticalPaths(cluster.tracer());
-  return prof.UtilizationText(0, cluster.sim().Now()) + "---\n" +
-         obs::CriticalPathText(paths) + "---\n" + attr_text + "---\n" +
-         obs::ChromeTraceJson(cluster.tracer(), paths);
+  return accounts + "---\n" + obs::CriticalPathText(paths) + "---\n" +
+         attr_text + "---\n" + obs::ChromeTraceJson(cluster.tracer(), paths);
 }
 
 TEST(ProfilerDeterminismTest, ArtifactsByteIdenticalUnderFaultPlan) {
@@ -353,10 +500,8 @@ TEST(ProfilerDeterminismTest, ArtifactsByteIdenticalUnderFaultPlan) {
 TEST(ProfilerMetricsTest, SnapshotCarriesAttributionUtilizationAndBytesCopied) {
   harness::ClusterConfig cfg;
   cfg.tracing = true;
-  cfg.profiling = true;
   harness::Cluster cluster(cfg);
-  cluster.profiler().RegisterMetrics(
-      &cluster.metrics(), [&cluster]() { return cluster.sim().Now(); });
+  cluster.profiler().RegisterMetrics(&cluster.metrics());
   harness::ClientHandle c = cluster.AddClient();
   ASSERT_TRUE(InitClient(cluster, *c).ok());
   obs::SpanContext txn = cluster.tracer().StartTrace("txn", "client-1");
@@ -377,16 +522,16 @@ TEST(ProfilerMetricsTest, SnapshotCarriesAttributionUtilizationAndBytesCopied) {
   ASSERT_TRUE(snap.values.count("profiler/attr/total/p99"));
   EXPECT_GE(snap.Get("profiler/attr/total/p99"),
             snap.Get("profiler/attr/total/p50"));
-  // Utilization callbacks for resources wired by the cluster. The two
-  // record copies land on two of the three servers, so count matches
-  // rather than naming one.
+  // Each server registers its CPU busy account and NVRAM occupancy
+  // gauge. The two record copies land on two of the three servers, so
+  // count matches rather than naming one.
   double busy_server_cpus = 0, nvram_levels = 0;
   for (const auto& [key, value] : snap.values) {
-    if (key.rfind("profiler/util/server-", 0) == 0 &&
-        key.find("/cpu") != std::string::npos && value > 0) {
-      ++busy_server_cpus;
+    if (key.rfind("server-", 0) != 0) continue;
+    if (key.ends_with("/cpu/busy_ns") && value > 0) ++busy_server_cpus;
+    if (key.ends_with("/nvram/occupancy_bytes/max") && value > 0) {
+      ++nvram_levels;
     }
-    if (key.rfind("profiler/occupancy/server-", 0) == 0) ++nvram_levels;
   }
   EXPECT_GE(busy_server_cpus, 2);
   EXPECT_GE(nvram_levels, 2);

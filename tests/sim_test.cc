@@ -244,19 +244,25 @@ TEST(CpuTest, WorkIsServedFifo) {
 TEST(CpuTest, UtilizationTracksBusyFraction) {
   Simulator sim;
   Cpu cpu(&sim, 1.0);
-  cpu.Execute(1000, nullptr);  // busy 1 ms
-  sim.RunUntil(4 * kMillisecond);
-  EXPECT_NEAR(cpu.Utilization(), 0.25, 1e-9);
-}
-
-TEST(CpuTest, ResetStatsStartsNewWindow) {
-  Simulator sim;
-  Cpu cpu(&sim, 1.0);
-  cpu.Execute(1000, nullptr);
+  auto elapsed = [&]() {
+    return BusyElapsed(cpu.busy_ns().value(), cpu.busy_until(), sim.Now());
+  };
+  cpu.Execute(1000, nullptr);  // busy [0, 1) ms
+  cpu.Execute(2000, nullptr);  // queued behind it: busy [1, 3) ms
+  // The account is charged at submission; none of it has elapsed yet.
+  EXPECT_EQ(cpu.busy_ns().value(), 3 * kMillisecond);
+  EXPECT_EQ(cpu.busy_until(), 3 * kMillisecond);
+  EXPECT_EQ(elapsed(), 0u);
   sim.RunUntil(2 * kMillisecond);
-  cpu.ResetStats();
+  EXPECT_EQ(elapsed(), 2 * kMillisecond);
   sim.RunUntil(4 * kMillisecond);
-  EXPECT_NEAR(cpu.Utilization(), 0.0, 1e-9);
+  const Duration busy = elapsed();
+  EXPECT_EQ(busy, 3 * kMillisecond);
+  EXPECT_DOUBLE_EQ(static_cast<double>(busy) / static_cast<double>(sim.Now()),
+                   0.75);
+  // Idle from 3 ms on: a later window reads no busy time.
+  sim.RunUntil(6 * kMillisecond);
+  EXPECT_EQ(elapsed() - busy, 0u);
 }
 
 TEST(CpuTest, InstructionsToTime) {
@@ -369,6 +375,29 @@ TEST(TimeWeightedGaugeTest, NoElapsedTimeReturnsCurrentLevel) {
   TimeWeightedGauge g;
   g.Set(5, 3.0);
   EXPECT_DOUBLE_EQ(g.Average(5), 3.0);
+}
+
+TEST(TimeWeightedGaugeTest, WindowMeanIsDifferenceOfIntegrals) {
+  TimeWeightedGauge g;
+  EXPECT_DOUBLE_EQ(g.Integral(5), 0.0);  // before any Set
+  // Level 100 over [10,20), 200 over [20,40), then 50; each reading is
+  // taken at its instant, as a run reads its accounts.
+  g.Set(10, 100.0);
+  EXPECT_DOUBLE_EQ(g.Integral(10), 0.0);
+  const double i15 = g.Integral(15);
+  g.Set(20, 300.0);
+  g.Set(20, 200.0);  // same instant: replaces the level
+  const double i30 = g.Integral(30);
+  g.Set(40, 50.0);
+  EXPECT_DOUBLE_EQ(g.Integral(40), 100.0 * 10 + 200.0 * 20);
+  const double i60 = g.Integral(60);
+  // Windows that start and end between level changes.
+  EXPECT_DOUBLE_EQ(i15, 100.0 * 5);
+  EXPECT_DOUBLE_EQ((i30 - i15) / 15, (100.0 * 5 + 200.0 * 10) / 15);
+  EXPECT_DOUBLE_EQ((i60 - i30) / 30, (200.0 * 10 + 50.0 * 20) / 30);
+  // The whole-run mean is the window from the first Set.
+  EXPECT_DOUBLE_EQ(g.Average(60), i60 / 50);
+  EXPECT_DOUBLE_EQ(g.max(), 300.0);  // max sees every Set, even replaced
 }
 
 TEST(TimeWeightedGaugeTest, ResetStartsNewWindow) {

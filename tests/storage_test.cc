@@ -125,12 +125,40 @@ TEST(SimDiskTest, RequestsAreServedFifo) {
 TEST(SimDiskTest, UtilizationGrowsWithLoad) {
   sim::Simulator sim;
   SimDisk disk(&sim, DiskConfig{});
+  auto elapsed = [&]() {
+    return sim::BusyElapsed(disk.busy_time(), disk.busy_until(), sim.Now());
+  };
   disk.WriteTrack(0, Bytes(1, 0), nullptr);
+  // Track 0 is under the head: half a rotation of latency, one of
+  // transfer, charged at submission.
+  const sim::Duration service = disk.RotationTime() / 2 + disk.RotationTime();
+  EXPECT_EQ(disk.busy_time(), service);
+  EXPECT_EQ(disk.busy_until(), service);
+  EXPECT_EQ(elapsed(), 0u);
   sim.Run();
-  const double busy = disk.Utilization();
-  EXPECT_GT(busy, 0.99);  // nothing but the write happened yet
+  EXPECT_EQ(sim.Now(), service);  // nothing but the write happened yet
+  EXPECT_EQ(elapsed(), service);
   sim.RunUntil(sim.Now() * 2);
-  EXPECT_NEAR(disk.Utilization(), busy / 2, 0.01);
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(elapsed()) / static_cast<double>(sim.Now()), 0.5);
+}
+
+TEST(SimDiskTest, CrashDropsTheUnservedTailFromTheBusyAccount) {
+  sim::Simulator sim;
+  SimDisk disk(&sim, DiskConfig{});
+  disk.WriteTrack(0, Bytes(1, 0), nullptr);
+  disk.WriteTrack(1, Bytes(1, 0), nullptr);
+  const sim::Duration service = disk.RotationTime() / 2 + disk.RotationTime();
+  sim.RunUntil(service / 2);
+  disk.Crash();  // half of the first write served, the second never
+  EXPECT_EQ(disk.busy_time(), service / 2);
+  EXPECT_EQ(disk.busy_until(), service / 2);
+  disk.WriteTrack(2, Bytes(1, 0), nullptr);
+  sim.Run();
+  // Busy from 0 until the new write ended, with no gap.
+  EXPECT_EQ(disk.busy_until(), service / 2 + service);
+  EXPECT_EQ(sim::BusyElapsed(disk.busy_time(), disk.busy_until(), sim.Now()),
+            disk.busy_until());
 }
 
 // --- NvramQueue ---
@@ -193,20 +221,24 @@ TEST(NvramQueueTest, UsedBytesCountsEntryBytesOnly) {
 TEST(NvramQueueTest, PopFrontFreesExactlyItsEntries) {
   NvramQueue q(1024, kImageBytes, kHeaderBytes);
   std::vector<size_t> levels;
-  q.SetOccupancyProbe([&levels](size_t used) { levels.push_back(used); });
-  ASSERT_TRUE(AppendEntry(&q, 10, 'a').ok());
-  ASSERT_TRUE(AppendEntry(&q, 10, 'b').ok());
-  ASSERT_TRUE(AppendEntry(&q, 10, 'c').ok());
-  ASSERT_TRUE(AppendEntry(&q, 4, 'd').ok());
+  auto append = [&](size_t n, uint8_t fill) {
+    ASSERT_TRUE(AppendEntry(&q, n, fill).ok());
+    levels.push_back(q.used_bytes());
+  };
+  append(10, 'a');
+  append(10, 'b');
+  append(10, 'c');
+  append(4, 'd');
   q.PopFront();
-  EXPECT_EQ(q.used_bytes(), 14u);
+  levels.push_back(q.used_bytes());
   ASSERT_EQ(q.images().size(), 1u);
   EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'c'}, {4, 'd'}}));
   q.PopFront();
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.used_bytes(), 0u);
+  levels.push_back(q.used_bytes());
   q.PopFront();  // nothing left: a no-op
-  EXPECT_EQ(levels, (std::vector<size_t>{10, 20, 30, 34, 14, 0}));
+  levels.push_back(q.used_bytes());
+  EXPECT_EQ(levels, (std::vector<size_t>{10, 20, 30, 34, 14, 0, 0}));
   // The next entry opens a fresh image.
   ASSERT_TRUE(AppendEntry(&q, 10, 'e').ok());
   EXPECT_EQ(*q.images()[0].bytes, ImageOf({{10, 'e'}}));
