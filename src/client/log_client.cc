@@ -872,7 +872,9 @@ void LogClient::SwitchAwayFrom(ServerLink* link) {
       write_set_.end());
   CacheWriteSet();
   LeaveWriteSetMember(link->node);
-  avoid_until_[link->node] = sim_->Now() + config_.server_retry_backoff;
+  // How long to avoid a server after abandoning it as unresponsive.
+  constexpr sim::Duration kServerRetryBackoff = 5 * sim::kSecond;
+  avoid_until_[link->node] = sim_->Now() + kServerRetryBackoff;
   server_switches_.Increment();
   // Unacked records sent to the deserter still need N copies; make them
   // eligible for the replacement by dropping the deserter's claim. (Acks

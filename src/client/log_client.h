@@ -65,8 +65,6 @@ struct LogClientConfig {
   /// Force resend interval and how many resends before switching server.
   sim::Duration force_timeout = 300 * sim::kMillisecond;
   int force_retries = 3;
-  /// How long to avoid a server after abandoning it as unresponsive.
-  sim::Duration server_retry_backoff = 5 * sim::kSecond;
   /// Synchronous-call (Figure 4-1 RPC) parameters.
   sim::Duration rpc_timeout = 400 * sim::kMillisecond;
   int rpc_attempts = 4;

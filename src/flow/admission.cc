@@ -5,9 +5,6 @@
 namespace dlog::flow {
 
 Status AdmissionConfig::Validate() const {
-  if (nvram_shed_fraction <= 0.0 || nvram_shed_fraction > 1.0) {
-    return Status::InvalidArgument("nvram_shed_fraction must be in (0, 1]");
-  }
   if (min_retry_after > max_retry_after) {
     return Status::InvalidArgument("min_retry_after > max_retry_after");
   }
@@ -16,25 +13,24 @@ Status AdmissionConfig::Validate() const {
 
 namespace {
 
-// How far past `threshold` the signal sits, normalized to [0, 1].
-double Severity(double value, double threshold, double full_scale) {
-  if (value <= threshold) return 0.0;
-  if (full_scale <= threshold) return 1.0;
-  return std::min(1.0, (value - threshold) / (full_scale - threshold));
-}
+/// NVRAM group-buffer occupancy fraction above which new batches are
+/// rejected.
+constexpr double kNvramShedFraction = 0.95;
 
 }  // namespace
 
 AdmissionController::Decision AdmissionController::Admit(
     double nvram_fraction) {
   Decision decision;
-  if (nvram_fraction <= config_.nvram_shed_fraction) {
+  if (nvram_fraction <= kNvramShedFraction) {
     decision.admit = true;
     admitted_.Increment();
     return decision;
   }
+  // How far past the threshold the occupancy sits, normalized to [0, 1].
   const double severity =
-      Severity(nvram_fraction, config_.nvram_shed_fraction, 1.0);
+      std::min(1.0, (nvram_fraction - kNvramShedFraction) /
+                        (1.0 - kNvramShedFraction));
   decision.admit = false;
   decision.retry_after =
       config_.min_retry_after +

@@ -16,15 +16,14 @@ namespace dlog::flow {
 /// Overloaded wire reply carrying an advisory retry-after hint) so clients
 /// back off instead of resending into the collapse. With `enabled` false
 /// the controller reproduces the legacy vestigial behavior: shed silently
-/// on the NVRAM-occupancy threshold alone.
+/// on the NVRAM-occupancy threshold alone. Either way, new WriteLog /
+/// ForceLog batches are rejected while the NVRAM group buffer is more
+/// than 95% full.
 struct AdmissionConfig {
   bool enabled = true;
-  /// NVRAM group-buffer occupancy fraction above which new WriteLog /
-  /// ForceLog batches are rejected.
-  double nvram_shed_fraction = 0.95;
   /// Bounds for the advisory retry-after hint. The hint scales linearly
-  /// with how far past its threshold the NVRAM occupancy sits, so deeper
-  /// overload pushes clients further away. Deterministic: any
+  /// with how far past the 95% threshold the NVRAM occupancy sits, so
+  /// deeper overload pushes clients further away. Deterministic: any
   /// jitter is the client's job (per-client Rng streams).
   sim::Duration min_retry_after = 20 * sim::kMillisecond;
   sim::Duration max_retry_after = 1 * sim::kSecond;

@@ -5,46 +5,49 @@
 
 namespace dlog::flow {
 
+namespace {
+
+/// Growth of the backoff per consecutive shed.
+constexpr double kMultiplier = 2.0;
+/// Fraction of the backoff randomized: the wait is drawn uniformly from
+/// [b * (1 - kJitter), b].
+constexpr double kJitter = 0.5;
+/// Token-bucket retry budget: a retry spends one token; the bucket holds
+/// at most kBudgetTokens and refills at kBudgetRefillPerSec tokens per
+/// simulated second.
+constexpr double kBudgetTokens = 10.0;
+constexpr double kBudgetRefillPerSec = 2.0;
+
+}  // namespace
+
 Status RetryPolicyConfig::Validate() const {
   if (initial_backoff == 0) {
     return Status::InvalidArgument("initial_backoff must be positive");
   }
-  if (multiplier < 1.0) {
-    return Status::InvalidArgument("multiplier must be >= 1");
-  }
   if (max_backoff < initial_backoff) {
     return Status::InvalidArgument("max_backoff < initial_backoff");
-  }
-  if (jitter < 0.0 || jitter > 1.0) {
-    return Status::InvalidArgument("jitter must be in [0, 1]");
-  }
-  if (budget_tokens < 0.0 || budget_refill_per_sec < 0.0) {
-    return Status::InvalidArgument("retry budget must be non-negative");
   }
   return Status::OK();
 }
 
 RetryPolicy::RetryPolicy(const RetryPolicyConfig& config)
-    : config_(config), tokens_(config.budget_tokens) {}
+    : config_(config), tokens_(kBudgetTokens) {}
 
 sim::Duration RetryPolicy::BackoffFor(int attempt, Rng* rng) const {
   // Compute in double so large attempt counts saturate at the cap
   // instead of overflowing.
   const double cap = static_cast<double>(config_.max_backoff);
   double b = static_cast<double>(config_.initial_backoff) *
-             std::pow(config_.multiplier, std::max(0, attempt));
+             std::pow(kMultiplier, std::max(0, attempt));
   b = std::min(b, cap);
-  if (config_.jitter > 0.0 && rng != nullptr) {
-    b *= 1.0 - config_.jitter * rng->NextDouble();
-  }
+  b *= 1.0 - kJitter * rng->NextDouble();
   return std::max<sim::Duration>(1, static_cast<sim::Duration>(b));
 }
 
 void RetryPolicy::Refill(sim::Time now) {
   if (now <= last_refill_) return;
   const double elapsed = sim::DurationToSeconds(now - last_refill_);
-  tokens_ = std::min(config_.budget_tokens,
-                     tokens_ + elapsed * config_.budget_refill_per_sec);
+  tokens_ = std::min(kBudgetTokens, tokens_ + elapsed * kBudgetRefillPerSec);
   last_refill_ = now;
 }
 

@@ -9,25 +9,18 @@ namespace dlog::flow {
 
 /// Client-side backoff-and-budget policy applied when a server sheds a
 /// request (explicit Overloaded reply) or a retry is about to be resent.
-/// Backoff is capped jittered exponential; the jitter is drawn from the
-/// caller's deterministic per-client Rng stream so simulation runs stay
-/// byte-identical. The token bucket bounds the *rate* of retries so that
-/// retries cannot amplify an overload into congestion collapse.
+/// Backoff is capped jittered exponential, doubling per consecutive shed;
+/// the jitter is drawn from the caller's deterministic per-client Rng
+/// stream so simulation runs stay byte-identical. A token bucket of 10
+/// tokens, refilled at 2 per simulated second, bounds the *rate* of
+/// retries so that retries cannot amplify an overload into congestion
+/// collapse.
 struct RetryPolicyConfig {
   bool enabled = true;
-  /// Backoff after the first shed; doubles (by `multiplier`) per
-  /// consecutive shed up to `max_backoff`.
+  /// Backoff after the first shed; doubles per consecutive shed up to
+  /// `max_backoff`.
   sim::Duration initial_backoff = 50 * sim::kMillisecond;
-  double multiplier = 2.0;
   sim::Duration max_backoff = 2 * sim::kSecond;
-  /// Fraction of the backoff randomized: the wait is drawn uniformly from
-  /// [b * (1 - jitter), b]. 0 disables jitter.
-  double jitter = 0.5;
-  /// Token-bucket retry budget: a retry spends one token; the bucket
-  /// holds at most `budget_tokens` and refills at `budget_refill_per_sec`
-  /// tokens per simulated second.
-  double budget_tokens = 10.0;
-  double budget_refill_per_sec = 2.0;
 
   Status Validate() const;
 };
@@ -38,8 +31,7 @@ class RetryPolicy {
 
   /// Backoff before retry number `attempt` (0-based: attempt 0 is the
   /// first backoff). Jitter comes from `rng`, the owner's deterministic
-  /// stream; the result is in [b * (1 - jitter), b] for the capped
-  /// exponential b.
+  /// stream; the result is in [b/2, b] for the capped exponential b.
   sim::Duration BackoffFor(int attempt, Rng* rng) const;
 
   /// Spends one retry token if the bucket (lazily refilled from sim

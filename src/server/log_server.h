@@ -47,7 +47,7 @@ struct LogServerConfig {
   /// ignore ForceLog and WriteLog messages if they become too heavily
   /// loaded"). When `admission.enabled`, overload produces an explicit
   /// Overloaded reply with a retry-after hint; when disabled, writes are
-  /// silently ignored above `admission.nvram_shed_fraction` (the legacy
+  /// silently ignored while NVRAM is more than 95% full (the legacy
   /// behavior).
   flow::AdmissionConfig admission;
   /// Ablation (experiment E10): when true the server behaves as if it had
@@ -57,8 +57,8 @@ struct LogServerConfig {
   wire::WireConfig wire;
 
   /// OK iff the configuration describes a runnable server (positive CPU,
-  /// NVRAM at least one track, valid disk geometry, shed fraction in
-  /// (0, 1], ...).
+  /// NVRAM at least one track, valid disk geometry, retry-after bounds in
+  /// order, ...).
   Status Validate() const;
 };
 

@@ -15,6 +15,19 @@ namespace {
 /// performed in one thousand instructions per packet".
 constexpr uint64_t kInstructionsPerPacket = 1000;
 
+/// Moving-window size, in packets: how much unconsumed allocation each
+/// party tries to keep granted to the other.
+constexpr uint64_t kWindowPackets = 16;
+/// Grant refresh threshold: a standalone window-update packet is sent
+/// when the peer's unsent grant lags by at least this many packets (at
+/// most half the window, so the peer's allocation never runs dry).
+constexpr uint64_t kWindowUpdateThreshold = 8;
+/// SYNs sent before a handshake gives up and closes the connection.
+constexpr int kHandshakeMaxRetries = 10;
+/// "Deadlocks are prevented by allowing either party to exceed its
+/// allocation, so long as it pauses several seconds between packets."
+constexpr sim::Duration kAllocationOverrideDelay = 3 * sim::kSecond;
+
 }  // namespace
 
 // --- ReceivedSeqs ---
@@ -62,7 +75,7 @@ Connection::Connection(Endpoint* endpoint, net::NodeId peer,
       window_(endpoint->config().adaptive_window) {}
 
 uint64_t Connection::CurrentGrant() const {
-  return recv_highest_seen_ + endpoint_->config().window_packets;
+  return recv_highest_seen_ + kWindowPackets;
 }
 
 void Connection::StartHandshake() {
@@ -78,7 +91,7 @@ void Connection::StartHandshake() {
 void Connection::HandshakeTimeout() {
   handshake_timer_ = 0;
   if (state_ != State::kSynSent) return;
-  if (handshake_attempts_ >= endpoint_->config().handshake_max_retries) {
+  if (handshake_attempts_ >= kHandshakeMaxRetries) {
     Close();
     return;
   }
@@ -103,13 +116,12 @@ void Connection::NoteAllocation(uint64_t alloc) {
   if (alloc <= peer_allocation_) return;
   peer_allocation_ = alloc;
   if (inflight_.empty()) return;
-  const uint64_t window_packets = endpoint_->config().window_packets;
-  if (alloc <= window_packets) return;
-  // The peer grants `highest seq seen + window_packets`, so this advance
-  // acknowledges every injected seq <= alloc - window_packets (including
+  if (alloc <= kWindowPackets) return;
+  // The peer grants `highest seq seen + kWindowPackets`, so this advance
+  // acknowledges every injected seq <= alloc - kWindowPackets (including
   // seqs the network lost — they will never be acked any other way and
   // must not pin the adaptive window).
-  const uint64_t acked = alloc - window_packets;
+  const uint64_t acked = alloc - kWindowPackets;
   size_t acked_bytes = 0;
   for (auto it = inflight_.begin();
        it != inflight_.end() && it->first <= acked;) {
@@ -164,7 +176,7 @@ void Connection::TryFlush() {
 void Connection::ArmOverrideTimer() {
   if (override_timer_ != 0) return;
   override_timer_ = endpoint_->simulator()->After(
-      endpoint_->config().allocation_override_delay, [this]() {
+      kAllocationOverrideDelay, [this]() {
         override_timer_ = 0;
         if (state_ != State::kEstablished || send_queue_.empty()) return;
         // Going a full override delay without allocation progress is this
@@ -181,12 +193,7 @@ void Connection::ArmOverrideTimer() {
 
 void Connection::GrantWindowIfNeeded(bool force) {
   const uint64_t grant = CurrentGrant();
-  // Refresh the peer's allocation before it can run dry: at most half the
-  // window may be un-advertised, whatever the configured threshold.
-  const uint64_t threshold =
-      std::max<uint64_t>(1, std::min(endpoint_->config().window_update_threshold,
-                                     endpoint_->config().window_packets / 2));
-  if (force || grant >= last_advertised_grant_ + threshold) {
+  if (force || grant >= last_advertised_grant_ + kWindowUpdateThreshold) {
     endpoint_->SendFrame(peer_, Endpoint::kWindow, conn_id_, 0, grant, {});
     last_advertised_grant_ = grant;
   }

@@ -20,22 +20,15 @@ namespace dlog::wire {
 
 /// Parameters of the specialized low-level protocol (Section 4.2). The
 /// protocol is connection-oriented a la Watson's tutorial: a three-way
-/// handshake establishes a small amount of state on both sides, packets
-/// carry permanently unique sequence numbers (so duplicates are detected
-/// even across a crash of the receiving node), and every packet carries an
-/// allocation implementing moving-window flow control.
+/// handshake (up to 10 SYNs, 200 ms apart) establishes a small amount of
+/// state on both sides, packets carry permanently unique sequence numbers
+/// (so duplicates are detected even across a crash of the receiving
+/// node), and every packet carries an allocation implementing
+/// moving-window flow control: each party keeps 16 packets granted to the
+/// other, and refreshes the grant with a standalone window-update packet
+/// once it lags by 8. A sender whose allocation runs out may exceed it by
+/// one packet every 3 s (see Connection::Send).
 struct WireConfig {
-  /// Moving-window size, in packets: how much unconsumed allocation each
-  /// party tries to keep granted to the other.
-  uint64_t window_packets = 16;
-  /// Grant refresh threshold: a standalone window-update packet is sent
-  /// when the peer's unsent grant lags by at least this many packets.
-  uint64_t window_update_threshold = 8;
-  /// Handshake retransmission budget.
-  int handshake_max_retries = 10;
-  /// "Deadlocks are prevented by allowing either party to exceed its
-  /// allocation, so long as it pauses several seconds between packets."
-  sim::Duration allocation_override_delay = 3 * sim::kSecond;
   /// The incarnation counter models a tiny stable-storage cell that
   /// survives crashes: a node rebuilt after a crash must resume from a
   /// strictly higher incarnation than any previous life, or its
@@ -105,9 +98,9 @@ class Connection {
 
   /// Sends a payload. Transmission respects the peer's allocation: a
   /// payload goes out at once when nothing waits and the allocation has
-  /// room, and otherwise waits behind the others; after
-  /// `allocation_override_delay` without progress one waiting packet is
-  /// sent anyway (the deadlock-prevention rule). Sending on a closed
+  /// room, and otherwise waits behind the others; after 3 s without
+  /// progress one waiting packet is sent anyway (the deadlock-prevention
+  /// rule). Sending on a closed
   /// connection is a silent no-op (the close handler has already fired).
   /// `trace`/`span` are optional obs span ids stamped on the outgoing
   /// packet so the network's packet probe can attribute its queueing and

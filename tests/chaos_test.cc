@@ -335,8 +335,9 @@ std::string RunFlowFaultedWorkload() {
   harness::ClusterConfig cfg;
   cfg.tracing = true;
   cfg.seed = 11;
-  cfg.server.nvram_bytes = 4000;  // tiny: admission sheds under load
-  cfg.server.admission.nvram_shed_fraction = 0.4;
+  // Tiny: six 425-byte record entries fill it past the 95% threshold,
+  // so admission sheds under load.
+  cfg.server.nvram_bytes = 2600;
   harness::Cluster cluster(cfg);
 
   client::LogClientConfig ccfg;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "flow/admission.h"
 #include "flow/retry_policy.h"
@@ -22,9 +25,11 @@ TEST(AdmissionTest, AdmitsBelowThreshold) {
 
 TEST(AdmissionTest, ShedsAboveNvramThreshold) {
   AdmissionConfig cfg;
-  cfg.nvram_shed_fraction = 0.5;
   AdmissionController ctrl(cfg);
-  const auto d = ctrl.Admit(0.6);
+  // The threshold is 95% occupancy: at it a batch is admitted, past it
+  // the batch is shed.
+  EXPECT_TRUE(ctrl.Admit(0.95).admit);
+  const auto d = ctrl.Admit(0.96);
   EXPECT_FALSE(d.admit);
   EXPECT_GE(d.retry_after, cfg.min_retry_after);
   EXPECT_LE(d.retry_after, cfg.max_retry_after);
@@ -33,30 +38,29 @@ TEST(AdmissionTest, ShedsAboveNvramThreshold) {
 
 TEST(AdmissionTest, RetryAfterGrowsWithSeverity) {
   AdmissionConfig cfg;
-  cfg.nvram_shed_fraction = 0.5;
   AdmissionController ctrl(cfg);
-  const auto mild = ctrl.Admit(0.55);
+  const auto mild = ctrl.Admit(0.955);
   const auto deep = ctrl.Admit(0.99);
+  const auto full = ctrl.Admit(1.0);
   ASSERT_FALSE(mild.admit);
   ASSERT_FALSE(deep.admit);
   EXPECT_GT(deep.retry_after, mild.retry_after);
+  // A full buffer asks for the longest wait.
+  EXPECT_EQ(full.retry_after, cfg.max_retry_after);
 }
 
 TEST(AdmissionTest, DisabledModeUsesLegacyNvramDecisionOnly) {
   AdmissionConfig cfg;
   cfg.enabled = false;
-  cfg.nvram_shed_fraction = 0.5;
   AdmissionController ctrl(cfg);
   // Disabled: the NVRAM threshold still sheds (silently, at the server).
-  EXPECT_TRUE(ctrl.Admit(0.4).admit);
-  EXPECT_FALSE(ctrl.Admit(0.6).admit);
+  EXPECT_TRUE(ctrl.Admit(0.9).admit);
+  EXPECT_FALSE(ctrl.Admit(0.96).admit);
 }
 
 TEST(AdmissionTest, ValidateRejectsBadConfig) {
   AdmissionConfig cfg;
-  cfg.nvram_shed_fraction = 1.5;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = AdmissionConfig{};
+  EXPECT_TRUE(cfg.Validate().ok());
   cfg.min_retry_after = 2 * sim::kSecond;
   cfg.max_retry_after = 1 * sim::kSecond;
   EXPECT_FALSE(cfg.Validate().ok());
@@ -67,22 +71,28 @@ TEST(AdmissionTest, ValidateRejectsBadConfig) {
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
   RetryPolicyConfig cfg;
   cfg.initial_backoff = 10 * sim::kMillisecond;
-  cfg.multiplier = 2.0;
   cfg.max_backoff = 100 * sim::kMillisecond;
-  cfg.jitter = 0.0;  // deterministic ladder
   RetryPolicy policy(cfg);
-  EXPECT_EQ(policy.BackoffFor(0, nullptr), 10 * sim::kMillisecond);
-  EXPECT_EQ(policy.BackoffFor(1, nullptr), 20 * sim::kMillisecond);
-  EXPECT_EQ(policy.BackoffFor(2, nullptr), 40 * sim::kMillisecond);
-  // Capped (and safe for huge attempt counts — no overflow).
-  EXPECT_EQ(policy.BackoffFor(10, nullptr), 100 * sim::kMillisecond);
-  EXPECT_EQ(policy.BackoffFor(1000, nullptr), 100 * sim::kMillisecond);
+  Rng rng(3);
+  // The backoff b doubles per attempt up to the cap (and is safe for huge
+  // attempt counts — no overflow); jitter draws each wait from [b/2, b].
+  const std::vector<std::pair<int, sim::Duration>> ladder = {
+      {0, 10 * sim::kMillisecond},  {1, 20 * sim::kMillisecond},
+      {2, 40 * sim::kMillisecond},  {3, 80 * sim::kMillisecond},
+      {4, 100 * sim::kMillisecond}, {10, 100 * sim::kMillisecond},
+      {1000, 100 * sim::kMillisecond}};
+  for (const auto& [attempt, b] : ladder) {
+    for (int i = 0; i < 64; ++i) {
+      const sim::Duration wait = policy.BackoffFor(attempt, &rng);
+      EXPECT_GE(wait, b / 2) << attempt;
+      EXPECT_LE(wait, b) << attempt;
+    }
+  }
 }
 
 TEST(RetryPolicyTest, JitterStaysInBoundsAndIsDeterministic) {
   RetryPolicyConfig cfg;
   cfg.initial_backoff = 100 * sim::kMillisecond;
-  cfg.jitter = 0.5;
   RetryPolicy policy(cfg);
   Rng a(42), b(42), c(7);
   for (int i = 0; i < 64; ++i) {
@@ -90,7 +100,7 @@ TEST(RetryPolicyTest, JitterStaysInBoundsAndIsDeterministic) {
     const sim::Duration wb = policy.BackoffFor(0, &b);
     // Same-seeded streams draw the same jitter: byte-identical runs.
     EXPECT_EQ(wa, wb);
-    // Bounds: [b * (1 - jitter), b].
+    // Bounds: [b/2, b].
     EXPECT_GE(wa, 50 * sim::kMillisecond);
     EXPECT_LE(wa, 100 * sim::kMillisecond);
   }
@@ -106,29 +116,27 @@ TEST(RetryPolicyTest, JitterStaysInBoundsAndIsDeterministic) {
 }
 
 TEST(RetryPolicyTest, TokenBucketBoundsAndRefills) {
-  RetryPolicyConfig cfg;
-  cfg.budget_tokens = 2.0;
-  cfg.budget_refill_per_sec = 1.0;
-  RetryPolicy policy(cfg);
+  RetryPolicy policy(RetryPolicyConfig{});
   sim::Time now = 0;
-  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
-  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
+  // The bucket starts full: 10 tokens.
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(policy.TryAcquireRetryToken(now));
   EXPECT_FALSE(policy.TryAcquireRetryToken(now));  // budget exhausted
-  now += 1 * sim::kSecond;                         // refills one token
+  now += 500 * sim::kMillisecond;                  // refills one token
+  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
+  EXPECT_FALSE(policy.TryAcquireRetryToken(now));
+  now += 1 * sim::kSecond;  // refills two
+  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
   EXPECT_TRUE(policy.TryAcquireRetryToken(now));
   EXPECT_FALSE(policy.TryAcquireRetryToken(now));
   // The bucket never exceeds its cap.
   now += 100 * sim::kSecond;
-  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
-  EXPECT_TRUE(policy.TryAcquireRetryToken(now));
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(policy.TryAcquireRetryToken(now));
   EXPECT_FALSE(policy.TryAcquireRetryToken(now));
 }
 
 TEST(RetryPolicyTest, ValidateRejectsBadConfig) {
   RetryPolicyConfig cfg;
-  cfg.jitter = 1.5;
-  EXPECT_FALSE(cfg.Validate().ok());
-  cfg = RetryPolicyConfig{};
+  EXPECT_TRUE(cfg.Validate().ok());
   cfg.max_backoff = cfg.initial_backoff / 2;
   EXPECT_FALSE(cfg.Validate().ok());
 }

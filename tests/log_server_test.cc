@@ -471,9 +471,10 @@ TEST(LogServerTest, CopyLogWithALyingCountGetsNoReply) {
 
 TEST(LogServerTest, LoadSheddingIgnoresWritesWhenNvramFull) {
   LogServerConfig cfg;
-  cfg.nvram_bytes = 600;  // tiny group buffer
+  // A tiny group buffer: one record's 325-byte entry fills it past the
+  // 95% shed threshold.
+  cfg.nvram_bytes = 340;
   cfg.admission.enabled = false;  // legacy behavior: shed silently
-  cfg.admission.nvram_shed_fraction = 0.5;
   cfg.flush_interval = 60 * sim::kSecond;  // no flushing: stay full
   RawDriver d(cfg);
 
@@ -491,8 +492,7 @@ TEST(LogServerTest, LoadSheddingIgnoresWritesWhenNvramFull) {
 
 TEST(LogServerTest, AdmissionRejectsWithOverloadedReplyAtThreshold) {
   LogServerConfig cfg;
-  cfg.nvram_bytes = 600;
-  cfg.admission.nvram_shed_fraction = 0.5;
+  cfg.nvram_bytes = 340;  // one record fills it past 95%
   cfg.flush_interval = 60 * sim::kSecond;  // no flushing: stay full
   RawDriver d(cfg);
 
@@ -520,8 +520,7 @@ TEST(LogServerTest, AdmissionRejectsWithOverloadedReplyAtThreshold) {
 
 TEST(LogServerTest, AdmissionRecoversAfterDrain) {
   LogServerConfig cfg;
-  cfg.nvram_bytes = 600;
-  cfg.admission.nvram_shed_fraction = 0.5;
+  cfg.nvram_bytes = 340;  // one record fills it past 95%
   // Each Send() runs the sim for 2 s, so the first flush (t=3 s) lands
   // between the shed second batch and the retry.
   cfg.flush_interval = 3 * sim::kSecond;

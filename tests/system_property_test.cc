@@ -36,7 +36,6 @@ TEST_P(SystemFaultProperty, ForcedRecordsSurviveServerChurn) {
   ccfg.client_id = 1;
   ccfg.force_timeout = 100 * sim::kMillisecond;
   ccfg.force_retries = 2;
-  ccfg.server_retry_backoff = 2 * sim::kSecond;
   ccfg.seed = seed;
   auto c = cluster.AddClient(ccfg);
 

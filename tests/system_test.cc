@@ -454,12 +454,12 @@ TEST(SystemTest, ForceWaitsForNCopiesWhenAServersFirstBatchIsLost) {
 }
 
 TEST(SystemTest, ShedThenRetryForceIsNotDuplicated) {
-  // Servers with a tiny admission threshold shed mid-stream; the client
-  // backs off per the Overloaded hint and re-offers. The force must still
-  // complete, and the retries must not duplicate any record.
+  // Servers with a tiny NVRAM shed mid-stream: three 425-byte record
+  // entries fill it past the 95% threshold. The client backs off per the
+  // Overloaded hint and re-offers. The force must still complete, and the
+  // retries must not duplicate any record.
   ClusterConfig cfg;
-  cfg.server.nvram_bytes = 3000;
-  cfg.server.admission.nvram_shed_fraction = 0.4;
+  cfg.server.nvram_bytes = 1300;
   Cluster cluster(cfg);
   auto c = cluster.AddClient();
   ASSERT_TRUE(InitClient(cluster, *c).ok());

@@ -859,17 +859,16 @@ TEST(ConnectionTest, HandshakeRetriesThroughLossyNetwork) {
 }
 
 TEST(ConnectionTest, HandshakeExhaustionCloses) {
-  WireConfig cfg;
-  cfg.handshake_max_retries = 2;
   sim::Simulator sim;
   net::Network network(&sim, net::NetworkConfig{});
-  TestPeer a(&sim, &network, 1, cfg);
+  TestPeer a(&sim, &network, 1);
   // No peer 2 attached: SYNs vanish.
-  bool closed = false;
+  sim::Time closed_at = 0;
   Connection* conn = a.endpoint.Connect(2);
-  conn->SetCloseHandler([&]() { closed = true; });
+  conn->SetCloseHandler([&]() { closed_at = sim.Now(); });
   sim.Run();
-  EXPECT_TRUE(closed);
+  // Ten SYNs, 200 ms apart, then the connection gives up.
+  EXPECT_EQ(closed_at, 10 * 200 * sim::kMillisecond);
   EXPECT_TRUE(conn->IsClosed());
 }
 
@@ -889,33 +888,18 @@ TEST(ConnectionTest, CrashOfPeerResetsConnection) {
 }
 
 TEST(ConnectionTest, FlowControlBlocksBeyondAllocationUntilGranted) {
-  WireConfig cfg;
-  cfg.window_packets = 4;
-  cfg.window_update_threshold = 2;
-  cfg.allocation_override_delay = 60 * sim::kSecond;  // effectively off
-  WirePair p(net::NetworkConfig{}, cfg);
+  WirePair p;
   Connection* conn = p.a.endpoint.Connect(2);
   p.sim.Run();
-  // The receiver grants allocation as it consumes, so a long stream
-  // still flows completely.
+  // 100 payloads against a 16-packet window: most wait for allocation.
   for (int i = 0; i < 100; ++i) conn->Send(Bytes(10, 'x'));
-  p.sim.Run();
+  EXPECT_GT(conn->send_queue_depth(), 0u);
+  // The receiver grants allocation as it consumes, so the long stream
+  // flows completely, well before the 3 s allocation override could
+  // have sent a packet.
+  p.sim.RunFor(1 * sim::kSecond);
   EXPECT_EQ(p.b_received.size(), 100u);
   EXPECT_EQ(conn->send_queue_depth(), 0u);
-}
-
-TEST(ConnectionTest, AllocationOverrideAfterPause) {
-  // If every WINDOW grant is lost, the sender eventually exceeds its
-  // allocation after the mandated pause instead of deadlocking.
-  WireConfig cfg;
-  cfg.window_packets = 2;
-  cfg.allocation_override_delay = 3 * sim::kSecond;
-  WirePair p(net::NetworkConfig{}, cfg);
-  Connection* conn = p.a.endpoint.Connect(2);
-  p.sim.Run();
-  for (int i = 0; i < 10; ++i) conn->Send(Bytes(10, 'x'));
-  p.sim.RunFor(120 * sim::kSecond);
-  EXPECT_EQ(p.b_received.size(), 10u);
 }
 
 // --- Direct sends and the send queue ---
@@ -1059,6 +1043,33 @@ TEST(ConnectionSendTest, ADirectSendLeavesNoOverrideTimerArmed) {
   // Nothing more goes out when the override delay has passed.
   sim.RunFor(10 * sim::kSecond);
   EXPECT_EQ(a.Data(), std::vector<std::string>({"1:x1", "2:x2", "3:x3"}));
+}
+
+// If no grant ever arrives, the sender exceeds its allocation by one
+// packet after each 3 s pause instead of deadlocking.
+TEST(ConnectionTest, AllocationOverrideAfterPause) {
+  sim::Simulator sim;
+  net::Network network(&sim, net::NetworkConfig{});
+  TestPeer b(&sim, &network, 2);
+  RawNode a(&sim, &network, 1);
+  Connection* conn = nullptr;
+  b.endpoint.SetAcceptHandler([&](Connection* accepted) { conn = accepted; });
+  constexpr uint64_t kConn = 0x0001000100000001;
+  // The handshake grants b one packet, and a never grants another.
+  a.Send(2, kSynFrame, kConn, 0, /*alloc=*/1);
+  a.Send(2, kAckFrame, kConn, 0, 1);
+  sim.RunFor(sim::kSecond);
+  ASSERT_NE(conn, nullptr);
+
+  for (int i = 1; i <= 4; ++i) conn->Send(ToBytes("x" + std::to_string(i)));
+  sim.RunFor(2900 * sim::kMillisecond);
+  EXPECT_EQ(a.Data(), std::vector<std::string>({"1:x1"}));
+  sim.RunFor(200 * sim::kMillisecond);  // past the first 3 s pause
+  EXPECT_EQ(a.Data(), std::vector<std::string>({"1:x1", "2:x2"}));
+  sim.RunFor(6 * sim::kSecond);  // two more pauses
+  EXPECT_EQ(a.Data(),
+            std::vector<std::string>({"1:x1", "2:x2", "3:x3", "4:x4"}));
+  EXPECT_EQ(conn->send_queue_depth(), 0u);
 }
 
 // --- The connection table ---
