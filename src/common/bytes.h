@@ -1,7 +1,6 @@
 #ifndef DLOG_COMMON_BYTES_H_
 #define DLOG_COMMON_BYTES_H_
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -19,35 +18,27 @@ namespace dlog {
 /// A byte buffer used for message and disk-record encoding.
 using Bytes = std::vector<uint8_t>;
 
-/// Process-wide tally of payload bytes memcpy'd across ownership
+/// The calling thread's tally of payload bytes memcpy'd across ownership
 /// boundaries after their initial serialization — the copies the
 /// zero-copy wire path exists to eliminate. Counted: Decoder blob/string
 /// materialization, SharedBytes materialization, and the explicit
 /// persistence copy into stable storage. Not counted: the one
 /// unavoidable serialization pass that first builds a message or disk
 /// image (Encoder writes). Benchmarks reset and diff this around a
-/// workload; the counter is atomic so parallel trial runners can share
-/// it without races.
+/// workload. The tally is per thread: a simulation runs start to finish
+/// on one thread, so it reads its own copies and no other thread's, and
+/// counting one is a plain add.
 uint64_t BytesCopied();
 void AddBytesCopied(uint64_t n);
 void ResetBytesCopied();
 
 namespace internal {
-inline std::atomic<uint64_t>& bytes_copied_counter() {
-  static std::atomic<uint64_t> counter{0};
-  return counter;
-}
+inline thread_local uint64_t bytes_copied = 0;
 }  // namespace internal
 
-inline uint64_t BytesCopied() {
-  return internal::bytes_copied_counter().load(std::memory_order_relaxed);
-}
-inline void AddBytesCopied(uint64_t n) {
-  internal::bytes_copied_counter().fetch_add(n, std::memory_order_relaxed);
-}
-inline void ResetBytesCopied() {
-  internal::bytes_copied_counter().store(0, std::memory_order_relaxed);
-}
+inline uint64_t BytesCopied() { return internal::bytes_copied; }
+inline void AddBytesCopied(uint64_t n) { internal::bytes_copied += n; }
+inline void ResetBytesCopied() { internal::bytes_copied = 0; }
 
 /// A refcounted immutable byte buffer, plus a view (offset/length) into
 /// it. Copying a SharedBytes — or slicing sub-ranges out of it — shares

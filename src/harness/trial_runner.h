@@ -14,16 +14,17 @@ namespace dlog::harness {
 ///
 /// Each trial is a self-contained deterministic simulation (its own
 /// Simulator, Cluster, RNG seeds, and sim::Counter instances, which are
-/// plain integers); the only state trials share is the process-wide
-/// atomic bytes-copied counter and the results vector, written at
-/// disjoint indices. Results come back in trial-index order regardless
-/// of completion order or thread count, so any report aggregated from
-/// them is byte-identical to a serial run — parallelism changes
-/// wall-clock time and nothing else.
+/// plain integers); the only mutable state trials share is the results
+/// vector, written at disjoint indices. Results come back in trial-index
+/// order regardless of completion order or thread count, so any report
+/// aggregated from them is byte-identical to a serial run — parallelism
+/// changes wall-clock time and nothing else.
 ///
-/// The per-thread event-callback slab pool (sim/callback.cc) is
-/// thread_local; a trial runs start-to-finish on the worker that claimed
-/// it, so its allocations stay on one list.
+/// A trial runs start to finish on the worker that claimed it. So the
+/// thread_local state it touches is its own while it runs: the
+/// event-callback slab pool (sim/callback.cc) keeps its allocations on
+/// one list, and the dlog::BytesCopied() copy tally moves only with its
+/// own copies.
 class TrialRunner {
  public:
   /// `threads` <= 1 means run trials inline on the calling thread.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "harness/trial_runner.h"
 #include "obs/bench_report.h"
@@ -81,6 +83,25 @@ TEST(TrialRunnerTest, AggregatedReportIsByteIdenticalAcrossThreadCounts) {
   const std::string serial = build_report(1);
   EXPECT_EQ(build_report(2), serial);
   EXPECT_EQ(build_report(8), serial);
+}
+
+TEST(TrialRunnerTest, EachTrialReadsOnlyItsOwnCopyTally) {
+  // Two trials copy at the same time, on two workers: each reads exactly
+  // its own copies, however the two threads interleave.
+  constexpr int kCopies = 100000;
+  std::latch both_started(2);
+  const std::vector<uint64_t> tallies =
+      TrialRunner(2).Run(2, [&both_started](size_t trial) {
+        const uint64_t base = BytesCopied();
+        both_started.arrive_and_wait();
+        const SharedBytes payload(Bytes(trial + 1, 0xab));
+        for (int i = 0; i < kCopies; ++i) {
+          const Bytes copy = payload.ToBytes();
+          EXPECT_EQ(copy.size(), trial + 1);
+        }
+        return BytesCopied() - base;
+      });
+  EXPECT_EQ(tallies, (std::vector<uint64_t>{kCopies, 2 * kCopies}));
 }
 
 }  // namespace
