@@ -60,11 +60,12 @@ RunResult RunSimulation(int clients, int servers, int seconds,
   // Each server's CPU window counts the work submitted in it plus the
   // tail already queued at its start.
   std::vector<sim::Duration> cpu_busy_before(servers + 1);
+  std::vector<uint64_t> forces_before(servers + 1);
   for (int s = 1; s <= servers; ++s) {
     const sim::Cpu& cpu = cluster.server(s).cpu();
     cpu_busy_before[s] = sim::BusyElapsed(cpu.busy_ns().value(),
                                           cpu.busy_until(), window_start);
-    cluster.server(s).forces_acked().Reset();
+    forces_before[s] = cluster.server(s).forces_acked().value();
   }
   const uint64_t committed_before = [&] {
     uint64_t c = 0;
@@ -89,7 +90,8 @@ RunResult RunSimulation(int clients, int servers, int seconds,
   r.tps = static_cast<double>(committed - committed_before) / seconds;
   double forces = 0, cpu = 0, disk = 0, bytes = 0;
   for (int s = 1; s <= servers; ++s) {
-    forces += static_cast<double>(cluster.server(s).forces_acked().value());
+    forces += static_cast<double>(cluster.server(s).forces_acked().value() -
+                                  forces_before[s]);
     // The CPU over the window and the disk since construction, each
     // stretched to when its queued work ends.
     const sim::Cpu& c = cluster.server(s).cpu();

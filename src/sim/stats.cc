@@ -153,13 +153,4 @@ void StreamingHistogram::Merge(const StreamingHistogram& other) {
   count_ += other.count_;
 }
 
-void StreamingHistogram::Clear() {
-  buckets_.clear();
-  count_ = 0;
-  min_ = 0;
-  max_ = 0;
-  bucket_lo_ = kNumBuckets;
-  bucket_hi_ = 0;
-}
-
 }  // namespace dlog::sim
