@@ -84,12 +84,7 @@ ScenarioResult RunScenario(const std::string& name, bool skewed,
   cluster_cfg.run_until_quantum = sim::kMillisecond;
   cluster_cfg.telemetry.enabled = true;
   cluster_cfg.telemetry.interval = 250 * sim::kMillisecond;
-  cluster_cfg.health.enabled = true;
-  // The workload's absolute CPU utilization is small (the point is the
-  // *shape* of the load, not its magnitude); drop the idle-cluster
-  // floor so the rule judges it. The CV contrast does the rest: ~1.0
-  // skewed vs ~1/sqrt(events per server-window) balanced.
-  cluster_cfg.health.imbalance_min_mean_util = 1e-4;
+  cluster_cfg.health = true;
   harness::Cluster cluster(cluster_cfg);
 
   std::vector<std::unique_ptr<harness::Et1Driver>> drivers;

@@ -81,9 +81,9 @@ struct ClusterConfig {
   /// interval grid, at quiescent points, so the series are a pure
   /// function of the simulated schedule — byte-identical across reruns.
   obs::TimeSeriesConfig telemetry;
-  /// Online health rules evaluated over the telemetry windows (requires
-  /// `telemetry.enabled`).
-  obs::HealthConfig health;
+  /// Online health rules (obs::HealthMonitor) evaluated over the
+  /// telemetry windows (requires `telemetry.enabled`).
+  bool health = false;
   /// Crash flight recorder: the tracer routes every completed span into
   /// bounded per-node rings (even with `tracing` off — ring mode keeps
   /// no unbounded state), and chaos crash faults dump the victim's ring

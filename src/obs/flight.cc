@@ -5,6 +5,13 @@
 
 namespace dlog::obs {
 
+namespace {
+
+/// Completed spans retained per node.
+constexpr size_t kRingSpans = 256;
+
+}  // namespace
+
 void FlightRecorder::Record(Span span) {
   auto it = rings_.find(std::string_view(span.node));
   if (it == rings_.end()) {
@@ -12,14 +19,13 @@ void FlightRecorder::Record(Span span) {
   }
   Ring& ring = it->second;
   ++ring.recorded;
-  if (config_.ring_spans == 0) return;
-  if (ring.slots.size() < config_.ring_spans) {
+  if (ring.slots.size() < kRingSpans) {
     ring.slots.push_back(std::move(span));
-    ring.next = ring.slots.size() % config_.ring_spans;
+    ring.next = ring.slots.size() % kRingSpans;
     return;
   }
   ring.slots[ring.next] = std::move(span);
-  ring.next = (ring.next + 1) % config_.ring_spans;
+  ring.next = (ring.next + 1) % kRingSpans;
 }
 
 void FlightRecorder::Dump(std::string_view node, sim::Time at,
@@ -36,7 +42,7 @@ void FlightRecorder::Dump(std::string_view node, sim::Time at,
     // Chronological replay of the circular buffer: the slot at `next` is
     // the oldest once the ring has wrapped.
     const size_t n = ring.slots.size();
-    const size_t start = n < config_.ring_spans ? 0 : ring.next;
+    const size_t start = n < kRingSpans ? 0 : ring.next;
     for (size_t i = 0; i < n; ++i) {
       dump.spans.push_back(ring.slots[(start + i) % n]);
     }

@@ -12,30 +12,21 @@
 
 namespace dlog::obs {
 
-struct FlightRecorderConfig {
-  /// Completed spans retained per node; older spans are overwritten.
-  size_t ring_spans = 256;
-};
-
 /// A per-node bounded ring of recently *completed* spans, fed by the
 /// Tracer (see Tracer::SetFlightRecorder). Unlike full tracing, memory is
-/// bounded however long the run: each node keeps only its last
-/// `ring_spans` spans. Chaos crash faults call Dump() at the instant of
-/// the fault, freezing the victim's recent history for post-mortem — the
-/// "what was this node doing when it died" view an E17-scale run cannot
-/// afford full tracing for.
+/// bounded however long the run: each node keeps only its last 256
+/// spans, overwriting older ones. Chaos crash faults call Dump() at the
+/// instant of the fault, freezing the victim's recent history for
+/// post-mortem — the "what was this node doing when it died" view an
+/// E17-scale run cannot afford full tracing for.
 ///
 /// Ring contents follow span completion order, a pure function of the
 /// simulated schedule, so a dump is byte-identical across reruns.
 class FlightRecorder {
  public:
-  explicit FlightRecorder(const FlightRecorderConfig& config = {})
-      : config_(config) {}
-
+  FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  const FlightRecorderConfig& config() const { return config_; }
 
   /// Appends a completed span to its node's ring.
   void Record(Span span);
@@ -67,7 +58,6 @@ class FlightRecorder {
     uint64_t recorded = 0;    // lifetime completions
   };
 
-  FlightRecorderConfig config_;
   std::map<std::string, Ring, std::less<>> rings_;
   std::vector<DumpRecord> dumps_;
 };

@@ -5,31 +5,31 @@
 
 namespace dlog::obs {
 
-Status HealthConfig::Validate() const {
-  if (!enabled) return Status::OK();
-  if (imbalance_cv_threshold < 0) {
-    return Status::InvalidArgument("imbalance_cv_threshold must be >= 0");
-  }
-  if (imbalance_min_mean_util < 0) {
-    return Status::InvalidArgument("imbalance_min_mean_util must be >= 0");
-  }
-  if (slo_force_p99_us < 0) {
-    return Status::InvalidArgument("slo_force_p99_us must be >= 0");
-  }
-  if (starvation_windows < 0) {
-    return Status::InvalidArgument("starvation_windows must be >= 0");
-  }
-  if (fire_windows < 1 || clear_windows < 1) {
-    return Status::InvalidArgument("hysteresis windows must be >= 1");
-  }
-  return Status::OK();
-}
+namespace {
 
-HealthMonitor::HealthMonitor(const HealthConfig& config,
-                             const TimeSeriesCollector* collector)
-    : config_(config), collector_(collector) {
-  DLOG_CHECK_OK(config.Validate());
-}
+/// The imbalance rule fires when the coefficient of variation of
+/// per-server windowed CPU utilization exceeds this.
+constexpr double kImbalanceCvThreshold = 0.5;
+/// The imbalance rule is quiet while mean utilization is below this: an
+/// idle cluster is trivially "imbalanced" and no reconfiguration signal.
+/// E18's workload is small in absolute terms (the point is the *shape*
+/// of the load, not its magnitude), so the floor sits low enough to judge
+/// it; the CV contrast does the rest: ~1.0 skewed vs ~1/sqrt(events per
+/// server-window) balanced.
+constexpr double kImbalanceMinMeanUtil = 1e-4;
+/// A client with pending records but zero force completions for this many
+/// consecutive windows is starving.
+constexpr int kStarvationWindows = 8;
+/// Hysteresis: a rule's condition must hold for kFireWindows consecutive
+/// windows to raise its alert (starvation uses kStarvationWindows), and
+/// stay clear for kClearWindows consecutive windows to lower it.
+constexpr int kFireWindows = 3;
+constexpr int kClearWindows = 3;
+
+}  // namespace
+
+HealthMonitor::HealthMonitor(const TimeSeriesCollector* collector)
+    : collector_(collector) {}
 
 void HealthMonitor::AddServerNode(const std::string& name) {
   servers_.push_back(name);
@@ -43,16 +43,16 @@ void HealthMonitor::RegisterMetrics(MetricsRegistry* registry) {
   registry->RegisterCounter("health/alerts_fired", &alerts_fired_);
   registry->RegisterCounter("health/alerts_cleared", &alerts_cleared_);
   registry->RegisterCounter("health/imbalance_fired", &imbalance_fired_);
-  registry->RegisterCounter("health/slo_burn_fired", &slo_burn_fired_);
   registry->RegisterCounter("health/starvation_fired", &starvation_fired_);
-  registry->RegisterGauge("health/active_alerts", &active_alerts_);
+  registry->RegisterCallback("health/active_alerts", [this]() {
+    return static_cast<double>(active_alerts());
+  });
 }
 
 void HealthMonitor::Judge(const std::string& rule,
                           const std::string& subject, bool breach,
                           double value, int fire_windows,
-                          int clear_windows, uint64_t window,
-                          sim::Time at) {
+                          uint64_t window, sim::Time at) {
   RuleState& st = states_[rule + " " + subject];
   if (breach) {
     ++st.breach_streak;
@@ -65,7 +65,7 @@ void HealthMonitor::Judge(const std::string& rule,
   if (!st.active && st.breach_streak >= fire_windows) {
     st.active = true;
     fired = true;
-  } else if (st.active && st.quiet_streak >= clear_windows) {
+  } else if (st.active && st.quiet_streak >= kClearWindows) {
     st.active = false;
     fired = false;
   } else {
@@ -81,13 +81,10 @@ void HealthMonitor::Judge(const std::string& rule,
   alerts_.push_back(alert);
   if (fired) {
     alerts_fired_.Increment();
-    active_alerts_.Add(1);
     if (rule == "imbalance") imbalance_fired_.Increment();
-    if (rule == "slo_burn") slo_burn_fired_.Increment();
     if (rule == "starvation") starvation_fired_.Increment();
   } else {
     alerts_cleared_.Increment();
-    active_alerts_.Add(-1);
   }
   if (tracer_ != nullptr && tracer_->active()) {
     SpanContext ctx = tracer_->StartTrace(
@@ -120,44 +117,26 @@ void HealthMonitor::Evaluate(sim::Time window_end) {
         sum += util;
       }
       const double mean = sum / static_cast<double>(utils.size());
-      if (mean >= config_.imbalance_min_mean_util && mean > 0) {
+      if (mean >= kImbalanceMinMeanUtil) {
         double var = 0.0;
         for (double u : utils) var += (u - mean) * (u - mean);
         var /= static_cast<double>(utils.size());
         cv = std::sqrt(var) / mean;
-        breach = cv > config_.imbalance_cv_threshold;
+        breach = cv > kImbalanceCvThreshold;
       }
     }
     imbalance_cv_.push_back(cv);
-    Judge("imbalance", "servers", breach, cv, config_.fire_windows,
-          config_.clear_windows, w, window_end);
-  }
-
-  // --- SLO burn on the cluster-wide windowed ForceLog p99.
-  if (config_.slo_force_p99_us > 0) {
-    const double count =
-        collector_->At("cluster/log/force_latency_us/count", w);
-    const double p99 =
-        collector_->At("cluster/log/force_latency_us/p99", w);
-    const bool breach =
-        count >= static_cast<double>(config_.slo_min_forces) &&
-        p99 > config_.slo_force_p99_us;
-    Judge("slo_burn", "cluster", breach, p99, config_.fire_windows,
-          config_.clear_windows, w, window_end);
+    Judge("imbalance", "servers", breach, cv, kFireWindows, w, window_end);
   }
 
   // --- Per-client stream starvation: pending records but no force
-  // completions, for starvation_windows consecutive windows.
-  if (config_.starvation_windows > 0) {
-    for (const std::string& name : clients_) {
-      const double pending =
-          collector_->At(name + "/log/pending_records", w);
-      const double progress =
-          collector_->At(name + "/log/forces_completed", w);
-      Judge("starvation", name, pending > 0 && progress <= 0, pending,
-            config_.starvation_windows, config_.clear_windows, w,
-            window_end);
-    }
+  // completions, for kStarvationWindows consecutive windows.
+  for (const std::string& name : clients_) {
+    const double pending = collector_->At(name + "/log/pending_records", w);
+    const double progress =
+        collector_->At(name + "/log/forces_completed", w);
+    Judge("starvation", name, pending > 0 && progress <= 0, pending,
+          kStarvationWindows, w, window_end);
   }
 }
 

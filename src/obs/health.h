@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -15,65 +14,40 @@
 
 namespace dlog::obs {
 
-struct HealthConfig {
-  bool enabled = false;
-
-  /// Cross-server utilization imbalance: coefficient of variation
-  /// (stddev/mean) of per-server windowed CPU utilization. This is the
-  /// paper's Section 5.4 reconfiguration trigger, measured online.
-  double imbalance_cv_threshold = 0.5;
-  /// The imbalance rule is quiet while mean utilization is below this —
-  /// an idle cluster is trivially "imbalanced" and no reconfiguration
-  /// signal.
-  double imbalance_min_mean_util = 0.05;
-
-  /// SLO burn: fires when the cluster-wide windowed ForceLog p99
-  /// (microseconds, from the merged streaming histograms) exceeds this.
-  /// 0 disables the rule.
-  double slo_force_p99_us = 0.0;
-  /// Minimum forces in the window for the SLO rule to judge it (small
-  /// samples make noisy quantiles).
-  uint64_t slo_min_forces = 8;
-
-  /// Per-client starvation: a client with pending records but zero
-  /// force completions for this many consecutive windows is starving.
-  /// 0 disables the rule.
-  int starvation_windows = 8;
-
-  /// Hysteresis: a rule's condition must hold for `fire_windows`
-  /// consecutive windows to raise its alert, and stay clear for
-  /// `clear_windows` consecutive windows to lower it — one-window blips
-  /// in either direction are absorbed.
-  int fire_windows = 3;
-  int clear_windows = 3;
-
-  Status Validate() const;
-};
-
 /// One alert transition (raise or clear). The ordered vector of these is
 /// the run's "alert sequence" — deterministic, and byte-comparable
 /// across runs via AlertsJson.
 struct HealthAlert {
   uint64_t window = 0;   // window index of the transition
   sim::Time at = 0;      // simulated time of the window edge
-  std::string rule;      // "imbalance", "slo_burn" or "starvation"
-  std::string subject;   // "servers", "cluster", "client-7"
+  std::string rule;      // "imbalance" or "starvation"
+  std::string subject;   // "servers" or a client, e.g. "client-7"
   bool fired = false;    // true = raised, false = cleared
   double value = 0.0;    // the measured value at the transition
 };
 
 /// Evaluates deterministic per-window health rules over the collector's
 /// series, with hysteresis. All inputs are windowed values sampled at
-/// quiescent window edges (counter deltas, streaming-histogram
-/// quantiles), so the alert sequence is a pure function of the simulated
-/// schedule — and the rules read the CPU busy-ns counters, so they work
-/// with no profiler attached. Raises/clears bump `health/` counters,
-/// update the active-alert gauge, and emit `alert.<rule>` trace instants
-/// when tracing.
+/// quiescent window edges (counter deltas, callback levels), so the alert
+/// sequence is a pure function of the simulated schedule — and the rules
+/// read the CPU busy-ns counters, so they work with no profiler attached.
+/// Raises/clears bump `health/` counters and emit `alert.<rule>` trace
+/// instants when tracing.
+///
+/// The rules:
+///   * imbalance — the coefficient of variation (stddev/mean) of
+///     per-server windowed CPU utilization exceeds 0.5: the paper's
+///     Section 5.4 reconfiguration trigger, measured online. Quiet while
+///     mean utilization is below 1e-4, where an idle cluster is trivially
+///     "imbalanced". It must hold for 3 consecutive windows to raise the
+///     alert and stay clear for 3 to lower it, so one-window blips in
+///     either direction are absorbed.
+///   * starvation — a client with pending records but zero force
+///     completions for 8 consecutive windows; it clears after 3 windows
+///     without that condition.
 class HealthMonitor {
  public:
-  HealthMonitor(const HealthConfig& config,
-                const TimeSeriesCollector* collector);
+  explicit HealthMonitor(const TimeSeriesCollector* collector);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -87,15 +61,15 @@ class HealthMonitor {
   void AddServerNode(const std::string& name);
   void AddClientNode(const std::string& name);
 
-  /// Registers health/alerts_fired, health/alerts_cleared,
-  /// health/active_alerts and per-rule fired counters.
+  /// Registers health/alerts_fired, health/alerts_cleared, per-rule
+  /// fired counters, and health/active_alerts as a callback that reads
+  /// active_alerts().
   void RegisterMetrics(MetricsRegistry* registry);
 
   /// Evaluates every rule against the collector's latest window. Call
   /// immediately after TimeSeriesCollector::Sample for the same window.
   void Evaluate(sim::Time window_end);
 
-  const HealthConfig& config() const { return config_; }
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
   size_t active_alerts() const;
 
@@ -115,10 +89,9 @@ class HealthMonitor {
   /// Applies one window's breach verdict to a rule's hysteresis state,
   /// appending the transition (if any) to the alert sequence.
   void Judge(const std::string& rule, const std::string& subject,
-             bool breach, double value, int fire_windows,
-             int clear_windows, uint64_t window, sim::Time at);
+             bool breach, double value, int fire_windows, uint64_t window,
+             sim::Time at);
 
-  HealthConfig config_;
   const TimeSeriesCollector* collector_;
   Tracer* tracer_ = nullptr;
 
@@ -134,9 +107,7 @@ class HealthMonitor {
   sim::Counter alerts_fired_;
   sim::Counter alerts_cleared_;
   sim::Counter imbalance_fired_;
-  sim::Counter slo_burn_fired_;
   sim::Counter starvation_fired_;
-  sim::Gauge active_alerts_;
 };
 
 /// Deterministic serialization of the alert sequence (the byte-identity

@@ -63,8 +63,7 @@ bool Assign(Map* map, std::string_view name, V value) {
 void MetricsRegistry::RegisterCounter(std::string_view name,
                                       const sim::Counter* c) {
   std::lock_guard<std::mutex> lock(mu_);
-  bool changed = EraseName(&gauges_, name);
-  changed |= EraseName(&tw_gauges_, name);
+  bool changed = EraseName(&tw_gauges_, name);
   changed |= EraseName(&histograms_, name);
   changed |= EraseName(&streaming_, name);
   changed |= EraseName(&callbacks_, name);
@@ -72,23 +71,10 @@ void MetricsRegistry::RegisterCounter(std::string_view name,
   if (changed) ++version_;
 }
 
-void MetricsRegistry::RegisterGauge(std::string_view name,
-                                    const sim::Gauge* g) {
-  std::lock_guard<std::mutex> lock(mu_);
-  bool changed = EraseName(&counters_, name);
-  changed |= EraseName(&tw_gauges_, name);
-  changed |= EraseName(&histograms_, name);
-  changed |= EraseName(&streaming_, name);
-  changed |= EraseName(&callbacks_, name);
-  changed |= Assign(&gauges_, name, g);
-  if (changed) ++version_;
-}
-
 void MetricsRegistry::RegisterTimeWeightedGauge(
     std::string_view name, const sim::TimeWeightedGauge* g) {
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = EraseName(&counters_, name);
-  changed |= EraseName(&gauges_, name);
   changed |= EraseName(&histograms_, name);
   changed |= EraseName(&streaming_, name);
   changed |= EraseName(&callbacks_, name);
@@ -100,7 +86,6 @@ void MetricsRegistry::RegisterHistogram(std::string_view name,
                                         const sim::Histogram* h) {
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = EraseName(&counters_, name);
-  changed |= EraseName(&gauges_, name);
   changed |= EraseName(&tw_gauges_, name);
   changed |= EraseName(&streaming_, name);
   changed |= EraseName(&callbacks_, name);
@@ -112,7 +97,6 @@ void MetricsRegistry::RegisterStreamingHistogram(
     std::string_view name, const sim::StreamingHistogram* h) {
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = EraseName(&counters_, name);
-  changed |= EraseName(&gauges_, name);
   changed |= EraseName(&tw_gauges_, name);
   changed |= EraseName(&histograms_, name);
   changed |= EraseName(&callbacks_, name);
@@ -124,7 +108,6 @@ void MetricsRegistry::RegisterCallback(std::string_view name,
                                        std::function<double()> fn) {
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = EraseName(&counters_, name);
-  changed |= EraseName(&gauges_, name);
   changed |= EraseName(&tw_gauges_, name);
   changed |= EraseName(&histograms_, name);
   changed |= EraseName(&streaming_, name);
@@ -135,7 +118,6 @@ void MetricsRegistry::RegisterCallback(std::string_view name,
 void MetricsRegistry::UnregisterPrefix(std::string_view prefix) {
   std::lock_guard<std::mutex> lock(mu_);
   bool changed = ErasePrefix(&counters_, prefix);
-  changed |= ErasePrefix(&gauges_, prefix);
   changed |= ErasePrefix(&tw_gauges_, prefix);
   changed |= ErasePrefix(&histograms_, prefix);
   changed |= ErasePrefix(&streaming_, prefix);
@@ -149,10 +131,6 @@ MetricsSnapshot MetricsRegistry::Snapshot(sim::Time now) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) {
     snap.values[name] = static_cast<double>(c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.values[name] = static_cast<double>(g->value());
-    snap.values[name + "/max"] = static_cast<double>(g->max());
   }
   for (const auto& [name, g] : tw_gauges_) {
     snap.values[name] = g->value();
@@ -184,7 +162,6 @@ std::vector<std::string> MetricsRegistry::Names() const {
   std::vector<std::string> names;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) names.push_back(name);
-  for (const auto& [name, g] : gauges_) names.push_back(name);
   for (const auto& [name, g] : tw_gauges_) names.push_back(name);
   for (const auto& [name, h] : histograms_) names.push_back(name);
   for (const auto& [name, h] : streaming_) names.push_back(name);
@@ -196,20 +173,13 @@ std::vector<std::string> MetricsRegistry::Names() const {
 std::vector<MetricRef> MetricsRegistry::Enumerate() const {
   std::vector<MetricRef> refs;
   std::lock_guard<std::mutex> lock(mu_);
-  refs.reserve(counters_.size() + gauges_.size() + tw_gauges_.size() +
-               histograms_.size() + streaming_.size() + callbacks_.size());
+  refs.reserve(counters_.size() + tw_gauges_.size() + histograms_.size() +
+               streaming_.size() + callbacks_.size());
   for (const auto& [name, c] : counters_) {
     MetricRef ref;
     ref.name = name;
     ref.kind = MetricKind::kCounter;
     ref.counter = c;
-    refs.push_back(std::move(ref));
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricRef ref;
-    ref.name = name;
-    ref.kind = MetricKind::kGauge;
-    ref.gauge = g;
     refs.push_back(std::move(ref));
   }
   for (const auto& [name, g] : tw_gauges_) {

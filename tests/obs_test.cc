@@ -119,20 +119,20 @@ TEST(TracerTest, ArgsAttachInOrder) {
 TEST(MetricsRegistryTest, SnapshotFlattensAllKinds) {
   sim::Simulator sim;
   sim::Counter counter;
-  sim::Gauge gauge;
+  double ring_slots = 0;
   sim::TimeWeightedGauge twg;
   sim::Histogram hist;
   MetricsRegistry registry;
   registry.RegisterCounter("server-1/log/records_written", &counter);
-  registry.RegisterGauge("server-1/net/ring_slots", &gauge);
+  registry.RegisterCallback("server-1/net/ring_slots",
+                            [&ring_slots]() { return ring_slots; });
   registry.RegisterTimeWeightedGauge("server-1/nvram/occupancy_bytes",
                                      &twg);
   registry.RegisterHistogram("client-1/log/force_latency_ms", &hist);
   EXPECT_EQ(registry.size(), 4u);
 
   counter.Increment(3);
-  gauge.Set(5);
-  gauge.Set(2);
+  ring_slots = 2;
   twg.Set(0, 10.0);
   twg.Set(9, 0.0);
   hist.Add(1.0);
@@ -141,7 +141,6 @@ TEST(MetricsRegistryTest, SnapshotFlattensAllKinds) {
   MetricsSnapshot snap = registry.Snapshot(/*now=*/10);
   EXPECT_DOUBLE_EQ(snap.Get("server-1/log/records_written"), 3.0);
   EXPECT_DOUBLE_EQ(snap.Get("server-1/net/ring_slots"), 2.0);
-  EXPECT_DOUBLE_EQ(snap.Get("server-1/net/ring_slots/max"), 5.0);
   EXPECT_DOUBLE_EQ(snap.Get("server-1/nvram/occupancy_bytes/avg"), 9.0);
   EXPECT_DOUBLE_EQ(snap.Get("server-1/nvram/occupancy_bytes/max"), 10.0);
   EXPECT_DOUBLE_EQ(snap.Get("client-1/log/force_latency_ms/count"), 2.0);
