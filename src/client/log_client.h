@@ -199,7 +199,6 @@ class LogClient {
   sim::Counter& overloads_received() { return overloads_received_; }
   sim::Counter& backoffs() { return backoffs_; }
   sim::Counter& retries_suppressed() { return retries_suppressed_; }
-  const flow::RetryPolicy& retry_policy() const { return retry_policy_; }
   uint64_t bytes_buffered() const { return bytes_buffered_; }
   /// Records written but not yet acknowledged by N servers: the backlog
   /// an application layer watches to apply end-to-end backpressure.

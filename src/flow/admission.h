@@ -52,7 +52,6 @@ class AdmissionController {
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
-  const AdmissionConfig& config() const { return config_; }
   sim::Counter& admitted() { return admitted_; }
   sim::Counter& shed() { return shed_; }
   /// Incremented by the owner when an Overloaded reply is actually sent

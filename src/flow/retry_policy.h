@@ -42,8 +42,6 @@ class RetryPolicy {
   /// Current token balance (for metrics).
   double tokens() const { return tokens_; }
 
-  const RetryPolicyConfig& config() const { return config_; }
-
  private:
   void Refill(sim::Time now);
 

@@ -56,9 +56,11 @@ struct LogServerConfig {
   bool ack_after_disk = false;
   wire::WireConfig wire;
 
-  /// OK iff the configuration describes a runnable server (positive CPU,
-  /// NVRAM at least one track, valid disk geometry, retry-after bounds in
-  /// order, ...).
+  /// OK iff the configuration describes a runnable server: positive CPU
+  /// speed, valid disk geometry, nonzero NVRAM, a positive flush
+  /// interval and retry-after bounds in order. NVRAM smaller than a
+  /// track is allowed; a record entry that does not fit is dropped (see
+  /// writes_shed()).
   Status Validate() const;
 };
 
@@ -158,6 +160,8 @@ class LogServer {
   sim::Counter& forces_acked() { return forces_acked_; }
   sim::Counter& tracks_written() { return tracks_written_; }
   sim::Counter& missing_interval_sent() { return missing_interval_sent_; }
+  /// Counts both the batches admission refuses and the records
+  /// ApplyRecord drops because NVRAM has no room for their entry.
   sim::Counter& writes_shed() { return writes_shed_; }
   flow::AdmissionController& admission() { return admission_; }
   sim::Counter& read_rpcs() { return read_rpcs_; }
