@@ -1,30 +1,9 @@
 #include "obs/bench_report.h"
 
-#include <cstdio>
-
 #include "obs/export.h"
+#include "obs/text.h"
 
 namespace dlog::obs {
-namespace {
-
-/// %.6g never emits JSON-invalid text for finite doubles and is stable
-/// across platforms for the value ranges we report.
-void AppendNumber(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  *out += buf;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') *out += '\\';
-    *out += c;
-  }
-  *out += '"';
-}
-
-}  // namespace
 
 void BenchReport::BeginRow() { rows_.emplace_back(); }
 
@@ -52,7 +31,7 @@ void BenchReport::AddSnapshot(const std::string& prefix,
 
 std::string BenchReport::ToJson() const {
   std::string out = "{\"experiment\":";
-  AppendString(&out, experiment_);
+  JsonQuote(&out, experiment_);
   out += ",\"rows\":[";
   bool first_row = true;
   for (const Row& row : rows_) {
@@ -71,14 +50,13 @@ std::string BenchReport::ToJson() const {
       if (!first) out += ",";
       first = false;
       if (take_text) {
-        AppendString(&out, text_it->first);
+        JsonQuote(&out, text_it->first);
         out += ":";
-        AppendString(&out, text_it->second);
+        JsonQuote(&out, text_it->second);
         ++text_it;
       } else {
-        AppendString(&out, num_it->first);
-        out += ":";
-        AppendNumber(&out, num_it->second);
+        JsonQuote(&out, num_it->first);
+        AppendF(&out, ":%.6g", num_it->second);
         ++num_it;
       }
     }
@@ -87,9 +65,8 @@ std::string BenchReport::ToJson() const {
     for (const auto& [key, value] : row.metrics) {
       if (!first) out += ",";
       first = false;
-      AppendString(&out, key);
-      out += ":";
-      AppendNumber(&out, value);
+      JsonQuote(&out, key);
+      AppendF(&out, ":%.6g", value);
     }
     out += "}}";
   }

@@ -12,9 +12,9 @@ namespace dlog::obs {
 
 /// Machine-readable experiment output. One report per experiment
 /// (e.g. "E4"); each row is one configuration point with its measured
-/// metrics. Serialises to deterministic JSON (sorted keys, fixed float
-/// formatting) so the driver can diff reruns and plot without scraping
-/// stdout tables.
+/// metrics. Serialises to deterministic JSON (sorted keys, numbers as
+/// %.6g, valid JSON for every finite double) so the driver can diff
+/// reruns and plot without scraping stdout tables.
 class BenchReport {
  public:
   explicit BenchReport(std::string experiment) : experiment_(std::move(experiment)) {}

@@ -1,30 +1,13 @@
 #include "obs/critical_path.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <set>
 
+#include "obs/text.h"
+
 namespace dlog::obs {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  *out += buf;
-}
-
-void AppendMicros(std::string* out, sim::Time t) {
-  AppendF(out, "%" PRIu64 ".%03u", t / 1000,
-          static_cast<unsigned>(t % 1000));
-}
 
 /// Children of each span, in id (creation) order — spans() is already
 /// id-ordered, so a single pass builds ordered child lists.
@@ -87,24 +70,15 @@ std::vector<CriticalPath> ExtractCriticalPaths(const Tracer& tracer) {
       // that carried the path through its parent.
       for (const Span* span : spans) {
         if (span == root || on_path.count(span->id) > 0) continue;
-        // Walk up to check membership in this root's subtree (per-trace
-        // span counts are small; quadratic is fine and deterministic).
+        // Walk up to check membership in this root's subtree.
         const Span* p = span;
         bool under_root = false;
-        while (p->parent != kNoSpan) {
+        while (p != nullptr && p->trace == trace && p->parent != kNoSpan) {
           if (p->parent == root->id || on_path.count(p->parent) > 0) {
             under_root = true;
             break;
           }
-          bool found = false;
-          for (const Span* cand : spans) {
-            if (cand->id == p->parent) {
-              p = cand;
-              found = true;
-              break;
-            }
-          }
-          if (!found) break;
+          p = tracer.Find(p->parent);
         }
         if (!under_root) continue;
         SlackEntry entry;
@@ -112,21 +86,12 @@ std::vector<CriticalPath> ExtractCriticalPaths(const Tracer& tracer) {
         entry.name = span->name;
         entry.node = span->node;
         if (!span->open) {
-          // Find this span's parent and the end that gated it.
-          const Span* parent = nullptr;
-          for (const Span* cand : spans) {
-            if (cand->id == span->parent) {
-              parent = cand;
-              break;
-            }
-          }
-          if (parent != nullptr) {
-            const Span* gate = CriticalChild(*parent, children);
-            const sim::Time gate_end =
-                gate != nullptr ? gate->end : parent->end;
-            entry.slack =
-                gate_end > span->end ? gate_end - span->end : 0;
-          }
+          // The walk above found this span's parent in the trace; the
+          // end that gated the parent bounds this span's slack.
+          const Span& parent = *tracer.Find(span->parent);
+          const Span* gate = CriticalChild(parent, children);
+          const sim::Time gate_end = gate != nullptr ? gate->end : parent.end;
+          entry.slack = gate_end > span->end ? gate_end - span->end : 0;
         }
         path.off_path.push_back(entry);
       }

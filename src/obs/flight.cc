@@ -1,7 +1,9 @@
 #include "obs/flight.h"
 
-#include <cstdio>
+#include <cinttypes>
 #include <utility>
+
+#include "obs/text.h"
 
 namespace dlog::obs {
 
@@ -57,37 +59,23 @@ size_t FlightRecorder::RingSize(std::string_view node) const {
 
 namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
 void AppendSpanJson(std::string* out, const Span& span) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "{\"trace\":%llu,\"id\":%llu,\"parent\":%llu,\"name\":\"",
-                static_cast<unsigned long long>(span.trace),
-                static_cast<unsigned long long>(span.id),
-                static_cast<unsigned long long>(span.parent));
-  *out += buf;
-  AppendEscaped(out, span.name);
-  *out += "\",\"node\":\"";
-  AppendEscaped(out, span.node);
-  std::snprintf(buf, sizeof(buf),
-                "\",\"start\":%llu,\"end\":%llu,\"open\":%s,\"args\":[",
-                static_cast<unsigned long long>(span.start),
-                static_cast<unsigned long long>(span.end),
-                span.open ? "true" : "false");
-  *out += buf;
+  AppendF(out,
+          "{\"trace\":%" PRIu64 ",\"id\":%" PRIu64 ",\"parent\":%" PRIu64
+          ",\"name\":",
+          span.trace, span.id, span.parent);
+  JsonQuote(out, span.name);
+  *out += ",\"node\":";
+  JsonQuote(out, span.node);
+  AppendF(out,
+          ",\"start\":%" PRIu64 ",\"end\":%" PRIu64
+          ",\"open\":%s,\"args\":[",
+          span.start, span.end, span.open ? "true" : "false");
   for (size_t i = 0; i < span.args.size(); ++i) {
     if (i > 0) out->push_back(',');
-    *out += "[\"";
-    AppendEscaped(out, span.args[i].first);
-    std::snprintf(buf, sizeof(buf), "\",%llu]",
-                  static_cast<unsigned long long>(span.args[i].second));
-    *out += buf;
+    out->push_back('[');
+    JsonQuote(out, span.args[i].first);
+    AppendF(out, ",%" PRIu64 "]", span.args[i].second);
   }
   *out += "]}";
 }
@@ -96,22 +84,16 @@ void AppendSpanJson(std::string* out, const Span& span) {
 
 std::string FlightDumpsJson(const FlightRecorder& recorder) {
   std::string out = "{\"dumps\":[";
-  char buf[96];
   bool first_dump = true;
   for (const FlightRecorder::DumpRecord& dump : recorder.dumps()) {
     if (!first_dump) out.push_back(',');
     first_dump = false;
-    out += "{\"at\":";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(dump.at));
-    out += buf;
-    out += ",\"node\":\"";
-    AppendEscaped(&out, dump.node);
-    out += "\",\"reason\":\"";
-    AppendEscaped(&out, dump.reason);
-    std::snprintf(buf, sizeof(buf), "\",\"spans_recorded\":%llu,\"spans\":[",
-                  static_cast<unsigned long long>(dump.spans_recorded));
-    out += buf;
+    AppendF(&out, "{\"at\":%" PRIu64 ",\"node\":", dump.at);
+    JsonQuote(&out, dump.node);
+    out += ",\"reason\":";
+    JsonQuote(&out, dump.reason);
+    AppendF(&out, ",\"spans_recorded\":%" PRIu64 ",\"spans\":[",
+            dump.spans_recorded);
     for (size_t i = 0; i < dump.spans.size(); ++i) {
       if (i > 0) out.push_back(',');
       AppendSpanJson(&out, dump.spans[i]);

@@ -1,7 +1,9 @@
 #include "obs/health.h"
 
+#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/text.h"
 
 namespace dlog::obs {
 
@@ -150,22 +152,17 @@ size_t HealthMonitor::active_alerts() const {
 
 std::string AlertsJson(const HealthMonitor& monitor) {
   std::string out = "{\"alerts\":[";
-  char buf[96];
   bool first = true;
   for (const HealthAlert& alert : monitor.alerts()) {
     if (!first) out.push_back(',');
     first = false;
-    std::snprintf(buf, sizeof(buf), "{\"window\":%llu,\"at\":%llu,",
-                  static_cast<unsigned long long>(alert.window),
-                  static_cast<unsigned long long>(alert.at));
-    out += buf;
-    out += "\"rule\":\"";
-    out += alert.rule;
-    out += "\",\"subject\":\"";
-    out += alert.subject;
-    std::snprintf(buf, sizeof(buf), "\",\"fired\":%s,\"value\":%.9g}",
-                  alert.fired ? "true" : "false", alert.value);
-    out += buf;
+    AppendF(&out, "{\"window\":%" PRIu64 ",\"at\":%" PRIu64 ",\"rule\":",
+            alert.window, alert.at);
+    JsonQuote(&out, alert.rule);
+    out += ",\"subject\":";
+    JsonQuote(&out, alert.subject);
+    AppendF(&out, ",\"fired\":%s,\"value\":%.9g}",
+            alert.fired ? "true" : "false", alert.value);
   }
   out += "]}\n";
   return out;

@@ -1,10 +1,10 @@
 #include "obs/probes.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <tuple>
+
+#include "obs/text.h"
 
 namespace dlog::obs {
 namespace {
@@ -17,17 +17,6 @@ bool GetArg(const Span& span, const std::string& key, uint64_t* out) {
     }
   }
   return false;
-}
-
-std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-std::string Format(const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
 }
 
 }  // namespace
@@ -102,17 +91,17 @@ std::vector<std::string> CheckLsnMonotonic(const Tracer& tracer) {
 
 std::vector<std::string> CheckSpanTreeConnected(const Tracer& tracer) {
   std::vector<std::string> violations;
-  const auto& spans = tracer.spans();
-  for (const Span& span : spans) {
+  for (const Span& span : tracer.spans()) {
     if (span.parent == kNoSpan) continue;
-    // Ids are dense creation-order sequence numbers.
+    // Ids are dense creation-order sequence numbers, so an earlier id is
+    // a recorded span.
     if (span.parent >= span.id) {
       violations.push_back(Format("span %" PRIu64 " (%s) parent %" PRIu64
                                   " not recorded earlier",
                                   span.id, span.name.c_str(), span.parent));
       continue;
     }
-    const Span& parent = spans[span.parent - 1];
+    const Span& parent = *tracer.Find(span.parent);
     if (parent.trace != span.trace) {
       violations.push_back(Format(
           "span %" PRIu64 " (%s, trace %" PRIu64 ") has parent %" PRIu64

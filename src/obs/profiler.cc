@@ -8,10 +8,8 @@ namespace dlog::obs {
 std::vector<Profiler::Attribution> Profiler::AttributeForces(
     const Tracer& tracer) const {
   const std::vector<Span>& spans = tracer.spans();
-  std::map<SpanId, const Span*> by_id;
   std::map<SpanId, std::vector<const Span*>> children;
   for (const Span& s : spans) {
-    by_id[s.id] = &s;
     if (s.parent != kNoSpan) children[s.parent].push_back(&s);
   }
   std::map<uint64_t, std::vector<const PacketEvent*>> packets_by_span;
@@ -46,13 +44,9 @@ std::vector<Profiler::Attribution> Profiler::AttributeForces(
 
     // The wire.send span that carried the deciding copy, and its packet
     // delivery to the acking server.
-    const Span* send = nullptr;
+    const Span* send = ack != nullptr ? tracer.Find(ack->parent) : nullptr;
     const PacketEvent* packet = nullptr;
-    if (ack != nullptr) {
-      auto it = by_id.find(ack->parent);
-      if (it != by_id.end()) send = it->second;
-    }
-    if (send != nullptr && ack != nullptr) {
+    if (send != nullptr) {
       auto it = packets_by_span.find(send->id);
       if (it != packets_by_span.end()) {
         for (const PacketEvent* p : it->second) {

@@ -1,8 +1,10 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 #include <utility>
+
+#include "obs/text.h"
 
 namespace dlog::obs {
 
@@ -89,7 +91,6 @@ TimeSeriesCollector::StreamPrev* TimeSeriesCollector::EnsurePrevStream(
 }
 
 void TimeSeriesCollector::Rebuild() {
-  refs_ = registry_->Enumerate();
   counter_slots_.clear();
   tw_slots_.clear();
   callback_slots_.clear();
@@ -100,40 +101,32 @@ void TimeSeriesCollector::Rebuild() {
   // would depend on how the fleets interleave. `process/` metrics are not
   // sampled; end-of-run snapshots still show them.
   constexpr std::string_view kUnsampledPrefix = "process/";
-  for (MetricRef& ref : refs_) {
-    if (ref.name.starts_with(kUnsampledPrefix)) continue;
-    switch (ref.kind) {
-      case MetricKind::kCounter:
-        counter_slots_.push_back({ref.counter,
-                                  EnsurePrevValue(ref.name),
-                                  EnsureSeries(ref.name, SeriesKind::kRate)});
-        break;
-      case MetricKind::kTimeWeightedGauge:
-        tw_slots_.push_back(
-            {ref.tw_gauge, EnsurePrevValue(ref.name),
-             EnsureSeries(ref.name, SeriesKind::kLevel)});
-        break;
-      case MetricKind::kCallback:
-        callback_slots_.push_back(
-            {&ref.callback, EnsurePrevValue(ref.name),
-             EnsureSeries(ref.name, SeriesKind::kLevel)});
-        break;
-      case MetricKind::kHistogram:
-        // Exact sample-retaining histograms are end-of-run artifacts;
-        // their windowed counterpart is the streaming histogram.
-        break;
-      case MetricKind::kStreamingHistogram: {
-        StreamSlot slot;
-        slot.src = ref.streaming;
-        slot.prev = EnsurePrevStream(ref.name);
-        slot.p50 = EnsureSeries(ref.name + "/p50", SeriesKind::kQuantile);
-        slot.p99 = EnsureSeries(ref.name + "/p99", SeriesKind::kQuantile);
-        slot.cnt = EnsureSeries(ref.name + "/count", SeriesKind::kRate);
-        slot.aggregated = EndsWith(ref.name, kAggregatedSuffix);
-        stream_slots_.push_back(slot);
-        break;
-      }
+  for (const auto& [name, metric] : registry_->entries()) {
+    if (name.starts_with(kUnsampledPrefix)) continue;
+    if (const auto* c = std::get_if<const sim::Counter*>(&metric)) {
+      counter_slots_.push_back({*c, EnsurePrevValue(name),
+                                EnsureSeries(name, SeriesKind::kRate)});
+    } else if (const auto* g =
+                   std::get_if<const sim::TimeWeightedGauge*>(&metric)) {
+      tw_slots_.push_back({*g, EnsurePrevValue(name),
+                           EnsureSeries(name, SeriesKind::kLevel)});
+    } else if (const auto* fn =
+                   std::get_if<std::function<double()>>(&metric)) {
+      callback_slots_.push_back({fn, EnsurePrevValue(name),
+                                 EnsureSeries(name, SeriesKind::kLevel)});
+    } else if (const auto* h =
+                   std::get_if<const sim::StreamingHistogram*>(&metric)) {
+      StreamSlot slot;
+      slot.src = *h;
+      slot.prev = EnsurePrevStream(name);
+      slot.p50 = EnsureSeries(name + "/p50", SeriesKind::kQuantile);
+      slot.p99 = EnsureSeries(name + "/p99", SeriesKind::kQuantile);
+      slot.cnt = EnsureSeries(name + "/count", SeriesKind::kRate);
+      slot.aggregated = EndsWith(name, kAggregatedSuffix);
+      stream_slots_.push_back(slot);
     }
+    // Exact sample-retaining histograms are end-of-run artifacts; their
+    // windowed counterpart is the streaming histogram.
   }
 }
 
@@ -270,12 +263,6 @@ double TimeSeriesCollector::Latest(std::string_view key,
 
 namespace {
 
-void AppendDouble(std::string* out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  *out += buf;
-}
-
 const char* KindName(SeriesKind kind) {
   switch (kind) {
     case SeriesKind::kRate:
@@ -291,34 +278,27 @@ const char* KindName(SeriesKind kind) {
 }  // namespace
 
 std::string TimeSeriesJson(const TimeSeriesCollector& collector) {
-  std::string out = "{\"interval_ns\":";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(collector.interval()));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), ",\"windows\":%llu",
-                static_cast<unsigned long long>(collector.windows()));
-  out += buf;
-  out += ",\"series\":{";
+  std::string out;
+  AppendF(&out,
+          "{\"interval_ns\":%" PRIu64 ",\"windows\":%" PRIu64
+          ",\"series\":{",
+          collector.interval(), collector.windows());
   bool first = true;
   for (const auto& [name, index] : collector.series_index()) {
     const TimeSeriesCollector::SeriesData& s = collector.series_at(index);
     if (s.count == 0) continue;
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    out += name;  // metric names contain no JSON-special characters
-    out += "\":{\"kind\":\"";
-    out += KindName(s.kind);
+    JsonQuote(&out, name);
     const uint64_t retained =
         s.count < kRetentionWindows ? s.count : kRetentionWindows;
     const uint64_t start = s.count - retained;  // 0-based position
-    std::snprintf(buf, sizeof(buf), "\",\"first_window\":%llu,\"values\":[",
-                  static_cast<unsigned long long>(s.first_window + start));
-    out += buf;
+    AppendF(&out,
+            ":{\"kind\":\"%s\",\"first_window\":%" PRIu64 ",\"values\":[",
+            KindName(s.kind), s.first_window + start);
     for (uint64_t p = start; p < s.count; ++p) {
       if (p > start) out.push_back(',');
-      AppendDouble(&out, s.values[p % kRetentionWindows]);
+      AppendF(&out, "%.9g", s.values[p % kRetentionWindows]);
     }
     out += "]}";
   }

@@ -61,9 +61,9 @@ enum class SeriesKind {
 /// window edge. Every value is then a pure function of the executed
 /// event set {e : time(e) <= edge}, so the exported series are
 /// byte-identical across reruns and across TrialRunner thread counts.
-/// The registry is re-enumerated only when its version
-/// moves (a restart re-registering metrics); the steady-state sampling
-/// cost is a pointer read per metric, no string maps.
+/// The registry's entries are re-read only when its version moves (a
+/// restart re-registering metrics); the steady-state sampling cost is a
+/// pointer read per metric, no string maps.
 class TimeSeriesCollector {
  public:
   TimeSeriesCollector(const TimeSeriesConfig& config,
@@ -134,8 +134,9 @@ class TimeSeriesCollector {
   /// Hot slots, partitioned by metric kind at Rebuild so each
   /// per-window loop is tight and branch-free and streams the minimum
   /// of metadata (Sample is memory-bound at fleet scale: thousands of
-  /// slots are walked every window against a cold cache). All pointers
-  /// stay valid across rebuilds: sources live in components, outputs
+  /// slots are walked every window against a cold cache). Sources live
+  /// in components, callbacks in the registry's entries (valid until its
+  /// version moves, and Sample rebuilds first whenever it has), outputs
   /// and prev state in index-stable deques.
   struct CounterSlot {
     const sim::Counter* src;
@@ -148,7 +149,7 @@ class TimeSeriesCollector {
     SeriesData* out;
   };
   struct CallbackSlot {
-    const std::function<double()>* fn;  // into refs_, rebuilt together
+    const std::function<double()>* fn;  // into the registry's entry
     double* prev;
     SeriesData* out;
   };
@@ -171,9 +172,7 @@ class TimeSeriesCollector {
   TimeSeriesConfig config_;
   MetricsRegistry* registry_;
 
-  /// Cached registry enumeration (owns the callback functors the
-  /// callback slots point into), rebuilt when the version moves.
-  std::vector<MetricRef> refs_;
+  /// Rebuilt from the registry's entries when its version moves.
   std::vector<CounterSlot> counter_slots_;
   std::vector<TwGaugeSlot> tw_slots_;
   std::vector<CallbackSlot> callback_slots_;
@@ -184,7 +183,7 @@ class TimeSeriesCollector {
 
   /// Series and per-source prev state live in deques (stable addresses,
   /// contiguous chunks, allocated in sampling order) with name->index
-  /// maps alongside. The names are what survive re-enumeration: a
+  /// maps alongside. The names are what survive a rebuild: a
   /// restarted component's fresh counter resolves to the same prev slot,
   /// so the reset (value below the previous reading) is detected and
   /// the window delta clamps to the new counter's absolute value

@@ -4,13 +4,6 @@
 
 namespace dlog::obs {
 
-// Span ids are minted only when a span is recorded, so id k always sits
-// at spans_[k - 1].
-Span* Tracer::Find(SpanId id) {
-  if (id == kNoSpan || id > spans_.size()) return nullptr;
-  return &spans_[id - 1];
-}
-
 void Tracer::SetFlightRecorder(FlightRecorder* recorder) {
   recorder_ = recorder;
 }
@@ -68,8 +61,9 @@ void Tracer::AddArg(SpanContext ctx, std::string_view key,
                     uint64_t value) {
   if (!ctx.valid()) return;
   if (enabled_) {
-    Span* span = Find(ctx.span);
-    if (span != nullptr) span->args.emplace_back(key, value);
+    if (Find(ctx.span) != nullptr) {
+      spans_[ctx.span - 1].args.emplace_back(key, value);
+    }
     return;
   }
   auto it = open_spans_.find(ctx.span);
@@ -79,13 +73,14 @@ void Tracer::AddArg(SpanContext ctx, std::string_view key,
 void Tracer::EndSpan(SpanContext ctx) {
   if (!ctx.valid()) return;
   if (enabled_) {
-    Span* span = Find(ctx.span);
-    if (span == nullptr || !span->open) return;
-    span->end = sim_->Now();
-    span->open = false;
+    if (Find(ctx.span) == nullptr) return;
+    Span& span = spans_[ctx.span - 1];
+    if (!span.open) return;
+    span.end = sim_->Now();
+    span.open = false;
     // Full tracing with a recorder attached still feeds the rings, so
     // crash dumps work in traced runs too.
-    if (recorder_ != nullptr) recorder_->Record(*span);
+    if (recorder_ != nullptr) recorder_->Record(span);
     return;
   }
   auto it = open_spans_.find(ctx.span);

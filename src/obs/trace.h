@@ -145,8 +145,14 @@ class Tracer {
   const std::vector<Span>& spans() const { return spans_; }
   size_t span_count() const { return spans_.size(); }
 
+  /// The recorded span with id `id`, or null (kNoSpan, an id not minted
+  /// yet, or ring mode, which records nothing here). Span ids are minted
+  /// only when a span is recorded, so id k sits at spans()[k - 1].
+  const Span* Find(SpanId id) const {
+    return id == kNoSpan || id > spans_.size() ? nullptr : &spans_[id - 1];
+  }
+
  private:
-  Span* Find(SpanId id);
   /// Files a freshly started span in spans_ (enabled) or the open-span
   /// side map (ring mode), returning its context.
   SpanContext Admit(Span span);

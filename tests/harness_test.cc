@@ -54,12 +54,8 @@ TEST(ClusterTest, RestartClientPreservesIdentityAndMetrics) {
   // A fresh node behind the same handle, same identity, metrics intact.
   EXPECT_FALSE(c->IsInitialized());
   EXPECT_EQ(c->client_id(), 7u);
-  const auto names = cluster.metrics().Names();
-  bool found = false;
-  for (const auto& n : names) {
-    if (n == "client-7/log/records_sent") found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(
+      cluster.metrics().entries().contains("client-7/log/records_sent"));
 
   // The restarted node re-enters the log (Section 3.1.2) and can write.
   ready = false;

@@ -9,8 +9,11 @@
 
 #include "obs/bench_report.h"
 #include "obs/export.h"
+#include "obs/flight.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/probes.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -48,7 +51,11 @@ TEST(TracerTest, RootChildAndInstantFormATree) {
   // Instants are closed, zero-length events.
   EXPECT_FALSE(i.open);
   EXPECT_EQ(i.start, i.end);
-  (void)instant;
+  // Dense ids: id k is spans()[k - 1]; kNoSpan and unminted ids miss.
+  EXPECT_EQ(tracer.Find(instant.span), &i);
+  EXPECT_EQ(tracer.Find(root.span), &r);
+  EXPECT_EQ(tracer.Find(kNoSpan), nullptr);
+  EXPECT_EQ(tracer.Find(instant.span + 1), nullptr);
 }
 
 TEST(TracerTest, InvalidParentDropsSubtree) {
@@ -129,7 +136,7 @@ TEST(MetricsRegistryTest, SnapshotFlattensAllKinds) {
   registry.RegisterTimeWeightedGauge("server-1/nvram/occupancy_bytes",
                                      &twg);
   registry.RegisterHistogram("client-1/log/force_latency_ms", &hist);
-  EXPECT_EQ(registry.size(), 4u);
+  EXPECT_EQ(registry.entries().size(), 4u);
 
   counter.Increment(3);
   ring_slots = 2;
@@ -154,9 +161,8 @@ TEST(MetricsRegistryTest, UnregisterPrefixDropsComponent) {
   registry.RegisterCounter("client-1/log/x", &a);
   registry.RegisterCounter("server-1/log/y", &b);
   registry.UnregisterPrefix("client-1/");
-  std::vector<std::string> names = registry.Names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "server-1/log/y");
+  ASSERT_EQ(registry.entries().size(), 1u);
+  EXPECT_EQ(registry.entries().begin()->first, "server-1/log/y");
 }
 
 TEST(MetricsRegistryTest, ReRegisteringReplaces) {
@@ -165,8 +171,16 @@ TEST(MetricsRegistryTest, ReRegisteringReplaces) {
   registry.RegisterCounter("c", &old_counter);
   new_counter.Increment(9);
   registry.RegisterCounter("c", &new_counter);
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.entries().size(), 1u);
   EXPECT_DOUBLE_EQ(registry.Snapshot(0).Get("c"), 9.0);
+
+  // Across kinds: the counter's name re-registered as a callback leaves
+  // one entry, which snapshots the callback's value, and is a change.
+  const uint64_t version = registry.version();
+  registry.RegisterCallback("c", []() { return 4.0; });
+  EXPECT_EQ(registry.entries().size(), 1u);
+  EXPECT_DOUBLE_EQ(registry.Snapshot(0).Get("c"), 4.0);
+  EXPECT_GT(registry.version(), version);
 }
 
 // --- Exporters ---
@@ -223,19 +237,67 @@ TEST(ExportTest, EmptyTraceExportsValidSkeletons) {
 }
 
 TEST(ExportTest, JsonSpecialCharactersAreEscaped) {
+  // Every exporter writes two names: one with a quote and a backslash,
+  // one with a control character.
+  const std::string quoted = "a\"b\\c";
+  const std::string newline = "node\n1";
   sim::Simulator sim;
   Tracer tracer(&sim);
-  SpanContext root = tracer.StartTrace("a\"b\\c", "node\n1");
+  FlightRecorder recorder;
+  tracer.SetFlightRecorder(&recorder);
+  SpanContext root = tracer.StartTrace(quoted, newline);
   sim.RunFor(10);
   tracer.EndSpan(root);
+  recorder.Dump(newline, sim.Now(), quoted);
+
+  BenchReport report(quoted);
+  report.SetConfig(newline, quoted);
+
+  // Both names as starving clients: their series and alerts carry them.
+  MetricsRegistry registry;
+  TimeSeriesConfig telemetry;
+  telemetry.enabled = true;
+  TimeSeriesCollector collector(telemetry, &registry);
+  HealthMonitor monitor(&collector);
+  for (const std::string& client : {quoted, newline}) {
+    registry.RegisterCallback(client + "/log/pending_records",
+                              []() { return 1.0; });
+    monitor.AddClientNode(client);
+  }
+  for (sim::Time w = 1; w <= 8; ++w) {
+    collector.Sample();
+    monitor.Evaluate(w * collector.interval());
+  }
+  ASSERT_EQ(monitor.alerts().size(), 2u);
+
   for (const std::string& json :
        {ChromeTraceJson(tracer),
-        ChromeTraceJson(tracer, ExtractCriticalPaths(tracer))}) {
-    EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
-    EXPECT_NE(json.find("node\\u000a1"), std::string::npos);
-    // No raw quote from the name survives to break the JSON string.
-    EXPECT_EQ(json.find("a\"b"), std::string::npos);
+        ChromeTraceJson(tracer, ExtractCriticalPaths(tracer)),
+        FlightDumpsJson(recorder), report.ToJson(),
+        TimeSeriesJson(collector), AlertsJson(monitor)}) {
+    EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos) << json;
+    EXPECT_NE(json.find("node\\u000a1"), std::string::npos) << json;
+    // No raw quote or newline from a name survives to break a JSON
+    // string: the one raw newline ends the document.
+    EXPECT_EQ(json.find("a\"b"), std::string::npos) << json;
+    EXPECT_EQ(json.find('\n'), json.size() - 1) << json;
   }
+}
+
+TEST(ExportTest, LongSpanNameSurvivesWhole) {
+  // Formatted text of any length is written whole.
+  const std::string name(300, 'x');
+  sim::Simulator sim;
+  Tracer tracer(&sim);
+  SpanContext root = tracer.StartTrace(name, "n");
+  sim.RunFor(10);
+  tracer.EndSpan(root);
+  const std::vector<CriticalPath> paths = ExtractCriticalPaths(tracer);
+  const std::string json = ChromeTraceJson(tracer, paths);
+  EXPECT_NE(json.find("\"name\":\"" + name + "\",\"cname\""),
+            std::string::npos);
+  EXPECT_NE(CriticalPathText(paths).find(" " + name + " self="),
+            std::string::npos);
 }
 
 TEST(ExportTest, ZeroDurationSpansExportZeroDur) {
