@@ -4,16 +4,17 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 
 namespace dlog::tp {
 namespace {
 
-/// Whether a scanned record's byte images fit the page they apply to.
-bool FitsPage(const WalRecord& rec, size_t page_bytes) {
-  if (rec.type != WalType::kUpdate && rec.type != WalType::kUndo) {
-    return true;
-  }
-  auto fits = [&](const Bytes& image) {
+/// Whether an update or undo record's byte images fit the page they
+/// apply to.
+bool FitsPage(const WalView& rec, size_t page_bytes) {
+  auto fits = [&](std::span<const uint8_t> image) {
     return rec.offset <= page_bytes && image.size() <= page_bytes - rec.offset;
   };
   return fits(rec.redo) && fits(rec.undo);
@@ -299,110 +300,195 @@ void TransactionEngine::Crash() {
   active_.clear();
 }
 
-// Sequential asynchronous scan of the whole log.
+// Sequential asynchronous scan of the whole log. Each record is handled
+// as it arrives: an outcome record goes into the txn -> finished table,
+// an update or undo record keeps one entry, its images appended to one
+// buffer, and every other record is dropped.
 struct TransactionEngine::ScanState {
-  std::vector<std::pair<Lsn, WalRecord>> records;
+  /// An update or undo record: its fields, and its redo image then its
+  /// undo image at images[at, at + redo_size + undo_size).
+  struct Entry {
+    Lsn lsn = kNoLsn;
+    /// For kUndo records: the LSN of the update this undo belongs to.
+    Lsn update_lsn = kNoLsn;
+    TxnId txn = 0;
+    size_t at = 0;
+    PageId page = 0;
+    uint32_t offset = 0;
+    uint32_t redo_size = 0;
+    uint32_t undo_size = 0;
+    WalType type = WalType::kUpdate;
+  };
+  std::vector<Entry> entries;
+  Bytes images;
+  /// Whether each txn that logged a begin, commit or abort has an outcome
+  /// record, by ascending txn id; its last such record decides.
+  std::vector<std::pair<TxnId, bool>> finished;
   Lsn cursor = 1;
   Lsn end = kNoLsn;
   std::function<void(Status)> done;
+
+  std::span<const uint8_t> RedoOf(const Entry& e) const {
+    return {images.data() + e.at, e.redo_size};
+  }
+  std::span<const uint8_t> UndoOf(const Entry& e) const {
+    return {images.data() + e.at + e.redo_size, e.undo_size};
+  }
+  /// Whether `txn` has an outcome record; nullopt if it logged no begin
+  /// or outcome.
+  std::optional<bool> FinishedOf(TxnId txn) const {
+    auto it = std::lower_bound(finished.begin(), finished.end(),
+                               std::make_pair(txn, false));
+    if (it == finished.end() || it->first != txn) return std::nullopt;
+    return it->second;
+  }
+  void SetFinished(TxnId txn, bool is_finished) {
+    // Txn ids rise through a log, so a begin appends.
+    if (finished.empty() || finished.back().first < txn) {
+      finished.emplace_back(txn, is_finished);
+      return;
+    }
+    auto it = std::lower_bound(finished.begin(), finished.end(),
+                               std::make_pair(txn, false));
+    if (it->first == txn) {
+      it->second = is_finished;
+    } else {
+      finished.insert(it, {txn, is_finished});
+    }
+  }
+  /// Takes in the record at the cursor. Corruption, before any page is
+  /// touched, if it does not decode or its images do not fit its page.
+  Status Add(std::span<const uint8_t> bytes, size_t page_bytes);
 };
 
-void TransactionEngine::Recover(std::function<void(Status)> done) {
-  auto st = std::make_shared<ScanState>();
-  st->end = logger_->End();
-  st->done = std::move(done);
-  crashed_ = false;
-
-  if (st->end == kNoLsn) {
-    sim_->After(0, [st]() { st->done(Status::OK()); });
-    return;
+Status TransactionEngine::ScanState::Add(std::span<const uint8_t> bytes,
+                                         size_t page_bytes) {
+  DLOG_ASSIGN_OR_RETURN(const WalView rec, DecodeWalRecord(bytes));
+  switch (rec.type) {
+    case WalType::kBegin:
+      SetFinished(rec.txn, false);
+      return Status::OK();
+    case WalType::kCommit:
+    case WalType::kAbort:
+      SetFinished(rec.txn, true);
+      return Status::OK();
+    case WalType::kUpdate:
+    case WalType::kUndo:
+      break;
+    default:
+      return Status::OK();
   }
-  ScanNext(std::move(st));
+  if (!FitsPage(rec, page_bytes)) {
+    return Status::Corruption("logged image overruns its page");
+  }
+  Entry e;
+  e.lsn = cursor;
+  e.update_lsn = rec.update_lsn;
+  e.txn = rec.txn;
+  e.at = images.size();
+  e.page = rec.page;
+  e.offset = rec.offset;
+  e.redo_size = static_cast<uint32_t>(rec.redo.size());
+  e.undo_size = static_cast<uint32_t>(rec.undo.size());
+  e.type = rec.type;
+  // The one copy of the images (counted as a payload copy).
+  AddBytesCopied(rec.redo.size() + rec.undo.size());
+  images.insert(images.end(), rec.redo.begin(), rec.redo.end());
+  images.insert(images.end(), rec.undo.begin(), rec.undo.end());
+  entries.push_back(e);
+  return Status::OK();
 }
 
-void TransactionEngine::ScanNext(std::shared_ptr<ScanState> st) {
-  if (st->cursor > st->end) {
-    st->done(Replay(*st));
+TransactionEngine::~TransactionEngine() = default;
+
+void TransactionEngine::Recover(std::function<void(Status)> done) {
+  if (scan_ != nullptr) {
+    sim_->After(0, [done = std::move(done)]() {
+      done(Status::FailedPrecondition("recovery already running"));
+    });
     return;
   }
-  logger_->Read(st->cursor, [this, st](Result<Bytes> r) {
+  crashed_ = false;
+  const Lsn end = logger_->End();
+  if (end == kNoLsn) {
+    sim_->After(0, [done = std::move(done)]() { done(Status::OK()); });
+    return;
+  }
+  scan_ = std::make_unique<ScanState>();
+  scan_->end = end;
+  scan_->done = std::move(done);
+  ScanNext();
+}
+
+void TransactionEngine::ScanNext() {
+  if (scan_->cursor > scan_->end) {
+    EndScan(Status::OK());
+    return;
+  }
+  logger_->Read(scan_->cursor, [this](Result<Bytes> r) {
     if (r.ok()) {
-      Result<WalRecord> rec = DecodeWalRecord(*r);
-      if (rec.ok()) {
-        if (!FitsPage(*rec, disk_->page_bytes())) {
-          st->done(Status::Corruption("logged image overruns its page"));
-          return;
-        }
-        st->records.emplace_back(st->cursor, *std::move(rec));
+      Status added = scan_->Add(*r, disk_->page_bytes());
+      if (!added.ok()) {
+        EndScan(std::move(added));
+        return;
       }
     } else if (!r.status().IsNotFound()) {
       // OutOfRange / unreadable tail: treat as end of usable log.
       // NotFound (not-present records from log recovery) is skipped.
       if (!r.status().IsOutOfRange()) {
-        st->done(r.status());
+        EndScan(r.status());
         return;
       }
     }
-    ++st->cursor;
-    ScanNext(st);
+    ++scan_->cursor;
+    ScanNext();
   });
 }
 
+void TransactionEngine::EndScan(Status status) {
+  // `done` may start another Recover, or destroy the engine.
+  const std::unique_ptr<ScanState> st = std::move(scan_);
+  if (status.ok()) status = Replay(*st);
+  st->done(std::move(status));
+}
+
 Status TransactionEngine::Replay(const ScanState& st) {
-  // --- Analysis ---
-  std::map<TxnId, bool> finished;  // txn -> has outcome record
-  for (const auto& [lsn, rec] : st.records) {
-    switch (rec.type) {
-      case WalType::kBegin:
-        finished[rec.txn] = false;
-        break;
-      case WalType::kCommit:
-      case WalType::kAbort:
-        finished[rec.txn] = true;
-        break;
-      default:
-        break;
-    }
-  }
+  using Entry = ScanState::Entry;
   // --- Redo (committed and aborted transactions, in LSN order) ---
-  for (const auto& [lsn, rec] : st.records) {
-    if (rec.type != WalType::kUpdate) continue;
-    auto f = finished.find(rec.txn);
-    if (f == finished.end() || !f->second) continue;
-    if (pool_->Get(rec.page).lsn < lsn) {
+  for (const Entry& e : st.entries) {
+    if (e.type != WalType::kUpdate) continue;
+    if (st.FinishedOf(e.txn) != true) continue;
+    if (pool_->Get(e.page).lsn < e.lsn) {
       DLOG_RETURN_IF_ERROR(
-          pool_->ApplyUpdate(rec.page, rec.offset, rec.redo, lsn));
+          pool_->ApplyUpdate(e.page, e.offset, st.RedoOf(e), e.lsn));
     }
   }
   // --- Undo (unfinished transactions, reverse LSN order) ---
   // Undo components come from the update record itself or, under
   // splitting, from kUndo records keyed by update LSN.
-  std::map<Lsn, Bytes> logged_undo;
-  for (const auto& [lsn, rec] : st.records) {
-    if (rec.type == WalType::kUndo) {
-      logged_undo[rec.update_lsn] = rec.undo;
-    }
+  std::map<Lsn, std::span<const uint8_t>> logged_undo;
+  for (const Entry& e : st.entries) {
+    if (e.type == WalType::kUndo) logged_undo[e.update_lsn] = st.UndoOf(e);
   }
-  for (auto it = st.records.rbegin(); it != st.records.rend(); ++it) {
-    const auto& [lsn, rec] = *it;
-    if (rec.type != WalType::kUpdate) continue;
-    auto f = finished.find(rec.txn);
-    if (f == finished.end() || f->second) continue;
+  for (auto it = st.entries.rbegin(); it != st.entries.rend(); ++it) {
+    const Entry& e = *it;
+    if (e.type != WalType::kUpdate) continue;
+    if (st.FinishedOf(e.txn) != false) continue;
     // An update that never reached this image needs no undo.
-    if (pool_->Get(rec.page).lsn < lsn) continue;
-    const Bytes* undo = &rec.undo;
-    if (undo->empty()) {
-      auto lu = logged_undo.find(lsn);
+    if (pool_->Get(e.page).lsn < e.lsn) continue;
+    std::span<const uint8_t> undo = st.UndoOf(e);
+    if (undo.empty()) {
+      auto lu = logged_undo.find(e.lsn);
       if (lu == logged_undo.end()) {
         // Split record whose undo was never logged: then its page was
         // never cleaned, so the disk image cannot contain the update.
         continue;
       }
-      undo = &lu->second;
+      undo = lu->second;
     }
     // A logged undo whose own offset fit can still overrun at its
     // update's offset in a corrupt log.
-    if (!pool_->ApplyUpdate(rec.page, rec.offset, *undo, lsn).ok()) {
+    if (!pool_->ApplyUpdate(e.page, e.offset, undo, e.lsn).ok()) {
       return Status::Corruption("logged undo overruns its page");
     }
   }

@@ -52,6 +52,7 @@ class TransactionEngine {
 
   TransactionEngine(const TransactionEngine&) = delete;
   TransactionEngine& operator=(const TransactionEngine&) = delete;
+  ~TransactionEngine();
 
   /// Starts a transaction (logs a begin record, buffered).
   Result<TxnId> Begin();
@@ -79,7 +80,9 @@ class TransactionEngine {
 
   /// Restart recovery: scans the log, redoes committed/aborted work,
   /// undoes unfinished transactions. Fails with Corruption, before any
-  /// page is touched, if a logged image does not fit its page.
+  /// page is touched, if a record does not decode or a logged image does
+  /// not fit its page, and with FailedPrecondition while another Recover
+  /// runs.
   void Recover(std::function<void(Status)> done);
 
   BufferPool& buffer_pool() { return *pool_; }
@@ -144,11 +147,14 @@ class TransactionEngine {
   /// (required before cleaning under splitting).
   Status FlushUndoFor(PageId page);
 
-  /// Restart recovery's log scan: reads the record at the cursor, then
-  /// the next, and replays them all once the cursor passes the end.
+  /// Restart recovery's log scan: takes in the record at the cursor,
+  /// then the next, and replays them all once the cursor passes the end.
   struct ScanState;
-  void ScanNext(std::shared_ptr<ScanState> st);
-  /// Analysis, redo and undo over the scanned records.
+  void ScanNext();
+  /// Ends the scan with `status` (which it replaces with the replay's
+  /// when OK).
+  void EndScan(Status status);
+  /// Redo and undo over the scanned update and undo records.
   Status Replay(const ScanState& st);
 
   sim::Scheduler* sim_;
@@ -161,6 +167,10 @@ class TransactionEngine {
   TxnId next_txn_ = 1;
   std::vector<ActiveTxn> active_;  // ascending by txn id
   std::vector<ActiveTxn> finished_;  // cleared, capacity kept for reuse
+
+  /// The scan while Recover runs. The engine owns it, so a read's
+  /// callback captures the engine alone and allocates nothing.
+  std::unique_ptr<ScanState> scan_;
 
   obs::Tracer* tracer_ = nullptr;
   std::string trace_node_;

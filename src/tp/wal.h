@@ -2,7 +2,6 @@
 #define DLOG_TP_WAL_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,8 +32,9 @@ enum class WalType : uint8_t {
   kCheckpoint = 6,
 };
 
-/// One transaction-level WAL record. Update records carry the byte range
-/// they change: [offset, offset + redo.size()) within `page`.
+/// One transaction-level WAL record, as the encoder takes it. Update
+/// records carry the byte range they change: [offset, offset +
+/// redo.size()) within `page`.
 struct WalRecord {
   WalType type = WalType::kBegin;
   TxnId txn = 0;
@@ -44,12 +44,18 @@ struct WalRecord {
   Lsn update_lsn = kNoLsn;
   Bytes redo;
   Bytes undo;
+};
 
-  friend bool operator==(const WalRecord& a, const WalRecord& b) {
-    return a.type == b.type && a.txn == b.txn && a.page == b.page &&
-           a.offset == b.offset && a.update_lsn == b.update_lsn &&
-           a.redo == b.redo && a.undo == b.undo;
-  }
+/// One WAL record read in place: its fields, and its redo and undo images
+/// as spans of the bytes it was decoded from, valid while those are.
+struct WalView {
+  WalType type = WalType::kBegin;
+  TxnId txn = 0;
+  PageId page = 0;
+  uint32_t offset = 0;
+  Lsn update_lsn = kNoLsn;
+  std::span<const uint8_t> redo;
+  std::span<const uint8_t> undo;
 };
 
 Bytes EncodeWalRecord(const WalRecord& record);
@@ -58,7 +64,10 @@ Bytes EncodeWalRecord(const WalRecord& record);
 Bytes EncodeWalRecord(WalType type, TxnId txn, PageId page, uint32_t offset,
                       Lsn update_lsn, std::span<const uint8_t> redo,
                       std::span<const uint8_t> undo);
-Result<WalRecord> DecodeWalRecord(const Bytes& bytes);
+/// Reads the record encoded in `bytes` in place. Corruption if its type
+/// is out of range, a field or image overruns `bytes`, or bytes follow
+/// the undo image.
+Result<WalView> DecodeWalRecord(std::span<const uint8_t> bytes);
 
 }  // namespace dlog::tp
 

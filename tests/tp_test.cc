@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,14 +25,117 @@ TEST(WalTest, RecordRoundTrip) {
   rec.update_lsn = 9;
   rec.redo = ToBytes("new");
   rec.undo = ToBytes("old");
-  Result<WalRecord> decoded = DecodeWalRecord(EncodeWalRecord(rec));
+  const Bytes encoded = EncodeWalRecord(rec);
+  Result<WalView> decoded = DecodeWalRecord(encoded);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, rec);
+  EXPECT_EQ(decoded->type, rec.type);
+  EXPECT_EQ(decoded->txn, rec.txn);
+  EXPECT_EQ(decoded->page, rec.page);
+  EXPECT_EQ(decoded->offset, rec.offset);
+  EXPECT_EQ(decoded->update_lsn, rec.update_lsn);
+  EXPECT_EQ(Bytes(decoded->redo.begin(), decoded->redo.end()), rec.redo);
+  EXPECT_EQ(Bytes(decoded->undo.begin(), decoded->undo.end()), rec.undo);
+  // The images are read in place.
+  EXPECT_GE(decoded->redo.data(), encoded.data());
+  EXPECT_LE(decoded->undo.data() + decoded->undo.size(),
+            encoded.data() + encoded.size());
 }
 
 TEST(WalTest, GarbageRejected) {
   EXPECT_FALSE(DecodeWalRecord(ToBytes("")).ok());
   EXPECT_FALSE(DecodeWalRecord(ToBytes("\x63junk")).ok());
+}
+
+/// One encoded record of each WalType, each with images, so that every
+/// field and both blob lengths are there to mutate.
+std::vector<Bytes> EveryWalType() {
+  std::vector<Bytes> records;
+  for (uint8_t t = static_cast<uint8_t>(WalType::kBegin);
+       t <= static_cast<uint8_t>(WalType::kCheckpoint); ++t) {
+    WalRecord rec;
+    rec.type = static_cast<WalType>(t);
+    rec.txn = 0x0102030405060708 + t;
+    rec.page = 3;
+    rec.offset = 16;
+    rec.update_lsn = 9;
+    rec.redo = Bytes(t % 3 == 0 ? 0 : 5u * t, static_cast<uint8_t>(t));
+    rec.undo = Bytes(t % 2 == 0 ? 0 : 3u * t, 0xA0);
+    records.push_back(EncodeWalRecord(rec));
+  }
+  return records;
+}
+
+/// Decodes `bytes` from a heap buffer of exactly their size, so a read
+/// past the end is a heap overflow that ASan reports: the decode must be
+/// Corruption, or hold spans inside the buffer that re-encode to it.
+void ExpectCorruptionOrSpansInside(const Bytes& bytes) {
+  const Bytes input(bytes.begin(), bytes.end());
+  const Result<WalView> decoded = DecodeWalRecord(input);
+  if (!decoded.ok()) {
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+    return;
+  }
+  const uint8_t* begin = input.data();
+  const uint8_t* end = input.data() + input.size();
+  for (const std::span<const uint8_t> image : {decoded->redo, decoded->undo}) {
+    ASSERT_TRUE(image.empty() ||
+                (image.data() >= begin && image.data() + image.size() <= end));
+  }
+  EXPECT_EQ(EncodeWalRecord(decoded->type, decoded->txn, decoded->page,
+                            decoded->offset, decoded->update_lsn,
+                            decoded->redo, decoded->undo),
+            input);
+}
+
+TEST(WalTest, HostileBytesGiveCorruptionOrSpansInsideTheInput) {
+  // The blob lengths follow type(1), txn(8), page(4), offset(4) and
+  // update_lsn(8).
+  constexpr size_t kRedoLengthAt = 25;
+  for (const Bytes& record : EveryWalType()) {
+    ASSERT_TRUE(DecodeWalRecord(record).ok());
+    const size_t redo = LoadLE(record.data() + kRedoLengthAt, 4);
+    const size_t undo_length_at = kRedoLengthAt + 4 + redo;
+    // Every single-bit flip.
+    for (size_t i = 0; i < record.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = record;
+        flipped[i] ^= static_cast<uint8_t>(1u << bit);
+        ExpectCorruptionOrSpansInside(flipped);
+      }
+    }
+    // Truncation at every length.
+    for (size_t n = 0; n < record.size(); ++n) {
+      const Bytes truncated(record.begin(), record.begin() + n);
+      EXPECT_TRUE(DecodeWalRecord(truncated).status().IsCorruption()) << n;
+      ExpectCorruptionOrSpansInside(truncated);
+    }
+    // Each blob length inflated past what follows it, or deflated.
+    for (const size_t at : {kRedoLengthAt, undo_length_at}) {
+      const uint64_t length = LoadLE(record.data() + at, 4);
+      for (const uint64_t lie :
+           {length + 1, length + 2, uint64_t{record.size() - at},
+            uint64_t{record.size()}, uint64_t{0x7FFFFFFF},
+            uint64_t{0x80000000}, uint64_t{0xFFFFFFFF}}) {
+        Bytes lying = record;
+        StoreLE(lying.data() + at, lie, 4);
+        EXPECT_TRUE(DecodeWalRecord(lying).status().IsCorruption())
+            << "length at " << at << " = " << lie;
+        ExpectCorruptionOrSpansInside(lying);
+      }
+      if (length > 0) {
+        Bytes short_length = record;
+        StoreLE(short_length.data() + at, length - 1, 4);
+        ExpectCorruptionOrSpansInside(short_length);
+      }
+    }
+    // Trailing bytes.
+    for (size_t extra = 1; extra <= 8; ++extra) {
+      Bytes trailing = record;
+      trailing.insert(trailing.end(), extra, 0);
+      EXPECT_TRUE(DecodeWalRecord(trailing).status().IsCorruption()) << extra;
+      ExpectCorruptionOrSpansInside(trailing);
+    }
+  }
 }
 
 TEST(PageDiskTest, UnwrittenPagesReadZero) {
@@ -288,6 +393,31 @@ TEST(EngineTest, RecoveryRejectsAnUpdateThatOverrunsItsPage) {
   update.offset = 60;
   update.redo = Bytes(200, 0xEE);
   LogRecords(&logger, {update, Outcome(WalType::kCommit, 1)});
+
+  EngineConfig cfg;
+  cfg.page_bytes = 64;
+  TransactionEngine engine(&sim, &logger, &disk, cfg);
+  Status st = Status::Internal("pending");
+  engine.Recover([&](Status s) { st = s; });
+  sim.Run();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_TRUE(engine.buffer_pool().dirty_pages().empty());
+  EXPECT_EQ(disk.page_count(), 0u);
+}
+
+TEST(EngineTest, RecoveryRejectsARecordThatDoesNotDecode) {
+  // A junk payload between a committed update and its commit. Skipping
+  // it would replay a log with a record missing, and had the missing
+  // record been the commit, would undo committed work and report OK.
+  sim::Simulator sim;
+  InMemoryTxnLogger logger(&sim);
+  PageDisk disk(64);
+  WalRecord update = Outcome(WalType::kUpdate, 1);
+  update.redo = ToBytes("redo");
+  update.undo = Bytes(4, 0);
+  LogRecords(&logger, {Outcome(WalType::kBegin, 1), update});
+  ASSERT_TRUE(logger.Append(ToBytes("\x63junk")).ok());
+  LogRecords(&logger, {Outcome(WalType::kCommit, 1)});
 
   EngineConfig cfg;
   cfg.page_bytes = 64;
