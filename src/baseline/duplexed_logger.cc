@@ -113,8 +113,9 @@ void DuplexedDiskLogger::Read(Lsn lsn,
   Bytes payload = records_[lsn - 1];
   if (lsn > stable_high_) {
     // Still buffered: memory-speed read.
-    sim_->After(0, [done = std::move(done), payload = std::move(payload)]() {
-      done(payload);
+    sim_->After(0, [done = std::move(done),
+                    payload = std::move(payload)]() mutable {
+      done(std::move(payload));
     });
     return;
   }
@@ -122,10 +123,10 @@ void DuplexedDiskLogger::Read(Lsn lsn,
   const uint64_t generation = generation_;
   disks_[0]->ReadTrack(0, [this, generation, done = std::move(done),
                            payload = std::move(payload)](
-                              const Result<SharedBytes>& r) {
+                              const Result<SharedBytes>& r) mutable {
     (void)r;
     if (generation != generation_) return;
-    done(payload);
+    done(std::move(payload));
   });
 }
 

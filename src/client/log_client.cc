@@ -11,6 +11,19 @@
 #include "epoch/id_generator.h"
 
 namespace dlog::client {
+namespace {
+
+/// What ReadLog answers for a record read back from a server: an owned
+/// copy of its data (counted as a payload copy), or NotFound when it is
+/// marked not present.
+Result<Bytes> ReadResult(const wire::RecordView& record) {
+  if (!record.present) return Status::NotFound("record marked not present");
+  const std::span<const uint8_t> data = record.data();
+  AddBytesCopied(data.size());
+  return Bytes(data.begin(), data.end());
+}
+
+}  // namespace
 
 // Per-Init transient state, shared by the steps of one Init.
 struct LogClient::InitState {
@@ -1210,9 +1223,8 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
   if (const PendingRecord* pr = pending_.Find(lsn)) {
     // User-facing materialization: reads hand back an owned copy.
     AddBytesCopied(pr->data.size());
-    Bytes data = pr->data;
-    sim_->After(0, [done = std::move(done), data = std::move(data)]() {
-      done(data);
+    sim_->After(0, [done = std::move(done), data = pr->data]() mutable {
+      done(std::move(data));
     });
     return;
   }
@@ -1222,15 +1234,10 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
     if (r.lsn == lsn) ahead = r;
   }
   if (ahead.has_value()) {
-    const LogRecord rec = wire::ToLogRecord(read_ahead_.Share(*ahead));
-    Result<Bytes> result =
-        rec.present ? Result<Bytes>(rec.data.ToBytes())
-                    : Result<Bytes>(
-                          Status::NotFound("record marked not present"));
-    sim_->After(0,
-                [done = std::move(done), result = std::move(result)]() {
-                  done(result);
-                });
+    sim_->After(0, [done = std::move(done),
+                    result = ReadResult(*ahead)]() mutable {
+      done(std::move(result));
+    });
     return;
   }
 
@@ -1248,13 +1255,7 @@ void LogClient::ReadLog(Lsn lsn, std::function<void(Result<Bytes>)> done) {
                return;
              }
              read_ahead_ = std::move(*read);
-             const LogRecord rec =
-                 wire::ToLogRecord(read_ahead_.Share(read_ahead_.front()));
-             if (!rec.present) {
-               done(Status::NotFound("record marked not present"));
-             } else {
-               done(rec.data.ToBytes());
-             }
+             done(ReadResult(read_ahead_.front()));
            });
 }
 

@@ -84,12 +84,15 @@ class InMemoryTxnLogger : public TxnLogger {
   }
 
   void Read(Lsn lsn, std::function<void(Result<Bytes>)> done) override {
-    Result<Bytes> result = Status::OutOfRange("beyond end of log");
-    if (lsn >= 1 && lsn <= records_.size()) {
-      result = records_[lsn - 1];
+    if (lsn == kNoLsn || lsn > records_.size()) {
+      sim_->After(0, [done = std::move(done)]() {
+        done(Status::OutOfRange("beyond end of log"));
+      });
+      return;
     }
-    sim_->After(0, [done = std::move(done), result = std::move(result)]() {
-      done(result);
+    sim_->After(0, [done = std::move(done),
+                    record = records_[lsn - 1]]() mutable {
+      done(std::move(record));
     });
   }
 
