@@ -282,16 +282,63 @@ Result<LogRecord> ClientLogStore::Read(Lsn lsn) const {
   return wire::ToLogRecord(encoding);
 }
 
-Result<SharedBytes> ClientLogStore::ReadEncoded(Lsn lsn) const {
-  const size_t i = HighestEpochOf(lsn);
-  if (i == runs_.size()) return Status::NotFound("LSN not stored");
-  return EncodingOf(runs_[i], lsn);
+template <typename Visit>
+void ClientLogStore::Walk(Lsn lsn, bool forward, Visit visit) const {
+  SharedBytes image;
+  size_t run = kNoRun;  // the run of the record visited last
+  uint32_t next = 0;    // where that record's entry ends
+  for (;; forward ? ++lsn : --lsn) {
+    const size_t i = HighestEpochOf(lsn);
+    if (i == runs_.size()) return;
+    const Run& r = runs_[i];
+    if (run == kNoRun || r.track != runs_[run].track) {
+      image = images_->Image(r.track);
+    }
+    const std::span<const uint8_t> bytes(image.data(), image.size());
+    const uint32_t offset = forward && i == run
+                                ? next
+                                : EntryAfter(bytes, r.offset, lsn - r.lsn);
+    const std::span<const uint8_t> record =
+        StreamEntryAt(bytes, offset).record.bytes;
+    if (!visit(image, record)) return;
+    run = i;
+    next = offset +
+           static_cast<uint32_t>(kStreamEntryClientBytes + record.size());
+  }
 }
 
-std::optional<RecordLocation> ClientLogStore::ReadLocation(Lsn lsn) const {
+Result<SharedBytes> ClientLogStore::ReadEncoded(Lsn lsn) const {
+  std::optional<SharedBytes> found;
+  Walk(lsn, /*forward=*/true,
+       [&found](const SharedBytes& image, std::span<const uint8_t> record) {
+         found = image.Slice(static_cast<size_t>(record.data() - image.data()),
+                             record.size());
+         return false;
+       });
+  if (!found.has_value()) return Status::NotFound("LSN not stored");
+  return *std::move(found);
+}
+
+size_t ClientLogStore::ReadReply(
+    Lsn lsn, bool forward, size_t max_bytes,
+    std::vector<std::span<const uint8_t>>* out) const {
+  size_t bytes = 0;
+  bool first = true;
+  Walk(lsn, forward,
+       [&](const SharedBytes&, std::span<const uint8_t> record) {
+         if (!first && bytes + record.size() > max_bytes) return false;
+         first = false;
+         out->push_back(record);
+         bytes += record.size();
+         return true;
+       });
+  return bytes;
+}
+
+std::optional<uint64_t> ClientLogStore::TrackOf(Lsn lsn) const {
   const size_t i = HighestEpochOf(lsn);
   if (i == runs_.size()) return std::nullopt;
-  return LocationIn(runs_[i], lsn);
+  return runs_[i].track;
 }
 
 IntervalList ClientLogStore::Intervals() const { return sequences_; }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -157,9 +158,20 @@ class ClientLogStore {
   /// of its track image.
   Result<SharedBytes> ReadEncoded(Lsn lsn) const;
 
-  /// Where the record Read(lsn) returns sits; nullopt when the LSN is not
-  /// stored.
-  std::optional<RecordLocation> ReadLocation(Lsn lsn) const;
+  /// The records of a ReadLogForward (`forward`) or ReadLogBackward reply
+  /// from `lsn`: the wire encodings ReadEncoded returns for lsn, then
+  /// lsn + 1, ... (lsn - 1, ... going backward) up to the first LSN not
+  /// stored, while they total at most `max_bytes` (the first always
+  /// goes). Appends each to `*out` as a view of its track image, valid
+  /// until the images next change, and returns their total size. Each
+  /// image is fetched once, and going forward a record in the same run as
+  /// the one before it is found where that one's entry ends.
+  size_t ReadReply(Lsn lsn, bool forward, size_t max_bytes,
+                 std::vector<std::span<const uint8_t>>* out) const;
+
+  /// The track holding the record Read(lsn) returns; nullopt when the
+  /// LSN is not stored.
+  std::optional<uint64_t> TrackOf(Lsn lsn) const;
 
   /// True if a record with this exact <LSN, Epoch> is stored.
   bool Contains(Lsn lsn, Epoch epoch) const {
@@ -229,6 +241,12 @@ class ClientLogStore {
   /// The wire encoding of the record of LSN `lsn` in `run`, a view of its
   /// image.
   SharedBytes EncodingOf(const Run& run, Lsn lsn) const;
+  /// The walk behind ReadEncoded and ReadReply: for lsn, then lsn + 1, ...
+  /// (lsn - 1, ... unless `forward`) up to the first LSN not stored, calls
+  /// visit(image, record) with the highest-epoch record's wire encoding,
+  /// a view of its track image `image`, until visit returns false.
+  template <typename Visit>
+  void Walk(Lsn lsn, bool forward, Visit visit) const;
   /// Position in runs_ of the run holding exactly <lsn, epoch>;
   /// runs_.size() if absent.
   size_t IndexOf(Lsn lsn, Epoch epoch) const;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace dlog::server {
 
@@ -444,14 +446,14 @@ void LogServer::Handle(const Incoming& in, const wire::IntervalListReq& req) {
 void LogServer::WithReadLatency(ClientId client, Lsn lsn,
                                 std::function<void()> fn) {
   const ClientLogStore* store = FindStore(client);
-  const std::optional<RecordLocation> at =
-      store == nullptr ? std::nullopt : store->ReadLocation(lsn);
-  if (!at.has_value() || at->track >= nvram_buffer_->first_track()) {
+  const std::optional<uint64_t> track =
+      store == nullptr ? std::nullopt : store->TrackOf(lsn);
+  if (!track.has_value() || *track >= nvram_buffer_->first_track()) {
     fn();  // in NVRAM (or absent): no disk motion
     return;
   }
   const uint64_t generation = generation_;
-  disk_->ReadTrack(at->track, [this, generation, fn = std::move(fn)](
+  disk_->ReadTrack(*track, [this, generation, fn = std::move(fn)](
                                const Result<SharedBytes>& r) {
     (void)r;
     if (generation != generation_ || !up_) return;
@@ -472,27 +474,13 @@ void LogServer::Handle(const Incoming& in, const wire::ReadLogReq& req) {
 
   WithReadLatency(client, start, [this, conn, client, start, forward,
                                   rpc_id]() {
-    // The stored wire bytes of the records to pack, copied as they are
-    // into the reply.
-    std::vector<SharedBytes> records;
+    // The stored wire bytes of the records to pack, views of their track
+    // images, copied as they are into the reply.
+    std::vector<std::span<const uint8_t>> records;
     size_t record_bytes = 0;
-    const ClientLogStore* store = FindStore(client);
-    size_t budget = kReadReplyBudgetBytes;
-    Lsn lsn = start;
-    while (store != nullptr) {
-      Result<SharedBytes> rec = store->ReadEncoded(lsn);
-      if (!rec.ok()) break;
-      const size_t cost = rec->size();
-      if (!records.empty() && cost > budget) break;
-      records.push_back(*std::move(rec));
-      record_bytes += cost;
-      budget = cost > budget ? 0 : budget - cost;
-      if (forward) {
-        ++lsn;
-      } else {
-        if (lsn == 1) break;
-        --lsn;
-      }
+    if (const ClientLogStore* store = FindStore(client)) {
+      record_bytes =
+          store->ReadReply(start, forward, kReadReplyBudgetBytes, &records);
     }
     wire::ReadLogResp resp;
     if (records.empty()) {
@@ -503,7 +491,7 @@ void LogServer::Handle(const Incoming& in, const wire::ReadLogReq& req) {
       resp.status = wire::RpcStatus::kNotFound;
     }
     wire::RecordBatchWriter reply(resp, rpc_id, record_bytes);
-    for (const SharedBytes& r : records) reply.Add({r.data(), r.size()});
+    for (const std::span<const uint8_t> r : records) reply.Add(r);
     Reply(conn, reply.Take());
   });
 }

@@ -250,9 +250,10 @@ TEST_F(ClientLogStoreTest, RestoreSkipsDuplicates) {
   EXPECT_EQ(store.record_count(), 3u);
   ASSERT_EQ(store.Intervals().size(), 1u);
   EXPECT_EQ(store.Intervals()[0], (Interval{1, 1, 3}));
-  EXPECT_EQ(store.ReadLocation(1), at[0]);
+  EXPECT_EQ(store.LocationOf(1, 1), at[0]);
   store.Relocate(1, 1, at[2]);
-  EXPECT_EQ(store.ReadLocation(1), at[2]);
+  EXPECT_EQ(store.LocationOf(1, 1), at[2]);
+  EXPECT_EQ(store.TrackOf(1), at[2].track);
   EXPECT_EQ(store.Records(),
             (std::vector<LogRecord>{Rec(1, 1), Rec(2, 1), Rec(3, 1)}));
 }
@@ -268,12 +269,12 @@ TEST_F(ClientLogStoreTest, MovedRecordLeavesItsRun) {
   ASSERT_TRUE(store.Write(Rec(3, 2, true, "three")).ok());
   store.Relocate(3, 2, three);
   ASSERT_TRUE(store.Write(Rec(4, 2, true, "four")).ok());
-  EXPECT_EQ(store.ReadLocation(3), three);
+  EXPECT_EQ(store.LocationOf(3, 2), three);
   EXPECT_EQ(*store.Read(4), Rec(4, 2, true, "four"));
   for (Lsn l = 5; l <= 7; ++l) ASSERT_TRUE(store.Write(Rec(l, 2)).ok());
   store.Relocate(5, 2, five);
   ASSERT_TRUE(store.Write(Rec(8, 2, true, "eight")).ok());
-  EXPECT_EQ(store.ReadLocation(5), five);
+  EXPECT_EQ(store.LocationOf(5, 2), five);
   EXPECT_EQ(*store.Read(8), Rec(8, 2, true, "eight"));
   EXPECT_EQ(RunShape(store),
             (std::vector<std::tuple<Lsn, Epoch, uint32_t>>{
@@ -287,7 +288,7 @@ TEST_F(ClientLogStoreTest, RecordsLiveInTheirTrackImages) {
   static_assert(sizeof(ClientLogStore::Run) <= 40);
   ASSERT_TRUE(store.Write(Rec(1, 1, true, "first")).ok());
   ASSERT_TRUE(store.Write(Rec(2, 1, false, "")).ok());
-  const RecordLocation at = *store.ReadLocation(1);
+  const RecordLocation at = *store.LocationOf(1, 1);
   const SharedBytes image = images.Image(at.track);
   Bytes entry = {kClient, 0, 0, 0};
   const Bytes wire = wire::EncodeRecord(Rec(1, 1, true, "first"));
@@ -415,9 +416,10 @@ TEST_F(ClientLogStoreTest, TruncateBelowKeepsTracksOfRetainedRecords) {
   ASSERT_EQ(store.TruncateBelow(3), 2u);
   EXPECT_EQ(store.LocationOf(4, 1), (RecordLocation{8, 8}));
   EXPECT_EQ(store.LocationOf(5, 1), (RecordLocation{8, 40}));
-  EXPECT_EQ(store.ReadLocation(5), (RecordLocation{9, 8}));  // highest epoch
-  EXPECT_EQ(store.ReadLocation(3), buffered3);  // never moved
-  EXPECT_EQ(store.ReadLocation(2), std::nullopt);  // discarded
+  EXPECT_EQ(store.LocationOf(5, 2), (RecordLocation{9, 8}));
+  EXPECT_EQ(store.TrackOf(5), 9u);  // the highest epoch's
+  EXPECT_EQ(store.LocationOf(3, 1), buffered3);  // never moved
+  EXPECT_EQ(store.TrackOf(2), std::nullopt);  // discarded
   store.Relocate(2, 1, {10, 8});  // a discarded record takes no track
   EXPECT_FALSE(store.Contains(2, 1));
   EXPECT_EQ(store.LocationOf(2, 1), std::nullopt);
@@ -513,6 +515,139 @@ TEST_F(ClientLogStoreTest, TruncateBelowClipsRunsAndIntervalsAcrossEpochs) {
   EXPECT_EQ(store.Intervals().back(), (Interval{3, 17, 21}));
   EXPECT_EQ(RunShape(store).back(),
             (std::tuple<Lsn, Epoch, uint32_t>{19, 3, 3}));
+}
+
+// --- ReadLog reply packing ---
+
+/// In-memory track images whose full images can be flushed: each image
+/// below the open one is then served from a copy of its bytes in a buffer
+/// of its own, as a log server serves the disk tracks below its NVRAM
+/// queue. Counts the images fetched.
+class FlushingImages final : public TrackImages {
+ public:
+  std::optional<RecordLocation> Append(
+      ClientId client, std::span<const uint8_t> record) override {
+    const std::optional<RecordLocation> at = memory_.Append(client, record);
+    tracks_ = std::max(tracks_, at->track + 1);
+    return at;
+  }
+  SharedBytes Image(uint64_t track) const override {
+    ++fetched_;
+    auto it = disk_.find(track);
+    return it != disk_.end() ? it->second : memory_.Image(track);
+  }
+  /// Moves every image but the open one to the "disk".
+  void Flush() {
+    for (uint64_t track = 0; track + 1 < tracks_; ++track) {
+      const SharedBytes image = memory_.Image(track);
+      disk_.try_emplace(track, Bytes(image.begin(), image.end()));
+    }
+  }
+  bool OnDisk(uint64_t track) const { return disk_.count(track) > 0; }
+  uint64_t tracks() const { return tracks_; }
+  size_t fetched() const { return fetched_; }
+
+ private:
+  MemoryTrackImages memory_;
+  std::map<uint64_t, SharedBytes> disk_;
+  uint64_t tracks_ = 0;
+  mutable size_t fetched_ = 0;
+};
+
+/// The records a reply from `lsn` packs, read one LSN at a time with
+/// ReadEncoded under a budget of `max_bytes`, as the log server packed
+/// them before it walked the store once per reply.
+std::vector<Bytes> PerLsnReply(const ClientLogStore& store, Lsn lsn,
+                               bool forward, size_t max_bytes) {
+  std::vector<Bytes> reply;
+  size_t budget = max_bytes;
+  for (;;) {
+    const Result<SharedBytes> rec = store.ReadEncoded(lsn);
+    if (!rec.ok()) break;
+    const size_t cost = rec->size();
+    if (!reply.empty() && cost > budget) break;
+    reply.emplace_back(rec->begin(), rec->end());
+    budget = cost > budget ? 0 : budget - cost;
+    if (forward) {
+      ++lsn;
+    } else {
+      if (lsn == 1) break;
+      --lsn;
+    }
+  }
+  return reply;
+}
+
+// A store whose records cross track images, the NVRAM/disk boundary (the
+// flushed images) and a gap, with copies installed below the tail at a
+// higher epoch: every reply ReadReply packs, from every LSN in both
+// directions, is the one per-LSN reads pack, and an unbudgeted walk
+// fetches an image for its first record and at each change of track.
+TEST(ReadReplyTest, PacksWhatPerLsnReadsPack) {
+  constexpr size_t kBudget = 1200;
+  FlushingImages images;
+  ClientLogStore store(7, &images);
+  const auto rec = [](Lsn l, Epoch e) {
+    // 0 to 299 data bytes, every 11th record past the budget, and LSNs
+    // 45 to 50 a third of the budget each, so three of them fill it.
+    size_t size = (l * 37) % 300;
+    if (l % 11 == 0) size = kBudget + 100;
+    if (l >= 45 && l <= 50) size = kBudget / 3 - wire::kRecordFixedBytes;
+    return Rec(l, e, l % 13 != 0,
+               std::string(size, static_cast<char>('a' + l % 26 + e)));
+  };
+  for (Lsn l = 1; l <= 40; ++l) ASSERT_TRUE(store.Write(rec(l, 1)).ok());
+  for (Lsn l = 44; l <= 60; ++l) ASSERT_TRUE(store.Write(rec(l, 1)).ok());
+  for (Lsn l = 20; l <= 25; ++l) {
+    ASSERT_TRUE(store.StageCopy(wire::EncodeRecord(rec(l, 2))).ok());
+  }
+  ASSERT_TRUE(store.InstallCopies(2).ok());
+  for (Lsn l = 61; l <= 70; ++l) ASSERT_TRUE(store.Write(rec(l, 2)).ok());
+  images.Flush();
+  ASSERT_GE(images.tracks(), 4u);
+  ASSERT_TRUE(images.OnDisk(*store.TrackOf(1)));
+  ASSERT_FALSE(images.OnDisk(*store.TrackOf(70)));
+  ASSERT_EQ(store.Read(22)->epoch, 2u);
+
+  bool crossed_tracks = false;
+  bool crossed_flush = false;
+  for (Lsn from = 0; from <= 72; ++from) {
+    for (const bool forward : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "from " << from
+                                      << (forward ? " forward" : " backward"));
+      for (const size_t max_bytes : {kBudget, SIZE_MAX}) {
+        std::vector<std::span<const uint8_t>> got;
+        const size_t fetched = images.fetched();
+        const size_t bytes = store.ReadReply(from, forward, max_bytes, &got);
+        const size_t fetches = images.fetched() - fetched;
+        const std::vector<Bytes> want =
+            PerLsnReply(store, from, forward, max_bytes);
+        ASSERT_EQ(got.size(), want.size());
+        size_t want_bytes = 0;
+        size_t switches = 0;
+        for (size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(Bytes(got[k].begin(), got[k].end()), want[k]) << k;
+          want_bytes += want[k].size();
+          const Lsn lsn = forward ? from + k : from - k;
+          if (k > 0) {
+            const uint64_t track = *store.TrackOf(lsn);
+            const uint64_t before = *store.TrackOf(forward ? lsn - 1 : lsn + 1);
+            switches += track != before;
+            crossed_flush |= images.OnDisk(track) != images.OnDisk(before);
+          }
+        }
+        EXPECT_EQ(bytes, want_bytes);
+        crossed_tracks |= switches > 0;
+        // Stopped only by an LSN not stored, the walk fetched an image for
+        // its first record and at each change of track.
+        if (max_bytes == SIZE_MAX && !got.empty()) {
+          EXPECT_EQ(fetches, 1 + switches);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(crossed_tracks);
+  EXPECT_TRUE(crossed_flush);
 }
 
 // --- The run index's shape ---
@@ -816,7 +951,7 @@ class RunIndexModelTest : public ::testing::Test {
       if (top == c.model.begin() || std::prev(top)->first.first != lsn) {
         ASSERT_TRUE(store.Read(lsn).status().IsNotFound()) << lsn;
         ASSERT_TRUE(store.ReadEncoded(lsn).status().IsNotFound()) << lsn;
-        ASSERT_EQ(store.ReadLocation(lsn), std::nullopt) << lsn;
+        ASSERT_EQ(store.TrackOf(lsn), std::nullopt) << lsn;
         continue;
       }
       const ModelClient::Copy& copy = std::prev(top)->second;
@@ -824,7 +959,8 @@ class RunIndexModelTest : public ::testing::Test {
       ASSERT_TRUE(encoded.ok()) << lsn;
       ASSERT_EQ(Bytes(encoded->begin(), encoded->end()), copy.encoding);
       ASSERT_EQ(*store.Read(lsn), wire::ToLogRecord(SharedBytes(copy.encoding)));
-      ASSERT_EQ(store.ReadLocation(lsn), copy.at);
+      ASSERT_EQ(store.LocationOf(lsn, std::prev(top)->first.second), copy.at);
+      ASSERT_EQ(store.TrackOf(lsn), copy.at.track);
     }
 
     // Intervals() and Records(): the model's records in write order.
